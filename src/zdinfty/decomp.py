@@ -2,15 +2,15 @@
 
 Indecomposables have scalar endomorphisms here, so an object is
 indecomposable exactly when its endomorphism algebra is one-dimensional.
-Splitting proceeds by Fitting decompositions along rational eigenvalues of
-seeded random endomorphisms; the deterministic fallback peels off summands
-by pairing maps to and from the finitely many candidate indecomposables that
-the jump data allows.
+Splitting is deterministic: a candidate indecomposable I is a summand of X
+exactly when the composition pairing Hom(X, I) x Hom(I, X) -> End(I) = k is
+nonzero, and the jump data of X cuts out finitely many candidates, among
+them every summand.  A nonzero pairing gives an idempotent of X whose image
+and kernel split it.
 """
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass
 
 from . import linalg
@@ -20,7 +20,7 @@ from .errors import (
     UnrecognizedShape,
     ZdinftyError,
 )
-from .fields import RATIONALS, FieldSpec
+from .fields import FieldSpec
 from .homext import (
     Morphism,
     add_morphisms,
@@ -188,17 +188,16 @@ class Decomposition:
         return tuple(sorted(f.sort_key() for f in self.factors))
 
 
-DEFAULT_SEED = 2024
-
-
-def decompose(X: CObject, seed: int = DEFAULT_SEED) -> Decomposition:
+def decompose(X: CObject) -> Decomposition:
     """Split into indecomposables with an explicit isomorphism.
 
     Torsion factors are read off the stored summands.  The lattice part is
-    split recursively: seeded random endomorphisms with a rational-eigenvalue
-    Fitting step first, then deterministic peeling against the candidate
-    labels cut out by the jump data.  Raises DecompositionFailure only if no
-    split is found for a provably decomposable object (a bug signal).
+    split recursively by peeling: each candidate label cut out by the jump
+    data is paired against the object, and the first nonzero pairing splits
+    off that candidate as a summand.  An object with a one-dimensional
+    endomorphism algebra is identified and checked against its standard
+    model.  Raises DecompositionFailure only if no split is found for a
+    provably decomposable object (a bug signal).
     """
     F = X.field
     if X.is_zero():
@@ -223,8 +222,7 @@ def decompose(X: CObject, seed: int = DEFAULT_SEED) -> Decomposition:
         lat_incl = morphism_from_parts(
             lat_obj, X, linalg.identity(F, X.p), linalg.identity(F, X.q)
         )
-        rng = random.Random(seed)
-        for label, incl in _split_lattice(lat_obj, rng):
+        for label, incl in _split_lattice(lat_obj):
             pieces.append((label, compose(lat_incl, incl)))
 
     pieces.sort(key=lambda t: t[0].sort_key())
@@ -267,7 +265,7 @@ def is_isomorphism(m: Morphism, target: CObject) -> bool:
     return True
 
 
-def _split_lattice(obj: CObject, rng) -> list:
+def _split_lattice(obj: CObject) -> list:
     """Recursive splitting of a torsion-free object.
 
     Returns a list of (label, inclusion morphism into obj).
@@ -275,8 +273,7 @@ def _split_lattice(obj: CObject, rng) -> list:
     if obj.rank == 0:
         return []
     F = obj.field
-    basis = hom_space(obj, obj).basis
-    if len(basis) == 1:
+    if hom_space(obj, obj).dim == 1:
         label = identify(obj)
         std = label_to_object(F, label)
         maps = hom_space(std, obj).basis
@@ -286,105 +283,16 @@ def _split_lattice(obj: CObject, rng) -> list:
             )
         return [(label, maps[0])]
 
-    mats = [m.full_matrix() for m in basis]
-    for _ in range(8):
-        coeffs = [F.of_int(rng.randint(-5, 5)) for _ in mats]
-        A = linalg.zeros(F, obj.rank, obj.rank)
-        for c, M in zip(coeffs, mats):
-            if not F.is_zero(c):
-                A = linalg.mat_add(F, A, linalg.mat_scale(F, c, M))
-        split = _fitting_split(obj, A)
-        if split is not None:
-            return _recurse_split(obj, split, rng)
-
     split = _peel_split(obj)
-    if split is not None:
-        return _recurse_split(obj, split, rng)
-    raise DecompositionFailure(
-        "no splitting found for a lattice object with dim End > 1"
-    )
-
-
-def _recurse_split(obj, split, rng):
-    (sub1, incl1), (sub2, incl2) = split
+    if split is None:
+        raise DecompositionFailure(
+            "no splitting found for a lattice object with dim End > 1"
+        )
     out = []
-    for sub, incl in ((sub1, incl1), (sub2, incl2)):
-        for label, inner in _split_lattice(sub, rng):
+    for sub, incl in split:
+        for label, inner in _split_lattice(sub):
             out.append((label, compose(incl, inner)))
     return out
-
-
-def _fitting_split(obj: CObject, A):
-    """Split along a rational eigenvalue of the endomorphism matrix."""
-    F = obj.field
-    r = obj.rank
-    minpoly = linalg.minimal_polynomial(F, A)
-    for lam in _rational_roots(F, minpoly):
-        shifted = linalg.mat_add(F, A, linalg.mat_scale(F, F.neg(lam), linalg.identity(F, r)))
-        power = linalg.mat_pow(F, shifted, r)
-        kernel = linalg.nullspace(F, power)
-        if 0 < len(kernel) < r:
-            image = linalg.span(F, linalg.transpose(power))
-            return (_subobject(obj, kernel), _subobject(obj, image))
-    return None
-
-
-def _rational_roots(F: FieldSpec, coeffs):
-    """Roots of the polynomial in the base field (ascending coefficients)."""
-    roots = []
-    if F.kind == RATIONALS:
-        from fractions import Fraction
-        from math import gcd
-
-        denom = 1
-        for c in coeffs:
-            denom = denom * c.denominator // gcd(denom, c.denominator)
-        ints = [int(c * denom) for c in coeffs]
-        while ints and ints[-1] == 0:
-            ints.pop()
-        if not ints:
-            return []
-        k = 0
-        while ints[k] == 0:
-            k += 1
-        if k > 0:
-            roots.append(Fraction(0))
-        a0, an = abs(ints[k]), abs(ints[-1])
-        if a0 > 10 ** 9 or an > 10 ** 9:
-            # divisor enumeration would dominate; the peeling fallback covers this
-            return roots
-        for pnum in _divisors(a0):
-            for qden in _divisors(an):
-                for cand in (Fraction(pnum, qden), Fraction(-pnum, qden)):
-                    if _poly_eval(F, coeffs, cand) == F.zero and cand not in roots:
-                        roots.append(cand)
-    else:
-        if F.p <= 1009:
-            for lam in range(F.p):
-                if _poly_eval(F, coeffs, lam) == F.zero:
-                    roots.append(lam)
-    return roots
-
-
-def _divisors(n: int):
-    n = abs(n)
-    if n == 0:
-        return [1]
-    out = []
-    d = 1
-    while d * d <= n:
-        if n % d == 0:
-            out.append(d)
-            out.append(n // d)
-        d += 1
-    return sorted(set(out))
-
-
-def _poly_eval(F, coeffs, x):
-    acc = F.zero
-    for c in reversed(coeffs):
-        acc = F.add(F.mul(acc, x), c)
-    return acc
 
 
 def _subobject(obj: CObject, basis_rows):
@@ -428,19 +336,25 @@ def _pivot(F, v):
 
 
 def _peel_split(obj: CObject):
-    """Deterministic splitting: pair maps through candidate indecomposables."""
+    """Split off the first candidate indecomposable that is a summand.
+
+    Every summand's jumps are jumps of obj, so the candidates are F0/F1 at
+    each jump and F[e2 - e1, -e1] for each pair of jumps.  Rank-two
+    candidates go first: a rank-one candidate that is not a summand still
+    costs two Hom spaces, and rank-two sums have many of them.
+    """
     F = obj.field
     jumps = sorted(set(obj.lattice.jump_list))
     candidates = []
+    if obj.p > 0 and obj.q > 0:
+        for i, e1 in enumerate(jumps):
+            for e2 in jumps[i + 1:]:
+                candidates.append(rank_two_label(e2 - e1, -e1))
     for e in jumps:
         if obj.p > 0:
             candidates.append(rank_one_label(0, -e))
         if obj.q > 0:
             candidates.append(rank_one_label(1, -e))
-    if obj.p > 0 and obj.q > 0:
-        for i, e1 in enumerate(jumps):
-            for e2 in jumps[i + 1:]:
-                candidates.append(rank_two_label(e2 - e1, -e1))
     for label in candidates:
         I = label_to_object(F, label)
         maps_in = hom_space(I, obj).basis

@@ -38,7 +38,7 @@ class NotIndecomposable(ZdinftyError):
 
 
 class DecompositionFailure(ZdinftyError):
-    """The splitting search exhausted its budget; indicates a bug."""
+    """No splitting was found for a decomposable object; indicates a bug."""
 
 
 class UnrecognizedShape(ZdinftyError):

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Union
 
-from .errors import FieldMismatch, ZdinftyError
+from .errors import FieldMismatch, ParseError, ZdinftyError
 
 Scalar = Union[Fraction, int]
 
@@ -139,5 +139,9 @@ def parse_field(text: str) -> FieldSpec:
     if text == "Q":
         return QQ
     if text.startswith("Fp:"):
-        return GF(int(text[3:]))
+        try:
+            p = int(text[3:])
+        except ValueError:
+            raise ParseError(f"expected a prime after 'Fp:' in {text!r}", 3)
+        return GF(p)
     raise ZdinftyError(f"unknown field {text!r}; expected Q or Fp:<p>")

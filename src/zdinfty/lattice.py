@@ -268,21 +268,3 @@ def adapted_coords(L: GradedLattice, v: Sequence, degree: int):
     for i, c in zip(active, coeffs):
         out[i] = c
     return out
-
-
-def apply_matrix(F: FieldSpec, A: Sequence, L: GradedLattice, p: int, q: int) -> GradedLattice:
-    """Image lattice A * L inside a new ambient space of type (p, q).
-
-    ``A`` must be injective on k^r for the image to be full rank.
-    """
-    gens = [(j, linalg.mat_vec(F, A, d)) for j, d in L.generators()]
-    return canonicalize(F, gens, p, q)
-
-
-def preserves_filtration(F: FieldSpec, A: Sequence, src: GradedLattice, dst: GradedLattice) -> bool:
-    """Whether the constant matrix maps S_e(src) into S_e(dst) for all e."""
-    for jump, dir in src.generators():
-        w = linalg.mat_vec(F, A, dir)
-        if not membership(dst, GradedVector(jump, w)):
-            return False
-    return True

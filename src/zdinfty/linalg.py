@@ -27,20 +27,12 @@ def identity(F: FieldSpec, n: int) -> Matrix:
     return tuple(tuple(o if i == j else z for j in range(n)) for i in range(n))
 
 
-def zero_vector(F: FieldSpec, n: int) -> Vector:
-    return tuple(F.zero for _ in range(n))
-
-
 def is_zero_vector(F: FieldSpec, v: Sequence[Scalar]) -> bool:
     return all(F.is_zero(a) for a in v)
 
 
 def vec_add(F: FieldSpec, u: Sequence, v: Sequence) -> Vector:
     return tuple(F.add(a, b) for a, b in zip(u, v))
-
-
-def vec_sub(F: FieldSpec, u: Sequence, v: Sequence) -> Vector:
-    return tuple(F.sub(a, b) for a, b in zip(u, v))
 
 
 def vec_scale(F: FieldSpec, c: Scalar, v: Sequence) -> Vector:
@@ -117,14 +109,6 @@ def transpose(A: Sequence) -> Matrix:
     if not A:
         return ()
     return tuple(zip(*A))
-
-
-def hstack(A: Sequence, B: Sequence) -> Matrix:
-    if not A:
-        return tuple(B)
-    if not B:
-        return tuple(A)
-    return tuple(tuple(ra) + tuple(rb) for ra, rb in zip(A, B))
 
 
 def trace(F: FieldSpec, A: Sequence) -> Scalar:
@@ -258,37 +242,3 @@ def inverse(F: FieldSpec, A: Sequence) -> Matrix | None:
     if len(red) < n or list(pivots) != list(range(n)):
         return None
     return tuple(tuple(row[n:]) for row in red)
-
-
-def mat_pow(F: FieldSpec, A: Sequence, k: int) -> Matrix:
-    n = len(A)
-    out = identity(F, n)
-    base = tuple(tuple(r) for r in A)
-    while k > 0:
-        if k & 1:
-            out = mat_mul(F, out, base)
-        base = mat_mul(F, base, base)
-        k >>= 1
-    return out
-
-
-def minimal_polynomial(F: FieldSpec, A: Sequence) -> tuple:
-    """Monic minimal polynomial of a square matrix, as an ascending
-    coefficient tuple."""
-    n = len(A)
-    if n == 0:
-        return (F.one,)
-    # Krylov: find the first power of A that is linearly dependent on the
-    # previous ones, as vectors in k^(n*n).
-    powers = [identity(F, n)]
-    flat = [tuple(x for row in powers[0] for x in row)]
-    while True:
-        nxt = mat_mul(F, powers[-1], A)
-        target = tuple(x for row in nxt for x in row)
-        coeffs = coords_in_basis(F, flat, target) if flat else None
-        if coeffs is not None:
-            k = len(powers)
-            poly = [F.neg(c) for c in coeffs] + [F.one]
-            return tuple(poly[: k + 1])
-        powers.append(nxt)
-        flat.append(target)

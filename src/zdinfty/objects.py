@@ -58,9 +58,6 @@ class TorsionPart:
     def max_degree(self):
         return max((-a + n - 1 for n, a in self.summands), default=None)
 
-    def total_dim(self) -> int:
-        return sum(n for n, _ in self.summands)
-
     def xmatrix(self, F: FieldSpec, d: int):
         """Multiplication by x from the degree-d slots to the degree-(d+1) slots."""
         src = self.slots_at(d)
@@ -111,9 +108,6 @@ class CObject:
     def is_torsion_free(self) -> bool:
         return self.torsion.is_zero()
 
-    def is_torsion(self) -> bool:
-        return self.rank == 0
-
     def module_dim_at(self, d: int) -> int:
         """k-dimension of the degree-d piece of the underlying graded module."""
         return self.lattice.dim_at(d) + self.torsion.dim_at(d)
@@ -132,10 +126,6 @@ class CObject:
 
 def zero_object(field: FieldSpec) -> CObject:
     return CObject(field, TorsionPart(()), GradedLattice(field, 0, 0, ()))
-
-
-def make_object(field: FieldSpec, torsion, lattice: GradedLattice) -> CObject:
-    return CObject(field, TorsionPart.of(torsion), lattice)
 
 
 def rank_one(field: FieldSpec, i: int, a: int) -> CObject:

@@ -136,6 +136,11 @@ def test_usage_errors():
     assert code == 2
     code, out = run_command(["hom", "F[0,1]", "F0[0]"])
     assert code == 2 and "error" in out
+    code, out = run_command(["--field", "Fp:x", "hom", "F0[0]", "F0[0]"])
+    assert code == 2 and out.startswith("error:") and "\n" not in out
+    # an empty sweep is bad input, not a PASS
+    code, out = run_command(["serre", "--catalog", "|a|<=-1"])
+    assert code == 2 and out.startswith("error:") and "\n" not in out
 
 
 @pytest.mark.parametrize(

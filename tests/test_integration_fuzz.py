@@ -75,7 +75,8 @@ def test_fuzz_random_extension_classes(field, seed):
         # middle invariants: rank and type additivity, euler additivity
         assert seq.middle.rank == X.rank + Y.rank
         assert (seq.middle.p, seq.middle.q) == (X.p + Y.p, X.q + Y.q)
-        dec = decompose(seq.middle, seed=rng.randint(0, 10 ** 6))
+        rng.randint(0, 10 ** 6)  # unused draw: keeps the sequence of classes stable
+        dec = decompose(seq.middle)
         rebuilt = direct_sum_many(
             [label_to_object(field, l) for l in dec.factors]
         )[0]
@@ -119,7 +120,9 @@ def random_invertible(field, rng, n):
             return M
 
 
-@pytest.mark.parametrize("field,seed", [(QQ, 707), (GF(5), 808)])
+@pytest.mark.parametrize(
+    "field,seed", [(QQ, 707), (GF(5), 808), (GF(2), 909), (GF(3), 1010)]
+)
 def test_fuzz_decompose_conjugated_sums(field, seed):
     # an isomorphic, non-block embedding of a direct sum must decompose to
     # the same multiset: conjugate the lattice by a random type-diagonal map
@@ -143,8 +146,9 @@ def test_fuzz_decompose_conjugated_sums(field, seed):
         twisted = CObject(
             field, X.torsion, canonicalize(field, gens, X.p, X.q)
         )
-        want = decompose(X, seed=1).factor_multiset
-        dec = decompose(twisted, seed=rng.randint(0, 10 ** 6))
+        want = decompose(X).factor_multiset
+        rng.randint(0, 10 ** 6)  # unused draw: keeps the sequence of sums stable
+        dec = decompose(twisted)
         assert dec.factor_multiset == want
         assert is_isomorphism(dec.iso, twisted)
 

@@ -83,14 +83,6 @@ def test_reduce_against_is_canonical():
     assert linalg.in_span(F, basis, pivots, (Fraction(1), Fraction(1), Fraction(3)))
 
 
-def test_minimal_polynomial():
-    F = QQ
-    A = ((Fraction(0), Fraction(1)), (Fraction(0), Fraction(0)))
-    assert linalg.minimal_polynomial(F, A) == (Fraction(0), Fraction(0), Fraction(1))
-    I = linalg.identity(F, 3)
-    assert linalg.minimal_polynomial(F, I) == (Fraction(-1), Fraction(1))
-
-
 @pytest.mark.parametrize("F", [QQ, GF(5)])
 def test_poly_ring(F):
     x = Poly.monomial(F, 1, 1)
