@@ -4,7 +4,7 @@ A degree-one class is realized as an honest short exact sequence: for
 torsion-free ends the middle lattice is generated by the twisted columns
 [B' | A B; 0 | B]; in the presence of torsion the extension is assembled
 degreewise (the class data feeds the x-action and the localization chart),
-its canonical form is reconstructed, and an equivariant isomorphism
+its canonical form is reconstructed, and the adapted basis found with it
 transports the inclusion and projection onto the canonical middle.
 """
 
@@ -45,7 +45,6 @@ from .objects import (
     TorsionPart,
     direct_sum,
     model_of,
-    from_window,
     serre_twist,
     shift,
     sigma,
@@ -145,7 +144,6 @@ def _general_extension(c: ExtClass) -> ShortExactSeq:
     wmY, chartY, slotsY = model_of(Y, lo, hi)
     wmX, chartX, slotsX = model_of(X, lo, hi)
     embY, embX, pE, qE = _embeddings(Y, X)
-    rE = pE + qE
 
     dims = tuple(wmY.dim_at(d) + wmX.dim_at(d) for d in range(lo, hi + 1))
     xmaps = []
@@ -178,47 +176,23 @@ def _general_extension(c: ExtClass) -> ShortExactSeq:
         chart_cols.append(vec)
     chart = linalg.transpose(chart_cols) if chart_cols else ()
     wmE = window.WindowModule(F, lo, hi, dims, tuple(xmaps))
-    E = from_window(wmE, chart, pE, qE)
-
-    wmM, chartM, _ = model_of(E, lo, hi)
-    phi = _transport_iso(wmE, chart, wmM, chartM, pE, qE, rE)
-    phi_inv = {d: linalg.inverse(F, phi[d]) for d in range(lo, hi + 1)}
+    summands, lat, phi_inv = window.reconstruct_parts(wmE, chart, pE, qE)
+    E = CObject(F, TorsionPart(summands), lat)
+    # phi_inv carries the canonical model of E onto wmE; its inverse is the
+    # certificate that the two are isomorphic.
+    phi = {d: linalg.inverse(F, phi_inv[d]) for d in range(lo, hi + 1)}
+    if any(m is None for m in phi.values()):
+        raise ZdinftyError("no equivariant isomorphism onto the canonical middle")
 
     psi_in = {}
     psi_out = {}
     for d in range(lo, hi + 1):
         ny = wmY.dim_at(d)
         psi_in[d] = tuple(tuple(row[:ny]) for row in phi[d])
-        psi_out[d] = tuple(tuple(row) for row in phi_inv[d][ny:]) if phi_inv[d] else ()
+        psi_out[d] = phi_inv[d][ny:]
     inject = morphism_from_degreewise(Y, E, psi_in, lo, hi)
     surject = morphism_from_degreewise(E, X, psi_out, lo, hi)
     return ShortExactSeq(Y, E, X, inject, surject, c)
-
-
-def _transport_iso(wmA, chartA, wmB, chartB, p, q, r):
-    """Equivariant degreewise isomorphism A -> B, type-diagonal at the top."""
-    F = wmA.field
-    constraints = []
-    if r > 0:
-        inv = linalg.inverse(F, chartA)
-        for i in range(r):
-            for j in range(r):
-                ti = 0 if i < p else 1
-                tj = 0 if j < p else 1
-                if ti == tj:
-                    continue
-                C = []
-                for s in range(wmB.dim_at(wmB.hi)):
-                    row = []
-                    for t in range(wmA.dim_at(wmA.hi)):
-                        row.append(F.mul(chartB[i][s], inv[t][j]))
-                    C.append(tuple(row))
-                constraints.append(tuple(C))
-    basis = window.intertwiner_space(wmA, wmB, constraints)
-    phi = window.find_equivariant_iso(wmA, wmB, basis)
-    if phi is None:
-        raise ZdinftyError("no equivariant isomorphism onto the canonical middle")
-    return phi
 
 
 def morphism_from_degreewise(src: CObject, dst: CObject, psi, lo: int, hi: int) -> Morphism:

@@ -19,11 +19,9 @@ from .ar import almost_split, dot_export, quiver_window, window_to_json
 from .decomp import (
     decompose,
     filtration,
-    identify,
     label_to_object,
     rank_one_label,
     rank_two_label,
-    serre_twist_label,
     wing,
 )
 from .errors import ParseError, RangeError, ZdinftyError
@@ -119,22 +117,37 @@ def _checked_wing(n, a):
 
 
 def _parse_json_literal(text, field: FieldSpec) -> CObject:
-    data = json.loads(text)
+    try:
+        data = json.loads(text)
+    except json.JSONDecodeError as e:
+        raise ParseError(f"malformed JSON literal: {e.msg}", e.pos)
     if "field" in data:
-        field = parse_field(data["field"])
-    torsion = [tuple(s) for s in data.get("torsion", [])]
+        field = parse_field(str(data["field"]))
+    torsion = data.get("torsion", [])
+    if not isinstance(torsion, list):
+        raise ParseError("JSON torsion is not a list of [n, a] pairs", 0)
+    for s in torsion:
+        if not (isinstance(s, list) and len(s) == 2 and all(isinstance(v, int) for v in s)):
+            raise ParseError(f"torsion entry {s!r} is not an [n, a] pair of integers", 0)
     lat_data = data.get("lattice")
     if lat_data is None:
         lattice = GradedLattice(field, 0, 0, ())
     else:
-        gens = []
-        for g in lat_data.get("gens", []):
-            dir = tuple(
-                field.parse_scalar(str(c)) if not isinstance(c, int) else field.of_int(c)
-                for c in g["dir"]
-            )
-            gens.append((int(g["jump"]), dir))
-        p, q = int(lat_data["p"]), int(lat_data["q"])
+        try:
+            gens = []
+            for g in lat_data.get("gens", []):
+                dir = tuple(
+                    field.parse_scalar(str(c)) if not isinstance(c, int) else field.of_int(c)
+                    for c in g["dir"]
+                )
+                gens.append((int(g["jump"]), dir))
+            p, q = int(lat_data["p"]), int(lat_data["q"])
+        except KeyError as e:
+            raise ParseError(f"JSON literal lacks the key {e.args[0]!r}", 0)
+        except (AttributeError, TypeError, ValueError):
+            raise ParseError("JSON lattice does not follow the object schema", 0)
+        if p < 0 or q < 0:
+            raise RangeError(f"lattice type counts must be non-negative, got p={p}, q={q}")
         if p + q == 0:
             lattice = GradedLattice(field, 0, 0, ())
         else:
@@ -157,9 +170,10 @@ def print_object(X: CObject) -> str:
 def parse_catalog(spec: str, field: FieldSpec):
     """Objects allowed by bounds like "m<=3,n<=3,|a|<=2"."""
     m_max, n_max, a_min, a_max = 2, 2, -1, 1
-    if spec:
-        for clause in spec.split(","):
-            clause = clause.strip().replace(" ", "")
+    pos = 0
+    for raw in spec.split(",") if spec else ():
+        clause = raw.strip().replace(" ", "")
+        try:
             if clause.startswith("m<="):
                 m_max = int(clause[3:])
             elif clause.startswith("n<="):
@@ -172,7 +186,10 @@ def parse_catalog(spec: str, field: FieldSpec):
             elif clause.startswith("a<="):
                 a_max = int(clause[3:])
             else:
-                raise ZdinftyError(f"unknown catalog clause {clause!r}")
+                raise ParseError(f"unknown catalog clause {clause!r}", pos)
+        except ValueError:
+            raise ParseError(f"expected an integer bound in catalog clause {clause!r}", pos)
+        pos += len(raw) + 1
     labels = []
     for a in range(a_min, a_max + 1):
         labels.append(rank_one_label(0, a))

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Union
 
-from .errors import FieldMismatch, ParseError, ZdinftyError
+from .errors import FieldMismatch, ParseError, RangeError, ZdinftyError
 
 Scalar = Union[Fraction, int]
 
@@ -66,6 +66,8 @@ class FieldSpec:
         return n % self.p
 
     def of_fraction(self, num: int, den: int) -> Scalar:
+        if self.is_zero(self.of_int(den)):
+            raise RangeError(f"denominator {den} is zero in {self}")
         if self.kind == RATIONALS:
             return Fraction(num, den)
         return (num % self.p) * self.inv(den % self.p) % self.p
@@ -111,11 +113,13 @@ class FieldSpec:
         return str(a)
 
     def parse_scalar(self, text: str) -> Scalar:
-        text = text.strip()
-        if "/" in text:
-            num, den = text.split("/")
-            return self.of_fraction(int(num), int(den))
-        return self.of_int(int(text))
+        """An integer or a fraction n/d; ParseError on anything else."""
+        num, slash, den = text.strip().partition("/")
+        try:
+            n = int(num)
+            return self.of_fraction(n, int(den)) if slash else self.of_int(n)
+        except ValueError:
+            raise ParseError(f"expected an integer or a fraction n/d, got {text!r}", 0)
 
     def __str__(self) -> str:
         return "Q" if self.kind == RATIONALS else f"F{self.p}"

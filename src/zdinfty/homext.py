@@ -388,8 +388,8 @@ def validate_morphism(m: Morphism) -> None:
     if lo is not None:
         hi = m.src.torsion.max_degree()
         for d in range(lo, hi + 1):
-            lhs = linalg.mat_mul(F, m.dst.torsion.xmatrix(F, d), m.tt_at(d))
-            rhs = linalg.mat_mul(F, m.tt_at(d + 1), m.src.torsion.xmatrix(F, d))
+            lhs = linalg.mat_mul(F, m.dst.torsion.xpower(F, d, d + 1), m.tt_at(d))
+            rhs = linalg.mat_mul(F, m.tt_at(d + 1), m.src.torsion.xpower(F, d, d + 1))
             if lhs != rhs:
                 raise ZdinftyError("torsion component does not commute with x")
 
@@ -542,8 +542,8 @@ def _torsion_intertwiners(X: CObject, Y: CObject):
         nb1 = Y.torsion.dim_at(d + 1)
         if na == 0 or nb1 == 0:
             continue
-        xa = X.torsion.xmatrix(F, d)
-        xb = Y.torsion.xmatrix(F, d)
+        xa = X.torsion.xpower(F, d, d + 1)
+        xb = Y.torsion.xpower(F, d, d + 1)
         has_d = d in offsets
         has_d1 = (d + 1) in offsets
         for i in range(nb1):

@@ -58,22 +58,13 @@ class TorsionPart:
     def max_degree(self):
         return max((-a + n - 1 for n, a in self.summands), default=None)
 
-    def xmatrix(self, F: FieldSpec, d: int):
-        """Multiplication by x from the degree-d slots to the degree-(d+1) slots."""
-        src = self.slots_at(d)
-        dst = self.slots_at(d + 1)
-        pos = {i: k for k, i in enumerate(dst)}
-        rows = [[F.zero] * len(src) for _ in dst]
-        for col, i in enumerate(src):
-            if i in pos:
-                rows[pos[i]][col] = F.one
-        return tuple(tuple(r) for r in rows)
-
     def xpower(self, F: FieldSpec, d_from: int, d_to: int):
-        out = linalg.identity(F, self.dim_at(d_from))
-        for d in range(d_from, d_to):
-            out = linalg.mm(F, self.xmatrix(F, d), out, self.dim_at(d), self.dim_at(d_from))
-        return out
+        """Multiplication by x^(d_to - d_from), for d_to >= d_from: a 1 where
+        the same summand is alive at both degrees."""
+        src = self.slots_at(d_from)
+        return tuple(
+            tuple(F.one if i == j else F.zero for j in src) for i in self.slots_at(d_to)
+        )
 
     def shifted(self, s: int) -> "TorsionPart":
         return TorsionPart.of((n, a + s) for n, a in self.summands)
@@ -319,7 +310,7 @@ def model_of(X: CObject, lo: int, hi: int):
 
 
 def from_window(wm: window.WindowModule, chart, p: int, q: int) -> CObject:
-    summands, lat = window.reconstruct_parts(wm, chart, p, q)
+    summands, lat, _ = window.reconstruct_parts(wm, chart, p, q)
     return CObject(wm.field, TorsionPart(summands), lat)
 
 

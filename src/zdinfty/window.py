@@ -5,7 +5,8 @@ the multiplication-by-x matrices between consecutive degrees.  Together with
 a chart identifying the top degree with the ambient space k^r this is enough
 to recover the canonical torsion/lattice data of a finitely generated object:
 the lattice filtration is the image in the localization, and the torsion
-summand multiset falls out of the ranks of the x-power maps on the kernel.
+summands are the bars of the kernel's persistence module, found by one
+elder-rule sweep that also yields an isomorphism onto the canonical model.
 """
 
 from __future__ import annotations
@@ -43,23 +44,23 @@ class WindowModule:
             return linalg.zeros(self.field, self.dim_at(d + 1), self.dim_at(d))
         return self.xmaps[d - self.lo]
 
-    def xpower(self, d_from: int, d_to: int) -> tuple:
-        out = linalg.identity(self.field, self.dim_at(d_from))
-        for d in range(d_from, d_to):
-            out = _mm(self.field, self.xmap(d), out, self.dim_at(d), self.dim_at(d_from))
-        return out
-
-
-_mm = linalg.mm
-
 
 def reconstruct_parts(wm: WindowModule, chart, p: int, q: int):
-    """Recover (torsion summands, lattice) from a window model.
+    """Recover (torsion summands, lattice, adapted basis) from a window model.
 
     ``chart`` is an invertible r x dim(hi) matrix identifying the top degree
     with k^r; the window must reach high enough that all torsion is dead and
-    the filtration has stabilized at the top.  Returns a sorted tuple of
-    torsion summands (n, a) and the canonical GradedLattice.
+    the filtration has stabilized at the top.  The lattice is the filtration
+    of the chart images.  The torsion is the persistence module of the
+    kernels K_d of the maps into the chart: one elder-rule sweep from low to
+    high degree splits it into bars, each a chain v, xv, x^2 v, ... that x
+    kills after its last degree.
+
+    Returns the sorted torsion summands (n, a), the canonical GradedLattice,
+    and ``basis``: per degree d, the matrix whose columns are the images in
+    ``wm`` of the slots of the canonical model at d, in ``module_slots_at``
+    order.  It commutes with x, the chart sends its top block to the
+    canonical generator directions, and each block is invertible.
     """
     F = wm.field
     r = p + q
@@ -69,37 +70,57 @@ def reconstruct_parts(wm: WindowModule, chart, p: int, q: int):
     # Maps into the localization chart, degree by degree from the top.
     to_chart = {wm.hi: chart}
     for d in range(wm.hi - 1, wm.lo - 1, -1):
-        to_chart[d] = _mm(F, to_chart[d + 1], wm.xmap(d), wm.dim_at(d + 1), wm.dim_at(d))
+        to_chart[d] = linalg.mm(F, to_chart[d + 1], wm.xmap(d), wm.dim_at(d + 1), wm.dim_at(d))
+    degrees = range(wm.lo, wm.hi + 1)
+    if r > 0:
+        lat = from_filtration(F, p, q, [(d, linalg.transpose(to_chart[d])) for d in degrees])
+    else:
+        lat = GradedLattice(F, p, q, ())
 
-    pieces = []
-    kernels = {}
-    for d in range(wm.lo, wm.hi + 1):
-        cols = [tuple(to_chart[d][i][j] for i in range(r)) for j in range(wm.dim_at(d))]
-        pieces.append((d, cols))
-        kernels[d] = linalg.nullspace(F, to_chart[d], ncols=wm.dim_at(d))
-    lat = from_filtration(F, p, q, pieces) if r > 0 else GradedLattice(F, p, q, ())
+    bars = []  # finished (birth, chain of vectors from the birth degree on)
+    live = []  # bars alive at the previous degree, elder first
+    for d in degrees:
+        kernel = linalg.nullspace(F, to_chart[d], ncols=wm.dim_at(d))
+        if d == wm.hi and kernel:
+            raise ZdinftyError("torsion still alive at the top of the window")
+        survivors, images = [], []
+        for birth, chain in live:
+            image = linalg.mat_vec(F, wm.xmap(d - 1), chain[-1])
+            coeffs = linalg.coords_in_basis(F, images, image)
+            if coeffs is None:
+                chain.append(image)
+                survivors.append((birth, chain))
+                images.append(image)
+                continue
+            # The bar dies at d - 1.  Its elders are alive on its whole span;
+            # subtracting the same combination of them at every degree makes
+            # x kill its last vector.
+            for (elder_birth, elder_chain), c in zip(survivors, coeffs):
+                if F.is_zero(c):
+                    continue
+                for t in range(len(chain)):
+                    elder = linalg.vec_scale(F, F.neg(c), elder_chain[birth - elder_birth + t])
+                    chain[t] = linalg.vec_add(F, chain[t], elder)
+            bars.append((birth, chain))
+        for v in kernel:
+            if linalg.coords_in_basis(F, images, v) is None:
+                survivors.append((d, [v]))
+                images.append(v)
+        live = survivors
+    bars.sort(key=lambda bar: (len(bar[1]), -bar[0]))
 
-    if kernels[wm.hi]:
-        raise ZdinftyError("torsion still alive at the top of the window")
-
-    def rho(s: int, t: int) -> int:
-        # number of torsion summands alive on all of [s, t]
-        if s < wm.lo or t > wm.hi or t < s:
-            return 0
-        basis = kernels[s]
-        if not basis:
-            return 0
-        imgs = [linalg.mat_vec(F, wm.xpower(s, t), v) for v in basis]
-        return linalg.rank(F, imgs)
-
-    summands = []
-    for s in range(wm.lo, wm.hi + 1):
-        for t in range(s, wm.hi + 1):
-            n = rho(s, t) - rho(s - 1, t) - rho(s, t + 1) + rho(s - 1, t + 1)
-            if n < 0:
-                raise ZdinftyError("inconsistent torsion ranks in window model")
-            summands.extend([(t - s + 1, -s)] * n)
-    return tuple(sorted(summands)), lat
+    # Lattice generators solved at their jump and pushed up, then the bars.
+    cols = {d: [] for d in degrees}
+    for e, direction in lat.generators():
+        u = linalg.solve(F, to_chart[e], direction)
+        for d in range(e, wm.hi + 1):
+            cols[d].append(u)
+            u = linalg.mat_vec(F, wm.xmap(d), u)
+    for birth, chain in bars:
+        for t, v in enumerate(chain):
+            cols[birth + t].append(v)
+    basis = {d: linalg.transpose(cols[d]) for d in degrees}
+    return tuple((len(chain), -birth) for birth, chain in bars), lat, basis
 
 
 def quotient_model(field: FieldSpec, lo: int, hi: int, ambient_dims, relation_rows):
@@ -137,95 +158,3 @@ def quotient_model(field: FieldSpec, lo: int, hi: int, ambient_dims, relation_ro
             cols.append(project(d + 1, tuple(vec)))
         xmaps.append(linalg.transpose(cols))
     return WindowModule(field, lo, hi, dims, tuple(xmaps)), reps, project
-
-
-def intertwiner_space(A: WindowModule, B: WindowModule, top_constraint=None):
-    """Basis of degreewise maps phi with x . phi = phi . x on the window.
-
-    Each basis element is a dict degree -> matrix.  ``top_constraint`` may be
-    a list of linear conditions on the top-degree block, given as matrices C
-    with sum C[i][j] * phi_hi[i][j] = 0.
-    """
-    if (A.lo, A.hi) != (B.lo, B.hi):
-        raise ZdinftyError("intertwiner solve needs aligned windows")
-    F = A.field
-    offsets = {}
-    total = 0
-    for d in range(A.lo, A.hi + 1):
-        offsets[d] = total
-        total += B.dim_at(d) * A.dim_at(d)
-
-    def var(d, i, j):
-        return offsets[d] + i * A.dim_at(d) + j
-
-    rows = []
-    for d in range(A.lo, A.hi):
-        xa, xb = A.xmap(d), B.xmap(d)
-        na, nb = A.dim_at(d), B.dim_at(d)
-        na1, nb1 = A.dim_at(d + 1), B.dim_at(d + 1)
-        for i in range(nb1):
-            for j in range(na):
-                row = [F.zero] * total
-                # (phi_{d+1} xa)_{ij} - (xb phi_d)_{ij} = 0
-                for t in range(na1):
-                    if not F.is_zero(xa[t][j]):
-                        row[var(d + 1, i, t)] = F.add(row[var(d + 1, i, t)], xa[t][j])
-                for s in range(nb):
-                    if not F.is_zero(xb[i][s]):
-                        row[var(d, s, j)] = F.sub(row[var(d, s, j)], xb[i][s])
-                if any(not F.is_zero(c) for c in row):
-                    rows.append(tuple(row))
-    if top_constraint:
-        for C in top_constraint:
-            row = [F.zero] * total
-            for i in range(B.dim_at(A.hi)):
-                for j in range(A.dim_at(A.hi)):
-                    if not F.is_zero(C[i][j]):
-                        row[var(A.hi, i, j)] = C[i][j]
-            rows.append(tuple(row))
-
-    kernel = linalg.nullspace(F, rows) if rows else linalg.identity(F, total)
-    basis = []
-    for vec in kernel:
-        phi = {}
-        for d in range(A.lo, A.hi + 1):
-            na, nb = A.dim_at(d), B.dim_at(d)
-            phi[d] = tuple(
-                tuple(vec[var(d, i, j)] for j in range(na)) for i in range(nb)
-            )
-        basis.append(phi)
-    return basis
-
-
-def find_equivariant_iso(A: WindowModule, B: WindowModule, basis, seed: int = 0):
-    """An invertible intertwiner from a spanning set, or None.
-
-    Tries the basis elements and then seeded small integer combinations.
-    """
-    import random
-
-    F = A.field
-    if A.dims != B.dims:
-        return None
-
-    def invertible(phi):
-        return all(
-            linalg.inverse(F, phi[d]) is not None for d in range(A.lo, A.hi + 1)
-        )
-
-    for phi in basis:
-        if invertible(phi):
-            return phi
-    rng = random.Random(seed)
-    for _ in range(200):
-        coeffs = [F.of_int(rng.randint(-4, 4)) for _ in basis]
-        phi = {}
-        for d in range(A.lo, A.hi + 1):
-            acc = linalg.zeros(F, B.dim_at(d), A.dim_at(d))
-            for c, b in zip(coeffs, basis):
-                if not F.is_zero(c):
-                    acc = linalg.mat_add(F, acc, linalg.mat_scale(F, c, b[d]))
-            phi[d] = acc
-        if invertible(phi):
-            return phi
-    return None

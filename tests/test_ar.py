@@ -419,7 +419,7 @@ def test_les_commutes_with_duality():
     assert checked > 0
 
 
-@pytest.mark.parametrize("field", [GF(5)])
+@pytest.mark.parametrize("field", [GF(2), GF(3), GF(5)])
 def test_almost_split_prime_field(field):
     mesh = almost_split(rank_two(field, 2, 0))
     assert mesh.middle_factors == (rank_two_label(1, -1), rank_two_label(3, 0))

@@ -141,6 +141,32 @@ def test_usage_errors():
     # an empty sweep is bad input, not a PASS
     code, out = run_command(["serre", "--catalog", "|a|<=-1"])
     assert code == 2 and out.startswith("error:") and "\n" not in out
+    # malformed catalogs, JSON literals and scalars fail where they are parsed
+    for argv in [
+        ["serre", "--catalog", "m<=x"],
+        ["hom", _literal(p=""), "F0[0]"],
+        ["hom", _literal(q=""), "F0[0]"],
+        ["hom", _literal(gen='{"dir": [1]}'), "F0[0]"],
+        ["hom", _literal(gen='{"jump": 0}'), "F0[0]"],
+        ["hom", _literal(gen='{"jump": "x", "dir": [1]}'), "F0[0]"],
+        ["hom", _literal(p='"p": -1, ', q='"q": 1, '), "F0[0]"],
+        ["hom", '{"field": 5}', "F0[0]"],
+        ["hom", '{"torsion": 5}', "F0[0]"],
+        ["hom", '{"torsion": [[1]]}', "F0[0]"],
+        ["hom", '{"torsion": [[1, 0]', "F0[0]"],
+        ["--field", "Fp:5", "hom", _literal(gen='{"jump": 0, "dir": ["1/5"]}'), "F0[0]"],
+        ["hom", _literal(gen='{"jump": 0, "dir": ["1/0"]}'), "F0[0]"],
+        ["hom", _literal(gen='{"jump": 0, "dir": ["1/2/3"]}'), "F0[0]"],
+    ]:
+        code, out = run_command(argv)
+        assert code == 2 and out.startswith("error:") and "\n" not in out, argv
+    # a truncated literal reports where the JSON parser stopped
+    assert run_command(["hom", '{"torsion": [[1, 0]', "F0[0]"])[1].endswith("(at position 19)")
+
+
+def _literal(gen='{"jump": 0, "dir": [1]}', p='"p": 1, ', q='"q": 0, '):
+    """A rank-one JSON literal; each argument can drop or replace a field."""
+    return '{"lattice": {' + p + q + '"gens": [' + gen + "]}}"
 
 
 @pytest.mark.parametrize(

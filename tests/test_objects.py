@@ -4,6 +4,7 @@ import random
 
 import pytest
 
+from zdinfty import window
 from zdinfty.errors import InconsistentTypes, NotFullRank
 from zdinfty.fields import GF, QQ
 from zdinfty.objects import (
@@ -28,7 +29,17 @@ from zdinfty.objects import (
 )
 from zdinfty.poly import Poly
 
+from oracle_bars import checked_reconstruct
 from oracle_snf import graded_smith
+
+
+@pytest.fixture(autouse=True)
+def reference_bars(monkeypatch):
+    """Every window reconstructed here, by from_window or from_presentation,
+    is checked against the rank inclusion-exclusion reference."""
+    monkeypatch.setattr(
+        window, "reconstruct_parts", checked_reconstruct(window.reconstruct_parts, [])
+    )
 
 
 def test_shift_identities():
