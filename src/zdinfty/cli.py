@@ -10,6 +10,7 @@ random sums); --format json emits versioned machine-readable records.
 from __future__ import annotations
 
 import argparse
+import functools
 import itertools
 import json
 import random
@@ -412,7 +413,9 @@ def cmd_selftest(args, field) -> tuple[int, str]:
 # dispatch
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process."""
     parser = argparse.ArgumentParser(
         prog="zdinfty",
         description="exact Hom/Ext, Serre duality and AR quivers for typed graded lattices",
@@ -457,7 +460,11 @@ COMMANDS = {
 
 
 def run_command(argv) -> tuple[int, str]:
-    """Execute one invocation; returns (exit code, output text)."""
+    """Execute one invocation; returns (exit code, output text).
+
+    Input errors exit 2; any other exception is a bug and exits 3 with a
+    one-line ``internal error:`` message instead of a traceback.
+    """
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
@@ -470,6 +477,9 @@ def run_command(argv) -> tuple[int, str]:
         return COMMANDS[args.command](args, field)
     except (ParseError, RangeError, ZdinftyError) as e:
         return 2, f"error: {e}"
+    except Exception as e:
+        message = " ".join(str(e).split())
+        return 3, f"internal error: {type(e).__name__}: {message}"
 
 
 def main(argv=None) -> int:

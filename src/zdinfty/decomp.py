@@ -1,12 +1,14 @@
 """Krull-Schmidt decomposition, identification, rank-one filtrations.
 
-Indecomposables have scalar endomorphisms here, so an object is
-indecomposable exactly when its endomorphism algebra is one-dimensional.
-Splitting is deterministic: a candidate indecomposable I is a summand of X
-exactly when the composition pairing Hom(X, I) x Hom(I, X) -> End(I) = k is
-nonzero, and the jump data of X cuts out finitely many candidates, among
-them every summand.  A nonzero pairing gives an idempotent of X whose image
-and kernel split it.
+Splitting is deterministic and solves no Hom space.  Torsion summands are
+stored.  A torsion-free object is a filtration S_d of V0 + V1, and by
+Goursat's lemma its summands are read off the persistence module
+B_d / A_d, where A_d = S_d & V0 and B_d = pi0(S_d): each bar [-a, m - a) is
+an F[m, a], and the lines of A_d and C_d = S_d & V1 left over by the bars'
+deaths are the F0[a] and F1[a].  One elder-rule sweep over the jumps finds
+the bars and a type-split basis adapted to them, which is the isomorphism
+from the direct sum of the factors (Zomorodian and Carlsson, "Computing
+Persistent Homology", 2005).
 """
 
 from __future__ import annotations
@@ -23,19 +25,15 @@ from .errors import (
 from .fields import FieldSpec
 from .homext import (
     Morphism,
-    add_morphisms,
     compose,
     hom_space,
     identity_morphism,
     morphism_from_parts,
     morphism_vector,
-    scale_morphism,
-    sum_projection,
 )
-from .lattice import GradedVector, canonicalize, membership
+from .lattice import GradedVector, membership
 from .objects import (
     CObject,
-    TorsionPart,
     direct_sum_many,
     rank_one,
     rank_two,
@@ -192,48 +190,46 @@ def decompose(X: CObject) -> Decomposition:
     """Split into indecomposables with an explicit isomorphism.
 
     Torsion factors are read off the stored summands.  The lattice part is
-    split recursively by peeling: each candidate label cut out by the jump
-    data is paired against the object, and the first nonzero pairing splits
-    off that candidate as a summand.  An object with a one-dimensional
-    endomorphism algebra is identified and checked against its standard
-    model.  Raises DecompositionFailure only if no split is found for a
-    provably decomposable object (a bug signal).
+    split by one elder-rule sweep over its jumps (``_lattice_pieces``), which
+    also yields a type-split basis of the ambient space adapted to the
+    factors.  The isomorphism from the direct sum of the factors places each
+    basis vector at its summand's coordinate and is certified invertible
+    onto X.  No Hom space is solved.  Raises DecompositionFailure only if the
+    sweep or the certificate fails (a bug signal).
     """
     F = X.field
     if X.is_zero():
         return Decomposition((), identity_morphism(X))
-    pieces = []  # (label, inclusion into X)
-    for idx, (n, a) in enumerate(X.torsion.summands):
-        Ti = torsion_cyclic(F, n, a)
-        tt = {}
-        for d in range(-a, -a + n):
-            col = Ti.torsion.slots_at(d).index(0)
-            column_pos = X.torsion.slots_at(d).index(idx)
-            mat = [[F.zero] for _ in X.torsion.slots_at(d)]
-            mat[column_pos][col] = F.one
-            tt[d] = tuple(map(tuple, mat))
-        incl = morphism_from_parts(
-            Ti, X, linalg.zeros(F, X.p, 0), linalg.zeros(F, X.q, 0), tt
-        )
-        pieces.append((wing(n, a), incl))
-
-    if X.rank > 0:
-        lat_obj = CObject(F, TorsionPart(()), X.lattice)
-        lat_incl = morphism_from_parts(
-            lat_obj, X, linalg.identity(F, X.p), linalg.identity(F, X.q)
-        )
-        for label, incl in _split_lattice(lat_obj):
-            pieces.append((label, compose(lat_incl, incl)))
-
+    pieces = [(wing(n, a), idx) for idx, (n, a) in enumerate(X.torsion.summands)]
+    pieces += _lattice_pieces(X.lattice)
     pieces.sort(key=lambda t: t[0].sort_key())
     factors = tuple(label for label, _ in pieces)
-    if not factors:
-        raise ZdinftyError("decompose needs a nonzero object")
     big, embeds = direct_sum_many([label_to_object(F, lbl) for lbl in factors])
-    iso = None
-    for (lbl, incl), (embed, tmap) in zip(pieces, embeds):
-        part = compose(incl, sum_projection(big, label_to_object(F, lbl), embed, tmap))
-        iso = part if iso is None else add_morphisms(iso, part)
+    cols0, cols1 = [None] * big.p, [None] * big.q
+    tt = {}
+    for (label, part), (embed, tmap) in zip(pieces, embeds):
+        if label.kind == "wing":
+            n, a = label.params
+            for d in range(-a, -a + n):
+                mat = tt.setdefault(
+                    d, [[F.zero] * big.torsion.dim_at(d) for _ in X.torsion.slots_at(d)]
+                )
+                i = X.torsion.slots_at(d).index(part)
+                mat[i][big.torsion.slots_at(d).index(tmap[0])] = F.one
+            continue
+        for k, col in enumerate(part):
+            i = next(i for i, row in enumerate(embed) if not F.is_zero(row[k]))
+            if i < big.p:
+                cols0[i] = col
+            else:
+                cols1[i - big.p] = col
+    iso = morphism_from_parts(
+        big,
+        X,
+        linalg.transpose(cols0),
+        linalg.transpose(cols1),
+        {d: tuple(map(tuple, mat)) for d, mat in tt.items()},
+    )
     if not is_isomorphism(iso, X):
         raise DecompositionFailure("assembled map is not an isomorphism")
     return Decomposition(factors, iso)
@@ -248,7 +244,8 @@ def is_isomorphism(m: Morphism, target: CObject) -> bool:
         return False
     if sorted(m.src.lattice.jump_list) != sorted(target.lattice.jump_list):
         return False
-    if linalg.inverse(F, m.full_matrix()) is None:
+    full = m.full_matrix()
+    if linalg.inverse(F, full) is None:
         return False
     lo = m.src.torsion.min_degree()
     if lo is not None:
@@ -257,7 +254,6 @@ def is_isomorphism(m: Morphism, target: CObject) -> bool:
                 return False
     # the block matrix must map the filtration onto the filtration; with
     # equal jump multisets a containment check suffices
-    full = m.full_matrix()
     for e, dir in m.src.lattice.generators():
         w = linalg.mat_vec(F, full, dir)
         if not membership(target.lattice, GradedVector(e, w)):
@@ -265,122 +261,80 @@ def is_isomorphism(m: Morphism, target: CObject) -> bool:
     return True
 
 
-def _split_lattice(obj: CObject) -> list:
-    """Recursive splitting of a torsion-free object.
+def _lattice_pieces(L) -> list:
+    """Indecomposable summands of a torsion-free lattice, by one sweep.
 
-    Returns a list of (label, inclusion morphism into obj).
+    By Goursat's lemma S_d in V0 + V1 is fixed by A_d = S_d & V0, by
+    C_d = S_d & V1, and by the persistence module B_d / A_d with
+    B_d = pi0(S_d).  A bar [s, e) of that module is F[e - s, -s], and the
+    lines of A_d (C_d) left over are F0 (F1).  The sweep keeps pure lines and
+    live diagonal bars (u, w) with u + w in S_birth, and at each jump e:
+
+    1. kills bars: every combination of live u's that lies in A_e kills the
+       youngest bar in it, whose (u, w) becomes that combination of its own
+       and its elders' vectors, so u lies in A_e and u + w in S_birth;
+    2. starts F0[-e] (F1[-e]) on the vectors of A_e (C_e) outside the span
+       of the u's (w's) so far;
+    3. starts diagonal bars on the vectors of S_e outside A_e + C_e and the
+       live u + w.
+
+    Returns (label, columns): (u,) for F0, (w,) for F1, (u, w) for F[m, a].
     """
-    if obj.rank == 0:
-        return []
-    F = obj.field
-    if hom_space(obj, obj).dim == 1:
-        label = identify(obj)
-        std = label_to_object(F, label)
-        maps = hom_space(std, obj).basis
-        if len(maps) != 1 or not is_isomorphism(maps[0], obj):
-            raise DecompositionFailure(
-                "identified factor is not isomorphic to its standard model"
-            )
-        return [(label, maps[0])]
-
-    split = _peel_split(obj)
-    if split is None:
-        raise DecompositionFailure(
-            "no splitting found for a lattice object with dim End > 1"
-        )
-    out = []
-    for sub, incl in split:
-        for label, inner in _split_lattice(sub):
-            out.append((label, compose(incl, inner)))
-    return out
-
-
-def _subobject(obj: CObject, basis_rows):
-    """Sub-object on a type-split invariant subspace with its inclusion."""
-    F = obj.field
-    # coordinates are read off at pivots, which needs a reduced basis
-    basis_rows = linalg.rref(F, basis_rows)[0]
-    rows0 = [v for v in basis_rows if _pivot(F, v) < obj.p]
-    rows1 = [v for v in basis_rows if _pivot(F, v) >= obj.p]
-    if len(rows0) + len(rows1) != len(basis_rows):
-        raise ZdinftyError("subspace is not type-split")
-    cols = list(rows0) + list(rows1)
-    p_w, q_w = len(rows0), len(rows1)
-    # coordinates in the echelon basis are read off at the pivots
-    pivots = [_pivot(F, v) for v in cols]
+    F, p, q = L.field, L.p, L.q
+    zero0, zero1 = (F.zero,) * p, (F.zero,) * q
     pieces = []
-    from .lattice import intersect_rowspaces
-
-    for d, _ in obj.lattice.steps:
-        inter = intersect_rowspaces(F, obj.lattice.subspace_at(d), cols)
-        converted = [tuple(v[piv] for piv in pivots) for v in inter]
-        pieces.append((d, converted))
-    sub_lat = canonicalize(
-        F, [(d, v) for d, vs in pieces for v in vs], p_w, q_w
-    )
-    sub = CObject(F, TorsionPart(()), sub_lat)
-    embed = linalg.transpose(cols)  # obj.rank x (p_w + q_w)
-    a00 = tuple(tuple(embed[i][k] for k in range(p_w)) for i in range(obj.p))
-    a11 = tuple(
-        tuple(embed[obj.p + i][p_w + k] for k in range(q_w)) for i in range(obj.q)
-    )
-    incl = morphism_from_parts(sub, obj, a00, a11)
-    return sub, incl
-
-
-def _pivot(F, v):
-    for i, c in enumerate(v):
-        if not F.is_zero(c):
-            return i
-    raise ZdinftyError("zero vector in a basis")
-
-
-def _peel_split(obj: CObject):
-    """Split off the first candidate indecomposable that is a summand.
-
-    Every summand's jumps are jumps of obj, so the candidates are F0/F1 at
-    each jump and F[e2 - e1, -e1] for each pair of jumps.  Rank-two
-    candidates go first: a rank-one candidate that is not a summand still
-    costs two Hom spaces, and rank-two sums have many of them.
-    """
-    F = obj.field
-    jumps = sorted(set(obj.lattice.jump_list))
-    candidates = []
-    if obj.p > 0 and obj.q > 0:
-        for i, e1 in enumerate(jumps):
-            for e2 in jumps[i + 1:]:
-                candidates.append(rank_two_label(e2 - e1, -e1))
-    for e in jumps:
-        if obj.p > 0:
-            candidates.append(rank_one_label(0, -e))
-        if obj.q > 0:
-            candidates.append(rank_one_label(1, -e))
-    for label in candidates:
-        I = label_to_object(F, label)
-        maps_in = hom_space(I, obj).basis
-        maps_out = hom_space(obj, I).basis
-        for f in maps_in:
-            for g in maps_out:
-                h = compose(g, f)
-                lam = _scalar_of_endo(h)
-                if lam is None or F.is_zero(lam):
-                    continue
-                e = compose(f, scale_morphism(F.inv(lam), g)).full_matrix()
-                kernel = linalg.nullspace(F, e)
-                image = linalg.span(F, linalg.transpose(e))
-                if 0 < len(image) < obj.rank:
-                    return (_subobject(obj, image), _subobject(obj, kernel))
-    return None
+    span0, span1 = _Span(F), _Span(F)  # every u and every w so far
+    live = []  # (birth, u, w), elder first
+    for e, rows in L.steps:
+        ann = linalg.nullspace(F, rows)  # S_e is where these vanish
+        ann0 = tuple(n[:p] for n in ann)
+        ann1 = tuple(n[p:] for n in ann)
+        if live:
+            young = live[::-1]
+            U = linalg.transpose([bar[1] for bar in young])
+            W = linalg.transpose([bar[2] for bar in young])
+            in_a = linalg.mm(F, ann0, U, p, len(young))
+            kills, pivots = linalg.rref(F, linalg.nullspace(F, in_a, ncols=len(young)))
+            for row, piv in zip(kills, pivots):
+                s = young[piv][0]
+                u, w = linalg.mat_vec(F, U, row), linalg.mat_vec(F, W, row)
+                pieces.append((rank_two_label(e - s, -s), (u, w)))
+            live = [bar for j, bar in enumerate(young) if j not in pivots][::-1]
+        a_e = linalg.nullspace(F, ann0, ncols=p)
+        c_e = linalg.nullspace(F, ann1, ncols=q)
+        pieces += [(rank_one_label(0, -e), (u,)) for u in a_e if span0.add(u)]
+        pieces += [(rank_one_label(1, -e), (w,)) for w in c_e if span1.add(w)]
+        span = _Span(F)
+        for v in [u + zero1 for u in a_e] + [zero0 + w for w in c_e]:
+            span.add(v)
+        for _, u, w in live:
+            span.add(u + w)
+        for v in rows:
+            if span.add(v):
+                live.append((e, v[:p], v[p:]))
+                span0.add(v[:p])
+                span1.add(v[p:])
+    if live:
+        raise DecompositionFailure("a diagonal bar is still alive at the top jump")
+    return pieces
 
 
-def _scalar_of_endo(h: Morphism):
-    """The scalar if the endomorphism of a scalar-endo object is one."""
-    F = h.src.field
-    if h.src.p > 0:
-        return h.a00[0][0]
-    if h.src.q > 0:
-        return h.a11[0][0]
-    return None
+class _Span:
+    """A growing subspace, kept as a semi-echelon basis in insertion order."""
+
+    def __init__(self, F):
+        self.F, self.rows, self.pivots = F, [], []
+
+    def add(self, v) -> bool:
+        """Add v; returns whether it was outside the span."""
+        F = self.F
+        w = linalg.reduce_against(F, self.rows, self.pivots, v)
+        piv = next((i for i, c in enumerate(w) if not F.is_zero(c)), None)
+        if piv is None:
+            return False
+        self.rows.append(linalg.vec_scale(F, F.inv(w[piv]), w))
+        self.pivots.append(piv)
+        return True
 
 
 # ---------------------------------------------------------------------------

@@ -18,7 +18,6 @@ from .fields import FieldSpec, check_same_field
 from .lattice import (
     GradedLattice,
     canonicalize,
-    direct_sum as lattice_direct_sum,
     shift_lattice,
     sigma_lattice,
 )
@@ -172,40 +171,50 @@ def direct_sum(X: CObject, Y: CObject):
     matrices for the lattice parts and, for each input, the map from its
     torsion summand indices to summand indices of Z.
     """
-    check_same_field(X.field, Y.field)
-    lat, e1, e2 = lattice_direct_sum(X.lattice, Y.lattice)
-    merged = []
-    for src_tag, T in (("X", X.torsion), ("Y", Y.torsion)):
-        for i, s in enumerate(T.summands):
-            merged.append((s, src_tag, i))
-    merged.sort(key=lambda t: t[0])
-    tmap_x = {}
-    tmap_y = {}
-    for new_idx, (_, tag, i) in enumerate(merged):
-        if tag == "X":
-            tmap_x[i] = new_idx
-        else:
-            tmap_y[i] = new_idx
-    Z = CObject(X.field, TorsionPart(tuple(s for s, _, _ in merged)), lat)
-    return Z, e1, e2, tmap_x, tmap_y
+    Z, ((e1, t1), (e2, t2)) = direct_sum_many([X, Y])
+    return Z, e1, e2, t1, t2
 
 
 def direct_sum_many(objs):
-    """Iterated direct sum; returns (Z, per-input embedding data)."""
+    """Direct sum of a nonempty list; returns (Z, per-input embedding data).
+
+    The ambient coordinates are the type-0 coordinates of every input in
+    order, then their type-1 coordinates, and the torsion summands are merged
+    by a stable sort, so the result equals folding pairwise sums from the
+    left.  Each input's data is its (block-permutation embedding, torsion
+    index map).
+    """
     if not objs:
         raise ZdinftyError("empty direct sum needs an explicit field")
-    acc = objs[0]
-    F = acc.field
-    embeds = [(linalg.identity(F, acc.rank), {i: i for i in range(len(acc.torsion.summands))})]
-    for Y in objs[1:]:
-        acc2, e1, e2, t1, t2 = direct_sum(acc, Y)
-        embeds = [
-            (linalg.mat_mul(F, e1, emb), {i: t1[j] for i, j in tmap.items()})
-            for emb, tmap in embeds
-        ]
-        embeds.append((e2, t2))
-        acc = acc2
-    return acc, embeds
+    F = objs[0].field
+    for X in objs:
+        check_same_field(F, X.field)
+    p = sum(X.p for X in objs)
+    r = p + sum(X.q for X in objs)
+    merged = sorted(
+        ((s, t, i) for t, X in enumerate(objs) for i, s in enumerate(X.torsion.summands)),
+        key=lambda m: m[0],
+    )
+    tmaps = [{} for _ in objs]
+    for new_idx, (_, t, i) in enumerate(merged):
+        tmaps[t][i] = new_idx
+    gens, embeds = [], []
+    p_off, q_off = 0, p
+    for X, tmap in zip(objs, tmaps):
+        place = list(range(p_off, p_off + X.p)) + list(range(q_off, q_off + X.q))
+        for jump, dir in X.lattice.generators():
+            v = [F.zero] * r
+            for k, c in zip(place, dir):
+                v[k] = c
+            gens.append((jump, tuple(v)))
+        embed = tuple(
+            tuple(F.one if place[k] == i else F.zero for k in range(X.rank))
+            for i in range(r)
+        )
+        embeds.append((embed, tmap))
+        p_off, q_off = p_off + X.p, q_off + X.q
+    lat = canonicalize(F, gens, p, r - p)
+    return CObject(F, TorsionPart(tuple(s for s, _, _ in merged)), lat), embeds
 
 
 # ---------------------------------------------------------------------------

@@ -1,0 +1,49 @@
+"""Krull-Schmidt multiplicities of a torsion-free lattice from ranks alone.
+
+Independent of the elder-rule sweep in ``decomp.decompose``.  By Goursat's
+lemma the filtration S_d of V0 + V1 carries the persistence module
+M_d = B_d / A_d, where A_d = S_d & V0 and B_d = pi0(S_d); each F[m, a] is a
+bar [-a, m - a) of it.  The rank of M_s -> M_t is
+
+    rho(s, t) = dim B_s - dim(B_s & A_t),
+
+and the bars born at s that die at t number
+
+    mu(s, t) = rho(s, t-1) - rho(s, t) - rho(s-1, t-1) + rho(s-1, t).
+
+A dying bar adds one dimension to A_e and one to C_e = S_e & V1, so the
+F0 (F1) summands born at e number the growth of A (C) at e less the deaths.
+"""
+
+from zdinfty import linalg
+from zdinfty.lattice import intersect_rowspaces
+
+
+def goursat_counts(L) -> dict:
+    """Multiplicity of each factor label (as printed) of a lattice, nonzero
+    counts only; a negative count would mean the ranks are inconsistent."""
+    F, p = L.field, L.p
+    if L.rank == 0:
+        return {}
+    lo, hi = L.min_jump(), L.max_jump()
+    unit = linalg.identity(F, L.rank)
+    A, B, C = {}, {}, {}
+    for d in range(lo - 1, hi + 1):
+        S = L.subspace_at(d)
+        A[d] = tuple(v[:p] for v in intersect_rowspaces(F, S, unit[:p]))
+        C[d] = tuple(v[p:] for v in intersect_rowspaces(F, S, unit[p:]))
+        B[d] = linalg.span(F, [v[:p] for v in S])
+
+    def rho(s, t):
+        return len(B[s]) - len(intersect_rowspaces(F, B[s], A[t]))
+
+    counts, deaths = {}, {}
+    for s in range(lo, hi + 1):
+        for t in range(s + 1, hi + 1):
+            mu = rho(s, t - 1) - rho(s, t) - rho(s - 1, t - 1) + rho(s - 1, t)
+            counts[f"F[{t - s},{-s}]"] = mu
+            deaths[t] = deaths.get(t, 0) + mu
+    for e in range(lo, hi + 1):
+        counts[f"F0[{-e}]"] = len(A[e]) - len(A[e - 1]) - deaths.get(e, 0)
+        counts[f"F1[{-e}]"] = len(C[e]) - len(C[e - 1]) - deaths.get(e, 0)
+    return {label: n for label, n in counts.items() if n}

@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from zdinfty import cli
 from zdinfty.cli import parse_catalog, parse_object, print_object, run_command
 from zdinfty.errors import ParseError, RangeError
 from zdinfty.fields import QQ
@@ -127,6 +128,41 @@ def test_determinism_and_field_flag():
     assert (code, out) == (0, "dim Hom = 1")
     code, out = run_command(["--field", "Fp:4", "hom", "F0[0]", "F0[0]"])
     assert code == 2
+
+
+def test_back_to_back_commands_stay_independent():
+    # the parser is built once per process; no call may leak into the next
+    calls = [
+        ["--field", "Fp:5", "--format", "json", "decompose", "F[2,0] + F0[1]"],
+        ["decompose", "F[2,0] + F0[1]"],
+        ["quiver", "--m-max", "2", "--a-min", "0", "--a-max", "2", "--n-max", "1"],
+        ["hom", "F0[0]", "F0[1]"],
+        ["--format", "json", "hom", "F0[0]", "F0[1]"],
+        ["--field", "Fp:5", "hom", _literal(gen='{"jump": 0, "dir": ["1/5"]}'), "F0[0]"],
+        ["hom", _literal(gen='{"jump": 0, "dir": ["1/5"]}'), "F0[0]"],
+    ]
+    first = [run_command(argv) for argv in calls]
+    assert [run_command(argv) for argv in reversed(calls)] == first[::-1]
+    assert json.loads(first[0][1])["factors"] == ["F0[1]", "F[2,0]"]
+    assert first[1] == (0, "F0[1] + F[2,0]")
+    assert first[2][1].startswith("digraph")
+    assert first[3] == (0, "dim Hom = 1") and json.loads(first[4][1])["command"] == "hom"
+    assert first[5][0] == 2 and first[6] == (0, "dim Hom = 1")
+
+
+def test_internal_error_exits_3_without_traceback(monkeypatch, capsys):
+    def broken(args, field):
+        raise RuntimeError("broken\ncommand")
+
+    monkeypatch.setitem(cli.COMMANDS, "hom", broken)
+    assert run_command(["hom", "F0[0]", "F0[0]"]) == (
+        3,
+        "internal error: RuntimeError: broken command",
+    )
+    assert cli.main(["hom", "F0[0]", "F0[0]"]) == 3
+    out, err = capsys.readouterr()
+    assert out == "internal error: RuntimeError: broken command\n"
+    assert "Traceback" not in out + err
 
 
 def test_usage_errors():

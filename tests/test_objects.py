@@ -4,9 +4,10 @@ import random
 
 import pytest
 
-from zdinfty import window
+from zdinfty import linalg, window
 from zdinfty.errors import InconsistentTypes, NotFullRank
 from zdinfty.fields import GF, QQ
+from zdinfty.lattice import direct_sum as lattice_direct_sum
 from zdinfty.objects import (
     CObject,
     TorsionPart,
@@ -122,6 +123,54 @@ def test_window_model_roundtrip():
         lo, hi = window_bounds(X)
         wm, chart, _ = model_of(X, lo, hi)
         assert from_window(wm, chart, X.p, X.q) == X
+
+
+def _pairwise_sum(X, Y):
+    """Two-term direct sum from the orthogonal lattice sum and a stable merge
+    of the torsion summands."""
+    lat, e1, e2 = lattice_direct_sum(X.lattice, Y.lattice)
+    merged = sorted(
+        [(s, 0, i) for i, s in enumerate(X.torsion.summands)]
+        + [(s, 1, i) for i, s in enumerate(Y.torsion.summands)],
+        key=lambda m: m[0],
+    )
+    tmaps = ({}, {})
+    for new_idx, (_, side, i) in enumerate(merged):
+        tmaps[side][i] = new_idx
+    Z = CObject(X.field, TorsionPart(tuple(s for s, _, _ in merged)), lat)
+    return Z, e1, e2, tmaps[0], tmaps[1]
+
+
+def _pairwise_fold(objs):
+    """Left fold of two-term direct sums, composing the embeddings."""
+    F = objs[0].field
+    acc = objs[0]
+    embeds = [(linalg.identity(F, acc.rank), {i: i for i in range(len(acc.torsion.summands))})]
+    for Y in objs[1:]:
+        acc, e1, e2, t1, t2 = _pairwise_sum(acc, Y)
+        embeds = [
+            (linalg.mat_mul(F, e1, emb), {i: t1[j] for i, j in tmap.items()})
+            for emb, tmap in embeds
+        ]
+        embeds.append((e2, t2))
+    return acc, embeds
+
+
+@pytest.mark.parametrize("field,seed", [(QQ, 61), (GF(3), 67)])
+def test_direct_sum_many_matches_pairwise_fold(field, seed):
+    rng = random.Random(seed)
+    atoms = [
+        lambda: rank_one(field, rng.randint(0, 1), rng.randint(-2, 2)),
+        lambda: rank_two(field, rng.randint(1, 3), rng.randint(-2, 2)),
+        lambda: torsion_cyclic(field, rng.randint(1, 3), rng.randint(-2, 2)),
+        lambda: zero_object(field),
+    ]
+    for _ in range(40):
+        objs = [rng.choice(atoms)() for _ in range(rng.randint(1, 5))]
+        # sums as inputs give non-trivial lattices and torsion to merge
+        if len(objs) > 2 and rng.random() < 0.5:
+            objs = [direct_sum_many(objs[:2])[0]] + objs[2:]
+        assert direct_sum_many(objs) == _pairwise_fold(objs)
 
 
 def test_from_presentation_pure_torsion():
