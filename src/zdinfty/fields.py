@@ -8,6 +8,7 @@ point is used anywhere.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Union
@@ -18,6 +19,31 @@ Scalar = Union[Fraction, int]
 
 RATIONALS = "Q"
 PRIME_FIELD = "Fp"
+
+
+_RATIONAL_OPS = {
+    "zero": Fraction(0),
+    "one": Fraction(1),
+    "of_int": Fraction,
+    "add": operator.add,
+    "sub": operator.sub,
+    "mul": operator.mul,
+    "neg": operator.neg,
+    "_inv": lambda a: 1 / a,
+}
+
+
+def _prime_ops(p: int) -> dict:
+    return {
+        "zero": 0,
+        "one": 1,
+        "of_int": lambda n: n % p,
+        "add": lambda a, b: (a + b) % p,
+        "sub": lambda a, b: (a - b) % p,
+        "mul": lambda a, b: a * b % p,
+        "neg": lambda a: -a % p,
+        "_inv": lambda a: pow(a, p - 2, p),
+    }
 
 
 def _is_prime(n: int) -> bool:
@@ -44,62 +70,33 @@ class FieldSpec:
         if self.kind == RATIONALS:
             if self.p is not None:
                 raise ZdinftyError("rationals carry no characteristic parameter")
+            ops = _RATIONAL_OPS
         elif self.kind == PRIME_FIELD:
             if self.p is None or not _is_prime(self.p):
                 raise ZdinftyError(f"prime field needs a prime modulus, got {self.p}")
+            ops = _prime_ops(self.p)
         else:
             raise ZdinftyError(f"unknown field kind {self.kind!r}")
+        for name, value in ops.items():
+            object.__setattr__(self, name, value)
 
-    # -- element constructors ------------------------------------------
+    def __reduce__(self):
+        return (FieldSpec, (self.kind, self.p))
 
-    @property
-    def zero(self) -> Scalar:
-        return Fraction(0) if self.kind == RATIONALS else 0
-
-    @property
-    def one(self) -> Scalar:
-        return Fraction(1) if self.kind == RATIONALS else 1
-
-    def of_int(self, n: int) -> Scalar:
-        if self.kind == RATIONALS:
-            return Fraction(n)
-        return n % self.p
+    # The constants ``zero``/``one`` and the operations ``of_int``, ``add``,
+    # ``sub``, ``mul`` and ``neg`` are bound on each instance above, once per
+    # field, so no scalar operation branches on the kind of field.
 
     def of_fraction(self, num: int, den: int) -> Scalar:
-        if self.is_zero(self.of_int(den)):
+        d = self.of_int(den)
+        if self.is_zero(d):
             raise RangeError(f"denominator {den} is zero in {self}")
-        if self.kind == RATIONALS:
-            return Fraction(num, den)
-        return (num % self.p) * self.inv(den % self.p) % self.p
-
-    # -- arithmetic ----------------------------------------------------
-
-    def add(self, a: Scalar, b: Scalar) -> Scalar:
-        if self.kind == RATIONALS:
-            return a + b
-        return (a + b) % self.p
-
-    def sub(self, a: Scalar, b: Scalar) -> Scalar:
-        if self.kind == RATIONALS:
-            return a - b
-        return (a - b) % self.p
-
-    def mul(self, a: Scalar, b: Scalar) -> Scalar:
-        if self.kind == RATIONALS:
-            return a * b
-        return (a * b) % self.p
-
-    def neg(self, a: Scalar) -> Scalar:
-        if self.kind == RATIONALS:
-            return -a
-        return (-a) % self.p
+        return self.div(self.of_int(num), d)
 
     def inv(self, a: Scalar) -> Scalar:
         if self.is_zero(a):
             raise ZeroDivisionError("field inverse of zero")
-        if self.kind == RATIONALS:
-            return 1 / a
-        return pow(a, self.p - 2, self.p)
+        return self._inv(a)
 
     def div(self, a: Scalar, b: Scalar) -> Scalar:
         return self.mul(a, self.inv(b))

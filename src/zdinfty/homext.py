@@ -137,36 +137,6 @@ def morphism_from_parts(X: CObject, Y: CObject, a00, a11, tt_by_degree=None, ft=
     return Morphism(X, Y, tuple(map(tuple, a00)), tuple(map(tuple, a11)), tt, tuple(map(tuple, ft)))
 
 
-def add_morphisms(f: Morphism, g: Morphism) -> Morphism:
-    if f.src != g.src or f.dst != g.dst:
-        raise ComposabilityError("morphism sum needs equal endpoints")
-    F = f.src.field
-    tt = {d: linalg.mat_add(F, f.tt_at(d), g.tt_at(d)) for d in _tt_degrees(f.src, f.dst)}
-    ft = tuple(linalg.vec_add(F, u, v) for u, v in zip(f.ft, g.ft))
-    return morphism_from_parts(
-        f.src,
-        f.dst,
-        linalg.mat_add(F, f.a00, g.a00),
-        linalg.mat_add(F, f.a11, g.a11),
-        tt,
-        ft,
-    )
-
-
-def scale_morphism(c, f: Morphism) -> Morphism:
-    F = f.src.field
-    tt = {d: linalg.mat_scale(F, c, f.tt_at(d)) for d in _tt_degrees(f.src, f.dst)}
-    ft = tuple(linalg.vec_scale(F, c, v) for v in f.ft)
-    return morphism_from_parts(
-        f.src,
-        f.dst,
-        linalg.mat_scale(F, c, f.a00),
-        linalg.mat_scale(F, c, f.a11),
-        tt,
-        ft,
-    )
-
-
 def compose(g: Morphism, f: Morphism) -> Morphism:
     """g after f."""
     if f.dst != g.src:
@@ -387,9 +357,10 @@ def validate_morphism(m: Morphism) -> None:
     lo = m.src.torsion.min_degree()
     if lo is not None:
         hi = m.src.torsion.max_degree()
+        S, T = m.src.torsion, m.dst.torsion
         for d in range(lo, hi + 1):
-            lhs = linalg.mat_mul(F, m.dst.torsion.xpower(F, d, d + 1), m.tt_at(d))
-            rhs = linalg.mat_mul(F, m.tt_at(d + 1), m.src.torsion.xpower(F, d, d + 1))
+            lhs = linalg.mm(F, T.xpower(F, d, d + 1), m.tt_at(d), T.dim_at(d), S.dim_at(d))
+            rhs = linalg.mm(F, m.tt_at(d + 1), S.xpower(F, d, d + 1), S.dim_at(d + 1), S.dim_at(d))
             if lhs != rhs:
                 raise ZdinftyError("torsion component does not commute with x")
 
@@ -815,7 +786,7 @@ def _class_after_morphism(g: ExtClass, f: Morphism) -> ExtClass:
             wcols.append(tuple(w))
         G = Xp.lattice.generator_matrix()
         Ginv = linalg.inverse(F, G)
-        D = linalg.mat_mul(F, linalg.transpose(wcols), Ginv)
+        D = linalg.mm(F, linalg.transpose(wcols), Ginv, len(wcols), len(wcols))
         p, q, pp, qq = Xp.p, Xp.q, Y.p, Y.q
         d01 = tuple(tuple(D[pp + i][k] for k in range(p)) for i in range(qq))
         d10 = tuple(tuple(D[i][p + k] for k in range(q)) for i in range(pp))

@@ -8,6 +8,8 @@ across runs.
 
 from __future__ import annotations
 
+from fractions import Fraction
+from math import gcd, lcm
 from typing import Iterable, Sequence
 
 from .errors import DimensionMismatch
@@ -28,7 +30,7 @@ def identity(F: FieldSpec, n: int) -> Matrix:
 
 
 def is_zero_vector(F: FieldSpec, v: Sequence[Scalar]) -> bool:
-    return all(F.is_zero(a) for a in v)
+    return not any(v)
 
 
 def vec_add(F: FieldSpec, u: Sequence, v: Sequence) -> Vector:
@@ -50,59 +52,36 @@ def mat_scale(F: FieldSpec, c: Scalar, A: Sequence) -> Matrix:
 def mat_vec(F: FieldSpec, A: Sequence, v: Sequence) -> Vector:
     if A and len(A[0]) != len(v):
         raise DimensionMismatch(f"matrix has {len(A[0])} columns, vector length {len(v)}")
+    add, mul = F.add, F.mul
     out = []
     for row in A:
         acc = F.zero
         for a, b in zip(row, v):
-            if not F.is_zero(a) and not F.is_zero(b):
-                acc = F.add(acc, F.mul(a, b))
+            if a and b:
+                acc = add(acc, mul(a, b))
         out.append(acc)
     return tuple(out)
 
 
-def mat_mul(F: FieldSpec, A: Sequence, B: Sequence) -> Matrix:
-    if not A or not B:
-        rows = len(A)
-        cols = len(B[0]) if B else 0
-        return zeros(F, rows, cols)
-    if len(A[0]) != len(B):
-        raise DimensionMismatch(f"cannot multiply {len(A)}x{len(A[0])} by {len(B)}x{len(B[0])}")
-    Bt = transpose(B)
-    out = []
-    for row in A:
-        out.append(tuple(_dot(F, row, col) for col in Bt))
-    return tuple(out)
-
-
 def mm(F: FieldSpec, A: Sequence, B: Sequence, inner: int, bcols: int) -> Matrix:
-    """Shape-aware product: A is len(A) x inner, B is inner x bcols.
+    """Matrix product: A is len(A) x inner, B is inner x bcols.
 
     Plain tuples cannot carry the column count of a zero-row matrix, so the
     inner dimension and output width are passed explicitly.
     """
+    if len(B) != inner or (A and len(A[0]) != inner):
+        raise DimensionMismatch(f"cannot multiply {len(A)}x{inner} by {len(B)}x{bcols}")
+    add, mul, zero = F.add, F.mul, F.zero
     out = []
-    for i in range(len(A)):
-        row = []
-        for j in range(bcols):
-            acc = F.zero
-            for s in range(inner):
-                a = A[i][s]
-                if F.is_zero(a):
-                    continue
-                b = B[s][j]
-                if not F.is_zero(b):
-                    acc = F.add(acc, F.mul(a, b))
-            row.append(acc)
-        out.append(tuple(row))
+    for arow in A:
+        acc = [zero] * bcols
+        for a, brow in zip(arow, B):
+            if a:
+                for j, b in enumerate(brow):
+                    if b:
+                        acc[j] = add(acc[j], mul(a, b))
+        out.append(tuple(acc))
     return tuple(out)
-
-
-def _dot(F: FieldSpec, u: Sequence, v: Sequence) -> Scalar:
-    acc = F.zero
-    for a, b in zip(u, v):
-        if not F.is_zero(a) and not F.is_zero(b):
-            acc = F.add(acc, F.mul(a, b))
-    return acc
 
 
 def transpose(A: Sequence) -> Matrix:
@@ -118,42 +97,85 @@ def trace(F: FieldSpec, A: Sequence) -> Scalar:
     return acc
 
 
+def _integer_row(row: Sequence) -> list:
+    """The primitive integer multiple of a row of rationals."""
+    den = lcm(*[a.denominator for a in row])
+    if den == 1:
+        ints = [a.numerator for a in row]
+    else:
+        ints = [a.numerator * (den // a.denominator) for a in row]
+    g = gcd(*ints)
+    return [a // g for a in ints] if g > 1 else ints
+
+
 def rref(F: FieldSpec, rows: Iterable[Sequence]) -> tuple[Matrix, tuple[int, ...]]:
     """Reduced row-echelon form.
 
     Returns the nonzero rows and the pivot column of each row.  Pivots are
     found scanning columns left to right, so they sit at the lowest possible
     coordinate indices.
+
+    Over Q the elimination is fraction-free: each row is cleared of its
+    denominators once, a row is updated by cross-multiplying with the pivot
+    row and dividing out its content, and only the returned rows are turned
+    back into Fractions (each divided by its pivot entry).  Over F_p the same
+    loop runs on ints reduced modulo p, with each pivot row scaled to 1.  The
+    reduced echelon form is unique, so both give the field-generic result.
     """
-    work = [list(r) for r in rows]
+    p = F.p
+    work = [list(r) if p else _integer_row(r) for r in rows]
     if not work:
         return (), ()
     ncols = len(work[0])
     for r in work:
         if len(r) != ncols:
             raise DimensionMismatch("rows of differing length")
+    nrows = len(work)
     pivots: list[int] = []
     rank = 0
     for col in range(ncols):
-        piv = None
-        for i in range(rank, len(work)):
-            if not F.is_zero(work[i][col]):
-                piv = i
+        for piv in range(rank, nrows):
+            if work[piv][col]:
                 break
-        if piv is None:
+        else:
             continue
-        work[rank], work[piv] = work[piv], work[rank]
-        inv = F.inv(work[rank][col])
-        work[rank] = [F.mul(inv, a) for a in work[rank]]
-        for i in range(len(work)):
-            if i != rank and not F.is_zero(work[i][col]):
-                c = work[i][col]
-                work[i] = [F.sub(a, F.mul(c, b)) for a, b in zip(work[i], work[rank])]
+        prow = work[piv]
+        work[piv] = work[rank]
+        d = prow[col]
+        if p:
+            inv = pow(d, p - 2, p)
+            prow = [a * inv % p for a in prow]
+        work[rank] = prow
+        for i, row in enumerate(work):
+            c = row[col]
+            if not c or i == rank:
+                continue
+            if p:
+                work[i] = [(a - c * b) % p for a, b in zip(row, prow)]
+            else:
+                row = [d * a - c * b for a, b in zip(row, prow)]
+                g = gcd(*row)
+                work[i] = [a // g for a in row] if g > 1 else row
         pivots.append(col)
         rank += 1
-        if rank == len(work):
+        if rank == nrows:
             break
-    return tuple(tuple(r) for r in work[:rank]), tuple(pivots)
+    red = work[:rank]
+    if not p:
+        red = [_rational_row(F, row, row[col]) for row, col in zip(red, pivots)]
+    return tuple(map(tuple, red)), tuple(pivots)
+
+
+def _rational_row(F: FieldSpec, row: list, d: int) -> list:
+    """A primitive integer row divided by its pivot entry ``d``.
+
+    The row is primitive, so its entries are all multiples of ``d`` only
+    when ``d`` is a unit; then one-argument Fractions skip the gcd.
+    """
+    zero = F.zero
+    if d == 1 or d == -1:
+        return [Fraction(a * d) if a else zero for a in row]
+    return [Fraction(a, d) if a else zero for a in row]
 
 
 def span(F: FieldSpec, vectors: Iterable[Sequence]) -> Matrix:
@@ -171,13 +193,14 @@ def reduce_against(F: FieldSpec, basis: Sequence, pivots: Sequence[int], v: Sequ
     The result is the canonical coset representative of ``v`` modulo the
     span of ``basis``; it is zero exactly when ``v`` lies in that span.
     """
+    sub, mul = F.sub, F.mul
     w = list(v)
     for row, col in zip(basis, pivots):
         c = w[col]
-        if not F.is_zero(c):
-            for j in range(len(w)):
-                if not F.is_zero(row[j]):
-                    w[j] = F.sub(w[j], F.mul(c, row[j]))
+        if c:
+            for j, a in enumerate(row):
+                if a:
+                    w[j] = sub(w[j], mul(c, a))
     return tuple(w)
 
 

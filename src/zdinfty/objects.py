@@ -407,7 +407,7 @@ def from_presentation(P: Presentation) -> CObject:
         raise DimensionMismatch("loc_iso must have one row per localized coordinate")
 
     # loc_iso must factor through the localized cokernel.
-    prod = linalg.mat_mul(F, P.loc_iso, alpha) if P.col_degrees else ()
+    prod = linalg.mm(F, P.loc_iso, alpha, nrows, len(P.col_degrees))
     for row in prod:
         for c in row:
             if not F.is_zero(c):

@@ -145,13 +145,13 @@ def test_morphism_validation_and_composition():
     # degreewise matrices commute with x (checked via the model)
     for m in hs.basis:
         for d in range(-3, 4):
-            lhs = linalg.mat_mul(
+            lhs = linalg.mm(
                 F, morphism_degreewise(m, d + 1),
-                _module_xmat(X, d),
+                _module_xmat(X, d), X.module_dim_at(d + 1), X.module_dim_at(d),
             )
-            rhs = linalg.mat_mul(
+            rhs = linalg.mm(
                 F, _module_xmat(Y, d),
-                morphism_degreewise(m, d),
+                morphism_degreewise(m, d), Y.module_dim_at(d), X.module_dim_at(d),
             )
             assert lhs == rhs
 

@@ -147,10 +147,11 @@ def _pairwise_fold(objs):
     acc = objs[0]
     embeds = [(linalg.identity(F, acc.rank), {i: i for i in range(len(acc.torsion.summands))})]
     for Y in objs[1:]:
+        r = acc.rank
         acc, e1, e2, t1, t2 = _pairwise_sum(acc, Y)
         embeds = [
-            (linalg.mat_mul(F, e1, emb), {i: t1[j] for i, j in tmap.items()})
-            for emb, tmap in embeds
+            (linalg.mm(F, e1, emb, r, X.rank), {i: t1[j] for i, j in tmap.items()})
+            for X, (emb, tmap) in zip(objs, embeds)
         ]
         embeds.append((e2, t2))
     return acc, embeds

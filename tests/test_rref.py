@@ -1,0 +1,90 @@
+"""Differential test of the elimination kernel against the field-generic oracle.
+
+``linalg.rref`` runs fraction-free on integers over Q and on ints modulo p
+over F_p; ``oracle_rref.rref`` is the plain Gauss-Jordan loop over field
+operations.  Every routine built on the kernel (nullspace, solve, inverse,
+rank, span) is run once with each and must give exactly the same result,
+with every Q entry a ``Fraction`` and every F_p entry an int in [0, p).
+"""
+
+from fractions import Fraction
+from unittest import mock
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from zdinfty import linalg
+from zdinfty.fields import GF, QQ
+
+import oracle_rref
+
+FIELDS = [QQ, GF(2), GF(3), GF(10007)]
+
+
+def scalars(F):
+    if F.p is not None:
+        return st.integers(min_value=0, max_value=F.p - 1)
+    den = st.integers(min_value=1, max_value=7)
+    small = st.builds(Fraction, st.integers(min_value=-9, max_value=9), den)
+    big = st.builds(Fraction, st.integers(min_value=-(2 ** 200), max_value=2 ** 200), den)
+    return st.one_of(st.just(F.zero), small, small, small, big)
+
+
+@st.composite
+def matrices(draw, F):
+    """An m x n matrix (m <= 8, n <= 9) with some zero, repeated and scaled rows."""
+    m = draw(st.integers(min_value=0, max_value=8))
+    n = draw(st.integers(min_value=0, max_value=9))
+    rows = []
+    for i in range(m):
+        kind = draw(st.sampled_from(["new", "new", "new", "zero", "copy", "scaled"]))
+        if kind == "zero":
+            rows.append((F.zero,) * n)
+        elif kind != "new" and rows:
+            row = rows[draw(st.integers(min_value=0, max_value=len(rows) - 1))]
+            c = draw(scalars(F)) if kind == "scaled" else F.one
+            rows.append(tuple(F.mul(c, a) for a in row))
+        else:
+            rows.append(tuple(draw(st.lists(scalars(F), min_size=n, max_size=n))))
+    return tuple(rows), n
+
+
+def _kernel_results(F, A, n, b):
+    k = min(len(A), n)
+    square = tuple(row[:k] for row in A[:k])
+    return {
+        "rref": linalg.rref(F, A),
+        "nullspace": linalg.nullspace(F, A, n),
+        "solve": linalg.solve(F, A, b),
+        "inverse": linalg.inverse(F, square),
+        "rank": linalg.rank(F, A),
+        "span": linalg.span(F, A),
+    }
+
+
+def _entries(value):
+    if isinstance(value, tuple):
+        for item in value:
+            yield from _entries(item)
+    elif value is not None:
+        yield value
+
+
+@pytest.mark.parametrize("F", FIELDS, ids=str)
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_kernel_matches_generic_elimination(F, data):
+    A, n = data.draw(matrices(F))
+    b = tuple(data.draw(st.lists(scalars(F), min_size=len(A), max_size=len(A))))
+    got = _kernel_results(F, A, n, b)
+    with mock.patch.object(linalg, "rref", oracle_rref.rref):
+        want = _kernel_results(F, A, n, b)
+    assert got == want
+    red, pivots = got["rref"]
+    assert all(type(j) is int for j in pivots)
+    for value in (red, got["nullspace"], got["solve"], got["inverse"], got["span"]):
+        for x in _entries(value):
+            if F.p is None:
+                assert type(x) is Fraction
+            else:
+                assert type(x) is int and 0 <= x < F.p

@@ -69,7 +69,7 @@ def test_solve_and_inverse():
     x = linalg.solve(F, A, b)
     assert linalg.mat_vec(F, A, x) == b
     Ainv = linalg.inverse(F, A)
-    assert linalg.mat_mul(F, A, Ainv) == linalg.identity(F, 2)
+    assert linalg.mm(F, A, Ainv, 2, 2) == linalg.identity(F, 2)
     assert linalg.inverse(F, ((1, 2), (2, 4))) is None
 
 
