@@ -31,6 +31,7 @@ from .homext import (
     morphism_from_parts,
     sum_inclusion,
     sum_projection,
+    torsion_compatible,
     zero_class,
 )
 from .decomp import (
@@ -225,21 +226,16 @@ def morphism_from_degreewise(src: CObject, dst: CObject, psi, lo: int, hi: int) 
     else:
         a00 = linalg.zeros(F, dst.p, 0)
         a11 = linalg.zeros(F, dst.q, 0)
-    tt = {}
-    for d in range(lo, hi + 1):
-        src_t = [pos for pos, lab in enumerate(src_slots[d]) if lab[0] == "T"]
-        dst_t = [pos for pos, lab in enumerate(dst_slots[d]) if lab[0] == "T"]
-        src_f = [pos for pos, lab in enumerate(src_slots[d]) if lab[0] == "F"]
-        if src_t and dst_t:
-            tt[d] = tuple(
-                tuple(psi[d][i][j] for j in src_t) for i in dst_t
-            )
-        # torsion may not hit the lattice
-        dst_f = [pos for pos, lab in enumerate(dst_slots[d]) if lab[0] == "F"]
-        for i in dst_f:
-            for j in src_t:
-                if not F.is_zero(psi[d][i][j]):
-                    raise ShapeMismatch("torsion maps into the lattice part")
+    # torsion scalars: each source summand's column at its birth degree
+    S, T = src.torsion, dst.torsion
+    tt = [[F.zero] * len(S.summands) for _ in T.summands]
+    for i, (_, a) in enumerate(S.summands):
+        col = src_slots[-a].index(("T", i))
+        for pos, (kind, k) in enumerate(dst_slots[-a]):
+            if kind == "T" and not F.is_zero(psi[-a][pos][col]):
+                if not torsion_compatible(S, i, T, k):
+                    raise ShapeMismatch("torsion summand maps where x-power kills it")
+                tt[k][i] = psi[-a][pos][col]
     ft = []
     for j, (e, _) in enumerate(src.lattice.generators()):
         pos_j = src_slots[e].index(("F", j))
@@ -248,7 +244,16 @@ def morphism_from_degreewise(src: CObject, dst: CObject, psi, lo: int, hi: int) 
             if lab[0] == "T":
                 vec.append(psi[e][pos][pos_j])
         ft.append(tuple(vec))
-    return morphism_from_parts(src, dst, a00, a11, tt, tuple(ft))
+    m = morphism_from_parts(src, dst, a00, a11, tt, tuple(ft))
+    for d in range(lo, hi + 1):
+        src_t = [pos for pos, lab in enumerate(src_slots[d]) if lab[0] == "T"]
+        dst_t = [pos for pos, lab in enumerate(dst_slots[d]) if lab[0] == "T"]
+        dst_f = [pos for pos, lab in enumerate(dst_slots[d]) if lab[0] == "F"]
+        if any(not F.is_zero(psi[d][i][j]) for i in dst_f for j in src_t):
+            raise ShapeMismatch("torsion maps into the lattice part")
+        if tuple(tuple(psi[d][i][j] for j in src_t) for i in dst_t) != m.tt_at(d):
+            raise ShapeMismatch("torsion block is not the x-power of its birth degree")
+    return m
 
 
 def class_of_sequence(inject: Morphism, surject: Morphism) -> ExtClass:

@@ -4,7 +4,9 @@ Objects are entered as sums of atoms F0[a], F1[a], F[m,a], T[n,a] or as a
 JSON literal {"field": "Q", "torsion": [[n, a], ...], "lattice": {"p": ...,
 "q": ..., "gens": [{"jump": ..., "dir": [...]}]}}.  All reports are
 deterministic for a fixed field and seed (the seed only draws selftest's
-random sums); --format json emits versioned machine-readable records.
+random sums); --format json emits versioned machine-readable records, and
+under it every exit-2 or exit-3 path prints a JSON error record instead of a
+text line.
 """
 
 from __future__ import annotations
@@ -413,10 +415,25 @@ def cmd_selftest(args, field) -> tuple[int, str]:
 # dispatch
 
 
+class UsageError(Exception):
+    """argparse rejected the command line."""
+
+    def __init__(self, parser: argparse.ArgumentParser, message: str):
+        super().__init__(message)
+        self.parser = parser
+
+
+class _Parser(argparse.ArgumentParser):
+    """An argument parser that raises UsageError instead of exiting."""
+
+    def error(self, message):
+        raise UsageError(self, message)
+
+
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
     """The argument parser, built once per process."""
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="zdinfty",
         description="exact Hom/Ext, Serre duality and AR quivers for typed graded lattices",
     )
@@ -459,25 +476,53 @@ COMMANDS = {
 }
 
 
+def _error_record(e: Exception) -> str:
+    """The JSON form of an exit-2 or exit-3 error."""
+    error = {
+        "type": type(e).__name__,
+        "message": " ".join(str(e).split()),
+        "position": e.position if isinstance(e, ParseError) else None,
+    }
+    return json.dumps({"schema": SCHEMA, "error": error}, sort_keys=True)
+
+
+def _asks_for_json(argv) -> bool:
+    """Whether a command line argparse rejected names --format json last."""
+    fmt = None
+    for i, arg in enumerate(argv):
+        if arg == "--format" and i + 1 < len(argv):
+            fmt = argv[i + 1]
+        elif arg.startswith("--format="):
+            fmt = arg.partition("=")[2]
+    return fmt == "json"
+
+
 def run_command(argv) -> tuple[int, str]:
     """Execute one invocation; returns (exit code, output text).
 
     Input errors exit 2; any other exception is a bug and exits 3 with a
-    one-line ``internal error:`` message instead of a traceback.
+    one-line ``internal error:`` message instead of a traceback.  Under
+    --format json both print a ``zdinfty.report/1`` error record instead.
     """
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-    except SystemExit as e:
-        return (2 if e.code not in (0, None) else 0), ""
+    except UsageError as e:
+        e.parser.print_usage(sys.stderr)
+        print(f"{e.parser.prog}: error: {e}", file=sys.stderr)
+        return 2, _error_record(e) if _asks_for_json(argv) else ""
+    except SystemExit:  # --help has printed its text
+        return 0, ""
     try:
         field = parse_field(args.field)
         if args.command == "quiver" and args.format == "text":
             args.format = "dot"
         return COMMANDS[args.command](args, field)
     except (ParseError, RangeError, ZdinftyError) as e:
-        return 2, f"error: {e}"
+        return 2, _error_record(e) if args.format == "json" else f"error: {e}"
     except Exception as e:
+        if args.format == "json":
+            return 3, _error_record(e)
         message = " ".join(str(e).split())
         return 3, f"internal error: {type(e).__name__}: {message}"
 

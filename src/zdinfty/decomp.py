@@ -206,16 +206,10 @@ def decompose(X: CObject) -> Decomposition:
     factors = tuple(label for label, _ in pieces)
     big, embeds = direct_sum_many([label_to_object(F, lbl) for lbl in factors])
     cols0, cols1 = [None] * big.p, [None] * big.q
-    tt = {}
+    ones = []  # (summand of X, summand of big) for each wing
     for (label, part), (embed, tmap) in zip(pieces, embeds):
         if label.kind == "wing":
-            n, a = label.params
-            for d in range(-a, -a + n):
-                mat = tt.setdefault(
-                    d, [[F.zero] * big.torsion.dim_at(d) for _ in X.torsion.slots_at(d)]
-                )
-                i = X.torsion.slots_at(d).index(part)
-                mat[i][big.torsion.slots_at(d).index(tmap[0])] = F.one
+            ones.append((part, tmap[0]))
             continue
         for k, col in enumerate(part):
             i = next(i for i, row in enumerate(embed) if not F.is_zero(row[k]))
@@ -228,7 +222,7 @@ def decompose(X: CObject) -> Decomposition:
         X,
         linalg.transpose(cols0),
         linalg.transpose(cols1),
-        {d: tuple(map(tuple, mat)) for d, mat in tt.items()},
+        linalg.unit_matrix(F, len(X.torsion.summands), len(big.torsion.summands), ones),
     )
     if not is_isomorphism(iso, X):
         raise DecompositionFailure("assembled map is not an isomorphism")

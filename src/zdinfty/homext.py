@@ -2,11 +2,19 @@
 
 Morphisms between torsion-free parts are constant block-diagonal matrices
 preserving the lattice filtrations; the restriction functor forgets the block
-constraint.  Ext between lattices is the cokernel of projecting the
-restricted Hom onto its off-diagonal blocks; Ext out of a torsion summand is
-computed against the divisible cokernel of the target's injective
-resolution, which degreewise is the quotient of the target's module piece at
-the summand's death degree by the x-power image of its birth degree.
+constraint.  A map of graded cyclic modules is fixed by the image of the
+generator, so a map T[n, a] -> T[n', a'] is one scalar times x^(a' - a).  It
+is nonzero only on a compatible pair: the target is alive at the source's
+birth degree (-a' <= -a <= -a' + n' - 1) and x^n kills the image
+(n - a >= n' - a').  Torsion maps are therefore one scalar per compatible
+pair of summands, read off the bars with no solve, and they compose by a
+masked product: (g f)[k][i] is sum_j g[k][j] f[j][i] if summand k is alive
+at the birth degree of summand i, and 0 otherwise.  Ext between lattices is
+the cokernel of projecting the restricted Hom onto its off-diagonal blocks;
+Ext out of a torsion summand is computed against the divisible cokernel of
+the target's injective resolution, which degreewise is the quotient of the
+target's module piece at the summand's death degree by the x-power image of
+its birth degree.
 """
 
 from __future__ import annotations
@@ -29,22 +37,32 @@ from .objects import CObject, TorsionPart, serre_twist
 # morphisms
 
 
+def torsion_compatible(S: TorsionPart, i: int, T: TorsionPart, k: int) -> bool:
+    """Whether summand i of S has a nonzero map to summand k of T: k is alive
+    at the birth degree of i, and i dies no earlier than k."""
+    n, a = S.summands[i]
+    nk, ak = T.summands[k]
+    return T.alive(k, -a) and n - a >= nk - ak
+
+
 @dataclass(frozen=True)
 class Morphism:
     """A map in the category, stored blockwise.
 
-    a00/a11: constant matrices on the two ambient coordinate types; tt: the
-    degreewise torsion-to-torsion matrices (one per degree where source and
-    target torsion are both alive); ft: for each adapted lattice generator of
-    the source, its image among the target torsion slots at the generator's
-    jump.  The torsion-to-lattice component is always zero.
+    a00/a11: constant matrices on the two ambient coordinate types; tt: one
+    scalar per (target, source) pair of torsion summands, the coefficient of
+    x^(a_k - a_i) in the image of the generator of source summand i on
+    target summand k, zero off the compatible pairs; ft: for each adapted
+    lattice generator of the source, its image among the target torsion
+    slots at the generator's jump.  The torsion-to-lattice component is
+    always zero.
     """
 
     src: CObject
     dst: CObject
     a00: tuple
     a11: tuple
-    tt: tuple  # ((degree, matrix), ...) over the canonical shared degrees
+    tt: tuple  # dst torsion summands x src torsion summands
     ft: tuple  # per src lattice generator: vector over dst torsion slots
 
     def full_matrix(self) -> tuple:
@@ -59,82 +77,48 @@ class Morphism:
         return tuple(rows)
 
     def tt_at(self, d: int) -> tuple:
-        for deg, mat in self.tt:
-            if deg == d:
-                return mat
-        return linalg.zeros(
-            self.src.field, self.dst.torsion.dim_at(d), self.src.torsion.dim_at(d)
-        )
+        """The torsion block in degree d: tt on the summands alive there."""
+        cols = self.src.torsion.slots_at(d)
+        return tuple(tuple(self.tt[k][i] for i in cols) for k in self.dst.torsion.slots_at(d))
 
     def is_zero(self) -> bool:
-        F = self.src.field
-        for block in (self.a00, self.a11):
-            for row in block:
-                if any(not F.is_zero(c) for c in row):
-                    return False
-        for _, mat in self.tt:
-            for row in mat:
-                if any(not F.is_zero(c) for c in row):
-                    return False
-        for vec in self.ft:
-            if any(not F.is_zero(c) for c in vec):
-                return False
-        return True
+        return linalg.is_zero_vector(self.src.field, morphism_vector(self))
 
 
 def morphism_vector(m: Morphism) -> tuple:
     """Flatten a morphism to coordinates (fixed order for a given src/dst)."""
     out = []
-    for block in (m.a00, m.a11):
+    for block in (m.a00, m.a11, m.tt):
         for row in block:
-            out.extend(row)
-    for _, mat in m.tt:
-        for row in mat:
             out.extend(row)
     for vec in m.ft:
         out.extend(vec)
     return tuple(out)
 
 
-def _tt_degrees(X: CObject, Y: CObject) -> tuple:
-    ds = []
-    lo_x = X.torsion.min_degree()
-    if lo_x is None or Y.torsion.min_degree() is None:
-        return ()
-    for d in range(lo_x, X.torsion.max_degree() + 1):
-        if X.torsion.dim_at(d) > 0 and Y.torsion.dim_at(d) > 0:
-            ds.append(d)
-    return tuple(ds)
-
-
 def identity_morphism(X: CObject) -> Morphism:
     F = X.field
-    tt = tuple((d, linalg.identity(F, X.torsion.dim_at(d))) for d in _tt_degrees(X, X))
-    ft = tuple(
-        tuple(F.zero for _ in X.torsion.slots_at(jump))
-        for jump, _ in X.lattice.generators()
+    return morphism_from_parts(
+        X,
+        X,
+        linalg.identity(F, X.p),
+        linalg.identity(F, X.q),
+        linalg.identity(F, len(X.torsion.summands)),
     )
-    return Morphism(X, X, linalg.identity(F, X.p), linalg.identity(F, X.q), tt, ft)
 
 
-def morphism_from_parts(X: CObject, Y: CObject, a00, a11, tt_by_degree=None, ft=None) -> Morphism:
+def morphism_from_parts(X: CObject, Y: CObject, a00, a11, tt=None, ft=None) -> Morphism:
     F = X.field
-    tt_by_degree = tt_by_degree or {}
-    tt = tuple(
-        (
-            d,
-            tt_by_degree.get(
-                d, linalg.zeros(F, Y.torsion.dim_at(d), X.torsion.dim_at(d))
-            ),
-        )
-        for d in _tt_degrees(X, Y)
-    )
+    if tt is None:
+        tt = linalg.zeros(F, len(Y.torsion.summands), len(X.torsion.summands))
     if ft is None:
         ft = tuple(
             tuple(F.zero for _ in Y.torsion.slots_at(jump))
             for jump, _ in X.lattice.generators()
         )
-    return Morphism(X, Y, tuple(map(tuple, a00)), tuple(map(tuple, a11)), tt, tuple(map(tuple, ft)))
+    return Morphism(
+        X, Y, *(tuple(map(tuple, block)) for block in (a00, a11, tt, ft))
+    )
 
 
 def compose(g: Morphism, f: Morphism) -> Morphism:
@@ -145,10 +129,16 @@ def compose(g: Morphism, f: Morphism) -> Morphism:
     X, Y, Z = f.src, f.dst, g.dst
     a00 = linalg.mm(F, g.a00, f.a00, Y.p, X.p)
     a11 = linalg.mm(F, g.a11, f.a11, Y.q, X.q)
-    tt = {
-        d: linalg.mm(F, g.tt_at(d), f.tt_at(d), Y.torsion.dim_at(d), X.torsion.dim_at(d))
-        for d in _tt_degrees(X, Z)
-    }
+    # the masked product: generator i reaches summand k only if k is alive
+    # at its birth degree
+    prod = linalg.mm(F, g.tt, f.tt, len(Y.torsion.summands), len(X.torsion.summands))
+    tt = tuple(
+        tuple(
+            c if Z.torsion.alive(k, -a) else F.zero
+            for c, (_, a) in zip(row, X.torsion.summands)
+        )
+        for k, row in enumerate(prod)
+    )
     ft = []
     y_gens = Y.lattice.generators()
     full_f = f.full_matrix()
@@ -179,19 +169,10 @@ def sum_inclusion(big: CObject, factor: CObject, embed, tmap) -> Morphism:
         tuple(embed[big.p + i][factor.p + k] for k in range(factor.q))
         for i in range(big.q)
     )
-    tt = {}
-    lo = factor.torsion.min_degree()
-    if lo is not None:
-        for d in range(lo, factor.torsion.max_degree() + 1):
-            rows = []
-            fslots = factor.torsion.slots_at(d)
-            for i in big.torsion.slots_at(d):
-                row = [F.zero] * len(fslots)
-                for col, fs in enumerate(fslots):
-                    if tmap[fs] == i:
-                        row[col] = F.one
-                rows.append(tuple(row))
-            tt[d] = tuple(rows)
+    tt = linalg.unit_matrix(
+        F, len(big.torsion.summands), len(factor.torsion.summands),
+        ((k, i) for i, k in tmap.items()),
+    )
     return morphism_from_parts(factor, big, a00, a11, tt)
 
 
@@ -204,25 +185,21 @@ def sum_projection(big: CObject, factor: CObject, embed, tmap) -> Morphism:
         tuple(a_full[factor.p + i][big.p + k] for k in range(big.q))
         for i in range(factor.q)
     )
-    tt = {}
-    lo = factor.torsion.min_degree()
-    if lo is not None:
-        for d in range(lo, factor.torsion.max_degree() + 1):
-            rows = []
-            for i in factor.torsion.slots_at(d):
-                row = [F.zero] * big.torsion.dim_at(d)
-                row[big.torsion.slots_at(d).index(tmap[i])] = F.one
-                rows.append(tuple(row))
-            tt[d] = tuple(rows)
+    tt = linalg.unit_matrix(
+        F, len(factor.torsion.summands), len(big.torsion.summands), tmap.items()
+    )
     return morphism_from_parts(big, factor, a00, a11, tt)
 
 
 def serre_twist_morphism(f: Morphism) -> Morphism:
-    """The twist applied to a morphism: swap the blocks, shift the rest."""
+    """The twist applied to a morphism: swap the blocks, shift the rest.
+
+    The shift moves every torsion summand alike and keeps their order, so the
+    torsion scalars pass through unchanged.
+    """
     F = f.src.field
     X, Y = f.src, f.dst
     VX, VY = serre_twist(X), serre_twist(Y)
-    tt = {d: f.tt_at(d - 1) for d in _tt_degrees(VX, VY)}
     p = X.p
     ft = []
     for ep, dirp in VX.lattice.generators():
@@ -240,7 +217,7 @@ def serre_twist_morphism(f: Morphism) -> Morphism:
             for s in range(len(vec)):
                 vec[s] = F.add(vec[s], F.mul(c, moved[s]))
         ft.append(tuple(vec))
-    return morphism_from_parts(VX, VY, f.a11, f.a00, tt, tuple(ft))
+    return morphism_from_parts(VX, VY, f.a11, f.a00, f.tt, tuple(ft))
 
 
 def serre_twist_class(c: ExtClass) -> "ExtClass":
@@ -354,14 +331,12 @@ def validate_morphism(m: Morphism) -> None:
         w = linalg.mat_vec(F, full, dir)
         if not membership(m.dst.lattice, GradedVector(e, w)):
             raise NotLatticeMorphism("block matrix does not preserve the filtration")
-    lo = m.src.torsion.min_degree()
-    if lo is not None:
-        hi = m.src.torsion.max_degree()
-        S, T = m.src.torsion, m.dst.torsion
-        for d in range(lo, hi + 1):
-            lhs = linalg.mm(F, T.xpower(F, d, d + 1), m.tt_at(d), T.dim_at(d), S.dim_at(d))
-            rhs = linalg.mm(F, m.tt_at(d + 1), S.xpower(F, d, d + 1), S.dim_at(d + 1), S.dim_at(d))
-            if lhs != rhs:
+    S, T = m.src.torsion, m.dst.torsion
+    if len(m.tt) != len(T.summands) or any(len(row) != len(S.summands) for row in m.tt):
+        raise ShapeMismatch("torsion component needs one scalar per pair of summands")
+    for k, row in enumerate(m.tt):
+        for i, c in enumerate(row):
+            if not F.is_zero(c) and not torsion_compatible(S, i, T, k):
                 raise ZdinftyError("torsion component does not commute with x")
 
 
@@ -455,21 +430,26 @@ def _constant_matrix_solutions(X: CObject, Y: CObject, block_diagonal: bool):
 
 
 def hom_space(X: CObject, Y: CObject) -> HomSpace:
-    """Basis of the category Hom: block-diagonal lattice maps, torsion
-    intertwiners, and free-generator images in the target torsion."""
+    """Basis of the category Hom: block-diagonal lattice maps, one torsion
+    map per compatible pair of summands, and free-generator images in the
+    target torsion."""
     check_same_field(X.field, Y.field)
     F = X.field
     basis = []
     # lattice part
     for a00, a11 in _constant_matrix_solutions(X, Y, block_diagonal=True):
         basis.append(morphism_from_parts(X, Y, a00, a11))
-    # torsion-to-torsion intertwiners
-    for tt in _torsion_intertwiners(X, Y):
-        basis.append(
-            morphism_from_parts(
-                X, Y, linalg.zeros(F, Y.p, X.p), linalg.zeros(F, Y.q, X.q), tt
-            )
-        )
+    # torsion to torsion: one scalar per compatible pair of summands
+    S, T = X.torsion, Y.torsion
+    for k in range(len(T.summands)):
+        for i in range(len(S.summands)):
+            if torsion_compatible(S, i, T, k):
+                tt = linalg.unit_matrix(F, len(T.summands), len(S.summands), [(k, i)])
+                basis.append(
+                    morphism_from_parts(
+                        X, Y, linalg.zeros(F, Y.p, X.p), linalg.zeros(F, Y.q, X.q), tt
+                    )
+                )
     # lattice generators into target torsion
     gens = X.lattice.generators()
     for j, (e, _) in enumerate(gens):
@@ -489,60 +469,6 @@ def hom_space(X: CObject, Y: CObject) -> HomSpace:
                 )
             )
     return HomSpace(X, Y, tuple(basis))
-
-
-def _torsion_intertwiners(X: CObject, Y: CObject):
-    F = X.field
-    degrees = _tt_degrees(X, Y)
-    if not degrees:
-        return ()
-    offsets = {}
-    total = 0
-    for d in degrees:
-        offsets[d] = total
-        total += Y.torsion.dim_at(d) * X.torsion.dim_at(d)
-
-    def var(d, i, j):
-        return offsets[d] + i * X.torsion.dim_at(d) + j
-
-    lo = X.torsion.min_degree()
-    hi = X.torsion.max_degree()
-    rows = []
-    for d in range(lo, hi + 1):
-        na = X.torsion.dim_at(d)
-        nb1 = Y.torsion.dim_at(d + 1)
-        if na == 0 or nb1 == 0:
-            continue
-        xa = X.torsion.xpower(F, d, d + 1)
-        xb = Y.torsion.xpower(F, d, d + 1)
-        has_d = d in offsets
-        has_d1 = (d + 1) in offsets
-        for i in range(nb1):
-            for j in range(na):
-                row = [F.zero] * total
-                if has_d:
-                    for s in range(Y.torsion.dim_at(d)):
-                        if not F.is_zero(xb[i][s]):
-                            row[var(d, s, j)] = xb[i][s]
-                if has_d1:
-                    for t in range(X.torsion.dim_at(d + 1)):
-                        if not F.is_zero(xa[t][j]):
-                            row[var(d + 1, i, t)] = F.sub(
-                                row[var(d + 1, i, t)], xa[t][j]
-                            )
-                if any(not F.is_zero(c) for c in row):
-                    rows.append(tuple(row))
-    kernel = linalg.nullspace(F, rows) if rows else linalg.identity(F, total)
-    out = []
-    for vec in kernel:
-        tt = {}
-        for d in degrees:
-            na, nb = X.torsion.dim_at(d), Y.torsion.dim_at(d)
-            tt[d] = tuple(
-                tuple(vec[var(d, i, j)] for j in range(na)) for i in range(nb)
-            )
-        out.append(tt)
-    return tuple(out)
 
 
 # ---------------------------------------------------------------------------
@@ -797,15 +723,10 @@ def _class_after_morphism(g: ExtClass, f: Morphism) -> ExtClass:
     for ip, (n_p, a_p) in enumerate(Xp.torsion.summands):
         dim_target = Y.module_dim_at(n_p - a_p)
         acc = [F.zero] * dim_target
-        src_slots = Xp.torsion.slots_at(-a_p)
-        dst_slots = X.torsion.slots_at(-a_p)
-        tt = f.tt_at(-a_p)
-        col = src_slots.index(ip)
-        for srow, i in enumerate(dst_slots):
-            c = tt[srow][col]
+        for i, (n_i, a_i) in enumerate(X.torsion.summands):
+            c = f.tt[i][ip]
             if F.is_zero(c):
                 continue
-            n_i, a_i = X.torsion.summands[i]
             if n_p - a_p < n_i - a_i:
                 raise ZdinftyError("inconsistent torsion component in composition")
             moved = linalg.mat_vec(

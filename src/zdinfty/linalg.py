@@ -29,6 +29,14 @@ def identity(F: FieldSpec, n: int) -> Matrix:
     return tuple(tuple(o if i == j else z for j in range(n)) for i in range(n))
 
 
+def unit_matrix(F: FieldSpec, m: int, n: int, ones: Iterable[tuple[int, int]]) -> Matrix:
+    """The m x n matrix with a one at each (row, column) of ``ones``."""
+    rows = [[F.zero] * n for _ in range(m)]
+    for i, j in ones:
+        rows[i][j] = F.one
+    return tuple(map(tuple, rows))
+
+
 def is_zero_vector(F: FieldSpec, v: Sequence[Scalar]) -> bool:
     return not any(v)
 

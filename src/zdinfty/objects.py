@@ -10,7 +10,9 @@ resolutions, and conversion from free presentations.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
+from functools import cached_property
 
 from . import linalg, window
 from .errors import DimensionMismatch, InconsistentTypes, NotFullRank, ZdinftyError
@@ -45,8 +47,18 @@ class TorsionPart:
         n, a = self.summands[i]
         return -a <= d <= -a + n - 1
 
+    @cached_property
+    def _runs(self) -> tuple:
+        """(cuts, live summands from each cut to the next): built once per part."""
+        cuts = sorted({-a for _, a in self.summands} | {n - a for n, a in self.summands})
+        return cuts, tuple(
+            tuple(i for i in range(len(self.summands)) if self.alive(i, c)) for c in cuts
+        )
+
     def slots_at(self, d: int) -> tuple:
-        return tuple(i for i in range(len(self.summands)) if self.alive(i, d))
+        cuts, runs = self._runs
+        k = bisect_right(cuts, d) - 1
+        return runs[k] if k >= 0 else ()
 
     def dim_at(self, d: int) -> int:
         return len(self.slots_at(d))

@@ -1,8 +1,11 @@
 """Object grammar, command dispatch, determinism, exit codes."""
 
+import contextlib
+import io
 import json
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from zdinfty import cli
 from zdinfty.cli import parse_catalog, parse_object, print_object, run_command
@@ -198,6 +201,92 @@ def test_usage_errors():
         assert code == 2 and out.startswith("error:") and "\n" not in out, argv
     # a truncated literal reports where the JSON parser stopped
     assert run_command(["hom", '{"torsion": [[1, 0]', "F0[0]"])[1].endswith("(at position 19)")
+
+
+def test_json_error_records(monkeypatch):
+    def record(argv):
+        code, out = run_command(["--format", "json"] + argv)
+        data = json.loads(out)
+        assert set(data) == {"schema", "error"} and data["schema"] == "zdinfty.report/1"
+        err = data["error"]
+        return code, err["type"], err["position"], err["message"]
+
+    assert record(["hom", "F0[1]"])[:3] == (2, "UsageError", None)
+    assert record(["hom", "F[0,1]", "F0[0]"])[:3] == (2, "RangeError", None)
+    assert record(["hom", '{"torsion": [[1, 0]', "F0[0]"])[:3] == (2, "ParseError", 19)
+    assert record(["index", "T[1,0]"])[:3] == (2, "ZdinftyError", None)
+    code, out = run_command(["--format=json", "nonsense"])
+    assert code == 2 and json.loads(out)["error"]["type"] == "UsageError"
+
+    def broken(args, field):
+        raise RuntimeError("broken\ncommand")
+
+    monkeypatch.setitem(cli.COMMANDS, "hom", broken)
+    assert record(["hom", "F0[0]", "F0[0]"]) == (3, "RuntimeError", None, "broken command")
+    # text output is unchanged
+    assert run_command(["hom", "F0[0]", "F0[0]"]) == (
+        3, "internal error: RuntimeError: broken command"
+    )
+    assert run_command(["hom", "F0[1]"]) == (2, "")
+
+
+def _atom():
+    small = st.integers(min_value=-4, max_value=4)
+    size = st.integers(min_value=1, max_value=6)
+    return st.one_of(
+        st.builds("F0[{}]".format, small),
+        st.builds("F1[{}]".format, small),
+        st.builds("F[{},{}]".format, size, small),
+        st.builds("T[{},{}]".format, size, small),
+    )
+
+
+SUMS = st.lists(_atom(), min_size=1, max_size=3).map(" + ".join)
+MALFORMED = [
+    "0", "", "+", "F[0,1]", "T[-1,2]", "F0[", "T[1,", "F[2,0", "G[1]", "F0[x]",
+    "F0[1] F1[2]", "T[1,0] +", "{", '{"torsion": 5}', '{"lattice": {"p": 1}}',
+]
+# random text leaves out digits, so that no parameter grows large
+OBJECTS = st.one_of(
+    SUMS, SUMS, SUMS, SUMS, st.sampled_from(MALFORMED), st.text(alphabet="FT[],+- {}:", max_size=6)
+)
+SMALL = st.integers(min_value=-2, max_value=3).map(str)
+
+
+@st.composite
+def command_lines(draw):
+    argv = []
+    for flag, values in (("--field", ["Q", "Q", "Fp:2", "Fp:3", "Fp:4", "Fp:x"]),
+                         ("--format", ["text", "json", "json", "json", "dot", "yaml"])):
+        if draw(st.booleans()):
+            argv += [flag, draw(st.sampled_from(values))]
+    command = draw(st.sampled_from(["hom", "ext", "euler", "translate", "decompose",
+                                    "filtration", "ars", "index", "serre", "quiver", "bogus"]))
+    argv.append(command)
+    if command in ("hom", "ext", "euler"):
+        argv += [draw(OBJECTS) for _ in range(draw(st.sampled_from([2, 2, 2, 2, 1, 3])))]
+    elif command == "serre":
+        clause = draw(st.sampled_from(["m<=", "n<=", "|a|<=", "|a|<=", "q<="]))
+        argv += ["--catalog", clause + draw(st.sampled_from(["0", "1", "1", "-1", "x"]))]
+    elif command == "quiver":
+        for flag in ("--m-max", "--a-min", "--a-max", "--n-max"):
+            if draw(st.integers(min_value=0, max_value=9)):
+                argv += [flag, draw(SMALL)]
+    elif command != "bogus":
+        argv += [draw(OBJECTS) for _ in range(draw(st.sampled_from([1, 1, 1, 1, 2])))]
+    return argv
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(command_lines())
+def test_fuzz_command_lines(argv):
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        code, out = run_command(argv)
+    assert code in (0, 1, 2, 3), argv
+    assert "Traceback" not in out + err.getvalue(), argv
+    if "--format" in argv and argv[argv.index("--format") + 1] == "json":
+        assert "schema" in json.loads(out), argv
 
 
 def _literal(gen='{"jump": 0, "dir": [1]}', p='"p": 1, ', q='"q": 0, '):

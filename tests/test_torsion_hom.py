@@ -1,0 +1,146 @@
+"""Closed-form torsion Hom against the dense solve in ``oracle_hom``."""
+
+import random
+
+import pytest
+
+from zdinfty import ar, linalg
+from zdinfty.errors import ShapeMismatch
+from zdinfty.fields import GF, QQ
+from zdinfty.homext import (
+    compose,
+    hom_space,
+    identity_morphism,
+    module_xpower,
+    morphism_degreewise,
+    validate_morphism,
+)
+from zdinfty.objects import (
+    direct_sum_many,
+    rank_one,
+    rank_two,
+    torsion_cyclic,
+    window_bounds,
+)
+
+from oracle_hom import shared_degrees, torsion_hom_basis
+
+FIELDS = [QQ, GF(2), GF(3)]
+
+
+def _torsion_sum(F, rng):
+    """1-4 cyclic torsion summands T[n, a] with n <= 5 and |a| <= 3."""
+    return [
+        torsion_cyclic(F, rng.randint(1, 5), rng.randint(-3, 3))
+        for _ in range(rng.randint(1, 4))
+    ]
+
+
+def _random_object(F, rng, mixed):
+    parts = _torsion_sum(F, rng)
+    if mixed:
+        a = rng.randint(-3, 3)
+        parts.append(
+            rng.choice([rank_one(F, rng.randint(0, 1), a), rank_two(F, rng.randint(1, 2), a)])
+        )
+    return direct_sum_many(parts)[0]
+
+
+def _pairs(F, seed, count=40):
+    rng = random.Random(seed)
+    return [
+        (_random_object(F, rng, k % 2 == 1), _random_object(F, rng, k % 4 == 3))
+        for k in range(count)
+    ]
+
+
+def _stacked(blocks, degrees):
+    """One vector of the per-degree torsion blocks over the shared degrees."""
+    out = []
+    for d in degrees:
+        for row in blocks(d):
+            out.extend(row)
+    return tuple(out)
+
+
+def _window(*objs):
+    bounds = [window_bounds(X) for X in objs]
+    return min(lo for lo, _ in bounds), max(hi for _, hi in bounds)
+
+
+@pytest.mark.parametrize("F", FIELDS, ids=str)
+def test_closed_form_matches_dense_solve(F):
+    for X, Y in _pairs(F, 11):
+        degrees = shared_degrees(X, Y)
+        basis = hom_space(X, Y).basis
+        tor = [m for m in basis if any(any(row) for row in m.tt)]
+        ref = torsion_hom_basis(X, Y)
+        assert len(tor) == len(ref), (X, Y)
+        ours = [_stacked(m.tt_at, degrees) for m in tor]
+        theirs = [_stacked(r.get, degrees) for r in ref]
+        assert linalg.rank(F, ours) == len(tor)
+        assert linalg.span(F, ours) == linalg.span(F, theirs)
+        lo, hi = _window(X, Y)
+        for m in basis:
+            validate_morphism(m)
+            for d in range(lo, hi):
+                assert linalg.mm(
+                    F, morphism_degreewise(m, d + 1), module_xpower(X, d, d + 1),
+                    X.module_dim_at(d + 1), X.module_dim_at(d),
+                ) == linalg.mm(
+                    F, module_xpower(Y, d, d + 1), morphism_degreewise(m, d),
+                    Y.module_dim_at(d), X.module_dim_at(d),
+                )
+
+
+@pytest.mark.parametrize("F", FIELDS, ids=str)
+def test_compose_is_the_masked_product(F):
+    rng = random.Random(23)
+    for k in range(20):
+        X, Y, Z = (_random_object(F, rng, k % 3 == j) for j in range(3))
+        lo, hi = _window(X, Y, Z)
+        for f in hom_space(X, Y).basis:
+            for g in hom_space(Y, Z).basis:
+                gf = compose(g, f)
+                validate_morphism(gf)
+                for d in range(lo, hi + 1):
+                    nx, ny = X.torsion.dim_at(d), Y.torsion.dim_at(d)
+                    assert gf.tt_at(d) == linalg.mm(F, g.tt_at(d), f.tt_at(d), ny, nx)
+
+
+def test_torsion_hom_solves_nothing(monkeypatch):
+    rng = random.Random(5)
+    cases = []
+    for F in FIELDS:
+        for _ in range(20):
+            X, Y = (direct_sum_many(_torsion_sum(F, rng))[0] for _ in range(2))
+            cases.append((X, Y, len(torsion_hom_basis(X, Y))))
+        T = direct_sum_many([torsion_cyclic(F, 3 + i % 5, i % 4) for i in range(20)])[0]
+        cases.append((T, T, 180))
+
+    def boom(*args, **kwargs):
+        raise AssertionError("torsion Hom ran a nullspace")
+
+    monkeypatch.setattr(linalg, "nullspace", boom)
+    for X, Y, dim in cases:
+        assert hom_space(X, Y).dim == dim
+
+
+def _psi(*blocks):
+    """Degreewise matrices from degree 0 up."""
+    return dict(enumerate(blocks))
+
+
+def test_morphism_from_degreewise_rejects_what_tt_cannot_hold():
+    F = QQ
+    one, two = F.one, F.of_int(2)
+    T2 = torsion_cyclic(F, 2, 0)
+    m = ar.morphism_from_degreewise(T2, T2, _psi(((one,),), ((one,),), ()), 0, 2)
+    assert m == identity_morphism(T2)
+    # a later-degree block that differs from the birth-degree scalar
+    with pytest.raises(ShapeMismatch):
+        ar.morphism_from_degreewise(T2, T2, _psi(((one,),), ((two,),), ()), 0, 2)
+    # T[1,0] -> T[2,0] is not a map: x kills the source but not the image
+    T1 = torsion_cyclic(F, 1, 0)
+    with pytest.raises(ShapeMismatch):
+        ar.morphism_from_degreewise(T1, T2, _psi(((one,),), ((),), ()), 0, 2)
