@@ -399,8 +399,9 @@ def cmd_selftest(args, field) -> tuple[int, str]:
         label_to_object(field, rank_one_label(0, 0)),
     ]
     for Fo, G in itertools.product(sample, repeat=2):
+        exts = ext_space(G, serre_twist(Fo)).basis
         for f in hom_space(Fo, G).basis:
-            for g in ext_space(G, serre_twist(Fo)).basis:
+            for g in exts:
                 lhs = eta(Fo, yoneda_compose(g, f))
                 rhs = eta(G, yoneda_compose(serre_twist_morphism(f), g))
                 good &= lhs == rhs

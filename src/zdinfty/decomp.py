@@ -230,7 +230,17 @@ def decompose(X: CObject) -> Decomposition:
 
 
 def is_isomorphism(m: Morphism, target: CObject) -> bool:
-    """Whether the morphism is invertible onto the target."""
+    """Whether the morphism is invertible onto the target.
+
+    The torsion part is invertible in every degree exactly when the one
+    matrix ``m.tt`` is: with the source and target summands equal, order
+    them by (birth, death).  A compatible pair (k, i) has k born no later
+    and dead no later than i, so ``m.tt`` is block upper triangular with one
+    diagonal block per group of equal summands, and each ``tt_at(d)`` is the
+    principal submatrix on the groups alive at d.  Every group is alive
+    somewhere, so all the ``tt_at(d)`` are invertible iff all the diagonal
+    blocks are, iff ``m.tt`` is.
+    """
     F = m.src.field
     if m.dst != target:
         return False
@@ -241,11 +251,8 @@ def is_isomorphism(m: Morphism, target: CObject) -> bool:
     full = m.full_matrix()
     if linalg.inverse(F, full) is None:
         return False
-    lo = m.src.torsion.min_degree()
-    if lo is not None:
-        for d in range(lo, m.src.torsion.max_degree() + 1):
-            if linalg.inverse(F, m.tt_at(d)) is None:
-                return False
+    if linalg.inverse(F, m.tt) is None:
+        return False
     # the block matrix must map the filtration onto the filtration; with
     # equal jump multisets a containment check suffices
     for e, dir in m.src.lattice.generators():

@@ -781,8 +781,12 @@ def _morphism_after_class(h: Morphism, c: ExtClass) -> ExtClass:
 def eta(Fobj: CObject, c) -> object:
     """Trace functional on extensions of a torsion-free object by its twist.
 
-    Well-defined on classes: off-diagonal projections of filtration-preserving
-    maps into the shifted swap are nilpotent and contribute zero trace.
+    Well-defined on classes: reducing a representative adds the off-diagonal
+    blocks of a filtration-preserving map into the shifted swap, and those
+    are nilpotent, so their trace is zero.  The trace of an unreduced
+    composite is therefore that of its class, and the Serre pairing of
+    f: F -> G with a class g in Ext(G, VF) is
+    tr(g.h01 . f.a00) + tr(g.h10 . f.a11), with no reduction.
     Morphisms (degree zero) are sent to zero by convention.
     """
     F = Fobj.field
@@ -799,29 +803,47 @@ def eta(Fobj: CObject, c) -> object:
     return F.add(linalg.trace(F, c.h01), linalg.trace(F, c.h10))
 
 
+def _transposed_flat(*blocks) -> tuple:
+    """The entries of the transposed blocks, row by row, one block after another."""
+    return tuple(c for block in blocks for col in zip(*block) for c in col)
+
+
+def _pairing(hom: HomSpace, ext: ExtSpace, flipped: bool = False) -> tuple:
+    """Gram matrix of the trace pairing between the two bases, as one product.
+
+    tr(B . A) is the sum of B[i][k] A[k][i], so the entry for a map m and a
+    class c is the dot product of the flattened (c.h01, c.h10) with the
+    flattened transposes of (m.a00, m.a11) when c follows m, or of
+    (m.a11, m.a00) when m follows c (flipped).  Rows run over the left
+    factor of the pairing: Hom, or Ext when flipped.
+    """
+    F = ext.src.field
+    classes = [_flatten_offdiag(c.h01, c.h10) for c in ext.basis]
+    maps = [
+        _transposed_flat(m.a11, m.a00) if flipped else _transposed_flat(m.a00, m.a11)
+        for m in hom.basis
+    ]
+    lefts, rights = (classes, maps) if flipped else (maps, classes)
+    inner = ext.dst.q * ext.src.p + ext.dst.p * ext.src.q
+    cols = linalg.transpose(rights) if rights else linalg.zeros(F, inner, 0)
+    return linalg.mm(F, lefts, cols, inner, len(rights))
+
+
 def serre_gram(Fobj: CObject, G: CObject, flipped: bool = False):
     """Gram matrix of the duality pairing in the computed bases.
 
     Default: Hom(F, G) x Ext(G, VF) -> k by (f, g) -> eta(g . f).
     Flipped: Ext(F, G) x Hom(G, VF) -> k.
+    The matrix is one product of the flattened blocks of the two bases (see
+    ``eta``); no composite is formed or reduced.
     """
     check_same_field(Fobj.field, G.field)
     if not (Fobj.is_torsion_free() and G.is_torsion_free()):
         raise ShapeMismatch("the pairing is computed for torsion-free objects")
     VF = serre_twist(Fobj)
     if not flipped:
-        lefts = hom_space(Fobj, G).basis
-        rights = ext_space(G, VF).basis
-    else:
-        lefts = ext_space(Fobj, G).basis
-        rights = hom_space(G, VF).basis
-    rows = []
-    for f in lefts:
-        row = []
-        for g in rights:
-            row.append(eta(Fobj, yoneda_compose(g, f)))
-        rows.append(tuple(row))
-    return tuple(rows)
+        return _pairing(hom_space(Fobj, G), ext_space(G, VF))
+    return _pairing(hom_space(G, VF), ext_space(Fobj, G), flipped=True)
 
 
 @dataclass(frozen=True)
@@ -844,12 +866,13 @@ class SerreReport:
 
 def serre_check(X: CObject, Y: CObject) -> SerreReport:
     """Compare dim Hom(X, Y) with dim Ext(Y, VX); check the pairing rank."""
-    d_hom = hom_space(X, Y).dim
-    d_ext = ext_space(Y, serre_twist(X)).dim
+    hom = hom_space(X, Y)
+    ext = ext_space(Y, serre_twist(X))
+    d_hom, d_ext = hom.dim, ext.dim
     gram_rank = None
     gram_ok = None
     if X.is_torsion_free() and Y.is_torsion_free():
-        gram = serre_gram(X, Y)
+        gram = _pairing(hom, ext)
         gram_rank = linalg.rank(X.field, gram) if gram else 0
         gram_ok = gram_rank == d_hom == d_ext
     return SerreReport(X, Y, d_hom, d_ext, d_hom == d_ext, gram_rank, gram_ok)

@@ -5,6 +5,7 @@ import random
 
 import pytest
 
+from zdinfty import linalg
 from zdinfty.decomp import (
     Decomposition,
     decompose,
@@ -20,7 +21,7 @@ from zdinfty.decomp import (
 )
 from zdinfty.errors import UnrecognizedShape
 from zdinfty.fields import GF, QQ
-from zdinfty.homext import hom_space
+from zdinfty.homext import hom_space, morphism_from_parts, torsion_compatible
 from zdinfty.lattice import canonicalize
 from zdinfty.objects import (
     CObject,
@@ -96,6 +97,40 @@ def test_decompose_already_split():
     dec = decompose(X)
     assert sorted(str(f) for f in dec.factors) == ["F0[0]", "F1[2]", "T[2,1]"]
     assert is_isomorphism(dec.iso, X)
+
+
+@pytest.mark.parametrize("field", [QQ, GF(2), GF(3)], ids=str)
+def test_is_isomorphism_one_torsion_inverse(field):
+    # one inverse of the whole torsion matrix decides what one inverse per
+    # degree decided; repeated summands give the diagonal blocks some width
+    rng = random.Random(29)
+    verdicts = []
+    for _ in range(80):
+        parts = [
+            torsion_cyclic(field, rng.randint(1, 3), rng.randint(-1, 1))
+            for _ in range(rng.randint(1, 5))
+        ]
+        if rng.random() < 0.3:
+            parts.append(rank_two(field, 2, 0))
+        X = direct_sum_many(parts)[0]
+        S, n = X.torsion, len(X.torsion.summands)
+        tt = [
+            [
+                field.of_int(rng.randint(-1, 1)) if torsion_compatible(S, i, S, k) else field.zero
+                for i in range(n)
+            ]
+            for k in range(n)
+        ]
+        m = morphism_from_parts(
+            X, X, linalg.identity(field, X.p), linalg.identity(field, X.q), tt
+        )
+        per_degree = all(
+            linalg.inverse(field, m.tt_at(d)) is not None
+            for d in range(S.min_degree(), S.max_degree() + 1)
+        )
+        assert is_isomorphism(m, X) == per_degree, (X, tt)
+        verdicts.append(per_degree)
+    assert 10 <= sum(verdicts) <= 70
 
 
 def test_decompose_skewed_sum():
