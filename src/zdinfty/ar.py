@@ -15,6 +15,7 @@ from dataclasses import dataclass
 from . import linalg, window
 from .errors import (
     NotIndecomposable,
+    RangeError,
     ShapeMismatch,
     WindowTooSmall,
     WitnessNotFound,
@@ -38,7 +39,11 @@ from .decomp import (
     IndecLabel,
     decompose,
     label_to_object,
+    rank_one_label,
+    rank_two_label,
     serre_twist_label,
+    shift_label,
+    wing,
 )
 from .lattice import canonicalize
 from .objects import (
@@ -430,6 +435,11 @@ def no_proj_no_inj_witness(X: CObject, bound: int = 8):
 # ---------------------------------------------------------------------------
 # quiver windows
 
+# Largest a_max - a_min and m_max + n_max a quiver window accepts; a window
+# at both limits takes about 10 s and 440 MB over Q (Python 3.11.7, 2 cores).
+MAX_QUIVER_A_SPAN = 2000
+MAX_QUIVER_SIZE = 100
+
 
 @dataclass(frozen=True)
 class QuiverWindow:
@@ -446,37 +456,48 @@ def quiver_window(
 
     Arrows into each node are the middle summands of its almost split
     sequence; arrows with an endpoint outside the window are dropped and
-    counted.
+    counted.  The degree shift X -> X(s) is an exact autoequivalence that
+    commutes with the translate, so it carries the almost split sequence
+    ending in B onto the one ending in B(s).  One sequence per shape (kind
+    and size) is therefore computed, at the lowest a of the enlarged window,
+    and shifted along the row: m_max + n_max + 4 sequences whatever the
+    a-range.  Windows wider than MAX_QUIVER_A_SPAN or larger than
+    MAX_QUIVER_SIZE in m_max + n_max raise RangeError before any sequence is
+    computed.
     """
-    from .decomp import rank_one_label, rank_two_label, wing
-
     if m_max < 1 or n_max < 1 or a_min > a_max:
         raise WindowTooSmall("window needs m_max >= 1, n_max >= 1, a_min <= a_max")
     if a_max - a_min < 1:
         raise WindowTooSmall("window cannot contain a full mesh")
+    if a_max - a_min > MAX_QUIVER_A_SPAN or m_max + n_max > MAX_QUIVER_SIZE:
+        raise RangeError(
+            f"quiver window needs a_max - a_min <= {MAX_QUIVER_A_SPAN}"
+            f" and m_max + n_max <= {MAX_QUIVER_SIZE}"
+        )
 
-    def labels_in(mm, alo, ahi, nn):
-        out = []
-        for a in range(alo, ahi + 1):
-            out.append(rank_one_label(0, a))
-            out.append(rank_one_label(1, a))
-            for m in range(1, mm + 1):
-                out.append(rank_two_label(m, a))
-            for n in range(1, nn + 1):
-                out.append(wing(n, a))
+    def shapes(mm, nn):
+        """One label of each shape of the rows up to m = mm and n = nn, at a = 0."""
+        out = [rank_one_label(0, 0), rank_one_label(1, 0)]
+        out += [rank_two_label(m, 0) for m in range(1, mm + 1)]
+        out += [wing(n, 0) for n in range(1, nn + 1)]
         return out
 
-    inside = set(labels_in(m_max, a_min, a_max, n_max))
-    enlarged = set(labels_in(m_max + 1, a_min - 1, a_max + 1, n_max + 1))
+    inside = {
+        shift_label(S, a) for S in shapes(m_max, n_max) for a in range(a_min, a_max + 1)
+    }
     arrows = []
     dropped = 0
-    for B in sorted(enlarged, key=lambda l: l.sort_key()):
-        mesh = almost_split(label_to_object(field, B))
-        for A in mesh.middle_factors:
-            if A in inside and B in inside:
-                arrows.append((A, B))
-            elif A in inside or B in inside:
-                dropped += 1
+    for S in shapes(m_max + 1, n_max + 1):
+        base = shift_label(S, a_min - 1)
+        middle = almost_split(label_to_object(field, base)).middle_factors
+        for s in range(a_max - a_min + 3):
+            B = shift_label(base, s)
+            for A in middle:
+                A = shift_label(A, s)
+                if A in inside and B in inside:
+                    arrows.append((A, B))
+                elif A in inside or B in inside:
+                    dropped += 1
     translation = []
     for node in inside:
         tau = serre_twist_label(node)

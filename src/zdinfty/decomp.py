@@ -96,12 +96,14 @@ def serre_twist_label(label: IndecLabel) -> IndecLabel:
     """The translate on labels: twist by sigma and shift by -1."""
     if label.kind == "rank_one":
         i, a = label.params
-        return rank_one_label(1 - i, a - 1)
-    if label.kind == "rank_two":
-        m, a = label.params
-        return rank_two_label(m, a - 1)
-    n, a = label.params
-    return wing(n, a - 1)
+        label = rank_one_label(1 - i, a)
+    return shift_label(label, -1)
+
+
+def shift_label(label: IndecLabel, s: int) -> IndecLabel:
+    """The degree shift X(s) on labels: every kind moves its a by s."""
+    size, a = label.params
+    return IndecLabel(label.kind, (size, a + s))
 
 
 # ---------------------------------------------------------------------------

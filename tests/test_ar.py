@@ -4,6 +4,7 @@ import random
 
 import pytest
 
+from zdinfty import ar
 from zdinfty.ar import (
     AlmostSplitSequence,
     QuiverWindow,
@@ -26,7 +27,7 @@ from zdinfty.decomp import (
     serre_twist_label,
     wing,
 )
-from zdinfty.errors import NotIndecomposable, WindowTooSmall
+from zdinfty.errors import NotIndecomposable, RangeError, WindowTooSmall
 from zdinfty.fields import GF, QQ
 from zdinfty.homext import ext_space, hom_space, yoneda_compose
 from zdinfty.objects import (
@@ -304,6 +305,30 @@ def test_quiver_window_too_small():
         quiver_window(F, m_max=0, a_min=0, a_max=2, n_max=1)
     with pytest.raises(WindowTooSmall):
         quiver_window(F, m_max=2, a_min=0, a_max=0, n_max=1)
+
+
+class _Reached(Exception):
+    pass
+
+
+def test_quiver_size_guard(monkeypatch):
+    def reached(X):
+        raise _Reached
+
+    monkeypatch.setattr(ar, "almost_split", reached)
+    span, size = ar.MAX_QUIVER_A_SPAN, ar.MAX_QUIVER_SIZE
+    # at the limits the guard lets the window through to its first sequence
+    with pytest.raises(_Reached):
+        quiver_window(F, m_max=1, a_min=-span // 2, a_max=span - span // 2, n_max=1)
+    with pytest.raises(_Reached):
+        quiver_window(F, m_max=size - 1, a_min=0, a_max=1, n_max=1)
+    # one past them it rejects the window before computing any sequence
+    with pytest.raises(RangeError):
+        quiver_window(F, m_max=1, a_min=0, a_max=span + 1, n_max=1)
+    with pytest.raises(RangeError):
+        quiver_window(F, m_max=1, a_min=0, a_max=1, n_max=size)
+    with pytest.raises(RangeError):
+        quiver_window(F, m_max=1, a_min=-(10 ** 9), a_max=10 ** 9, n_max=1)
 
 
 def test_dot_export_one_mesh():

@@ -123,6 +123,19 @@ def test_quiver_command_formats():
     assert "F[1,1]" in data["nodes"]
 
 
+def test_quiver_rejects_oversized_window():
+    wide = ["quiver", "--m-max", "1", "--a-min", "-1000000000", "--a-max", "1000000000", "--n-max", "1"]
+    code, out = run_command(wide)
+    assert code == 2 and out.startswith("error: quiver window needs")
+    code, out = run_command(["--format", "json"] + wide)
+    assert code == 2
+    assert json.loads(out)["error"]["type"] == "RangeError"
+    tall = ["quiver", "--m-max", "1000000000", "--a-min", "0", "--a-max", "1", "--n-max", "1"]
+    code, out = run_command(["--format", "json"] + tall)
+    assert code == 2
+    assert json.loads(out)["error"]["type"] == "RangeError"
+
+
 def test_determinism_and_field_flag():
     a1 = run_command(["--seed", "7", "decompose", "F[2,0] + F[2,0]"])
     a2 = run_command(["--seed", "7", "decompose", "F[2,0] + F[2,0]"])
