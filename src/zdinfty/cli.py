@@ -15,6 +15,7 @@ import argparse
 import functools
 import itertools
 import json
+import os
 import random
 import sys
 
@@ -531,7 +532,13 @@ def run_command(argv) -> tuple[int, str]:
 def main(argv=None) -> int:
     code, output = run_command(sys.argv[1:] if argv is None else argv)
     if output:
-        print(output)
+        try:
+            print(output)
+            sys.stdout.flush()
+        except BrokenPipeError:
+            # The reader closed the pipe early: send the rest to devnull so
+            # the flush at exit cannot fail, and keep the command's code.
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
     return code
 
 

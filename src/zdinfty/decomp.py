@@ -289,7 +289,7 @@ def _lattice_pieces(L) -> list:
     span0, span1 = _Span(F), _Span(F)  # every u and every w so far
     live = []  # (birth, u, w), elder first
     for e, rows in L.steps:
-        ann = linalg.nullspace(F, rows)  # S_e is where these vanish
+        ann = L.annihilator_at(e)  # S_e is where these vanish
         ann0 = tuple(n[:p] for n in ann)
         ann1 = tuple(n[p:] for n in ann)
         if live:

@@ -130,8 +130,10 @@ def GF(p: int) -> FieldSpec:
 
 
 def check_same_field(a: FieldSpec, b: FieldSpec) -> None:
-    """Mixed-field operations are errors, never coercions."""
-    if a != b:
+    """Mixed-field operations are errors, never coercions.
+
+    Identity is tested first: the generated ``__eq__`` builds two tuples."""
+    if a is not b and a != b:
         raise FieldMismatch(f"cannot mix {a} and {b}")
 
 

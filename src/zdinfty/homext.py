@@ -355,12 +355,6 @@ class HomSpace:
         return len(self.basis)
 
 
-def _annihilator(F, basis_rows, n):
-    if not basis_rows:
-        return linalg.identity(F, n)
-    return linalg.nullspace(F, basis_rows)
-
-
 def hom_kx_space(X: CObject, Y: CObject) -> tuple:
     """Basis of constant matrices A with A S_e(X) inside S_e(Y) for all e.
 
@@ -399,8 +393,7 @@ def _constant_matrix_solutions(X: CObject, Y: CObject, block_diagonal: bool):
 
     rows = []
     for e, dir in X.lattice.generators():
-        basis = Y.lattice.subspace_at(e)
-        for u in _annihilator(F, basis, rr):
+        for u in Y.lattice.annihilator_at(e):
             row = [F.zero] * nvars
             any_nz = False
             for i in range(rr):

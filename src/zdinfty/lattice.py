@@ -15,6 +15,7 @@ from __future__ import annotations
 
 from bisect import bisect_right
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable, Sequence
 
 from . import linalg
@@ -60,9 +61,13 @@ class GradedLattice:
     def max_jump(self) -> int:
         return self.steps[-1][0]
 
+    @cached_property
+    def _jumps(self) -> tuple:
+        return tuple(j for j, _ in self.steps)
+
     def subspace_at(self, d: int) -> Matrix:
         """Echelon basis rows of S_d."""
-        idx = bisect_right([j for j, _ in self.steps], d)
+        idx = bisect_right(self._jumps, d)
         if idx == 0:
             return ()
         return self.steps[idx - 1][1]
@@ -70,13 +75,23 @@ class GradedLattice:
     def dim_at(self, d: int) -> int:
         return len(self.subspace_at(d))
 
-    def generators(self) -> tuple:
-        """Canonical adapted generators (jump, direction).
+    @cached_property
+    def _annihilators(self) -> dict:
+        """Step index to the annihilator of that step, filled in on first use
+        (two threads that race on a step store equal values)."""
+        return {}
 
-        Direction j enters the filtration at its jump; together the
-        directions form a basis of k^r, so the lattice is freely generated
-        over k[x] by x^jump_j * dir_j.
-        """
+    def annihilator_at(self, d: int) -> Matrix:
+        """Basis of the vectors u with u . v = 0 for every v in S_d (all of
+        k^r below the first jump), computed once per step."""
+        idx = bisect_right(self._jumps, d)
+        if idx not in self._annihilators:
+            basis = self.subspace_at(d)
+            self._annihilators[idx] = linalg.nullspace(self.field, basis, self.rank)
+        return self._annihilators[idx]
+
+    @cached_property
+    def _generators(self) -> tuple:
         out = []
         prev_pivots: set = set()
         for jump, basis in self.steps:
@@ -86,6 +101,15 @@ class GradedLattice:
                     out.append((jump, row))
             prev_pivots = set(pivots)
         return tuple(out)
+
+    def generators(self) -> tuple:
+        """Canonical adapted generators (jump, direction), built once per lattice.
+
+        Direction j enters the filtration at its jump; together the
+        directions form a basis of k^r, so the lattice is freely generated
+        over k[x] by x^jump_j * dir_j.
+        """
+        return self._generators
 
     def generator_matrix(self) -> Matrix:
         """Adapted directions as columns, ordered by (jump, pivot)."""

@@ -121,6 +121,10 @@ class CObject:
         out += [("T", i) for i in self.torsion.slots_at(d)]
         return tuple(out)
 
+    @cached_property
+    def _twist(self) -> "CObject":
+        return shift(sigma(self), -1)
+
 
 # ---------------------------------------------------------------------------
 # constructors
@@ -167,8 +171,10 @@ def sigma(X: CObject) -> CObject:
 
 
 def serre_twist(X: CObject) -> CObject:
-    """The twist V: sigma followed by shift by -1; acts as the translate on objects."""
-    return shift(sigma(X), -1)
+    """The twist V: sigma followed by shift by -1; acts as the translate on objects.
+
+    V depends only on X, so it is built once per object and kept on it."""
+    return X._twist
 
 
 def serre_untwist(X: CObject) -> CObject:

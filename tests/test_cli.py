@@ -3,6 +3,9 @@
 import contextlib
 import io
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -334,3 +337,22 @@ def test_selftest_runs():
     code, out = run_command(["selftest"])
     assert code == 0
     assert out.splitlines()[-1] == "selftest: PASS"
+
+
+def test_closed_pipe_ends_quietly():
+    """A reader that stops early (``| head -c 200``) gets no traceback.
+
+    The window's JSON (about 140 kB) overfills the pipe, so the CLI is still
+    writing when the read end closes."""
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    argv = [sys.executable, "-m", "zdinfty.cli", "--field", "Fp:2", "--format", "json",
+            "quiver", "--m-max", "6", "--a-min", "-80", "--a-max", "80", "--n-max", "4"]
+    proc = subprocess.Popen(argv, stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+    head = proc.stdout.read(200)
+    proc.stdout.close()
+    err = proc.stderr.read().decode()
+    proc.stderr.close()
+    assert proc.wait(timeout=60) == 0
+    assert head.startswith(b'{"arrows"')
+    assert "Traceback" not in err, err
