@@ -27,9 +27,10 @@ from .homext import (
     Morphism,
     ext_space,
     hom_space,
-    module_xpower,
     morphism_degreewise,
     morphism_from_parts,
+    offdiag_blocks,
+    offdiag_full,
     sum_inclusion,
     sum_projection,
     torsion_compatible,
@@ -51,6 +52,7 @@ from .objects import (
     TorsionPart,
     direct_sum,
     model_of,
+    module_xpower,
     serre_twist,
     shift,
     sigma,
@@ -106,23 +108,11 @@ def _embeddings(Y: CObject, X: CObject):
     return build(Y, 0, 0), build(X, Y.p, Y.q), pE, qE
 
 
-def _offdiag_full(c: ExtClass):
-    """The class blocks as a full rY x rX matrix."""
-    F = c.src.field
-    X, Y = c.src, c.dst
-    rows = []
-    for i in range(Y.p):
-        rows.append(tuple(F.zero for _ in range(X.p)) + tuple(c.h10[i]))
-    for i in range(Y.q):
-        rows.append(tuple(c.h01[i]) + tuple(F.zero for _ in range(X.q)))
-    return tuple(rows)
-
-
 def _lattice_extension(c: ExtClass) -> ShortExactSeq:
     F = c.src.field
     X, Y = c.src, c.dst
     embY, embX, pE, qE = _embeddings(Y, X)
-    A = _offdiag_full(c)
+    A = offdiag_full(c)
     gens = []
     for e, dir in Y.lattice.generators():
         gens.append((e, linalg.mat_vec(F, embY, dir)))
@@ -131,13 +121,8 @@ def _lattice_extension(c: ExtClass) -> ShortExactSeq:
         vec = linalg.vec_add(F, twisted, linalg.mat_vec(F, embX, dir))
         gens.append((e, vec))
     E = CObject(F, TorsionPart(()), canonicalize(F, gens, pE, qE))
-    a00_i = tuple(tuple(embY[i][k] for k in range(Y.p)) for i in range(pE))
-    a11_i = tuple(tuple(embY[pE + i][Y.p + k] for k in range(Y.q)) for i in range(qE))
-    inject = morphism_from_parts(Y, E, a00_i, a11_i)
-    projX = linalg.transpose(embX)
-    a00_s = tuple(tuple(projX[i][k] for k in range(pE)) for i in range(X.p))
-    a11_s = tuple(tuple(projX[X.p + i][pE + k] for k in range(qE)) for i in range(X.q))
-    surject = morphism_from_parts(E, X, a00_s, a11_s)
+    inject = sum_inclusion(E, Y, embY, {})
+    surject = sum_projection(E, X, embX, {})
     return ShortExactSeq(Y, E, X, inject, surject, c)
 
 
@@ -147,8 +132,8 @@ def _general_extension(c: ExtClass) -> ShortExactSeq:
     loX, hiX = window_bounds(X)
     loY, hiY = window_bounds(Y)
     lo, hi = min(loX, loY), max(hiX, hiY)
-    wmY, chartY, slotsY = model_of(Y, lo, hi)
-    wmX, chartX, slotsX = model_of(X, lo, hi)
+    wmY, chartY = model_of(Y, lo, hi)
+    wmX, chartX = model_of(X, lo, hi)
     embY, embX, pE, qE = _embeddings(Y, X)
 
     dims = tuple(wmY.dim_at(d) + wmX.dim_at(d) for d in range(lo, hi + 1))
@@ -166,11 +151,11 @@ def _general_extension(c: ExtClass) -> ShortExactSeq:
         # the class twists the top of each torsion summand of X into Y
         for t, (n, a) in enumerate(X.torsion.summands):
             if d == n - a - 1:
-                col = ny + slotsX[d].index(("T", t))
+                col = ny + X.torsion_slot(t, d)
                 for i in range(ny1):
                     rows[i][col] = F.add(rows[i][col], c.tor[t][i])
         xmaps.append(tuple(map(tuple, rows)))
-    A = _offdiag_full(c)
+    A = offdiag_full(c)
     chart_cols = []
     for t in range(wmY.dim_at(hi)):
         col = tuple(chartY[i][t] for i in range(Y.rank))
@@ -204,18 +189,13 @@ def _general_extension(c: ExtClass) -> ShortExactSeq:
 def morphism_from_degreewise(src: CObject, dst: CObject, psi, lo: int, hi: int) -> Morphism:
     """Recover blockwise morphism data from degreewise slot matrices."""
     F = src.field
-    src_slots = {d: src.module_slots_at(d) for d in range(lo, hi + 1)}
-    dst_slots = {d: dst.module_slots_at(d) for d in range(lo, hi + 1)}
     if src.rank > 0:
         Gs = src.lattice.generator_matrix()
         Gd = dst.lattice.generator_matrix() if dst.rank > 0 else ()
         # ambient block matrix from the top of the window
-        psi_top_lat = []
-        for pos, lab in enumerate(dst_slots[hi]):
-            psi_top_lat.append(tuple(psi[hi][pos][t] for t in range(len(src_slots[hi]))))
         M = linalg.mm(
             F,
-            linalg.mm(F, Gd, psi_top_lat, dst.rank, src.rank) if dst.rank else (),
+            linalg.mm(F, Gd, psi[hi], dst.rank, src.rank) if dst.rank else (),
             linalg.inverse(F, Gs),
             src.rank,
             src.rank,
@@ -235,28 +215,23 @@ def morphism_from_degreewise(src: CObject, dst: CObject, psi, lo: int, hi: int) 
     S, T = src.torsion, dst.torsion
     tt = [[F.zero] * len(S.summands) for _ in T.summands]
     for i, (_, a) in enumerate(S.summands):
-        col = src_slots[-a].index(("T", i))
-        for pos, (kind, k) in enumerate(dst_slots[-a]):
-            if kind == "T" and not F.is_zero(psi[-a][pos][col]):
+        col = src.torsion_slot(i, -a)
+        rows = psi[-a][dst.lattice.dim_at(-a):]
+        for k, row in zip(T.slots_at(-a), rows):
+            if not F.is_zero(row[col]):
                 if not torsion_compatible(S, i, T, k):
                     raise ShapeMismatch("torsion summand maps where x-power kills it")
-                tt[k][i] = psi[-a][pos][col]
-    ft = []
-    for j, (e, _) in enumerate(src.lattice.generators()):
-        pos_j = src_slots[e].index(("F", j))
-        vec = []
-        for pos, lab in enumerate(dst_slots[e]):
-            if lab[0] == "T":
-                vec.append(psi[e][pos][pos_j])
-        ft.append(tuple(vec))
-    m = morphism_from_parts(src, dst, a00, a11, tt, tuple(ft))
+                tt[k][i] = row[col]
+    ft = tuple(
+        tuple(row[j] for row in psi[e][dst.lattice.dim_at(e):])
+        for j, (e, _) in enumerate(src.lattice.generators())
+    )
+    m = morphism_from_parts(src, dst, a00, a11, tt, ft)
     for d in range(lo, hi + 1):
-        src_t = [pos for pos, lab in enumerate(src_slots[d]) if lab[0] == "T"]
-        dst_t = [pos for pos, lab in enumerate(dst_slots[d]) if lab[0] == "T"]
-        dst_f = [pos for pos, lab in enumerate(dst_slots[d]) if lab[0] == "F"]
-        if any(not F.is_zero(psi[d][i][j]) for i in dst_f for j in src_t):
+        ns, nd = src.lattice.dim_at(d), dst.lattice.dim_at(d)
+        if any(not F.is_zero(c) for row in psi[d][:nd] for c in row[ns:]):
             raise ShapeMismatch("torsion maps into the lattice part")
-        if tuple(tuple(psi[d][i][j] for j in src_t) for i in dst_t) != m.tt_at(d):
+        if tuple(tuple(row[ns:]) for row in psi[d][nd:]) != m.tt_at(d):
             raise ShapeMismatch("torsion block is not the x-power of its birth degree")
     return m
 
@@ -267,62 +242,38 @@ def class_of_sequence(inject: Morphism, surject: Morphism) -> ExtClass:
         raise ShapeMismatch("maps do not share a middle object")
     F = inject.src.field
     Y, E, X = inject.src, inject.dst, surject.dst
-    space = ext_space(X, Y)
+
+    def lift(d, pos, what):
+        """A preimage under the surjection of the slot vector at pos in degree d."""
+        target = tuple(F.one if k == pos else F.zero for k in range(X.module_dim_at(d)))
+        v = linalg.solve(F, morphism_degreewise(surject, d), target)
+        if v is None:
+            raise ZdinftyError(f"surjection misses a {what}")
+        return v
+
     tor = []
     for i, (n, a) in enumerate(X.torsion.summands):
-        d0 = -a
-        p_mat = morphism_degreewise(surject, d0)
-        gen_pos = X.module_slots_at(d0).index(("T", i))
-        target = tuple(
-            F.one if k == gen_pos else F.zero for k in range(X.module_dim_at(d0))
-        )
-        v = linalg.solve(F, p_mat, target)
-        if v is None:
-            raise ZdinftyError("surjection misses a torsion generator")
-        lifted = linalg.mat_vec(F, module_xpower(E, d0, n - a), v)
-        i_mat = morphism_degreewise(inject, n - a)
-        y = linalg.solve(F, i_mat, lifted)
+        v = lift(-a, X.torsion_slot(i, -a), "torsion generator")
+        lifted = linalg.mat_vec(F, module_xpower(E, -a, n - a), v)
+        y = linalg.solve(F, morphism_degreewise(inject, n - a), lifted)
         if y is None:
             raise ZdinftyError("x-power of the lift escapes the kernel")
         tor.append(tuple(y))
     h01 = linalg.zeros(F, Y.q, X.p)
     h10 = linalg.zeros(F, Y.p, X.q)
     if X.rank > 0 and Y.rank > 0:
-        # a graded splitting of the surjection on the free part
-        lifts = []
-        for j, (e, _) in enumerate(X.lattice.generators()):
-            p_mat = morphism_degreewise(surject, e)
-            pos = X.module_slots_at(e).index(("F", j))
-            target = tuple(
-                F.one if k == pos else F.zero for k in range(X.module_dim_at(e))
-            )
-            v = linalg.solve(F, p_mat, target)
-            if v is None:
-                raise ZdinftyError("surjection misses a lattice generator")
-            lifts.append((e, v))
-        # a type-diagonal retraction of the localized inclusion
-        iota = inject.full_matrix()
-        W = _block_left_inverse(F, iota, E.p, E.q, Y.p, Y.q)
-        e_gens = E.lattice.generators()
-        cols = []
-        for (e, v) in lifts:
-            slots = E.module_slots_at(e)
-            amb = [F.zero] * E.rank
-            for pos, lab in enumerate(slots):
-                if lab[0] != "F":
-                    continue
-                cpos = v[pos]
-                if F.is_zero(cpos):
-                    continue
-                _, dir = e_gens[lab[1]]
-                for t in range(E.rank):
-                    amb[t] = F.add(amb[t], F.mul(cpos, dir[t]))
-            cols.append(linalg.mat_vec(F, W, tuple(amb)))
+        # a graded splitting of the surjection on the free part, pushed
+        # through a type-diagonal retraction of the localized inclusion
+        lifts = [
+            (e, lift(e, j, "lattice generator"))
+            for j, (e, _) in enumerate(X.lattice.generators())
+        ]
+        W = _block_left_inverse(F, inject.full_matrix(), E.p, E.q, Y.p, Y.q)
+        cols = [linalg.mat_vec(F, W, E.lattice_vector(e, v)) for e, v in lifts]
         G = X.lattice.generator_matrix()
         D = linalg.mm(F, linalg.transpose(cols), linalg.inverse(F, G), X.rank, X.rank)
-        h01 = tuple(tuple(D[Y.p + i][k] for k in range(X.p)) for i in range(Y.q))
-        h10 = tuple(tuple(D[i][X.p + k] for k in range(X.q)) for i in range(Y.p))
-    return space.reduce(h01, h10, tuple(tor))
+        h01, h10 = offdiag_blocks(D, X, Y)
+    return ext_space(X, Y).reduce(h01, h10, tuple(tor))
 
 
 def _block_left_inverse(F, iota, pE, qE, pY, qY):

@@ -131,7 +131,7 @@ def _parse_json_literal(text, field: FieldSpec) -> CObject:
     if not isinstance(torsion, list):
         raise ParseError("JSON torsion is not a list of [n, a] pairs", 0)
     for s in torsion:
-        if not (isinstance(s, list) and len(s) == 2 and all(isinstance(v, int) for v in s)):
+        if not (isinstance(s, list) and len(s) == 2 and all(map(_is_json_int, s))):
             raise ParseError(f"torsion entry {s!r} is not an [n, a] pair of integers", 0)
     lat_data = data.get("lattice")
     if lat_data is None:
@@ -144,8 +144,8 @@ def _parse_json_literal(text, field: FieldSpec) -> CObject:
                     field.parse_scalar(str(c)) if not isinstance(c, int) else field.of_int(c)
                     for c in g["dir"]
                 )
-                gens.append((int(g["jump"]), dir))
-            p, q = int(lat_data["p"]), int(lat_data["q"])
+                gens.append((_json_int(g["jump"], "jump"), dir))
+            p, q = _json_int(lat_data["p"], "p"), _json_int(lat_data["q"], "q")
         except KeyError as e:
             raise ParseError(f"JSON literal lacks the key {e.args[0]!r}", 0)
         except (AttributeError, TypeError, ValueError):
@@ -157,6 +157,17 @@ def _parse_json_literal(text, field: FieldSpec) -> CObject:
         else:
             lattice = canonicalize(field, gens, p, q)
     return CObject(field, TorsionPart.of(torsion), lattice)
+
+
+def _is_json_int(v) -> bool:
+    """A JSON integer: not a float (0.5, 1e400, Infinity) and not a boolean."""
+    return isinstance(v, int) and not isinstance(v, bool)
+
+
+def _json_int(v, key: str) -> int:
+    if not _is_json_int(v):
+        raise ParseError(f"JSON {key} {v!r} is not an integer", 0)
+    return v
 
 
 def print_object(X: CObject) -> str:

@@ -30,7 +30,7 @@ from .errors import (
 )
 from .fields import check_same_field
 from .lattice import adapted_coords
-from .objects import CObject, TorsionPart, serre_twist
+from .objects import CObject, TorsionPart, module_xpower, serre_twist
 
 
 # ---------------------------------------------------------------------------
@@ -223,102 +223,47 @@ def serre_twist_morphism(f: Morphism) -> Morphism:
 def serre_twist_class(c: ExtClass) -> "ExtClass":
     """The twist applied to an extension class.
 
-    Off-diagonal blocks swap; torsion representatives are transported through
-    the coordinate swap and re-expressed in the twisted adapted basis.
+    Off-diagonal blocks swap; the lattice part of each torsion representative
+    is transported through the coordinate swap and re-expressed in the
+    twisted adapted basis.  The shift keeps the order of the torsion
+    summands and moves each one's life by one degree, so the torsion
+    coordinates pass through unchanged.
     """
-    F = c.src.field
     X, Y = c.src, c.dst
     VX, VY = serre_twist(X), serre_twist(Y)
     tor = []
-    y_gens = Y.lattice.generators()
     for i, (n, a) in enumerate(X.torsion.summands):
         h = n - a
-        slots = Y.module_slots_at(h)
-        amb = [F.zero] * Y.rank
-        tcoeffs = {}
-        for pos, lab in enumerate(slots):
-            coeff = c.tor[i][pos]
-            if lab[0] == "F":
-                _, dir = y_gens[lab[1]]
-                for t in range(Y.rank):
-                    amb[t] = F.add(amb[t], F.mul(coeff, dir[t]))
-            else:
-                tcoeffs[lab[1]] = coeff
+        amb = Y.lattice_vector(h, c.tor[i])
         swapped = tuple(
             amb[Y.p + t] if t < Y.q else amb[t - Y.q] for t in range(Y.rank)
         )
         gamma = adapted_coords(VY.lattice, swapped, h + 1)
         if gamma is None:
             raise ZdinftyError("twisted representative escapes the filtration")
-        vec = []
-        for lab in VY.module_slots_at(h + 1):
-            if lab[0] == "F":
-                vec.append(gamma[lab[1]])
-            else:
-                vec.append(tcoeffs.get(lab[1], F.zero))
-        tor.append(tuple(vec))
+        tor.append(
+            tuple(gamma[: VY.lattice.dim_at(h + 1)]) + tuple(c.tor[i][Y.lattice.dim_at(h):])
+        )
     return ext_space(VX, VY).reduce(c.h10, c.h01, tuple(tor))
-
-
-def module_xpower(Y: CObject, d_from: int, d_to: int) -> tuple:
-    """Multiplication by x^(d_to-d_from) on the module slots of Y."""
-    F = Y.field
-    src = Y.module_slots_at(d_from)
-    dst = Y.module_slots_at(d_to)
-    pos = {lab: k for k, lab in enumerate(dst)}
-    tor = Y.torsion.xpower(F, d_from, d_to)
-    tor_src = Y.torsion.slots_at(d_from)
-    tor_dst = Y.torsion.slots_at(d_to)
-    rows = [[F.zero] * len(src) for _ in dst]
-    for col, lab in enumerate(src):
-        kind, idx = lab
-        if kind == "F":
-            rows[pos[lab]][col] = F.one
-        else:
-            scol = tor_src.index(idx)
-            for srow, tidx in enumerate(tor_dst):
-                c = tor[srow][scol]
-                if not F.is_zero(c):
-                    rows[pos[("T", tidx)]][col] = c
-    return tuple(tuple(r) for r in rows)
 
 
 def morphism_degreewise(m: Morphism, d: int) -> tuple:
     """Matrix of the morphism on the degree-d module slots."""
     F = m.src.field
     X, Y = m.src, m.dst
-    src = X.module_slots_at(d)
-    dst = Y.module_slots_at(d)
-    pos = {lab: k for k, lab in enumerate(dst)}
-    rows = [[F.zero] * len(src) for _ in dst]
     full = m.full_matrix()
-    x_gens = X.lattice.generators()
+    ny = Y.lattice.dim_at(d)
+    cols = []
+    for j, (e, dir) in enumerate(X.lattice.generators()[: X.lattice.dim_at(d)]):
+        gamma = adapted_coords(Y.lattice, linalg.mat_vec(F, full, dir), d)
+        if gamma is None:
+            raise NotLatticeMorphism("morphism does not preserve the lattice")
+        moved = linalg.mat_vec(F, Y.torsion.xpower(F, e, d), m.ft[j])
+        cols.append(tuple(gamma[:ny]) + tuple(moved))
     tt = m.tt_at(d)
-    t_src = X.torsion.slots_at(d)
-    t_dst = Y.torsion.slots_at(d)
-    for col, lab in enumerate(src):
-        kind, idx = lab
-        if kind == "F":
-            e, dir = x_gens[idx]
-            w = linalg.mat_vec(F, full, dir)
-            gamma = adapted_coords(Y.lattice, w, d)
-            if gamma is None:
-                raise NotLatticeMorphism("morphism does not preserve the lattice")
-            for t, c in enumerate(gamma):
-                if not F.is_zero(c):
-                    rows[pos[("F", t)]][col] = c
-            moved = linalg.mat_vec(F, Y.torsion.xpower(F, e, d), m.ft[idx])
-            for srow, tidx in enumerate(t_dst):
-                c = moved[srow]
-                if not F.is_zero(c):
-                    rows[pos[("T", tidx)]][col] = F.add(rows[pos[("T", tidx)]][col], c)
-        else:
-            scol = t_src.index(idx)
-            for srow, tidx in enumerate(t_dst):
-                c = tt[srow][scol]
-                if not F.is_zero(c):
-                    rows[pos[("T", tidx)]][col] = c
-    return tuple(tuple(r) for r in rows)
+    for k in range(X.torsion.dim_at(d)):
+        cols.append((F.zero,) * ny + tuple(row[k] for row in tt))
+    return linalg.transpose(cols) if cols else linalg.zeros(F, Y.module_dim_at(d), 0)
 
 
 def validate_morphism(m: Morphism) -> None:
@@ -332,6 +277,11 @@ def validate_morphism(m: Morphism) -> None:
         if not membership(m.dst.lattice, GradedVector(e, w)):
             raise NotLatticeMorphism("block matrix does not preserve the filtration")
     S, T = m.src.torsion, m.dst.torsion
+    gens = m.src.lattice.generators()
+    if len(m.ft) != len(gens) or any(
+        len(vec) != T.dim_at(e) for vec, (e, _) in zip(m.ft, gens)
+    ):
+        raise ShapeMismatch("lattice-to-torsion component needs one vector per generator")
     if len(m.tt) != len(T.summands) or any(len(row) != len(S.summands) for row in m.tt):
         raise ShapeMismatch("torsion component needs one scalar per pair of summands")
     for k, row in enumerate(m.tt):
@@ -550,6 +500,24 @@ def _unflatten_offdiag(F, flat, p, q, pp, qq):
     return h01, h10
 
 
+def offdiag_blocks(A, X: CObject, Y: CObject) -> tuple:
+    """The off-diagonal blocks (h01, h10) of a full Y.rank x X.rank matrix:
+    type-1 rows on type-0 columns, and type-0 rows on type-1 columns."""
+    p, q, pp, qq = X.p, X.q, Y.p, Y.q
+    h01 = tuple(tuple(A[pp + i][k] for k in range(p)) for i in range(qq))
+    h10 = tuple(tuple(A[i][p + k] for k in range(q)) for i in range(pp))
+    return h01, h10
+
+
+def offdiag_full(c: ExtClass) -> tuple:
+    """The class blocks as a full Y.rank x X.rank matrix, zero on the diagonal
+    blocks: the inverse of ``offdiag_blocks``."""
+    F, X = c.src.field, c.src
+    rows = [(F.zero,) * X.p + tuple(row) for row in c.h10]
+    rows += [tuple(row) + (F.zero,) * X.q for row in c.h01]
+    return tuple(rows)
+
+
 def _class_vector(c: ExtClass) -> tuple:
     out = list(_flatten_offdiag(c.h01, c.h10))
     for vec in c.tor:
@@ -569,21 +537,14 @@ def ext_space(X: CObject, Y: CObject) -> ExtSpace:
         x_lat = CObject(F, TorsionPart(()), X.lattice)
         y_lat = CObject(F, TorsionPart(()), Y.lattice)
         for A in hom_kx_space(x_lat, y_lat):
-            h01 = tuple(tuple(A[pp + i][k] for k in range(p)) for i in range(qq))
-            h10 = tuple(tuple(A[i][p + k] for k in range(q)) for i in range(pp))
-            image_vectors.append(_flatten_offdiag(h01, h10))
+            image_vectors.append(_flatten_offdiag(*offdiag_blocks(A, X, Y)))
     ff_reduction = linalg.rref(F, image_vectors) if image_vectors else ((), ())
 
-    tor_reduction = []
-    for n, a in X.torsion.summands:
-        img_cols = []
-        power = module_xpower(Y, -a, n - a)
-        for col in range(Y.module_dim_at(-a)):
-            img_cols.append(tuple(power[i][col] for i in range(len(power))))
-        tor_reduction.append(linalg.rref(F, img_cols) if img_cols else ((), ()))
-    tor_reduction = tuple(tor_reduction)
-
-    space = ExtSpace(X, Y, (), ff_reduction, tor_reduction)
+    # the x^n image of each torsion summand's birth degree, as rows
+    tor_reduction = tuple(
+        linalg.rref(F, linalg.transpose(module_xpower(Y, -a, n - a)))
+        for n, a in X.torsion.summands
+    )
 
     basis = []
     rows, pivots = ff_reduction
@@ -690,25 +651,20 @@ def _class_after_morphism(g: ExtClass, f: Morphism) -> ExtClass:
     if Xp.rank > 0 and Y.rank > 0 and any(
         any(not F.is_zero(c) for c in vec) for vec in f.ft
     ):
-        gens = Xp.lattice.generators()
         wcols = []
-        for j, (e, _) in enumerate(gens):
-            slots = X.torsion.slots_at(e)
+        for j, (e, _) in enumerate(Xp.lattice.generators()):
             w = [F.zero] * Y.rank
-            for sidx, i in enumerate(slots):
-                c = f.ft[j][sidx]
+            for c, i in zip(f.ft[j], X.torsion.slots_at(e)):
                 if F.is_zero(c):
                     continue
-                amb = _tor_lattice_ambient(g, i)
-                for t in range(Y.rank):
-                    w[t] = F.add(w[t], F.mul(c, amb[t]))
+                n_i, a_i = X.torsion.summands[i]
+                amb = Y.lattice_vector(n_i - a_i, g.tor[i])
+                w = [F.add(wt, F.mul(c, at)) for wt, at in zip(w, amb)]
             wcols.append(tuple(w))
         G = Xp.lattice.generator_matrix()
         Ginv = linalg.inverse(F, G)
         D = linalg.mm(F, linalg.transpose(wcols), Ginv, len(wcols), len(wcols))
-        p, q, pp, qq = Xp.p, Xp.q, Y.p, Y.q
-        d01 = tuple(tuple(D[pp + i][k] for k in range(p)) for i in range(qq))
-        d10 = tuple(tuple(D[i][p + k] for k in range(q)) for i in range(pp))
+        d01, d10 = offdiag_blocks(D, Xp, Y)
         h01 = linalg.mat_add(F, h01, d01)
         h10 = linalg.mat_add(F, h10, d10)
 
@@ -729,27 +685,6 @@ def _class_after_morphism(g: ExtClass, f: Morphism) -> ExtClass:
                 acc[s] = F.add(acc[s], F.mul(c, moved[s]))
         tor.append(tuple(acc))
     return ext_space(Xp, Y).reduce(h01, h10, tuple(tor))
-
-
-def _tor_lattice_ambient(g: ExtClass, i: int):
-    """Ambient vector of the lattice component of g.tor[i]."""
-    F = g.src.field
-    Y = g.dst
-    n_i, a_i = g.src.torsion.summands[i]
-    slots = Y.module_slots_at(n_i - a_i)
-    gens = Y.lattice.generators()
-    amb = [F.zero] * Y.rank
-    for posn, lab in enumerate(slots):
-        kind, idx = lab
-        if kind != "F":
-            continue
-        c = g.tor[i][posn]
-        if F.is_zero(c):
-            continue
-        _, dir = gens[idx]
-        for t in range(Y.rank):
-            amb[t] = F.add(amb[t], F.mul(c, dir[t]))
-    return tuple(amb)
 
 
 def _morphism_after_class(h: Morphism, c: ExtClass) -> ExtClass:

@@ -83,7 +83,13 @@ class TorsionPart:
 
 @dataclass(frozen=True)
 class CObject:
-    """An object T + F: stored torsion summands and an embedded lattice."""
+    """An object T + F: stored torsion summands and an embedded lattice.
+
+    The degree-d piece has the basis: the adapted lattice generators with
+    jump <= d, in generator order, then the torsion summands alive at d, in
+    summand order.  Generators are sorted by jump, so generator j is slot j
+    at every degree from its jump on, and slot positions need no table.
+    """
 
     field: FieldSpec
     torsion: TorsionPart
@@ -114,12 +120,19 @@ class CObject:
         """k-dimension of the degree-d piece of the underlying graded module."""
         return self.lattice.dim_at(d) + self.torsion.dim_at(d)
 
-    def module_slots_at(self, d: int) -> tuple:
-        """Degree-d basis labels: ('F', generator index) then ('T', summand index)."""
-        gens = self.lattice.generators()
-        out = [("F", j) for j, (jump, _) in enumerate(gens) if jump <= d]
-        out += [("T", i) for i in self.torsion.slots_at(d)]
-        return tuple(out)
+    def torsion_slot(self, i: int, d: int) -> int:
+        """Position of torsion summand i among the degree-d slots (it must be
+        alive at d): the generators with jump <= d come first."""
+        return self.lattice.dim_at(d) + self.torsion.slots_at(d).index(i)
+
+    def lattice_vector(self, d: int, v) -> tuple:
+        """Ambient vector of the lattice coordinates of a degree-d slot vector."""
+        F = self.field
+        amb = [F.zero] * self.rank
+        for c, (_, dir) in zip(v[: self.lattice.dim_at(d)], self.lattice.generators()):
+            if not F.is_zero(c):
+                amb = [F.add(a, F.mul(c, b)) for a, b in zip(amb, dir)]
+        return tuple(amb)
 
     @cached_property
     def _twist(self) -> "CObject":
@@ -300,12 +313,26 @@ def window_bounds(X: CObject, pad_low: int = 0, pad_high: int = 1):
     return (min(lows) - pad_low, max(highs) + pad_high)
 
 
+def module_xpower(X: CObject, d_from: int, d_to: int) -> tuple:
+    """Multiplication by x^(d_to - d_from), for d_to >= d_from, on the slots
+    of X: each generator alive at d_from maps to itself, and the torsion
+    block is ``torsion.xpower``."""
+    F = X.field
+    n_from, n_to = X.lattice.dim_at(d_from), X.lattice.dim_at(d_to)
+    tor = X.torsion.xpower(F, d_from, d_to)
+    tor_cols = X.torsion.dim_at(d_from)
+    gen_rows = tuple(
+        tuple(F.one if k == i else F.zero for k in range(n_from)) + (F.zero,) * tor_cols
+        for i in range(n_to)
+    )
+    return gen_rows + tuple((F.zero,) * n_from + row for row in tor)
+
+
 def model_of(X: CObject, lo: int, hi: int):
     """Window model of X with its localization chart.
 
-    Degree-d basis: adapted lattice generators with jump <= d, then torsion
-    slots, in the order of ``module_slots_at``.  Requires hi beyond all jumps
-    and torsion support.
+    The degree-d basis is the slot layout of ``CObject``.  Requires hi beyond
+    all jumps and torsion support.
     """
     F = X.field
     if X.rank > 0 and hi < X.lattice.max_jump():
@@ -313,27 +340,12 @@ def model_of(X: CObject, lo: int, hi: int):
     td = X.torsion.max_degree()
     if td is not None and hi <= td:
         raise ZdinftyError("window top does not kill the torsion")
-    dims = []
-    xmaps = []
-    slot_table = {d: X.module_slots_at(d) for d in range(lo, hi + 1)}
-    for d in range(lo, hi + 1):
-        dims.append(len(slot_table[d]))
-    for d in range(lo, hi):
-        src, dst = slot_table[d], slot_table[d + 1]
-        pos = {lab: k for k, lab in enumerate(dst)}
-        rows = [[F.zero] * len(src) for _ in dst]
-        for col, lab in enumerate(src):
-            kind, idx = lab
-            if kind == "F":
-                rows[pos[lab]][col] = F.one
-            elif lab in pos:
-                rows[pos[lab]][col] = F.one
-        xmaps.append(tuple(tuple(r) for r in rows))
-    wm = window.WindowModule(F, lo, hi, tuple(dims), tuple(xmaps))
-    gens = X.lattice.generators()
-    chart_cols = [dir for _, dir in gens]
+    dims = tuple(X.module_dim_at(d) for d in range(lo, hi + 1))
+    xmaps = tuple(module_xpower(X, d, d + 1) for d in range(lo, hi))
+    wm = window.WindowModule(F, lo, hi, dims, xmaps)
+    chart_cols = [dir for _, dir in X.lattice.generators()]
     chart = linalg.transpose(chart_cols) if chart_cols else ()
-    return wm, chart, slot_table
+    return wm, chart
 
 
 def from_window(wm: window.WindowModule, chart, p: int, q: int) -> CObject:
@@ -463,7 +475,7 @@ def from_presentation(P: Presentation) -> CObject:
                 rows.append(tuple(alpha[i][j] for i in range(nrows)))
         relation_rows[d] = rows
 
-    wm, reps, project = window.quotient_model(F, lo, hi, ambient_dims, relation_rows)
+    wm, reps = window.quotient_model(F, lo, hi, ambient_dims, relation_rows)
     # chart: basis slot i of the top degree maps to loc_iso column i
     chart_cols = []
     for i in reps[hi]:

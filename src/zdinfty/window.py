@@ -58,9 +58,9 @@ def reconstruct_parts(wm: WindowModule, chart, p: int, q: int):
 
     Returns the sorted torsion summands (n, a), the canonical GradedLattice,
     and ``basis``: per degree d, the matrix whose columns are the images in
-    ``wm`` of the slots of the canonical model at d, in ``module_slots_at``
-    order.  It commutes with x, the chart sends its top block to the
-    canonical generator directions, and each block is invertible.
+    ``wm`` of the slots of the canonical model at d, in the slot order of
+    ``objects.CObject``.  It commutes with x, the chart sends its top block
+    to the canonical generator directions, and each block is invertible.
     """
     F = wm.field
     r = p + q
@@ -157,4 +157,4 @@ def quotient_model(field: FieldSpec, lo: int, hi: int, ambient_dims, relation_ro
                 vec[j] = field.one
             cols.append(project(d + 1, tuple(vec)))
         xmaps.append(linalg.transpose(cols))
-    return WindowModule(field, lo, hi, dims, tuple(xmaps)), reps, project
+    return WindowModule(field, lo, hi, dims, tuple(xmaps)), reps

@@ -64,7 +64,7 @@ def checked_reconstruct(real, seen):
         assert (summands, lat) == reference_parts(wm, chart, p, q)
         F = wm.field
         E = CObject(F, TorsionPart(summands), lat)
-        model, model_chart, _ = model_of(E, wm.lo, wm.hi)
+        model, model_chart = model_of(E, wm.lo, wm.hi)
         for d in range(wm.lo, wm.hi + 1):
             n = wm.dim_at(d)
             assert linalg.inverse(F, basis[d]) is not None

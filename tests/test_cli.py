@@ -212,6 +212,15 @@ def test_usage_errors():
         ["--field", "Fp:5", "hom", _literal(gen='{"jump": 0, "dir": ["1/5"]}'), "F0[0]"],
         ["hom", _literal(gen='{"jump": 0, "dir": ["1/0"]}'), "F0[0]"],
         ["hom", _literal(gen='{"jump": 0, "dir": ["1/2/3"]}'), "F0[0]"],
+        # jumps and type counts must be JSON integers: no floats, no booleans
+        ["decompose", _literal(gen='{"jump": Infinity, "dir": [1]}')],
+        ["decompose", _literal(gen='{"jump": 1e400, "dir": [1]}')],
+        ["decompose", _literal(gen='{"jump": 0.5, "dir": [1]}')],
+        ["decompose", _literal(gen='{"jump": true, "dir": [1]}')],
+        ["decompose", _literal(p='"p": 1e400, ')],
+        ["decompose", _literal(p='"p": 1.0, ')],
+        ["decompose", _literal(q='"q": false, ')],
+        ["decompose", '{"torsion": [[true, 0]]}'],
     ]:
         code, out = run_command(argv)
         assert code == 2 and out.startswith("error:") and "\n" not in out, argv

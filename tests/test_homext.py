@@ -6,6 +6,7 @@ import random
 import pytest
 
 from zdinfty import linalg
+from zdinfty.errors import ShapeMismatch
 from zdinfty.fields import GF, QQ
 from zdinfty.homext import (
     DegreeTwoWitness,
@@ -17,6 +18,7 @@ from zdinfty.homext import (
     hom_space,
     identity_morphism,
     morphism_degreewise,
+    morphism_from_parts,
     serre_check,
     serre_gram,
     serre_twist_morphism,
@@ -154,6 +156,17 @@ def test_morphism_validation_and_composition():
                 morphism_degreewise(m, d), Y.module_dim_at(d), X.module_dim_at(d),
             )
             assert lhs == rhs
+
+
+def test_validate_morphism_checks_lattice_to_torsion_shape():
+    # F0[0] -> F0[0] + T[3,0]: the generator's jump 0 meets one torsion slot
+    X = rank_one(F, 0, 0)
+    Y = direct_sum(X, torsion_cyclic(F, 3, 0))[0]
+    one = ((F.one,),)
+    validate_morphism(morphism_from_parts(X, Y, one, (), None, one))
+    for ft in (((F.one, F.zero, F.zero),), ((),), (), ((F.one,), (F.one,))):
+        with pytest.raises(ShapeMismatch):
+            validate_morphism(morphism_from_parts(X, Y, one, (), None, ft))
 
 
 def _module_xmat(X, d):

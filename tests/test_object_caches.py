@@ -85,7 +85,7 @@ def _warm(X):
     """Fill every cache of X and return it."""
     serre_twist(X)
     X.lattice.generators()
-    X.module_slots_at(0)
+    X.torsion.slots_at(0)
     if X.rank:
         X.lattice.annihilator_at(X.lattice.max_jump())
     return X

@@ -121,7 +121,7 @@ def test_window_model_roundtrip():
     ]
     for X in samples:
         lo, hi = window_bounds(X)
-        wm, chart, _ = model_of(X, lo, hi)
+        wm, chart = model_of(X, lo, hi)
         assert from_window(wm, chart, X.p, X.q) == X
 
 
