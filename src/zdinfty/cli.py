@@ -141,7 +141,7 @@ def _parse_json_literal(text, field: FieldSpec) -> CObject:
             gens = []
             for g in lat_data.get("gens", []):
                 dir = tuple(
-                    field.parse_scalar(str(c)) if not isinstance(c, int) else field.of_int(c)
+                    field.of_int(c) if _is_json_int(c) else field.parse_scalar(str(c))
                     for c in g["dir"]
                 )
                 gens.append((_json_int(g["jump"], "jump"), dir))
@@ -152,10 +152,9 @@ def _parse_json_literal(text, field: FieldSpec) -> CObject:
             raise ParseError("JSON lattice does not follow the object schema", 0)
         if p < 0 or q < 0:
             raise RangeError(f"lattice type counts must be non-negative, got p={p}, q={q}")
-        if p + q == 0:
-            lattice = GradedLattice(field, 0, 0, ())
-        else:
-            lattice = canonicalize(field, gens, p, q)
+        if p + q == 0 and gens:
+            raise ParseError("a JSON lattice with p = q = 0 takes no gens", 0)
+        lattice = canonicalize(field, gens, p, q)
     return CObject(field, TorsionPart.of(torsion), lattice)
 
 

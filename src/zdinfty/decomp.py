@@ -14,6 +14,7 @@ Persistent Homology", 2005).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import gcd
 
 from . import linalg
 from .errors import (
@@ -133,9 +134,11 @@ def identify(X: CObject) -> IndecLabel:
 
 
 def _pure_coordinate_degree(L, coord: int) -> int:
+    """The least degree d with the coordinate vector in S_d: a jump, since
+    S_d only changes at the jumps."""
     F = L.field
     e = tuple(F.one if i == coord else F.zero for i in range(L.rank))
-    for d in range(L.min_jump(), L.max_jump() + 1):
+    for d, _ in L.steps:
         if membership(L, GradedVector(d, e)):
             return d
     raise UnrecognizedShape("pure-coordinate element missing below the top jump")
@@ -234,6 +237,11 @@ def decompose(X: CObject) -> Decomposition:
 def is_isomorphism(m: Morphism, target: CObject) -> bool:
     """Whether the morphism is invertible onto the target.
 
+    The lattice part is the block-diagonal matrix ``full_matrix()`` with
+    diagonal blocks ``m.a00`` and ``m.a11``, and a block-diagonal matrix is
+    invertible iff each diagonal block is square and invertible: so the
+    source and target need the same (p, q), and each block full rank.
+
     The torsion part is invertible in every degree exactly when the one
     matrix ``m.tt`` is: with the source and target summands equal, order
     them by (birth, death).  A compatible pair (k, i) has k born no later
@@ -250,13 +258,15 @@ def is_isomorphism(m: Morphism, target: CObject) -> bool:
         return False
     if sorted(m.src.lattice.jump_list) != sorted(target.lattice.jump_list):
         return False
-    full = m.full_matrix()
-    if linalg.inverse(F, full) is None:
+    if (m.src.p, m.src.q) != (target.p, target.q):
         return False
-    if linalg.inverse(F, m.tt) is None:
-        return False
+    n = len(target.torsion.summands)
+    for block, size in ((m.a00, target.p), (m.a11, target.q), (m.tt, n)):
+        if len(linalg.rref(F, block)[0]) != size:
+            return False
     # the block matrix must map the filtration onto the filtration; with
     # equal jump multisets a containment check suffices
+    full = m.full_matrix()
     for e, dir in m.src.lattice.generators():
         w = linalg.mat_vec(F, full, dir)
         if not membership(target.lattice, GradedVector(e, w)):
@@ -323,20 +333,41 @@ def _lattice_pieces(L) -> list:
 
 
 class _Span:
-    """A growing subspace, kept as a semi-echelon basis in insertion order."""
+    """A growing subspace, kept as a semi-echelon basis in insertion order.
+
+    The rows are int lists, as in ``linalg.rref``: over Q each row is a
+    primitive integer multiple of its vector, and a new vector is reduced by
+    cross-multiplying with each pivot row; over F_p each row is reduced mod p
+    with its pivot entry scaled to 1.  A row only stands for the line it
+    spans, so which vectors are new is what Fraction rows would give.
+    """
 
     def __init__(self, F):
-        self.F, self.rows, self.pivots = F, [], []
+        self.p, self.rows = F.p, []  # (pivot, row)
 
     def add(self, v) -> bool:
         """Add v; returns whether it was outside the span."""
-        F = self.F
-        w = linalg.reduce_against(F, self.rows, self.pivots, v)
-        piv = next((i for i, c in enumerate(w) if not F.is_zero(c)), None)
+        p = self.p
+        w = list(v) if p else linalg._integer_row(v)
+        for piv, row in self.rows:
+            c = w[piv]
+            if not c:
+                continue
+            if p:
+                w = [(a - c * b) % p for a, b in zip(w, row)]
+            else:
+                d = row[piv]
+                w = [d * a - c * b for a, b in zip(w, row)]
+                g = gcd(*w)
+                if g > 1:
+                    w = [a // g for a in w]
+        piv = next((i for i, c in enumerate(w) if c), None)
         if piv is None:
             return False
-        self.rows.append(linalg.vec_scale(F, F.inv(w[piv]), w))
-        self.pivots.append(piv)
+        if p:
+            inv = pow(w[piv], p - 2, p)
+            w = [a * inv % p for a in w]
+        self.rows.append((piv, w))
         return True
 
 

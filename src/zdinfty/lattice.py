@@ -245,36 +245,6 @@ def sigma_lattice(L: GradedLattice) -> GradedLattice:
     return canonicalize(L.field, gens, L.q, L.p)
 
 
-def direct_sum(L1: GradedLattice, L2: GradedLattice):
-    """Orthogonal direct sum; returns (sum, embed1, embed2).
-
-    The ambient coordinates are ordered type-0 of L1, type-0 of L2, type-1
-    of L1, type-1 of L2.  The embeddings are (r1+r2) x r_i matrices.
-    """
-    check_same_field(L1.field, L2.field)
-    F = L1.field
-    p, q = L1.p + L2.p, L1.q + L2.q
-    r = p + q
-
-    def embedding(L, p_offset, q_offset):
-        rows = []
-        for i in range(r):
-            rows.append([F.zero] * L.rank)
-        for j in range(L.p):
-            rows[p_offset + j][j] = F.one
-        for j in range(L.q):
-            rows[p + q_offset + j][L.p + j] = F.one
-        return tuple(tuple(row) for row in rows)
-
-    e1 = embedding(L1, 0, 0)
-    e2 = embedding(L2, L1.p, L1.q)
-    gens = [(j, linalg.mat_vec(F, e1, d)) for j, d in L1.generators()]
-    gens += [(j, linalg.mat_vec(F, e2, d)) for j, d in L2.generators()]
-    if r == 0:
-        return GradedLattice(F, 0, 0, ()), e1, e2
-    return canonicalize(F, gens, p, q), e1, e2
-
-
 def adapted_coords(L: GradedLattice, v: Sequence, degree: int):
     """Coefficients of ``v`` in the adapted generators with jump <= degree.
 

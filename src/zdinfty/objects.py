@@ -13,13 +13,13 @@ from __future__ import annotations
 from bisect import bisect_right
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import chain, groupby
 
 from . import linalg, window
 from .errors import DimensionMismatch, InconsistentTypes, NotFullRank, ZdinftyError
 from .fields import FieldSpec, check_same_field
 from .lattice import (
     GradedLattice,
-    canonicalize,
     shift_lattice,
     sigma_lattice,
 )
@@ -152,7 +152,7 @@ def rank_one(field: FieldSpec, i: int, a: int) -> CObject:
     if i not in (0, 1):
         raise ZdinftyError(f"type must be 0 or 1, got {i}")
     p, q = (1, 0) if i == 0 else (0, 1)
-    lat = canonicalize(field, [(-a, (field.one,))], p, q)
+    lat = GradedLattice(field, p, q, ((-a, ((field.one,),)),))
     return CObject(field, TorsionPart(()), lat)
 
 
@@ -161,7 +161,8 @@ def rank_two(field: FieldSpec, m: int, a: int) -> CObject:
     if m < 1:
         raise ZdinftyError(f"rank-two objects need m >= 1, got {m}")
     one, zero = field.one, field.zero
-    lat = canonicalize(field, [(-a, (one, one)), (m - a, (one, zero))], 1, 1)
+    steps = ((-a, ((one, one),)), (m - a, ((one, zero), (zero, one))))
+    lat = GradedLattice(field, 1, 1, steps)
     return CObject(field, TorsionPart(()), lat)
 
 
@@ -214,6 +215,13 @@ def direct_sum_many(objs):
     by a stable sort, so the result equals folding pairwise sums from the
     left.  Each input's data is its (block-permutation embedding, torsion
     index map).
+
+    The lattice needs no elimination.  S_d of the sum is the sum of the
+    inputs' S_d, which sit on disjoint coordinates, and each input's
+    coordinates keep their order.  So the embedded reduced-echelon rows of
+    all inputs have distinct pivots, each pivot column is zero in every other
+    row, and sorted by pivot they are the unique reduced-echelon basis of
+    S_d.  Every jump of an input grows S_d, so each jump is a step.
     """
     if not objs:
         raise ZdinftyError("empty direct sum needs an explicit field")
@@ -229,23 +237,31 @@ def direct_sum_many(objs):
     tmaps = [{} for _ in objs]
     for new_idx, (_, t, i) in enumerate(merged):
         tmaps[t][i] = new_idx
-    gens, embeds = [], []
+    embeds, events = [], []
     p_off, q_off = 0, p
-    for X, tmap in zip(objs, tmaps):
+    for t, (X, tmap) in enumerate(zip(objs, tmaps)):
         place = list(range(p_off, p_off + X.p)) + list(range(q_off, q_off + X.q))
-        for jump, dir in X.lattice.generators():
-            v = [F.zero] * r
-            for k, c in zip(place, dir):
-                v[k] = c
-            gens.append((jump, tuple(v)))
-        embed = tuple(
-            tuple(F.one if place[k] == i else F.zero for k in range(X.rank))
-            for i in range(r)
-        )
+        embed = linalg.unit_matrix(F, r, X.rank, ((i, k) for k, i in enumerate(place)))
         embeds.append((embed, tmap))
+        events += [(jump, t, place, basis) for jump, basis in X.lattice.steps]
         p_off, q_off = p_off + X.p, q_off + X.q
-    lat = canonicalize(F, gens, p, r - p)
+    events.sort(key=lambda ev: ev[0])
+    rows = [()] * len(objs)  # each input's embedded (pivot, row) pairs so far
+    steps = []
+    for jump, group in groupby(events, key=lambda ev: ev[0]):
+        for _, t, place, basis in group:
+            rows[t] = [_embed_row(F, r, place, row) for row in basis]
+        steps.append((jump, tuple(v for _, v in sorted(chain.from_iterable(rows)))))
+    lat = GradedLattice(F, p, r - p, tuple(steps))
     return CObject(F, TorsionPart(tuple(s for s, _, _ in merged)), lat), embeds
+
+
+def _embed_row(F, r, place, row):
+    """(pivot, vector) of a row placed at the coordinates ``place`` of k^r."""
+    v = [F.zero] * r
+    for k, c in zip(place, row):
+        v[k] = c
+    return next(k for k, c in zip(place, row) if c), tuple(v)
 
 
 # ---------------------------------------------------------------------------

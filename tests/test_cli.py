@@ -221,6 +221,10 @@ def test_usage_errors():
         ["decompose", _literal(p='"p": 1.0, ')],
         ["decompose", _literal(q='"q": false, ')],
         ["decompose", '{"torsion": [[true, 0]]}'],
+        # a rank-0 lattice takes no gens, and a direction entry is no boolean
+        ["decompose", '{"torsion": [[1, 0]], "lattice": {"p": 0, "q": 0, '
+         '"gens": [{"jump": 0, "dir": [1]}]}}'],
+        ["decompose", _literal(gen='{"jump": 0, "dir": [true]}')],
     ]:
         code, out = run_command(argv)
         assert code == 2 and out.startswith("error:") and "\n" not in out, argv

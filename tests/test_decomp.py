@@ -33,6 +33,8 @@ from zdinfty.objects import (
     torsion_cyclic,
 )
 
+import oracle_decomp
+
 F = QQ
 
 
@@ -131,6 +133,49 @@ def test_is_isomorphism_one_torsion_inverse(field):
         assert is_isomorphism(m, X) == per_degree, (X, tt)
         verdicts.append(per_degree)
     assert 10 <= sum(verdicts) <= 70
+
+
+@pytest.mark.parametrize("field", [QQ, GF(2), GF(3)], ids=str)
+def test_is_isomorphism_checks_each_lattice_block(field):
+    one, zero = field.one, field.zero
+    X = direct_sum_many(
+        [rank_one(field, 0, 0), rank_one(field, 0, 0), rank_one(field, 1, 0),
+         torsion_cyclic(field, 2, 0)]
+    )[0]
+    eye2, singular = ((one, zero), (zero, one)), ((one, one), (one, one))
+    assert is_isomorphism(morphism_from_parts(X, X, eye2, ((one,),), ((one,),)), X)
+    # the full matrix is singular through a00 alone
+    assert not is_isomorphism(morphism_from_parts(X, X, singular, ((one,),), ((one,),)), X)
+    # equal rank and jumps but (p, q) = (2, 0) against (1, 1): a00 and a11
+    # are not square, although a00 has full row rank
+    two_f0 = direct_sum_many([rank_one(field, 0, 0), rank_one(field, 0, 0)])[0]
+    f0_f1 = direct_sum_many([rank_one(field, 0, 0), rank_one(field, 1, 0)])[0]
+    assert not is_isomorphism(morphism_from_parts(two_f0, f0_f1, ((one, zero),), ((),)), f0_f1)
+    assert not is_isomorphism(morphism_from_parts(f0_f1, two_f0, ((one,), (zero,)), ()), two_f0)
+
+
+@pytest.mark.parametrize("field", [QQ, GF(2), GF(3), GF(5)], ids=str)
+def test_decompose_matches_fraction_reference(field):
+    # the integer sweep, the closed-form sum and the blockwise certificate
+    # give the factors and isomorphism of the Fraction reference exactly
+    rng = random.Random(83)
+    shapes = [
+        (r2, t, k - r2 - t)
+        for k in range(1, 7)
+        for r2 in range(k + 1)
+        for t in range(k - r2 + 1)
+        if 2 * r2 + (k - r2 - t) <= 5
+    ]
+    inputs = [oracle_decomp.conjugated_sum(field, rng, rng.choice(shapes))[0] for _ in range(30)]
+    inputs += [direct_sum_many([rank_two(field, 2, 0)] * k)[0] for k in range(1, 9)]
+    for X in inputs:
+        dec = decompose(X)
+        factors, iso = oracle_decomp.decompose(X)
+        assert dec.factors == factors
+        got, want = dec.iso, iso
+        assert (got.a00, got.a11, got.tt, got.ft) == (want.a00, want.a11, want.tt, want.ft)
+        assert got.src.lattice.steps == want.src.lattice.steps
+        assert got.src == want.src
 
 
 def test_decompose_skewed_sum():

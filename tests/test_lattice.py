@@ -13,15 +13,15 @@ from zdinfty.lattice import (
     adapted_coords,
     canonicalize,
     contains,
-    direct_sum,
     lattice_intersect,
     lattice_sum,
     membership,
     shift_lattice,
     sigma_lattice,
 )
-from zdinfty.objects import rank_one, rank_two
+from zdinfty.objects import direct_sum, rank_one, rank_two
 
+from oracle_decomp import lattice_direct_sum
 from oracle_membership import kx_membership
 
 
@@ -167,7 +167,9 @@ def test_sigma_involution_and_direct_sum():
     assert sigma_lattice(sigma_lattice(L)) == L
     assert sigma_lattice(L) == L  # diagonal generator is symmetric
     A = rank_one(F, 0, 2).lattice
-    S, e1, e2 = direct_sum(A, L)
+    S, e1, e2 = lattice_direct_sum(A, L)
+    sum_object, f1, f2, _, _ = direct_sum(rank_one(F, 0, 2), rank_two(F, 3, 1))
+    assert (sum_object.lattice, f1, f2) == (S, e1, e2)
     assert S.p == 2 and S.q == 1
     assert sorted(S.jump_list) == sorted(A.jump_list + L.jump_list)
     for j, dir in A.generators():

@@ -7,7 +7,6 @@ import pytest
 from zdinfty import linalg, window
 from zdinfty.errors import InconsistentTypes, NotFullRank
 from zdinfty.fields import GF, QQ
-from zdinfty.lattice import direct_sum as lattice_direct_sum
 from zdinfty.objects import (
     CObject,
     TorsionPart,
@@ -28,9 +27,11 @@ from zdinfty.objects import (
     window_bounds,
     zero_object,
 )
+from zdinfty.lattice import canonicalize
 from zdinfty.poly import Poly
 
 from oracle_bars import checked_reconstruct
+from oracle_decomp import conjugated_sum, direct_sum_many as reference_sum, lattice_direct_sum
 from oracle_snf import graded_smith
 
 
@@ -155,6 +156,35 @@ def _pairwise_fold(objs):
         ]
         embeds.append((e2, t2))
     return acc, embeds
+
+
+@pytest.mark.parametrize("field", [QQ, GF(2), GF(3)], ids=str)
+def test_direct_sum_many_lattice_matches_canonicalized_generators(field):
+    # the merged echelon rows are the canonical form of the embedded
+    # generators, also when the inputs are torsion-only, conjugated or sums
+    rng = random.Random(71)
+    atoms = [
+        lambda: rank_one(field, rng.randint(0, 1), rng.randint(-2, 2)),
+        lambda: rank_two(field, rng.randint(1, 3), rng.randint(-2, 2)),
+        lambda: torsion_cyclic(field, rng.randint(1, 3), rng.randint(-2, 2)),
+        lambda: zero_object(field),
+        lambda: conjugated_sum(
+            field, rng, (rng.randint(1, 2), rng.randint(0, 1), rng.randint(1, 2))
+        )[0],
+    ]
+    for _ in range(200):
+        objs = [rng.choice(atoms)() for _ in range(rng.randint(1, 4))]
+        if rng.random() < 0.4:
+            objs = [direct_sum_many(objs)[0], rng.choice(atoms)()]
+        got, want = direct_sum_many(objs), reference_sum(objs)
+        assert got[0].lattice.steps == want[0].lattice.steps
+        assert got == want
+    for m, a in [(1, 0), (3, -2), (2, 5)]:
+        one, zero = field.one, field.zero
+        gens = [(-a, (one, one)), (m - a, (one, zero))]
+        assert rank_two(field, m, a).lattice == canonicalize(field, gens, 1, 1)
+        for i, (p, q) in enumerate([(1, 0), (0, 1)]):
+            assert rank_one(field, i, a).lattice == canonicalize(field, [(-a, (one,))], p, q)
 
 
 @pytest.mark.parametrize("field,seed", [(QQ, 61), (GF(3), 67)])
