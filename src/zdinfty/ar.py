@@ -190,13 +190,12 @@ def morphism_from_degreewise(src: CObject, dst: CObject, psi, lo: int, hi: int) 
     """Recover blockwise morphism data from degreewise slot matrices."""
     F = src.field
     if src.rank > 0:
-        Gs = src.lattice.generator_matrix()
         Gd = dst.lattice.generator_matrix() if dst.rank > 0 else ()
         # ambient block matrix from the top of the window
         M = linalg.mm(
             F,
             linalg.mm(F, Gd, psi[hi], dst.rank, src.rank) if dst.rank else (),
-            linalg.inverse(F, Gs),
+            src.lattice.generator_inverse,
             src.rank,
             src.rank,
         )
@@ -270,8 +269,7 @@ def class_of_sequence(inject: Morphism, surject: Morphism) -> ExtClass:
         ]
         W = _block_left_inverse(F, inject.full_matrix(), E.p, E.q, Y.p, Y.q)
         cols = [linalg.mat_vec(F, W, E.lattice_vector(e, v)) for e, v in lifts]
-        G = X.lattice.generator_matrix()
-        D = linalg.mm(F, linalg.transpose(cols), linalg.inverse(F, G), X.rank, X.rank)
+        D = linalg.mm(F, linalg.transpose(cols), X.lattice.generator_inverse, X.rank, X.rank)
         h01, h10 = offdiag_blocks(D, X, Y)
     return ext_space(X, Y).reduce(h01, h10, tuple(tor))
 

@@ -125,6 +125,7 @@ def _parse_json_literal(text, field: FieldSpec) -> CObject:
         data = json.loads(text)
     except json.JSONDecodeError as e:
         raise ParseError(f"malformed JSON literal: {e.msg}", e.pos)
+    _check_keys(data, ("field", "torsion", "lattice"), "literal")
     if "field" in data:
         field = parse_field(str(data["field"]))
     torsion = data.get("torsion", [])
@@ -137,9 +138,11 @@ def _parse_json_literal(text, field: FieldSpec) -> CObject:
     if lat_data is None:
         lattice = GradedLattice(field, 0, 0, ())
     else:
+        _check_keys(lat_data, ("p", "q", "gens"), "lattice")
         try:
             gens = []
             for g in lat_data.get("gens", []):
+                _check_keys(g, ("jump", "dir"), "gen")
                 dir = tuple(
                     field.of_int(c) if _is_json_int(c) else field.parse_scalar(str(c))
                     for c in g["dir"]
@@ -156,6 +159,14 @@ def _parse_json_literal(text, field: FieldSpec) -> CObject:
             raise ParseError("a JSON lattice with p = q = 0 takes no gens", 0)
         lattice = canonicalize(field, gens, p, q)
     return CObject(field, TorsionPart.of(torsion), lattice)
+
+
+def _check_keys(data, allowed, what: str) -> None:
+    """Reject a key outside ``allowed``: a misplaced key would be dropped."""
+    if isinstance(data, dict):
+        for key in data:
+            if key not in allowed:
+                raise ParseError(f"JSON {what} has the unknown key {key!r}", 0)
 
 
 def _is_json_int(v) -> bool:

@@ -15,6 +15,15 @@ Ext out of a torsion summand is computed against the divisible cokernel of
 the target's injective resolution, which degreewise is the quotient of the
 target's module piece at the summand's death degree by the x-power image of
 its birth degree.
+
+Neither image needs a solve.  The source lattice is free on x^(e_j) dir_j,
+so a constant matrix preserves the filtrations exactly when it sends each
+dir_j into S_(e_j) of the target; the restricted Hom is therefore spanned by
+the outer products s (x) g*_j, with g*_j the dual basis of the directions
+(the rows of the inverse generator matrix) and s an echelon row of
+S_(e_j).  The x-power map on slots is a partial identity, so its image is a
+set of unit slots: the generators alive at the birth degree and the torsion
+summands alive at both degrees.
 """
 
 from __future__ import annotations
@@ -526,25 +535,45 @@ def _class_vector(c: ExtClass) -> tuple:
 
 
 def ext_space(X: CObject, Y: CObject) -> ExtSpace:
-    """Basis of degree-one extensions of X by Y with canonical representatives."""
+    """Basis of degree-one extensions of X by Y with canonical representatives.
+
+    Both reductions are read off stored data; nothing is solved.
+
+    - Lattice image.  The classes are off-diagonal blocks (h01, h10) modulo
+      those of Hom_kx(X, Y), the constant matrices A with A S_e(X) inside
+      S_e(Y) for every e.  X is freely generated by x^(e_j) dir_j, so A is
+      such a map exactly when A dir_j lies in S_(e_j)(Y) for every j, and
+      A is the sum of (A dir_j) (x) g*_j over j, with g*_j row j of the
+      lattice's ``generator_inverse``.  So Hom_kx is spanned by s (x) g*_j,
+      s over the echelon rows of S_(e_j)(Y), and ``ff_reduction`` is the
+      unique rref of those products' off-diagonal entries.
+    - Torsion image.  A summand T[n, a] of X is read modulo the x^n image
+      of degree -a in degree n - a of Y.  That map is a partial identity
+      (``CObject.xpower_slots``), so its image is spanned by unit slots, and
+      those unit rows, sorted by position, are their own rref.
+    """
     check_same_field(X.field, Y.field)
     F = X.field
     p, q, pp, qq = X.p, X.q, Y.p, Y.q
     n_off = qq * p + pp * q
 
     image_vectors = []
-    if X.rank > 0 and Y.rank > 0:
-        x_lat = CObject(F, TorsionPart(()), X.lattice)
-        y_lat = CObject(F, TorsionPart(()), Y.lattice)
-        for A in hom_kx_space(x_lat, y_lat):
-            image_vectors.append(_flatten_offdiag(*offdiag_blocks(A, X, Y)))
+    if n_off:
+        mul, zero = F.mul, F.zero
+        for (e, _), g in zip(X.lattice.generators(), X.lattice.generator_inverse):
+            g0, g1 = g[:p], g[p:]
+            for s in Y.lattice.subspace_at(e):
+                vec = [mul(a, b) if a and b else zero for a in s[pp:] for b in g0]
+                vec += [mul(a, b) if a and b else zero for a in s[:pp] for b in g1]
+                if any(vec):
+                    image_vectors.append(vec)
     ff_reduction = linalg.rref(F, image_vectors) if image_vectors else ((), ())
 
-    # the x^n image of each torsion summand's birth degree, as rows
-    tor_reduction = tuple(
-        linalg.rref(F, linalg.transpose(module_xpower(Y, -a, n - a)))
-        for n, a in X.torsion.summands
-    )
+    zero_tor = _zero_tor(X, Y)
+    tor_reduction = []
+    for (n, a), z in zip(X.torsion.summands, zero_tor):
+        image = tuple(k for k, _ in Y.xpower_slots(-a, n - a))
+        tor_reduction.append((linalg.unit_matrix(F, len(image), len(z), enumerate(image)), image))
 
     basis = []
     rows, pivots = ff_reduction
@@ -556,50 +585,29 @@ def ext_space(X: CObject, Y: CObject) -> ExtSpace:
         flat[fcoord] = F.one
         red = linalg.reduce_against(F, rows, pivots, flat)
         h01, h10 = _unflatten_offdiag(F, red, p, q, pp, qq)
-        tor = tuple(
-            tuple(F.zero for _ in range(Y.module_dim_at(n_i - a_i)))
-            for n_i, a_i in X.torsion.summands
-        )
-        basis.append(ExtClass(X, Y, h01, h10, tor))
-    for i, (n_i, a_i) in enumerate(X.torsion.summands):
-        dim_i = Y.module_dim_at(n_i - a_i)
-        rows_i, piv_i = tor_reduction[i]
-        pivset_i = set(piv_i)
-        for fcoord in range(dim_i):
-            if fcoord in pivset_i:
-                continue
-            vec = [F.zero] * dim_i
-            vec[fcoord] = F.one
-            red = linalg.reduce_against(F, rows_i, piv_i, vec)
-            tor = [
-                tuple(F.zero for _ in range(Y.module_dim_at(n_j - a_j)))
-                for n_j, a_j in X.torsion.summands
-            ]
-            tor[i] = tuple(red)
-            basis.append(
-                ExtClass(
-                    X,
-                    Y,
-                    linalg.zeros(F, qq, p),
-                    linalg.zeros(F, pp, q),
-                    tuple(tor),
-                )
-            )
-    return ExtSpace(X, Y, tuple(basis), ff_reduction, tor_reduction)
+        basis.append(ExtClass(X, Y, h01, h10, zero_tor))
+    # a unit vector off the unit image rows is already reduced; every class
+    # shares the zero blocks and the zero vectors of the other summands
+    zero_h01, zero_h10 = linalg.zeros(F, qq, p), linalg.zeros(F, pp, q)
+    for i, (z, (_, image)) in enumerate(zip(zero_tor, tor_reduction)):
+        hit = set(image)
+        free = [k for k in range(len(z)) if k not in hit]
+        for vec in linalg.unit_matrix(F, len(free), len(z), enumerate(free)):
+            tor = zero_tor[:i] + (vec,) + zero_tor[i + 1:]
+            basis.append(ExtClass(X, Y, zero_h01, zero_h10, tor))
+    return ExtSpace(X, Y, tuple(basis), ff_reduction, tuple(tor_reduction))
+
+
+def _zero_tor(X: CObject, Y: CObject) -> tuple:
+    """The zero vector over the target slots at each source summand's death
+    degree, one tuple for all of them."""
+    zero = X.field.zero
+    return tuple((zero,) * Y.module_dim_at(n - a) for n, a in X.torsion.summands)
 
 
 def zero_class(X: CObject, Y: CObject) -> ExtClass:
     F = X.field
-    return ExtClass(
-        X,
-        Y,
-        linalg.zeros(F, Y.q, X.p),
-        linalg.zeros(F, Y.p, X.q),
-        tuple(
-            tuple(F.zero for _ in range(Y.module_dim_at(n - a)))
-            for n, a in X.torsion.summands
-        ),
-    )
+    return ExtClass(X, Y, linalg.zeros(F, Y.q, X.p), linalg.zeros(F, Y.p, X.q), _zero_tor(X, Y))
 
 
 # ---------------------------------------------------------------------------
@@ -661,8 +669,7 @@ def _class_after_morphism(g: ExtClass, f: Morphism) -> ExtClass:
                 amb = Y.lattice_vector(n_i - a_i, g.tor[i])
                 w = [F.add(wt, F.mul(c, at)) for wt, at in zip(w, amb)]
             wcols.append(tuple(w))
-        G = Xp.lattice.generator_matrix()
-        Ginv = linalg.inverse(F, G)
+        Ginv = Xp.lattice.generator_inverse
         D = linalg.mm(F, linalg.transpose(wcols), Ginv, len(wcols), len(wcols))
         d01, d10 = offdiag_blocks(D, Xp, Y)
         h01 = linalg.mat_add(F, h01, d01)

@@ -91,11 +91,20 @@ class GradedLattice:
         return self._annihilators[idx]
 
     @cached_property
+    def _step_pivots(self) -> tuple:
+        """The pivot columns of each step's echelon basis, found once per lattice."""
+        return tuple(_pivots(self.field, basis) for _, basis in self.steps)
+
+    def pivots_at(self, d: int) -> tuple:
+        """Pivot columns of the echelon basis ``subspace_at(d)``."""
+        idx = bisect_right(self._jumps, d)
+        return self._step_pivots[idx - 1] if idx else ()
+
+    @cached_property
     def _generators(self) -> tuple:
         out = []
         prev_pivots: set = set()
-        for jump, basis in self.steps:
-            pivots = _pivots(self.field, basis)
+        for (jump, basis), pivots in zip(self.steps, self._step_pivots):
             for row, piv in zip(basis, pivots):
                 if piv not in prev_pivots:
                     out.append((jump, row))
@@ -115,6 +124,15 @@ class GradedLattice:
         """Adapted directions as columns, ordered by (jump, pivot)."""
         gens = self.generators()
         return linalg.transpose(tuple(dir for _, dir in gens))
+
+    @cached_property
+    def generator_inverse(self) -> Matrix:
+        """The inverse of ``generator_matrix``, built once per lattice.
+
+        Row j is the dual functional g*_j: g*_j(dir_k) = 1 if j = k, else 0.
+        So a constant matrix A equals the sum over j of (A dir_j) (x) g*_j.
+        """
+        return linalg.inverse(self.field, self.generator_matrix())
 
 
 def _pivots(F: FieldSpec, rows: Sequence) -> tuple:
@@ -181,8 +199,7 @@ def membership(L: GradedLattice, v: GradedVector) -> bool:
         raise DimensionMismatch(f"vector length {len(v.coords)}, ambient rank {L.rank}")
     if linalg.is_zero_vector(L.field, v.coords):
         return True
-    basis = L.subspace_at(v.degree)
-    return linalg.in_span(L.field, basis, _pivots(L.field, basis), v.coords)
+    return linalg.in_span(L.field, L.subspace_at(v.degree), L.pivots_at(v.degree), v.coords)
 
 
 def contains(outer: GradedLattice, inner: GradedLattice) -> bool:

@@ -20,8 +20,8 @@ Matrix = tuple
 
 
 def zeros(F: FieldSpec, m: int, n: int) -> Matrix:
-    z = F.zero
-    return tuple(tuple(z for _ in range(n)) for _ in range(m))
+    """The m x n zero matrix; rows are immutable, so all m share one."""
+    return ((F.zero,) * n,) * m
 
 
 def identity(F: FieldSpec, n: int) -> Matrix:

@@ -125,6 +125,20 @@ class CObject:
         alive at d): the generators with jump <= d come first."""
         return self.lattice.dim_at(d) + self.torsion.slots_at(d).index(i)
 
+    def xpower_slots(self, d_from: int, d_to: int) -> tuple:
+        """The (degree-d_to slot, degree-d_from slot) pairs that x^(d_to - d_from),
+        for d_to >= d_from, carries one onto the other; it kills every other
+        d_from slot.  Generator j is slot j at both degrees once d_from reaches
+        its jump, and a torsion summand alive at both degrees moves from its
+        d_from slot to its d_to slot.  Both coordinates ascend."""
+        n_from, n_to = self.lattice.dim_at(d_from), self.lattice.dim_at(d_to)
+        to = {i: n_to + k for k, i in enumerate(self.torsion.slots_at(d_to))}
+        return tuple((j, j) for j in range(n_from)) + tuple(
+            (to[i], n_from + k)
+            for k, i in enumerate(self.torsion.slots_at(d_from))
+            if i in to
+        )
+
     def lattice_vector(self, d: int, v) -> tuple:
         """Ambient vector of the lattice coordinates of a degree-d slot vector."""
         F = self.field
@@ -331,17 +345,10 @@ def window_bounds(X: CObject, pad_low: int = 0, pad_high: int = 1):
 
 def module_xpower(X: CObject, d_from: int, d_to: int) -> tuple:
     """Multiplication by x^(d_to - d_from), for d_to >= d_from, on the slots
-    of X: each generator alive at d_from maps to itself, and the torsion
-    block is ``torsion.xpower``."""
-    F = X.field
-    n_from, n_to = X.lattice.dim_at(d_from), X.lattice.dim_at(d_to)
-    tor = X.torsion.xpower(F, d_from, d_to)
-    tor_cols = X.torsion.dim_at(d_from)
-    gen_rows = tuple(
-        tuple(F.one if k == i else F.zero for k in range(n_from)) + (F.zero,) * tor_cols
-        for i in range(n_to)
+    of X: the 0/1 matrix of ``X.xpower_slots``."""
+    return linalg.unit_matrix(
+        X.field, X.module_dim_at(d_to), X.module_dim_at(d_from), X.xpower_slots(d_from, d_to)
     )
-    return gen_rows + tuple((F.zero,) * n_from + row for row in tor)
 
 
 def model_of(X: CObject, lo: int, hi: int):

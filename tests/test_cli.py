@@ -232,6 +232,27 @@ def test_usage_errors():
     assert run_command(["hom", '{"torsion": [[1, 0]', "F0[0]"])[1].endswith("(at position 19)")
 
 
+def test_json_literal_rejects_unknown_keys():
+    # each level takes only its own keys: field/torsion/lattice at the top,
+    # p/q/gens in the lattice and jump/dir in each gen
+    full = ('{"field": "Q", "torsion": [[2, 1]], "lattice": {"p": 1, "q": 0, '
+            '"gens": [{"jump": 0, "dir": [1]}]}}')
+    assert run_command(["decompose", full]) == (0, "F0[0] + T[2,1]")
+    for argv in [
+        # a lattice that lost its wrapper is not the zero object
+        ["decompose", '{"p": 1, "q": 0, "gens": [{"jump": 0, "dir": [1]}]}'],
+        ["decompose", '{"torsion": [], "lattices": {}}'],
+        ["decompose", '{"lattice": {"p": 1, "q": 0, "gens": [{"jump": 0, "dir": [1]}], '
+         '"torsion": []}}'],
+        ["decompose", _literal(gen='{"jump": 0, "dir": [1], "type": 0}')],
+    ]:
+        code, out = run_command(argv)
+        assert code == 2 and out.startswith("error:") and "unknown key" in out, argv
+    code, out = run_command(["--format", "json", "decompose", '{"gens": []}'])
+    err = json.loads(out)["error"]
+    assert code == 2 and err["type"] == "ParseError" and "'gens'" in err["message"]
+
+
 def test_json_error_records(monkeypatch):
     def record(argv):
         code, out = run_command(["--format", "json"] + argv)

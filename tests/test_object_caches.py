@@ -1,4 +1,5 @@
-"""Per-object caches: the twist, adapted generators and step annihilators.
+"""Per-object caches: the twist, adapted generators, step annihilators and
+pivots, and the inverse generator matrix.
 
 Each is checked against the value built afresh, over Q, F_2 and F_3, on the
 acceptance catalog and on seeded direct sums.  A warm cache must not change
@@ -64,6 +65,22 @@ def test_annihilator_at_every_degree(F):
             assert L.annihilator_at(d) == want, (L, d)
 
 
+@pytest.mark.parametrize("F", FIELDS, ids=str)
+def test_step_pivots_at_every_degree(F, monkeypatch):
+    objs = [X for X in _objects(F) if X.rank]
+    for X in objs:
+        L = X.lattice
+        for d in range(L.min_jump() - 1, L.max_jump() + 2):
+            assert L.pivots_at(d) == lattice._pivots(F, L.subspace_at(d)), (L, d)
+    # a warm lattice answers membership without rescanning its steps
+    calls = []
+    monkeypatch.setattr(lattice, "_pivots", lambda *args: calls.append(args))
+    for X in objs:
+        for e, dir in X.lattice.generators():
+            assert lattice.membership(X.lattice, lattice.GradedVector(e, dir))
+    assert calls == []
+
+
 def test_one_sigma_per_object_over_a_serre_sweep(monkeypatch):
     calls = []
     original = lattice.sigma_lattice
@@ -86,8 +103,10 @@ def _warm(X):
     serre_twist(X)
     X.lattice.generators()
     X.torsion.slots_at(0)
+    X.lattice.generator_inverse
     if X.rank:
         X.lattice.annihilator_at(X.lattice.max_jump())
+        X.lattice.pivots_at(X.lattice.max_jump())
     return X
 
 
