@@ -339,7 +339,8 @@ class _Span:
     primitive integer multiple of its vector, and a new vector is reduced by
     cross-multiplying with each pivot row; over F_p each row is reduced mod p
     with its pivot entry scaled to 1.  A row only stands for the line it
-    spans, so which vectors are new is what Fraction rows would give.
+    spans, so which vectors are new is what reduced rows of exact rationals
+    (ints where integral, Fractions elsewhere) would give.
     """
 
     def __init__(self, F):

@@ -1,9 +1,14 @@
 """Exact scalar arithmetic over the rationals or a prime field.
 
-A scalar is either a :class:`fractions.Fraction` (rationals) or a plain
-``int`` in ``[0, p)`` (prime field).  All arithmetic goes through a
-:class:`FieldSpec`, which also guards against mixing fields.  No floating
-point is used anywhere.
+Over a prime field a scalar is a plain ``int`` in ``[0, p)``.  Over the
+rationals it is an exact rational: an ``int`` when it is integral as
+produced (the constants, ``of_int``, ``parse_scalar``, ``div``/``inv`` and
+every row ``linalg.rref`` returns), and a :class:`fractions.Fraction`
+otherwise; a sum or product of Fractions may stay a Fraction of
+denominator 1.  Scalars compare and hash by value (``Fraction(2, 1) == 2``),
+so which of the two types holds an integral value never changes a result.
+All arithmetic goes through a :class:`FieldSpec`, which also guards against
+mixing fields.  No floating point is used anywhere.
 """
 
 from __future__ import annotations
@@ -15,21 +20,27 @@ from typing import Union
 
 from .errors import FieldMismatch, ParseError, RangeError, ZdinftyError
 
-Scalar = Union[Fraction, int]
+Scalar = Union[int, Fraction]  # an int, or over Q a Fraction; never a float
 
 RATIONALS = "Q"
 PRIME_FIELD = "Fp"
 
 
+def _rational_div(a: Scalar, b: Scalar) -> Scalar:
+    """a / b over Q: an int when the quotient is integral."""
+    q = Fraction(a, b)
+    return q.numerator if q.denominator == 1 else q
+
+
 _RATIONAL_OPS = {
-    "zero": Fraction(0),
-    "one": Fraction(1),
-    "of_int": Fraction,
+    "zero": 0,
+    "one": 1,
+    "of_int": operator.index,
     "add": operator.add,
     "sub": operator.sub,
     "mul": operator.mul,
     "neg": operator.neg,
-    "_inv": lambda a: 1 / a,
+    "_div": _rational_div,
 }
 
 
@@ -42,7 +53,7 @@ def _prime_ops(p: int) -> dict:
         "sub": lambda a, b: (a - b) % p,
         "mul": lambda a, b: a * b % p,
         "neg": lambda a: -a % p,
-        "_inv": lambda a: pow(a, p - 2, p),
+        "_div": lambda a, b: a * pow(b, p - 2, p) % p,
     }
 
 
@@ -84,8 +95,10 @@ class FieldSpec:
         return (FieldSpec, (self.kind, self.p))
 
     # The constants ``zero``/``one`` and the operations ``of_int``, ``add``,
-    # ``sub``, ``mul`` and ``neg`` are bound on each instance above, once per
-    # field, so no scalar operation branches on the kind of field.
+    # ``sub``, ``mul``, ``neg`` and ``_div`` are bound on each instance above,
+    # once per field, so no scalar operation branches on the kind of field.
+    # Over Q, ``of_int`` is ``operator.index``: it takes ints only, so a
+    # float can never become a scalar.
 
     def of_fraction(self, num: int, den: int) -> Scalar:
         d = self.of_int(den)
@@ -94,12 +107,12 @@ class FieldSpec:
         return self.div(self.of_int(num), d)
 
     def inv(self, a: Scalar) -> Scalar:
-        if self.is_zero(a):
-            raise ZeroDivisionError("field inverse of zero")
-        return self._inv(a)
+        return self.div(self.one, a)
 
     def div(self, a: Scalar, b: Scalar) -> Scalar:
-        return self.mul(a, self.inv(b))
+        if self.is_zero(b):
+            raise ZeroDivisionError("field division by zero")
+        return self._div(a, b)
 
     def is_zero(self, a: Scalar) -> bool:
         return a == 0

@@ -391,35 +391,26 @@ def hom_space(X: CObject, Y: CObject) -> HomSpace:
     # lattice part
     for a00, a11 in _constant_matrix_solutions(X, Y, block_diagonal=True):
         basis.append(morphism_from_parts(X, Y, a00, a11))
-    # torsion to torsion: one scalar per compatible pair of summands
     S, T = X.torsion, Y.torsion
+    if not T.summands:
+        return HomSpace(X, Y, tuple(basis))
+    # every other basis map lands in the target torsion and is zero on the
+    # lattice; its zero blocks, and the zero ft of the torsion maps, are
+    # built once and shared
+    a00, a11 = linalg.zeros(F, Y.p, X.p), linalg.zeros(F, Y.q, X.q)
+    ft = tuple((F.zero,) * T.dim_at(jump) for jump, _ in X.lattice.generators())
+    # torsion to torsion: one scalar per compatible pair of summands
     for k in range(len(T.summands)):
         for i in range(len(S.summands)):
             if torsion_compatible(S, i, T, k):
                 tt = linalg.unit_matrix(F, len(T.summands), len(S.summands), [(k, i)])
-                basis.append(
-                    morphism_from_parts(
-                        X, Y, linalg.zeros(F, Y.p, X.p), linalg.zeros(F, Y.q, X.q), tt
-                    )
-                )
+                basis.append(Morphism(X, Y, a00, a11, tt, ft))
     # lattice generators into target torsion
-    gens = X.lattice.generators()
-    for j, (e, _) in enumerate(gens):
-        for s in range(Y.torsion.dim_at(e)):
-            ft = [
-                [F.zero] * Y.torsion.dim_at(jump) for jump, _ in gens
-            ]
-            ft[j][s] = F.one
-            basis.append(
-                morphism_from_parts(
-                    X,
-                    Y,
-                    linalg.zeros(F, Y.p, X.p),
-                    linalg.zeros(F, Y.q, X.q),
-                    None,
-                    tuple(map(tuple, ft)),
-                )
-            )
+    tt = linalg.zeros(F, len(T.summands), len(S.summands))
+    for j, zero in enumerate(ft):
+        for s in range(len(zero)):
+            unit = zero[:s] + (F.one,) + zero[s + 1:]
+            basis.append(Morphism(X, Y, a00, a11, tt, ft[:j] + (unit,) + ft[j + 1:]))
     return HomSpace(X, Y, tuple(basis))
 
 

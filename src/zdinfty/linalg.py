@@ -1,6 +1,10 @@
 """Dense exact linear algebra over a :class:`~zdinfty.fields.FieldSpec`.
 
-Vectors are tuples of scalars, matrices are tuples of row tuples.  Subspaces
+Vectors are tuples of scalars, matrices are tuples of row tuples.  Over Q
+every entry this module returns from an elimination (``rref``, ``span``,
+``solve``, ``nullspace``, ``inverse``) is an exact rational: an ``int`` when
+it is integral, a :class:`~fractions.Fraction` otherwise, never a float;
+scalars compare by value, so the type never changes a result.  Subspaces
 are kept as reduced-echelon bases (each basis vector a row, pivots chosen at
 the lowest coordinate index), which makes every canonical form bit-identical
 across runs.
@@ -30,11 +34,16 @@ def identity(F: FieldSpec, n: int) -> Matrix:
 
 
 def unit_matrix(F: FieldSpec, m: int, n: int, ones: Iterable[tuple[int, int]]) -> Matrix:
-    """The m x n matrix with a one at each (row, column) of ``ones``."""
-    rows = [[F.zero] * n for _ in range(m)]
+    """The m x n matrix with a one at each (row, column) of ``ones``.
+
+    As in :func:`zeros`, the rows holding no one share one zero row."""
+    zero_row = (F.zero,) * n
+    rows = [zero_row] * m
     for i, j in ones:
-        rows[i][j] = F.one
-    return tuple(map(tuple, rows))
+        row = list(rows[i])
+        row[j] = F.one
+        rows[i] = tuple(row)
+    return tuple(rows)
 
 
 def is_zero_vector(F: FieldSpec, v: Sequence[Scalar]) -> bool:
@@ -126,7 +135,8 @@ def rref(F: FieldSpec, rows: Iterable[Sequence]) -> tuple[Matrix, tuple[int, ...
     Over Q the elimination is fraction-free: each row is cleared of its
     denominators once, a row is updated by cross-multiplying with the pivot
     row and dividing out its content, and only the returned rows are turned
-    back into Fractions (each divided by its pivot entry).  Over F_p the same
+    back into rationals (each divided by its pivot entry, an ``int`` where
+    the quotient is integral, a Fraction elsewhere).  Over F_p the same
     loop runs on ints reduced modulo p, with each pivot row scaled to 1.  The
     reduced echelon form is unique, so both give the field-generic result.
     """
@@ -170,20 +180,22 @@ def rref(F: FieldSpec, rows: Iterable[Sequence]) -> tuple[Matrix, tuple[int, ...
             break
     red = work[:rank]
     if not p:
-        red = [_rational_row(F, row, row[col]) for row, col in zip(red, pivots)]
+        red = [_rational_row(row, row[col]) for row, col in zip(red, pivots)]
     return tuple(map(tuple, red)), tuple(pivots)
 
 
-def _rational_row(F: FieldSpec, row: list, d: int) -> list:
+def _rational_row(row: list, d: int) -> list:
     """A primitive integer row divided by its pivot entry ``d``.
 
-    The row is primitive, so its entries are all multiples of ``d`` only
-    when ``d`` is a unit; then one-argument Fractions skip the gcd.
+    Each entry is an ``int`` where ``d`` divides it and a Fraction only
+    where it does not.  The row is primitive, so a unit ``d`` divides every
+    entry and the row needs one multiplication per entry.
     """
-    zero = F.zero
-    if d == 1 or d == -1:
-        return [Fraction(a * d) if a else zero for a in row]
-    return [Fraction(a, d) if a else zero for a in row]
+    if d == 1:
+        return row
+    if d == -1:
+        return [-a for a in row]
+    return [Fraction(a, d) if a % d else a // d for a in row]
 
 
 def span(F: FieldSpec, vectors: Iterable[Sequence]) -> Matrix:

@@ -4,7 +4,10 @@
 over F_p; ``oracle_rref.rref`` is the plain Gauss-Jordan loop over field
 operations.  Every routine built on the kernel (nullspace, solve, inverse,
 rank, span) is run once with each and must give exactly the same result,
-with every Q entry a ``Fraction`` and every F_p entry an int in [0, p).
+with every F_p entry an int in [0, p) and every Q entry an exact rational:
+an ``int`` when its value is integral and a ``Fraction`` when it is not,
+never a float or a bool.  The Q inputs mix ints, integral Fractions and
+proper Fractions, as Q scalars do.
 """
 
 from fractions import Fraction
@@ -27,7 +30,8 @@ def scalars(F):
     den = st.integers(min_value=1, max_value=7)
     small = st.builds(Fraction, st.integers(min_value=-9, max_value=9), den)
     big = st.builds(Fraction, st.integers(min_value=-(2 ** 200), max_value=2 ** 200), den)
-    return st.one_of(st.just(F.zero), small, small, small, big)
+    ints = st.integers(min_value=-9, max_value=9)
+    return st.one_of(st.just(F.zero), ints, small, small, small, big)
 
 
 @st.composite
@@ -85,6 +89,6 @@ def test_kernel_matches_generic_elimination(F, data):
     for value in (red, got["nullspace"], got["solve"], got["inverse"], got["span"]):
         for x in _entries(value):
             if F.p is None:
-                assert type(x) is Fraction
+                assert type(x) is (int if x.denominator == 1 else Fraction)
             else:
                 assert type(x) is int and 0 <= x < F.p

@@ -8,11 +8,13 @@ from zdinfty import ar, linalg
 from zdinfty.errors import ShapeMismatch
 from zdinfty.fields import GF, QQ
 from zdinfty.homext import (
+    Morphism,
     compose,
     hom_space,
     identity_morphism,
     module_xpower,
     morphism_degreewise,
+    torsion_compatible,
     validate_morphism,
 )
 from zdinfty.objects import (
@@ -124,6 +126,61 @@ def test_torsion_hom_solves_nothing(monkeypatch):
     monkeypatch.setattr(linalg, "nullspace", boom)
     for X, Y, dim in cases:
         assert hom_space(X, Y).dim == dim
+
+
+def _torsion_heavy(F, rng):
+    """30-40 cyclic torsion summands and at most one lattice summand."""
+    parts = [
+        torsion_cyclic(F, rng.randint(1, 5), rng.randint(-3, 3))
+        for _ in range(rng.randint(30, 40))
+    ]
+    if rng.random() < 0.5:
+        parts.append(rank_two(F, rng.randint(1, 2), rng.randint(-2, 2)))
+    return direct_sum_many(parts)[0]
+
+
+def _per_pair_torsion_maps(X, Y):
+    """One map per compatible pair, each block built on its own: the unit
+    tt at (k, i) and zero a00, a11 and ft."""
+    F = X.field
+    S, T = X.torsion, Y.torsion
+
+    def zero(m, n):
+        return tuple(tuple(F.zero for _ in range(n)) for _ in range(m))
+
+    ft = tuple(
+        tuple(F.zero for _ in range(T.dim_at(jump))) for jump, _ in X.lattice.generators()
+    )
+    return [
+        Morphism(
+            X, Y, zero(Y.p, X.p), zero(Y.q, X.q),
+            tuple(
+                tuple(F.one if (r, c) == (k, i) else F.zero for c in range(len(S.summands)))
+                for r in range(len(T.summands))
+            ),
+            ft,
+        )
+        for k in range(len(T.summands))
+        for i in range(len(S.summands))
+        if torsion_compatible(S, i, T, k)
+    ]
+
+
+@pytest.mark.parametrize("F", FIELDS, ids=str)
+def test_shared_zero_blocks_match_per_pair_construction(F):
+    # hom_space shares one zero row among the zero rows of every torsion
+    # map, and one set of zero a00/a11/ft blocks among all of them
+    rng = random.Random(29)
+    sums = [_torsion_heavy(F, rng) for _ in range(20)]
+    for X in sums:
+        Y = rng.choice(sums)
+        basis = hom_space(X, Y).basis
+        lattice = sum(1 for m in basis if any(map(any, m.a00 + m.a11)))
+        want = _per_pair_torsion_maps(X, Y)
+        assert len(want) > 0
+        assert list(basis[lattice:lattice + len(want)]) == want, (X, Y)
+        for m in basis[lattice + len(want):]:
+            assert not any(map(any, m.tt)) and sum(map(sum, m.ft)) == 1
 
 
 def _psi(*blocks):
