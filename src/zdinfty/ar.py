@@ -267,26 +267,15 @@ def class_of_sequence(inject: Morphism, surject: Morphism) -> ExtClass:
             (e, lift(e, j, "lattice generator"))
             for j, (e, _) in enumerate(X.lattice.generators())
         ]
-        W = _block_left_inverse(F, inject.full_matrix(), E.p, E.q, Y.p, Y.q)
-        cols = [linalg.mat_vec(F, W, E.lattice_vector(e, v)) for e, v in lifts]
+        w0 = _left_inverse(F, inject.a00, E.p, Y.p)
+        w1 = _left_inverse(F, inject.a11, E.q, Y.q)
+        cols = []
+        for e, v in lifts:
+            amb = E.lattice_vector(e, v)
+            cols.append(linalg.mat_vec(F, w0, amb[:E.p]) + linalg.mat_vec(F, w1, amb[E.p:]))
         D = linalg.mm(F, linalg.transpose(cols), X.lattice.generator_inverse, X.rank, X.rank)
         h01, h10 = offdiag_blocks(D, X, Y)
     return ext_space(X, Y).reduce(h01, h10, tuple(tor))
-
-
-def _block_left_inverse(F, iota, pE, qE, pY, qY):
-    """Type-diagonal W with W . iota = identity on the smaller space."""
-    rE, rY = pE + qE, pY + qY
-    rows = []
-    b0 = [[iota[i][k] for k in range(pY)] for i in range(pE)]
-    b1 = [[iota[pE + i][pY + k] for k in range(qY)] for i in range(qE)]
-    w0 = _left_inverse(F, b0, pE, pY)
-    w1 = _left_inverse(F, b1, qE, qY)
-    for i in range(pY):
-        rows.append(tuple(w0[i]) + tuple(F.zero for _ in range(qE)))
-    for i in range(qY):
-        rows.append(tuple(F.zero for _ in range(pE)) + tuple(w1[i]))
-    return tuple(rows)
 
 
 def _left_inverse(F, B, nrows, ncols):

@@ -442,13 +442,8 @@ def _coordinate_kernel(F, gens, c):
         span = linalg.span(F, alive)
         # combinations of the degree-d span with vanishing c-entry
         c_entries = (tuple(row[c] for row in span),)
-        for combo in linalg.nullspace(F, c_entries, ncols=len(span)):
-            vec = [F.zero] * len(gens[0][1])
-            for coef, row in zip(combo, span):
-                if not F.is_zero(coef):
-                    for i in range(len(vec)):
-                        vec[i] = F.add(vec[i], F.mul(coef, row[i]))
-            out.append((d, tuple(vec)))
+        combos = linalg.nullspace(F, c_entries, ncols=len(span))
+        out += [(d, vec) for vec in linalg.mm(F, combos, span, len(span), len(gens[0][1]))]
     return _dedupe_generators(F, out)
 
 

@@ -24,6 +24,12 @@ the outer products s (x) g*_j, with g*_j the dual basis of the directions
 S_(e_j).  The x-power map on slots is a partial identity, so its image is a
 set of unit slots: the generators alive at the birth degree and the torsion
 summands alive at both degrees.
+
+Lattice-to-torsion transport has one path: a degree-d lattice element with
+adapted coordinates gamma (``lattice.adapted_coords``, the inverse generator
+matrix times its vector) maps to the sum of gamma_t times the stored torsion
+image ``ft[t]`` of generator t, moved up from its jump to d onto the target
+summands alive at both degrees (``_ft_image``).
 """
 
 from __future__ import annotations
@@ -38,7 +44,7 @@ from .errors import (
     ZdinftyError,
 )
 from .fields import check_same_field
-from .lattice import adapted_coords
+from .lattice import GradedLattice, adapted_coords
 from .objects import CObject, TorsionPart, module_xpower, serre_twist
 
 
@@ -148,26 +154,32 @@ def compose(g: Morphism, f: Morphism) -> Morphism:
         )
         for k, row in enumerate(prod)
     )
-    ft = []
-    y_gens = Y.lattice.generators()
     full_f = f.full_matrix()
+    ft = []
     for j, (e, dir) in enumerate(X.lattice.generators()):
-        vec = list(linalg.mat_vec(F, g.tt_at(e), f.ft[j]))
-        if not vec:
-            vec = [F.zero] * Z.torsion.dim_at(e)
-        w = linalg.mat_vec(F, full_f, dir)
-        gamma = adapted_coords(Y.lattice, w, e)
+        gamma = adapted_coords(Y.lattice, linalg.mat_vec(F, full_f, dir), e)
         if gamma is None:
             raise NotLatticeMorphism("composition source map does not preserve the lattice")
-        for t, (et, _) in enumerate(y_gens):
-            c = gamma[t]
-            if F.is_zero(c):
-                continue
-            moved = linalg.mat_vec(F, Z.torsion.xpower(F, et, e), g.ft[t])
-            for s in range(len(vec)):
-                vec[s] = F.add(vec[s], F.mul(c, moved[s]))
-        ft.append(tuple(vec))
+        tt_part = linalg.mat_vec(F, g.tt_at(e), f.ft[j])
+        ft.append(linalg.vec_add(F, _ft_image(g, gamma, e), tt_part))
     return morphism_from_parts(X, Z, a00, a11, tt, tuple(ft))
+
+
+def _ft_image(m: Morphism, gamma, d: int) -> tuple:
+    """The degree-d torsion slots of ``m`` applied to the lattice element of
+    ``m.src`` with adapted coordinates ``gamma`` (zero past the generators
+    alive at d): the sum of gamma_t times ``m.ft[t]``, moved up from the jump
+    e_t by x^(d - e_t), which keeps the target summands alive at both degrees."""
+    F = m.src.field
+    T = m.dst.torsion
+    pos = {i: k for k, i in enumerate(T.slots_at(d))}
+    out = [F.zero] * len(pos)
+    for c, (e, _), vec in zip(gamma, m.src.lattice.generators(), m.ft):
+        if c:
+            for i, a in zip(T.slots_at(e), vec):
+                if a and i in pos:
+                    out[pos[i]] = F.add(out[pos[i]], F.mul(c, a))
+    return tuple(out)
 
 
 def sum_inclusion(big: CObject, factor: CObject, embed, tmap) -> Morphism:
@@ -206,7 +218,6 @@ def serre_twist_morphism(f: Morphism) -> Morphism:
     The shift moves every torsion summand alike and keeps their order, so the
     torsion scalars pass through unchanged.
     """
-    F = f.src.field
     X, Y = f.src, f.dst
     VX, VY = serre_twist(X), serre_twist(Y)
     p = X.p
@@ -217,15 +228,7 @@ def serre_twist_morphism(f: Morphism) -> Morphism:
         gamma = adapted_coords(X.lattice, dir, ep - 1)
         if gamma is None:
             raise ZdinftyError("twisted generator escapes the original lattice")
-        vec = [F.zero] * VY.torsion.dim_at(ep)
-        for j, (e_j, _) in enumerate(X.lattice.generators()):
-            c = gamma[j]
-            if F.is_zero(c):
-                continue
-            moved = linalg.mat_vec(F, Y.torsion.xpower(F, e_j, ep - 1), f.ft[j])
-            for s in range(len(vec)):
-                vec[s] = F.add(vec[s], F.mul(c, moved[s]))
-        ft.append(tuple(vec))
+        ft.append(_ft_image(f, gamma, ep - 1))
     return morphism_from_parts(VX, VY, f.a11, f.a00, f.tt, tuple(ft))
 
 
@@ -261,14 +264,13 @@ def morphism_degreewise(m: Morphism, d: int) -> tuple:
     F = m.src.field
     X, Y = m.src, m.dst
     full = m.full_matrix()
-    ny = Y.lattice.dim_at(d)
+    ny, nx = Y.lattice.dim_at(d), X.lattice.dim_at(d)
     cols = []
-    for j, (e, dir) in enumerate(X.lattice.generators()[: X.lattice.dim_at(d)]):
+    for (_, dir), unit in zip(X.lattice.generators(), linalg.identity(F, nx)):
         gamma = adapted_coords(Y.lattice, linalg.mat_vec(F, full, dir), d)
         if gamma is None:
             raise NotLatticeMorphism("morphism does not preserve the lattice")
-        moved = linalg.mat_vec(F, Y.torsion.xpower(F, e, d), m.ft[j])
-        cols.append(tuple(gamma[:ny]) + tuple(moved))
+        cols.append(tuple(gamma[:ny]) + _ft_image(m, unit, d))
     tt = m.tt_at(d)
     for k in range(X.torsion.dim_at(d)):
         cols.append((F.zero,) * ny + tuple(row[k] for row in tt))
@@ -318,67 +320,46 @@ def hom_kx_space(X: CObject, Y: CObject) -> tuple:
     """Basis of constant matrices A with A S_e(X) inside S_e(Y) for all e.
 
     This is the restriction to graded modules: no block constraint.  Both
-    objects must be torsion-free.
+    objects must be torsion-free.  With every coordinate typed 0 the block
+    constraint is empty, so the basis is the a00 blocks of the category maps
+    between such copies of X and Y.
     """
     check_same_field(X.field, Y.field)
     if not X.is_torsion_free() or not Y.is_torsion_free():
         raise NotLatticeMorphism("restricted hom needs torsion-free objects")
-    return _constant_matrix_solutions(X, Y, block_diagonal=False)
-
-
-def _constant_matrix_solutions(X: CObject, Y: CObject, block_diagonal: bool):
-    """Constant matrices mapping the filtration of X into that of Y."""
     F = X.field
-    r, rr = X.rank, Y.rank
-    if r == 0 or rr == 0:
+    untyped = (
+        CObject(F, Z.torsion, GradedLattice(F, Z.rank, 0, Z.lattice.steps)) for Z in (X, Y)
+    )
+    return tuple(a00 for a00, _ in _constant_matrix_solutions(*untyped))
+
+
+def _constant_matrix_solutions(X: CObject, Y: CObject) -> tuple:
+    """Block-diagonal constant matrices (a00, a11) mapping the filtration of X
+    into that of Y: u . A dir_j = 0 for each u annihilating S_(e_j)(Y).  The
+    unknowns are the entries of a00, then of a11, row by row, so each
+    constraint row is u (x) dir_j on the two diagonal blocks."""
+    F = X.field
+    if X.rank == 0 or Y.rank == 0:
         return ()
     p, q, pp, qq = X.p, X.q, Y.p, Y.q
-    if block_diagonal:
-        nvars = pp * p + qq * q
-
-        def entry_var(i, k):
-            # position of unknown A[i][k] in the flattened vector, or None
-            if i < pp and k < p:
-                return i * p + k
-            if i >= pp and k >= p:
-                return pp * p + (i - pp) * q + (k - p)
-            return None
-
-    else:
-        nvars = rr * r
-
-        def entry_var(i, k):
-            return i * r + k
-
+    mul, zero = F.mul, F.zero
     rows = []
     for e, dir in X.lattice.generators():
         for u in Y.lattice.annihilator_at(e):
-            row = [F.zero] * nvars
-            any_nz = False
-            for i in range(rr):
-                if F.is_zero(u[i]):
-                    continue
-                for k in range(r):
-                    if F.is_zero(dir[k]):
-                        continue
-                    v = entry_var(i, k)
-                    if v is not None:
-                        row[v] = F.add(row[v], F.mul(u[i], dir[k]))
-                        any_nz = True
-            if any_nz or not linalg.is_zero_vector(F, row):
+            row = [mul(a, b) if a and b else zero for a in u[:pp] for b in dir[:p]]
+            row += [mul(a, b) if a and b else zero for a in u[pp:] for b in dir[p:]]
+            if any(row):
                 rows.append(tuple(row))
-    kernel = linalg.nullspace(F, rows) if rows else linalg.identity(F, nvars)
-    out = []
-    for vec in kernel:
-        if block_diagonal:
-            a00 = tuple(tuple(vec[i * p + k] for k in range(p)) for i in range(pp))
-            a11 = tuple(
-                tuple(vec[pp * p + i * q + k] for k in range(q)) for i in range(qq)
-            )
-            out.append((a00, a11))
-        else:
-            out.append(tuple(tuple(vec[i * r + k] for k in range(r)) for i in range(rr)))
-    return tuple(out)
+    n00 = pp * p
+    kernel = linalg.nullspace(F, rows) if rows else linalg.identity(F, n00 + qq * q)
+    return tuple(
+        (
+            tuple(vec[i * p:(i + 1) * p] for i in range(pp)),
+            tuple(vec[n00 + i * q:n00 + (i + 1) * q] for i in range(qq)),
+        )
+        for vec in kernel
+    )
 
 
 def hom_space(X: CObject, Y: CObject) -> HomSpace:
@@ -389,7 +370,7 @@ def hom_space(X: CObject, Y: CObject) -> HomSpace:
     F = X.field
     basis = []
     # lattice part
-    for a00, a11 in _constant_matrix_solutions(X, Y, block_diagonal=True):
+    for a00, a11 in _constant_matrix_solutions(X, Y):
         basis.append(morphism_from_parts(X, Y, a00, a11))
     S, T = X.torsion, Y.torsion
     if not T.summands:
@@ -650,16 +631,11 @@ def _class_after_morphism(g: ExtClass, f: Morphism) -> ExtClass:
     if Xp.rank > 0 and Y.rank > 0 and any(
         any(not F.is_zero(c) for c in vec) for vec in f.ft
     ):
+        amb = [Y.lattice_vector(n - a, v) for (n, a), v in zip(X.torsion.summands, g.tor)]
         wcols = []
-        for j, (e, _) in enumerate(Xp.lattice.generators()):
-            w = [F.zero] * Y.rank
-            for c, i in zip(f.ft[j], X.torsion.slots_at(e)):
-                if F.is_zero(c):
-                    continue
-                n_i, a_i = X.torsion.summands[i]
-                amb = Y.lattice_vector(n_i - a_i, g.tor[i])
-                w = [F.add(wt, F.mul(c, at)) for wt, at in zip(w, amb)]
-            wcols.append(tuple(w))
+        for (e, _), vec in zip(Xp.lattice.generators(), f.ft):
+            alive = tuple(amb[i] for i in X.torsion.slots_at(e))
+            wcols.append(linalg.mm(F, (vec,), alive, len(vec), Y.rank)[0])
         Ginv = Xp.lattice.generator_inverse
         D = linalg.mm(F, linalg.transpose(wcols), Ginv, len(wcols), len(wcols))
         d01, d10 = offdiag_blocks(D, Xp, Y)
@@ -668,20 +644,16 @@ def _class_after_morphism(g: ExtClass, f: Morphism) -> ExtClass:
 
     tor = []
     for ip, (n_p, a_p) in enumerate(Xp.torsion.summands):
-        dim_target = Y.module_dim_at(n_p - a_p)
-        acc = [F.zero] * dim_target
+        h = n_p - a_p
+        acc = (F.zero,) * Y.module_dim_at(h)
         for i, (n_i, a_i) in enumerate(X.torsion.summands):
             c = f.tt[i][ip]
-            if F.is_zero(c):
-                continue
-            if n_p - a_p < n_i - a_i:
-                raise ZdinftyError("inconsistent torsion component in composition")
-            moved = linalg.mat_vec(
-                F, module_xpower(Y, n_i - a_i, n_p - a_p), g.tor[i]
-            )
-            for s in range(dim_target):
-                acc[s] = F.add(acc[s], F.mul(c, moved[s]))
-        tor.append(tuple(acc))
+            if c:
+                if h < n_i - a_i:
+                    raise ZdinftyError("inconsistent torsion component in composition")
+                moved = linalg.mat_vec(F, module_xpower(Y, n_i - a_i, h), g.tor[i])
+                acc = linalg.vec_add(F, acc, linalg.vec_scale(F, c, moved))
+        tor.append(acc)
     return ext_space(Xp, Y).reduce(h01, h10, tuple(tor))
 
 

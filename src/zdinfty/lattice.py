@@ -238,16 +238,8 @@ def intersect_rowspaces(F: FieldSpec, A: Sequence, B: Sequence) -> Matrix:
     n = len(A[0])
     # a-coefficients solving sum a_i A_i - sum b_j B_j = 0
     stacked = linalg.transpose(tuple(A) + tuple(linalg.mat_scale(F, F.neg(F.one), B)))
-    combos = []
-    for ker in linalg.nullspace(F, stacked):
-        acoef = ker[: len(A)]
-        vec = [F.zero] * n
-        for c, row in zip(acoef, A):
-            if not F.is_zero(c):
-                for j in range(n):
-                    vec[j] = F.add(vec[j], F.mul(c, row[j]))
-        combos.append(tuple(vec))
-    return linalg.span(F, combos)
+    combos = tuple(ker[: len(A)] for ker in linalg.nullspace(F, stacked))
+    return linalg.span(F, linalg.mm(F, combos, A, len(A), n))
 
 
 def shift_lattice(L: GradedLattice, s: int) -> GradedLattice:
@@ -263,19 +255,14 @@ def sigma_lattice(L: GradedLattice) -> GradedLattice:
 
 
 def adapted_coords(L: GradedLattice, v: Sequence, degree: int):
-    """Coefficients of ``v`` in the adapted generators with jump <= degree.
+    """Coefficients of ``v`` in the adapted generators: ``generator_inverse . v``.
 
-    Returns a list of scalars indexed like ``L.generators()`` (zero at the
-    generators of larger jump), or None when ``v`` is not in S_degree.
+    Returns a list indexed like ``L.generators()``, or None when ``v`` is not
+    in S_degree.  The generators are sorted by jump and form a basis, so ``v``
+    lies in S_degree exactly when its coefficients past ``L.dim_at(degree)``
+    vanish.  Raises DimensionMismatch when ``v`` is not of length ``L.rank``.
     """
-    F = L.field
-    gens = L.generators()
-    active = [i for i, (j, _) in enumerate(gens) if j <= degree]
-    basis = tuple(gens[i][1] for i in active)
-    coeffs = linalg.coords_in_basis(F, basis, v)
-    if coeffs is None:
-        return None
-    out = [F.zero] * len(gens)
-    for i, c in zip(active, coeffs):
-        out[i] = c
-    return out
+    if len(v) != L.rank:
+        raise DimensionMismatch(f"vector length {len(v)}, ambient rank {L.rank}")
+    gamma = linalg.mat_vec(L.field, L.generator_inverse, v)
+    return None if any(gamma[L.dim_at(degree):]) else list(gamma)

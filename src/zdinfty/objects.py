@@ -69,14 +69,6 @@ class TorsionPart:
     def max_degree(self):
         return max((-a + n - 1 for n, a in self.summands), default=None)
 
-    def xpower(self, F: FieldSpec, d_from: int, d_to: int):
-        """Multiplication by x^(d_to - d_from), for d_to >= d_from: a 1 where
-        the same summand is alive at both degrees."""
-        src = self.slots_at(d_from)
-        return tuple(
-            tuple(F.one if i == j else F.zero for j in src) for i in self.slots_at(d_to)
-        )
-
     def shifted(self, s: int) -> "TorsionPart":
         return TorsionPart.of((n, a + s) for n, a in self.summands)
 
@@ -141,12 +133,9 @@ class CObject:
 
     def lattice_vector(self, d: int, v) -> tuple:
         """Ambient vector of the lattice coordinates of a degree-d slot vector."""
-        F = self.field
-        amb = [F.zero] * self.rank
-        for c, (_, dir) in zip(v[: self.lattice.dim_at(d)], self.lattice.generators()):
-            if not F.is_zero(c):
-                amb = [F.add(a, F.mul(c, b)) for a, b in zip(amb, dir)]
-        return tuple(amb)
+        n = self.lattice.dim_at(d)
+        dirs = tuple(dir for _, dir in self.lattice.generators()[:n])
+        return linalg.mm(self.field, (tuple(v[:n]),), dirs, n, self.rank)[0]
 
     @cached_property
     def _twist(self) -> "CObject":

@@ -10,6 +10,8 @@ summands' bars; it is kept here only to check that closed form.
 
 from zdinfty import linalg
 
+from oracle_slots import torsion_xpower
+
 
 def shared_degrees(X, Y) -> tuple:
     """Degrees where the torsion of X and of Y are both nonzero."""
@@ -42,7 +44,7 @@ def torsion_hom_basis(X, Y) -> tuple:
         na, nb1 = S.dim_at(d), T.dim_at(d + 1)
         if na == 0 or nb1 == 0:
             continue
-        xa, xb = S.xpower(F, d, d + 1), T.xpower(F, d, d + 1)
+        xa, xb = torsion_xpower(S, F, d, d + 1), torsion_xpower(T, F, d, d + 1)
         for i in range(nb1):
             for j in range(na):
                 row = [F.zero] * total

@@ -206,6 +206,10 @@ def test_usage_errors():
         ["hom", _literal(gen='{"jump": "x", "dir": [1]}'), "F0[0]"],
         ["hom", _literal(p='"p": -1, ', q='"q": 1, '), "F0[0]"],
         ["hom", '{"field": 5}', "F0[0]"],
+        ["hom", '{"field": "Fp:561"}', "F0[0]"],
+        ["hom", '{"field": "Fp:1000000000000000000000000000057"}', "F0[0]"],
+        ["--field", "Fp:318665857834031151167461", "hom", "F0[0]", "F0[0]"],
+        ["--field", "Fp:1000000000000000000000000000057", "hom", "F0[0]", "F0[0]"],
         ["hom", '{"torsion": 5}', "F0[0]"],
         ["hom", '{"torsion": [[1]]}', "F0[0]"],
         ["hom", '{"torsion": [[1, 0]', "F0[0]"],

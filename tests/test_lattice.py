@@ -220,3 +220,27 @@ def test_adapted_coords_roundtrip():
     coeffs = adapted_coords(L, v, 2)
     assert coeffs == [F.of_int(2), F.one]
     assert adapted_coords(L, (F.one, F.zero), 1) is None
+
+
+def test_adapted_coords_checks_length_and_solves_nothing(monkeypatch):
+    F = QQ
+    L = F20()  # generators (1, 1) at jump 0 and (0, 1) at jump 2
+    # a vector of the wrong length is an error, not truncated or misindexed
+    with pytest.raises(DimensionMismatch):
+        adapted_coords(L, (F.one, F.one, F.of_int(5)), 0)
+    with pytest.raises(DimensionMismatch):
+        adapted_coords(L, (F.one,), 0)
+    L.generator_inverse  # inverted once per lattice, on first use
+    calls = []
+
+    def rref(*args):
+        calls.append(args)
+        raise AssertionError("adapted_coords ran a row reduction")
+
+    monkeypatch.setattr(linalg, "rref", rref)
+    v = (F.one, F.of_int(6))
+    assert adapted_coords(L, v, 2) == [F.one, F.of_int(5)]
+    assert adapted_coords(L, v, 1) is None
+    assert adapted_coords(L, (F.of_int(3), F.of_int(3)), 0) == [F.of_int(3), F.zero]
+    assert adapted_coords(L, (F.zero, F.zero), -1) == [F.zero, F.zero]
+    assert calls == []

@@ -5,7 +5,7 @@ from fractions import Fraction
 from hypothesis import given, strategies as st
 
 from zdinfty import linalg
-from zdinfty.errors import FieldMismatch, ZdinftyError
+from zdinfty.errors import FieldMismatch, RangeError, ZdinftyError
 from zdinfty.fields import GF, QQ, FieldSpec, check_same_field, parse_field
 from zdinfty.poly import Poly
 
@@ -47,6 +47,20 @@ def test_field_validation():
     assert parse_field("Fp:7") == GF(7)
     with pytest.raises(FieldMismatch):
         check_same_field(QQ, GF(5))
+
+
+def test_prime_moduli():
+    # Carmichael numbers and strong pseudoprimes to the smaller base sets,
+    # the last one to every prime base up to 37
+    for n in (1, 4, 561, 41041, 3825123056546413051, 318665857834031151167461):
+        with pytest.raises(ZdinftyError, match="prime modulus"):
+            FieldSpec("Fp", n)
+    for p in (2, 3, 41, 43, 1000003, 2**61 - 1):
+        assert FieldSpec("Fp", p).p == p
+    # primality is exact only below the bound of the deterministic bases
+    for n in (3317044064679887385961981, 2**89 - 1):
+        with pytest.raises(RangeError):
+            FieldSpec("Fp", n)
 
 
 def test_rref_and_nullspace():
