@@ -9,6 +9,12 @@ deaths are the F0[a] and F1[a].  One elder-rule sweep over the jumps finds
 the bars and a type-split basis adapted to them, which is the isomorphism
 from the direct sum of the factors (Zomorodian and Carlsson, "Computing
 Persistent Homology", 2005).
+
+The other invariants are read off canonical forms too: ``identify`` takes
+the degrees of the two coordinate vectors from ``lattice.degree_of``,
+``filtration`` reads its chain and factors off one canonical form with the
+coordinates reversed, and ``end_ring`` reads the coordinates of each product
+off the unit basis of ``hom_space``.
 """
 
 from __future__ import annotations
@@ -30,9 +36,8 @@ from .homext import (
     hom_space,
     identity_morphism,
     morphism_from_parts,
-    morphism_vector,
 )
-from .lattice import GradedVector, membership
+from .lattice import GradedVector, canonicalize, degree_of, membership
 from .objects import (
     CObject,
     direct_sum_many,
@@ -123,25 +128,13 @@ def identify(X: CObject) -> IndecLabel:
         return rank_one_label(0 if X.p == 1 else 1, -L.min_jump())
     if X.rank == 2 and X.p == 1 and X.q == 1:
         a = -L.min_jump()
-        c0 = _pure_coordinate_degree(L, 0)
-        c1 = _pure_coordinate_degree(L, 1)
+        c0, c1 = (degree_of(L, e) for e in linalg.identity(X.field, 2))
         if c0 != c1:
             raise UnrecognizedShape("pure-coordinate degrees disagree")
         m = c0 + a
         if m >= 1 and sorted(L.jump_list) == [-a, m - a]:
             return rank_two_label(m, a)
     raise UnrecognizedShape(f"no classified label matches rank {X.rank}")
-
-
-def _pure_coordinate_degree(L, coord: int) -> int:
-    """The least degree d with the coordinate vector in S_d: a jump, since
-    S_d only changes at the jumps."""
-    F = L.field
-    e = tuple(F.one if i == coord else F.zero for i in range(L.rank))
-    for d, _ in L.steps:
-        if membership(L, GradedVector(d, e)):
-            return d
-    raise UnrecognizedShape("pure-coordinate element missing below the top jump")
 
 
 # ---------------------------------------------------------------------------
@@ -160,21 +153,11 @@ class EndRing:
 
 
 def end_ring(X: CObject) -> EndRing:
-    """Basis and structure constants of the endomorphism algebra."""
+    """Basis and structure constants of the endomorphism algebra: each
+    product's coordinates are read off the unit basis of ``hom_space``."""
     hs = hom_space(X, X)
-    vecs = [morphism_vector(m) for m in hs.basis]
-    F = X.field
-    table = []
-    for f in hs.basis:
-        row = []
-        for g in hs.basis:
-            prod = morphism_vector(compose(f, g))
-            coords = linalg.coords_in_basis(F, vecs, prod)
-            if coords is None:
-                raise ZdinftyError("endomorphism product escapes the basis")
-            row.append(tuple(coords))
-        table.append(tuple(row))
-    return EndRing(X, hs.basis, tuple(table))
+    table = tuple(tuple(hs.coordinates(compose(f, g)) for g in hs.basis) for f in hs.basis)
+    return EndRing(X, hs.basis, table)
 
 
 # ---------------------------------------------------------------------------
@@ -390,70 +373,24 @@ class Filtration:
 
 
 def filtration(X: CObject) -> Filtration:
-    """Peel ambient coordinates one at a time, type 1 before type 0.
+    """The chain of sublattices S & k^t, t = 0..rank, from one canonical form.
 
-    Each projection onto a coordinate has image x^c k[x], contributing a
-    rank-one factor of that type with shift -c; the kernel is the next chain
-    term.  Factor count equals the rank and the factor type multiset equals
-    the ambient type multiset.
+    Canonicalizing the generators with the coordinates reversed puts each
+    adapted generator's pivot at its last nonzero coordinate c, one
+    generator for each c.  At every degree d the generators alive at d with
+    c < t have distinct last coordinates, so they are a basis of
+    S_d & k^t: ``chain[t]`` is the generators with c < t.  Projecting
+    chain[t + 1] onto coordinate t leaves only the generator with c = t,
+    whose image is x^jump k[x], so ``labels[t]`` is the rank-one factor of
+    coordinate t's type with shift -jump.  Factor count equals the rank and
+    the factor types are the ambient types, type 0 at the bottom.
     """
     if not X.is_torsion_free():
         raise NotLatticeMorphism("filtration applies to torsion-free objects")
-    F = X.field
-    # active data: list of (jump, vector) generating the current term,
-    # in the original ambient; coordinates processed from the last down
-    current = list(X.lattice.generators())
-    coords = list(range(X.rank))
-    labels_topdown = []
-    chain = [tuple(current)]
-    while coords:
-        c = coords[-1]
-        # image degree: least jump whose generators have a nonzero c-entry
-        # once expressed degreewise; scan the degreewise spans
-        cdeg = _projection_min_degree(F, current, c)
-        ctype = 0 if c < X.p else 1
-        labels_topdown.append(rank_one_label(ctype, -cdeg))
-        current = _coordinate_kernel(F, current, c)
-        coords.pop()
-        chain.append(tuple(current))
-    chain.reverse()  # ascending: 0 = chain[0] up to the full lattice
-    labels = tuple(reversed(labels_topdown))
-    return Filtration(tuple(chain), labels)
-
-
-def _projection_min_degree(F, gens, c):
-    best = None
-    for jump, dir in gens:
-        if not F.is_zero(dir[c]) and (best is None or jump < best):
-            best = jump
-    if best is None:
-        raise ZdinftyError("projection of a full-rank lattice vanished")
-    return best
-
-
-def _coordinate_kernel(F, gens, c):
-    """Generators of the intersection with the hyperplane coordinate c = 0."""
-    # degreewise: at each jump, the span of all generators alive there meets
-    # the hyperplane; generators of the kernel lattice
-    jumps = sorted({j for j, _ in gens})
-    out = []
-    for d in jumps:
-        alive = [dir for j, dir in gens if j <= d]
-        span = linalg.span(F, alive)
-        # combinations of the degree-d span with vanishing c-entry
-        c_entries = (tuple(row[c] for row in span),)
-        combos = linalg.nullspace(F, c_entries, ncols=len(span))
-        out += [(d, vec) for vec in linalg.mm(F, combos, span, len(span), len(gens[0][1]))]
-    return _dedupe_generators(F, out)
-
-
-def _dedupe_generators(F, gens):
-    """Keep a minimal generating family: drop directions already generated."""
-    gens = sorted(gens, key=lambda g: g[0])
-    kept = []
-    for jump, dir in gens:
-        alive = [d for j, d in kept if j <= jump]
-        basis, pivots = linalg.rref(F, alive) if alive else ((), ())
-        if not linalg.in_span(F, basis, pivots, dir):
-            kept.append((jump, dir))
-    return kept
+    L = X.lattice
+    rev = canonicalize(X.field, [(e, dir[::-1]) for e, dir in L.generators()], L.q, L.p)
+    gens = [(e, dir[::-1]) for e, dir in rev.generators()]
+    last = [max(i for i, c in enumerate(dir) if c) for _, dir in gens]
+    chain = tuple(tuple(g for g, c in zip(gens, last) if c < t) for t in range(X.rank + 1))
+    labels = tuple(rank_one_label(0 if c < X.p else 1, -e) for c, (e, _) in sorted(zip(last, gens)))
+    return Filtration(chain, labels)

@@ -30,6 +30,13 @@ adapted coordinates gamma (``lattice.adapted_coords``, the inverse generator
 matrix times its vector) maps to the sum of gamma_t times the stored torsion
 image ``ft[t]`` of generator t, moved up from its jump to d onto the target
 summands alive at both degrees (``_ft_image``).
+
+Coordinates need no solve either.  Every Hom basis map is a nullspace
+vector (a one at its free column, zero past it) or a unit torsion map, and
+every Ext basis class is a unit vector off the pivots or off the hit slots;
+so each basis vector has a one at its last nonzero entry, where the others
+vanish, and ``HomSpace.coordinates`` and ``ExtSpace.coordinates`` read the
+entries there (``_read_coordinates``).
 """
 
 from __future__ import annotations
@@ -315,6 +322,32 @@ class HomSpace:
     def dim(self) -> int:
         return len(self.basis)
 
+    def coordinates(self, m: Morphism) -> tuple:
+        """Coefficients of a morphism in the basis, read off the unit basis."""
+        if (m.src, m.dst) != (self.src, self.dst):
+            raise ShapeMismatch("morphism is not in this Hom space")
+        coords = _read_coordinates(
+            self.src.field, [morphism_vector(b) for b in self.basis], morphism_vector(m)
+        )
+        if coords is None:
+            raise ZdinftyError("morphism escapes the Hom basis")
+        return coords
+
+
+def _read_coordinates(F, basis, v):
+    """Coefficients of ``v`` in a unit basis, or None off its span.
+
+    Each basis vector has a one at its last nonzero entry and every other
+    basis vector is zero there, so the coefficient of a basis vector is the
+    entry of ``v`` at that position; one product checks that they give
+    ``v`` back.
+    """
+    units = [max(i for i, c in enumerate(b) if c) for b in basis]
+    coords = tuple(v[i] for i in units)
+    if linalg.mm(F, (coords,), basis, len(basis), len(v))[0] != tuple(v):
+        return None
+    return coords
+
 
 def hom_kx_space(X: CObject, Y: CObject) -> tuple:
     """Basis of constant matrices A with A S_e(X) inside S_e(Y) for all e.
@@ -455,11 +488,12 @@ class ExtSpace:
         return ExtClass(self.src, self.dst, h01r, h10r, tuple(tor_out))
 
     def coordinates(self, c: ExtClass) -> tuple:
-        """Coefficients of a (reduced) class in the canonical basis."""
+        """Coefficients of a (reduced) class in the canonical basis, read off
+        the unit basis."""
+        if (c.src, c.dst) != (self.src, self.dst):
+            raise ShapeMismatch("class is not in this Ext space")
         F = self.src.field
-        target = _class_vector(c)
-        basis_vecs = [_class_vector(b) for b in self.basis]
-        coords = linalg.coords_in_basis(F, basis_vecs, target)
+        coords = _read_coordinates(F, [_class_vector(b) for b in self.basis], _class_vector(c))
         if coords is None:
             raise ZdinftyError("class representative is not reduced")
         return coords
@@ -547,19 +581,17 @@ def ext_space(X: CObject, Y: CObject) -> ExtSpace:
         image = tuple(k for k, _ in Y.xpower_slots(-a, n - a))
         tor_reduction.append((linalg.unit_matrix(F, len(image), len(z), enumerate(image)), image))
 
+    # a unit vector off the pivots, or off the unit image rows, is already
+    # reduced; every torsion class shares the zero blocks and the zero
+    # vectors of the other summands
     basis = []
-    rows, pivots = ff_reduction
-    pivset = set(pivots)
+    pivots = set(ff_reduction[1])
     for fcoord in range(n_off):
-        if fcoord in pivset:
-            continue
-        flat = [F.zero] * n_off
-        flat[fcoord] = F.one
-        red = linalg.reduce_against(F, rows, pivots, flat)
-        h01, h10 = _unflatten_offdiag(F, red, p, q, pp, qq)
-        basis.append(ExtClass(X, Y, h01, h10, zero_tor))
-    # a unit vector off the unit image rows is already reduced; every class
-    # shares the zero blocks and the zero vectors of the other summands
+        if fcoord not in pivots:
+            flat = [F.zero] * n_off
+            flat[fcoord] = F.one
+            h01, h10 = _unflatten_offdiag(F, flat, p, q, pp, qq)
+            basis.append(ExtClass(X, Y, h01, h10, zero_tor))
     zero_h01, zero_h10 = linalg.zeros(F, qq, p), linalg.zeros(F, pp, q)
     for i, (z, (_, image)) in enumerate(zip(zero_tor, tor_reduction)):
         hit = set(image)

@@ -266,3 +266,17 @@ def adapted_coords(L: GradedLattice, v: Sequence, degree: int):
         raise DimensionMismatch(f"vector length {len(v)}, ambient rank {L.rank}")
     gamma = linalg.mat_vec(L.field, L.generator_inverse, v)
     return None if any(gamma[L.dim_at(degree):]) else list(gamma)
+
+
+def degree_of(L: GradedLattice, v: Sequence):
+    """The least jump d with ``v`` in S_d, or None when ``v`` is zero.
+
+    S_d only changes at the jumps, and every vector lies in the top step
+    k^r, so the first step whose echelon basis spans ``v`` gives d.
+    """
+    if len(v) != L.rank:
+        raise DimensionMismatch(f"vector length {len(v)}, ambient rank {L.rank}")
+    if not any(v):
+        return None
+    steps = zip(L.steps, L._step_pivots)
+    return next(d for (d, basis), pivots in steps if linalg.in_span(L.field, basis, pivots, v))

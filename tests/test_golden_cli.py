@@ -50,6 +50,15 @@ SUMS = (
     ' {"jump": 2, "dir": [1, 0, 0]}]}}',
     "T[2,0] + F0[1]",
 )
+# filtration and index inputs: the torsion-free sums, and F[2,0] + F0[-1] +
+# F1[1] conjugated by integer matrices invertible over every field
+TORSION_FREE = (
+    "F[2,0] + F[2,0]",
+    "F0[0] + F1[1] + F[1,-1]",
+    '{"lattice": {"p": 2, "q": 2, "gens": [{"jump": -1, "dir": [0, 0, 1, 1]},'
+    ' {"jump": 0, "dir": [1, 1, 2, 1]}, {"jump": 1, "dir": [1, 2, 0, 0]},'
+    ' {"jump": 2, "dir": [0, 0, 2, 1]}]}}',
+)
 
 
 def invocations() -> list:
@@ -65,6 +74,9 @@ def invocations() -> list:
             for X in SUMS:
                 out.append(f + ["decompose", X])
                 out.append(f + ["translate", X])
+            for X in TORSION_FREE:
+                out.append(f + ["filtration", X])
+                out.append(f + ["index", X])
             for X, Y in zip(SUMS, SUMS[1:] + SUMS[:1]):
                 out.append(f + ["hom", X, Y])
                 out.append(f + ["ext", X, Y])
