@@ -318,7 +318,7 @@ def _lattice_pieces(L) -> list:
 class _Span:
     """A growing subspace, kept as a semi-echelon basis in insertion order.
 
-    The rows are int lists, as in ``linalg.rref``: over Q each row is a
+    The rows hold ints, as in ``linalg.rref``: over Q each row is a
     primitive integer multiple of its vector, and a new vector is reduced by
     cross-multiplying with each pivot row; over F_p each row is reduced mod p
     with its pivot entry scaled to 1.  A row only stands for the line it

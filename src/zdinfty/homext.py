@@ -31,17 +31,19 @@ matrix times its vector) maps to the sum of gamma_t times the stored torsion
 image ``ft[t]`` of generator t, moved up from its jump to d onto the target
 summands alive at both degrees (``_ft_image``).
 
-Coordinates need no solve either.  Every Hom basis map is a nullspace
-vector (a one at its free column, zero past it) or a unit torsion map, and
-every Ext basis class is a unit vector off the pivots or off the hit slots;
-so each basis vector has a one at its last nonzero entry, where the others
-vanish, and ``HomSpace.coordinates`` and ``ExtSpace.coordinates`` read the
-entries there (``_read_coordinates``).
+Coordinates need no solve either.  Every Ext basis class is a one at a
+free position, off the pivots or off the hit slots, so ``ExtSpace`` counts
+and reads those positions and builds its classes only on demand, and the
+Serre Gram matrix selects entries of the Hom basis there (``_gram``).  Every
+Hom basis map is a nullspace vector or a unit torsion map, with a one at its
+last nonzero entry where the others vanish; ``HomSpace.coordinates`` reads
+the entries there.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 from . import linalg
 from .errors import (
@@ -322,31 +324,24 @@ class HomSpace:
     def dim(self) -> int:
         return len(self.basis)
 
+    @cached_property
+    def _units(self) -> tuple:
+        """The flattened basis, and the position of each vector's last
+        nonzero entry: a one there, where every other basis vector is zero."""
+        flat = tuple(morphism_vector(b) for b in self.basis)
+        return flat, tuple(max(i for i, c in enumerate(v) if c) for v in flat)
+
     def coordinates(self, m: Morphism) -> tuple:
-        """Coefficients of a morphism in the basis, read off the unit basis."""
+        """Coefficients of a morphism in the basis: its entries at the unit
+        positions, checked by one product."""
         if (m.src, m.dst) != (self.src, self.dst):
             raise ShapeMismatch("morphism is not in this Hom space")
-        coords = _read_coordinates(
-            self.src.field, [morphism_vector(b) for b in self.basis], morphism_vector(m)
-        )
-        if coords is None:
+        flat, units = self._units
+        v = morphism_vector(m)
+        coords = tuple(v[i] for i in units)
+        if linalg.mm(self.src.field, (coords,), flat, len(flat), len(v))[0] != v:
             raise ZdinftyError("morphism escapes the Hom basis")
         return coords
-
-
-def _read_coordinates(F, basis, v):
-    """Coefficients of ``v`` in a unit basis, or None off its span.
-
-    Each basis vector has a one at its last nonzero entry and every other
-    basis vector is zero there, so the coefficient of a basis vector is the
-    entry of ``v`` at that position; one product checks that they give
-    ``v`` back.
-    """
-    units = [max(i for i, c in enumerate(b) if c) for b in basis]
-    coords = tuple(v[i] for i in units)
-    if linalg.mm(F, (coords,), basis, len(basis), len(v))[0] != tuple(v):
-        return None
-    return coords
 
 
 def hom_kx_space(X: CObject, Y: CObject) -> tuple:
@@ -462,41 +457,68 @@ class ExtClass:
 
 @dataclass(frozen=True)
 class ExtSpace:
+    """Ext(src, dst) as its two reductions; the canonical basis is the unit
+    classes at the free positions, built only when ``basis`` is read."""
+
     src: CObject
     dst: CObject
-    basis: tuple
     ff_reduction: tuple  # (echelon rows, pivots) of the off-diagonal image
     tor_reduction: tuple  # per src torsion summand: (rows, pivots)
 
+    def _layout(self) -> tuple:
+        """Per block of a class (see ``_class``): its width, echelon rows and pivots."""
+        X, Y = self.src, self.dst
+        widths = [Y.q * X.p + Y.p * X.q] + [Y.module_dim_at(n - a) for n, a in X.torsion.summands]
+        return tuple(zip(widths, (self.ff_reduction,) + self.tor_reduction))
+
+    def _free(self) -> tuple:
+        """Per block, the positions off its pivots."""
+        return tuple(
+            tuple(sorted(set(range(width)).difference(pivots)))
+            for width, (_, pivots) in self._layout()
+        )
+
     @property
     def dim(self) -> int:
-        return len(self.basis)
+        return sum(width - len(pivots) for width, (_, pivots) in self._layout())
+
+    def _class(self, blocks) -> ExtClass:
+        """The class with the given blocks: the flattened off-diagonal
+        entries, then one vector per source torsion summand."""
+        X, Y = self.src, self.dst
+        h01, h10 = _unflatten_offdiag(X.field, blocks[0], X.p, X.q, Y.p, Y.q)
+        return ExtClass(X, Y, h01, h10, tuple(blocks[1:]))
+
+    @cached_property
+    def basis(self) -> tuple:
+        """The unit classes at the free positions, built on first read."""
+        F = self.src.field
+        zero = tuple((F.zero,) * width for width, _ in self._layout())
+        return tuple(
+            self._class(zero[:b] + (zero[b][:k] + (F.one,) + zero[b][k + 1:],) + zero[b + 1:])
+            for b, free in enumerate(self._free())
+            for k in free
+        )
 
     def reduce(self, h01, h10, tor) -> ExtClass:
         """Canonical representative of the class with the given raw data."""
         F = self.src.field
-        p, q = self.src.p, self.src.q
-        pp, qq = self.dst.p, self.dst.q
-        flat = _flatten_offdiag(h01, h10)
-        rows, pivots = self.ff_reduction
-        red = linalg.reduce_against(F, rows, pivots, flat) if flat else ()
-        h01r, h10r = _unflatten_offdiag(F, red, p, q, pp, qq)
-        tor_out = []
-        for i, vec in enumerate(tor):
-            rows_i, piv_i = self.tor_reduction[i]
-            tor_out.append(linalg.reduce_against(F, rows_i, piv_i, vec))
-        return ExtClass(self.src, self.dst, h01r, h10r, tuple(tor_out))
+        blocks = (_flatten_offdiag(h01, h10),) + tuple(tor)
+        return self._class([
+            linalg.reduce_against(F, rows, pivots, v)
+            for v, (rows, pivots) in zip(blocks, (self.ff_reduction,) + self.tor_reduction)
+        ])
 
     def coordinates(self, c: ExtClass) -> tuple:
-        """Coefficients of a (reduced) class in the canonical basis, read off
-        the unit basis."""
+        """Coefficients of a reduced class in the canonical basis: its entries
+        at the free positions, once those at the pivots are checked zero."""
         if (c.src, c.dst) != (self.src, self.dst):
             raise ShapeMismatch("class is not in this Ext space")
-        F = self.src.field
-        coords = _read_coordinates(F, [_class_vector(b) for b in self.basis], _class_vector(c))
-        if coords is None:
+        blocks = (_flatten_offdiag(c.h01, c.h10),) + tuple(c.tor)
+        reductions = (self.ff_reduction,) + self.tor_reduction
+        if any(v[k] for v, (_, pivots) in zip(blocks, reductions) for k in pivots):
             raise ZdinftyError("class representative is not reduced")
-        return coords
+        return tuple(v[k] for v, free in zip(blocks, self._free()) for k in free)
 
 
 def _flatten_offdiag(h01, h10):
@@ -531,13 +553,6 @@ def offdiag_full(c: ExtClass) -> tuple:
     rows = [(F.zero,) * X.p + tuple(row) for row in c.h10]
     rows += [tuple(row) + (F.zero,) * X.q for row in c.h01]
     return tuple(rows)
-
-
-def _class_vector(c: ExtClass) -> tuple:
-    out = list(_flatten_offdiag(c.h01, c.h10))
-    for vec in c.tor:
-        out.extend(vec)
-    return tuple(out)
 
 
 def ext_space(X: CObject, Y: CObject) -> ExtSpace:
@@ -575,43 +590,19 @@ def ext_space(X: CObject, Y: CObject) -> ExtSpace:
                     image_vectors.append(vec)
     ff_reduction = linalg.rref(F, image_vectors) if image_vectors else ((), ())
 
-    zero_tor = _zero_tor(X, Y)
     tor_reduction = []
-    for (n, a), z in zip(X.torsion.summands, zero_tor):
+    for n, a in X.torsion.summands:
         image = tuple(k for k, _ in Y.xpower_slots(-a, n - a))
-        tor_reduction.append((linalg.unit_matrix(F, len(image), len(z), enumerate(image)), image))
+        rows = linalg.unit_matrix(F, len(image), Y.module_dim_at(n - a), enumerate(image))
+        tor_reduction.append((rows, image))
 
-    # a unit vector off the pivots, or off the unit image rows, is already
-    # reduced; every torsion class shares the zero blocks and the zero
-    # vectors of the other summands
-    basis = []
-    pivots = set(ff_reduction[1])
-    for fcoord in range(n_off):
-        if fcoord not in pivots:
-            flat = [F.zero] * n_off
-            flat[fcoord] = F.one
-            h01, h10 = _unflatten_offdiag(F, flat, p, q, pp, qq)
-            basis.append(ExtClass(X, Y, h01, h10, zero_tor))
-    zero_h01, zero_h10 = linalg.zeros(F, qq, p), linalg.zeros(F, pp, q)
-    for i, (z, (_, image)) in enumerate(zip(zero_tor, tor_reduction)):
-        hit = set(image)
-        free = [k for k in range(len(z)) if k not in hit]
-        for vec in linalg.unit_matrix(F, len(free), len(z), enumerate(free)):
-            tor = zero_tor[:i] + (vec,) + zero_tor[i + 1:]
-            basis.append(ExtClass(X, Y, zero_h01, zero_h10, tor))
-    return ExtSpace(X, Y, tuple(basis), ff_reduction, tuple(tor_reduction))
-
-
-def _zero_tor(X: CObject, Y: CObject) -> tuple:
-    """The zero vector over the target slots at each source summand's death
-    degree, one tuple for all of them."""
-    zero = X.field.zero
-    return tuple((zero,) * Y.module_dim_at(n - a) for n, a in X.torsion.summands)
+    return ExtSpace(X, Y, ff_reduction, tuple(tor_reduction))
 
 
 def zero_class(X: CObject, Y: CObject) -> ExtClass:
     F = X.field
-    return ExtClass(X, Y, linalg.zeros(F, Y.q, X.p), linalg.zeros(F, Y.p, X.q), _zero_tor(X, Y))
+    tor = tuple((F.zero,) * Y.module_dim_at(n - a) for n, a in X.torsion.summands)
+    return ExtClass(X, Y, linalg.zeros(F, Y.q, X.p), linalg.zeros(F, Y.p, X.q), tor)
 
 
 # ---------------------------------------------------------------------------
@@ -733,30 +724,29 @@ def eta(Fobj: CObject, c) -> object:
     return F.add(linalg.trace(F, c.h01), linalg.trace(F, c.h10))
 
 
-def _transposed_flat(*blocks) -> tuple:
-    """The entries of the transposed blocks, row by row, one block after another."""
-    return tuple(c for block in blocks for col in zip(*block) for c in col)
+def _gram(hom: HomSpace, ext: ExtSpace, flipped: bool = False) -> tuple:
+    """Gram matrix of the trace pairing between the two bases.
 
-
-def _pairing(hom: HomSpace, ext: ExtSpace, flipped: bool = False) -> tuple:
-    """Gram matrix of the trace pairing between the two bases, as one product.
-
-    tr(B . A) is the sum of B[i][k] A[k][i], so the entry for a map m and a
-    class c is the dot product of the flattened (c.h01, c.h10) with the
-    flattened transposes of (m.a00, m.a11) when c follows m, or of
-    (m.a11, m.a00) when m follows c (flipped).  Rows run over the left
-    factor of the pairing: Hom, or Ext when flipped.
+    Each class (torsion-free source) is a one at a free position h01[i][k]
+    or h10[i][k], and tr(B . A) sums B[i][k] A[k][i]; so it pairs with a map
+    m by entry [k][i] of m.a00 or m.a11, swapped when m follows the class
+    (flipped).  Rows run over Hom, or over Ext when flipped.
     """
-    F = ext.src.field
-    classes = [_flatten_offdiag(c.h01, c.h10) for c in ext.basis]
-    maps = [
-        _transposed_flat(m.a11, m.a00) if flipped else _transposed_flat(m.a00, m.a11)
-        for m in hom.basis
+    X, Y = ext.src, ext.dst
+    n01 = Y.q * X.p
+    cells = [
+        (0, *divmod(k, X.p)) if k < n01 else (1, *divmod(k - n01, X.q))
+        for k in ext._free()[0]
     ]
-    lefts, rights = (classes, maps) if flipped else (maps, classes)
-    inner = ext.dst.q * ext.src.p + ext.dst.p * ext.src.q
-    cols = linalg.transpose(rights) if rights else linalg.zeros(F, inner, 0)
-    return linalg.mm(F, lefts, cols, inner, len(rights))
+
+    def row(m):
+        blocks = (m.a11, m.a00) if flipped else (m.a00, m.a11)
+        return tuple(blocks[b][k][i] for b, i, k in cells)
+
+    rows = tuple(row(m) for m in hom.basis)
+    if flipped:
+        return tuple(zip(*rows)) if rows else ((),) * len(cells)
+    return rows
 
 
 def serre_gram(Fobj: CObject, G: CObject, flipped: bool = False):
@@ -764,16 +754,17 @@ def serre_gram(Fobj: CObject, G: CObject, flipped: bool = False):
 
     Default: Hom(F, G) x Ext(G, VF) -> k by (f, g) -> eta(g . f).
     Flipped: Ext(F, G) x Hom(G, VF) -> k.
-    The matrix is one product of the flattened blocks of the two bases (see
-    ``eta``); no composite is formed or reduced.
+    Each Ext basis class is a unit vector, so the matrix selects one entry
+    of each Hom basis map per free position of the Ext space (see ``eta``
+    and ``_gram``); no composite is formed or reduced, and no class is built.
     """
     check_same_field(Fobj.field, G.field)
     if not (Fobj.is_torsion_free() and G.is_torsion_free()):
         raise ShapeMismatch("the pairing is computed for torsion-free objects")
     VF = serre_twist(Fobj)
     if not flipped:
-        return _pairing(hom_space(Fobj, G), ext_space(G, VF))
-    return _pairing(hom_space(G, VF), ext_space(Fobj, G), flipped=True)
+        return _gram(hom_space(Fobj, G), ext_space(G, VF))
+    return _gram(hom_space(G, VF), ext_space(Fobj, G), flipped=True)
 
 
 @dataclass(frozen=True)
@@ -802,7 +793,7 @@ def serre_check(X: CObject, Y: CObject) -> SerreReport:
     gram_rank = None
     gram_ok = None
     if X.is_torsion_free() and Y.is_torsion_free():
-        gram = _pairing(hom, ext)
+        gram = _gram(hom, ext)
         gram_rank = linalg.rank(X.field, gram) if gram else 0
         gram_ok = gram_rank == d_hom == d_ext
     return SerreReport(X, Y, d_hom, d_ext, d_hom == d_ext, gram_rank, gram_ok)

@@ -114,15 +114,15 @@ def trace(F: FieldSpec, A: Sequence) -> Scalar:
     return acc
 
 
-def _integer_row(row: Sequence) -> list:
-    """The primitive integer multiple of a row of rationals."""
-    den = lcm(*[a.denominator for a in row])
-    if den == 1:
-        ints = [a.numerator for a in row]
-    else:
-        ints = [a.numerator * (den // a.denominator) for a in row]
-    g = gcd(*ints)
-    return [a // g for a in ints] if g > 1 else ints
+def _integer_row(row: Sequence) -> Sequence:
+    """The primitive integer multiple of a row of rationals.  A row of ints,
+    the common case, skips the denominators and comes back as it is unless
+    it has a content to divide out (``rref`` never writes into a row)."""
+    if not all(type(a) is int for a in row):
+        den = lcm(*[a.denominator for a in row])
+        row = [a.numerator * (den // a.denominator) for a in row]
+    g = gcd(*row)
+    return [a // g for a in row] if g > 1 else row
 
 
 def rref(F: FieldSpec, rows: Iterable[Sequence]) -> tuple[Matrix, tuple[int, ...]]:

@@ -8,10 +8,11 @@ summand's image is the ``rref`` of the transposed x^n matrix
 the canonical basis must agree with ``ext_space`` entry for entry.
 """
 
+from typing import NamedTuple
+
 from zdinfty import linalg
 from zdinfty.homext import (
     ExtClass,
-    ExtSpace,
     _flatten_offdiag,
     _unflatten_offdiag,
     hom_kx_space,
@@ -20,7 +21,15 @@ from zdinfty.homext import (
 from zdinfty.objects import CObject, TorsionPart, module_xpower
 
 
-def ext_space(X, Y) -> ExtSpace:
+class Ext(NamedTuple):
+    """The reference reductions and the canonical basis they give."""
+
+    basis: tuple
+    ff_reduction: tuple
+    tor_reduction: tuple
+
+
+def ext_space(X, Y) -> Ext:
     F = X.field
     p, q, pp, qq = X.p, X.q, Y.p, Y.q
     n_off = qq * p + pp * q
@@ -67,4 +76,4 @@ def ext_space(X, Y) -> ExtSpace:
             basis.append(
                 ExtClass(X, Y, linalg.zeros(F, qq, p), linalg.zeros(F, pp, q), tuple(tor))
             )
-    return ExtSpace(X, Y, tuple(basis), ff_reduction, tor_reduction)
+    return Ext(tuple(basis), ff_reduction, tor_reduction)

@@ -14,7 +14,7 @@ from __future__ import annotations
 from zdinfty import linalg
 from zdinfty.decomp import Filtration, rank_one_label
 from zdinfty.errors import NotLatticeMorphism, ZdinftyError
-from zdinfty.homext import _class_vector, compose, hom_space, morphism_vector
+from zdinfty.homext import compose, hom_space, morphism_vector
 from zdinfty.lattice import GradedVector, membership
 
 
@@ -120,6 +120,11 @@ def hom_coordinates(space, m):
     """Coefficients of a morphism in the Hom basis, or None off its span."""
     vecs = [morphism_vector(b) for b in space.basis]
     return linalg.coords_in_basis(space.src.field, vecs, morphism_vector(m))
+
+
+def _class_vector(c):
+    """A class flattened: its off-diagonal blocks, then each torsion vector."""
+    return tuple(x for block in (c.h01, c.h10, c.tor) for row in block for x in row)
 
 
 def ext_coordinates(space, c):

@@ -1,11 +1,11 @@
-"""The Serre Gram matrix entry by entry: the reference for the one-product form.
+"""The Serre Gram matrix entry by entry: the reference for the column selection.
 
 Each entry forms the Yoneda composite of a basis map and a basis class,
 reduces it to its canonical representative in Ext(F, VF) (``yoneda_compose``
 rebuilds that space for every entry) and applies the trace ``eta``.  This is
-how ``homext.serre_gram`` filled the matrix before it became one product of
-the flattened blocks; it is kept here only to check that product.
-"""
+how ``homext.serre_gram`` filled the matrix before it read each entry off
+the Hom basis maps at the free positions of the Ext space; it is kept here
+only to check that selection."""
 
 from zdinfty.homext import eta, ext_space, hom_space, yoneda_compose
 from zdinfty.objects import serre_twist

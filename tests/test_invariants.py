@@ -16,7 +16,7 @@ import pytest
 
 import oracle_decomp
 import oracle_invariants as oracle
-from zdinfty import linalg
+from zdinfty import homext, linalg
 from zdinfty.decomp import end_ring, filtration
 from zdinfty.errors import ShapeMismatch, ZdinftyError
 from zdinfty.fields import GF, QQ
@@ -167,6 +167,25 @@ def test_ext_coordinates_match_solve(F):
 def test_end_ring_matches_solve(F):
     for X in catalog(F, m_max=3, n_max=3, a_bound=1) + _conjugated_sums(F)[:10]:
         assert end_ring(X).table == oracle.end_ring_table(X), X
+
+
+def test_end_ring_flattens_the_basis_once(monkeypatch):
+    # the flattened basis and its unit positions are found once per space,
+    # so each of the dim^2 products is flattened once and nothing else is
+    real, calls = homext.morphism_vector, []
+
+    def counting(m):
+        calls.append(m)
+        return real(m)
+
+    monkeypatch.setattr(homext, "morphism_vector", counting)
+    X = direct_sum_many([
+        rank_two(QQ, 1, 0), rank_two(QQ, 2, 1), rank_one(QQ, 0, 0),
+        rank_one(QQ, 1, 2), torsion_cyclic(QQ, 2, 0), torsion_cyclic(QQ, 3, 1),
+    ])[0]
+    ring = end_ring(X)
+    assert ring.dim == 20
+    assert len(calls) == ring.dim + ring.dim ** 2
 
 
 def test_linearity_bound_past_64():

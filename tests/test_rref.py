@@ -10,7 +10,9 @@ never a float or a bool.  The Q inputs mix ints, integral Fractions and
 proper Fractions, as Q scalars do.
 """
 
+import random
 from fractions import Fraction
+from math import gcd, lcm
 from unittest import mock
 
 import pytest
@@ -92,3 +94,33 @@ def test_kernel_matches_generic_elimination(F, data):
                 assert type(x) is (int if x.denominator == 1 else Fraction)
             else:
                 assert type(x) is int and 0 <= x < F.p
+
+
+def _lcm_form(row):
+    """The primitive integer multiple of a row by way of its common denominator."""
+    den = lcm(*[a.denominator for a in row])
+    ints = [a.numerator * (den // a.denominator) for a in row]
+    g = gcd(*ints)
+    return [a // g for a in ints] if g > 1 else ints
+
+
+def test_integer_row_matches_lcm_form():
+    rng = random.Random(89)
+    for _ in range(500):
+        row = []
+        for _ in range(rng.randint(0, 7)):
+            num, den = rng.randint(-30, 30), rng.choice([1, 1, 2, 3, 6, 7])
+            row.append(num if den == 1 and rng.random() < 0.7 else Fraction(num, den))
+        got = linalg._integer_row(tuple(row))
+        assert list(got) == _lcm_form(row), row
+        assert all(type(a) is int for a in got), row
+
+
+def test_integer_row_of_ints_skips_the_denominators():
+    def refuse(*args):
+        raise AssertionError("an all-int row took the lcm pass")
+
+    with mock.patch.object(linalg, "lcm", refuse):
+        assert list(linalg._integer_row((4, -6, 0, 10))) == [2, -3, 0, 5]
+        assert list(linalg._integer_row((3, -5, 0))) == [3, -5, 0]
+        assert linalg.rref(QQ, [(4, -6), (1, 1)]) == (((1, 0), (0, 1)), (0, 1))

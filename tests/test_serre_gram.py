@@ -1,4 +1,4 @@
-"""The Serre Gram matrix as one product, against the entry-by-entry oracle."""
+"""The Serre Gram matrix by column selection, against the entry-by-entry oracle."""
 
 import itertools
 import random
@@ -8,7 +8,7 @@ import pytest
 from zdinfty import homext, linalg
 from zdinfty.fields import GF, QQ
 from zdinfty.homext import serre_check, serre_gram
-from zdinfty.objects import direct_sum_many, rank_one, rank_two
+from zdinfty.objects import direct_sum_many, rank_one, rank_two, serre_twist, torsion_cyclic
 
 from oracle_serre import gram_by_composition
 
@@ -77,6 +77,15 @@ def test_serre_check_composes_nothing(monkeypatch):
 
     monkeypatch.setattr(homext, "yoneda_compose", refuse)
     monkeypatch.setattr(homext, "eta", refuse)
+    # the Gram matrix selects entries of the Hom basis at the free positions,
+    # and an Ext space builds its unit classes only when its basis is read
+    built = []
+
+    def build(*args, _real=homext.ExtClass):
+        built.append(args)
+        return _real(*args)
+
+    monkeypatch.setattr(homext, "ExtClass", build)
     calls = {"hom_space": 0, "ext_space": 0}
     for name in calls:
         def counted(X, Y, _name=name, _real=getattr(homext, name)):
@@ -92,3 +101,10 @@ def test_serre_check_composes_nothing(monkeypatch):
     report = serre_check(L8, L8)
     assert report.gram_rank == report.dim_hom == report.dim_ext_twisted == 43
     assert report.passed
+    grams = [serre_gram(X, Y), serre_gram(X, serre_twist(X), flipped=True)]
+    assert all(map(any, grams)) and built == []
+    mixed = direct_sum_many([rank_two(QQ, 1, 0), torsion_cyclic(QQ, 3, 0)])[0]
+    space = homext.ext_space(mixed, serre_twist(mixed))
+    assert space.dim == 4 and built == []
+    assert len(space.basis) == 4 and len(built) == 4
+    assert space.basis is space.basis and len(built) == 4
