@@ -91,27 +91,10 @@ def extension_object(c: ExtClass) -> ShortExactSeq:
     return _general_extension(c)
 
 
-def _embeddings(Y: CObject, X: CObject):
-    """Ambient coordinate embeddings for the middle: [Y0 X0 | Y1 X1]."""
-    F = Y.field
-    pE, qE = Y.p + X.p, Y.q + X.q
-    rE = pE + qE
-
-    def build(obj, p_off, q_off):
-        rows = [[F.zero] * obj.rank for _ in range(rE)]
-        for j in range(obj.p):
-            rows[p_off + j][j] = F.one
-        for j in range(obj.q):
-            rows[pE + q_off + j][obj.p + j] = F.one
-        return tuple(map(tuple, rows))
-
-    return build(Y, 0, 0), build(X, Y.p, Y.q), pE, qE
-
-
 def _lattice_extension(c: ExtClass) -> ShortExactSeq:
     F = c.src.field
     X, Y = c.src, c.dst
-    embY, embX, pE, qE = _embeddings(Y, X)
+    Z, embY, embX, _, _ = direct_sum(Y, X)
     A = offdiag_full(c)
     gens = []
     for e, dir in Y.lattice.generators():
@@ -120,7 +103,7 @@ def _lattice_extension(c: ExtClass) -> ShortExactSeq:
         twisted = linalg.mat_vec(F, embY, linalg.mat_vec(F, A, dir))
         vec = linalg.vec_add(F, twisted, linalg.mat_vec(F, embX, dir))
         gens.append((e, vec))
-    E = CObject(F, TorsionPart(()), canonicalize(F, gens, pE, qE))
+    E = CObject(F, TorsionPart(()), canonicalize(F, gens, Z.p, Z.q))
     inject = sum_inclusion(E, Y, embY, {})
     surject = sum_projection(E, X, embX, {})
     return ShortExactSeq(Y, E, X, inject, surject, c)
@@ -134,7 +117,7 @@ def _general_extension(c: ExtClass) -> ShortExactSeq:
     lo, hi = min(loX, loY), max(hiX, hiY)
     wmY, chartY = model_of(Y, lo, hi)
     wmX, chartX = model_of(X, lo, hi)
-    embY, embX, pE, qE = _embeddings(Y, X)
+    Z, embY, embX, _, _ = direct_sum(Y, X)
 
     dims = tuple(wmY.dim_at(d) + wmX.dim_at(d) for d in range(lo, hi + 1))
     xmaps = []
@@ -167,7 +150,7 @@ def _general_extension(c: ExtClass) -> ShortExactSeq:
         chart_cols.append(vec)
     chart = linalg.transpose(chart_cols) if chart_cols else ()
     wmE = window.WindowModule(F, lo, hi, dims, tuple(xmaps))
-    summands, lat, phi_inv = window.reconstruct_parts(wmE, chart, pE, qE)
+    summands, lat, phi_inv = window.reconstruct_parts(wmE, chart, Z.p, Z.q)
     E = CObject(F, TorsionPart(summands), lat)
     # phi_inv carries the canonical model of E onto wmE; its inverse is the
     # certificate that the two are isomorphic.

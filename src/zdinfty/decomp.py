@@ -20,7 +20,6 @@ off the unit basis of ``hom_space``.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import gcd
 
 from . import linalg
 from .errors import (
@@ -279,7 +278,7 @@ def _lattice_pieces(L) -> list:
     F, p, q = L.field, L.p, L.q
     zero0, zero1 = (F.zero,) * p, (F.zero,) * q
     pieces = []
-    span0, span1 = _Span(F), _Span(F)  # every u and every w so far
+    span0, span1 = linalg.Echelon(F), linalg.Echelon(F)  # every u and every w so far
     live = []  # (birth, u, w), elder first
     for e, rows in L.steps:
         ann = L.annihilator_at(e)  # S_e is where these vanish
@@ -300,7 +299,7 @@ def _lattice_pieces(L) -> list:
         c_e = linalg.nullspace(F, ann1, ncols=q)
         pieces += [(rank_one_label(0, -e), (u,)) for u in a_e if span0.add(u)]
         pieces += [(rank_one_label(1, -e), (w,)) for w in c_e if span1.add(w)]
-        span = _Span(F)
+        span = linalg.Echelon(F)
         for v in [u + zero1 for u in a_e] + [zero0 + w for w in c_e]:
             span.add(v)
         for _, u, w in live:
@@ -313,46 +312,6 @@ def _lattice_pieces(L) -> list:
     if live:
         raise DecompositionFailure("a diagonal bar is still alive at the top jump")
     return pieces
-
-
-class _Span:
-    """A growing subspace, kept as a semi-echelon basis in insertion order.
-
-    The rows hold ints, as in ``linalg.rref``: over Q each row is a
-    primitive integer multiple of its vector, and a new vector is reduced by
-    cross-multiplying with each pivot row; over F_p each row is reduced mod p
-    with its pivot entry scaled to 1.  A row only stands for the line it
-    spans, so which vectors are new is what reduced rows of exact rationals
-    (ints where integral, Fractions elsewhere) would give.
-    """
-
-    def __init__(self, F):
-        self.p, self.rows = F.p, []  # (pivot, row)
-
-    def add(self, v) -> bool:
-        """Add v; returns whether it was outside the span."""
-        p = self.p
-        w = list(v) if p else linalg._integer_row(v)
-        for piv, row in self.rows:
-            c = w[piv]
-            if not c:
-                continue
-            if p:
-                w = [(a - c * b) % p for a, b in zip(w, row)]
-            else:
-                d = row[piv]
-                w = [d * a - c * b for a, b in zip(w, row)]
-                g = gcd(*w)
-                if g > 1:
-                    w = [a // g for a in w]
-        piv = next((i for i, c in enumerate(w) if c), None)
-        if piv is None:
-            return False
-        if p:
-            inv = pow(w[piv], p - 2, p)
-            w = [a * inv % p for a in w]
-        self.rows.append((piv, w))
-        return True
 
 
 # ---------------------------------------------------------------------------

@@ -25,10 +25,6 @@ class ComposabilityError(ZdinftyError):
     """Attempted to compose maps whose endpoints do not match."""
 
 
-class Degree2NotSupported(ZdinftyError):
-    """Yoneda product of two degree-one classes was requested."""
-
-
 class ShapeMismatch(ZdinftyError):
     """A map or class does not have the endpoints an operation requires."""
 

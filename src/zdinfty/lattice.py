@@ -16,6 +16,7 @@ from __future__ import annotations
 from bisect import bisect_right
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import groupby
 from typing import Iterable, Sequence
 
 from . import linalg
@@ -157,26 +158,14 @@ def canonicalize(field: FieldSpec, gens: Iterable, p: int, q: int) -> GradedLatt
     for _, d in gens:
         if len(d) != r:
             raise DimensionMismatch(f"direction of length {len(d)}, ambient rank {r}")
-    if r == 0:
-        return GradedLattice(field, 0, 0, ())
-    if not gens:
-        raise NotFullRank("no generators for a positive-rank ambient space")
     gens.sort(key=lambda g: g[0])
+    span = linalg.Echelon(field)
     steps = []
-    acc: list = []
-    i = 0
-    while i < len(gens):
-        jump = gens[i][0]
-        while i < len(gens) and gens[i][0] == jump:
-            acc.append(gens[i][1])
-            i += 1
-        basis, _ = linalg.rref(field, acc)
-        if basis and (not steps or len(basis) > len(steps[-1][1])):
-            steps.append((jump, basis))
-        acc = list(basis)
-    if not steps or len(steps[-1][1]) != r:
-        got = len(steps[-1][1]) if steps else 0
-        raise NotFullRank(f"generators span a rank-{got} subspace of k^{r}")
+    for jump, group in groupby(gens, key=lambda g: g[0]):
+        if any([span.add(d) for _, d in group]):
+            steps.append((jump, span.reduced()[0]))
+    if len(span) != r:
+        raise NotFullRank(f"generators span a rank-{len(span)} subspace of k^{r}")
     return GradedLattice(field, p, q, tuple(steps))
 
 

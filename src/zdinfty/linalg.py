@@ -7,7 +7,9 @@ it is integral, a :class:`~fractions.Fraction` otherwise, never a float;
 scalars compare by value, so the type never changes a result.  Subspaces
 are kept as reduced-echelon bases (each basis vector a row, pivots chosen at
 the lowest coordinate index), which makes every canonical form bit-identical
-across runs.
+across runs.  Every elimination runs on one kernel, :class:`Echelon`: a
+growing subspace kept as mutually reduced int rows, which ``rref``, the
+lattice canonical forms and the Krull-Schmidt sweep all feed.
 """
 
 from __future__ import annotations
@@ -117,7 +119,7 @@ def trace(F: FieldSpec, A: Sequence) -> Scalar:
 def _integer_row(row: Sequence) -> Sequence:
     """The primitive integer multiple of a row of rationals.  A row of ints,
     the common case, skips the denominators and comes back as it is unless
-    it has a content to divide out (``rref`` never writes into a row)."""
+    it has a content to divide out (``Echelon`` never writes into a row)."""
     if not all(type(a) is int for a in row):
         den = lcm(*[a.denominator for a in row])
         row = [a.numerator * (den // a.denominator) for a in row]
@@ -125,63 +127,97 @@ def _integer_row(row: Sequence) -> Sequence:
     return [a // g for a in row] if g > 1 else row
 
 
+def _cancel(p: int | None, w: list, row: list, col: int) -> list:
+    """``w`` with its entry at ``col`` cancelled against ``row``'s pivot there.
+
+    Over F_p the pivot entry is 1 and the step is a subtraction mod p.  Over
+    Q both rows are primitive int rows: ``w`` is cross-multiplied with the
+    pivot entry and its content divided out, so it stays primitive.
+    """
+    c = w[col]
+    if p:
+        return [(a - c * b) % p for a, b in zip(w, row)]
+    d = row[col]
+    w = [d * a - c * b for a, b in zip(w, row)]
+    g = gcd(*w)
+    return [a // g for a in w] if g > 1 else w
+
+
+class Echelon:
+    """A growing subspace, kept as a reduced basis of int rows.
+
+    This is the one elimination kernel: ``rref``, lattice canonical forms
+    and the Krull-Schmidt sweep all run on it.  Over Q each row is a
+    primitive integer multiple of its vector (``_integer_row``), and only
+    ``reduced`` turns rows back into rationals; over F_p each row is reduced
+    mod p with its pivot entry 1.  Every stored row is zero at every other
+    row's pivot, so sorted by pivot the rows are the reduced echelon form up
+    to scaling, and the reduced echelon form is unique: both fields give
+    the field-generic result.
+    """
+
+    def __init__(self, F: FieldSpec):
+        self.p = F.p
+        self.rows: list = []  # (pivot, row), in insertion order
+
+    def __len__(self) -> int:
+        return len(self.rows)
+
+    def add(self, v: Sequence) -> bool:
+        """Add ``v``; returns whether it was outside the span.
+
+        ``v`` is cancelled at each stored pivot.  A new vector's pivot is its
+        first nonzero entry, and it is cleared from the stored rows.
+        """
+        p, rows = self.p, self.rows
+        w = list(v) if p else _integer_row(v)
+        for piv, row in rows:
+            if w[piv]:
+                w = _cancel(p, w, row, piv)
+        for piv, c in enumerate(w):
+            if c:
+                break
+        else:
+            return False
+        if p and c != 1:
+            inv = pow(c, p - 2, p)
+            w = [a * inv % p for a in w]
+        for k, (col, row) in enumerate(rows):
+            if row[piv]:
+                rows[k] = (col, _cancel(p, row, w, piv))
+        rows.append((piv, w))
+        return True
+
+    def reduced(self) -> tuple[Matrix, tuple[int, ...]]:
+        """The reduced echelon basis rows, sorted by pivot, and their pivots.
+
+        Over Q each row is divided by its pivot entry (``_rational_row``)."""
+        if not self.rows:
+            return (), ()
+        pairs = sorted(self.rows)  # the pivots are distinct
+        cols, red = zip(*pairs)
+        if not self.p:
+            red = [_rational_row(row, row[col]) for col, row in pairs]
+        return tuple(map(tuple, red)), cols
+
+
 def rref(F: FieldSpec, rows: Iterable[Sequence]) -> tuple[Matrix, tuple[int, ...]]:
     """Reduced row-echelon form.
 
-    Returns the nonzero rows and the pivot column of each row.  Pivots are
-    found scanning columns left to right, so they sit at the lowest possible
-    coordinate indices.
-
-    Over Q the elimination is fraction-free: each row is cleared of its
-    denominators once, a row is updated by cross-multiplying with the pivot
-    row and dividing out its content, and only the returned rows are turned
-    back into rationals (each divided by its pivot entry, an ``int`` where
-    the quotient is integral, a Fraction elsewhere).  Over F_p the same
-    loop runs on ints reduced modulo p, with each pivot row scaled to 1.  The
-    reduced echelon form is unique, so both give the field-generic result.
+    Returns the nonzero rows and the pivot column of each row.  The pivot of
+    each row is the lowest coordinate index it can take.  The rows are fed
+    to one :class:`Echelon`, so over Q the elimination is fraction-free and
+    only the returned rows are rationals (an ``int`` where the quotient by
+    the pivot entry is integral, a Fraction elsewhere); over F_p it runs on
+    ints reduced modulo p.
     """
-    p = F.p
-    work = [list(r) if p else _integer_row(r) for r in rows]
-    if not work:
-        return (), ()
-    ncols = len(work[0])
-    for r in work:
-        if len(r) != ncols:
+    rows = list(rows)
+    ech = Echelon(F)
+    for r in rows:
+        if len(r) != len(rows[0]):
             raise DimensionMismatch("rows of differing length")
-    nrows = len(work)
-    pivots: list[int] = []
-    rank = 0
-    for col in range(ncols):
-        for piv in range(rank, nrows):
-            if work[piv][col]:
-                break
-        else:
-            continue
-        prow = work[piv]
-        work[piv] = work[rank]
-        d = prow[col]
-        if p:
-            inv = pow(d, p - 2, p)
-            prow = [a * inv % p for a in prow]
-        work[rank] = prow
-        for i, row in enumerate(work):
-            c = row[col]
-            if not c or i == rank:
-                continue
-            if p:
-                work[i] = [(a - c * b) % p for a, b in zip(row, prow)]
-            else:
-                row = [d * a - c * b for a, b in zip(row, prow)]
-                g = gcd(*row)
-                work[i] = [a // g for a in row] if g > 1 else row
-        pivots.append(col)
-        rank += 1
-        if rank == nrows:
-            break
-    red = work[:rank]
-    if not p:
-        red = [_rational_row(row, row[col]) for row, col in zip(red, pivots)]
-    return tuple(map(tuple, red)), tuple(pivots)
+        ech.add(r)
+    return ech.reduced()
 
 
 def _rational_row(row: list, d: int) -> list:

@@ -1,8 +1,10 @@
 """Differential test of the elimination kernel against the field-generic oracle.
 
-``linalg.rref`` runs fraction-free on integers over Q and on ints modulo p
-over F_p; ``oracle_rref.rref`` is the plain Gauss-Jordan loop over field
-operations.  Every routine built on the kernel (nullspace, solve, inverse,
+``linalg.Echelon``, the kernel under ``linalg.rref``, runs fraction-free on
+integers over Q and on ints modulo p over F_p; ``oracle_rref.rref`` is the
+plain Gauss-Jordan loop over field operations.  An ``Echelon`` fed one row
+at a time must report rank growth and give the oracle's reduced form after
+every row.  Every routine built on the kernel (nullspace, solve, inverse,
 rank, span) is run once with each and must give exactly the same result,
 with every F_p entry an int in [0, p) and every Q entry an exact rational:
 an ``int`` when its value is integral and a ``Fraction`` when it is not,
@@ -94,6 +96,28 @@ def test_kernel_matches_generic_elimination(F, data):
                 assert type(x) is (int if x.denominator == 1 else Fraction)
             else:
                 assert type(x) is int and 0 <= x < F.p
+
+
+@pytest.mark.parametrize("F", FIELDS, ids=str)
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_echelon_matches_generic_elimination_after_each_add(F, data):
+    A, _ = data.draw(matrices(F))
+    ech = linalg.Echelon(F)
+    for k, row in enumerate(A):
+        before = len(oracle_rref.rref(F, A[:k])[0])
+        arg = list(row)
+        grew = ech.add(arg)
+        want = oracle_rref.rref(F, A[: k + 1])
+        assert grew == (len(want[0]) > before)
+        assert ech.reduced() == want
+        assert len(ech) == len(want[0])
+        assert arg == list(row)
+    for x in _entries(ech.reduced()[0]):
+        if F.p is None:
+            assert type(x) is (int if x.denominator == 1 else Fraction)
+        else:
+            assert type(x) is int and 0 <= x < F.p
 
 
 def _lcm_form(row):
