@@ -9,6 +9,11 @@ The canonical form stores, for each jump, the cumulative subspace as a
 reduced-echelon basis with pivots at the lowest coordinate indices.  Two
 lattices are equal as embedded submodules exactly when their canonical forms
 are identical.
+
+The lattice is freely generated by x^(e_j) dir_j, so the inverse G^-1 of the
+generator matrix answers every filtration query: row k of G^-1 is the dual
+functional g*_k, and v lies in S_d exactly when g*_k(v) = 0 for every k past
+dim S_d.  Annihilators, membership, ``degree_of`` and meets all read G^-1.
 """
 
 from __future__ import annotations
@@ -22,7 +27,7 @@ from typing import Iterable, Sequence
 from . import linalg
 from .errors import DimensionMismatch, NotFullRank
 from .fields import FieldSpec, check_same_field
-from .linalg import Matrix, Vector
+from .linalg import Matrix
 
 
 @dataclass(frozen=True)
@@ -76,36 +81,18 @@ class GradedLattice:
     def dim_at(self, d: int) -> int:
         return len(self.subspace_at(d))
 
-    @cached_property
-    def _annihilators(self) -> dict:
-        """Step index to the annihilator of that step, filled in on first use
-        (two threads that race on a step store equal values)."""
-        return {}
-
     def annihilator_at(self, d: int) -> Matrix:
-        """Basis of the vectors u with u . v = 0 for every v in S_d (all of
-        k^r below the first jump), computed once per step."""
-        idx = bisect_right(self._jumps, d)
-        if idx not in self._annihilators:
-            basis = self.subspace_at(d)
-            self._annihilators[idx] = linalg.nullspace(self.field, basis, self.rank)
-        return self._annihilators[idx]
-
-    @cached_property
-    def _step_pivots(self) -> tuple:
-        """The pivot columns of each step's echelon basis, found once per lattice."""
-        return tuple(_pivots(self.field, basis) for _, basis in self.steps)
-
-    def pivots_at(self, d: int) -> tuple:
-        """Pivot columns of the echelon basis ``subspace_at(d)``."""
-        idx = bisect_right(self._jumps, d)
-        return self._step_pivots[idx - 1] if idx else ()
+        """The dual functionals g*_k for k >= dim S_d: rows of
+        ``generator_inverse`` whose common kernel is S_d (all of k^r below
+        the first jump, none from the top jump on)."""
+        return self.generator_inverse[self.dim_at(d):]
 
     @cached_property
     def _generators(self) -> tuple:
         out = []
         prev_pivots: set = set()
-        for (jump, basis), pivots in zip(self.steps, self._step_pivots):
+        for jump, basis in self.steps:
+            pivots = _pivots(self.field, basis)
             for row, piv in zip(basis, pivots):
                 if piv not in prev_pivots:
                     out.append((jump, row))
@@ -183,12 +170,9 @@ def from_filtration(field: FieldSpec, p: int, q: int, pieces: Sequence) -> Grade
 
 
 def membership(L: GradedLattice, v: GradedVector) -> bool:
-    """Whether the homogeneous element lies in the lattice."""
-    if len(v.coords) != L.rank:
-        raise DimensionMismatch(f"vector length {len(v.coords)}, ambient rank {L.rank}")
-    if linalg.is_zero_vector(L.field, v.coords):
-        return True
-    return linalg.in_span(L.field, L.subspace_at(v.degree), L.pivots_at(v.degree), v.coords)
+    """Whether the homogeneous element lies in the lattice: whether its
+    adapted coordinates past ``L.dim_at(v.degree)`` vanish."""
+    return adapted_coords(L, v.coords, v.degree) is not None
 
 
 def contains(outer: GradedLattice, inner: GradedLattice) -> bool:
@@ -211,24 +195,14 @@ def lattice_intersect(L1: GradedLattice, L2: GradedLattice) -> GradedLattice:
     check_same_field(L1.field, L2.field)
     if (L1.p, L1.q) != (L2.p, L2.q):
         raise DimensionMismatch("lattices in different ambient spaces")
-    F = L1.field
+    F, r = L1.field, L1.rank
     degrees = sorted({j for j, _ in L1.steps} | {j for j, _ in L2.steps})
     pieces = []
     for d in degrees:
-        w = intersect_rowspaces(F, L1.subspace_at(d), L2.subspace_at(d))
+        # S_d of the meet is where the annihilators of both S_d vanish
+        w = linalg.nullspace(F, L1.annihilator_at(d) + L2.annihilator_at(d), r)
         pieces.append((d, w))
     return from_filtration(F, L1.p, L1.q, pieces)
-
-
-def intersect_rowspaces(F: FieldSpec, A: Sequence, B: Sequence) -> Matrix:
-    """Echelon basis of (row space of A, intersected with row space of B)."""
-    if not A or not B:
-        return ()
-    n = len(A[0])
-    # a-coefficients solving sum a_i A_i - sum b_j B_j = 0
-    stacked = linalg.transpose(tuple(A) + tuple(linalg.mat_scale(F, F.neg(F.one), B)))
-    combos = tuple(ker[: len(A)] for ker in linalg.nullspace(F, stacked))
-    return linalg.span(F, linalg.mm(F, combos, A, len(A), n))
 
 
 def shift_lattice(L: GradedLattice, s: int) -> GradedLattice:
@@ -260,12 +234,12 @@ def adapted_coords(L: GradedLattice, v: Sequence, degree: int):
 def degree_of(L: GradedLattice, v: Sequence):
     """The least jump d with ``v`` in S_d, or None when ``v`` is zero.
 
-    S_d only changes at the jumps, and every vector lies in the top step
-    k^r, so the first step whose echelon basis spans ``v`` gives d.
+    The generators are sorted by jump, and S_d is spanned by those with
+    jump at most d, so d is the jump of the last generator on which ``v``
+    has a nonzero adapted coordinate.
     """
     if len(v) != L.rank:
         raise DimensionMismatch(f"vector length {len(v)}, ambient rank {L.rank}")
-    if not any(v):
-        return None
-    steps = zip(L.steps, L._step_pivots)
-    return next(d for (d, basis), pivots in steps if linalg.in_span(L.field, basis, pivots, v))
+    gamma = linalg.mat_vec(L.field, L.generator_inverse, v)
+    last = max((k for k, c in enumerate(gamma) if c), default=None)
+    return None if last is None else L.generators()[last][0]

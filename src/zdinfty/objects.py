@@ -310,8 +310,6 @@ def injective_resolution(X: CObject):
         "lattice part embeds in its localization; "
         "each torsion generator maps to its divisible hull in the same degree"
     )
-    if X.is_zero():
-        return desc, InjectiveProfile(0, 0, ()), InjectiveProfile(0, 0, ())
     return desc, i0, i1
 
 

@@ -4,7 +4,9 @@ This is the computation that ``decomp.decompose`` and
 ``objects.direct_sum_many`` replaced: the elder-rule sweep keeps its spans as
 Fraction rows reduced with ``linalg.reduce_against``, every direct sum is the
 canonical form of the embedded generators of its inputs, and the certificate
-inverts the whole lattice matrix and the torsion matrix.  The sweep itself is
+inverts the whole lattice matrix and the torsion matrix.  Each step's
+annihilator is a nullspace of its echelon basis and membership reduces
+against that basis, not the inverse generator matrix.  The sweep itself is
 unchanged, so its pieces, and hence the factors and the isomorphism, must
 agree with ``decompose`` entry for entry.
 """
@@ -13,8 +15,10 @@ from zdinfty import linalg
 from zdinfty.decomp import label_to_object, rank_one_label, rank_two_label, wing
 from zdinfty.errors import DecompositionFailure
 from zdinfty.homext import morphism_from_parts
-from zdinfty.lattice import GradedLattice, GradedVector, canonicalize, membership
+from zdinfty.lattice import GradedLattice, GradedVector, canonicalize
 from zdinfty.objects import CObject, TorsionPart, rank_one, rank_two, torsion_cyclic
+
+from oracle_membership import step_membership
 
 
 def random_invertible(F, rng, n):
@@ -134,7 +138,7 @@ def lattice_pieces(L) -> list:
     span0, span1 = _Span(F), _Span(F)
     live = []  # (birth, u, w), elder first
     for e, rows in L.steps:
-        ann = L.annihilator_at(e)
+        ann = linalg.nullspace(F, rows, L.rank)
         ann0 = tuple(n[:p] for n in ann)
         ann1 = tuple(n[p:] for n in ann)
         if live:
@@ -180,7 +184,7 @@ def is_isomorphism(m, target) -> bool:
     if linalg.inverse(F, full) is None or linalg.inverse(F, m.tt) is None:
         return False
     return all(
-        membership(target.lattice, GradedVector(e, linalg.mat_vec(F, full, dir)))
+        step_membership(target.lattice, GradedVector(e, linalg.mat_vec(F, full, dir)))
         for e, dir in m.src.lattice.generators()
     )
 

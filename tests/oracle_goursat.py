@@ -16,7 +16,17 @@ F0 (F1) summands born at e number the growth of A (C) at e less the deaths.
 """
 
 from zdinfty import linalg
-from zdinfty.lattice import intersect_rowspaces
+
+
+def intersect_rowspaces(F, A, B):
+    """Echelon basis of (row space of A, intersected with row space of B):
+    the a-parts of the kernel of the stacked system a.A - b.B = 0."""
+    if not A or not B:
+        return ()
+    n = len(A[0])
+    stacked = linalg.transpose(tuple(A) + tuple(linalg.mat_scale(F, F.neg(F.one), B)))
+    combos = tuple(ker[: len(A)] for ker in linalg.nullspace(F, stacked))
+    return linalg.span(F, linalg.mm(F, combos, A, len(A), n))
 
 
 def goursat_counts(L) -> dict:

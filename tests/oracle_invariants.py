@@ -15,7 +15,9 @@ from zdinfty import linalg
 from zdinfty.decomp import Filtration, rank_one_label
 from zdinfty.errors import NotLatticeMorphism, ZdinftyError
 from zdinfty.homext import compose, hom_space, morphism_vector
-from zdinfty.lattice import GradedVector, membership
+from zdinfty.lattice import GradedVector
+
+from oracle_membership import step_membership
 
 
 # ---------------------------------------------------------------------------
@@ -84,7 +86,7 @@ def singularity_index(X) -> int:
     gens = X.lattice.generators()
     spread = X.lattice.max_jump() - X.lattice.min_jump()
     for n in range(0, spread + 2):
-        if all(membership(X.lattice, _v_image(F, X, e, dir, n)) for e, dir in gens):
+        if all(step_membership(X.lattice, _v_image(F, X, e, dir, n)) for e, dir in gens):
             return n
     raise ZdinftyError("stability bound exceeded on a full-rank lattice")
 
@@ -101,9 +103,9 @@ def y_linearity_bound(f, bound: int = 64) -> int:
             vn_gen = _v_image(F, X, e, dir, n)
             vn_image = _v_image(F, Y, e, linalg.mat_vec(F, full, dir), n)
             if (
-                not membership(X.lattice, vn_gen)
+                not step_membership(X.lattice, vn_gen)
                 or linalg.mat_vec(F, full, vn_gen.coords) != vn_image.coords
-                or not membership(Y.lattice, vn_image)
+                or not step_membership(Y.lattice, vn_image)
             ):
                 ok = False
                 break

@@ -1,9 +1,31 @@
-"""Brute-force membership oracle: solvability of the k[x]-linear system.
+"""Membership oracles that do not read the inverse generator matrix.
 
-Decides v in the module generated by x^jump_j * dir_j by solving for
-bounded-degree polynomial coefficients c_j(x), one linear equation per
-ambient coordinate per degree.  Independent of the filtration-based path.
+``kx_membership`` decides v in the module generated by x^jump_j * dir_j by
+solving for bounded-degree polynomial coefficients c_j(x), one linear
+equation per ambient coordinate per degree.  ``step_membership`` and
+``step_degree`` reduce v against the echelon basis of each step, as
+``lattice.membership`` and ``lattice.degree_of`` did before they read the
+adapted coordinates.
 """
+
+from zdinfty import linalg
+
+
+def _in_step(F, basis, v) -> bool:
+    rows, pivots = linalg.rref(F, basis)
+    return linalg.in_span(F, rows, pivots, v)
+
+
+def step_membership(L, v) -> bool:
+    """Whether the GradedVector ``v`` lies in S_(v.degree) of ``L``."""
+    return _in_step(L.field, L.subspace_at(v.degree), v.coords)
+
+
+def step_degree(L, v):
+    """The first jump whose step spans ``v``, or None when ``v`` is zero."""
+    if not any(v):
+        return None
+    return next(d for d, basis in L.steps if _in_step(L.field, basis, v))
 
 def kx_membership(field, gens, degree, coords, max_coeff_degree=None):
     """Whether x^degree * coords = sum c_j(x) x^jump_j dir_j is solvable."""

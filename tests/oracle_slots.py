@@ -12,7 +12,8 @@ generator's torsion image with one gather: ``adapted_coords`` solves for the
 coordinates, the x-power on torsion slots is a dense 0/1 matrix, and
 ``compose``, ``serre_twist_morphism`` and ``class_after_morphism`` sum the
 moved images generator by generator.  ``hom_kx_space`` solves for all
-rank x rank unknowns instead of the block-diagonal ones.
+rank x rank unknowns instead of the block-diagonal ones, with each step's
+annihilator a nullspace of its echelon basis.
 """
 
 from __future__ import annotations
@@ -258,7 +259,7 @@ def hom_kx_space(X, Y) -> tuple:
         return ()
     rows = []
     for e, dir in X.lattice.generators():
-        for u in Y.lattice.annihilator_at(e):
+        for u in linalg.nullspace(F, Y.lattice.subspace_at(e), rr):
             row = [F.zero] * (rr * r)
             for i in range(rr):
                 for k in range(r):
