@@ -33,8 +33,13 @@ summands alive at both degrees (``_ft_image``).
 
 Coordinates need no solve either.  Every Ext basis class is a one at a
 free position, off the pivots or off the hit slots, so ``ExtSpace`` counts
-and reads those positions and builds its classes only on demand, and the
-Serre Gram matrix selects entries of the Hom basis there (``_gram``).  Every
+and reads those positions, in block widths fixed when it is built, and
+builds its classes only on demand.  ``HomSpace`` likewise stores counts and
+positions: the lattice maps as (a00, a11) pairs, the compatible torsion
+pairs, and the target torsion slots at each source generator's jump.  Its
+dimension is their count, and it builds its maps only when ``basis`` is
+read.  The Serre Gram matrix selects entries of the stored lattice maps at
+the free positions (``_gram``), so ``serre_check`` builds no map.  Every
 Hom basis map is a nullspace vector or a unit torsion map, with a one at its
 last nonzero entry where the others vanish; ``HomSpace.coordinates`` reads
 the entries there.
@@ -316,13 +321,42 @@ def validate_morphism(m: Morphism) -> None:
 
 @dataclass(frozen=True)
 class HomSpace:
+    """Hom(src, dst) as what spans it: the lattice maps as (a00, a11) pairs,
+    the compatible torsion pairs (k, i), and per source lattice generator the
+    number of target torsion slots at its jump.  ``dim`` counts them; the
+    basis maps are built only when ``basis`` is read."""
+
     src: CObject
     dst: CObject
-    basis: tuple
+    lattice_maps: tuple  # (a00, a11) per lattice basis map
+    torsion_pairs: tuple  # (target k, source i) per compatible pair of summands
+    ft_widths: tuple  # per src lattice generator: dst torsion slots at its jump
 
     @property
     def dim(self) -> int:
-        return len(self.basis)
+        return len(self.lattice_maps) + len(self.torsion_pairs) + sum(self.ft_widths)
+
+    @cached_property
+    def basis(self) -> tuple:
+        """The lattice maps, then one unit map per compatible torsion pair,
+        then one per lattice-generator-to-torsion slot, built on first read.
+        Every map after the lattice maps is zero on the lattice; its zero
+        blocks, and the zero ft of the torsion maps, are built once and shared."""
+        X, Y = self.src, self.dst
+        F = X.field
+        basis = [morphism_from_parts(X, Y, a00, a11) for a00, a11 in self.lattice_maps]
+        nt, ns = len(Y.torsion.summands), len(X.torsion.summands)
+        a00, a11 = linalg.zeros(F, Y.p, X.p), linalg.zeros(F, Y.q, X.q)
+        ft = tuple((F.zero,) * width for width in self.ft_widths)
+        for k, i in self.torsion_pairs:
+            tt = linalg.unit_matrix(F, nt, ns, [(k, i)])
+            basis.append(Morphism(X, Y, a00, a11, tt, ft))
+        tt = linalg.zeros(F, nt, ns)
+        for j, zero in enumerate(ft):
+            for s in range(len(zero)):
+                unit = zero[:s] + (F.one,) + zero[s + 1:]
+                basis.append(Morphism(X, Y, a00, a11, tt, ft[:j] + (unit,) + ft[j + 1:]))
+        return tuple(basis)
 
     @cached_property
     def _units(self) -> tuple:
@@ -333,13 +367,18 @@ class HomSpace:
 
     def coordinates(self, m: Morphism) -> tuple:
         """Coefficients of a morphism in the basis: its entries at the unit
-        positions, checked by one product."""
-        if (m.src, m.dst) != (self.src, self.dst):
+        positions, checked by one product once its blocks fit the layout."""
+        X, Y = self.src, self.dst
+        if (m.src, m.dst) != (X, Y):
             raise ShapeMismatch("morphism is not in this Hom space")
-        flat, units = self._units
+        nt, ns = len(Y.torsion.summands), len(X.torsion.summands)
+        shape = tuple(tuple(map(len, block)) for block in (m.a00, m.a11, m.tt, m.ft))
+        if shape != ((X.p,) * Y.p, (X.q,) * Y.q, (ns,) * nt, self.ft_widths):
+            raise ShapeMismatch("morphism blocks do not match the Hom space's layout")
         v = morphism_vector(m)
+        flat, units = self._units
         coords = tuple(v[i] for i in units)
-        if linalg.mm(self.src.field, (coords,), flat, len(flat), len(v))[0] != v:
+        if linalg.mm(X.field, (coords,), flat, len(flat), len(v))[0] != v:
             raise ZdinftyError("morphism escapes the Hom basis")
         return coords
 
@@ -391,36 +430,18 @@ def _constant_matrix_solutions(X: CObject, Y: CObject) -> tuple:
 
 
 def hom_space(X: CObject, Y: CObject) -> HomSpace:
-    """Basis of the category Hom: block-diagonal lattice maps, one torsion
-    map per compatible pair of summands, and free-generator images in the
-    target torsion."""
+    """The category Hom, counted: the block-diagonal lattice maps, one
+    torsion map per compatible pair of summands, and one free-generator image
+    per target torsion slot at the generator's jump.  Only the lattice maps
+    need a solve; no basis map is built here (see ``HomSpace.basis``)."""
     check_same_field(X.field, Y.field)
-    F = X.field
-    basis = []
-    # lattice part
-    for a00, a11 in _constant_matrix_solutions(X, Y):
-        basis.append(morphism_from_parts(X, Y, a00, a11))
     S, T = X.torsion, Y.torsion
-    if not T.summands:
-        return HomSpace(X, Y, tuple(basis))
-    # every other basis map lands in the target torsion and is zero on the
-    # lattice; its zero blocks, and the zero ft of the torsion maps, are
-    # built once and shared
-    a00, a11 = linalg.zeros(F, Y.p, X.p), linalg.zeros(F, Y.q, X.q)
-    ft = tuple((F.zero,) * T.dim_at(jump) for jump, _ in X.lattice.generators())
-    # torsion to torsion: one scalar per compatible pair of summands
-    for k in range(len(T.summands)):
-        for i in range(len(S.summands)):
-            if torsion_compatible(S, i, T, k):
-                tt = linalg.unit_matrix(F, len(T.summands), len(S.summands), [(k, i)])
-                basis.append(Morphism(X, Y, a00, a11, tt, ft))
-    # lattice generators into target torsion
-    tt = linalg.zeros(F, len(T.summands), len(S.summands))
-    for j, zero in enumerate(ft):
-        for s in range(len(zero)):
-            unit = zero[:s] + (F.one,) + zero[s + 1:]
-            basis.append(Morphism(X, Y, a00, a11, tt, ft[:j] + (unit,) + ft[j + 1:]))
-    return HomSpace(X, Y, tuple(basis))
+    pairs = tuple(
+        (k, i) for k in range(len(T.summands)) for i in range(len(S.summands))
+        if torsion_compatible(S, i, T, k)
+    )
+    widths = tuple(T.dim_at(jump) for jump, _ in X.lattice.generators())
+    return HomSpace(X, Y, _constant_matrix_solutions(X, Y), pairs, widths)
 
 
 # ---------------------------------------------------------------------------
@@ -457,30 +478,24 @@ class ExtClass:
 
 @dataclass(frozen=True)
 class ExtSpace:
-    """Ext(src, dst) as its two reductions; the canonical basis is the unit
-    classes at the free positions, built only when ``basis`` is read."""
+    """Ext(src, dst) as its two reductions and the block widths they act on,
+    fixed by ``ext_space``; the canonical basis is the unit classes at the
+    free positions, built only when ``basis`` is read."""
 
     src: CObject
     dst: CObject
     ff_reduction: tuple  # (echelon rows, pivots) of the off-diagonal image
     tor_reduction: tuple  # per src torsion summand: (rows, pivots)
-
-    def _layout(self) -> tuple:
-        """Per block of a class (see ``_class``): its width, echelon rows and pivots."""
-        X, Y = self.src, self.dst
-        widths = [Y.q * X.p + Y.p * X.q] + [Y.module_dim_at(n - a) for n, a in X.torsion.summands]
-        return tuple(zip(widths, (self.ff_reduction,) + self.tor_reduction))
+    widths: tuple  # per block of a class (see ``_class``): its length
+    dim: int  # the free positions: the widths less the pivots
 
     def _free(self) -> tuple:
         """Per block, the positions off its pivots."""
+        reductions = (self.ff_reduction,) + self.tor_reduction
         return tuple(
             tuple(sorted(set(range(width)).difference(pivots)))
-            for width, (_, pivots) in self._layout()
+            for width, (_, pivots) in zip(self.widths, reductions)
         )
-
-    @property
-    def dim(self) -> int:
-        return sum(width - len(pivots) for width, (_, pivots) in self._layout())
 
     def _class(self, blocks) -> ExtClass:
         """The class with the given blocks: the flattened off-diagonal
@@ -489,11 +504,20 @@ class ExtSpace:
         h01, h10 = _unflatten_offdiag(X.field, blocks[0], X.p, X.q, Y.p, Y.q)
         return ExtClass(X, Y, h01, h10, tuple(blocks[1:]))
 
+    def _blocks(self, h01, h10, tor) -> tuple:
+        """The blocks of a class's data, checked against the layout."""
+        X, Y = self.src, self.dst
+        tor = tuple(tor)
+        shape = (tuple(map(len, h01)), tuple(map(len, h10)), tuple(map(len, tor)))
+        if shape != ((X.p,) * Y.q, (X.q,) * Y.p, self.widths[1:]):
+            raise ShapeMismatch("class blocks do not match the Ext space's layout")
+        return (_flatten_offdiag(h01, h10),) + tor
+
     @cached_property
     def basis(self) -> tuple:
         """The unit classes at the free positions, built on first read."""
         F = self.src.field
-        zero = tuple((F.zero,) * width for width, _ in self._layout())
+        zero = tuple((F.zero,) * width for width in self.widths)
         return tuple(
             self._class(zero[:b] + (zero[b][:k] + (F.one,) + zero[b][k + 1:],) + zero[b + 1:])
             for b, free in enumerate(self._free())
@@ -503,7 +527,7 @@ class ExtSpace:
     def reduce(self, h01, h10, tor) -> ExtClass:
         """Canonical representative of the class with the given raw data."""
         F = self.src.field
-        blocks = (_flatten_offdiag(h01, h10),) + tuple(tor)
+        blocks = self._blocks(h01, h10, tor)
         return self._class([
             linalg.reduce_against(F, rows, pivots, v)
             for v, (rows, pivots) in zip(blocks, (self.ff_reduction,) + self.tor_reduction)
@@ -514,7 +538,7 @@ class ExtSpace:
         at the free positions, once those at the pivots are checked zero."""
         if (c.src, c.dst) != (self.src, self.dst):
             raise ShapeMismatch("class is not in this Ext space")
-        blocks = (_flatten_offdiag(c.h01, c.h10),) + tuple(c.tor)
+        blocks = self._blocks(c.h01, c.h10, c.tor)
         reductions = (self.ff_reduction,) + self.tor_reduction
         if any(v[k] for v, (_, pivots) in zip(blocks, reductions) for k in pivots):
             raise ZdinftyError("class representative is not reduced")
@@ -590,13 +614,16 @@ def ext_space(X: CObject, Y: CObject) -> ExtSpace:
                     image_vectors.append(vec)
     ff_reduction = linalg.rref(F, image_vectors) if image_vectors else ((), ())
 
-    tor_reduction = []
+    tor_reduction, widths = [], [n_off]
+    dim = n_off - len(ff_reduction[1])
     for n, a in X.torsion.summands:
         image = tuple(k for k, _ in Y.xpower_slots(-a, n - a))
-        rows = linalg.unit_matrix(F, len(image), Y.module_dim_at(n - a), enumerate(image))
-        tor_reduction.append((rows, image))
+        width = Y.module_dim_at(n - a)
+        tor_reduction.append((linalg.unit_matrix(F, len(image), width, enumerate(image)), image))
+        widths.append(width)
+        dim += width - len(image)
 
-    return ExtSpace(X, Y, ff_reduction, tuple(tor_reduction))
+    return ExtSpace(X, Y, ff_reduction, tuple(tor_reduction), tuple(widths), dim)
 
 
 def zero_class(X: CObject, Y: CObject) -> ExtClass:
@@ -729,8 +756,10 @@ def _gram(hom: HomSpace, ext: ExtSpace, flipped: bool = False) -> tuple:
 
     Each class (torsion-free source) is a one at a free position h01[i][k]
     or h10[i][k], and tr(B . A) sums B[i][k] A[k][i]; so it pairs with a map
-    m by entry [k][i] of m.a00 or m.a11, swapped when m follows the class
-    (flipped).  Rows run over Hom, or over Ext when flipped.
+    by entry [k][i] of its a00 or a11, swapped when the map follows the
+    class (flipped).  Between torsion-free objects every Hom basis map is a
+    lattice map, so the entries are read off the stored (a00, a11) pairs and
+    no map is built.  Rows run over Hom, or over Ext when flipped.
     """
     X, Y = ext.src, ext.dst
     n01 = Y.q * X.p
@@ -738,12 +767,10 @@ def _gram(hom: HomSpace, ext: ExtSpace, flipped: bool = False) -> tuple:
         (0, *divmod(k, X.p)) if k < n01 else (1, *divmod(k - n01, X.q))
         for k in ext._free()[0]
     ]
-
-    def row(m):
-        blocks = (m.a11, m.a00) if flipped else (m.a00, m.a11)
-        return tuple(blocks[b][k][i] for b, i, k in cells)
-
-    rows = tuple(row(m) for m in hom.basis)
+    rows = tuple(
+        tuple(blocks[b][k][i] for b, i, k in cells)
+        for blocks in (m[::-1] if flipped else m for m in hom.lattice_maps)
+    )
     if flipped:
         return tuple(zip(*rows)) if rows else ((),) * len(cells)
     return rows

@@ -1,14 +1,25 @@
-"""Torsion-to-torsion Hom by a dense solve: the reference for the closed form.
+"""References for ``homext.hom_space``.
 
-Unknowns are the entries of one matrix per degree where both torsion parts
-are alive (target slots x source slots); the rows force x . M_d = M_{d+1} . x
-at every degree of the source.  The kernel, from ``linalg.nullspace``, is a
-basis of the degree-zero k[x]-module maps between the torsion parts.  This
-is the solve ``homext.hom_space`` ran before it read the maps off the
-summands' bars; it is kept here only to check that closed form.
+``torsion_hom_basis`` is torsion-to-torsion Hom by a dense solve: unknowns
+are the entries of one matrix per degree where both torsion parts are alive
+(target slots x source slots); the rows force x . M_d = M_{d+1} . x at every
+degree of the source.  The kernel, from ``linalg.nullspace``, is a basis of
+the degree-zero k[x]-module maps between the torsion parts.  This is the
+solve ``hom_space`` ran before it read the maps off the summands' bars; it
+is kept here only to check that closed form.
+
+``eager_hom_basis`` builds every basis map up front, as ``hom_space`` did
+before it stored the maps as counts and positions and built them only when
+``HomSpace.basis`` is read; it is kept here only to check that order.
 """
 
 from zdinfty import linalg
+from zdinfty.homext import (
+    Morphism,
+    _constant_matrix_solutions,
+    morphism_from_parts,
+    torsion_compatible,
+)
 
 from oracle_slots import torsion_xpower
 
@@ -69,3 +80,35 @@ def torsion_hom_basis(X, Y) -> tuple:
         }
         for vec in kernel
     )
+
+
+def eager_hom_basis(X, Y) -> tuple:
+    """The category Hom basis, every map built at once: the lattice maps,
+    one unit map per compatible torsion pair, then one per target torsion
+    slot at each source generator's jump."""
+    F = X.field
+    basis = []
+    # lattice part
+    for a00, a11 in _constant_matrix_solutions(X, Y):
+        basis.append(morphism_from_parts(X, Y, a00, a11))
+    S, T = X.torsion, Y.torsion
+    if not T.summands:
+        return tuple(basis)
+    # every other basis map lands in the target torsion and is zero on the
+    # lattice; its zero blocks, and the zero ft of the torsion maps, are
+    # built once and shared
+    a00, a11 = linalg.zeros(F, Y.p, X.p), linalg.zeros(F, Y.q, X.q)
+    ft = tuple((F.zero,) * T.dim_at(jump) for jump, _ in X.lattice.generators())
+    # torsion to torsion: one scalar per compatible pair of summands
+    for k in range(len(T.summands)):
+        for i in range(len(S.summands)):
+            if torsion_compatible(S, i, T, k):
+                tt = linalg.unit_matrix(F, len(T.summands), len(S.summands), [(k, i)])
+                basis.append(Morphism(X, Y, a00, a11, tt, ft))
+    # lattice generators into target torsion
+    tt = linalg.zeros(F, len(T.summands), len(S.summands))
+    for j, zero in enumerate(ft):
+        for s in range(len(zero)):
+            unit = zero[:s] + (F.one,) + zero[s + 1:]
+            basis.append(Morphism(X, Y, a00, a11, tt, ft[:j] + (unit,) + ft[j + 1:]))
+    return tuple(basis)
