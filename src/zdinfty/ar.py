@@ -25,6 +25,7 @@ from .fields import FieldSpec
 from .homext import (
     ExtClass,
     Morphism,
+    diag_blocks,
     ext_space,
     hom_space,
     morphism_degreewise,
@@ -51,7 +52,6 @@ from .objects import (
     CObject,
     TorsionPart,
     direct_sum,
-    model_of,
     module_xpower,
     serre_twist,
     shift,
@@ -91,18 +91,23 @@ def extension_object(c: ExtClass) -> ShortExactSeq:
     return _general_extension(c)
 
 
-def _lattice_extension(c: ExtClass) -> ShortExactSeq:
+def _twisted_frame(c: ExtClass):
+    """(Z, embY, embX, gens): the direct sum Z of Y and X, the embeddings of
+    their ambient coordinates, and the middle's generators, Y's embedded and
+    then X's (e, dir) twisted to (e, (embX + embY A) dir), A = ``offdiag_full``."""
     F = c.src.field
     X, Y = c.src, c.dst
     Z, embY, embX, _, _ = direct_sum(Y, X)
-    A = offdiag_full(c)
-    gens = []
-    for e, dir in Y.lattice.generators():
-        gens.append((e, linalg.mat_vec(F, embY, dir)))
-    for e, dir in X.lattice.generators():
-        twisted = linalg.mat_vec(F, embY, linalg.mat_vec(F, A, dir))
-        vec = linalg.vec_add(F, twisted, linalg.mat_vec(F, embX, dir))
-        gens.append((e, vec))
+    twist = linalg.mat_add(F, embX, linalg.mm(F, embY, offdiag_full(c), Y.rank, X.rank))
+    gens = [(e, linalg.mat_vec(F, embY, dir)) for e, dir in Y.lattice.generators()]
+    gens += [(e, linalg.mat_vec(F, twist, dir)) for e, dir in X.lattice.generators()]
+    return Z, embY, embX, gens
+
+
+def _lattice_extension(c: ExtClass) -> ShortExactSeq:
+    F = c.src.field
+    X, Y = c.src, c.dst
+    Z, embY, embX, gens = _twisted_frame(c)
     E = CObject(F, TorsionPart(()), canonicalize(F, gens, Z.p, Z.q))
     inject = sum_inclusion(E, Y, embY, {})
     surject = sum_projection(E, X, embX, {})
@@ -110,45 +115,29 @@ def _lattice_extension(c: ExtClass) -> ShortExactSeq:
 
 
 def _general_extension(c: ExtClass) -> ShortExactSeq:
+    """The middle as a window module: degreewise Y + X, with x twisted by the
+    class on each torsion summand of X, and charted at the top degree by the
+    twisted frame (there the slots are Y's generators, then X's, in order)."""
     F = c.src.field
     X, Y = c.src, c.dst
-    loX, hiX = window_bounds(X)
-    loY, hiY = window_bounds(Y)
+    (loX, hiX), (loY, hiY) = window_bounds(X), window_bounds(Y)
     lo, hi = min(loX, loY), max(hiX, hiY)
-    wmY, chartY = model_of(Y, lo, hi)
-    wmX, chartX = model_of(X, lo, hi)
-    Z, embY, embX, _, _ = direct_sum(Y, X)
+    Z, _, _, gens = _twisted_frame(c)
 
-    dims = tuple(wmY.dim_at(d) + wmX.dim_at(d) for d in range(lo, hi + 1))
+    dims = tuple(Y.module_dim_at(d) + X.module_dim_at(d) for d in range(lo, hi + 1))
     xmaps = []
     for d in range(lo, hi):
-        ny, ny1 = wmY.dim_at(d), wmY.dim_at(d + 1)
-        nx, nx1 = wmX.dim_at(d), wmX.dim_at(d + 1)
-        xy, xx = wmY.xmap(d), wmX.xmap(d)
-        rows = []
-        for i in range(ny1):
-            row = list(xy[i]) + [F.zero] * nx
-            rows.append(row)
-        for i in range(nx1):
-            rows.append([F.zero] * ny + list(xx[i]))
+        ny, nx = Y.module_dim_at(d), X.module_dim_at(d)
+        rows = [list(row) + [F.zero] * nx for row in module_xpower(Y, d, d + 1)]
+        rows += [[F.zero] * ny + list(row) for row in module_xpower(X, d, d + 1)]
         # the class twists the top of each torsion summand of X into Y
         for t, (n, a) in enumerate(X.torsion.summands):
             if d == n - a - 1:
                 col = ny + X.torsion_slot(t, d)
-                for i in range(ny1):
-                    rows[i][col] = F.add(rows[i][col], c.tor[t][i])
+                for row, entry in zip(rows, c.tor[t]):
+                    row[col] = F.add(row[col], entry)
         xmaps.append(tuple(map(tuple, rows)))
-    A = offdiag_full(c)
-    chart_cols = []
-    for t in range(wmY.dim_at(hi)):
-        col = tuple(chartY[i][t] for i in range(Y.rank))
-        chart_cols.append(linalg.mat_vec(F, embY, col))
-    for t in range(wmX.dim_at(hi)):
-        col = tuple(chartX[i][t] for i in range(X.rank))
-        vec = linalg.mat_vec(F, embX, col)
-        vec = linalg.vec_add(F, vec, linalg.mat_vec(F, embY, linalg.mat_vec(F, A, col)))
-        chart_cols.append(vec)
-    chart = linalg.transpose(chart_cols) if chart_cols else ()
+    chart = linalg.transpose([dir for _, dir in gens])
     wmE = window.WindowModule(F, lo, hi, dims, tuple(xmaps))
     summands, lat, phi_inv = window.reconstruct_parts(wmE, chart, Z.p, Z.q)
     E = CObject(F, TorsionPart(summands), lat)
@@ -158,12 +147,8 @@ def _general_extension(c: ExtClass) -> ShortExactSeq:
     if any(m is None for m in phi.values()):
         raise ZdinftyError("no equivariant isomorphism onto the canonical middle")
 
-    psi_in = {}
-    psi_out = {}
-    for d in range(lo, hi + 1):
-        ny = wmY.dim_at(d)
-        psi_in[d] = tuple(tuple(row[:ny]) for row in phi[d])
-        psi_out[d] = phi_inv[d][ny:]
+    psi_in = {d: tuple(row[: Y.module_dim_at(d)] for row in phi[d]) for d in phi}
+    psi_out = {d: phi_inv[d][Y.module_dim_at(d):] for d in phi}
     inject = morphism_from_degreewise(Y, E, psi_in, lo, hi)
     surject = morphism_from_degreewise(E, X, psi_out, lo, hi)
     return ShortExactSeq(Y, E, X, inject, surject, c)
@@ -172,27 +157,13 @@ def _general_extension(c: ExtClass) -> ShortExactSeq:
 def morphism_from_degreewise(src: CObject, dst: CObject, psi, lo: int, hi: int) -> Morphism:
     """Recover blockwise morphism data from degreewise slot matrices."""
     F = src.field
-    if src.rank > 0:
-        Gd = dst.lattice.generator_matrix() if dst.rank > 0 else ()
-        # ambient block matrix from the top of the window
-        M = linalg.mm(
-            F,
-            linalg.mm(F, Gd, psi[hi], dst.rank, src.rank) if dst.rank else (),
-            src.lattice.generator_inverse,
-            src.rank,
-            src.rank,
-        )
-        a00 = tuple(tuple(M[i][k] for k in range(src.p)) for i in range(dst.p))
-        a11 = tuple(
-            tuple(M[dst.p + i][src.p + k] for k in range(src.q)) for i in range(dst.q)
-        )
-        for i in range(dst.rank):
-            for k in range(src.rank):
-                if (i < dst.p) != (k < src.p) and not F.is_zero(M[i][k]):
-                    raise ShapeMismatch("degreewise map is not type-diagonal")
-    else:
-        a00 = linalg.zeros(F, dst.p, 0)
-        a11 = linalg.zeros(F, dst.q, 0)
+    # ambient block matrix from the top of the window
+    top = linalg.mm(F, dst.lattice.generator_matrix(), psi[hi], dst.rank, src.rank)
+    M = linalg.mm(F, top, src.lattice.generator_inverse, src.rank, src.rank)
+    h01, h10 = offdiag_blocks(M, src, dst)
+    if any(not F.is_zero(x) for row in h01 + h10 for x in row):
+        raise ShapeMismatch("degreewise map is not type-diagonal")
+    a00, a11 = diag_blocks(M, src, dst)
     # torsion scalars: each source summand's column at its birth degree
     S, T = src.torsion, dst.torsion
     tt = [[F.zero] * len(S.summands) for _ in T.summands]
@@ -262,25 +233,25 @@ def class_of_sequence(inject: Morphism, surject: Morphism) -> ExtClass:
 
 
 def _left_inverse(F, B, nrows, ncols):
-    out = []
-    Bt = [[B[i][k] for i in range(nrows)] for k in range(ncols)]
-    for i in range(ncols):
-        target = tuple(F.one if k == i else F.zero for k in range(ncols))
-        w = linalg.solve(F, Bt, target) if ncols else ()
-        if w is None:
-            raise ZdinftyError("inclusion has no type-diagonal retraction")
-        out.append(tuple(w))
-    return out
+    """A left inverse of the nrows x ncols matrix B, zero off B's pivot rows
+    (the pivots of the rows of B transposed), where it is the inverse of
+    those rows of B."""
+    _, pivots = linalg.rref(F, linalg.transpose(B))
+    if len(pivots) < ncols:
+        raise ZdinftyError("inclusion has no type-diagonal retraction")
+    inv = linalg.inverse(F, [B[i] for i in pivots])
+    cols = dict(zip(pivots, linalg.transpose(inv)))
+    return linalg.transpose([cols.get(i, (F.zero,) * ncols) for i in range(nrows)])
 
 
-def verify_exact(seq: ShortExactSeq, pad: int = 1) -> None:
-    """Degreewise check: mono, epi, image equals kernel."""
+def verify_exact(seq: ShortExactSeq) -> None:
+    """Degreewise check (mono, epi, image equals kernel) on a window one degree
+    wider, at each end, than the bounds of the three objects."""
     F = seq.left.field
-    lows = [window_bounds(o)[0] for o in (seq.left, seq.middle, seq.right) if not o.is_zero()]
-    highs = [window_bounds(o)[1] for o in (seq.left, seq.middle, seq.right) if not o.is_zero()]
-    if not lows:
+    bounds = [window_bounds(o) for o in (seq.left, seq.middle, seq.right) if not o.is_zero()]
+    if not bounds:
         return
-    lo, hi = min(lows) - pad, max(highs) + pad
+    lo, hi = min(b[0] for b in bounds) - 1, max(b[1] for b in bounds) + 1
     for d in range(lo, hi + 1):
         mi = morphism_degreewise(seq.inject, d)
         ms = morphism_degreewise(seq.surject, d)

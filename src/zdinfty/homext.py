@@ -95,15 +95,10 @@ class Morphism:
     ft: tuple  # per src lattice generator: vector over dst torsion slots
 
     def full_matrix(self) -> tuple:
-        F = self.src.field
-        p, q = self.src.p, self.src.q
-        pp, qq = self.dst.p, self.dst.q
-        rows = []
-        for i in range(pp):
-            rows.append(tuple(self.a00[i]) + tuple(F.zero for _ in range(q)))
-        for i in range(qq):
-            rows.append(tuple(F.zero for _ in range(p)) + tuple(self.a11[i]))
-        return tuple(rows)
+        z = self.src.field.zero
+        return tuple(row + (z,) * self.src.q for row in self.a00) + tuple(
+            (z,) * self.src.p + row for row in self.a11
+        )
 
     def tt_at(self, d: int) -> tuple:
         """The torsion block in degree d: tt on the summands alive there."""
@@ -198,32 +193,20 @@ def _ft_image(m: Morphism, gamma, d: int) -> tuple:
 
 def sum_inclusion(big: CObject, factor: CObject, embed, tmap) -> Morphism:
     """Inclusion of one direct summand, from the embedding data."""
-    F = big.field
-    a00 = tuple(tuple(embed[i][k] for k in range(factor.p)) for i in range(big.p))
-    a11 = tuple(
-        tuple(embed[big.p + i][factor.p + k] for k in range(factor.q))
-        for i in range(big.q)
-    )
     tt = linalg.unit_matrix(
-        F, len(big.torsion.summands), len(factor.torsion.summands),
+        big.field, len(big.torsion.summands), len(factor.torsion.summands),
         ((k, i) for i, k in tmap.items()),
     )
-    return morphism_from_parts(factor, big, a00, a11, tt)
+    return morphism_from_parts(factor, big, *diag_blocks(embed, factor, big), tt)
 
 
 def sum_projection(big: CObject, factor: CObject, embed, tmap) -> Morphism:
-    """Projection of a direct sum onto one summand."""
-    F = big.field
-    a_full = linalg.transpose(embed)
-    a00 = tuple(tuple(a_full[i][k] for k in range(big.p)) for i in range(factor.p))
-    a11 = tuple(
-        tuple(a_full[factor.p + i][big.p + k] for k in range(big.q))
-        for i in range(factor.q)
+    """Projection of a direct sum onto one summand: the inclusion's three
+    blocks transposed."""
+    inc = sum_inclusion(big, factor, embed, tmap)
+    return morphism_from_parts(
+        big, factor, *(linalg.transpose(b) for b in (inc.a00, inc.a11, inc.tt))
     )
-    tt = linalg.unit_matrix(
-        F, len(factor.torsion.summands), len(big.torsion.summands), tmap.items()
-    )
-    return morphism_from_parts(big, factor, a00, a11, tt)
 
 
 def serre_twist_morphism(f: Morphism) -> Morphism:
@@ -234,11 +217,10 @@ def serre_twist_morphism(f: Morphism) -> Morphism:
     """
     X, Y = f.src, f.dst
     VX, VY = serre_twist(X), serre_twist(Y)
-    p = X.p
     ft = []
     for ep, dirp in VX.lattice.generators():
         # undo the coordinate swap and the shift to land back in X
-        dir = tuple(dirp[VX.p + i] if i < p else dirp[i - p] for i in range(X.rank))
+        dir = dirp[VX.p:] + dirp[:VX.p]
         gamma = adapted_coords(X.lattice, dir, ep - 1)
         if gamma is None:
             raise ZdinftyError("twisted generator escapes the original lattice")
@@ -261,9 +243,7 @@ def serre_twist_class(c: ExtClass) -> "ExtClass":
     for i, (n, a) in enumerate(X.torsion.summands):
         h = n - a
         amb = Y.lattice_vector(h, c.tor[i])
-        swapped = tuple(
-            amb[Y.p + t] if t < Y.q else amb[t - Y.q] for t in range(Y.rank)
-        )
+        swapped = amb[Y.p:] + amb[:Y.p]
         gamma = adapted_coords(VY.lattice, swapped, h + 1)
         if gamma is None:
             raise ZdinftyError("twisted representative escapes the filtration")
@@ -568,6 +548,15 @@ def offdiag_blocks(A, X: CObject, Y: CObject) -> tuple:
     h01 = tuple(tuple(A[pp + i][k] for k in range(p)) for i in range(qq))
     h10 = tuple(tuple(A[i][p + k] for k in range(q)) for i in range(pp))
     return h01, h10
+
+
+def diag_blocks(A, X: CObject, Y: CObject) -> tuple:
+    """The diagonal blocks (a00, a11) of a full Y.rank x X.rank matrix: type-0
+    rows on type-0 columns, and type-1 rows on type-1 columns."""
+    return (
+        tuple(tuple(row[: X.p]) for row in A[: Y.p]),
+        tuple(tuple(row[X.p:]) for row in A[Y.p:]),
+    )
 
 
 def offdiag_full(c: ExtClass) -> tuple:

@@ -317,8 +317,10 @@ def injective_resolution(X: CObject):
 # window models and presentations
 
 
-def window_bounds(X: CObject, pad_low: int = 0, pad_high: int = 1):
-    """A degree window on which X is fully visible and stable at the top."""
+def window_bounds(X: CObject):
+    """A degree window (lo, hi) on which X is fully visible and stable at the
+    top: lo is the least jump or torsion degree, and hi is one past the
+    largest, so the torsion is dead at hi; (0, 1) for the zero object."""
     lows = [j for j, _ in X.lattice.steps]
     highs = list(lows)
     td = X.torsion.min_degree()
@@ -327,7 +329,7 @@ def window_bounds(X: CObject, pad_low: int = 0, pad_high: int = 1):
         highs.append(X.torsion.max_degree())
     if not lows:
         return (0, 1)
-    return (min(lows) - pad_low, max(highs) + pad_high)
+    return (min(lows), max(highs) + 1)
 
 
 def module_xpower(X: CObject, d_from: int, d_to: int) -> tuple:

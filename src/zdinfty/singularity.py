@@ -106,12 +106,13 @@ def ring_v(field: FieldSpec, m: int) -> RmElement:
     return RmElement(m, Poly.monomial(field, 1, m), Poly.zero(field))
 
 
-def _v_image(F: FieldSpec, obj: CObject, e: int, dir, n: int):
-    """The element v_n . (x^e dir): degree e+n, type-1 part killed."""
+def _v_image(F: FieldSpec, obj: CObject, e: int, dir):
+    """The type-0 part (dir0, 0) of the generator x^e dir, in degree e;
+    v_n carries the generator to it n degrees up."""
     coords = tuple(
         dir[i] if i < obj.p else F.zero for i in range(obj.rank)
     )
-    return GradedVector(e + n, coords)
+    return GradedVector(e, coords)
 
 
 def _lag(L, v: GradedVector) -> int:
@@ -133,7 +134,7 @@ def singularity_index(X: CObject) -> int:
     F = X.field
     L = X.lattice
     return max(
-        (_lag(L, _v_image(F, X, e, dir, 0)) for e, dir in L.generators()),
+        (_lag(L, _v_image(F, X, e, dir)) for e, dir in L.generators()),
         default=0,
     )
 
@@ -153,8 +154,8 @@ def y_linearity_bound(f: Morphism) -> int:
     full = f.full_matrix()
     bound = 0
     for e, dir in X.lattice.generators():
-        v_gen = _v_image(F, X, e, dir, 0)
-        v_image = _v_image(F, Y, e, linalg.mat_vec(F, full, dir), 0)
+        v_gen = _v_image(F, X, e, dir)
+        v_image = _v_image(F, Y, e, linalg.mat_vec(F, full, dir))
         if linalg.mat_vec(F, full, v_gen.coords) != v_image.coords:
             raise ZdinftyError("the morphism does not commute with v")
         bound = max(bound, _lag(X.lattice, v_gen), _lag(Y.lattice, v_image))
