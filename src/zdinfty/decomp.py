@@ -8,7 +8,10 @@ an F[m, a], and the lines of A_d and C_d = S_d & V1 left over by the bars'
 deaths are the F0[a] and F1[a].  One elder-rule sweep over the jumps finds
 the bars and a type-split basis adapted to them, which is the isomorphism
 from the direct sum of the factors (Zomorodian and Carlsson, "Computing
-Persistent Homology", 2005).
+Persistent Homology", 2005).  ``decompose`` keeps the basis as each factor's
+columns and certifies the isomorphism on them, with the conditions
+``is_isomorphism`` checks on a map; the direct sum and the map are built
+only when ``Decomposition.iso`` is read.
 
 The other invariants are read off canonical forms too: ``identify`` takes
 the degrees of the two coordinate vectors from ``lattice.degree_of``,
@@ -20,6 +23,7 @@ off the unit basis of ``hom_space``.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 from . import linalg
 from .errors import (
@@ -165,33 +169,59 @@ def end_ring(X: CObject) -> EndRing:
 
 @dataclass(frozen=True)
 class Decomposition:
-    factors: tuple  # sorted IndecLabels
-    iso: Morphism  # from the direct sum of the factors onto the input
+    """``pieces`` pairs each factor's label, sorted, with what places it in
+    ``obj``: its columns (u,) for F0, (w,) for F1 and (u, w) for F[m, a], or
+    the index of its torsion summand for T[n, a].  ``decompose`` has
+    certified them; ``iso``, from the direct sum of the factors onto
+    ``obj``, is built from them on first read."""
+
+    obj: CObject
+    pieces: tuple
+
+    @property
+    def factors(self) -> tuple:
+        return tuple(label for label, _ in self.pieces)
 
     @property
     def factor_multiset(self):
         return tuple(sorted(f.sort_key() for f in self.factors))
 
+    @cached_property
+    def iso(self) -> Morphism:
+        return split_isomorphism(self.obj, self.pieces)
+
 
 def decompose(X: CObject) -> Decomposition:
-    """Split into indecomposables with an explicit isomorphism.
+    """Split into indecomposables, with a certified isomorphism.
 
     Torsion factors are read off the stored summands.  The lattice part is
     split by one elder-rule sweep over its jumps (``_lattice_pieces``), which
     also yields a type-split basis of the ambient space adapted to the
-    factors.  The isomorphism from the direct sum of the factors places each
-    basis vector at its summand's coordinate and is certified invertible
-    onto X.  No Hom space is solved.  Raises DecompositionFailure only if the
-    sweep or the certificate fails (a bug signal).
+    factors.  The certificate runs here, on those columns
+    (``pieces_certified``), with the conditions ``is_isomorphism`` checks on
+    a map; the direct sum and the isomorphism onto X are built only when
+    ``iso`` is read.  No Hom space is solved.  Raises DecompositionFailure
+    only if the sweep or the certificate fails (a bug signal).
     """
-    F = X.field
     if X.is_zero():
-        return Decomposition((), identity_morphism(X))
+        return Decomposition(X, ())
     pieces = [(wing(n, a), idx) for idx, (n, a) in enumerate(X.torsion.summands)]
     pieces += _lattice_pieces(X.lattice)
     pieces.sort(key=lambda t: t[0].sort_key())
-    factors = tuple(label for label, _ in pieces)
-    big, embeds = direct_sum_many([label_to_object(F, lbl) for lbl in factors])
+    if not pieces_certified(X, pieces):
+        raise DecompositionFailure("the split columns do not give an isomorphism")
+    return Decomposition(X, tuple(pieces))
+
+
+def split_isomorphism(X: CObject, pieces) -> Morphism:
+    """The map onto X from the direct sum of the pieces' factors, in the
+    pieces' order: it places each column at its factor's coordinate and
+    sends each torsion factor to the summand of X it names.  The identity
+    when there are no pieces (X is zero)."""
+    F = X.field
+    if not pieces:
+        return identity_morphism(X)
+    big, embeds = direct_sum_many([label_to_object(F, label) for label, _ in pieces])
     cols0, cols1 = [None] * big.p, [None] * big.q
     ones = []  # (summand of X, summand of big) for each wing
     for (label, part), (embed, tmap) in zip(pieces, embeds):
@@ -204,56 +234,109 @@ def decompose(X: CObject) -> Decomposition:
                 cols0[i] = col
             else:
                 cols1[i - big.p] = col
-    iso = morphism_from_parts(
+    return morphism_from_parts(
         big,
         X,
         linalg.transpose(cols0),
         linalg.transpose(cols1),
         linalg.unit_matrix(F, len(X.torsion.summands), len(big.torsion.summands), ones),
     )
-    if not is_isomorphism(iso, X):
-        raise DecompositionFailure("assembled map is not an isomorphism")
-    return Decomposition(factors, iso)
+
+
+def pieces_certified(X: CObject, pieces) -> bool:
+    """Whether ``split_isomorphism(X, pieces)`` is an isomorphism onto X,
+    decided with no sum and no map built.
+
+    The sum's torsion summands are the wings' (n, a), sorted; its jumps are
+    -a for F0[a] and F1[a] and -a, m - a for F[m, a]; its p and q count the
+    u and w columns, which a00 and a11 hold in some order.  The torsion
+    block has one one per wing, in distinct columns, so its rank counts the
+    distinct summands the wings name.  The sum's generators are u + w at -a
+    and w at m - a for F[m, a], u at -a for F0[a] and w at -a for F1[a], and
+    the map sends each to that vector padded with zeros.
+    """
+    zero0, zero1 = (X.field.zero,) * X.p, (X.field.zero,) * X.q
+    summands, jumps, us, ws, named, images = [], [], [], [], set(), []
+    for label, part in pieces:
+        if label.kind == "wing":
+            summands.append(label.params)
+            named.add(part)
+            continue
+        a = label.params[1]
+        jumps.append(-a)
+        if label.kind == "rank_two":
+            m, (u, w) = label.params[0], part
+            us.append(u)
+            ws.append(w)
+            jumps.append(m - a)
+            images += [(-a, u + w), (m - a, zero0 + w)]
+        elif label.params[0] == 0:
+            us.append(part[0])
+            images.append((-a, part[0] + zero1))
+        else:
+            ws.append(part[0])
+            images.append((-a, zero0 + part[0]))
+    return _isomorphism_conditions(
+        X, tuple(sorted(summands)), jumps, (len(us), len(ws)), (us, ws), len(named), images
+    )
 
 
 def is_isomorphism(m: Morphism, target: CObject) -> bool:
-    """Whether the morphism is invertible onto the target.
-
-    The lattice part is the block-diagonal matrix ``full_matrix()`` with
-    diagonal blocks ``m.a00`` and ``m.a11``, and a block-diagonal matrix is
-    invertible iff each diagonal block is square and invertible: so the
-    source and target need the same (p, q), and each block full rank.
-
-    The torsion part is invertible in every degree exactly when the one
-    matrix ``m.tt`` is: with the source and target summands equal, order
-    them by (birth, death).  A compatible pair (k, i) has k born no later
-    and dead no later than i, so ``m.tt`` is block upper triangular with one
-    diagonal block per group of equal summands, and each ``tt_at(d)`` is the
-    principal submatrix on the groups alive at d.  Every group is alive
-    somewhere, so all the ``tt_at(d)`` are invertible iff all the diagonal
-    blocks are, iff ``m.tt`` is.
-    """
-    F = m.src.field
+    """Whether the morphism is invertible onto the target, by
+    ``_isomorphism_conditions``: the conditions ``decompose`` checks on its
+    columns (``pieces_certified``).  Each source generator's image is a00 on
+    its type-0 coordinates and a11 on its type-1 ones."""
     if m.dst != target:
         return False
-    if m.src.torsion.summands != target.torsion.summands:
+    F, X = m.src.field, m.src
+    images = (
+        (e, linalg.mat_vec(F, m.a00, dir[:X.p]) + linalg.mat_vec(F, m.a11, dir[X.p:]))
+        for e, dir in X.lattice.generators()
+    )
+    return _isomorphism_conditions(
+        target,
+        X.torsion.summands,
+        X.lattice.jump_list,
+        (X.p, X.q),
+        (m.a00, m.a11),
+        len(linalg.rref(F, m.tt)[0]),
+        images,
+    )
+
+
+def _isomorphism_conditions(target, summands, jumps, pq, blocks, tt_rank, images) -> bool:
+    """Whether a map onto ``target`` is invertible, from the source's torsion
+    summands, jumps and (p, q), the map's a00 and a11 (or their transposes),
+    the rank of its torsion block and the images (degree, vector) of the
+    source's generators.
+
+    A block-diagonal matrix is invertible iff each diagonal block is square
+    and invertible: so (p, q) must agree, and each block have full rank.
+
+    The torsion part is invertible in every degree exactly when the one
+    torsion matrix is: with the source and target summands equal, order
+    them by (birth, death).  A compatible pair (k, i) has k born no later
+    and dead no later than i, so the matrix is block upper triangular with
+    one diagonal block per group of equal summands, and the map in degree d
+    is the principal submatrix on the groups alive at d.  Every group is
+    alive somewhere, so all the degreewise maps are invertible iff all the
+    diagonal blocks are, iff the matrix is.
+
+    The map must send the filtration onto the filtration; with equal jump
+    multisets, each generator's image lying in the target at its jump
+    suffices.
+    """
+    F = target.field
+    if summands != target.torsion.summands:
         return False
-    if sorted(m.src.lattice.jump_list) != sorted(target.lattice.jump_list):
+    if sorted(jumps) != sorted(target.lattice.jump_list):
         return False
-    if (m.src.p, m.src.q) != (target.p, target.q):
+    if pq != (target.p, target.q) or tt_rank != len(summands):
         return False
-    n = len(target.torsion.summands)
-    for block, size in ((m.a00, target.p), (m.a11, target.q), (m.tt, n)):
+    for block, size in zip(blocks, pq):
         if len(linalg.rref(F, block)[0]) != size:
             return False
-    # the block matrix must map the filtration onto the filtration; with
-    # equal jump multisets a containment check suffices
-    full = m.full_matrix()
-    for e, dir in m.src.lattice.generators():
-        w = linalg.mat_vec(F, full, dir)
-        if not membership(target.lattice, GradedVector(e, w)):
-            return False
-    return True
+    return all(membership(target.lattice, GradedVector(e, v)) for e, v in images)
 
 
 def _lattice_pieces(L) -> list:

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import operator
 from dataclasses import dataclass
+from functools import cache
 from fractions import Fraction
 from typing import Union
 
@@ -156,7 +157,11 @@ class FieldSpec:
 QQ = FieldSpec()
 
 
+@cache
 def GF(p: int) -> FieldSpec:
+    """The prime field F_p, one instance per prime: Miller-Rabin runs once,
+    and objects built over it pass ``check_same_field`` by identity.  A
+    modulus that is not a prime raises and is not kept."""
     return FieldSpec(PRIME_FIELD, p)
 
 

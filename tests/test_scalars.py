@@ -1,10 +1,13 @@
 """Field axioms, exact matrix routines, polynomial arithmetic."""
 
+import pickle
+
 import pytest
 from fractions import Fraction
 from hypothesis import given, strategies as st
 
 from zdinfty import linalg
+from zdinfty.cli import parse_object
 from zdinfty.errors import FieldMismatch, RangeError, ZdinftyError
 from zdinfty.fields import GF, QQ, FieldSpec, check_same_field, parse_field
 from zdinfty.poly import Poly
@@ -61,6 +64,21 @@ def test_prime_moduli():
     for n in (3317044064679887385961981, 2**89 - 1):
         with pytest.raises(RangeError):
             FieldSpec("Fp", n)
+
+
+def test_gf_is_one_instance_per_prime():
+    # the primality test runs once per prime, and every object over one
+    # prime field shares its instance, so check_same_field sees identity
+    assert GF(7) is GF(7)
+    assert parse_field("Fp:10007") is parse_field("Fp:10007") is GF(10007)
+    assert parse_object("F[2,0] + T[1,0]", parse_field("Fp:7")).field is GF(7)
+    for _ in range(2):  # a rejected modulus is not kept
+        with pytest.raises(ZdinftyError, match="prime modulus"):
+            GF(4)
+    with pytest.raises(RangeError):
+        GF(2**89 - 1)
+    copy = pickle.loads(pickle.dumps(GF(7)))
+    assert copy == GF(7) and copy.p == 7 and copy.mul(3, 5) == 1
 
 
 def test_rref_and_nullspace():
