@@ -56,6 +56,7 @@ from .objects import (
     serre_twist,
     shift,
     sigma,
+    slot_events,
     window_bounds,
 )
 
@@ -117,16 +118,23 @@ def _lattice_extension(c: ExtClass) -> ShortExactSeq:
 def _general_extension(c: ExtClass) -> ShortExactSeq:
     """The middle as a window module: degreewise Y + X, with x twisted by the
     class on each torsion summand of X, and charted at the top degree by the
-    twisted frame (there the slots are Y's generators, then X's, in order)."""
+    twisted frame (there the slots are Y's generators, then X's, in order).
+
+    The window lists only the event degrees: lo, hi and the slot events of X
+    and Y.  Between two of them x is the slot identity; the class twists a
+    torsion summand of X from its last degree n - a - 1 into its death n - a,
+    which is an event.  So the sweep, the certificate and the maps cost the
+    same whatever the length of a bar."""
     F = c.src.field
     X, Y = c.src, c.dst
     (loX, hiX), (loY, hiY) = window_bounds(X), window_bounds(Y)
-    lo, hi = min(loX, loY), max(hiX, hiY)
+    degrees = tuple(sorted({min(loX, loY), max(hiX, hiY)} | slot_events(X) | slot_events(Y)))
     Z, _, _, gens = _twisted_frame(c)
 
-    dims = tuple(Y.module_dim_at(d) + X.module_dim_at(d) for d in range(lo, hi + 1))
+    dims = tuple(Y.module_dim_at(d) + X.module_dim_at(d) for d in degrees)
     xmaps = []
-    for d in range(lo, hi):
+    for e in degrees[1:]:
+        d = e - 1  # x steps from d into the listed degree e
         ny, nx = Y.module_dim_at(d), X.module_dim_at(d)
         rows = [list(row) + [F.zero] * nx for row in module_xpower(Y, d, d + 1)]
         rows += [[F.zero] * ny + list(row) for row in module_xpower(X, d, d + 1)]
@@ -138,27 +146,32 @@ def _general_extension(c: ExtClass) -> ShortExactSeq:
                     row[col] = F.add(row[col], entry)
         xmaps.append(tuple(map(tuple, rows)))
     chart = linalg.transpose([dir for _, dir in gens])
-    wmE = window.WindowModule(F, lo, hi, dims, tuple(xmaps))
+    wmE = window.WindowModule(F, degrees, dims, tuple(xmaps))
     summands, lat, phi_inv = window.reconstruct_parts(wmE, chart, Z.p, Z.q)
     E = CObject(F, TorsionPart(summands), lat)
-    # phi_inv carries the canonical model of E onto wmE; its inverse is the
-    # certificate that the two are isomorphic.
-    phi = {d: linalg.inverse(F, phi_inv[d]) for d in range(lo, hi + 1)}
+    # phi_inv carries the canonical model of E onto wmE; its inverse at every
+    # listed degree is the certificate that the two are isomorphic.
+    phi = {d: linalg.inverse(F, phi_inv[d]) for d in degrees}
     if any(m is None for m in phi.values()):
         raise ZdinftyError("no equivariant isomorphism onto the canonical middle")
 
-    psi_in = {d: tuple(row[: Y.module_dim_at(d)] for row in phi[d]) for d in phi}
-    psi_out = {d: phi_inv[d][Y.module_dim_at(d):] for d in phi}
-    inject = morphism_from_degreewise(Y, E, psi_in, lo, hi)
-    surject = morphism_from_degreewise(E, X, psi_out, lo, hi)
+    psi_in = {d: tuple(row[: Y.module_dim_at(d)] for row in phi[d]) for d in degrees}
+    psi_out = {d: phi_inv[d][Y.module_dim_at(d):] for d in degrees}
+    inject = morphism_from_degreewise(Y, E, psi_in)
+    surject = morphism_from_degreewise(E, X, psi_out)
     return ShortExactSeq(Y, E, X, inject, surject, c)
 
 
-def morphism_from_degreewise(src: CObject, dst: CObject, psi, lo: int, hi: int) -> Morphism:
-    """Recover blockwise morphism data from degreewise slot matrices."""
+def morphism_from_degreewise(src: CObject, dst: CObject, psi) -> Morphism:
+    """Recover blockwise morphism data from degreewise slot matrices.
+
+    ``psi`` maps each listed degree to the slot matrix there.  The listed
+    degrees must include a top one, where both lattices are stable, and
+    every lattice jump and torsion birth of src; only they are read and
+    checked."""
     F = src.field
     # ambient block matrix from the top of the window
-    top = linalg.mm(F, dst.lattice.generator_matrix(), psi[hi], dst.rank, src.rank)
+    top = linalg.mm(F, dst.lattice.generator_matrix(), psi[max(psi)], dst.rank, src.rank)
     M = linalg.mm(F, top, src.lattice.generator_inverse, src.rank, src.rank)
     h01, h10 = offdiag_blocks(M, src, dst)
     if any(not F.is_zero(x) for row in h01 + h10 for x in row):
@@ -180,11 +193,11 @@ def morphism_from_degreewise(src: CObject, dst: CObject, psi, lo: int, hi: int) 
         for j, (e, _) in enumerate(src.lattice.generators())
     )
     m = morphism_from_parts(src, dst, a00, a11, tt, ft)
-    for d in range(lo, hi + 1):
+    for d, block in psi.items():
         ns, nd = src.lattice.dim_at(d), dst.lattice.dim_at(d)
-        if any(not F.is_zero(c) for row in psi[d][:nd] for c in row[ns:]):
+        if any(not F.is_zero(c) for row in block[:nd] for c in row[ns:]):
             raise ShapeMismatch("torsion maps into the lattice part")
-        if tuple(tuple(row[ns:]) for row in psi[d][nd:]) != m.tt_at(d):
+        if tuple(tuple(row[ns:]) for row in block[nd:]) != m.tt_at(d):
             raise ShapeMismatch("torsion block is not the x-power of its birth degree")
     return m
 

@@ -111,7 +111,9 @@ class FieldSpec:
             object.__setattr__(self, name, value)
 
     def __reduce__(self):
-        return (FieldSpec, (self.kind, self.p))
+        """Pickle and deep-copy to the shared instance, QQ or GF(p), so the
+        copy passes ``check_same_field`` by identity and skips Miller-Rabin."""
+        return (GF, (self.p,)) if self.kind == PRIME_FIELD else (parse_field, (RATIONALS,))
 
     # The constants ``zero``/``one`` and the operations ``of_int``, ``add``,
     # ``sub``, ``mul``, ``neg`` and ``_div`` are bound on each instance above,

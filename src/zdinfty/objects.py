@@ -332,6 +332,13 @@ def window_bounds(X: CObject):
     return (min(lows), max(highs) + 1)
 
 
+def slot_events(X: CObject) -> set:
+    """The degrees d at which the slots of X differ from those at d - 1: its
+    lattice jumps and the births -a and deaths n - a of its torsion summands.
+    Between two of them x carries each slot to the same slot one degree up."""
+    return {j for j, _ in X.lattice.steps}.union(X.torsion._runs[0])
+
+
 def module_xpower(X: CObject, d_from: int, d_to: int) -> tuple:
     """Multiplication by x^(d_to - d_from), for d_to >= d_from, on the slots
     of X: the 0/1 matrix of ``X.xpower_slots``."""
@@ -354,7 +361,7 @@ def model_of(X: CObject, lo: int, hi: int):
         raise ZdinftyError("window top does not kill the torsion")
     dims = tuple(X.module_dim_at(d) for d in range(lo, hi + 1))
     xmaps = tuple(module_xpower(X, d, d + 1) for d in range(lo, hi))
-    wm = window.WindowModule(F, lo, hi, dims, xmaps)
+    wm = window.WindowModule(F, tuple(range(lo, hi + 1)), dims, xmaps)
     chart_cols = [dir for _, dir in X.lattice.generators()]
     chart = linalg.transpose(chart_cols) if chart_cols else ()
     return wm, chart

@@ -1,16 +1,19 @@
 """Degreewise models of graded modules on a finite degree window.
 
-A window module records, for degrees lo..hi, a basis dimension per degree and
-the multiplication-by-x matrices between consecutive degrees.  Together with
-a chart identifying the top degree with the ambient space k^r this is enough
-to recover the canonical torsion/lattice data of a finitely generated object:
-the lattice filtration is the image in the localization, and the torsion
-summands are the bars of the kernel's persistence module, found by one
-elder-rule sweep that also yields an isomorphism onto the canonical model.
+A window module records a graded module at listed degrees, with x the
+identity between them.  Together with a chart identifying the top degree
+with the ambient space k^r this is enough to recover the canonical
+torsion/lattice data of a finitely generated object: the lattice filtration
+is the image in the localization, and the torsion summands are the bars of
+the kernel's persistence module, found by one elder-rule sweep over the
+listed degrees that also yields an isomorphism onto the canonical model.
+A persistence module changes only at its critical values, so listing those
+is enough, and then the cost does not grow with the length of a bar.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
 
 from . import linalg
@@ -21,80 +24,106 @@ from .lattice import GradedLattice, from_filtration
 
 @dataclass(frozen=True)
 class WindowModule:
+    """The pieces of a graded module at the listed ``degrees``, ascending.
+
+    The piece at every degree from D[i] to D[i+1] - 1 is the one at D[i],
+    and x is the identity on it there; ``xmaps[i]`` is multiplication by x
+    from degree D[i+1] - 1 to D[i+1].  A contiguous window lists every
+    degree of [lo, hi], and then ``xmaps[i]`` runs from lo + i to lo + i + 1.
+    """
+
     field: FieldSpec
-    lo: int
-    hi: int
-    dims: tuple  # length hi - lo + 1
-    xmaps: tuple  # length hi - lo; xmaps[i]: degree lo+i -> lo+i+1
+    degrees: tuple  # ascending
+    dims: tuple  # dims[i]: dimension at degrees[i]
+    xmaps: tuple  # xmaps[i]: degree degrees[i+1] - 1 -> degrees[i+1]
 
     def __post_init__(self):
-        if len(self.dims) != self.hi - self.lo + 1:
-            raise ZdinftyError("window dimensions do not match the degree range")
-        if len(self.xmaps) != self.hi - self.lo:
-            raise ZdinftyError("window x-maps do not match the degree range")
+        if not self.degrees or any(a >= b for a, b in zip(self.degrees, self.degrees[1:])):
+            raise ZdinftyError("window degrees must be listed in ascending order")
+        if len(self.dims) != len(self.degrees):
+            raise ZdinftyError("window dimensions do not match the listed degrees")
+        if len(self.xmaps) != len(self.degrees) - 1:
+            raise ZdinftyError("window x-maps do not match the listed degrees")
+
+    @property
+    def lo(self) -> int:
+        return self.degrees[0]
+
+    @property
+    def hi(self) -> int:
+        return self.degrees[-1]
 
     def dim_at(self, d: int) -> int:
+        """Dimension at any degree d: the one at the last listed degree <= d."""
         if d < self.lo or d > self.hi:
             return 0
-        return self.dims[d - self.lo]
+        return self.dims[bisect_right(self.degrees, d) - 1]
 
     def xmap(self, d: int) -> tuple:
-        """Matrix of multiplication by x from degree d to d+1."""
+        """Matrix of multiplication by x from any degree d to d+1."""
         if d < self.lo or d >= self.hi:
             return linalg.zeros(self.field, self.dim_at(d + 1), self.dim_at(d))
-        return self.xmaps[d - self.lo]
+        i = bisect_right(self.degrees, d + 1) - 1
+        if self.degrees[i] == d + 1:
+            return self.xmaps[i - 1]
+        return linalg.identity(self.field, self.dims[i])
 
 
 def reconstruct_parts(wm: WindowModule, chart, p: int, q: int):
     """Recover (torsion summands, lattice, adapted basis) from a window model.
 
-    ``chart`` is an invertible r x dim(hi) matrix identifying the top degree
+    ``chart`` is an invertible r x dims[-1] matrix identifying the top degree
     with k^r; the window must reach high enough that all torsion is dead and
     the filtration has stabilized at the top.  The lattice is the filtration
     of the chart images.  The torsion is the persistence module of the
-    kernels K_d of the maps into the chart: one elder-rule sweep from low to
-    high degree splits it into bars, each a chain v, xv, x^2 v, ... that x
-    kills after its last degree.
+    kernels K_d of the maps into the chart: one elder-rule sweep over the
+    listed degrees, from low to high, splits it into bars, each a chain of
+    vectors v, x v, ... , one per listed degree, that x kills after its
+    last one.  A bar born at D[b] whose chain has c entries dies at
+    D[b + c], so its length is D[b + c] - D[b].
 
     Returns the sorted torsion summands (n, a), the canonical GradedLattice,
-    and ``basis``: per degree d, the matrix whose columns are the images in
-    ``wm`` of the slots of the canonical model at d, in the slot order of
-    ``objects.CObject``.  It commutes with x, the chart sends its top block
-    to the canonical generator directions, and each block is invertible.
+    and ``basis``: per listed degree d, the matrix whose columns are the
+    images in ``wm`` of the slots of the canonical model at d, in the slot
+    order of ``objects.CObject``.  It commutes with x, the chart sends its
+    top block to the canonical generator directions, and each block is
+    invertible.  Every lattice jump and torsion birth and death of the
+    canonical model is a listed degree.
     """
     F = wm.field
+    D, dims, xmaps = wm.degrees, wm.dims, wm.xmaps
+    top = len(D) - 1
     r = p + q
-    if wm.dim_at(wm.hi) != r or (r > 0 and linalg.inverse(F, chart) is None):
+    if dims[top] != r or (r > 0 and linalg.inverse(F, chart) is None):
         raise ZdinftyError("window chart is not an isomorphism onto k^r")
 
-    # Maps into the localization chart, degree by degree from the top.
-    to_chart = {wm.hi: chart}
-    for d in range(wm.hi - 1, wm.lo - 1, -1):
-        to_chart[d] = linalg.mm(F, to_chart[d + 1], wm.xmap(d), wm.dim_at(d + 1), wm.dim_at(d))
-    degrees = range(wm.lo, wm.hi + 1)
+    # Maps into the localization chart, listed degree by listed degree from the top.
+    to_chart = [chart] * len(D)
+    for i in range(top - 1, -1, -1):
+        to_chart[i] = linalg.mm(F, to_chart[i + 1], xmaps[i], dims[i + 1], dims[i])
     if r > 0:
-        lat = from_filtration(F, p, q, [(d, linalg.transpose(to_chart[d])) for d in degrees])
+        lat = from_filtration(F, p, q, [(d, linalg.transpose(m)) for d, m in zip(D, to_chart)])
     else:
         lat = GradedLattice(F, p, q, ())
 
-    bars = []  # finished (birth, chain of vectors from the birth degree on)
-    live = []  # bars alive at the previous degree, elder first
-    for d in degrees:
-        kernel = linalg.nullspace(F, to_chart[d], ncols=wm.dim_at(d))
-        if d == wm.hi and kernel:
+    bars = []  # finished (birth index, chain of vectors from the birth on)
+    live = []  # bars alive at the previous listed degree, elder first
+    for i in range(len(D)):
+        kernel = linalg.nullspace(F, to_chart[i], ncols=dims[i])
+        if i == top and kernel:
             raise ZdinftyError("torsion still alive at the top of the window")
         survivors, images = [], []
         for birth, chain in live:
-            image = linalg.mat_vec(F, wm.xmap(d - 1), chain[-1])
+            image = linalg.mat_vec(F, xmaps[i - 1], chain[-1])
             coeffs = linalg.coords_in_basis(F, images, image)
             if coeffs is None:
                 chain.append(image)
                 survivors.append((birth, chain))
                 images.append(image)
                 continue
-            # The bar dies at d - 1.  Its elders are alive on its whole span;
-            # subtracting the same combination of them at every degree makes
-            # x kill its last vector.
+            # The bar dies at D[i] - 1.  Its elders are alive on its whole
+            # span; subtracting the same combination of them at every listed
+            # degree makes x kill its last vector.
             for (elder_birth, elder_chain), c in zip(survivors, coeffs):
                 if F.is_zero(c):
                     continue
@@ -104,23 +133,31 @@ def reconstruct_parts(wm: WindowModule, chart, p: int, q: int):
             bars.append((birth, chain))
         for v in kernel:
             if linalg.coords_in_basis(F, images, v) is None:
-                survivors.append((d, [v]))
+                survivors.append((i, [v]))
                 images.append(v)
         live = survivors
-    bars.sort(key=lambda bar: (len(bar[1]), -bar[0]))
+
+    def summand(bar):
+        birth, chain = bar
+        return D[birth + len(chain)] - D[birth], -D[birth]
+
+    bars.sort(key=summand)
 
     # Lattice generators solved at their jump and pushed up, then the bars.
-    cols = {d: [] for d in degrees}
+    index = {d: i for i, d in enumerate(D)}
+    cols = [[] for _ in D]
     for e, direction in lat.generators():
-        u = linalg.solve(F, to_chart[e], direction)
-        for d in range(e, wm.hi + 1):
-            cols[d].append(u)
-            u = linalg.mat_vec(F, wm.xmap(d), u)
+        i = index[e]
+        u = linalg.solve(F, to_chart[i], direction)
+        cols[i].append(u)
+        for j in range(i, top):
+            u = linalg.mat_vec(F, xmaps[j], u)
+            cols[j + 1].append(u)
     for birth, chain in bars:
         for t, v in enumerate(chain):
             cols[birth + t].append(v)
-    basis = {d: linalg.transpose(cols[d]) for d in degrees}
-    return tuple((len(chain), -birth) for birth, chain in bars), lat, basis
+    basis = {d: linalg.transpose(c) for d, c in zip(D, cols)}
+    return tuple(map(summand, bars)), lat, basis
 
 
 def quotient_model(field: FieldSpec, lo: int, hi: int, ambient_dims, relation_rows):
@@ -157,4 +194,4 @@ def quotient_model(field: FieldSpec, lo: int, hi: int, ambient_dims, relation_ro
                 vec[j] = field.one
             cols.append(project(d + 1, tuple(vec)))
         xmaps.append(linalg.transpose(cols))
-    return WindowModule(field, lo, hi, dims, tuple(xmaps)), reps
+    return WindowModule(field, tuple(range(lo, hi + 1)), dims, tuple(xmaps)), reps

@@ -6,12 +6,14 @@ restricted to the kernel K_s of the map into the localization chart, and the
 summands born at s and dying at t follow by inclusion-exclusion over those
 ranks.  The lattice is the filtration of the chart images.  This is the
 computation the sweep replaced; it costs O(w^3) products on a window of
-width w.
+width w.  It reads every degree of [lo, hi] through ``WindowModule.dim_at``
+and ``xmap``, whichever degrees the window lists.
 """
 
 from zdinfty import linalg
 from zdinfty.lattice import GradedLattice, from_filtration
 from zdinfty.objects import CObject, TorsionPart, model_of
+from zdinfty.window import WindowModule
 
 
 def _xpower(wm, d_from, d_to):
@@ -53,10 +55,19 @@ def reference_parts(wm, chart, p, q):
     return tuple(sorted(summands)), lat
 
 
+def contiguous(wm):
+    """The window listing every degree of [lo, hi] that ``wm`` describes."""
+    degrees = tuple(range(wm.lo, wm.hi + 1))
+    return WindowModule(
+        wm.field, degrees, tuple(map(wm.dim_at, degrees)), tuple(map(wm.xmap, degrees[:-1]))
+    )
+
+
 def checked_reconstruct(real, seen):
     """Wrap ``reconstruct_parts``: every call must agree with the reference,
-    and its basis must be an x-equivariant isomorphism from the canonical
-    model onto the window that the charts carry to the identity.  Each
+    and its basis, held constant from each listed degree to the next, must
+    be an x-equivariant isomorphism from the canonical model onto the window
+    at every degree of [lo, hi] that the charts carry to the identity.  Each
     checked window is appended to ``seen``."""
 
     def wrapper(wm, chart, p, q):
@@ -65,13 +76,15 @@ def checked_reconstruct(real, seen):
         F = wm.field
         E = CObject(F, TorsionPart(summands), lat)
         model, model_chart = model_of(E, wm.lo, wm.hi)
+        at = {d: basis[max(e for e in wm.degrees if e <= d)] for d in range(wm.lo, wm.hi + 1)}
         for d in range(wm.lo, wm.hi + 1):
             n = wm.dim_at(d)
-            assert linalg.inverse(F, basis[d]) is not None
+            assert model.dim_at(d) == n
+            assert linalg.inverse(F, at[d]) is not None
             if d < wm.hi:
                 n1 = wm.dim_at(d + 1)
-                assert linalg.mm(F, wm.xmap(d), basis[d], n, n) == linalg.mm(
-                    F, basis[d + 1], model.xmap(d), n1, n
+                assert linalg.mm(F, wm.xmap(d), at[d], n, n) == linalg.mm(
+                    F, at[d + 1], model.xmap(d), n1, n
                 )
         assert linalg.mm(F, chart, basis[wm.hi], p + q, p + q) == model_chart
         seen.append(wm)

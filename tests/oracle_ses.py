@@ -191,7 +191,7 @@ def _general_extension(c: ExtClass) -> ShortExactSeq:
         vec = linalg.vec_add(F, vec, linalg.mat_vec(F, embY, linalg.mat_vec(F, A, col)))
         chart_cols.append(vec)
     chart = linalg.transpose(chart_cols) if chart_cols else ()
-    wmE = window.WindowModule(F, lo, hi, dims, tuple(xmaps))
+    wmE = window.WindowModule(F, tuple(range(lo, hi + 1)), dims, tuple(xmaps))
     summands, lat, phi_inv = window.reconstruct_parts(wmE, chart, Z.p, Z.q)
     E = CObject(F, TorsionPart(summands), lat)
     # phi_inv carries the canonical model of E onto wmE; its inverse is the

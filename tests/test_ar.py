@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from zdinfty import ar
+from zdinfty import ar, linalg
 from zdinfty.ar import (
     AlmostSplitSequence,
     QuiverWindow,
@@ -199,6 +199,27 @@ def test_almost_split_torsion_wing():
     mesh = almost_split(torsion_cyclic(F, 1, 0))
     assert mesh.middle_factors == (wing(2, 0),)
     verify_exact(mesh.seq)
+
+
+@pytest.mark.parametrize("field", [QQ, GF(3)], ids=str)
+def test_wing_middle_cost_does_not_grow_with_bar_length(field, monkeypatch):
+    # the middle's window lists its event degrees only, so a wing ten
+    # thousand times longer makes exactly the same eliminations
+    calls = []
+    real_add = linalg.Echelon.add
+
+    def counted_add(self, v):
+        calls.append(1)
+        return real_add(self, v)
+
+    monkeypatch.setattr(linalg.Echelon, "add", counted_add)
+    counts = []
+    for n in (10, 1000, 100000):
+        calls.clear()
+        mesh = almost_split(torsion_cyclic(field, n, 0))
+        assert mesh.middle_factors == (wing(n - 1, -1), wing(n + 1, 0))
+        counts.append(len(calls))
+    assert counts[0] > 0 and counts == [counts[0]] * 3, counts
 
 
 def test_almost_split_rejects_decomposables():

@@ -4,6 +4,8 @@ Every window that extension_object builds for a seeded random class with
 torsion at either end goes through both the sweep and the rank
 inclusion-exclusion reference in oracle_bars, which also checks that the
 returned basis is an equivariant isomorphism onto the canonical middle.
+Those windows list event degrees only; sweeping one gives what sweeping
+its contiguous expansion gives.
 """
 
 import random
@@ -16,11 +18,11 @@ from zdinfty.fields import GF, QQ
 from zdinfty.homext import ext_space
 from zdinfty.objects import direct_sum_many, rank_one, rank_two, torsion_cyclic
 
-from oracle_bars import checked_reconstruct
+from oracle_bars import checked_reconstruct, contiguous
 
 
-def random_sum(field, rng):
-    """A sum of 1-3 atoms with n <= 4, m <= 3 and |a| <= 2."""
+def random_sum(field, rng, max_bar=4):
+    """A sum of 1-3 atoms with n <= max_bar, m <= 3 and |a| <= 2."""
     parts = []
     for _ in range(rng.randint(1, 3)):
         kind = rng.choice(["r1", "r2", "t"])
@@ -30,7 +32,7 @@ def random_sum(field, rng):
         elif kind == "r2":
             parts.append(rank_two(field, rng.randint(1, 3), a))
         else:
-            parts.append(torsion_cyclic(field, rng.randint(1, 4), a))
+            parts.append(torsion_cyclic(field, rng.randint(1, max_bar), a))
     return direct_sum_many(parts)[0]
 
 
@@ -60,20 +62,53 @@ def test_bar_sweep_matches_rank_reference(field, seed, monkeypatch):
     monkeypatch.setattr(
         window, "reconstruct_parts", checked_reconstruct(window.reconstruct_parts, seen)
     )
-    rng = random.Random(seed)
     built = 0
-    while built < 40:
-        X, Y = random_sum(field, rng), random_sum(field, rng)
+    for cls in nonzero_classes(field, random.Random(seed), 4, 40):
+        seq = extension_object(cls)
+        verify_exact(seq)
+        assert class_of_sequence(seq.inject, seq.surject) == cls
+        built += 1
+    assert len(seen) == built
+
+
+def nonzero_classes(field, rng, max_bar, count):
+    """``count`` seeded nonzero classes with torsion at either end."""
+    out = []
+    while len(out) < count:
+        X, Y = random_sum(field, rng, max_bar), random_sum(field, rng, max_bar)
         if X.is_torsion_free() and Y.is_torsion_free():
             continue
         space = ext_space(X, Y)
         if space.dim == 0:
             continue
         cls = random_class(space, rng)
-        if cls.is_zero():
-            continue
-        seq = extension_object(cls)
-        verify_exact(seq)
-        assert class_of_sequence(seq.inject, seq.surject) == cls
-        built += 1
-    assert len(seen) == built
+        if not cls.is_zero():
+            out.append(cls)
+    return out
+
+
+@pytest.mark.parametrize("field,seed", [(QQ, 34), (GF(2), 35), (GF(3), 36)])
+def test_event_window_matches_its_contiguous_expansion(field, seed, monkeypatch):
+    real = window.reconstruct_parts
+    windows = []
+
+    def record(wm, chart, p, q):
+        windows.append((wm, chart, p, q))
+        return real(wm, chart, p, q)
+
+    monkeypatch.setattr(window, "reconstruct_parts", record)
+    for cls in nonzero_classes(field, random.Random(seed), 30, 12):
+        extension_object(cls)
+    assert len(windows) == 12
+    listed = full_width = 0
+    for wm, chart, p, q in windows:
+        full = contiguous(wm)
+        summands, lat, basis = real(wm, chart, p, q)
+        full_summands, full_lat, full_basis = real(full, chart, p, q)
+        assert (summands, lat) == (full_summands, full_lat)
+        assert set(basis) == set(wm.degrees)
+        for d in wm.degrees:
+            assert basis[d] == full_basis[d], d
+        listed += len(wm.degrees)
+        full_width += len(full.degrees)
+    assert listed < full_width

@@ -1,5 +1,6 @@
 """Field axioms, exact matrix routines, polynomial arithmetic."""
 
+from copy import deepcopy
 import pickle
 
 import pytest
@@ -79,6 +80,11 @@ def test_gf_is_one_instance_per_prime():
         GF(2**89 - 1)
     copy = pickle.loads(pickle.dumps(GF(7)))
     assert copy == GF(7) and copy.p == 7 and copy.mul(3, 5) == 1
+    # pickling and deep copies return the shared instance
+    for field in (QQ, GF(7)):
+        assert pickle.loads(pickle.dumps(field)) is field
+        assert deepcopy(field) is field
+    assert deepcopy(parse_object("F[2,0] + T[1,0]", GF(7))).field is GF(7)
 
 
 def test_rref_and_nullspace():

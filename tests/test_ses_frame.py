@@ -5,7 +5,8 @@ projection is its inclusion transposed; ``morphism_from_degreewise`` reads
 its blocks with ``homext.diag_blocks``; ``ar._left_inverse`` inverts B's
 pivot rows once.  ``oracle_ses`` keeps the constructions these replaced, and
 every sequence, class and twisted map must match it tuple for tuple, on
-seeded sums of 1-3 atoms with and without torsion.
+seeded sums of 1-3 atoms with and without torsion, with torsion bars up to
+length 4 and up to length 500.
 """
 
 import random
@@ -34,12 +35,12 @@ import oracle_ses
 from test_bars import random_class, random_sum
 
 
-@pytest.mark.parametrize("field,seed", [(QQ, 61), (GF(2), 62), (GF(3), 63)])
-def test_sequences_match_the_replaced_builders(field, seed):
-    rng = random.Random(seed)
+def _match_the_replaced_builders(field, rng, max_bar, rounds):
+    """Build every sequence of ``rounds`` seeded pairs both ways; count the
+    nonsplit middles each builder made."""
     built = {"lattice": 0, "window": 0}
-    for _ in range(150):
-        X, Y = random_sum(field, rng), random_sum(field, rng)
+    for _ in range(rounds):
+        X, Y = random_sum(field, rng, max_bar), random_sum(field, rng, max_bar)
         assert split_sequence(Y, X) == oracle_ses.split_sequence(Y, X)
         for f in hom_space(X, Y).basis:
             assert serre_twist_morphism(f) == oracle_ses.serre_twist_morphism(f)
@@ -56,7 +57,21 @@ def test_sequences_match_the_replaced_builders(field, seed):
             if not c.is_zero():
                 torsion_free = X.is_torsion_free() and Y.is_torsion_free()
                 built["lattice" if torsion_free else "window"] += 1
+    return built
+
+
+@pytest.mark.parametrize("field,seed", [(QQ, 61), (GF(2), 62), (GF(3), 63)])
+def test_sequences_match_the_replaced_builders(field, seed):
+    built = _match_the_replaced_builders(field, random.Random(seed), 4, 150)
     assert min(built.values()) >= 20, built
+
+
+@pytest.mark.parametrize("field,seed", [(QQ, 64), (GF(2), 65), (GF(3), 66)])
+def test_long_bars_match_the_replaced_builders(field, seed):
+    # torsion bars up to length 500: the middle's window lists its event
+    # degrees, the reference's every degree of [lo, hi]
+    built = _match_the_replaced_builders(field, random.Random(seed), 500, 30)
+    assert built["window"] >= 15, built
 
 
 def test_degreewise_type_swap_is_rejected():
@@ -65,7 +80,7 @@ def test_degreewise_type_swap_is_rejected():
     lo, hi = window_bounds(Z)
     swap = ((0, 1), (1, 0))
     with pytest.raises(ShapeMismatch, match="not type-diagonal"):
-        morphism_from_degreewise(Z, Z, {d: swap for d in range(lo, hi + 1)}, lo, hi)
+        morphism_from_degreewise(Z, Z, {d: swap for d in range(lo, hi + 1)})
 
 
 def test_inclusion_without_retraction_is_rejected():

@@ -192,12 +192,12 @@ def test_morphism_from_degreewise_rejects_what_tt_cannot_hold():
     F = QQ
     one, two = F.one, F.of_int(2)
     T2 = torsion_cyclic(F, 2, 0)
-    m = ar.morphism_from_degreewise(T2, T2, _psi(((one,),), ((one,),), ()), 0, 2)
+    m = ar.morphism_from_degreewise(T2, T2, _psi(((one,),), ((one,),), ()))
     assert m == identity_morphism(T2)
     # a later-degree block that differs from the birth-degree scalar
     with pytest.raises(ShapeMismatch):
-        ar.morphism_from_degreewise(T2, T2, _psi(((one,),), ((two,),), ()), 0, 2)
+        ar.morphism_from_degreewise(T2, T2, _psi(((one,),), ((two,),), ()))
     # T[1,0] -> T[2,0] is not a map: x kills the source but not the image
     T1 = torsion_cyclic(F, 1, 0)
     with pytest.raises(ShapeMismatch):
-        ar.morphism_from_degreewise(T1, T2, _psi(((one,),), ((),), ()), 0, 2)
+        ar.morphism_from_degreewise(T1, T2, _psi(((one,),), ((),), ()))
