@@ -17,10 +17,6 @@ class FieldMismatch(ZdinftyError):
     """Operands live over different base fields."""
 
 
-class InconsistentTypes(ZdinftyError):
-    """Localization data of a presentation does not respect its relations."""
-
-
 class ComposabilityError(ZdinftyError):
     """Attempted to compose maps whose endpoints do not match."""
 

@@ -5,7 +5,8 @@ graded cyclic torsion modules T(n, a) (generator in degree -a, alive for n
 degrees) and F a full-rank graded lattice.  The split is stored, not
 recomputed.  This module owns the structural functors (degree shift, the
 type swap sigma, the twist V = sigma then shift by -1), symbolic injective
-resolutions, and conversion from free presentations.
+resolutions, and the degree data that a window over an object reads: its
+bounds, its slot events and x on its slots.
 """
 
 from __future__ import annotations
@@ -15,15 +16,14 @@ from dataclasses import dataclass
 from functools import cached_property
 from itertools import chain, groupby
 
-from . import linalg, window
-from .errors import DimensionMismatch, InconsistentTypes, NotFullRank, ZdinftyError
+from . import linalg
+from .errors import ZdinftyError
 from .fields import FieldSpec, check_same_field
 from .lattice import (
     GradedLattice,
     shift_lattice,
     sigma_lattice,
 )
-from .poly import Poly
 
 
 @dataclass(frozen=True)
@@ -314,7 +314,7 @@ def injective_resolution(X: CObject):
 
 
 # ---------------------------------------------------------------------------
-# window models and presentations
+# degree windows and slot maps
 
 
 def window_bounds(X: CObject):
@@ -345,159 +345,3 @@ def module_xpower(X: CObject, d_from: int, d_to: int) -> tuple:
     return linalg.unit_matrix(
         X.field, X.module_dim_at(d_to), X.module_dim_at(d_from), X.xpower_slots(d_from, d_to)
     )
-
-
-def model_of(X: CObject, lo: int, hi: int):
-    """Window model of X with its localization chart.
-
-    The degree-d basis is the slot layout of ``CObject``.  Requires hi beyond
-    all jumps and torsion support.
-    """
-    F = X.field
-    if X.rank > 0 and hi < X.lattice.max_jump():
-        raise ZdinftyError("window top below the lattice jumps")
-    td = X.torsion.max_degree()
-    if td is not None and hi <= td:
-        raise ZdinftyError("window top does not kill the torsion")
-    dims = tuple(X.module_dim_at(d) for d in range(lo, hi + 1))
-    xmaps = tuple(module_xpower(X, d, d + 1) for d in range(lo, hi))
-    wm = window.WindowModule(F, tuple(range(lo, hi + 1)), dims, xmaps)
-    chart_cols = [dir for _, dir in X.lattice.generators()]
-    chart = linalg.transpose(chart_cols) if chart_cols else ()
-    return wm, chart
-
-
-def from_window(wm: window.WindowModule, chart, p: int, q: int) -> CObject:
-    summands, lat, _ = window.reconstruct_parts(wm, chart, p, q)
-    return CObject(wm.field, TorsionPart(summands), lat)
-
-
-@dataclass(frozen=True)
-class Presentation:
-    """Free graded presentation: generators (rows) and relations (columns).
-
-    entry(i, j) is homogeneous of degree col_degrees[j] - row_degrees[i];
-    ``loc_iso`` is a constant r x rows matrix sending generator classes to
-    ambient coordinates after inverting x, and ``type_marks`` assigns each of
-    the r localized coordinates its type.
-    """
-
-    field: FieldSpec
-    row_degrees: tuple
-    col_degrees: tuple
-    entries: tuple  # rows x cols of Poly
-    type_marks: tuple
-    loc_iso: tuple
-
-    def __post_init__(self):
-        for i, row in enumerate(self.entries):
-            if len(row) != len(self.col_degrees):
-                raise DimensionMismatch("presentation row of wrong length")
-            for j, e in enumerate(row):
-                want = self.col_degrees[j] - self.row_degrees[i]
-                if e.is_zero():
-                    continue
-                if not e.is_homogeneous() or e.degree != want:
-                    raise ZdinftyError(
-                        f"entry ({i},{j}) must be homogeneous of degree {want}"
-                    )
-        if len(self.entries) != len(self.row_degrees):
-            raise DimensionMismatch("presentation needs one row per generator")
-
-    def scalar_relations(self):
-        """Constant coefficients alpha[i][j] of the homogeneous entries."""
-        F = self.field
-        out = []
-        for i, row in enumerate(self.entries):
-            out.append(
-                tuple(
-                    e.coeff(self.col_degrees[j] - self.row_degrees[i])
-                    for j, e in enumerate(row)
-                )
-            )
-        return tuple(out)
-
-
-def presentation_of_polys(field, row_degrees, col_degrees, entry_polys, type_marks, loc_iso):
-    entries = tuple(
-        tuple(
-            e if isinstance(e, Poly) else Poly.of(field, e)
-            for e in row
-        )
-        for row in entry_polys
-    )
-    return Presentation(
-        field,
-        tuple(row_degrees),
-        tuple(col_degrees),
-        entries,
-        tuple(type_marks),
-        tuple(tuple(r) for r in loc_iso),
-    )
-
-
-def from_presentation(P: Presentation) -> CObject:
-    """Canonical object presented by generators and homogeneous relations.
-
-    The torsion summands are the elementary divisors of the cokernel; the
-    lattice is its image in the localization, with types from ``type_marks``.
-    Raises InconsistentTypes when ``loc_iso`` does not kill the relations and
-    NotFullRank when the localized rank differs from len(type_marks).
-    """
-    F = P.field
-    nrows = len(P.row_degrees)
-    r = len(P.type_marks)
-    alpha = P.scalar_relations()
-
-    for row in P.loc_iso:
-        if len(row) != nrows:
-            raise DimensionMismatch("loc_iso must have one column per generator")
-    if len(P.loc_iso) != r:
-        raise DimensionMismatch("loc_iso must have one row per localized coordinate")
-
-    # loc_iso must factor through the localized cokernel.
-    prod = linalg.mm(F, P.loc_iso, alpha, nrows, len(P.col_degrees))
-    for row in prod:
-        for c in row:
-            if not F.is_zero(c):
-                raise InconsistentTypes("loc_iso does not vanish on the relations")
-    rel_rank = linalg.rank(F, linalg.transpose(alpha)) if P.col_degrees else 0
-    if nrows - rel_rank != r or linalg.rank(F, P.loc_iso) != r:
-        raise NotFullRank(
-            f"localized rank is {nrows - rel_rank}, expected {r}"
-        )
-
-    # Normalize coordinates: type-0 rows of loc_iso first.
-    order = sorted(range(r), key=lambda i: (P.type_marks[i], i))
-    loc = tuple(P.loc_iso[i] for i in order)
-    p = sum(1 for t in P.type_marks if t == 0)
-    q = r - p
-
-    if nrows == 0:
-        return zero_object(F)
-    lo = min(P.row_degrees)
-    hi = max(list(P.row_degrees) + list(P.col_degrees)) + 1
-
-    ambient_dims = {}
-    relation_rows = {}
-    for d in range(lo, hi + 1):
-        ambient_dims[d] = nrows
-        rows = []
-        # slots of dead generators (degree below the generator) are relations
-        for i, rd in enumerate(P.row_degrees):
-            if d < rd:
-                vec = [F.zero] * nrows
-                vec[i] = F.one
-                rows.append(tuple(vec))
-        for j, cd in enumerate(P.col_degrees):
-            if d >= cd:
-                rows.append(tuple(alpha[i][j] for i in range(nrows)))
-        relation_rows[d] = rows
-
-    wm, reps = window.quotient_model(F, lo, hi, ambient_dims, relation_rows)
-    # chart: basis slot i of the top degree maps to loc_iso column i
-    chart_cols = []
-    for i in reps[hi]:
-        chart_cols.append(tuple(loc[t][i] for t in range(r)))
-    chart = linalg.transpose(chart_cols) if chart_cols else ()
-    return from_window(wm, chart, p, q)

@@ -2,16 +2,17 @@
 
 Coefficients are stored ascending; the zero polynomial has an empty
 coefficient tuple and degree -1 by convention.  Only what the graded ring
-arithmetic and the presentation machinery need: ring operations, division,
-homogeneous-part access.
+elements of ``singularity`` need: ring operations, homogeneity and
+truncation.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import zip_longest
 
 from .errors import ZdinftyError
-from .fields import FieldSpec, Scalar, check_same_field
+from .fields import FieldSpec, check_same_field
 
 
 @dataclass(frozen=True)
@@ -50,22 +51,17 @@ class Poly:
         nonzero = [i for i, c in enumerate(self.coeffs) if not self.field.is_zero(c)]
         return len(nonzero) <= 1
 
-    def coeff(self, d: int) -> Scalar:
-        if 0 <= d < len(self.coeffs):
-            return self.coeffs[d]
-        return self.field.zero
-
     def __add__(self, other: "Poly") -> "Poly":
         check_same_field(self.field, other.field)
         F = self.field
-        n = max(len(self.coeffs), len(other.coeffs))
-        return Poly.of(F, [F.add(self.coeff(i), other.coeff(i)) for i in range(n)])
+        pairs = zip_longest(self.coeffs, other.coeffs, fillvalue=F.zero)
+        return Poly.of(F, [F.add(a, b) for a, b in pairs])
 
     def __sub__(self, other: "Poly") -> "Poly":
         check_same_field(self.field, other.field)
         F = self.field
-        n = max(len(self.coeffs), len(other.coeffs))
-        return Poly.of(F, [F.sub(self.coeff(i), other.coeff(i)) for i in range(n)])
+        pairs = zip_longest(self.coeffs, other.coeffs, fillvalue=F.zero)
+        return Poly.of(F, [F.sub(a, b) for a, b in pairs])
 
     def __neg__(self) -> "Poly":
         return Poly(self.field, tuple(self.field.neg(c) for c in self.coeffs))
@@ -83,39 +79,6 @@ class Poly:
                 if not F.is_zero(b):
                     out[i + j] = F.add(out[i + j], F.mul(a, b))
         return Poly.of(F, out)
-
-    def scale(self, c: Scalar) -> "Poly":
-        F = self.field
-        return Poly.of(F, [F.mul(c, a) for a in self.coeffs])
-
-    def shift(self, k: int) -> "Poly":
-        """Multiply by x^k."""
-        if self.is_zero():
-            return self
-        if k < 0:
-            raise ZdinftyError("negative shift of a polynomial")
-        return Poly(self.field, tuple(self.field.zero for _ in range(k)) + self.coeffs)
-
-    def divmod(self, other: "Poly") -> tuple["Poly", "Poly"]:
-        check_same_field(self.field, other.field)
-        if other.is_zero():
-            raise ZeroDivisionError("polynomial division by zero")
-        F = self.field
-        rem = list(self.coeffs)
-        quot = [F.zero] * max(0, len(rem) - len(other.coeffs) + 1)
-        lead = other.coeffs[-1]
-        d = other.degree
-        while len(rem) - 1 >= d and rem:
-            if F.is_zero(rem[-1]):
-                rem.pop()
-                continue
-            k = len(rem) - 1 - d
-            c = F.div(rem[-1], lead)
-            quot[k] = c
-            for i in range(len(other.coeffs)):
-                rem[k + i] = F.sub(rem[k + i], F.mul(c, other.coeffs[i]))
-            rem.pop()
-        return Poly.of(F, quot), Poly.of(F, rem)
 
     def truncated(self, k: int) -> "Poly":
         """The polynomial modulo x^k."""

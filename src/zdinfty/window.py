@@ -1,19 +1,20 @@
-"""Degreewise models of graded modules on a finite degree window.
+"""The bar sweep behind extension middles with torsion.
 
 A window module records a graded module at listed degrees, with x the
-identity between them.  Together with a chart identifying the top degree
-with the ambient space k^r this is enough to recover the canonical
-torsion/lattice data of a finitely generated object: the lattice filtration
-is the image in the localization, and the torsion summands are the bars of
-the kernel's persistence module, found by one elder-rule sweep over the
-listed degrees that also yields an isomorphism onto the canonical model.
-A persistence module changes only at its critical values, so listing those
-is enough, and then the cost does not grow with the length of a bar.
+identity between them; ``ar._general_extension`` assembles one for each
+middle it builds, at the event degrees of its two ends.  Together with a
+chart identifying the top degree with the ambient space k^r this is enough
+to recover the canonical torsion/lattice data of a finitely generated
+object: the lattice filtration is the image in the localization, and the
+torsion summands are the bars of the kernel's persistence module, found by
+one elder-rule sweep over the listed degrees that also yields an
+isomorphism onto the canonical model.  A persistence module changes only at
+its critical values, so listing those is enough, and then the cost does not
+grow with the length of a bar.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_right
 from dataclasses import dataclass
 
 from . import linalg
@@ -44,29 +45,6 @@ class WindowModule:
             raise ZdinftyError("window dimensions do not match the listed degrees")
         if len(self.xmaps) != len(self.degrees) - 1:
             raise ZdinftyError("window x-maps do not match the listed degrees")
-
-    @property
-    def lo(self) -> int:
-        return self.degrees[0]
-
-    @property
-    def hi(self) -> int:
-        return self.degrees[-1]
-
-    def dim_at(self, d: int) -> int:
-        """Dimension at any degree d: the one at the last listed degree <= d."""
-        if d < self.lo or d > self.hi:
-            return 0
-        return self.dims[bisect_right(self.degrees, d) - 1]
-
-    def xmap(self, d: int) -> tuple:
-        """Matrix of multiplication by x from any degree d to d+1."""
-        if d < self.lo or d >= self.hi:
-            return linalg.zeros(self.field, self.dim_at(d + 1), self.dim_at(d))
-        i = bisect_right(self.degrees, d + 1) - 1
-        if self.degrees[i] == d + 1:
-            return self.xmaps[i - 1]
-        return linalg.identity(self.field, self.dims[i])
 
 
 def reconstruct_parts(wm: WindowModule, chart, p: int, q: int):
@@ -158,40 +136,3 @@ def reconstruct_parts(wm: WindowModule, chart, p: int, q: int):
             cols[birth + t].append(v)
     basis = {d: linalg.transpose(c) for d, c in zip(D, cols)}
     return tuple(map(summand, bars)), lat, basis
-
-
-def quotient_model(field: FieldSpec, lo: int, hi: int, ambient_dims, relation_rows):
-    """Window model of (coordinate spaces modulo relation subspaces).
-
-    ``ambient_dims[d]`` is the number of coordinate slots at degree d, where
-    slot i at degree d maps to slot i at degree d+1 when both exist (slots are
-    aligned by index; extra slots at d+1 are new).  ``relation_rows[d]`` is a
-    list of vectors spanning the subspace to quotient by.  Returns the window
-    module together with, per degree, the chosen coset-representative slots.
-    """
-    reps = {}
-    bases = {}
-    for d in range(lo, hi + 1):
-        rel, pivots = linalg.rref(field, relation_rows.get(d, ()))
-        pivset = set(pivots)
-        free = tuple(j for j in range(ambient_dims.get(d, 0)) if j not in pivset)
-        reps[d] = free
-        bases[d] = (rel, pivots)
-
-    def project(d, vec):
-        rel, pivots = bases[d]
-        red = linalg.reduce_against(field, rel, pivots, vec)
-        return tuple(red[j] for j in reps[d])
-
-    dims = tuple(len(reps[d]) for d in range(lo, hi + 1))
-    xmaps = []
-    for d in range(lo, hi):
-        cols = []
-        na = ambient_dims.get(d + 1, 0)
-        for j in reps[d]:
-            vec = [field.zero] * na
-            if j < na:
-                vec[j] = field.one
-            cols.append(project(d + 1, tuple(vec)))
-        xmaps.append(linalg.transpose(cols))
-    return WindowModule(field, tuple(range(lo, hi + 1)), dims, tuple(xmaps)), reps

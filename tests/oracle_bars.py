@@ -6,21 +6,41 @@ restricted to the kernel K_s of the map into the localization chart, and the
 summands born at s and dying at t follow by inclusion-exclusion over those
 ranks.  The lattice is the filtration of the chart images.  This is the
 computation the sweep replaced; it costs O(w^3) products on a window of
-width w.  It reads every degree of [lo, hi] through ``WindowModule.dim_at``
-and ``xmap``, whichever degrees the window lists.
+width w.  It reads every degree of [lo, hi] through ``dim_at`` and
+``xmap`` below, whichever degrees the window lists.
 """
+
+from bisect import bisect_right
 
 from zdinfty import linalg
 from zdinfty.lattice import GradedLattice, from_filtration
-from zdinfty.objects import CObject, TorsionPart, model_of
+from zdinfty.objects import CObject, TorsionPart, module_xpower
 from zdinfty.window import WindowModule
+
+
+def dim_at(wm, d):
+    """Dimension of ``wm`` at any degree d: the one at the last listed degree
+    <= d, and 0 outside [lo, hi]."""
+    if d < wm.degrees[0] or d > wm.degrees[-1]:
+        return 0
+    return wm.dims[bisect_right(wm.degrees, d) - 1]
+
+
+def xmap(wm, d):
+    """Matrix of multiplication by x on ``wm`` from any degree d to d+1."""
+    if d < wm.degrees[0] or d >= wm.degrees[-1]:
+        return linalg.zeros(wm.field, dim_at(wm, d + 1), dim_at(wm, d))
+    i = bisect_right(wm.degrees, d + 1) - 1
+    if wm.degrees[i] == d + 1:
+        return wm.xmaps[i - 1]
+    return linalg.identity(wm.field, wm.dims[i])
 
 
 def _xpower(wm, d_from, d_to):
     F = wm.field
-    out = linalg.identity(F, wm.dim_at(d_from))
+    out = linalg.identity(F, dim_at(wm, d_from))
     for d in range(d_from, d_to):
-        out = linalg.mm(F, wm.xmap(d), out, wm.dim_at(d), wm.dim_at(d_from))
+        out = linalg.mm(F, xmap(wm, d), out, dim_at(wm, d), dim_at(wm, d_from))
     return out
 
 
@@ -28,27 +48,28 @@ def reference_parts(wm, chart, p, q):
     """(sorted torsion summands (n, a), GradedLattice) of a window model."""
     F = wm.field
     r = p + q
-    to_chart = {wm.hi: chart}
-    for d in range(wm.hi - 1, wm.lo - 1, -1):
-        to_chart[d] = linalg.mm(F, to_chart[d + 1], wm.xmap(d), wm.dim_at(d + 1), wm.dim_at(d))
+    lo, hi = wm.degrees[0], wm.degrees[-1]
+    to_chart = {hi: chart}
+    for d in range(hi - 1, lo - 1, -1):
+        to_chart[d] = linalg.mm(F, to_chart[d + 1], xmap(wm, d), dim_at(wm, d + 1), dim_at(wm, d))
     pieces = []
     kernels = {}
-    for d in range(wm.lo, wm.hi + 1):
-        cols = [tuple(to_chart[d][i][j] for i in range(r)) for j in range(wm.dim_at(d))]
+    for d in range(lo, hi + 1):
+        cols = [tuple(to_chart[d][i][j] for i in range(r)) for j in range(dim_at(wm, d))]
         pieces.append((d, cols))
-        kernels[d] = linalg.nullspace(F, to_chart[d], ncols=wm.dim_at(d))
+        kernels[d] = linalg.nullspace(F, to_chart[d], ncols=dim_at(wm, d))
     lat = from_filtration(F, p, q, pieces) if r > 0 else GradedLattice(F, p, q, ())
 
     def rho(s, t):
         # number of torsion summands alive on all of [s, t]
-        if s < wm.lo or t > wm.hi or t < s or not kernels[s]:
+        if s < lo or t > hi or t < s or not kernels[s]:
             return 0
         power = _xpower(wm, s, t)
         return linalg.rank(F, [linalg.mat_vec(F, power, v) for v in kernels[s]])
 
     summands = []
-    for s in range(wm.lo, wm.hi + 1):
-        for t in range(s, wm.hi + 1):
+    for s in range(lo, hi + 1):
+        for t in range(s, hi + 1):
             n = rho(s, t) - rho(s - 1, t) - rho(s, t + 1) + rho(s - 1, t + 1)
             assert n >= 0, "inconsistent torsion ranks in window model"
             summands.extend([(t - s + 1, -s)] * n)
@@ -57,9 +78,12 @@ def reference_parts(wm, chart, p, q):
 
 def contiguous(wm):
     """The window listing every degree of [lo, hi] that ``wm`` describes."""
-    degrees = tuple(range(wm.lo, wm.hi + 1))
+    degrees = tuple(range(wm.degrees[0], wm.degrees[-1] + 1))
     return WindowModule(
-        wm.field, degrees, tuple(map(wm.dim_at, degrees)), tuple(map(wm.xmap, degrees[:-1]))
+        wm.field,
+        degrees,
+        tuple(dim_at(wm, d) for d in degrees),
+        tuple(xmap(wm, d) for d in degrees[:-1]),
     )
 
 
@@ -75,18 +99,18 @@ def checked_reconstruct(real, seen):
         assert (summands, lat) == reference_parts(wm, chart, p, q)
         F = wm.field
         E = CObject(F, TorsionPart(summands), lat)
-        model, model_chart = model_of(E, wm.lo, wm.hi)
-        at = {d: basis[max(e for e in wm.degrees if e <= d)] for d in range(wm.lo, wm.hi + 1)}
-        for d in range(wm.lo, wm.hi + 1):
-            n = wm.dim_at(d)
-            assert model.dim_at(d) == n
+        lo, hi = wm.degrees[0], wm.degrees[-1]
+        at = {d: basis[max(e for e in wm.degrees if e <= d)] for d in range(lo, hi + 1)}
+        for d in range(lo, hi + 1):
+            n = dim_at(wm, d)
+            assert E.module_dim_at(d) == n
             assert linalg.inverse(F, at[d]) is not None
-            if d < wm.hi:
-                n1 = wm.dim_at(d + 1)
-                assert linalg.mm(F, wm.xmap(d), at[d], n, n) == linalg.mm(
-                    F, at[d + 1], model.xmap(d), n1, n
+            if d < hi:
+                n1 = dim_at(wm, d + 1)
+                assert linalg.mm(F, xmap(wm, d), at[d], n, n) == linalg.mm(
+                    F, at[d + 1], module_xpower(E, d, d + 1), n1, n
                 )
-        assert linalg.mm(F, chart, basis[wm.hi], p + q, p + q) == model_chart
+        assert linalg.mm(F, chart, basis[hi], p + q, p + q) == E.lattice.generator_matrix()
         seen.append(wm)
         return summands, lat, basis
 

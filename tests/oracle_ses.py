@@ -2,12 +2,12 @@
 
 Each middle is built here as it was before the twisted frame: the lattice
 builder twists X's generators by hand, and the window builder takes two
-``model_of`` window models, assembles its x-maps from them and charts the
-top degree column by column with a second ``offdiag_full``.  A summand's
-inclusion and projection read their a00/a11 blocks by index,
-``morphism_from_degreewise`` reads the blocks and checks type-diagonality
-entry by entry, a left inverse is one solve per column, and the twists swap
-coordinates with index comprehensions.  ``tests/test_ses_frame.py`` checks
+contiguous ``model_of`` window models (defined here), assembles its x-maps
+from them degree by degree and charts the top degree column by column with
+a second ``offdiag_full``.  A summand's inclusion and projection read their
+a00/a11 blocks by index, ``morphism_from_degreewise`` reads the blocks and
+checks type-diagonality entry by entry, a left inverse is one solve per
+column, and the twists swap coordinates with index comprehensions.  ``tests/test_ses_frame.py`` checks
 that ``ar`` and ``homext`` give the same sequences, classes and maps.
 """
 
@@ -31,11 +31,31 @@ from zdinfty.objects import (
     CObject,
     TorsionPart,
     direct_sum,
-    model_of,
     module_xpower,
     serre_twist,
     window_bounds,
 )
+
+
+def model_of(X: CObject, lo: int, hi: int):
+    """Window model of X on every degree of [lo, hi], with its localization
+    chart.
+
+    The degree-d basis is the slot layout of ``CObject``.  Requires hi beyond
+    all jumps and torsion support.
+    """
+    F = X.field
+    if X.rank > 0 and hi < X.lattice.max_jump():
+        raise ZdinftyError("window top below the lattice jumps")
+    td = X.torsion.max_degree()
+    if td is not None and hi <= td:
+        raise ZdinftyError("window top does not kill the torsion")
+    dims = tuple(X.module_dim_at(d) for d in range(lo, hi + 1))
+    xmaps = tuple(module_xpower(X, d, d + 1) for d in range(lo, hi))
+    wm = window.WindowModule(F, tuple(range(lo, hi + 1)), dims, xmaps)
+    chart_cols = [dir for _, dir in X.lattice.generators()]
+    chart = linalg.transpose(chart_cols) if chart_cols else ()
+    return wm, chart
 
 
 def sum_inclusion(big: CObject, factor: CObject, embed, tmap) -> Morphism:
@@ -161,12 +181,12 @@ def _general_extension(c: ExtClass) -> ShortExactSeq:
     wmX, chartX = model_of(X, lo, hi)
     Z, embY, embX, _, _ = direct_sum(Y, X)
 
-    dims = tuple(wmY.dim_at(d) + wmX.dim_at(d) for d in range(lo, hi + 1))
+    dims = tuple(ny + nx for ny, nx in zip(wmY.dims, wmX.dims))
     xmaps = []
     for d in range(lo, hi):
-        ny, ny1 = wmY.dim_at(d), wmY.dim_at(d + 1)
-        nx, nx1 = wmX.dim_at(d), wmX.dim_at(d + 1)
-        xy, xx = wmY.xmap(d), wmX.xmap(d)
+        ny, ny1 = wmY.dims[d - lo], wmY.dims[d + 1 - lo]
+        nx, nx1 = wmX.dims[d - lo], wmX.dims[d + 1 - lo]
+        xy, xx = wmY.xmaps[d - lo], wmX.xmaps[d - lo]
         rows = []
         for i in range(ny1):
             row = list(xy[i]) + [F.zero] * nx
@@ -182,10 +202,10 @@ def _general_extension(c: ExtClass) -> ShortExactSeq:
         xmaps.append(tuple(map(tuple, rows)))
     A = offdiag_full(c)
     chart_cols = []
-    for t in range(wmY.dim_at(hi)):
+    for t in range(wmY.dims[-1]):
         col = tuple(chartY[i][t] for i in range(Y.rank))
         chart_cols.append(linalg.mat_vec(F, embY, col))
-    for t in range(wmX.dim_at(hi)):
+    for t in range(wmX.dims[-1]):
         col = tuple(chartX[i][t] for i in range(X.rank))
         vec = linalg.mat_vec(F, embX, col)
         vec = linalg.vec_add(F, vec, linalg.mat_vec(F, embY, linalg.mat_vec(F, A, col)))
@@ -203,7 +223,7 @@ def _general_extension(c: ExtClass) -> ShortExactSeq:
     psi_in = {}
     psi_out = {}
     for d in range(lo, hi + 1):
-        ny = wmY.dim_at(d)
+        ny = wmY.dims[d - lo]
         psi_in[d] = tuple(tuple(row[:ny]) for row in phi[d])
         psi_out[d] = phi_inv[d][ny:]
     inject = morphism_from_degreewise(Y, E, psi_in, lo, hi)

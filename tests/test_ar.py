@@ -1,5 +1,6 @@
 """Extension middles, almost split sequences, quiver windows, witnesses."""
 
+import dataclasses
 import random
 
 import pytest
@@ -8,6 +9,7 @@ from zdinfty import ar, linalg
 from zdinfty.ar import (
     AlmostSplitSequence,
     QuiverWindow,
+    ShortExactSeq,
     almost_split,
     class_of_sequence,
     dot_export,
@@ -27,10 +29,18 @@ from zdinfty.decomp import (
     serre_twist_label,
     wing,
 )
-from zdinfty.errors import NotIndecomposable, RangeError, WindowTooSmall
+from zdinfty.errors import NotIndecomposable, RangeError, WindowTooSmall, ZdinftyError
 from zdinfty.fields import GF, QQ
-from zdinfty.homext import ext_space, hom_space, yoneda_compose
+from zdinfty.homext import (
+    ext_space,
+    hom_space,
+    morphism_from_parts,
+    sum_inclusion,
+    yoneda_compose,
+    zero_class,
+)
 from zdinfty.objects import (
+    direct_sum,
     rank_one,
     rank_two,
     serre_twist,
@@ -220,6 +230,56 @@ def test_wing_middle_cost_does_not_grow_with_bar_length(field, monkeypatch):
         assert mesh.middle_factors == (wing(n - 1, -1), wing(n + 1, 0))
         counts.append(len(calls))
     assert counts[0] > 0 and counts == [counts[0]] * 3, counts
+
+
+@pytest.mark.parametrize("field", [QQ, GF(3)], ids=str)
+def test_verify_exact_cost_does_not_grow_with_bar_length(field, monkeypatch):
+    # verify_exact reads the maps at the slot events and the degree before
+    # each, so a wing ten thousand times longer takes as many reads
+    seqs = [almost_split(torsion_cyclic(field, n, 0)).seq for n in (10, 1000, 100000)]
+    calls = []
+    real = ar.morphism_degreewise
+
+    def counted(m, d):
+        calls.append(d)
+        return real(m, d)
+
+    monkeypatch.setattr(ar, "morphism_degreewise", counted)
+    counts = []
+    for seq in seqs:
+        calls.clear()
+        verify_exact(seq)
+        counts.append(len(calls))
+    assert counts[0] > 0 and counts == [counts[0]] * 3, counts
+
+
+def _zero_map(X, Y):
+    return morphism_from_parts(
+        X, Y, linalg.zeros(X.field, Y.p, X.p), linalg.zeros(X.field, Y.q, X.q)
+    )
+
+
+@pytest.mark.parametrize("field", [QQ, GF(2), GF(3)], ids=str)
+def test_verify_exact_rejects_each_broken_condition(field):
+    # 0 -> T[50,-1] -> T[49,-1] + T[51,0] -> T[50,0] -> 0, alive on [0, 50]
+    seq = almost_split(torsion_cyclic(field, 50, 0)).seq
+    verify_exact(seq)
+    # one more summand in the middle, alive only at degree 25, inside the bars
+    bigger = direct_sum(seq.middle, torsion_cyclic(field, 1, -25))[0]
+    with pytest.raises(ZdinftyError, match="degree 25: dimensions are not additive"):
+        verify_exact(dataclasses.replace(seq, middle=bigger))
+    with pytest.raises(ZdinftyError, match="degree 1: inclusion is not injective"):
+        verify_exact(dataclasses.replace(seq, inject=_zero_map(seq.left, seq.middle)))
+    with pytest.raises(ZdinftyError, match="degree 0: projection is not surjective"):
+        verify_exact(dataclasses.replace(seq, surject=_zero_map(seq.middle, seq.right)))
+    # T -> T + T -> T, first inclusion then the sum of both projections:
+    # injective and onto, but the composite is the identity
+    T = torsion_cyclic(field, 50, 0)
+    Z, embed, _, tmap, _ = direct_sum(T, T)
+    both = morphism_from_parts(Z, T, (), (), ((field.one, field.one),))
+    broken = ShortExactSeq(T, Z, T, sum_inclusion(Z, T, embed, tmap), both, zero_class(T, T))
+    with pytest.raises(ZdinftyError, match="degree 0: composite is nonzero"):
+        verify_exact(broken)
 
 
 def test_almost_split_rejects_decomposables():

@@ -1,22 +1,20 @@
-"""Structural functors, injective resolutions, presentations."""
+"""Structural functors, injective resolutions, and objects built from
+presentations and window models by the reference constructions in
+``oracle_presentation`` and ``oracle_ses``."""
 
 import random
 
 import pytest
 
 from zdinfty import linalg, window
-from zdinfty.errors import InconsistentTypes, NotFullRank
+from zdinfty.errors import NotFullRank
 from zdinfty.fields import GF, QQ
 from zdinfty.objects import (
     CObject,
     TorsionPart,
     direct_sum,
     direct_sum_many,
-    from_presentation,
     injective_resolution,
-    model_of,
-    from_window,
-    presentation_of_polys,
     rank_one,
     rank_two,
     serre_twist,
@@ -32,13 +30,21 @@ from zdinfty.poly import Poly
 
 from oracle_bars import checked_reconstruct
 from oracle_decomp import conjugated_sum, direct_sum_many as reference_sum, lattice_direct_sum
+from oracle_presentation import (
+    InconsistentTypes,
+    from_presentation,
+    from_window,
+    presentation_of_polys,
+)
+from oracle_ses import model_of
 from oracle_snf import graded_smith
 
 
 @pytest.fixture(autouse=True)
 def reference_bars(monkeypatch):
-    """Every window reconstructed here, by from_window or from_presentation,
-    is checked against the rank inclusion-exclusion reference."""
+    """Every window reconstructed here, by the oracles' from_window or
+    from_presentation, is checked against the rank inclusion-exclusion
+    reference."""
     monkeypatch.setattr(
         window, "reconstruct_parts", checked_reconstruct(window.reconstruct_parts, [])
     )
@@ -295,9 +301,44 @@ def presentation_of_object(X):
     return presentation_of_polys(F, row_degrees, col_degrees, entries, type_marks, loc_iso)
 
 
-@pytest.mark.parametrize("field", [QQ, GF(5)])
+def change_generators(P, rng):
+    """The module of P presented on new generators h with g = V h, where V is
+    unitriangular in the order (degree, index): V_ik = c x^(deg_i - deg_k)
+    with a random nonzero constant c for (deg_k, k) < (deg_i, i).  Relation j becomes
+    sum_i V_ik entry(i, j) on h_k, and the chart of h is loc_iso times the
+    inverse of the constant part of V, transposed."""
+    F = P.field
+    rows = P.row_degrees
+    n = len(rows)
+    units = [c for c in map(F.of_int, (1, -1, 2)) if not F.is_zero(c)]
+    V = [
+        [
+            F.one if i == k
+            else rng.choice(units) if (rows[k], k) < (rows[i], i)
+            else F.zero
+            for k in range(n)
+        ]
+        for i in range(n)
+    ]
+    entries = []
+    for k in range(n):
+        row = []
+        for j in range(len(P.col_degrees)):
+            e = Poly.zero(F)
+            for i in range(n):
+                if not F.is_zero(V[i][k]):
+                    e = e + Poly.monomial(F, V[i][k], rows[i] - rows[k]) * P.entries[i][j]
+            row.append(e)
+        entries.append(row)
+    loc_iso = linalg.mm(F, P.loc_iso, linalg.inverse(F, linalg.transpose(V)), n, n)
+    return presentation_of_polys(F, rows, P.col_degrees, entries, P.type_marks, loc_iso)
+
+
+@pytest.mark.parametrize("field", [QQ, GF(5), GF(2), GF(3)])
 def test_from_presentation_roundtrip_and_column_ops(field):
     rng = random.Random(23)
+    row_rng = random.Random(29)
+    changed = 0
     for _ in range(12):
         parts = []
         for _ in range(rng.randint(1, 3)):
@@ -311,14 +352,16 @@ def test_from_presentation_roundtrip_and_column_ops(field):
         X = direct_sum_many(parts)[0]
         P = presentation_of_object(X)
         assert from_presentation(P) == X
-        # SNF oracle sees the same torsion and jump data
-        alpha = [
-            [e.coeff(P.col_degrees[j] - P.row_degrees[i]) for j, e in enumerate(row)]
-            for i, row in enumerate(P.entries)
-        ]
+        # SNF oracle sees the same torsion and jump data; every entry is
+        # homogeneous of its required degree, so its top coefficient is alpha
+        alpha = [[e.coeffs[-1] if e.coeffs else field.zero for e in row] for row in P.entries]
         torsion, free = graded_smith(field, P.row_degrees, P.col_degrees, alpha)
         assert torsion == X.torsion.summands
         assert free == tuple(sorted(X.lattice.jump_list))
+        # a change of generators that respects degrees does not change the object
+        P3 = change_generators(P, row_rng)
+        changed += P3 != P
+        assert from_presentation(P3) == X
         # column operations do not change the object
         if len(P.col_degrees) >= 2:
             cols = sorted(rng.sample(range(len(P.col_degrees)), 2),
@@ -329,13 +372,14 @@ def test_from_presentation_roundtrip_and_column_ops(field):
             for i in range(len(P.row_degrees)):
                 new_entries[i][j_big] = (
                     new_entries[i][j_big]
-                    + new_entries[i][j_small].shift(shift_deg).scale(field.of_int(2))
+                    + new_entries[i][j_small] * Poly.monomial(field, -1, shift_deg)
                 )
             P2 = presentation_of_polys(
                 field, P.row_degrees, P.col_degrees, new_entries,
                 [0] * X.p + [1] * X.q, P.loc_iso,
             )
             assert from_presentation(P2) == X
+    assert changed > 0
 
 
 def test_from_presentation_constant_on_row_ops():
@@ -352,7 +396,7 @@ def test_from_presentation_constant_on_row_ops():
         F,
         P.row_degrees,
         P.col_degrees,
-        [[x2.scale(F.of_int(-2))], [x2]],
+        [[Poly.monomial(F, -2, 2)], [x2]],
         [0],
         [[F.one, F.of_int(2)]],
     )

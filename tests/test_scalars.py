@@ -128,17 +128,5 @@ def test_poly_ring(F):
     q = Poly.of(F, [1, 1])
     assert q * q == p
     assert (p - q * q).is_zero()
-    quot, rem = p.divmod(q)
-    assert quot == q and rem.is_zero()
-    assert (x.shift(2)).degree == 3
     assert Poly.monomial(F, 3, 4).is_homogeneous()
     assert not (p + x).is_homogeneous() or F.p == 2 if F is not QQ else True
-
-
-def test_poly_divmod_general():
-    F = QQ
-    a = Poly.of(F, [2, 0, 1, 3])
-    b = Poly.of(F, [1, 1])
-    quot, rem = a.divmod(b)
-    assert quot * b + rem == a
-    assert rem.degree < b.degree
