@@ -1,11 +1,11 @@
 """Almost split sequences, extension middles, quiver windows.
 
-A degree-one class is realized as an honest short exact sequence: for
-torsion-free ends the middle lattice is generated by the twisted columns
-[B' | A B; 0 | B]; in the presence of torsion the extension is assembled
-degreewise (the class data feeds the x-action and the localization chart),
-its canonical form is reconstructed, and the adapted basis found with it
-transports the inclusion and projection onto the canonical middle.
+A degree-one class is realized as an honest short exact sequence.  With no
+torsion part, the middle is the torsion of both ends plus the lattice of the
+twisted columns [B' | A B; 0 | B]; a class that glues torsion is assembled
+degreewise, the window sweep reconstructs its canonical form, and the
+adapted basis found with it transports the inclusion and projection onto
+the canonical middle.
 """
 
 from __future__ import annotations
@@ -57,7 +57,6 @@ from .objects import (
     shift,
     sigma,
     slot_events,
-    window_bounds,
 )
 
 
@@ -76,42 +75,42 @@ class ShortExactSeq:
 
 def split_sequence(Y: CObject, X: CObject) -> ShortExactSeq:
     """The split extension of X by Y."""
-    Z, e1, e2, t1, t2 = direct_sum(Y, X)
-    inject = sum_inclusion(Z, Y, e1, t1)
-    surject = sum_projection(Z, X, e2, t2)
-    return ShortExactSeq(Y, Z, X, inject, surject, zero_class(X, Y))
+    return _frame_extension(zero_class(X, Y))
 
 
 def extension_object(c: ExtClass) -> ShortExactSeq:
-    """Short exact sequence 0 -> Y -> E -> X -> 0 realizing the class."""
-    X, Y = c.src, c.dst
-    if c.is_zero():
-        return split_sequence(Y, X)
-    if X.is_torsion_free() and Y.is_torsion_free():
-        return _lattice_extension(c)
-    return _general_extension(c)
+    """Short exact sequence 0 -> Y -> E -> X -> 0 realizing the class; only a
+    nonzero torsion block, which glues torsion of X into Y, needs the sweep."""
+    if any(map(any, c.tor)):
+        return _general_extension(c)
+    return _frame_extension(c)
 
 
 def _twisted_frame(c: ExtClass):
-    """(Z, embY, embX, gens): the direct sum Z of Y and X, the embeddings of
-    their ambient coordinates, and the middle's generators, Y's embedded and
-    then X's (e, dir) twisted to (e, (embX + embY A) dir), A = ``offdiag_full``."""
+    """(Z, embY, embX, tY, tX, gens): the direct sum Z of Y and X, the
+    embeddings of their ambient coordinates and their torsion index maps,
+    and the middle's generators, Y's embedded and then X's (e, dir) twisted
+    to (e, (embX + embY A) dir), A = ``offdiag_full``."""
     F = c.src.field
     X, Y = c.src, c.dst
-    Z, embY, embX, _, _ = direct_sum(Y, X)
+    Z, embY, embX, tY, tX = direct_sum(Y, X)
     twist = linalg.mat_add(F, embX, linalg.mm(F, embY, offdiag_full(c), Y.rank, X.rank))
     gens = [(e, linalg.mat_vec(F, embY, dir)) for e, dir in Y.lattice.generators()]
     gens += [(e, linalg.mat_vec(F, twist, dir)) for e, dir in X.lattice.generators()]
-    return Z, embY, embX, gens
+    return Z, embY, embX, tY, tX, gens
 
 
-def _lattice_extension(c: ExtClass) -> ShortExactSeq:
+def _frame_extension(c: ExtClass) -> ShortExactSeq:
+    """The middle of a class with no torsion part, the split class among
+    them: Ext(lattice, torsion) = D Hom(torsion, V lattice) = 0, so every
+    torsion summand splits off, and E is Z's torsion plus the canonical form
+    of the twisted frame."""
     F = c.src.field
     X, Y = c.src, c.dst
-    Z, embY, embX, gens = _twisted_frame(c)
-    E = CObject(F, TorsionPart(()), canonicalize(F, gens, Z.p, Z.q))
-    inject = sum_inclusion(E, Y, embY, {})
-    surject = sum_projection(E, X, embX, {})
+    Z, embY, embX, tY, tX, gens = _twisted_frame(c)
+    E = CObject(F, Z.torsion, canonicalize(F, gens, Z.p, Z.q))
+    inject = sum_inclusion(E, Y, embY, tY)
+    surject = sum_projection(E, X, embX, tX)
     return ShortExactSeq(Y, E, X, inject, surject, c)
 
 
@@ -120,16 +119,16 @@ def _general_extension(c: ExtClass) -> ShortExactSeq:
     class on each torsion summand of X, and charted at the top degree by the
     twisted frame (there the slots are Y's generators, then X's, in order).
 
-    The window lists only the event degrees: lo, hi and the slot events of X
-    and Y.  Between two of them x is the slot identity; the class twists a
-    torsion summand of X from its last degree n - a - 1 into its death n - a,
-    which is an event.  So the sweep, the certificate and the maps cost the
-    same whatever the length of a bar."""
+    The window lists only the slot events of X and Y: the lowest is where
+    the first piece appears, and at the highest every torsion summand is
+    dead and both lattices are whole.  Between two of them x is the slot
+    identity; the class twists a torsion summand of X from its last degree
+    n - a - 1 into its death n - a, which is an event.  So the sweep, the
+    certificate and the maps cost the same whatever the length of a bar."""
     F = c.src.field
     X, Y = c.src, c.dst
-    (loX, hiX), (loY, hiY) = window_bounds(X), window_bounds(Y)
-    degrees = tuple(sorted({min(loX, loY), max(hiX, hiY)} | slot_events(X) | slot_events(Y)))
-    Z, _, _, gens = _twisted_frame(c)
+    degrees = tuple(sorted(slot_events(X) | slot_events(Y)))
+    Z, *_, gens = _twisted_frame(c)
 
     dims = tuple(Y.module_dim_at(d) + X.module_dim_at(d) for d in degrees)
     xmaps = []

@@ -348,7 +348,8 @@ def _lattice_pieces(L) -> list:
     lines of A_d (C_d) left over are F0 (F1).  The sweep keeps pure lines and
     live diagonal bars (u, w) with u + w in S_birth, and at each jump e:
 
-    1. kills bars: every combination of live u's that lies in A_e kills the
+    1. kills bars (``linalg.elder_kills`` on the annihilators of the live
+       u's): every combination of live u's that lies in A_e kills the
        youngest bar in it, whose (u, w) becomes that combination of its own
        and its elders' vectors, so u lies in A_e and u + w in S_birth;
     2. starts F0[-e] (F1[-e]) on the vectors of A_e (C_e) outside the span
@@ -368,11 +369,11 @@ def _lattice_pieces(L) -> list:
         ann0 = tuple(n[:p] for n in ann)
         ann1 = tuple(n[p:] for n in ann)
         if live:
+            ann_u = [linalg.mat_vec(F, ann0, u) for _, u, _ in live]
+            kills, pivots = linalg.elder_kills(F, ann_u)
             young = live[::-1]
             U = linalg.transpose([bar[1] for bar in young])
             W = linalg.transpose([bar[2] for bar in young])
-            in_a = linalg.mm(F, ann0, U, p, len(young))
-            kills, pivots = linalg.rref(F, linalg.nullspace(F, in_a, ncols=len(young)))
             for row, piv in zip(kills, pivots):
                 s = young[piv][0]
                 u, w = linalg.mat_vec(F, U, row), linalg.mat_vec(F, W, row)

@@ -64,9 +64,6 @@ class GradedLattice:
     def min_jump(self) -> int:
         return self.steps[0][0]
 
-    def max_jump(self) -> int:
-        return self.steps[-1][0]
-
     @cached_property
     def _jumps(self) -> tuple:
         return tuple(j for j, _ in self.steps)

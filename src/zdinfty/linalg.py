@@ -260,18 +260,6 @@ def reduce_against(F: FieldSpec, basis: Sequence, pivots: Sequence[int], v: Sequ
     return tuple(w)
 
 
-def in_span(F: FieldSpec, basis: Sequence, pivots: Sequence[int], v: Sequence) -> bool:
-    return is_zero_vector(F, reduce_against(F, basis, pivots, v))
-
-
-def coords_in_basis(F: FieldSpec, basis: Sequence, v: Sequence) -> Vector | None:
-    """Coefficients expressing ``v`` in ``basis`` (rows), or None."""
-    if not basis:
-        return () if is_zero_vector(F, v) else None
-    At = transpose(basis)
-    return solve(F, At, v)
-
-
 def solve(F: FieldSpec, A: Sequence, b: Sequence) -> Vector | None:
     """One solution of ``A x = b``, or None if inconsistent."""
     m = len(A)
@@ -308,6 +296,18 @@ def nullspace(F: FieldSpec, A: Sequence, ncols: int | None = None) -> Matrix:
             v[col] = F.neg(row[f])
         basis.append(tuple(v))
     return tuple(basis)
+
+
+def elder_kills(F: FieldSpec, columns: Sequence) -> tuple[Matrix, tuple[int, ...]]:
+    """The elder rule's deaths (Zomorodian and Carlsson, "Computing Persistent
+    Homology", 2005) among live bars, one column per bar, elder first: the
+    rref of the kernel of the columns, bars listed youngest first, and its
+    pivots.  A bar dies when its column lies in its elders' span, so the
+    pivots are the dying bars, and each row, one at its bar and zero at
+    every younger and every other dying bar, is the combination of it and
+    its surviving elders that the columns send to zero."""
+    n = len(columns)
+    return rref(F, nullspace(F, transpose(columns[::-1]), ncols=n))
 
 
 def inverse(F: FieldSpec, A: Sequence) -> Matrix | None:

@@ -6,7 +6,7 @@ degrees) and F a full-rank graded lattice.  The split is stored, not
 recomputed.  This module owns the structural functors (degree shift, the
 type swap sigma, the twist V = sigma then shift by -1), symbolic injective
 resolutions, and the degree data that a window over an object reads: its
-bounds, its slot events and x on its slots.
+slot events and x on its slots.
 """
 
 from __future__ import annotations
@@ -62,12 +62,6 @@ class TorsionPart:
 
     def dim_at(self, d: int) -> int:
         return len(self.slots_at(d))
-
-    def min_degree(self):
-        return min((-a for _, a in self.summands), default=None)
-
-    def max_degree(self):
-        return max((-a + n - 1 for n, a in self.summands), default=None)
 
     def shifted(self, s: int) -> "TorsionPart":
         return TorsionPart.of((n, a + s) for n, a in self.summands)
@@ -314,22 +308,7 @@ def injective_resolution(X: CObject):
 
 
 # ---------------------------------------------------------------------------
-# degree windows and slot maps
-
-
-def window_bounds(X: CObject):
-    """A degree window (lo, hi) on which X is fully visible and stable at the
-    top: lo is the least jump or torsion degree, and hi is one past the
-    largest, so the torsion is dead at hi; (0, 1) for the zero object."""
-    lows = [j for j, _ in X.lattice.steps]
-    highs = list(lows)
-    td = X.torsion.min_degree()
-    if td is not None:
-        lows.append(td)
-        highs.append(X.torsion.max_degree())
-    if not lows:
-        return (0, 1)
-    return (min(lows), max(highs) + 1)
+# slot events and slot maps
 
 
 def slot_events(X: CObject) -> set:

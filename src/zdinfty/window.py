@@ -1,16 +1,18 @@
-"""The bar sweep behind extension middles with torsion.
+"""The bar sweep behind extension middles whose class glues torsion.
 
 A window module records a graded module at listed degrees, with x the
 identity between them; ``ar._general_extension`` assembles one for each
-middle it builds, at the event degrees of its two ends.  Together with a
-chart identifying the top degree with the ambient space k^r this is enough
-to recover the canonical torsion/lattice data of a finitely generated
-object: the lattice filtration is the image in the localization, and the
-torsion summands are the bars of the kernel's persistence module, found by
-one elder-rule sweep over the listed degrees that also yields an
-isomorphism onto the canonical model.  A persistence module changes only at
-its critical values, so listing those is enough, and then the cost does not
-grow with the length of a bar.
+middle whose class glues torsion of X into Y, at the slot events of its two
+ends.  Together with a chart identifying the top degree with the ambient
+space k^r this is enough to recover the canonical torsion/lattice data of a
+finitely generated object: the lattice filtration is the image in the
+localization, and the torsion summands are the bars of the kernel's
+persistence module, found by one elder-rule sweep over the listed degrees
+that also yields an isomorphism onto the canonical model.  Its deaths come
+from ``linalg.elder_kills``, the step the Krull-Schmidt sweep in
+``decomp`` takes too.  A persistence module changes only at its critical
+values, so listing those is enough, and then the cost does not grow with
+the length of a bar.
 """
 
 from __future__ import annotations
@@ -57,8 +59,10 @@ def reconstruct_parts(wm: WindowModule, chart, p: int, q: int):
     kernels K_d of the maps into the chart: one elder-rule sweep over the
     listed degrees, from low to high, splits it into bars, each a chain of
     vectors v, x v, ... , one per listed degree, that x kills after its
-    last one.  A bar born at D[b] whose chain has c entries dies at
-    D[b + c], so its length is D[b + c] - D[b].
+    last one: ``linalg.elder_kills`` on the x-images of the live bars names
+    the dying ones, and kernel vectors outside the survivors' images start
+    new ones.  A bar born at D[b] whose chain has c entries dies at D[b + c],
+    so its length is D[b + c] - D[b].
 
     Returns the sorted torsion summands (n, a), the canonical GradedLattice,
     and ``basis``: per listed degree d, the matrix whose columns are the
@@ -90,30 +94,30 @@ def reconstruct_parts(wm: WindowModule, chart, p: int, q: int):
         kernel = linalg.nullspace(F, to_chart[i], ncols=dims[i])
         if i == top and kernel:
             raise ZdinftyError("torsion still alive at the top of the window")
-        survivors, images = [], []
-        for birth, chain in live:
-            image = linalg.mat_vec(F, xmaps[i - 1], chain[-1])
-            coeffs = linalg.coords_in_basis(F, images, image)
-            if coeffs is None:
-                chain.append(image)
-                survivors.append((birth, chain))
-                images.append(image)
-                continue
-            # The bar dies at D[i] - 1.  Its elders are alive on its whole
-            # span; subtracting the same combination of them at every listed
-            # degree makes x kill its last vector.
-            for (elder_birth, elder_chain), c in zip(survivors, coeffs):
+        images = [linalg.mat_vec(F, xmaps[i - 1], chain[-1]) for _, chain in live]
+        kills, pivots = linalg.elder_kills(F, images)
+        young = live[::-1]
+        # Each dying bar, elder first, dies at D[i] - 1.  Its elders are alive
+        # on its whole span; adding its row's combination of them at every
+        # listed degree makes x kill its last vector.
+        for row, piv in zip(kills[::-1], pivots[::-1]):
+            birth, chain = young[piv]
+            for (elder_birth, elder_chain), c in zip(young[piv + 1:], row[piv + 1:]):
                 if F.is_zero(c):
                     continue
                 for t in range(len(chain)):
-                    elder = linalg.vec_scale(F, F.neg(c), elder_chain[birth - elder_birth + t])
+                    elder = linalg.vec_scale(F, c, elder_chain[birth - elder_birth + t])
                     chain[t] = linalg.vec_add(F, chain[t], elder)
             bars.append((birth, chain))
-        for v in kernel:
-            if linalg.coords_in_basis(F, images, v) is None:
-                survivors.append((i, [v]))
-                images.append(v)
-        live = survivors
+        # The survivors go on; kernel vectors outside their images are born.
+        dead = {len(live) - 1 - j for j in pivots}
+        span = linalg.Echelon(F)
+        for k, (_, chain) in enumerate(live):
+            if k not in dead:
+                chain.append(images[k])
+                span.add(images[k])
+        live = [bar for k, bar in enumerate(live) if k not in dead]
+        live += [(i, [v]) for v in kernel if span.add(v)]
 
     def summand(bar):
         birth, chain = bar

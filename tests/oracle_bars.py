@@ -8,6 +8,10 @@ ranks.  The lattice is the filtration of the chart images.  This is the
 computation the sweep replaced; it costs O(w^3) products on a window of
 width w.  It reads every degree of [lo, hi] through ``dim_at`` and
 ``xmap`` below, whichever degrees the window lists.
+
+``bar_by_bar_kills`` is the elder rule as the sweep ran it before the
+shared kill step ``linalg.elder_kills``: one bar at a time, a coordinate
+solve against the surviving elders each.
 """
 
 from bisect import bisect_right
@@ -16,6 +20,8 @@ from zdinfty import linalg
 from zdinfty.lattice import GradedLattice, from_filtration
 from zdinfty.objects import CObject, TorsionPart, module_xpower
 from zdinfty.window import WindowModule
+
+from oracle_membership import coords_in_basis
 
 
 def dim_at(wm, d):
@@ -115,3 +121,25 @@ def checked_reconstruct(real, seen):
         return summands, lat, basis
 
     return wrapper
+
+
+def bar_by_bar_kills(F, columns):
+    """The dying bars among live bars with these columns, elder first, one
+    bar at a time: a bar dies when its column is a combination of the
+    columns of its surviving elders.  Returns (bar, row) per dying bar,
+    elder first, with bars indexed elder first: the row is one at the bar,
+    minus that combination's coefficient at each surviving elder, and zero
+    elsewhere, so the columns send it to zero."""
+    survivors, images, kills = [], [], []
+    for j, column in enumerate(columns):
+        coeffs = coords_in_basis(F, images, column)
+        if coeffs is None:
+            survivors.append(j)
+            images.append(column)
+            continue
+        row = [F.zero] * len(columns)
+        row[j] = F.one
+        for i, c in zip(survivors, coeffs):
+            row[i] = F.neg(c)
+        kills.append((j, tuple(row)))
+    return kills

@@ -17,6 +17,8 @@ F0 (F1) summands born at e number the growth of A (C) at e less the deaths.
 
 from zdinfty import linalg
 
+from oracle_slots import max_jump
+
 
 def intersect_rowspaces(F, A, B):
     """Echelon basis of (row space of A, intersected with row space of B):
@@ -35,7 +37,7 @@ def goursat_counts(L) -> dict:
     F, p = L.field, L.p
     if L.rank == 0:
         return {}
-    lo, hi = L.min_jump(), L.max_jump()
+    lo, hi = L.min_jump(), max_jump(L)
     unit = linalg.identity(F, L.rank)
     A, B, C = {}, {}, {}
     for d in range(lo - 1, hi + 1):

@@ -21,16 +21,16 @@ from zdinfty.homext import (
     torsion_compatible,
 )
 
-from oracle_slots import torsion_xpower
+from oracle_slots import max_degree, min_degree, torsion_xpower
 
 
 def shared_degrees(X, Y) -> tuple:
     """Degrees where the torsion of X and of Y are both nonzero."""
-    if X.torsion.min_degree() is None or Y.torsion.min_degree() is None:
+    if min_degree(X.torsion) is None or min_degree(Y.torsion) is None:
         return ()
     return tuple(
         d
-        for d in range(X.torsion.min_degree(), X.torsion.max_degree() + 1)
+        for d in range(min_degree(X.torsion), max_degree(X.torsion) + 1)
         if X.torsion.dim_at(d) > 0 and Y.torsion.dim_at(d) > 0
     )
 
@@ -51,7 +51,7 @@ def torsion_hom_basis(X, Y) -> tuple:
         return offsets[d] + i * S.dim_at(d) + j
 
     rows = []
-    for d in range(S.min_degree(), S.max_degree() + 1):
+    for d in range(min_degree(S), max_degree(S) + 1):
         na, nb1 = S.dim_at(d), T.dim_at(d + 1)
         if na == 0 or nb1 == 0:
             continue

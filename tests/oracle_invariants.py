@@ -5,7 +5,7 @@ canonical form: ``filtration`` peels one ambient coordinate at a time, the
 last first, with a nullspace per jump and an rref per generator;
 ``singularity_index`` and ``y_linearity_bound`` try n = 0, 1, 2, ... with a
 membership test per generator; and coordinates in a Hom or Ext basis, and
-with them ``end_ring``, come from one ``linalg.coords_in_basis`` solve per
+with them ``end_ring``, come from one ``coords_in_basis`` solve per
 vector.
 """
 
@@ -17,7 +17,8 @@ from zdinfty.errors import NotLatticeMorphism, ZdinftyError
 from zdinfty.homext import compose, hom_space, morphism_vector
 from zdinfty.lattice import GradedVector
 
-from oracle_membership import step_membership
+from oracle_membership import coords_in_basis, in_span, step_membership
+from oracle_slots import max_jump
 
 
 # ---------------------------------------------------------------------------
@@ -64,7 +65,7 @@ def _dedupe_generators(F, gens):
     for jump, dir in sorted(gens, key=lambda g: g[0]):
         alive = [d for j, d in kept if j <= jump]
         basis, pivots = linalg.rref(F, alive) if alive else ((), ())
-        if not linalg.in_span(F, basis, pivots, dir):
+        if not in_span(F, basis, pivots, dir):
             kept.append((jump, dir))
     return kept
 
@@ -84,7 +85,7 @@ def singularity_index(X) -> int:
     if X.rank == 0:
         return 0
     gens = X.lattice.generators()
-    spread = X.lattice.max_jump() - X.lattice.min_jump()
+    spread = max_jump(X.lattice) - X.lattice.min_jump()
     for n in range(0, spread + 2):
         if all(step_membership(X.lattice, _v_image(F, X, e, dir, n)) for e, dir in gens):
             return n
@@ -121,7 +122,7 @@ def y_linearity_bound(f, bound: int = 64) -> int:
 def hom_coordinates(space, m):
     """Coefficients of a morphism in the Hom basis, or None off its span."""
     vecs = [morphism_vector(b) for b in space.basis]
-    return linalg.coords_in_basis(space.src.field, vecs, morphism_vector(m))
+    return coords_in_basis(space.src.field, vecs, morphism_vector(m))
 
 
 def _class_vector(c):
@@ -132,7 +133,7 @@ def _class_vector(c):
 def ext_coordinates(space, c):
     """Coefficients of a class in the Ext basis, or None off its span."""
     vecs = [_class_vector(b) for b in space.basis]
-    return linalg.coords_in_basis(space.src.field, vecs, _class_vector(c))
+    return coords_in_basis(space.src.field, vecs, _class_vector(c))
 
 
 def end_ring_table(X) -> tuple:

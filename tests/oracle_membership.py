@@ -5,15 +5,29 @@ solving for bounded-degree polynomial coefficients c_j(x), one linear
 equation per ambient coordinate per degree.  ``step_membership`` and
 ``step_degree`` reduce v against the echelon basis of each step, as
 ``lattice.membership`` and ``lattice.degree_of`` did before they read the
-adapted coordinates.
+adapted coordinates.  ``in_span`` reduces against an echelon basis and
+``coords_in_basis`` solves for coefficients; the library dropped both once
+nothing in it called them, and the oracles and tests still do.
 """
 
 from zdinfty import linalg
 
 
+def in_span(F, basis, pivots, v) -> bool:
+    """Whether ``v`` lies in the span of an echelon basis with these pivots."""
+    return linalg.is_zero_vector(F, linalg.reduce_against(F, basis, pivots, v))
+
+
+def coords_in_basis(F, basis, v):
+    """Coefficients expressing ``v`` in ``basis`` (rows), or None."""
+    if not basis:
+        return () if linalg.is_zero_vector(F, v) else None
+    return linalg.solve(F, linalg.transpose(basis), v)
+
+
 def _in_step(F, basis, v) -> bool:
     rows, pivots = linalg.rref(F, basis)
-    return linalg.in_span(F, rows, pivots, v)
+    return in_span(F, rows, pivots, v)
 
 
 def step_membership(L, v) -> bool:

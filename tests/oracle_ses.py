@@ -33,8 +33,9 @@ from zdinfty.objects import (
     direct_sum,
     module_xpower,
     serre_twist,
-    window_bounds,
 )
+
+from oracle_slots import max_degree, max_jump, window_bounds
 
 
 def model_of(X: CObject, lo: int, hi: int):
@@ -45,9 +46,9 @@ def model_of(X: CObject, lo: int, hi: int):
     all jumps and torsion support.
     """
     F = X.field
-    if X.rank > 0 and hi < X.lattice.max_jump():
+    if X.rank > 0 and hi < max_jump(X.lattice):
         raise ZdinftyError("window top below the lattice jumps")
-    td = X.torsion.max_degree()
+    td = max_degree(X.torsion)
     if td is not None and hi <= td:
         raise ZdinftyError("window top does not kill the torsion")
     dims = tuple(X.module_dim_at(d) for d in range(lo, hi + 1))

@@ -14,6 +14,10 @@ coordinates, the x-power on torsion slots is a dense 0/1 matrix, and
 moved images generator by generator.  ``hom_kx_space`` solves for all
 rank x rank unknowns instead of the block-diagonal ones, with each step's
 annihilator a nullspace of its echelon basis.
+
+The degree bounds ``max_jump``, ``min_degree``, ``max_degree`` and
+``window_bounds`` sized the library's windows before they listed only slot
+events; the tests still read them.
 """
 
 from __future__ import annotations
@@ -22,6 +26,39 @@ from zdinfty import linalg
 from zdinfty.errors import NotLatticeMorphism, ZdinftyError
 from zdinfty.homext import ext_space, morphism_from_parts, offdiag_blocks
 from zdinfty.objects import serre_twist
+
+from oracle_membership import coords_in_basis
+
+
+def max_jump(L) -> int:
+    """The last jump of a lattice."""
+    return L.steps[-1][0]
+
+
+def min_degree(T):
+    """The first degree where a torsion part is alive; None when it is zero."""
+    return min((-a for _, a in T.summands), default=None)
+
+
+def max_degree(T):
+    """The last degree where a torsion part is alive; None when it is zero."""
+    return max((-a + n - 1 for n, a in T.summands), default=None)
+
+
+def window_bounds(X):
+    """A degree window (lo, hi) on which X is fully visible and stable at the
+    top: lo is the least jump or torsion degree, and hi is one past the
+    largest, so the torsion is dead at hi; (0, 1) for the zero object.  The
+    library's windows list ``objects.slot_events`` instead."""
+    lows = [j for j, _ in X.lattice.steps]
+    highs = list(lows)
+    td = min_degree(X.torsion)
+    if td is not None:
+        lows.append(td)
+        highs.append(max_degree(X.torsion))
+    if not lows:
+        return (0, 1)
+    return (min(lows), max(highs) + 1)
 
 
 def torsion_xpower(T, F, d_from: int, d_to: int) -> tuple:
@@ -37,7 +74,7 @@ def adapted_coords(L, v, degree: int):
     F = L.field
     gens = L.generators()
     active = [i for i, (j, _) in enumerate(gens) if j <= degree]
-    coeffs = linalg.coords_in_basis(F, tuple(gens[i][1] for i in active), v)
+    coeffs = coords_in_basis(F, tuple(gens[i][1] for i in active), v)
     if coeffs is None:
         return None
     out = [F.zero] * len(gens)

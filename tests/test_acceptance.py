@@ -40,6 +40,7 @@ from zdinfty.objects import (
 from zdinfty.poly import Poly
 from zdinfty.singularity import RmElement, ring_u, ring_v, singularity_index, y_linearity_bound
 
+from oracle_membership import coords_in_basis
 from oracle_trunc import hom_dim_trunc
 
 F = QQ
@@ -215,7 +216,7 @@ def _six_term_check(field, seq, G):
         hom_coords.append(vecs)
 
     def hcoords(idx, m):
-        coords = linalg.coords_in_basis(field, hom_coords[idx], morphism_vector(m))
+        coords = coords_in_basis(field, hom_coords[idx], morphism_vector(m))
         assert coords is not None
         return coords
 

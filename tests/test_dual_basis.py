@@ -32,6 +32,7 @@ from zdinfty.objects import direct_sum_many, rank_two
 from oracle_decomp import conjugated_sum, random_invertible
 from oracle_goursat import intersect_rowspaces
 from oracle_membership import kx_membership, step_degree
+from oracle_slots import max_jump
 from test_lattice import random_lattice
 
 SHAPES = [
@@ -61,7 +62,7 @@ def _vectors(F, rng, L):
 
 
 def _degrees(L):
-    return range(L.min_jump() - 1, L.max_jump() + 2) if L.rank else (0,)
+    return range(L.min_jump() - 1, max_jump(L) + 2) if L.rank else (0,)
 
 
 @pytest.mark.parametrize("F,seed", [(QQ, 31), (GF(2), 32), (GF(3), 33)], ids=str)
@@ -129,7 +130,7 @@ def test_every_query_reads_one_inverse(monkeypatch):
         monkeypatch.setattr(linalg, name, counted)
 
     def ask_everything():
-        for d in range(L.min_jump() - 1, L.max_jump() + 2):
+        for d in range(L.min_jump() - 1, max_jump(L) + 2):
             L.annihilator_at(d)
             for v in linalg.identity(F, L.rank):
                 membership(L, GradedVector(d, v))

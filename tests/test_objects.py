@@ -22,7 +22,6 @@ from zdinfty.objects import (
     shift,
     sigma,
     torsion_cyclic,
-    window_bounds,
     zero_object,
 )
 from zdinfty.lattice import canonicalize
@@ -37,6 +36,7 @@ from oracle_presentation import (
     presentation_of_polys,
 )
 from oracle_ses import model_of
+from oracle_slots import window_bounds
 from oracle_snf import graded_smith
 
 

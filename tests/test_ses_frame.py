@@ -29,9 +29,10 @@ from zdinfty.homext import (
     serre_twist_morphism,
 )
 from zdinfty.linalg import zeros
-from zdinfty.objects import direct_sum_many, rank_one, window_bounds
+from zdinfty.objects import direct_sum_many, rank_one
 
 import oracle_ses
+from oracle_slots import window_bounds
 from test_bars import random_class, random_sum
 
 

@@ -15,7 +15,7 @@ import oracle_slots as oracle
 from zdinfty.ar import morphism_from_degreewise
 from zdinfty.fields import GF, QQ
 from zdinfty.homext import ext_space, hom_space, morphism_degreewise, serre_twist_class
-from zdinfty.objects import direct_sum_many, module_xpower, window_bounds
+from zdinfty.objects import direct_sum_many, module_xpower
 
 from test_acceptance import catalog
 
@@ -44,7 +44,7 @@ def _pairs(F, seed=29):
 
 
 def _window(*objs):
-    bounds = [window_bounds(X) for X in objs]
+    bounds = [oracle.window_bounds(X) for X in objs]
     return min(lo for lo, _ in bounds), max(hi for _, hi in bounds)
 
 

@@ -22,10 +22,10 @@ from zdinfty.objects import (
     rank_one,
     rank_two,
     torsion_cyclic,
-    window_bounds,
 )
 
 from oracle_hom import shared_degrees, torsion_hom_basis
+from oracle_slots import window_bounds
 
 FIELDS = [QQ, GF(2), GF(3)]
 
