@@ -5,18 +5,26 @@ torsion part, the middle is the torsion of both ends plus the lattice of the
 twisted columns [B' | A B; 0 | B]; a class that glues torsion is assembled
 degreewise, the window sweep reconstructs its canonical form, and the
 adapted basis found with it transports the inclusion and projection onto
-the canonical middle.
+the canonical middle.  Each builder returns the middle with what builds the
+two maps, so a caller that reads only the middle builds no map.
+
+An almost split sequence is computed from the classification: ``identify``
+decides that X is indecomposable and names it, the left term is the
+translate of that name, and only the class and the middle are built; its
+sequence, with both maps, is built on first read.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 from . import linalg, window
 from .errors import (
     NotIndecomposable,
     RangeError,
     ShapeMismatch,
+    UnrecognizedShape,
     WindowTooSmall,
     WitnessNotFound,
     ZdinftyError,
@@ -40,6 +48,7 @@ from .homext import (
 from .decomp import (
     IndecLabel,
     decompose,
+    identify,
     label_to_object,
     rank_one_label,
     rank_two_label,
@@ -51,12 +60,12 @@ from .lattice import canonicalize
 from .objects import (
     CObject,
     TorsionPart,
-    direct_sum,
     module_xpower,
     serre_twist,
     shift,
     sigma,
     slot_events,
+    sum_layout,
 )
 
 
@@ -75,46 +84,54 @@ class ShortExactSeq:
 
 def split_sequence(Y: CObject, X: CObject) -> ShortExactSeq:
     """The split extension of X by Y."""
-    return _frame_extension(zero_class(X, Y))
+    return extension_object(zero_class(X, Y))
 
 
 def extension_object(c: ExtClass) -> ShortExactSeq:
-    """Short exact sequence 0 -> Y -> E -> X -> 0 realizing the class; only a
-    nonzero torsion block, which glues torsion of X into Y, needs the sweep."""
+    """Short exact sequence 0 -> Y -> E -> X -> 0 realizing the class, with
+    both maps built."""
+    E, maps = extension_middle(c)
+    return ShortExactSeq(c.dst, E, c.src, *maps(), c)
+
+
+def extension_middle(c: ExtClass):
+    """(E, maps): the middle of the class and a function that builds the
+    inclusion and the projection of its sequence.  Only a nonzero torsion
+    block, which glues torsion of X into Y, needs the sweep."""
     if any(map(any, c.tor)):
         return _general_extension(c)
     return _frame_extension(c)
 
 
 def _twisted_frame(c: ExtClass):
-    """(Z, embY, embX, tY, tX, gens): the direct sum Z of Y and X, the
-    embeddings of their ambient coordinates and their torsion index maps,
-    and the middle's generators, Y's embedded and then X's (e, dir) twisted
-    to (e, (embX + embY A) dir), A = ``offdiag_full``."""
+    """(p, q, torsion, (embY, tY), (embX, tX), gens): the layout of the
+    direct sum of Y and X (``objects.sum_layout``, its lattice unbuilt), and
+    the middle's generators, Y's embedded and then X's (e, dir) twisted to
+    (e, (embX + embY A) dir), A = ``offdiag_full``."""
     F = c.src.field
     X, Y = c.src, c.dst
-    Z, embY, embX, tY, tX = direct_sum(Y, X)
+    p, q, torsion, (inY, inX), _ = sum_layout([Y, X])
+    embY, embX = inY[0], inX[0]
     twist = linalg.mat_add(F, embX, linalg.mm(F, embY, offdiag_full(c), Y.rank, X.rank))
     gens = [(e, linalg.mat_vec(F, embY, dir)) for e, dir in Y.lattice.generators()]
     gens += [(e, linalg.mat_vec(F, twist, dir)) for e, dir in X.lattice.generators()]
-    return Z, embY, embX, tY, tX, gens
+    return p, q, torsion, inY, inX, gens
 
 
-def _frame_extension(c: ExtClass) -> ShortExactSeq:
+def _frame_extension(c: ExtClass):
     """The middle of a class with no torsion part, the split class among
     them: Ext(lattice, torsion) = D Hom(torsion, V lattice) = 0, so every
-    torsion summand splits off, and E is Z's torsion plus the canonical form
-    of the twisted frame."""
+    torsion summand splits off, and E is the sum's torsion plus the
+    canonical form of the twisted frame.  The maps are the summands'
+    inclusion and projection."""
     F = c.src.field
     X, Y = c.src, c.dst
-    Z, embY, embX, tY, tX, gens = _twisted_frame(c)
-    E = CObject(F, Z.torsion, canonicalize(F, gens, Z.p, Z.q))
-    inject = sum_inclusion(E, Y, embY, tY)
-    surject = sum_projection(E, X, embX, tX)
-    return ShortExactSeq(Y, E, X, inject, surject, c)
+    p, q, torsion, inY, inX, gens = _twisted_frame(c)
+    E = CObject(F, torsion, canonicalize(F, gens, p, q))
+    return E, lambda: (sum_inclusion(E, Y, *inY), sum_projection(E, X, *inX))
 
 
-def _general_extension(c: ExtClass) -> ShortExactSeq:
+def _general_extension(c: ExtClass):
     """The middle as a window module: degreewise Y + X, with x twisted by the
     class on each torsion summand of X, and charted at the top degree by the
     twisted frame (there the slots are Y's generators, then X's, in order).
@@ -124,11 +141,12 @@ def _general_extension(c: ExtClass) -> ShortExactSeq:
     dead and both lattices are whole.  Between two of them x is the slot
     identity; the class twists a torsion summand of X from its last degree
     n - a - 1 into its death n - a, which is an event.  So the sweep, the
-    certificate and the maps cost the same whatever the length of a bar."""
+    certificate and the maps cost the same whatever the length of a bar.
+    The certificate is checked here; the maps are built when asked for."""
     F = c.src.field
     X, Y = c.src, c.dst
     degrees = tuple(sorted(slot_events(X) | slot_events(Y)))
-    Z, *_, gens = _twisted_frame(c)
+    p, q, *_, gens = _twisted_frame(c)
 
     dims = tuple(Y.module_dim_at(d) + X.module_dim_at(d) for d in degrees)
     xmaps = []
@@ -146,19 +164,23 @@ def _general_extension(c: ExtClass) -> ShortExactSeq:
         xmaps.append(tuple(map(tuple, rows)))
     chart = linalg.transpose([dir for _, dir in gens])
     wmE = window.WindowModule(F, degrees, dims, tuple(xmaps))
-    summands, lat, phi_inv = window.reconstruct_parts(wmE, chart, Z.p, Z.q)
+    summands, lat, phi_inv = window.reconstruct_parts(wmE, chart, p, q)
     E = CObject(F, TorsionPart(summands), lat)
-    # phi_inv carries the canonical model of E onto wmE; its inverse at every
-    # listed degree is the certificate that the two are isomorphic.
-    phi = {d: linalg.inverse(F, phi_inv[d]) for d in degrees}
-    if any(m is None for m in phi.values()):
+    # phi_inv carries the canonical model of E onto wmE; square and of full
+    # rank at every listed degree, it certifies that the two are isomorphic.
+    if any(
+        E.module_dim_at(d) != n or linalg.rank(F, phi_inv[d]) != n
+        for d, n in zip(degrees, dims)
+    ):
         raise ZdinftyError("no equivariant isomorphism onto the canonical middle")
 
-    psi_in = {d: tuple(row[: Y.module_dim_at(d)] for row in phi[d]) for d in degrees}
-    psi_out = {d: phi_inv[d][Y.module_dim_at(d):] for d in degrees}
-    inject = morphism_from_degreewise(Y, E, psi_in)
-    surject = morphism_from_degreewise(E, X, psi_out)
-    return ShortExactSeq(Y, E, X, inject, surject, c)
+    def maps():
+        phi = {d: linalg.inverse(F, phi_inv[d]) for d in degrees}
+        psi_in = {d: tuple(row[: Y.module_dim_at(d)] for row in phi[d]) for d in degrees}
+        psi_out = {d: phi_inv[d][Y.module_dim_at(d):] for d in degrees}
+        return morphism_from_degreewise(Y, E, psi_in), morphism_from_degreewise(E, X, psi_out)
+
+    return E, maps
 
 
 def morphism_from_degreewise(src: CObject, dst: CObject, psi) -> Morphism:
@@ -290,31 +312,43 @@ def verify_exact(seq: ShortExactSeq) -> None:
 
 @dataclass(frozen=True)
 class AlmostSplitSequence:
-    seq: ShortExactSeq
+    """The class, the middle and the three labels of an almost split
+    sequence.  The maps follow from the class, so the sequence itself
+    (``seq``) is built on first read."""
+
+    cls: ExtClass  # spans Ext(X, VX)
+    middle: CObject
     left_label: IndecLabel
     middle_factors: tuple
     right_label: IndecLabel
+
+    @cached_property
+    def seq(self) -> ShortExactSeq:
+        return extension_object(self.cls)
 
 
 def almost_split(X: CObject) -> AlmostSplitSequence:
     """The almost split sequence ending in an indecomposable object.
 
-    The left term is the twist of X; the class is the generator of the
-    one-dimensional extension space.
+    X is indecomposable exactly when the classification names it, so
+    ``identify`` decides, and the translate acts on its name: the left term
+    is ``serre_twist_label`` of it.  The class is the generator of the
+    one-dimensional extension space Ext(X, VX); only the middle is built
+    and decomposed, and no Hom space is solved.
     """
-    from .decomp import identify
-
-    if X.is_zero() or hom_space(X, X).dim != 1:
-        raise NotIndecomposable("almost split sequences end in indecomposables")
-    VX = serre_twist(X)
-    space = ext_space(X, VX)
+    try:
+        right = identify(X)
+    except UnrecognizedShape:
+        raise NotIndecomposable("almost split sequences end in indecomposables") from None
+    space = ext_space(X, serre_twist(X))
     if space.dim != 1:
         raise ZdinftyError(
             f"extension space against the twist has dimension {space.dim}, expected 1"
         )
-    seq = extension_object(space.basis[0])
-    dec = decompose(seq.middle)
-    return AlmostSplitSequence(seq, identify(VX), dec.factors, identify(X))
+    cls = space.basis[0]
+    E, _ = extension_middle(cls)
+    factors = decompose(E).factors
+    return AlmostSplitSequence(cls, E, serre_twist_label(right), factors, right)
 
 
 def no_proj_no_inj_witness(X: CObject, bound: int = 8):

@@ -19,7 +19,7 @@ import os
 import random
 import sys
 
-from .ar import almost_split, dot_export, quiver_window, window_to_json
+from .ar import almost_split, dot_export, quiver_window, verify_exact, window_to_json
 from .decomp import (
     decompose,
     filtration,
@@ -81,8 +81,9 @@ def parse_object(text: str, field: FieldSpec) -> CObject:
         expect_atom = False
     if expect_atom:
         raise ParseError("expected an atom", pos)
-    objs = [label_to_object(field, l) for l in labels]
-    return direct_sum_many(objs)[0]
+    if len(labels) == 1:
+        return label_to_object(field, labels[0])
+    return direct_sum_many([label_to_object(field, l) for l in labels])[0]
 
 
 def _parse_atom(text, pos):
@@ -383,14 +384,20 @@ def cmd_selftest(args, field) -> tuple[int, str]:
     )
     record("serre duality", good)
 
-    # mesh shapes
-    good = True
-    mesh = almost_split(label_to_object(field, rank_two_label(2, 0)))
-    good &= mesh.middle_factors == (rank_two_label(1, -1), rank_two_label(3, 0))
-    mesh = almost_split(label_to_object(field, rank_one_label(0, 0)))
-    good &= mesh.middle_factors == (rank_two_label(1, 0),)
-    mesh = almost_split(label_to_object(field, wing(2, 0)))
-    good &= mesh.left_label == wing(2, -1)
+    # mesh shapes, and each sequence exact and nonsplit
+    meshes = [
+        almost_split(label_to_object(field, l))
+        for l in (rank_two_label(2, 0), rank_one_label(0, 0), wing(2, 0))
+    ]
+    good = meshes[0].middle_factors == (rank_two_label(1, -1), rank_two_label(3, 0))
+    good &= meshes[1].middle_factors == (rank_two_label(1, 0),)
+    good &= meshes[2].left_label == wing(2, -1)
+    for mesh in meshes:
+        good &= not mesh.seq.is_split()
+        try:
+            verify_exact(mesh.seq)
+        except ZdinftyError:
+            good = False
     record("almost split sequences", good)
 
     # seeded random direct sums decompose to the input multiset

@@ -204,21 +204,15 @@ def direct_sum(X: CObject, Y: CObject):
     return Z, e1, e2, t1, t2
 
 
-def direct_sum_many(objs):
-    """Direct sum of a nonempty list; returns (Z, per-input embedding data).
+def sum_layout(objs):
+    """(p, q, torsion, per-input (embedding, torsion index map), places) of
+    the direct sum of a nonempty list, without its lattice.
 
     The ambient coordinates are the type-0 coordinates of every input in
     order, then their type-1 coordinates, and the torsion summands are merged
-    by a stable sort, so the result equals folding pairwise sums from the
-    left.  Each input's data is its (block-permutation embedding, torsion
-    index map).
-
-    The lattice needs no elimination.  S_d of the sum is the sum of the
-    inputs' S_d, which sit on disjoint coordinates, and each input's
-    coordinates keep their order.  So the embedded reduced-echelon rows of
-    all inputs have distinct pivots, each pivot column is zero in every other
-    row, and sorted by pivot they are the unique reduced-echelon basis of
-    S_d.  Every jump of an input grows S_d, so each jump is a step.
+    by a stable sort, so the sum equals folding pairwise sums from the left.
+    Each input's embedding is the block permutation onto its coordinates,
+    listed in ``places``.
     """
     if not objs:
         raise ZdinftyError("empty direct sum needs an explicit field")
@@ -234,23 +228,45 @@ def direct_sum_many(objs):
     tmaps = [{} for _ in objs]
     for new_idx, (_, t, i) in enumerate(merged):
         tmaps[t][i] = new_idx
-    embeds, events = [], []
+    embeds, places = [], []
     p_off, q_off = 0, p
-    for t, (X, tmap) in enumerate(zip(objs, tmaps)):
+    for X, tmap in zip(objs, tmaps):
         place = list(range(p_off, p_off + X.p)) + list(range(q_off, q_off + X.q))
         embed = linalg.unit_matrix(F, r, X.rank, ((i, k) for k, i in enumerate(place)))
         embeds.append((embed, tmap))
-        events += [(jump, t, place, basis) for jump, basis in X.lattice.steps]
+        places.append(place)
         p_off, q_off = p_off + X.p, q_off + X.q
-    events.sort(key=lambda ev: ev[0])
+    torsion = TorsionPart(tuple(s for s, _, _ in merged))
+    return p, r - p, torsion, embeds, places
+
+
+def direct_sum_many(objs):
+    """Direct sum of a nonempty list; returns (Z, per-input embedding data),
+    laid out by ``sum_layout``.  Each input's data is its (block-permutation
+    embedding, torsion index map).
+
+    The lattice needs no elimination.  S_d of the sum is the sum of the
+    inputs' S_d, which sit on disjoint coordinates, and each input's
+    coordinates keep their order.  So the embedded reduced-echelon rows of
+    all inputs have distinct pivots, each pivot column is zero in every other
+    row, and sorted by pivot they are the unique reduced-echelon basis of
+    S_d.  Every jump of an input grows S_d, so each jump is a step.
+    """
+    p, q, torsion, embeds, places = sum_layout(objs)
+    F = objs[0].field
+    events = sorted(
+        ((jump, t, place, basis)
+         for t, (X, place) in enumerate(zip(objs, places))
+         for jump, basis in X.lattice.steps),
+        key=lambda ev: ev[0],
+    )
     rows = [()] * len(objs)  # each input's embedded (pivot, row) pairs so far
     steps = []
     for jump, group in groupby(events, key=lambda ev: ev[0]):
         for _, t, place, basis in group:
-            rows[t] = [_embed_row(F, r, place, row) for row in basis]
+            rows[t] = [_embed_row(F, p + q, place, row) for row in basis]
         steps.append((jump, tuple(v for _, v in sorted(chain.from_iterable(rows)))))
-    lat = GradedLattice(F, p, r - p, tuple(steps))
-    return CObject(F, TorsionPart(tuple(s for s, _, _ in merged)), lat), embeds
+    return CObject(F, torsion, GradedLattice(F, p, q, tuple(steps))), embeds
 
 
 def _embed_row(F, r, place, row):

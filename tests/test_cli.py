@@ -12,9 +12,12 @@ from hypothesis import given, settings, strategies as st
 
 from zdinfty import cli
 from zdinfty.cli import parse_catalog, parse_object, print_object, run_command
+from zdinfty.decomp import label_to_object
 from zdinfty.errors import ParseError, RangeError
-from zdinfty.fields import QQ
+from zdinfty.fields import GF, QQ
 from zdinfty.objects import direct_sum_many, rank_one, rank_two, torsion_cyclic
+
+from test_exact_scalars import _window_labels
 
 F = QQ
 
@@ -26,6 +29,16 @@ def test_parse_atoms():
     X = parse_object("F0[3] + T[2,-1]", F)
     assert X == direct_sum_many([rank_one(F, 0, 3), torsion_cyclic(F, 2, -1)])[0]
     assert parse_object("0", F).is_zero()
+
+
+@pytest.mark.parametrize("field", [QQ, GF(2), GF(3)], ids=str)
+def test_one_atom_parses_to_its_object(field):
+    # one atom is its object itself, equal by value to its one-term sum
+    labels = _window_labels(4, -3, 3, 4)
+    assert len(labels) == 70  # the atoms of the catalog m<=4,n<=4,|a|<=3
+    for label in labels:
+        X = label_to_object(field, label)
+        assert parse_object(str(label), field) == X == direct_sum_many([X])[0]
 
 
 def test_parse_errors():
