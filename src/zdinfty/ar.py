@@ -8,10 +8,12 @@ adapted basis found with it transports the inclusion and projection onto
 the canonical middle.  Each builder returns the middle with what builds the
 two maps, so a caller that reads only the middle builds no map.
 
-An almost split sequence is computed from the classification: ``identify``
+An almost split sequence is read off the classification: ``identify``
 decides that X is indecomposable and names it, the left term is the
-translate of that name, and only the class and the middle are built; its
-sequence, with both maps, is built on first read.
+translate of that name and the middle factors are its mesh
+(``mesh_middle_labels``).  The class and the middle are built, and the
+middle is checked against the factors with no elimination; the sequence,
+with both maps, is built on first read.
 """
 
 from __future__ import annotations
@@ -35,7 +37,6 @@ from .homext import (
     Morphism,
     diag_blocks,
     ext_space,
-    hom_space,
     morphism_degreewise,
     morphism_from_parts,
     offdiag_blocks,
@@ -47,9 +48,8 @@ from .homext import (
 )
 from .decomp import (
     IndecLabel,
-    decompose,
     identify,
-    label_to_object,
+    mesh_middle_labels,
     rank_one_label,
     rank_two_label,
     serre_twist_label,
@@ -331,10 +331,12 @@ def almost_split(X: CObject) -> AlmostSplitSequence:
     """The almost split sequence ending in an indecomposable object.
 
     X is indecomposable exactly when the classification names it, so
-    ``identify`` decides, and the translate acts on its name: the left term
-    is ``serre_twist_label`` of it.  The class is the generator of the
-    one-dimensional extension space Ext(X, VX); only the middle is built
-    and decomposed, and no Hom space is solved.
+    ``identify`` decides, and the translate and the mesh act on its name:
+    the left term is ``serre_twist_label`` of it and the middle factors are
+    ``mesh_middle_labels`` of it.  The class is the generator of the
+    one-dimensional extension space Ext(X, VX); the middle is built from it
+    and checked against the factors (``_check_mesh``).  No Hom space is
+    solved and nothing is decomposed.
     """
     try:
         right = identify(X)
@@ -347,18 +349,53 @@ def almost_split(X: CObject) -> AlmostSplitSequence:
         )
     cls = space.basis[0]
     E, _ = extension_middle(cls)
-    factors = decompose(E).factors
+    factors = mesh_middle_labels(right)
+    _check_mesh(E, factors)
     return AlmostSplitSequence(cls, E, serre_twist_label(right), factors, right)
+
+
+def _check_mesh(E: CObject, factors) -> None:
+    """Raise ZdinftyError unless the built middle E matches the mesh factors,
+    with no elimination.
+
+    E's torsion summands must be the wings' (n, a): for a wing's sequence,
+    whose middle is all torsion, that is its whole decomposition.  E's
+    (p, q) and jump multiset must be those of the lattice factors (jump -a
+    for F0[a] and F1[a], jumps -a and m - a for F[m,a]).  That part is only
+    a consistency check in K0, the Grothendieck group: it compares
+    dimension counts, not isomorphism classes, and the split middle passes
+    it too.
+    """
+    summands, jumps, p, q = [], [], 0, 0
+    for label in factors:
+        size, a = label.params
+        if label.kind == "wing":
+            summands.append((size, a))
+        elif label.kind == "rank_one":
+            jumps.append(-a)
+            p, q = p + (size == 0), q + (size == 1)
+        else:
+            jumps += [-a, size - a]
+            p, q = p + 1, q + 1
+    if (
+        sorted(E.torsion.summands) != sorted(summands)
+        or (E.p, E.q) != (p, q)
+        or sorted(E.lattice.jump_list) != sorted(jumps)
+    ):
+        raise ZdinftyError("the built middle does not match the mesh rule")
 
 
 def no_proj_no_inj_witness(X: CObject, bound: int = 8):
     """Least twists certifying X is neither projective nor injective.
 
     Returns (n_epi, n_mono): the least n with nonzero extensions of X by the
-    n-fold negative shift of its swap, and dually.
+    n-fold negative shift of its swap, and dually.  X must be indecomposable,
+    which ``identify`` decides, as in ``almost_split``.
     """
-    if X.is_zero() or hom_space(X, X).dim != 1:
-        raise NotIndecomposable("witness search expects an indecomposable object")
+    try:
+        identify(X)
+    except UnrecognizedShape:
+        raise NotIndecomposable("witness search expects an indecomposable object") from None
     n_epi = None
     n_mono = None
     for n in range(1, bound + 1):
@@ -375,7 +412,7 @@ def no_proj_no_inj_witness(X: CObject, bound: int = 8):
 # quiver windows
 
 # Largest a_max - a_min and m_max + n_max a quiver window accepts; a window
-# at both limits takes about 10 s and 440 MB over Q (Python 3.11.7, 2 cores).
+# at both limits takes about 10 s and 420 MB over Q (Python 3.11.7, 2 cores).
 MAX_QUIVER_A_SPAN = 2000
 MAX_QUIVER_SIZE = 100
 
@@ -393,16 +430,18 @@ def quiver_window(
 ) -> QuiverWindow:
     """Mesh-generated window of the two quiver components.
 
-    Arrows into each node are the middle summands of its almost split
-    sequence; arrows with an endpoint outside the window are dropped and
-    counted.  The degree shift X -> X(s) is an exact autoequivalence that
-    commutes with the translate, so it carries the almost split sequence
-    ending in B onto the one ending in B(s).  One sequence per shape (kind
-    and size) is therefore computed, at the lowest a of the enlarged window,
-    and shifted along the row: m_max + n_max + 4 sequences whatever the
-    a-range.  Windows wider than MAX_QUIVER_A_SPAN or larger than
-    MAX_QUIVER_SIZE in m_max + n_max raise RangeError before any sequence is
-    computed.
+    Arrows into each node are the middle factors of its almost split
+    sequence, which the classification gives (``mesh_middle_labels``);
+    arrows with an endpoint outside the window are dropped and counted.  No
+    sequence is built: ``almost_split`` builds and checks the same middles.
+    The degree shift X -> X(s) is an exact autoequivalence that commutes
+    with the translate, so it carries the mesh ending in B onto the one
+    ending in B(s).  One mesh per shape (kind and size) is therefore read,
+    at the lowest a of the enlarged window, and shifted along the row:
+    m_max + n_max + 4 meshes whatever the a-range.  Windows wider than
+    MAX_QUIVER_A_SPAN or larger than MAX_QUIVER_SIZE in m_max + n_max raise
+    RangeError before any mesh is read.  The window does not depend on the
+    field.
     """
     if m_max < 1 or n_max < 1 or a_min > a_max:
         raise WindowTooSmall("window needs m_max >= 1, n_max >= 1, a_min <= a_max")
@@ -428,7 +467,7 @@ def quiver_window(
     dropped = 0
     for S in shapes(m_max + 1, n_max + 1):
         base = shift_label(S, a_min - 1)
-        middle = almost_split(label_to_object(field, base)).middle_factors
+        middle = mesh_middle_labels(base)
         for s in range(a_max - a_min + 3):
             B = shift_label(base, s)
             for A in middle:

@@ -384,7 +384,8 @@ def cmd_selftest(args, field) -> tuple[int, str]:
     )
     record("serre duality", good)
 
-    # mesh shapes, and each sequence exact and nonsplit
+    # mesh shapes, each middle decomposed to its factors, and each sequence
+    # exact and nonsplit
     meshes = [
         almost_split(label_to_object(field, l))
         for l in (rank_two_label(2, 0), rank_one_label(0, 0), wing(2, 0))
@@ -393,6 +394,7 @@ def cmd_selftest(args, field) -> tuple[int, str]:
     good &= meshes[1].middle_factors == (rank_two_label(1, 0),)
     good &= meshes[2].left_label == wing(2, -1)
     for mesh in meshes:
+        good &= decompose(mesh.middle).factors == mesh.middle_factors
         good &= not mesh.seq.is_split()
         try:
             verify_exact(mesh.seq)

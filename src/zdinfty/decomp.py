@@ -109,6 +109,28 @@ def serre_twist_label(label: IndecLabel) -> IndecLabel:
     return shift_label(label, -1)
 
 
+def mesh_middle_labels(label: IndecLabel) -> tuple:
+    """The middle factors of the almost split sequence ending in the label,
+    by the classification's mesh rule, in ``IndecLabel.sort_key`` order (the
+    order ``decompose`` returns):
+
+    - F0[a], F1[a]: F[1,a];
+    - F[1,a]: F0[a-1] + F1[a-1] + F[2,a];
+    - F[m,a], m >= 2: F[m-1,a-1] + F[m+1,a];
+    - T[1,a]: T[2,a];
+    - T[n,a], n >= 2: T[n-1,a-1] + T[n+1,a].
+    """
+    size, a = label.params
+    if label.kind == "rank_one":
+        return (rank_two_label(1, a),)
+    if label.kind == "rank_two" and size == 1:
+        return (rank_one_label(0, a - 1), rank_one_label(1, a - 1), rank_two_label(2, a))
+    outer = IndecLabel(label.kind, (size + 1, a))
+    if size == 1:
+        return (outer,)
+    return (IndecLabel(label.kind, (size - 1, a - 1)), outer)
+
+
 def shift_label(label: IndecLabel, s: int) -> IndecLabel:
     """The degree shift X(s) on labels: every kind moves its a by s."""
     size, a = label.params

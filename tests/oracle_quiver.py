@@ -1,14 +1,15 @@
 """A quiver window mesh by mesh: the reference for the shift-orbit form.
 
 Every node of the enlarged window gets its own almost split sequence (Ext
-space, extension middle and decomposition), and the arrows into it are that
-sequence's middle factors.  This is how ``ar.quiver_window`` built a window
-before it computed one sequence per shape and shifted it along the row; it
-is kept here only to check that form.
+space and extension middle), and the arrows into it are the factors of that
+middle, decomposed.  This is how ``ar.quiver_window`` built a window before
+it read one mesh per shape off the classification and shifted it along the
+row; it is kept here only to check that form.
 """
 
 from zdinfty.ar import QuiverWindow, almost_split
 from zdinfty.decomp import (
+    decompose,
     label_to_object,
     rank_one_label,
     rank_two_label,
@@ -28,14 +29,15 @@ def _labels_in(m_max, a_min, a_max, n_max):
 
 
 def quiver_by_nodes(field, m_max, a_min, a_max, n_max) -> QuiverWindow:
-    """The window with one ``almost_split`` call per enlarged-window node."""
+    """The window with one ``almost_split`` call and one ``decompose`` call per
+    enlarged-window node."""
     inside = set(_labels_in(m_max, a_min, a_max, n_max))
     enlarged = set(_labels_in(m_max + 1, a_min - 1, a_max + 1, n_max + 1))
     arrows = []
     dropped = 0
     for B in sorted(enlarged, key=lambda l: l.sort_key()):
-        mesh = almost_split(label_to_object(field, B))
-        for A in mesh.middle_factors:
+        middle = almost_split(label_to_object(field, B)).middle
+        for A in decompose(middle).factors:
             if A in inside and B in inside:
                 arrows.append((A, B))
             elif A in inside or B in inside:

@@ -99,6 +99,7 @@ def test_acceptance_03_almost_split_sequences():
                 rank_two_label(m - 1, a - 1),
                 rank_two_label(m + 1, a),
             )
+            assert decompose(mesh.middle).factors == mesh.middle_factors
             assert mesh.left_label == serre_twist_label(mesh.right_label)
     for a in range(-2, 3):
         mesh = almost_split(rank_two(F, 1, a))
@@ -107,10 +108,12 @@ def test_acceptance_03_almost_split_sequences():
             rank_one_label(1, a - 1),
             rank_two_label(2, a),
         )
+        assert decompose(mesh.middle).factors == mesh.middle_factors
         assert mesh.left_label == serre_twist_label(mesh.right_label)
         for i in (0, 1):
             mesh = almost_split(rank_one(F, i, a))
             assert mesh.middle_factors == (rank_two_label(1, a),)
+            assert decompose(mesh.middle).factors == mesh.middle_factors
             assert mesh.left_label == rank_one_label(1 - i, a - 1)
     report(3, "almost split sequences", start, 10)
 

@@ -393,17 +393,17 @@ class _Reached(Exception):
 
 
 def test_quiver_size_guard(monkeypatch):
-    def reached(X):
+    def reached(label):
         raise _Reached
 
-    monkeypatch.setattr(ar, "almost_split", reached)
+    monkeypatch.setattr(ar, "mesh_middle_labels", reached)
     span, size = ar.MAX_QUIVER_A_SPAN, ar.MAX_QUIVER_SIZE
-    # at the limits the guard lets the window through to its first sequence
+    # at the limits the guard lets the window through to its first mesh
     with pytest.raises(_Reached):
         quiver_window(F, m_max=1, a_min=-span // 2, a_max=span - span // 2, n_max=1)
     with pytest.raises(_Reached):
         quiver_window(F, m_max=size - 1, a_min=0, a_max=1, n_max=1)
-    # one past them it rejects the window before computing any sequence
+    # one past them it rejects the window before reading any mesh
     with pytest.raises(RangeError):
         quiver_window(F, m_max=1, a_min=0, a_max=span + 1, n_max=1)
     with pytest.raises(RangeError):

@@ -15,8 +15,14 @@ from collections import Counter
 
 import pytest
 
-from zdinfty import ar, homext
-from zdinfty.ar import almost_split, class_of_sequence, extension_object, verify_exact
+from zdinfty import ar, cli, decomp, homext
+from zdinfty.ar import (
+    almost_split,
+    class_of_sequence,
+    extension_object,
+    no_proj_no_inj_witness,
+    verify_exact,
+)
 from zdinfty.cli import run_command
 from zdinfty.decomp import decompose, identify, label_to_object, rank_two_label, wing
 from zdinfty.errors import NotIndecomposable
@@ -49,13 +55,15 @@ class _Builds:
         self.maps, self.counts = [], Counter()
         for name in ("morphism_from_degreewise", "sum_inclusion", "sum_projection"):
             monkeypatch.setattr(ar, name, self._map(name, getattr(ar, name)))
-        real_hom = ar.hom_space
+        real_hom = homext.hom_space
 
         def counted_hom(*args):
             self.counts["hom_space"] += 1
             return real_hom(*args)
 
-        monkeypatch.setattr(ar, "hom_space", counted_hom)
+        # every module of the package that binds the name
+        for module in (homext, decomp, cli):
+            monkeypatch.setattr(module, "hom_space", counted_hom)
         builds = self
 
         class Counted(homext.Morphism):
@@ -161,4 +169,6 @@ def test_rejects_exactly_what_hom_finds_decomposable(F, seed):
         else:
             with pytest.raises(NotIndecomposable, match="end in indecomposables"):
                 almost_split(X)
+            with pytest.raises(NotIndecomposable, match="expects an indecomposable"):
+                no_proj_no_inj_witness(X)
     assert min(verdicts[True], verdicts[False]) >= 30, verdicts

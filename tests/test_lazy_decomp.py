@@ -12,7 +12,7 @@ from collections import Counter
 
 import pytest
 
-from zdinfty import ar, cli, decomp, homext
+from zdinfty import cli, decomp, homext
 from zdinfty.ar import almost_split
 from zdinfty.cli import parse_object, run_command
 from zdinfty.decomp import (
@@ -56,7 +56,7 @@ class _Builds:
                 super().__init__(*args)
 
         monkeypatch.setattr(homext, "Morphism", Counted)
-        for mod in (decomp, ar, cli):
+        for mod in (decomp, cli):
             monkeypatch.setattr(mod, "decompose", self._inside(mod.decompose))
 
     def _count(self, name):

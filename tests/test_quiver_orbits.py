@@ -1,9 +1,12 @@
 """Quiver windows by shift orbits, against the mesh-by-mesh oracle.
 
-``quiver_window`` computes one almost split sequence per shape and shifts
-its middle along the row.  That rests on the degree shift being an exact
-autoequivalence commuting with the translate; the equivariance tests below
-check it on every shape with m, n <= 5.
+``quiver_window`` reads one mesh per shape off the classification
+(``mesh_middle_labels``) and shifts its middle factors along the row.  The
+oracle builds the almost split sequence of every node and decomposes its
+middle, so the window is checked against computed middles.  The shift
+orbits rest on the degree shift being an exact autoequivalence commuting
+with the translate; the equivariance tests below check it on every shape
+with m, n <= 5.
 """
 
 import functools
@@ -13,7 +16,9 @@ import pytest
 from zdinfty import ar
 from zdinfty.ar import almost_split, dot_export, quiver_window, window_to_json
 from zdinfty.decomp import (
+    decompose,
     label_to_object,
+    mesh_middle_labels,
     rank_one_label,
     rank_two_label,
     shift_label,
@@ -59,11 +64,11 @@ def test_window_matches_oracle(F, window):
 def test_one_sequence_per_shape(monkeypatch, window):
     calls = []
 
-    def counting(X):
-        calls.append(X)
-        return almost_split(X)
+    def counting(label):
+        calls.append(label)
+        return mesh_middle_labels(label)
 
-    monkeypatch.setattr(ar, "almost_split", counting)
+    monkeypatch.setattr(ar, "mesh_middle_labels", counting)
     quiver_window(QQ, *window)
     m_max, _, _, n_max = window
     assert len(calls) == m_max + n_max + 4
@@ -75,9 +80,10 @@ def _sorted(labels):
 
 @functools.cache
 def _mesh(F, label):
-    """Left label, sorted middle factors and right label of the sequence ending in label."""
+    """Left label, the sorted factors of the built middle and right label of
+    the sequence ending in label."""
     mesh = almost_split(label_to_object(F, label))
-    return mesh.left_label, _sorted(mesh.middle_factors), mesh.right_label
+    return mesh.left_label, _sorted(decompose(mesh.middle).factors), mesh.right_label
 
 
 @pytest.mark.parametrize("s", range(-3, 4))
