@@ -66,13 +66,7 @@ from .ar import (
     no_proj_no_inj_witness,
     quiver_window,
 )
-from .singularity import (
-    RmElement,
-    ring_u,
-    ring_v,
-    singularity_index,
-    y_linearity_bound,
-)
+from .singularity import singularity_index, y_linearity_bound
 
 __all__ = [
     "Decomposition",
@@ -91,9 +85,6 @@ __all__ = [
     "extension_object",
     "no_proj_no_inj_witness",
     "quiver_window",
-    "RmElement",
-    "ring_u",
-    "ring_v",
     "singularity_index",
     "y_linearity_bound",
     "serre_twist_class",

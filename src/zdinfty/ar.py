@@ -31,7 +31,6 @@ from .errors import (
     WitnessNotFound,
     ZdinftyError,
 )
-from .fields import FieldSpec
 from .homext import (
     ExtClass,
     Morphism,
@@ -425,9 +424,7 @@ class QuiverWindow:
     boundary_dropped: int
 
 
-def quiver_window(
-    field: FieldSpec, m_max: int, a_min: int, a_max: int, n_max: int
-) -> QuiverWindow:
+def quiver_window(m_max: int, a_min: int, a_max: int, n_max: int) -> QuiverWindow:
     """Mesh-generated window of the two quiver components.
 
     Arrows into each node are the middle factors of its almost split
@@ -440,8 +437,8 @@ def quiver_window(
     at the lowest a of the enlarged window, and shifted along the row:
     m_max + n_max + 4 meshes whatever the a-range.  Windows wider than
     MAX_QUIVER_A_SPAN or larger than MAX_QUIVER_SIZE in m_max + n_max raise
-    RangeError before any mesh is read.  The window does not depend on the
-    field.
+    RangeError before any mesh is read.  The window is the same over every
+    field, so it takes none.
     """
     if m_max < 1 or n_max < 1 or a_min > a_max:
         raise WindowTooSmall("window needs m_max >= 1, n_max >= 1, a_min <= a_max")

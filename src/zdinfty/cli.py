@@ -344,7 +344,7 @@ def cmd_ars(args, field) -> tuple[int, str]:
 
 
 def cmd_quiver(args, field) -> tuple[int, str]:
-    w = quiver_window(field, args.m_max, args.a_min, args.a_max, args.n_max)
+    w = quiver_window(args.m_max, args.a_min, args.a_max, args.n_max)
     if args.format == "dot":
         return 0, dot_export(w)
     return 0, json.dumps(window_to_json(w), sort_keys=True)

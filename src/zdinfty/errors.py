@@ -45,10 +45,6 @@ class WitnessNotFound(ZdinftyError):
     """No Ext non-vanishing witness within the search bound."""
 
 
-class MixedIndex(ZdinftyError):
-    """Ring elements with different singularity indices were combined."""
-
-
 class NotLatticeMorphism(ZdinftyError):
     """Operation requires a morphism between torsion-free objects."""
 

@@ -64,10 +64,6 @@ def mat_add(F: FieldSpec, A: Sequence, B: Sequence) -> Matrix:
     return tuple(vec_add(F, ra, rb) for ra, rb in zip(A, B))
 
 
-def mat_scale(F: FieldSpec, c: Scalar, A: Sequence) -> Matrix:
-    return tuple(vec_scale(F, c, row) for row in A)
-
-
 def mat_vec(F: FieldSpec, A: Sequence, v: Sequence) -> Vector:
     if A and len(A[0]) != len(v):
         raise DimensionMismatch(f"matrix has {len(A[0])} columns, vector length {len(v)}")

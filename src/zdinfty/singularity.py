@@ -1,11 +1,13 @@
-"""Graded two-branch singularity arithmetic and its lattice invariants.
+"""Lattice invariants of the graded two-branch singularity correspondence.
 
 The index-m ring sits inside two polynomial branches as the pairs (f, g)
 with f congruent to g modulo x^m; it is generated by u = (x, x) and
 v = (x^m, 0).  A torsion-free object is a module over this ring exactly when
 its lattice is stable under v's action (x^m on type-0 coordinates, zero on
 type-1), and every morphism becomes linear over the subring once the index
-of its endpoints is reached.
+of its endpoints is reached.  The module computes the least such index
+(``singularity_index``) and the least index at which a morphism is linear
+(``y_linearity_bound``).
 
 Both bounds are closed forms.  v_n sends a generator x^e dir to
 x^(e+n) (dir0, 0), which lies in the lattice exactly when e + n reaches
@@ -16,94 +18,12 @@ over n.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from . import linalg
-from .errors import MixedIndex, NotLatticeMorphism, ZdinftyError
-from .fields import FieldSpec, check_same_field
+from .errors import NotLatticeMorphism, ZdinftyError
+from .fields import FieldSpec
 from .homext import Morphism
 from .lattice import GradedVector, degree_of
 from .objects import CObject
-from .poly import Poly
-
-
-@dataclass(frozen=True)
-class RmElement:
-    """A pair of branch polynomials agreeing to order m at the node."""
-
-    m: int
-    f: Poly
-    g: Poly
-
-    def __post_init__(self):
-        if self.m < 0:
-            raise ZdinftyError("singularity index must be nonnegative")
-        check_same_field(self.f.field, self.g.field)
-        diff = self.f - self.g
-        if diff.truncated(self.m).coeffs:
-            raise ZdinftyError(
-                f"branch polynomials disagree below order {self.m}"
-            )
-
-    @property
-    def field(self) -> FieldSpec:
-        return self.f.field
-
-    def is_homogeneous(self) -> bool:
-        if self.f.is_zero() and self.g.is_zero():
-            return True
-        degs = set()
-        for poly in (self.f, self.g):
-            if not poly.is_zero():
-                if not poly.is_homogeneous():
-                    return False
-                degs.add(poly.degree)
-        return len(degs) <= 1
-
-    def __add__(self, other: "RmElement") -> "RmElement":
-        if self.m != other.m:
-            raise MixedIndex(f"cannot mix indices {self.m} and {other.m}")
-        return RmElement(self.m, self.f + other.f, self.g + other.g)
-
-    def __sub__(self, other: "RmElement") -> "RmElement":
-        if self.m != other.m:
-            raise MixedIndex(f"cannot mix indices {self.m} and {other.m}")
-        return RmElement(self.m, self.f - other.f, self.g - other.g)
-
-    def __mul__(self, other: "RmElement") -> "RmElement":
-        if self.m != other.m:
-            raise MixedIndex(f"cannot mix indices {self.m} and {other.m}")
-        return RmElement(self.m, self.f * other.f, self.g * other.g)
-
-    def __pow__(self, k: int) -> "RmElement":
-        out = ring_one(self.field, self.m)
-        for _ in range(k):
-            out = out * self
-        return out
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, RmElement)
-            and self.m == other.m
-            and self.f == other.f
-            and self.g == other.g
-        )
-
-
-def ring_one(field: FieldSpec, m: int) -> RmElement:
-    one = Poly.of(field, [1])
-    return RmElement(m, one, one)
-
-
-def ring_u(field: FieldSpec, m: int) -> RmElement:
-    """The diagonal generator (x, x)."""
-    x = Poly.monomial(field, 1, 1)
-    return RmElement(m, x, x)
-
-
-def ring_v(field: FieldSpec, m: int) -> RmElement:
-    """The branch-separating generator (x^m, 0)."""
-    return RmElement(m, Poly.monomial(field, 1, m), Poly.zero(field))
 
 
 def _v_image(F: FieldSpec, obj: CObject, e: int, dir):

@@ -17,6 +17,7 @@ F0 (F1) summands born at e number the growth of A (C) at e less the deaths.
 
 from zdinfty import linalg
 
+from oracle_membership import mat_scale
 from oracle_slots import max_jump
 
 
@@ -26,7 +27,7 @@ def intersect_rowspaces(F, A, B):
     if not A or not B:
         return ()
     n = len(A[0])
-    stacked = linalg.transpose(tuple(A) + tuple(linalg.mat_scale(F, F.neg(F.one), B)))
+    stacked = linalg.transpose(tuple(A) + tuple(mat_scale(F, F.neg(F.one), B)))
     combos = tuple(ker[: len(A)] for ker in linalg.nullspace(F, stacked))
     return linalg.span(F, linalg.mm(F, combos, A, len(A), n))
 

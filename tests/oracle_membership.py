@@ -5,9 +5,10 @@ solving for bounded-degree polynomial coefficients c_j(x), one linear
 equation per ambient coordinate per degree.  ``step_membership`` and
 ``step_degree`` reduce v against the echelon basis of each step, as
 ``lattice.membership`` and ``lattice.degree_of`` did before they read the
-adapted coordinates.  ``in_span`` reduces against an echelon basis and
-``coords_in_basis`` solves for coefficients; the library dropped both once
-nothing in it called them, and the oracles and tests still do.
+adapted coordinates.  ``in_span`` reduces against an echelon basis,
+``coords_in_basis`` solves for coefficients and ``mat_scale`` scales a
+matrix; the library dropped all three once nothing in it called them, and
+the oracles and tests still do.
 """
 
 from zdinfty import linalg
@@ -23,6 +24,11 @@ def coords_in_basis(F, basis, v):
     if not basis:
         return () if linalg.is_zero_vector(F, v) else None
     return linalg.solve(F, linalg.transpose(basis), v)
+
+
+def mat_scale(F, c, A):
+    """The matrix ``A`` with every entry multiplied by ``c``."""
+    return tuple(linalg.vec_scale(F, c, row) for row in A)
 
 
 def _in_step(F, basis, v) -> bool:

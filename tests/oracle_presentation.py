@@ -16,7 +16,8 @@ from zdinfty import linalg, window
 from zdinfty.errors import DimensionMismatch, NotFullRank, ZdinftyError
 from zdinfty.fields import FieldSpec
 from zdinfty.objects import CObject, TorsionPart, zero_object
-from zdinfty.poly import Poly
+
+from oracle_ring import Poly
 
 
 class InconsistentTypes(ZdinftyError):

@@ -37,10 +37,10 @@ from zdinfty.objects import (
     serre_twist,
     torsion_cyclic,
 )
-from zdinfty.poly import Poly
-from zdinfty.singularity import RmElement, ring_u, ring_v, singularity_index, y_linearity_bound
+from zdinfty.singularity import singularity_index, y_linearity_bound
 
-from oracle_membership import coords_in_basis
+from oracle_membership import coords_in_basis, mat_scale
+from oracle_ring import Poly, RmElement, ring_u, ring_v
 from oracle_trunc import hom_dim_trunc
 
 F = QQ
@@ -145,7 +145,7 @@ def _figure_arrows(m_max, a_min, a_max):
 
 def test_acceptance_04_figure_window():
     start = time.time()
-    w = quiver_window(F, m_max=4, a_min=-1, a_max=3, n_max=1)
+    w = quiver_window(m_max=4, a_min=-1, a_max=3, n_max=1)
     got_nodes = {n for n in w.nodes if n.kind != "wing"}
     got_arrows = sorted(
         ((a, b) for a, b in w.arrows if a.kind != "wing" and b.kind != "wing"),
@@ -361,7 +361,7 @@ def test_acceptance_10_trace_map_laws():
         coeffs = [F.of_int(rng.randint(-4, 4)) for _ in basis]
         A = linalg.zeros(F, VF.rank, Fo.rank)
         for c, M in zip(coeffs, basis):
-            A = linalg.mat_add(F, A, linalg.mat_scale(F, c, M))
+            A = linalg.mat_add(F, A, mat_scale(F, c, M))
         h01 = tuple(tuple(A[VF.p + i][k] for k in range(Fo.p)) for i in range(VF.q))
         h10 = tuple(tuple(A[i][Fo.p + k] for k in range(Fo.q)) for i in range(VF.p))
         trace_sum = F.add(linalg.trace(F, h01), linalg.trace(F, h10))

@@ -330,7 +330,7 @@ def test_no_proj_no_inj_witnesses():
 
 
 def test_quiver_window_small():
-    w = quiver_window(F, m_max=2, a_min=-1, a_max=1, n_max=2)
+    w = quiver_window(m_max=2, a_min=-1, a_max=1, n_max=2)
     # figure adjacency on the shared nodes
     arrows = {(str(a), str(b)) for a, b in w.arrows}
     assert ("F[1,0]", "F1[0]") in arrows
@@ -350,7 +350,7 @@ def test_quiver_window_small():
 
 
 def test_quiver_window_mesh_symmetry():
-    w = quiver_window(F, m_max=3, a_min=-1, a_max=2, n_max=2)
+    w = quiver_window(m_max=3, a_min=-1, a_max=2, n_max=2)
     arrows = list(w.arrows)
     # every arrow A -> B with both tau-translates inside has a partner
     # tau(B) -> A (the mesh rule)
@@ -363,7 +363,7 @@ def test_quiver_window_mesh_symmetry():
 
 def test_quiver_interior_degree_balance():
     # interior nodes have equal in- and out-degree under the mesh rule
-    w = quiver_window(F, m_max=4, a_min=-2, a_max=2, n_max=3)
+    w = quiver_window(m_max=4, a_min=-2, a_max=2, n_max=3)
     indeg = {}
     outdeg = {}
     for a, b in w.arrows:
@@ -383,9 +383,9 @@ def test_quiver_interior_degree_balance():
 
 def test_quiver_window_too_small():
     with pytest.raises(WindowTooSmall):
-        quiver_window(F, m_max=0, a_min=0, a_max=2, n_max=1)
+        quiver_window(m_max=0, a_min=0, a_max=2, n_max=1)
     with pytest.raises(WindowTooSmall):
-        quiver_window(F, m_max=2, a_min=0, a_max=0, n_max=1)
+        quiver_window(m_max=2, a_min=0, a_max=0, n_max=1)
 
 
 class _Reached(Exception):
@@ -400,16 +400,16 @@ def test_quiver_size_guard(monkeypatch):
     span, size = ar.MAX_QUIVER_A_SPAN, ar.MAX_QUIVER_SIZE
     # at the limits the guard lets the window through to its first mesh
     with pytest.raises(_Reached):
-        quiver_window(F, m_max=1, a_min=-span // 2, a_max=span - span // 2, n_max=1)
+        quiver_window(m_max=1, a_min=-span // 2, a_max=span - span // 2, n_max=1)
     with pytest.raises(_Reached):
-        quiver_window(F, m_max=size - 1, a_min=0, a_max=1, n_max=1)
+        quiver_window(m_max=size - 1, a_min=0, a_max=1, n_max=1)
     # one past them it rejects the window before reading any mesh
     with pytest.raises(RangeError):
-        quiver_window(F, m_max=1, a_min=0, a_max=span + 1, n_max=1)
+        quiver_window(m_max=1, a_min=0, a_max=span + 1, n_max=1)
     with pytest.raises(RangeError):
-        quiver_window(F, m_max=1, a_min=0, a_max=1, n_max=size)
+        quiver_window(m_max=1, a_min=0, a_max=1, n_max=size)
     with pytest.raises(RangeError):
-        quiver_window(F, m_max=1, a_min=-(10 ** 9), a_max=10 ** 9, n_max=1)
+        quiver_window(m_max=1, a_min=-(10 ** 9), a_max=10 ** 9, n_max=1)
 
 
 def test_dot_export_one_mesh():
@@ -439,7 +439,7 @@ def test_dot_export_empty():
 
 
 def test_window_json_schema():
-    w = quiver_window(F, m_max=1, a_min=0, a_max=1, n_max=1)
+    w = quiver_window(m_max=1, a_min=0, a_max=1, n_max=1)
     data = window_to_json(w)
     assert data["schema"] == "zdinfty.quiver/1"
     assert all(isinstance(n, str) for n in data["nodes"])

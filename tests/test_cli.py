@@ -197,6 +197,9 @@ def test_internal_error_exits_3_without_traceback(monkeypatch, capsys):
     assert "Traceback" not in out + err
 
 
+QUIVER = ["quiver", "--m-max", "1", "--a-min", "0", "--a-max", "1", "--n-max", "1"]
+
+
 def test_usage_errors():
     code, _ = run_command(["hom", "F0[1]"])
     assert code == 2
@@ -206,6 +209,10 @@ def test_usage_errors():
     assert code == 2 and "error" in out
     code, out = run_command(["--field", "Fp:x", "hom", "F0[0]", "F0[0]"])
     assert code == 2 and out.startswith("error:") and "\n" not in out
+    # quiver reads no field: the field is checked before any command runs
+    assert run_command(["--field", "Fp:4"] + QUIVER) == (
+        2, "error: prime field needs a prime modulus, got 4"
+    )
     # an empty sweep is bad input, not a PASS
     code, out = run_command(["serre", "--catalog", "|a|<=-1"])
     assert code == 2 and out.startswith("error:") and "\n" not in out
@@ -282,6 +289,9 @@ def test_json_error_records(monkeypatch):
     assert record(["hom", "F[0,1]", "F0[0]"])[:3] == (2, "RangeError", None)
     assert record(["hom", '{"torsion": [[1, 0]', "F0[0]"])[:3] == (2, "ParseError", 19)
     assert record(["index", "T[1,0]"])[:3] == (2, "ZdinftyError", None)
+    assert record(["--field", "Fp:4"] + QUIVER) == (
+        2, "ZdinftyError", None, "prime field needs a prime modulus, got 4"
+    )
     code, out = run_command(["--format=json", "nonsense"])
     assert code == 2 and json.loads(out)["error"]["type"] == "UsageError"
 

@@ -25,7 +25,6 @@ from zdinfty.objects import (
     zero_object,
 )
 from zdinfty.lattice import canonicalize
-from zdinfty.poly import Poly
 
 from oracle_bars import checked_reconstruct
 from oracle_decomp import conjugated_sum, direct_sum_many as reference_sum, lattice_direct_sum
@@ -35,6 +34,7 @@ from oracle_presentation import (
     from_window,
     presentation_of_polys,
 )
+from oracle_ring import Poly
 from oracle_ses import model_of
 from oracle_slots import window_bounds
 from oracle_snf import graded_smith

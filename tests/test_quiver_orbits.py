@@ -53,7 +53,7 @@ SHAPES = (
 @pytest.mark.parametrize("F", FIELDS, ids=str)
 @pytest.mark.parametrize("window", WINDOWS, ids=lambda w: ",".join(map(str, w)))
 def test_window_matches_oracle(F, window):
-    got = quiver_window(F, *window)
+    got = quiver_window(*window)
     want = quiver_by_nodes(F, *window)
     assert got == want
     assert dot_export(got) == dot_export(want)
@@ -69,7 +69,7 @@ def test_one_sequence_per_shape(monkeypatch, window):
         return mesh_middle_labels(label)
 
     monkeypatch.setattr(ar, "mesh_middle_labels", counting)
-    quiver_window(QQ, *window)
+    quiver_window(*window)
     m_max, _, _, n_max = window
     assert len(calls) == m_max + n_max + 4
 

@@ -11,9 +11,9 @@ from zdinfty import linalg
 from zdinfty.cli import parse_object
 from zdinfty.errors import FieldMismatch, RangeError, ZdinftyError
 from zdinfty.fields import GF, QQ, FieldSpec, check_same_field, parse_field
-from zdinfty.poly import Poly
 
 from oracle_membership import in_span
+from oracle_ring import Poly
 
 FIELDS = [QQ, GF(5), GF(2)]
 
