@@ -321,7 +321,7 @@ def is_isomorphism(m: Morphism, target: CObject) -> bool:
         X.lattice.jump_list,
         (X.p, X.q),
         (m.a00, m.a11),
-        len(linalg.rref(F, m.tt)[0]),
+        linalg.rank(F, m.tt),
         images,
     )
 
@@ -356,7 +356,7 @@ def _isomorphism_conditions(target, summands, jumps, pq, blocks, tt_rank, images
     if pq != (target.p, target.q) or tt_rank != len(summands):
         return False
     for block, size in zip(blocks, pq):
-        if len(linalg.rref(F, block)[0]) != size:
+        if linalg.rank(F, block) != size:
             return False
     return all(membership(target.lattice, GradedVector(e, v)) for e, v in images)
 

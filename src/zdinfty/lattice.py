@@ -13,7 +13,12 @@ are identical.
 The lattice is freely generated by x^(e_j) dir_j, so the inverse G^-1 of the
 generator matrix answers every filtration query: row k of G^-1 is the dual
 functional g*_k, and v lies in S_d exactly when g*_k(v) = 0 for every k past
-dim S_d.  Annihilators, membership, ``degree_of`` and meets all read G^-1.
+dim S_d.  Those queries ask only where a g*_k vanishes, so they read each
+row up to a nonzero factor: annihilators, membership, ``degree_of`` and
+meets read the dual rows ``_dual``, which over Q are the rows of G^-1 scaled
+to primitive integer rows, and over F_p are G^-1 itself.  What needs the
+exact coefficients of v in the generators (``adapted_coords``, and the maps
+built from it) reads ``generator_inverse``.
 """
 
 from __future__ import annotations
@@ -79,10 +84,11 @@ class GradedLattice:
         return len(self.subspace_at(d))
 
     def annihilator_at(self, d: int) -> Matrix:
-        """The dual functionals g*_k for k >= dim S_d: rows of
-        ``generator_inverse`` whose common kernel is S_d (all of k^r below
-        the first jump, none from the top jump on)."""
-        return self.generator_inverse[self.dim_at(d):]
+        """The dual functionals g*_k for k >= dim S_d, each up to a nonzero
+        factor: rows of ``_dual`` whose common kernel is S_d (all of k^r
+        below the first jump, none from the top jump on).  Row k is a
+        multiple of ``generator_inverse`` row k, and equals it over F_p."""
+        return self._dual[self.dim_at(d):]
 
     @cached_property
     def _generators(self) -> tuple:
@@ -118,6 +124,15 @@ class GradedLattice:
         So a constant matrix A equals the sum over j of (A dir_j) (x) g*_j.
         """
         return linalg.inverse(self.field, self.generator_matrix())
+
+    @cached_property
+    def _dual(self) -> Matrix:
+        """The rows of ``generator_inverse``, each up to a nonzero factor:
+        over Q the primitive integer row (so the filtration queries multiply
+        ints, not Fractions), over F_p the same tuple."""
+        if self.field.p:
+            return self.generator_inverse
+        return tuple(tuple(linalg._integer_row(g)) for g in self.generator_inverse)
 
 
 def _pivots(F: FieldSpec, rows: Sequence) -> tuple:
@@ -169,16 +184,7 @@ def from_filtration(field: FieldSpec, p: int, q: int, pieces: Sequence) -> Grade
 def membership(L: GradedLattice, v: GradedVector) -> bool:
     """Whether the homogeneous element lies in the lattice: whether its
     adapted coordinates past ``L.dim_at(v.degree)`` vanish."""
-    return adapted_coords(L, v.coords, v.degree) is not None
-
-
-def contains(outer: GradedLattice, inner: GradedLattice) -> bool:
-    check_same_field(outer.field, inner.field)
-    if (outer.p, outer.q) != (inner.p, inner.q):
-        raise DimensionMismatch("lattices in different ambient spaces")
-    return all(
-        membership(outer, GradedVector(jump, dir)) for jump, dir in inner.generators()
-    )
+    return not any(_dual_coords(L, v.coords, L.dim_at(v.degree)))
 
 
 def lattice_sum(L1: GradedLattice, L2: GradedLattice) -> GradedLattice:
@@ -235,8 +241,18 @@ def degree_of(L: GradedLattice, v: Sequence):
     jump at most d, so d is the jump of the last generator on which ``v``
     has a nonzero adapted coordinate.
     """
-    if len(v) != L.rank:
-        raise DimensionMismatch(f"vector length {len(v)}, ambient rank {L.rank}")
-    gamma = linalg.mat_vec(L.field, L.generator_inverse, v)
+    gamma = _dual_coords(L, v, 0)
     last = max((k for k, c in enumerate(gamma) if c), default=None)
     return None if last is None else L.generators()[last][0]
+
+
+def _dual_coords(L: GradedLattice, v: Sequence, start: int) -> tuple:
+    """The adapted coordinates of ``v`` from index ``start`` on, each up to
+    a nonzero factor: the rows of ``L._dual`` past ``start`` applied to
+    ``v``, which over Q is first scaled to an integer row.  Raises
+    DimensionMismatch when ``v`` is not of length ``L.rank``."""
+    if len(v) != L.rank:
+        raise DimensionMismatch(f"vector length {len(v)}, ambient rank {L.rank}")
+    if not L.field.p:
+        v = linalg._integer_row(v)
+    return linalg.mat_vec(L.field, L._dual[start:], v)

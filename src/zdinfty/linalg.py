@@ -115,11 +115,15 @@ def trace(F: FieldSpec, A: Sequence) -> Scalar:
 def _integer_row(row: Sequence) -> Sequence:
     """The primitive integer multiple of a row of rationals.  A row of ints,
     the common case, skips the denominators and comes back as it is unless
-    it has a content to divide out (``Echelon`` never writes into a row)."""
-    if not all(type(a) is int for a in row):
+    it has a content to divide out (``Echelon`` never writes into a row).
+    ``gcd`` takes only ints, so its ``TypeError`` is what tells a row with
+    a Fraction apart."""
+    try:
+        g = gcd(*row)
+    except TypeError:
         den = lcm(*[a.denominator for a in row])
         row = [a.numerator * (den // a.denominator) for a in row]
-    g = gcd(*row)
+        g = gcd(*row)
     return [a // g for a in row] if g > 1 else row
 
 
@@ -207,13 +211,18 @@ def rref(F: FieldSpec, rows: Iterable[Sequence]) -> tuple[Matrix, tuple[int, ...
     the pivot entry is integral, a Fraction elsewhere); over F_p it runs on
     ints reduced modulo p.
     """
+    return _echelon(F, rows).reduced()
+
+
+def _echelon(F: FieldSpec, rows: Iterable[Sequence]) -> Echelon:
+    """One :class:`Echelon` fed the rows, which must share one length."""
     rows = list(rows)
     ech = Echelon(F)
     for r in rows:
         if len(r) != len(rows[0]):
             raise DimensionMismatch("rows of differing length")
         ech.add(r)
-    return ech.reduced()
+    return ech
 
 
 def _rational_row(row: list, d: int) -> list:
@@ -236,7 +245,9 @@ def span(F: FieldSpec, vectors: Iterable[Sequence]) -> Matrix:
 
 
 def rank(F: FieldSpec, A: Sequence) -> int:
-    return len(rref(F, A)[0])
+    """The number of pivots of one :class:`Echelon`: no reduced rows, and
+    over Q no rationals, are built."""
+    return len(_echelon(F, A))
 
 
 def reduce_against(F: FieldSpec, basis: Sequence, pivots: Sequence[int], v: Sequence) -> Vector:

@@ -8,10 +8,17 @@ equation per ambient coordinate per degree.  ``step_membership`` and
 adapted coordinates.  ``in_span`` reduces against an echelon basis,
 ``coords_in_basis`` solves for coefficients and ``mat_scale`` scales a
 matrix; the library dropped all three once nothing in it called them, and
-the oracles and tests still do.
+the oracles and tests still do.  So did it drop ``contains``, the lattice
+inclusion test, which here tests each generator with ``step_membership``.
+The ``inverse_*`` functions answer the filtration queries, the lattice meet
+and the constant-matrix solve of Hom the way the library did before it read
+the dual rows up to scale: from the exact rows of ``generator_inverse``.
 """
 
 from zdinfty import linalg
+from zdinfty.errors import DimensionMismatch
+from zdinfty.fields import check_same_field
+from zdinfty.lattice import GradedVector, from_filtration
 
 
 def in_span(F, basis, pivots, v) -> bool:
@@ -46,6 +53,18 @@ def step_degree(L, v):
     if not any(v):
         return None
     return next(d for d, basis in L.steps if _in_step(L.field, basis, v))
+
+
+def contains(outer, inner) -> bool:
+    """Whether the lattice ``inner`` lies in ``outer``: whether each of its
+    generators x^jump * dir does."""
+    check_same_field(outer.field, inner.field)
+    if (outer.p, outer.q) != (inner.p, inner.q):
+        raise DimensionMismatch("lattices in different ambient spaces")
+    return all(
+        step_membership(outer, GradedVector(jump, dir)) for jump, dir in inner.generators()
+    )
+
 
 def kx_membership(field, gens, degree, coords, max_coeff_degree=None):
     """Whether x^degree * coords = sum c_j(x) x^jump_j dir_j is solvable."""
@@ -110,3 +129,66 @@ def _solvable(field, rows, rhs):
         if all(field.is_zero(a) for a in work[i][:-1]) and not field.is_zero(work[i][-1]):
             return False
     return True
+
+
+def inverse_annihilator(L, d):
+    """The rows of ``generator_inverse`` past ``dim S_d``."""
+    return L.generator_inverse[L.dim_at(d):]
+
+
+def _inverse_coords(L, v):
+    if len(v) != L.rank:
+        raise DimensionMismatch(f"vector length {len(v)}, ambient rank {L.rank}")
+    return linalg.mat_vec(L.field, L.generator_inverse, v)
+
+
+def inverse_membership(L, v) -> bool:
+    """Whether the GradedVector ``v`` has no adapted coordinate past
+    ``dim S_(v.degree)``."""
+    return not any(_inverse_coords(L, v.coords)[L.dim_at(v.degree):])
+
+
+def inverse_degree(L, v):
+    """The jump of the last generator on which ``v`` has a nonzero adapted
+    coordinate, or None when ``v`` is zero."""
+    gamma = _inverse_coords(L, v)
+    last = max((k for k, c in enumerate(gamma) if c), default=None)
+    return None if last is None else L.generators()[last][0]
+
+
+def inverse_intersect(L1, L2):
+    """The meet: at each jump of either lattice, the common kernel of both
+    annihilators."""
+    F, r = L1.field, L1.rank
+    degrees = sorted({j for j, _ in L1.steps} | {j for j, _ in L2.steps})
+    pieces = [
+        (d, linalg.nullspace(F, inverse_annihilator(L1, d) + inverse_annihilator(L2, d), r))
+        for d in degrees
+    ]
+    return from_filtration(F, L1.p, L1.q, pieces)
+
+
+def inverse_constant_matrix_solutions(X, Y):
+    """Block-diagonal constant matrices (a00, a11) with u . A dir_j = 0 for
+    each u annihilating S_(e_j)(Y), as ``homext._constant_matrix_solutions``
+    returns them."""
+    F = X.field
+    if X.rank == 0 or Y.rank == 0:
+        return ()
+    p, q, pp, qq = X.p, X.q, Y.p, Y.q
+    rows = []
+    for e, dir in X.lattice.generators():
+        for u in inverse_annihilator(Y.lattice, e):
+            row = [F.mul(a, b) for a in u[:pp] for b in dir[:p]]
+            row += [F.mul(a, b) for a in u[pp:] for b in dir[p:]]
+            if any(row):
+                rows.append(tuple(row))
+    n00 = pp * p
+    kernel = linalg.nullspace(F, rows) if rows else linalg.identity(F, n00 + qq * q)
+    return tuple(
+        (
+            tuple(vec[i * p:(i + 1) * p] for i in range(pp)),
+            tuple(vec[n00 + i * q:n00 + (i + 1) * q] for i in range(qq)),
+        )
+        for vec in kernel
+    )

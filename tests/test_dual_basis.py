@@ -1,9 +1,14 @@
 """Filtration queries read off the inverse generator matrix.
 
 ``membership``, ``degree_of``, ``annihilator_at`` and ``lattice_intersect``
-all read ``GradedLattice.generator_inverse``.  Each is compared, over Q, F_2
-and F_3, with a path that never forms it: ``degree_of`` with the scan over
-the steps (``oracle_membership.step_degree``), ``membership`` with the
+all read ``GradedLattice._dual``: the rows of ``generator_inverse``, each up
+to a nonzero factor (over Q scaled to primitive integer rows, over F_p the
+inverse itself), which is all a query of where a row vanishes needs;
+``adapted_coords`` needs the exact rows and reads ``generator_inverse``.
+``test_integral_dual`` checks the rows against the exact inverse.  Each
+query is compared, over Q, F_2 and F_3, with a path that never forms it:
+``degree_of`` with the scan over the steps
+(``oracle_membership.step_degree``), ``membership`` with the
 k[x]-linear solve (``oracle_membership.kx_membership``), and the meet with
 the stacked-kernel intersection of each step
 (``oracle_goursat.intersect_rowspaces``).  The lattices are seeded random
@@ -21,7 +26,6 @@ from zdinfty.fields import GF, QQ
 from zdinfty.lattice import (
     GradedVector,
     canonicalize,
-    contains,
     degree_of,
     from_filtration,
     lattice_intersect,
@@ -31,7 +35,7 @@ from zdinfty.objects import direct_sum_many, rank_two
 
 from oracle_decomp import conjugated_sum, random_invertible
 from oracle_goursat import intersect_rowspaces
-from oracle_membership import kx_membership, step_degree
+from oracle_membership import contains, kx_membership, step_degree
 from oracle_slots import max_jump
 from test_lattice import random_lattice
 

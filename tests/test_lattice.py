@@ -12,7 +12,6 @@ from zdinfty.lattice import (
     GradedVector,
     adapted_coords,
     canonicalize,
-    contains,
     lattice_intersect,
     lattice_sum,
     membership,
@@ -22,7 +21,7 @@ from zdinfty.lattice import (
 from zdinfty.objects import direct_sum, rank_one, rank_two
 
 from oracle_decomp import lattice_direct_sum
-from oracle_membership import kx_membership
+from oracle_membership import contains, kx_membership
 
 
 def F20():

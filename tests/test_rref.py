@@ -9,7 +9,10 @@ rank, span) is run once with each and must give exactly the same result,
 with every F_p entry an int in [0, p) and every Q entry an exact rational:
 an ``int`` when its value is integral and a ``Fraction`` when it is not,
 never a float or a bool.  The Q inputs mix ints, integral Fractions and
-proper Fractions, as Q scalars do.
+proper Fractions, as Q scalars do.  ``rank`` counts the rows of one
+``Echelon`` and no longer calls ``rref``, so it is also compared with the
+row count of both eliminations directly, and shown to build no reduced or
+rational rows.
 """
 
 import random
@@ -21,6 +24,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from zdinfty import linalg
+from zdinfty.errors import DimensionMismatch
 from zdinfty.fields import GF, QQ
 
 import oracle_rref
@@ -148,3 +152,39 @@ def test_integer_row_of_ints_skips_the_denominators():
         assert list(linalg._integer_row((4, -6, 0, 10))) == [2, -3, 0, 5]
         assert list(linalg._integer_row((3, -5, 0))) == [3, -5, 0]
         assert linalg.rref(QQ, [(4, -6), (1, 1)]) == (((1, 0), (0, 1)), (0, 1))
+
+
+@pytest.mark.parametrize("F", [QQ, GF(2), GF(3)], ids=str)
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_rank_counts_the_rref_rows(F, data):
+    A, _ = data.draw(matrices(F))
+    assert linalg.rank(F, A) == len(linalg.rref(F, A)[0]) == len(oracle_rref.rref(F, A)[0])
+
+
+@pytest.mark.parametrize("F", [QQ, GF(2), GF(3)], ids=str)
+def test_rank_of_ragged_rows_raises(F):
+    with pytest.raises(DimensionMismatch):
+        linalg.rank(F, [(F.one, F.zero), (F.one,)])
+
+
+def test_rank_builds_no_reduced_rows():
+    counts = {"reduced": 0, "_rational_row": 0}
+    real_reduced, real_rational = linalg.Echelon.reduced, linalg._rational_row
+
+    def reduced(self):
+        counts["reduced"] += 1
+        return real_reduced(self)
+
+    def rational_row(*args):
+        counts["_rational_row"] += 1
+        return real_rational(*args)
+
+    A = ((2, Fraction(1, 3), 5), (Fraction(4, 7), 1, 0), (3, 0, Fraction(-1, 2)))
+    with mock.patch.object(linalg.Echelon, "reduced", reduced), \
+            mock.patch.object(linalg, "_rational_row", rational_row):
+        assert linalg.rank(QQ, A) == 3
+        assert linalg.rank(GF(3), ((1, 2), (2, 1))) == 1
+        assert counts == {"reduced": 0, "_rational_row": 0}
+        linalg.rref(QQ, A)  # the counters do see the path that builds rows
+    assert counts["reduced"] == 1 and counts["_rational_row"] > 0
