@@ -20,7 +20,7 @@ from .objects import (
     CObject,
     InjectiveProfile,
     TorsionPart,
-    direct_sum,
+    direct_sum_many,
     injective_resolution,
     rank_one,
     rank_two,
@@ -102,7 +102,7 @@ __all__ = [
     "CObject",
     "InjectiveProfile",
     "TorsionPart",
-    "direct_sum",
+    "direct_sum_many",
     "injective_resolution",
     "rank_one",
     "rank_two",

@@ -43,26 +43,23 @@ from .homext import (
     sum_inclusion,
     sum_projection,
     torsion_compatible,
-    zero_class,
 )
 from .decomp import (
     IndecLabel,
     identify,
+    label_window,
     mesh_middle_labels,
-    rank_one_label,
-    rank_two_label,
     serre_twist_label,
     shift_label,
-    wing,
 )
 from .lattice import canonicalize
 from .objects import (
     CObject,
     TorsionPart,
     module_xpower,
+    place_rows,
     serre_twist,
-    shift,
-    sigma,
+    serre_untwist,
     slot_events,
     sum_layout,
 )
@@ -79,11 +76,6 @@ class ShortExactSeq:
 
     def is_split(self) -> bool:
         return self.cls.is_zero()
-
-
-def split_sequence(Y: CObject, X: CObject) -> ShortExactSeq:
-    """The split extension of X by Y."""
-    return extension_object(zero_class(X, Y))
 
 
 def extension_object(c: ExtClass) -> ShortExactSeq:
@@ -103,17 +95,20 @@ def extension_middle(c: ExtClass):
 
 
 def _twisted_frame(c: ExtClass):
-    """(p, q, torsion, (embY, tY), (embX, tX), gens): the layout of the
+    """(p, q, torsion, (placeY, tY), (placeX, tX), gens): the layout of the
     direct sum of Y and X (``objects.sum_layout``, its lattice unbuilt), and
-    the middle's generators, Y's embedded and then X's (e, dir) twisted to
-    (e, (embX + embY A) dir), A = ``offdiag_full``."""
+    the middle's generators: Y's (e, dir) with dir at Y's coordinates, then
+    X's (e, dir) with dir at X's coordinates and A dir at Y's,
+    A = ``offdiag_full``."""
     F = c.src.field
     X, Y = c.src, c.dst
-    p, q, torsion, (inY, inX), _ = sum_layout([Y, X])
-    embY, embX = inY[0], inX[0]
-    twist = linalg.mat_add(F, embX, linalg.mm(F, embY, offdiag_full(c), Y.rank, X.rank))
-    gens = [(e, linalg.mat_vec(F, embY, dir)) for e, dir in Y.lattice.generators()]
-    gens += [(e, linalg.mat_vec(F, twist, dir)) for e, dir in X.lattice.generators()]
+    p, q, torsion, (inY, inX) = sum_layout([Y, X])
+    A = offdiag_full(c)
+    gens = [(e, place_rows(F, p + q, (inY[0], dir))) for e, dir in Y.lattice.generators()]
+    gens += [
+        (e, place_rows(F, p + q, (inX[0], dir), (inY[0], linalg.mat_vec(F, A, dir))))
+        for e, dir in X.lattice.generators()
+    ]
     return p, q, torsion, inY, inX, gens
 
 
@@ -384,27 +379,29 @@ def _check_mesh(E: CObject, factors) -> None:
         raise ZdinftyError("the built middle does not match the mesh rule")
 
 
-def no_proj_no_inj_witness(X: CObject, bound: int = 8):
+def no_proj_no_inj_witness(X: CObject):
     """Least twists certifying X is neither projective nor injective.
 
-    Returns (n_epi, n_mono): the least n with nonzero extensions of X by the
-    n-fold negative shift of its swap, and dually.  X must be indecomposable,
-    which ``identify`` decides, as in ``almost_split``.
+    Returns (n_epi, n_mono): the least n >= 1 with nonzero extensions of X
+    by the n-fold negative shift of its swap, and the least n >= 1 with
+    nonzero extensions of the n-fold positive shift of its swap by X.  X
+    must be indecomposable, which ``identify`` decides, as in
+    ``almost_split``.
+
+    Both are 1, by Serre duality Ext(A, B) = D Hom(B, VA) with V an
+    autoequivalence: shift(sigma(X), -1) is the twist VX, and
+    Ext(X, VX) = D End(VX) = D End(X); shift(sigma(X), 1) is V^-1 X
+    (``serre_untwist``), and Ext(V^-1 X, X) = D End(X).  End(X) holds the
+    identity, so both spaces are nonzero.  They are computed, and
+    WitnessNotFound is raised if either is zero (a bug signal).
     """
     try:
         identify(X)
     except UnrecognizedShape:
         raise NotIndecomposable("witness search expects an indecomposable object") from None
-    n_epi = None
-    n_mono = None
-    for n in range(1, bound + 1):
-        if n_epi is None and ext_space(X, shift(sigma(X), -n)).dim > 0:
-            n_epi = n
-        if n_mono is None and ext_space(shift(sigma(X), n), X).dim > 0:
-            n_mono = n
-        if n_epi is not None and n_mono is not None:
-            return n_epi, n_mono
-    raise WitnessNotFound(f"no witness within twist bound {bound}")
+    if ext_space(X, serre_twist(X)).dim == 0 or ext_space(serre_untwist(X), X).dim == 0:
+        raise WitnessNotFound("an extension space against the twist is zero, but D End(X) is not")
+    return 1, 1
 
 
 # ---------------------------------------------------------------------------
@@ -434,11 +431,11 @@ def quiver_window(m_max: int, a_min: int, a_max: int, n_max: int) -> QuiverWindo
     The degree shift X -> X(s) is an exact autoequivalence that commutes
     with the translate, so it carries the mesh ending in B onto the one
     ending in B(s).  One mesh per shape (kind and size) is therefore read,
-    at the lowest a of the enlarged window, and shifted along the row:
-    m_max + n_max + 4 meshes whatever the a-range.  Windows wider than
-    MAX_QUIVER_A_SPAN or larger than MAX_QUIVER_SIZE in m_max + n_max raise
-    RangeError before any mesh is read.  The window is the same over every
-    field, so it takes none.
+    at the lowest a of the enlarged window (``decomp.label_window``), and
+    shifted along the row: m_max + n_max + 4 meshes whatever the a-range.
+    Windows wider than MAX_QUIVER_A_SPAN or larger than MAX_QUIVER_SIZE in
+    m_max + n_max raise RangeError before any mesh is read.  The window is
+    the same over every field, so it takes none.
     """
     if m_max < 1 or n_max < 1 or a_min > a_max:
         raise WindowTooSmall("window needs m_max >= 1, n_max >= 1, a_min <= a_max")
@@ -450,20 +447,11 @@ def quiver_window(m_max: int, a_min: int, a_max: int, n_max: int) -> QuiverWindo
             f" and m_max + n_max <= {MAX_QUIVER_SIZE}"
         )
 
-    def shapes(mm, nn):
-        """One label of each shape of the rows up to m = mm and n = nn, at a = 0."""
-        out = [rank_one_label(0, 0), rank_one_label(1, 0)]
-        out += [rank_two_label(m, 0) for m in range(1, mm + 1)]
-        out += [wing(n, 0) for n in range(1, nn + 1)]
-        return out
-
-    inside = {
-        shift_label(S, a) for S in shapes(m_max, n_max) for a in range(a_min, a_max + 1)
-    }
+    nodes = tuple(label_window(m_max, n_max, a_min, a_max))
+    inside = set(nodes)
     arrows = []
     dropped = 0
-    for S in shapes(m_max + 1, n_max + 1):
-        base = shift_label(S, a_min - 1)
+    for base in label_window(m_max + 1, n_max + 1, a_min - 1, a_min - 1):
         middle = mesh_middle_labels(base)
         for s in range(a_max - a_min + 3):
             B = shift_label(base, s)
@@ -473,15 +461,11 @@ def quiver_window(m_max: int, a_min: int, a_max: int, n_max: int) -> QuiverWindo
                     arrows.append((A, B))
                 elif A in inside or B in inside:
                     dropped += 1
-    translation = []
-    for node in inside:
-        tau = serre_twist_label(node)
-        if tau in inside:
-            translation.append((node, tau))
-    nodes = tuple(sorted(inside, key=lambda l: l.sort_key()))
+    translation = tuple(
+        (node, tau) for node, tau in zip(nodes, map(serre_twist_label, nodes)) if tau in inside
+    )
     arrows.sort(key=lambda ab: (ab[0].sort_key(), ab[1].sort_key()))
-    translation.sort(key=lambda ab: ab[0].sort_key())
-    return QuiverWindow(nodes, tuple(arrows), tuple(translation), dropped)
+    return QuiverWindow(nodes, tuple(arrows), translation, dropped)
 
 
 def node_id(label: IndecLabel) -> str:

@@ -24,6 +24,7 @@ from .decomp import (
     decompose,
     filtration,
     label_to_object,
+    label_window,
     rank_one_label,
     rank_two_label,
     wing,
@@ -216,17 +217,9 @@ def parse_catalog(spec: str, field: FieldSpec):
         except ValueError:
             raise ParseError(f"expected an integer bound in catalog clause {clause!r}", pos)
         pos += len(raw) + 1
-    labels = []
-    for a in range(a_min, a_max + 1):
-        labels.append(rank_one_label(0, a))
-        labels.append(rank_one_label(1, a))
-        for m in range(1, m_max + 1):
-            labels.append(rank_two_label(m, a))
-        for n in range(1, n_max + 1):
-            labels.append(wing(n, a))
+    labels = label_window(m_max, n_max, a_min, a_max)
     if not labels:
         raise RangeError(f"catalog {spec!r} admits no objects")
-    labels.sort(key=lambda l: l.sort_key())
     return [label_to_object(field, l) for l in labels]
 
 

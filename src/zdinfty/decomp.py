@@ -131,6 +131,20 @@ def mesh_middle_labels(label: IndecLabel) -> tuple:
     return (IndecLabel(label.kind, (size - 1, a - 1)), outer)
 
 
+def label_window(m_max: int, n_max: int, a_min: int, a_max: int) -> list:
+    """Every F0[a], F1[a], F[m, a] with 1 <= m <= m_max and T[n, a] with
+    1 <= n <= n_max, over a_min <= a <= a_max, in ``IndecLabel.sort_key``
+    order."""
+    rows = (("rank_one", (0, 1)), ("rank_two", range(1, m_max + 1)), ("wing", range(1, n_max + 1)))
+    labels = [
+        IndecLabel(kind, (size, a))
+        for a in range(a_min, a_max + 1)
+        for kind, sizes in rows
+        for size in sizes
+    ]
+    return sorted(labels, key=IndecLabel.sort_key)
+
+
 def shift_label(label: IndecLabel, s: int) -> IndecLabel:
     """The degree shift X(s) on labels: every kind moves its a by s."""
     size, a = label.params
@@ -237,30 +251,26 @@ def decompose(X: CObject) -> Decomposition:
 
 def split_isomorphism(X: CObject, pieces) -> Morphism:
     """The map onto X from the direct sum of the pieces' factors, in the
-    pieces' order: it places each column at its factor's coordinate and
-    sends each torsion factor to the summand of X it names.  The identity
-    when there are no pieces (X is zero)."""
+    pieces' order: column k of a piece is the image of the sum's coordinate
+    place[k] of its factor, and each torsion factor goes to the summand of X
+    it names.  The identity when there are no pieces (X is zero)."""
     F = X.field
     if not pieces:
         return identity_morphism(X)
-    big, embeds = direct_sum_many([label_to_object(F, label) for label, _ in pieces])
-    cols0, cols1 = [None] * big.p, [None] * big.q
+    big, layout = direct_sum_many([label_to_object(F, label) for label, _ in pieces])
+    cols = [None] * big.rank
     ones = []  # (summand of X, summand of big) for each wing
-    for (label, part), (embed, tmap) in zip(pieces, embeds):
+    for (label, part), (place, tmap) in zip(pieces, layout):
         if label.kind == "wing":
             ones.append((part, tmap[0]))
             continue
-        for k, col in enumerate(part):
-            i = next(i for i, row in enumerate(embed) if not F.is_zero(row[k]))
-            if i < big.p:
-                cols0[i] = col
-            else:
-                cols1[i - big.p] = col
+        for k, col in zip(place, part):
+            cols[k] = col
     return morphism_from_parts(
         big,
         X,
-        linalg.transpose(cols0),
-        linalg.transpose(cols1),
+        linalg.transpose(cols[: big.p]),
+        linalg.transpose(cols[big.p:]),
         linalg.unit_matrix(F, len(X.torsion.summands), len(big.torsion.summands), ones),
     )
 

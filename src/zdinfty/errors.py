@@ -42,7 +42,7 @@ class WindowTooSmall(ZdinftyError):
 
 
 class WitnessNotFound(ZdinftyError):
-    """No Ext non-vanishing witness within the search bound."""
+    """An extension space that Serre duality makes nonzero came out zero (a bug signal)."""
 
 
 class NotLatticeMorphism(ZdinftyError):

@@ -138,10 +138,7 @@ class FieldSpec:
     def is_zero(self, a: Scalar) -> bool:
         return a == 0
 
-    # -- formatting ----------------------------------------------------
-
-    def fmt(self, a: Scalar) -> str:
-        return str(a)
+    # -- parsing -------------------------------------------------------
 
     def parse_scalar(self, text: str) -> Scalar:
         """An integer or a fraction n/d; ParseError on anything else."""

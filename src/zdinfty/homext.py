@@ -191,19 +191,29 @@ def _ft_image(m: Morphism, gamma, d: int) -> tuple:
     return tuple(out)
 
 
-def sum_inclusion(big: CObject, factor: CObject, embed, tmap) -> Morphism:
-    """Inclusion of one direct summand, from the embedding data."""
-    tt = linalg.unit_matrix(
-        big.field, len(big.torsion.summands), len(factor.torsion.summands),
-        ((k, i) for i, k in tmap.items()),
+def sum_inclusion(big: CObject, factor: CObject, place, tmap) -> Morphism:
+    """Inclusion of one direct summand, from its layout in ``big``
+    (``objects.sum_layout``): ambient coordinate k of the factor goes to
+    coordinate place[k] of big, its type-0 coordinates among big's type-0
+    ones and its type-1 among the type-1, and torsion summand i to summand
+    tmap[i]."""
+    F, p = big.field, factor.p
+    return morphism_from_parts(
+        factor,
+        big,
+        linalg.unit_matrix(F, big.p, p, ((i, k) for k, i in enumerate(place[:p]))),
+        linalg.unit_matrix(F, big.q, factor.q, ((i - big.p, k) for k, i in enumerate(place[p:]))),
+        linalg.unit_matrix(
+            F, len(big.torsion.summands), len(factor.torsion.summands),
+            ((k, i) for i, k in tmap.items()),
+        ),
     )
-    return morphism_from_parts(factor, big, *diag_blocks(embed, factor, big), tt)
 
 
-def sum_projection(big: CObject, factor: CObject, embed, tmap) -> Morphism:
+def sum_projection(big: CObject, factor: CObject, place, tmap) -> Morphism:
     """Projection of a direct sum onto one summand: the inclusion's three
     blocks transposed."""
-    inc = sum_inclusion(big, factor, embed, tmap)
+    inc = sum_inclusion(big, factor, place, tmap)
     return morphism_from_parts(
         big, factor, *(linalg.transpose(b) for b in (inc.a00, inc.a11, inc.tt))
     )
@@ -458,23 +468,27 @@ class ExtClass:
 
 @dataclass(frozen=True)
 class ExtSpace:
-    """Ext(src, dst) as its two reductions and the block widths they act on,
-    fixed by ``ext_space``; the canonical basis is the unit classes at the
-    free positions, built only when ``basis`` is read."""
+    """Ext(src, dst) as the reduction of the off-diagonal block, the slots
+    each torsion block is reduced at, and the block widths, all fixed by
+    ``ext_space``; the canonical basis is the unit classes at the free
+    positions, built only when ``basis`` is read."""
 
     src: CObject
     dst: CObject
     ff_reduction: tuple  # (echelon rows, pivots) of the off-diagonal image
-    tor_reduction: tuple  # per src torsion summand: (rows, pivots)
+    tor_reduction: tuple  # per src torsion summand: the slots its image hits
     widths: tuple  # per block of a class (see ``_class``): its length
-    dim: int  # the free positions: the widths less the pivots
+    dim: int  # the free positions: the widths less the pivots and hit slots
+
+    def _pivots(self) -> tuple:
+        """Per block, the positions a reduced class holds zero at."""
+        return (self.ff_reduction[1],) + self.tor_reduction
 
     def _free(self) -> tuple:
         """Per block, the positions off its pivots."""
-        reductions = (self.ff_reduction,) + self.tor_reduction
         return tuple(
             tuple(sorted(set(range(width)).difference(pivots)))
-            for width, (_, pivots) in zip(self.widths, reductions)
+            for width, pivots in zip(self.widths, self._pivots())
         )
 
     def _class(self, blocks) -> ExtClass:
@@ -508,10 +522,13 @@ class ExtSpace:
         """Canonical representative of the class with the given raw data."""
         F = self.src.field
         blocks = self._blocks(h01, h10, tor)
-        return self._class([
-            linalg.reduce_against(F, rows, pivots, v)
-            for v, (rows, pivots) in zip(blocks, (self.ff_reduction,) + self.tor_reduction)
-        ])
+        return self._class(
+            [linalg.reduce_against(F, *self.ff_reduction, blocks[0])]
+            + [
+                tuple(F.zero if k in hit else c for k, c in enumerate(v))
+                for v, hit in zip(blocks[1:], self.tor_reduction)
+            ]
+        )
 
     def coordinates(self, c: ExtClass) -> tuple:
         """Coefficients of a reduced class in the canonical basis: its entries
@@ -519,8 +536,7 @@ class ExtSpace:
         if (c.src, c.dst) != (self.src, self.dst):
             raise ShapeMismatch("class is not in this Ext space")
         blocks = self._blocks(c.h01, c.h10, c.tor)
-        reductions = (self.ff_reduction,) + self.tor_reduction
-        if any(v[k] for v, (_, pivots) in zip(blocks, reductions) for k in pivots):
+        if any(v[k] for v, pivots in zip(blocks, self._pivots()) for k in pivots):
             raise ZdinftyError("class representative is not reduced")
         return tuple(v[k] for v, free in zip(blocks, self._free()) for k in free)
 
@@ -583,8 +599,9 @@ def ext_space(X: CObject, Y: CObject) -> ExtSpace:
       unique rref of those products' off-diagonal entries.
     - Torsion image.  A summand T[n, a] of X is read modulo the x^n image
       of degree -a in degree n - a of Y.  That map is a partial identity
-      (``CObject.xpower_slots``), so its image is spanned by unit slots, and
-      those unit rows, sorted by position, are their own rref.
+      (``CObject.xpower_slots``), so its image is spanned by the unit
+      vectors at the slots it hits, and ``tor_reduction`` keeps those slots
+      alone: reducing a vector zeroes it there.
     """
     check_same_field(X.field, Y.field)
     F = X.field
@@ -606,11 +623,11 @@ def ext_space(X: CObject, Y: CObject) -> ExtSpace:
     tor_reduction, widths = [], [n_off]
     dim = n_off - len(ff_reduction[1])
     for n, a in X.torsion.summands:
-        image = tuple(k for k, _ in Y.xpower_slots(-a, n - a))
+        hit = tuple(k for k, _ in Y.xpower_slots(-a, n - a))
         width = Y.module_dim_at(n - a)
-        tor_reduction.append((linalg.unit_matrix(F, len(image), width, enumerate(image)), image))
+        tor_reduction.append(hit)
         widths.append(width)
-        dim += width - len(image)
+        dim += width - len(hit)
 
     return ExtSpace(X, Y, ff_reduction, tuple(tor_reduction), tuple(widths), dim)
 

@@ -193,26 +193,16 @@ def serre_untwist(X: CObject) -> CObject:
     return sigma(shift(X, 1))
 
 
-def direct_sum(X: CObject, Y: CObject):
-    """Direct sum with embedding data.
-
-    Returns (Z, embed_X, embed_Y, tmap_X, tmap_Y): the ambient embedding
-    matrices for the lattice parts and, for each input, the map from its
-    torsion summand indices to summand indices of Z.
-    """
-    Z, ((e1, t1), (e2, t2)) = direct_sum_many([X, Y])
-    return Z, e1, e2, t1, t2
-
-
 def sum_layout(objs):
-    """(p, q, torsion, per-input (embedding, torsion index map), places) of
-    the direct sum of a nonempty list, without its lattice.
+    """(p, q, torsion, per-input (place, torsion index map)) of the direct
+    sum of a nonempty list, without its lattice.
 
     The ambient coordinates are the type-0 coordinates of every input in
     order, then their type-1 coordinates, and the torsion summands are merged
     by a stable sort, so the sum equals folding pairwise sums from the left.
-    Each input's embedding is the block permutation onto its coordinates,
-    listed in ``places``.
+    An input's place lists, for each of its ambient coordinates, the
+    coordinate of the sum it lands on; its torsion map sends each of its
+    torsion summands to the sum's.
     """
     if not objs:
         raise ZdinftyError("empty direct sum needs an explicit field")
@@ -220,7 +210,6 @@ def sum_layout(objs):
     for X in objs:
         check_same_field(F, X.field)
     p = sum(X.p for X in objs)
-    r = p + sum(X.q for X in objs)
     merged = sorted(
         ((s, t, i) for t, X in enumerate(objs) for i, s in enumerate(X.torsion.summands)),
         key=lambda m: m[0],
@@ -228,53 +217,54 @@ def sum_layout(objs):
     tmaps = [{} for _ in objs]
     for new_idx, (_, t, i) in enumerate(merged):
         tmaps[t][i] = new_idx
-    embeds, places = [], []
+    layout = []
     p_off, q_off = 0, p
     for X, tmap in zip(objs, tmaps):
-        place = list(range(p_off, p_off + X.p)) + list(range(q_off, q_off + X.q))
-        embed = linalg.unit_matrix(F, r, X.rank, ((i, k) for k, i in enumerate(place)))
-        embeds.append((embed, tmap))
-        places.append(place)
+        layout.append((tuple(range(p_off, p_off + X.p)) + tuple(range(q_off, q_off + X.q)), tmap))
         p_off, q_off = p_off + X.p, q_off + X.q
     torsion = TorsionPart(tuple(s for s, _, _ in merged))
-    return p, r - p, torsion, embeds, places
+    return p, q_off - p, torsion, layout
 
 
 def direct_sum_many(objs):
-    """Direct sum of a nonempty list; returns (Z, per-input embedding data),
-    laid out by ``sum_layout``.  Each input's data is its (block-permutation
-    embedding, torsion index map).
+    """Direct sum of a nonempty list; returns (Z, per-input (place, torsion
+    index map)), laid out by ``sum_layout``.
 
     The lattice needs no elimination.  S_d of the sum is the sum of the
     inputs' S_d, which sit on disjoint coordinates, and each input's
-    coordinates keep their order.  So the embedded reduced-echelon rows of
+    coordinates keep their order.  So the placed reduced-echelon rows of
     all inputs have distinct pivots, each pivot column is zero in every other
     row, and sorted by pivot they are the unique reduced-echelon basis of
     S_d.  Every jump of an input grows S_d, so each jump is a step.
     """
-    p, q, torsion, embeds, places = sum_layout(objs)
+    p, q, torsion, layout = sum_layout(objs)
     F = objs[0].field
     events = sorted(
         ((jump, t, place, basis)
-         for t, (X, place) in enumerate(zip(objs, places))
+         for t, (X, (place, _)) in enumerate(zip(objs, layout))
          for jump, basis in X.lattice.steps),
         key=lambda ev: ev[0],
     )
-    rows = [()] * len(objs)  # each input's embedded (pivot, row) pairs so far
+    rows = [()] * len(objs)  # each input's placed (pivot, row) pairs so far
     steps = []
     for jump, group in groupby(events, key=lambda ev: ev[0]):
         for _, t, place, basis in group:
-            rows[t] = [_embed_row(F, p + q, place, row) for row in basis]
+            rows[t] = [
+                (next(k for k, c in zip(place, row) if c), place_rows(F, p + q, (place, row)))
+                for row in basis
+            ]
         steps.append((jump, tuple(v for _, v in sorted(chain.from_iterable(rows)))))
-    return CObject(F, torsion, GradedLattice(F, p, q, tuple(steps))), embeds
+    return CObject(F, torsion, GradedLattice(F, p, q, tuple(steps))), layout
 
 
-def _embed_row(F, r, place, row):
-    """(pivot, vector) of a row placed at the coordinates ``place`` of k^r."""
+def place_rows(F, r, *placed) -> tuple:
+    """The vector of k^r holding each (place, row) of ``placed`` at the
+    coordinates ``place``; the places must be disjoint."""
     v = [F.zero] * r
-    for k, c in zip(place, row):
-        v[k] = c
-    return next(k for k, c in zip(place, row) if c), tuple(v)
+    for place, row in placed:
+        for k, c in zip(place, row):
+            v[k] = c
+    return tuple(v)
 
 
 # ---------------------------------------------------------------------------

@@ -88,12 +88,11 @@ def lattice_direct_sum(L1, L2):
     return canonicalize(F, gens, p, q), e1, e2
 
 
-def direct_sum_many(objs):
-    """The direct sum of ``objects.direct_sum_many``, its lattice canonicalized
-    from the embedded generators of every input."""
-    F = objs[0].field
+def sum_places(objs):
+    """(p, q, torsion, per-input (place, torsion index map)) of the direct
+    sum, each place listing the coordinates of the sum an input's ambient
+    coordinates land on."""
     p = sum(X.p for X in objs)
-    r = p + sum(X.q for X in objs)
     merged = sorted(
         ((s, t, i) for t, X in enumerate(objs) for i, s in enumerate(X.torsion.summands)),
         key=lambda m: m[0],
@@ -101,16 +100,25 @@ def direct_sum_many(objs):
     tmaps = [{} for _ in objs]
     for new_idx, (_, t, i) in enumerate(merged):
         tmaps[t][i] = new_idx
-    gens, embeds = [], []
+    layout = []
     p_off, q_off = 0, p
     for X, tmap in zip(objs, tmaps):
-        place = list(range(p_off, p_off + X.p)) + list(range(q_off, q_off + X.q))
-        embed = _embedding(F, r, place, X.rank)
-        gens += [(jump, linalg.mat_vec(F, embed, dir)) for jump, dir in X.lattice.generators()]
-        embeds.append((embed, tmap))
+        layout.append((tuple(range(p_off, p_off + X.p)) + tuple(range(q_off, q_off + X.q)), tmap))
         p_off, q_off = p_off + X.p, q_off + X.q
-    lat = canonicalize(F, gens, p, r - p)
-    return CObject(F, TorsionPart(tuple(s for s, _, _ in merged)), lat), embeds
+    return p, q_off - p, TorsionPart(tuple(s for s, _, _ in merged)), layout
+
+
+def direct_sum_many(objs):
+    """The direct sum of ``objects.direct_sum_many`` with its layout, the
+    lattice canonicalized from the generators of every input embedded by the
+    unit matrix of its place."""
+    F = objs[0].field
+    p, q, torsion, layout = sum_places(objs)
+    gens = []
+    for X, (place, _) in zip(objs, layout):
+        embed = _embedding(F, p + q, place, X.rank)
+        gens += [(jump, linalg.mat_vec(F, embed, dir)) for jump, dir in X.lattice.generators()]
+    return CObject(F, torsion, canonicalize(F, gens, p, q)), layout
 
 
 class _Span:
@@ -197,13 +205,14 @@ def decompose(X):
     pieces += lattice_pieces(X.lattice)
     pieces.sort(key=lambda t: t[0].sort_key())
     factors = tuple(label for label, _ in pieces)
-    big, embeds = direct_sum_many([label_to_object(F, lbl) for lbl in factors])
+    big, layout = direct_sum_many([label_to_object(F, lbl) for lbl in factors])
     cols0, cols1 = [None] * big.p, [None] * big.q
     ones = []
-    for (label, part), (embed, tmap) in zip(pieces, embeds):
+    for (label, part), (place, tmap) in zip(pieces, layout):
         if label.kind == "wing":
             ones.append((part, tmap[0]))
             continue
+        embed = _embedding(F, big.rank, place, len(place))
         for k, col in enumerate(part):
             i = next(i for i, row in enumerate(embed) if not F.is_zero(row[k]))
             if i < big.p:

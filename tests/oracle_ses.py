@@ -4,15 +4,21 @@ Each middle is built here as it was before the twisted frame: the lattice
 builder twists X's generators by hand, and the window builder takes two
 contiguous ``model_of`` window models (defined here), assembles its x-maps
 from them degree by degree and charts the top degree column by column with
-a second ``offdiag_full``.  A summand's inclusion and projection read their
+a second ``offdiag_full``.  Each summand of a direct sum is placed by its
+r x rank unit-matrix embedding, as ``objects.sum_layout`` gave it before it
+kept coordinates alone, and ``twisted_frame`` is the frame ``ar`` built
+from those matrices.  A summand's inclusion and projection read their
 a00/a11 blocks by index, ``morphism_from_degreewise`` reads the blocks and
 checks type-diagonality entry by entry, a left inverse is one solve per
-column, and the twists swap coordinates with index comprehensions.  ``tests/test_ses_frame.py`` checks
-that ``ar`` and ``homext`` give the same sequences, classes and maps.
+column, and the twists swap coordinates with index comprehensions.
+``tests/test_ses_frame.py`` and ``tests/test_sum_places.py`` check that
+``ar`` and ``homext`` give the same sequences, classes, frames and maps.
+``split_sequence`` is the library's split extension, the sequence of the
+zero class, which only tests read.
 """
 
 from zdinfty import linalg, window
-from zdinfty.ar import ShortExactSeq
+from zdinfty.ar import ShortExactSeq, extension_object as library_extension
 from zdinfty.errors import ShapeMismatch, ZdinftyError
 from zdinfty.homext import (
     ExtClass,
@@ -30,12 +36,41 @@ from zdinfty.lattice import adapted_coords, canonicalize
 from zdinfty.objects import (
     CObject,
     TorsionPart,
-    direct_sum,
     module_xpower,
     serre_twist,
 )
 
+from oracle_decomp import _embedding, direct_sum_many
 from oracle_slots import max_degree, max_jump, window_bounds
+
+
+def sum_embeddings(Y: CObject, X: CObject):
+    """(Z, (embY, tY), (embX, tX)): the sum Y + X, its lattice canonicalized
+    from the embedded generators (``oracle_decomp.direct_sum_many``), and
+    each summand's place as the r x rank unit matrix with a one at
+    (place[k], k), with its torsion index map."""
+    Z, ((pY, tY), (pX, tX)) = direct_sum_many([Y, X])
+    F = X.field
+    return Z, (_embedding(F, Z.rank, pY, Y.rank), tY), (_embedding(F, Z.rank, pX, X.rank), tX)
+
+
+def twisted_frame(c: ExtClass):
+    """(p, q, torsion, (embY, tY), (embX, tX), gens): the frame of the class
+    as ``ar._twisted_frame`` built it from embedding matrices: Y's generators
+    (e, embY dir), then X's (e, (embX + embY A) dir), A = ``offdiag_full``."""
+    F = c.src.field
+    X, Y = c.src, c.dst
+    Z, (embY, tY), (embX, tX) = sum_embeddings(Y, X)
+    twist = linalg.mat_add(F, embX, linalg.mm(F, embY, offdiag_full(c), Y.rank, X.rank))
+    gens = [(e, linalg.mat_vec(F, embY, dir)) for e, dir in Y.lattice.generators()]
+    gens += [(e, linalg.mat_vec(F, twist, dir)) for e, dir in X.lattice.generators()]
+    return Z.p, Z.q, Z.torsion, (embY, tY), (embX, tX), gens
+
+
+def split_sequence(Y: CObject, X: CObject) -> ShortExactSeq:
+    """The split extension of X by Y as the library builds it: the sequence
+    of the zero class.  Only tests read it, so it lives here."""
+    return library_extension(zero_class(X, Y))
 
 
 def model_of(X: CObject, lo: int, hi: int):
@@ -136,9 +171,10 @@ def serre_twist_class(c: ExtClass) -> "ExtClass":
     return ext_space(VX, VY).reduce(c.h10, c.h01, tuple(tor))
 
 
-def split_sequence(Y: CObject, X: CObject) -> ShortExactSeq:
-    """The split extension of X by Y."""
-    Z, e1, e2, t1, t2 = direct_sum(Y, X)
+def split_sum(Y: CObject, X: CObject) -> ShortExactSeq:
+    """The split extension of X by Y: the direct sum of ``sum_embeddings``
+    and the summand maps read off its embedding matrices."""
+    Z, (e1, t1), (e2, t2) = sum_embeddings(Y, X)
     inject = sum_inclusion(Z, Y, e1, t1)
     surject = sum_projection(Z, X, e2, t2)
     return ShortExactSeq(Y, Z, X, inject, surject, zero_class(X, Y))
@@ -148,7 +184,7 @@ def extension_object(c: ExtClass) -> ShortExactSeq:
     """Short exact sequence 0 -> Y -> E -> X -> 0 realizing the class."""
     X, Y = c.src, c.dst
     if c.is_zero():
-        return split_sequence(Y, X)
+        return split_sum(Y, X)
     if X.is_torsion_free() and Y.is_torsion_free():
         return _lattice_extension(c)
     return _general_extension(c)
@@ -157,7 +193,7 @@ def extension_object(c: ExtClass) -> ShortExactSeq:
 def _lattice_extension(c: ExtClass) -> ShortExactSeq:
     F = c.src.field
     X, Y = c.src, c.dst
-    Z, embY, embX, _, _ = direct_sum(Y, X)
+    Z, (embY, _), (embX, _) = sum_embeddings(Y, X)
     A = offdiag_full(c)
     gens = []
     for e, dir in Y.lattice.generators():
@@ -180,7 +216,7 @@ def _general_extension(c: ExtClass) -> ShortExactSeq:
     lo, hi = min(loX, loY), max(hiX, hiY)
     wmY, chartY = model_of(Y, lo, hi)
     wmX, chartX = model_of(X, lo, hi)
-    Z, embY, embX, _, _ = direct_sum(Y, X)
+    Z, (embY, _), (embX, _) = sum_embeddings(Y, X)
 
     dims = tuple(ny + nx for ny, nx in zip(wmY.dims, wmX.dims))
     xmaps = []

@@ -300,7 +300,7 @@ def test_acceptance_06_hereditary_les():
 def test_acceptance_07_no_projectives_no_injectives():
     start = time.time()
     for X in catalog():
-        n_epi, n_mono = no_proj_no_inj_witness(X, bound=3)
+        n_epi, n_mono = no_proj_no_inj_witness(X)
         assert 1 <= n_epi <= 3 and 1 <= n_mono <= 3
     report(7, "no projectives or injectives", start, 10)
 

@@ -17,7 +17,6 @@ from zdinfty.ar import (
     no_proj_no_inj_witness,
     node_id,
     quiver_window,
-    split_sequence,
     verify_exact,
     window_to_json,
 )
@@ -29,7 +28,13 @@ from zdinfty.decomp import (
     serre_twist_label,
     wing,
 )
-from zdinfty.errors import NotIndecomposable, RangeError, WindowTooSmall, ZdinftyError
+from zdinfty.errors import (
+    NotIndecomposable,
+    RangeError,
+    WindowTooSmall,
+    WitnessNotFound,
+    ZdinftyError,
+)
 from zdinfty.fields import GF, QQ
 from zdinfty.homext import (
     ext_space,
@@ -40,12 +45,16 @@ from zdinfty.homext import (
     zero_class,
 )
 from zdinfty.objects import (
-    direct_sum,
+    direct_sum_many,
     rank_one,
     rank_two,
     serre_twist,
+    shift,
+    sigma,
     torsion_cyclic,
 )
+
+from oracle_ses import split_sequence
 
 F = QQ
 
@@ -121,9 +130,7 @@ def test_extension_torsion_by_torsion():
 
 def test_extension_mixed_source():
     # X has both a torsion summand and a lattice part
-    from zdinfty.objects import direct_sum
-
-    X = direct_sum(torsion_cyclic(F, 1, 0), rank_one(F, 0, 1))[0]
+    X = direct_sum_many([torsion_cyclic(F, 1, 0), rank_one(F, 0, 1)])[0]
     Y = rank_two(F, 1, -1)
     space = ext_space(X, Y)
     assert space.dim >= 2  # torsion part and lattice part both extend
@@ -146,10 +153,8 @@ def test_extension_mixed_source():
 
 def test_extension_mixed_target():
     # Y has both a torsion summand and a lattice part; X is torsion
-    from zdinfty.objects import direct_sum
-
     X = torsion_cyclic(F, 2, 0)
-    Y = direct_sum(torsion_cyclic(F, 2, -1), rank_two(F, 1, -1))[0]
+    Y = direct_sum_many([torsion_cyclic(F, 2, -1), rank_two(F, 1, -1)])[0]
     space = ext_space(X, Y)
     assert space.dim >= 2
     for cls in space.basis:
@@ -265,7 +270,7 @@ def test_verify_exact_rejects_each_broken_condition(field):
     seq = almost_split(torsion_cyclic(field, 50, 0)).seq
     verify_exact(seq)
     # one more summand in the middle, alive only at degree 25, inside the bars
-    bigger = direct_sum(seq.middle, torsion_cyclic(field, 1, -25))[0]
+    bigger = direct_sum_many([seq.middle, torsion_cyclic(field, 1, -25)])[0]
     with pytest.raises(ZdinftyError, match="degree 25: dimensions are not additive"):
         verify_exact(dataclasses.replace(seq, middle=bigger))
     with pytest.raises(ZdinftyError, match="degree 1: inclusion is not injective"):
@@ -275,17 +280,15 @@ def test_verify_exact_rejects_each_broken_condition(field):
     # T -> T + T -> T, first inclusion then the sum of both projections:
     # injective and onto, but the composite is the identity
     T = torsion_cyclic(field, 50, 0)
-    Z, embed, _, tmap, _ = direct_sum(T, T)
+    Z, ((place, tmap), _) = direct_sum_many([T, T])
     both = morphism_from_parts(Z, T, (), (), ((field.one, field.one),))
-    broken = ShortExactSeq(T, Z, T, sum_inclusion(Z, T, embed, tmap), both, zero_class(T, T))
+    broken = ShortExactSeq(T, Z, T, sum_inclusion(Z, T, place, tmap), both, zero_class(T, T))
     with pytest.raises(ZdinftyError, match="degree 0: composite is nonzero"):
         verify_exact(broken)
 
 
 def test_almost_split_rejects_decomposables():
-    from zdinfty.objects import direct_sum
-
-    X = direct_sum(rank_one(F, 0, 0), rank_one(F, 0, 1))[0]
+    X = direct_sum_many([rank_one(F, 0, 0), rank_one(F, 0, 1)])[0]
     with pytest.raises(NotIndecomposable):
         almost_split(X)
 
@@ -327,6 +330,21 @@ def test_no_proj_no_inj_witnesses():
     for lbl in [rank_two_label(3, -1), wing(2, 1), wing(4, -2)]:
         n_epi, n_mono = no_proj_no_inj_witness(label_to_object(F, lbl))
         assert 1 <= n_epi <= 3 and 1 <= n_mono <= 3
+
+
+@pytest.mark.parametrize("field", [QQ, GF(2), GF(3)], ids=str)
+def test_witness_is_the_first_twist_by_serre_duality(field, monkeypatch):
+    # the least n is 1: shift(sigma(X), -1) is VX, shift(sigma(X), 1) is
+    # V^-1 X, and Ext(X, VX) and Ext(V^-1 X, X) are both D End(X)
+    for lbl in [rank_one_label(1, 2), rank_two_label(4, -1), wing(1, 0), wing(5, 3)]:
+        X = label_to_object(field, lbl)
+        assert ext_space(X, shift(sigma(X), -1)).dim > 0
+        assert ext_space(shift(sigma(X), 1), X).dim > 0
+        assert no_proj_no_inj_witness(X) == (1, 1)
+    # a zero space there is a bug, and says so
+    monkeypatch.setattr(ar, "ext_space", lambda X, Y: dataclasses.replace(ext_space(X, Y), dim=0))
+    with pytest.raises(WitnessNotFound, match="against the twist is zero"):
+        no_proj_no_inj_witness(rank_two(field, 1, 0))
 
 
 def test_quiver_window_small():

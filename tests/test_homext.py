@@ -27,7 +27,7 @@ from zdinfty.homext import (
     zero_class,
 )
 from zdinfty.objects import (
-    direct_sum,
+    direct_sum_many,
     rank_one,
     rank_two,
     serre_twist,
@@ -127,8 +127,8 @@ def test_hom_dims_against_truncated_oracle_sample():
     rng = random.Random(2)
     pairs = [(rng.choice(objs), rng.choice(objs)) for _ in range(30)]
     pairs += [
-        (direct_sum(rank_two(F, 2, 0), torsion_cyclic(F, 2, 1))[0],
-         direct_sum(rank_one(F, 0, 1), torsion_cyclic(F, 3, 0))[0]),
+        (direct_sum_many([rank_two(F, 2, 0), torsion_cyclic(F, 2, 1)])[0],
+         direct_sum_many([rank_one(F, 0, 1), torsion_cyclic(F, 3, 0)])[0]),
     ]
     for X, Y in pairs:
         assert hom_space(X, Y).dim == hom_dim_trunc(X, Y, -6, 6)
@@ -136,7 +136,7 @@ def test_hom_dims_against_truncated_oracle_sample():
 
 def test_morphism_validation_and_composition():
     X = rank_two(F, 2, 1)
-    Y = direct_sum(rank_two(F, 1, 0), torsion_cyclic(F, 2, 1))[0]
+    Y = direct_sum_many([rank_two(F, 1, 0), torsion_cyclic(F, 2, 1)])[0]
     hs = hom_space(X, Y)
     for m in hs.basis:
         validate_morphism(m)
@@ -161,7 +161,7 @@ def test_morphism_validation_and_composition():
 def test_validate_morphism_checks_lattice_to_torsion_shape():
     # F0[0] -> F0[0] + T[3,0]: the generator's jump 0 meets one torsion slot
     X = rank_one(F, 0, 0)
-    Y = direct_sum(X, torsion_cyclic(F, 3, 0))[0]
+    Y = direct_sum_many([X, torsion_cyclic(F, 3, 0)])[0]
     one = ((F.one,),)
     validate_morphism(morphism_from_parts(X, Y, one, (), None, one))
     for ft in (((F.one, F.zero, F.zero),), ((),), (), ((F.one,), (F.one,))):

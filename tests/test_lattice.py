@@ -18,9 +18,9 @@ from zdinfty.lattice import (
     shift_lattice,
     sigma_lattice,
 )
-from zdinfty.objects import direct_sum, rank_one, rank_two
+from zdinfty.objects import direct_sum_many, rank_one, rank_two
 
-from oracle_decomp import lattice_direct_sum
+from oracle_decomp import _embedding, lattice_direct_sum
 from oracle_membership import contains, kx_membership
 
 
@@ -167,8 +167,8 @@ def test_sigma_involution_and_direct_sum():
     assert sigma_lattice(L) == L  # diagonal generator is symmetric
     A = rank_one(F, 0, 2).lattice
     S, e1, e2 = lattice_direct_sum(A, L)
-    sum_object, f1, f2, _, _ = direct_sum(rank_one(F, 0, 2), rank_two(F, 3, 1))
-    assert (sum_object.lattice, f1, f2) == (S, e1, e2)
+    sum_object, ((f1, _), (f2, _)) = direct_sum_many([rank_one(F, 0, 2), rank_two(F, 3, 1)])
+    assert (sum_object.lattice, _embedding(F, 3, f1, 1), _embedding(F, 3, f2, 2)) == (S, e1, e2)
     assert S.p == 2 and S.q == 1
     assert sorted(S.jump_list) == sorted(A.jump_list + L.jump_list)
     for j, dir in A.generators():

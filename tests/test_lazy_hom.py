@@ -132,8 +132,8 @@ def _layout_from_objects(space):
     widths = (Y.q * X.p + Y.p * X.q,) + tuple(
         Y.module_dim_at(n - a) for n, a in X.torsion.summands
     )
-    reductions = (space.ff_reduction,) + space.tor_reduction
-    return widths, sum(w - len(pivots) for w, (_, pivots) in zip(widths, reductions))
+    pivots = (space.ff_reduction[1],) + space.tor_reduction
+    return widths, sum(w - len(hit) for w, hit in zip(widths, pivots))
 
 
 @pytest.mark.parametrize("F", FIELDS, ids=str)

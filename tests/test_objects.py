@@ -12,7 +12,6 @@ from zdinfty.fields import GF, QQ
 from zdinfty.objects import (
     CObject,
     TorsionPart,
-    direct_sum,
     direct_sum_many,
     injective_resolution,
     rank_one,
@@ -70,7 +69,7 @@ def test_sigma_identities():
         assert sigma(torsion_cyclic(F, 3, a)) == torsion_cyclic(F, 3, a)
         for m in (1, 2, 4):
             assert sigma(rank_two(F, m, a)) == rank_two(F, m, a)
-    X = direct_sum(rank_one(F, 0, 1), rank_two(F, 2, 0))[0]
+    X = direct_sum_many([rank_one(F, 0, 1), rank_two(F, 2, 0)])[0]
     assert sigma(sigma(X)) == X
 
 
@@ -109,7 +108,7 @@ def test_injective_resolution_torsion_and_zero():
     _, z0, z1 = injective_resolution(zero_object(F))
     assert z0.is_zero() and z1.is_zero()
     # mixed objects still get exactly two nonzero terms
-    X = direct_sum(torsion_cyclic(F, 2, 0), rank_one(F, 1, 1))[0]
+    X = direct_sum_many([torsion_cyclic(F, 2, 0), rank_one(F, 1, 1)])[0]
     _, i0, i1 = injective_resolution(X)
     assert not i0.is_zero() and not i1.is_zero()
 
@@ -121,7 +120,7 @@ def test_window_model_roundtrip():
         rank_two(F, 2, 1),
         rank_one(F, 1, -2),
         torsion_cyclic(F, 3, 0),
-        direct_sum(rank_two(F, 1, 0), torsion_cyclic(F, 2, -1))[0],
+        direct_sum_many([rank_two(F, 1, 0), torsion_cyclic(F, 2, -1)])[0],
         direct_sum_many(
             [rank_one(F, 0, 1), rank_one(F, 0, 1), torsion_cyclic(F, 1, 2)]
         )[0],
@@ -134,8 +133,11 @@ def test_window_model_roundtrip():
 
 def _pairwise_sum(X, Y):
     """Two-term direct sum from the orthogonal lattice sum and a stable merge
-    of the torsion summands."""
-    lat, e1, e2 = lattice_direct_sum(X.lattice, Y.lattice)
+    of the torsion summands, with the places of both terms."""
+    lat, _, _ = lattice_direct_sum(X.lattice, Y.lattice)
+    p = X.p + Y.p
+    place1 = tuple(range(X.p)) + tuple(range(p, p + X.q))
+    place2 = tuple(range(X.p, p)) + tuple(range(p + X.q, lat.rank))
     merged = sorted(
         [(s, 0, i) for i, s in enumerate(X.torsion.summands)]
         + [(s, 1, i) for i, s in enumerate(Y.torsion.summands)],
@@ -145,23 +147,21 @@ def _pairwise_sum(X, Y):
     for new_idx, (_, side, i) in enumerate(merged):
         tmaps[side][i] = new_idx
     Z = CObject(X.field, TorsionPart(tuple(s for s, _, _ in merged)), lat)
-    return Z, e1, e2, tmaps[0], tmaps[1]
+    return Z, place1, place2, tmaps[0], tmaps[1]
 
 
 def _pairwise_fold(objs):
-    """Left fold of two-term direct sums, composing the embeddings."""
-    F = objs[0].field
+    """Left fold of two-term direct sums, composing the places."""
     acc = objs[0]
-    embeds = [(linalg.identity(F, acc.rank), {i: i for i in range(len(acc.torsion.summands))})]
+    layout = [(tuple(range(acc.rank)), {i: i for i in range(len(acc.torsion.summands))})]
     for Y in objs[1:]:
-        r = acc.rank
-        acc, e1, e2, t1, t2 = _pairwise_sum(acc, Y)
-        embeds = [
-            (linalg.mm(F, e1, emb, r, X.rank), {i: t1[j] for i, j in tmap.items()})
-            for X, (emb, tmap) in zip(objs, embeds)
+        acc, place1, place2, t1, t2 = _pairwise_sum(acc, Y)
+        layout = [
+            (tuple(place1[k] for k in place), {i: t1[j] for i, j in tmap.items()})
+            for place, tmap in layout
         ]
-        embeds.append((e2, t2))
-    return acc, embeds
+        layout.append((place2, t2))
+    return acc, layout
 
 
 @pytest.mark.parametrize("field", [QQ, GF(2), GF(3)], ids=str)
@@ -387,7 +387,7 @@ def test_from_presentation_constant_on_row_ops():
     # x^2 g1 = 0 becomes -2 x^2 g0' + x^2 g1' = 0 and the localization of g1'
     # picks up 2 phi(g0)
     F = QQ
-    X = direct_sum(rank_one(F, 0, 0), torsion_cyclic(F, 2, 0))[0]
+    X = direct_sum_many([rank_one(F, 0, 0), torsion_cyclic(F, 2, 0)])[0]
     P = presentation_of_object(X)
     assert P.row_degrees == (0, 0) and len(P.col_degrees) == 1
     x2 = Poly.monomial(F, 1, 2)
@@ -405,7 +405,7 @@ def test_from_presentation_constant_on_row_ops():
 
 def test_module_dims():
     F = QQ
-    X = direct_sum(rank_two(F, 2, 0), torsion_cyclic(F, 2, 1))[0]
+    X = direct_sum_many([rank_two(F, 2, 0), torsion_cyclic(F, 2, 1)])[0]
     # lattice dims: 0,0,1,1,2..., torsion alive at -1, 0
     assert X.module_dim_at(-2) == 0
     assert X.module_dim_at(-1) == 1

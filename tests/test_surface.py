@@ -4,7 +4,10 @@ Every name in ``zdinfty.__all__`` resolves.  The two-branch ring elements,
 their polynomials and the ``MixedIndex`` error live in ``oracle_ring`` and
 ``mat_scale`` in ``oracle_membership``: no library module defines, imports
 or reads them, since no computation does.  ``quiver_window`` takes no field,
-because the window is the same over every field.
+because the window is the same over every field.  ``direct_sum_many`` is the
+one public direct sum: the two-term ``direct_sum`` is gone.  ``FieldSpec``
+formats no scalar, and ``no_proj_no_inj_witness`` takes the object alone,
+since Serre duality fixes both twists at 1.
 """
 
 import ast
@@ -12,7 +15,8 @@ import inspect
 from pathlib import Path
 
 import zdinfty
-from zdinfty import ar
+from zdinfty import ar, objects
+from zdinfty.fields import FieldSpec
 
 SRC = Path(zdinfty.__file__).resolve().parent
 GONE = {"Poly", "RmElement", "ring_one", "ring_u", "ring_v", "MixedIndex", "mat_scale"}
@@ -57,3 +61,17 @@ def test_no_module_defines_or_imports_the_ring():
 def test_quiver_window_takes_no_field():
     params = inspect.signature(ar.quiver_window).parameters
     assert list(params) == ["m_max", "a_min", "a_max", "n_max"]
+
+
+def test_direct_sum_many_is_the_one_sum_constructor():
+    assert "direct_sum_many" in zdinfty.__all__
+    assert "direct_sum" not in zdinfty.__all__
+    assert not hasattr(zdinfty, "direct_sum") and not hasattr(objects, "direct_sum")
+
+
+def test_field_spec_formats_no_scalar():
+    assert not hasattr(FieldSpec, "fmt")
+
+
+def test_witness_takes_the_object_alone():
+    assert list(inspect.signature(ar.no_proj_no_inj_witness).parameters) == ["X"]
