@@ -218,10 +218,6 @@ class Decomposition:
     def factors(self) -> tuple:
         return tuple(label for label, _ in self.pieces)
 
-    @property
-    def factor_multiset(self):
-        return tuple(sorted(f.sort_key() for f in self.factors))
-
     @cached_property
     def iso(self) -> Morphism:
         return split_isomorphism(self.obj, self.pieces)

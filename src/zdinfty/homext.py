@@ -632,12 +632,6 @@ def ext_space(X: CObject, Y: CObject) -> ExtSpace:
     return ExtSpace(X, Y, ff_reduction, tuple(tor_reduction), tuple(widths), dim)
 
 
-def zero_class(X: CObject, Y: CObject) -> ExtClass:
-    F = X.field
-    tor = tuple((F.zero,) * Y.module_dim_at(n - a) for n, a in X.torsion.summands)
-    return ExtClass(X, Y, linalg.zeros(F, Y.q, X.p), linalg.zeros(F, Y.p, X.q), tor)
-
-
 # ---------------------------------------------------------------------------
 # Yoneda composition
 

@@ -229,3 +229,8 @@ def decompose(X):
     if not is_isomorphism(iso, X):
         raise DecompositionFailure("assembled map is not an isomorphism")
     return factors, iso
+
+
+def factor_multiset(dec) -> tuple:
+    """The sort keys of a ``Decomposition``'s factors, sorted."""
+    return tuple(sorted(f.sort_key() for f in dec.factors))

@@ -13,8 +13,8 @@ checks type-diagonality entry by entry, a left inverse is one solve per
 column, and the twists swap coordinates with index comprehensions.
 ``tests/test_ses_frame.py`` and ``tests/test_sum_places.py`` check that
 ``ar`` and ``homext`` give the same sequences, classes, frames and maps.
-``split_sequence`` is the library's split extension, the sequence of the
-zero class, which only tests read.
+``split_sequence`` is the library's split extension, the sequence of
+``zero_class``; only tests read either, so both live here.
 """
 
 from zdinfty import linalg, window
@@ -30,7 +30,6 @@ from zdinfty.homext import (
     offdiag_blocks,
     offdiag_full,
     torsion_compatible,
-    zero_class,
 )
 from zdinfty.lattice import adapted_coords, canonicalize
 from zdinfty.objects import (
@@ -65,6 +64,13 @@ def twisted_frame(c: ExtClass):
     gens = [(e, linalg.mat_vec(F, embY, dir)) for e, dir in Y.lattice.generators()]
     gens += [(e, linalg.mat_vec(F, twist, dir)) for e, dir in X.lattice.generators()]
     return Z.p, Z.q, Z.torsion, (embY, tY), (embX, tX), gens
+
+
+def zero_class(X: CObject, Y: CObject) -> ExtClass:
+    """The zero class of Ext^1(X, Y): every coordinate zero."""
+    F = X.field
+    tor = tuple((F.zero,) * Y.module_dim_at(n - a) for n, a in X.torsion.summands)
+    return ExtClass(X, Y, linalg.zeros(F, Y.q, X.p), linalg.zeros(F, Y.p, X.q), tor)
 
 
 def split_sequence(Y: CObject, X: CObject) -> ShortExactSeq:

@@ -42,7 +42,6 @@ from zdinfty.homext import (
     morphism_from_parts,
     sum_inclusion,
     yoneda_compose,
-    zero_class,
 )
 from zdinfty.objects import (
     direct_sum_many,
@@ -54,7 +53,7 @@ from zdinfty.objects import (
     torsion_cyclic,
 )
 
-from oracle_ses import split_sequence
+from oracle_ses import split_sequence, zero_class
 
 F = QQ
 

@@ -17,11 +17,11 @@ import pytest
 from zdinfty import linalg, window
 from zdinfty.ar import class_of_sequence, extension_object, verify_exact
 from zdinfty.fields import GF, QQ
-from zdinfty.homext import ext_space, zero_class
+from zdinfty.homext import ext_space
 from zdinfty.objects import direct_sum_many, rank_one, rank_two, torsion_cyclic
 
 from oracle_bars import bar_by_bar_kills, checked_reconstruct, contiguous
-from oracle_ses import split_sequence
+from oracle_ses import split_sequence, zero_class
 
 
 def random_sum(field, rng, max_bar=4):

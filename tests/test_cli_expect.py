@@ -1,0 +1,131 @@
+"""The CLI's exact outputs, run the way a user runs them.
+
+Each row is ``(name, argv, exit_code, stdout)``: ``python -m zdinfty.cli
+*argv``, with ``PYTHONPATH=src``, must exit with ``exit_code`` and print
+exactly ``stdout`` and one newline, within 10 s.  The rows are the paper's
+results as one-line expectations: the almost split sequences and their
+middles, the Krull-Schmidt factors, Hom/Ext/Euler counts, and input errors.
+
+Add a row for a short output worth reading in the source; add an invocation
+to ``tests/test_golden_cli.py`` for a long output, such as a sweep or a
+quiver, that only has to stay byte-identical.
+"""
+
+import os
+import pathlib
+import subprocess
+import sys
+
+import pytest
+
+SRC = pathlib.Path(__file__).resolve().parent.parent / "src"
+
+# a lattice over Q with non-integral coordinates
+NON_INTEGRAL = (
+    '{"lattice": {"p": 2, "q": 1, "gens": [{"jump": 0, "dir": ["1/2", "2/3", 1]},'
+    ' {"jump": 1, "dir": [1, "-3/4", 0]}, {"jump": 3, "dir": [0, 1, 0]}]}}'
+)
+# a non-split frame with torsion; its lattice splits differently over F_5 and F_2
+FRAME = (
+    '{"torsion": [[2, 1], [1, 0]], "lattice": {"p": 2, "q": 2, "gens":'
+    ' [{"jump": 0, "dir": [1, 2, 1, 1]}, {"jump": 1, "dir": [0, 1, 3, 1]},'
+    ' {"jump": 2, "dir": [1, 0, 0, 2]}, {"jump": 3, "dir": [0, 0, 1, 0]}]}}'
+)
+
+ROWS = [
+    ("ars over Q prints the almost split sequence",
+     ["--field", "Q", "ars", "F[3,0]"], 0,
+     "0 -> F[3,-1] -> F[2,-1] + F[4,0] -> F[3,0] -> 0"),
+    ("ars over F_3 builds a torsion extension middle",
+     ["--field", "Fp:3", "ars", "T[3,1]"], 0,
+     "0 -> T[3,0] -> T[2,0] + T[4,1] -> T[3,1] -> 0"),
+    ("ars over Q builds a torsion extension middle",
+     ["--field", "Q", "ars", "T[3,1]"], 0,
+     "0 -> T[3,0] -> T[2,0] + T[4,1] -> T[3,1] -> 0"),
+    ("ars over F_2 prints a swept torsion middle as JSON",
+     ["--field", "Fp:2", "--format", "json", "ars", "T[4,2]"], 0,
+     '{"command": "ars", "left": "T[4,1]", "middle": ["T[3,1]", "T[5,2]"],'
+     ' "right": "T[4,2]", "schema": "zdinfty.report/1"}'),
+    ("ars under JSON rejects a decomposable object with exit 2",
+     ["--format", "json", "ars", "F0[0] + F1[0]"], 2,
+     '{"error": {"message": "almost split sequences end in indecomposables",'
+     ' "position": null, "type": "NotIndecomposable"}, "schema": "zdinfty.report/1"}'),
+    ("ars builds the middle of a million-step wing at its event degrees only",
+     ["ars", "T[1000000,0]"], 0,
+     "0 -> T[1000000,-1] -> T[999999,-1] + T[1000001,0] -> T[1000000,0] -> 0"),
+    ("decompose over Q reads non-integral coordinates",
+     ["--field", "Q", "decompose", NON_INTEGRAL], 0,
+     "F0[-1] + F[3,0]"),
+    ("filtration over Q reads the same non-integral coordinates",
+     ["--field", "Q", "filtration", NON_INTEGRAL], 0,
+     "factors (bottom to top): F0[-3], F0[-1], F1[0]"),
+    ("filtration over F_3 reads the factors off one canonical form",
+     ["--field", "Fp:3", "filtration", "F[2,0] + F[1,1] + F0[2] + F1[-1]"], 0,
+     "factors (bottom to top): F0[-2], F0[0], F0[2], F1[0], F1[1], F1[-1]"),
+    ("ars over F_2 builds a torsion middle from a rank-zero window map",
+     ["--field", "Fp:2", "ars", "T[1,0]"], 0,
+     "0 -> T[1,-1] -> T[2,0] -> T[1,0] -> 0"),
+    ("ars over F_2 builds a three-factor lattice middle",
+     ["--field", "Fp:2", "ars", "F[1,0]"], 0,
+     "0 -> F[1,-1] -> F0[-1] + F1[-1] + F[2,0] -> F[1,0] -> 0"),
+    ("ars over F_3 identifies the factors of a conjugated lattice",
+     ["--field", "Fp:3", "ars",
+      '{"lattice": {"p": 1, "q": 1, "gens": [{"jump": 0, "dir": [1, 2]},'
+      ' {"jump": 2, "dir": [1, 0]}, {"jump": 2, "dir": [0, 1]}]}}'], 0,
+     "0 -> F[2,-1] -> F[1,-1] + F[3,0] -> F[2,0] -> 0"),
+    ("index over F_2 reads the degrees of a conjugated lattice",
+     ["--field", "Fp:2", "index",
+      '{"lattice": {"p": 2, "q": 1, "gens": [{"jump": -1, "dir": [1, 1, 1]},'
+      ' {"jump": 0, "dir": [0, 1, 0]}, {"jump": 2, "dir": [1, 0, 0]},'
+      ' {"jump": 2, "dir": [0, 0, 1]}]}}'], 0,
+     "singularity index = 3"),
+    ("the singularity index of a two-million-step lattice is read without a search",
+     ["index", "F[2000000,0] + F[1999999,0] + F[3,1]"], 0,
+     "singularity index = 2000000"),
+    ("decompose over F_2 prints the sorted factors",
+     ["--field", "Fp:2", "decompose", "F[2,0] + F[2,0] + F0[1] + F1[-1] + T[2,1]"], 0,
+     "F1[-1] + F0[1] + F[2,0] + F[2,0] + T[2,1]"),
+    ("decompose over F_3 prints the sorted factors",
+     ["--field", "Fp:3", "decompose", "F[2,0] + F[2,0] + F0[1] + F1[-1] + T[2,1]"], 0,
+     "F1[-1] + F0[1] + F[2,0] + F[2,0] + T[2,1]"),
+    ("decompose over F_5 certifies a non-split frame with torsion",
+     ["--field", "Fp:5", "decompose", FRAME], 0,
+     "F[1,-1] + F[3,0] + T[1,0] + T[2,1]"),
+    ("decompose over F_2 certifies the same frame, three lattice factors there",
+     ["--field", "Fp:2", "decompose", FRAME], 0,
+     "F1[-3] + F0[-1] + F[2,0] + T[1,0] + T[2,1]"),
+    ("ext over F_2 puts source torsion against lattice and torsion slots",
+     ["--field", "Fp:2", "ext", "T[2,1] + T[3,-1] + F[2,0]", "F[1,0] + F1[1] + T[3,0]"], 0,
+     "dim Ext1 = 3"),
+    ("ext over F_3 puts source torsion against lattice and torsion slots",
+     ["--field", "Fp:3", "ext", "T[2,1] + T[3,-1] + F[2,0]", "F[1,0] + F1[1] + T[3,0]"], 0,
+     "dim Ext1 = 3"),
+    ("euler over Q counts Hom and Ext of mixed sums",
+     ["--field", "Q", "euler", "F[2,0] + F[3,1] + T[2,1] + F1[0]", "F[1,-1] + F0[2] + T[3,0]"], 0,
+     "dim Hom = 6, dim Ext1 = 3, euler = 3"),
+    ("euler over F_2 counts Hom and Ext of mixed sums",
+     ["--field", "Fp:2", "euler", "F[2,0] + F[3,1] + T[2,1] + F1[0]", "F[1,-1] + F0[2] + T[3,0]"], 0,
+     "dim Hom = 6, dim Ext1 = 3, euler = 3"),
+    ("euler over F_3 counts Hom and Ext of torsion-heavy sums",
+     ["--field", "Fp:3", "euler", "T[3,1] + T[2,0] + F[2,0]", "T[3,0] + T[2,1] + F[1,0]"], 0,
+     "dim Hom = 6, dim Ext1 = 4, euler = 2"),
+    ("a 61-bit prime modulus is tested without trial division",
+     ["--field", "Fp:2305843009213693951", "hom", "F[2,0]", "F[2,0]"], 0,
+     "dim Hom = 1"),
+    ("a modulus past the exact primality bound exits 2",
+     ["--field", "Fp:1000000000000000000000000000057", "hom", "F[2,0]", "F[2,0]"], 2,
+     "error: modulus 1000000000000000000000000000057 is too large to test;"
+     " it must be below 3317044064679887385961981"),
+]
+
+
+@pytest.mark.parametrize("name, argv, exit_code, stdout", ROWS, ids=[row[0] for row in ROWS])
+def test_cli_expect(name, argv, exit_code, stdout):
+    proc = subprocess.run(
+        [sys.executable, "-m", "zdinfty.cli", *argv],
+        capture_output=True,
+        text=True,
+        env=dict(os.environ, PYTHONPATH=str(SRC)),
+        timeout=10,
+    )
+    assert (proc.returncode, proc.stdout) == (exit_code, stdout + "\n"), name

@@ -231,7 +231,7 @@ def test_krull_schmidt_random_sums(field):
         X, expected = random_catalog_sum(field, rng)
         rng.randint(0, 10**6)  # unused draw: keeps the sequence of sums stable
         dec = decompose(X)
-        assert dec.factor_multiset == expected
+        assert oracle_decomp.factor_multiset(dec) == expected
         assert is_isomorphism(dec.iso, X)
 
 
@@ -247,7 +247,7 @@ def test_decompose_twisted_embedding():
     lat = canonicalize(F, gens, 2, 1)
     X = CObject(F, TorsionPart(()), lat)
     dec = decompose(X)
-    assert dec.factor_multiset == tuple(
+    assert oracle_decomp.factor_multiset(dec) == tuple(
         sorted([rank_two_label(1, 0).sort_key(), rank_one_label(0, 1).sort_key()])
     )
 

@@ -62,7 +62,13 @@ TORSION_FREE = (
 
 
 def invocations() -> list:
-    out = []
+    out = [
+        ["--field", "Fp:3", "selftest"],
+        ["--field", "Fp:2305843009213693951", "selftest"],
+        ["--field", "Fp:3", "serre", "--catalog", "m<=4,n<=4,|a|<=3"],
+        ["--field", "Fp:3", "--format", "json", "quiver",
+         "--m-max", "6", "--a-min", "-3", "--a-max", "3", "--n-max", "4"],
+    ]
     for field in FIELDS:
         g = ["--field", field]
         for fmt in ("text", "json"):

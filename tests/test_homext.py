@@ -24,7 +24,6 @@ from zdinfty.homext import (
     serre_twist_morphism,
     validate_morphism,
     yoneda_compose,
-    zero_class,
 )
 from zdinfty.objects import (
     direct_sum_many,
@@ -35,6 +34,7 @@ from zdinfty.objects import (
     zero_object,
 )
 
+from oracle_ses import zero_class
 from oracle_trunc import hom_dim_trunc
 
 F = QQ

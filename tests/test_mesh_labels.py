@@ -28,9 +28,9 @@ from zdinfty.decomp import (
 )
 from zdinfty.errors import ZdinftyError
 from zdinfty.fields import GF, QQ
-from zdinfty.homext import zero_class
 from zdinfty.objects import shift
 
+from oracle_ses import zero_class
 from test_lazy_ars import _cli_field, _indecomposables
 
 FIELDS = [QQ, GF(2), GF(3)]

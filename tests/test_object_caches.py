@@ -17,10 +17,11 @@ import pytest
 from zdinfty import lattice, linalg, objects
 from zdinfty.errors import ShapeMismatch
 from zdinfty.fields import GF, QQ
-from zdinfty.homext import eta, serre_check, zero_class
+from zdinfty.homext import eta, serre_check
 from zdinfty.objects import direct_sum_many, rank_two, serre_twist, shift, sigma
 
 from oracle_generators import generators_uncached
+from oracle_ses import zero_class
 from oracle_slots import max_jump
 from test_acceptance import catalog
 

@@ -18,7 +18,7 @@ import pytest
 
 from zdinfty import ar, linalg
 from zdinfty.fields import GF, QQ
-from zdinfty.homext import ext_space, sum_inclusion, sum_projection, zero_class
+from zdinfty.homext import ext_space, sum_inclusion, sum_projection
 from zdinfty.objects import direct_sum_many, rank_one, rank_two, sum_layout, torsion_cyclic
 
 import oracle_ses
@@ -50,7 +50,7 @@ def _inputs(F, rng):
 
 def _classes(X, Y, rng):
     space = ext_space(X, Y)
-    return [zero_class(X, Y), *space.basis] + ([random_class(space, rng)] if space.dim else [])
+    return [oracle_ses.zero_class(X, Y), *space.basis] + ([random_class(space, rng)] if space.dim else [])
 
 
 def _assert_maps_match(Z, factor, place, tmap):

@@ -1,5 +1,5 @@
-"""The CI workflow parses, and each step of the tier-1 job runs or uses
-exactly one thing.
+"""The CI workflow parses, each step of the tier-1 job runs or uses exactly
+one thing, and the CLI's expectations run under pytest, not as steps.
 
 A plain YAML scalar holding ``": "`` once made the workflow invalid, and
 nothing ran it until then; this loads it the way the CI runner does.
@@ -10,6 +10,7 @@ from pathlib import Path
 import yaml
 
 WORKFLOW = Path(__file__).resolve().parent.parent / ".github" / "workflows" / "tests.yml"
+PYTEST = "PYTHONPATH=src${PYTHONPATH:+:$PYTHONPATH} python -m pytest -q --continue-on-collection-errors"
 
 
 def test_workflow_parses_into_steps():
@@ -21,3 +22,12 @@ def test_workflow_parses_into_steps():
     for step in steps:
         assert isinstance(step, dict), step
         assert ("run" in step) != ("uses" in step), step
+
+
+def test_cli_checks_are_pytest_rows_not_steps():
+    """A CLI expectation is a row of ``tests/test_cli_expect.py`` or a golden
+    invocation, both run by the pytest step; no step runs the CLI itself."""
+    steps = yaml.safe_load(WORKFLOW.read_text())["jobs"]["tier1"]["steps"]
+    runs = [step.get("run", "") for step in steps]
+    assert PYTEST in runs
+    assert [run for run in runs if "zdinfty.cli" in run] == []
