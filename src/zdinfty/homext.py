@@ -39,10 +39,17 @@ positions: the lattice maps as (a00, a11) pairs, the compatible torsion
 pairs, and the target torsion slots at each source generator's jump.  Its
 dimension is their count, and it builds its maps only when ``basis`` is
 read.  The Serre Gram matrix selects entries of the stored lattice maps at
-the free positions (``_gram``), so ``serre_check`` builds no map.  Every
-Hom basis map is a nullspace vector or a unit torsion map, with a one at its
-last nonzero entry where the others vanish; ``HomSpace.coordinates`` reads
-the entries there.
+the free positions (``_gram``), so ``serre_check`` builds no map; its free
+cells are the off-diagonal positions below ``widths[0]`` off the stored
+pivots ``ff_reduction[1]``.  A side with no torsion does no torsion
+bookkeeping: ``hom_space`` forms torsion pairs only when both objects have
+torsion summands and torsion widths only when the target has some (a zero
+per generator otherwise), and ``ext_space`` walks no torsion image for a
+torsion-free source.  So a duality check of two torsion-free objects pays
+for its two solves and the Gram rank alone.  Every Hom basis map is a
+nullspace vector or a unit torsion map, with a one at its last nonzero
+entry where the others vanish; ``HomSpace.coordinates`` reads the entries
+there.
 """
 
 from __future__ import annotations
@@ -309,7 +316,7 @@ def validate_morphism(m: Morphism) -> None:
 # hom spaces
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class HomSpace:
     """Hom(src, dst) as what spans it: the lattice maps as (a00, a11) pairs,
     the compatible torsion pairs (k, i), and per source lattice generator the
@@ -321,6 +328,13 @@ class HomSpace:
     lattice_maps: tuple  # (a00, a11) per lattice basis map
     torsion_pairs: tuple  # (target k, source i) per compatible pair of summands
     ft_widths: tuple  # per src lattice generator: dst torsion slots at its jump
+
+    def __init__(self, src, dst, lattice_maps, torsion_pairs, ft_widths):
+        # one dict update, not a setattr per field (see ``SerreReport``)
+        vars(self).update(
+            src=src, dst=dst, lattice_maps=lattice_maps, torsion_pairs=torsion_pairs,
+            ft_widths=ft_widths,
+        )
 
     @property
     def dim(self) -> int:
@@ -397,23 +411,25 @@ def _constant_matrix_solutions(X: CObject, Y: CObject) -> tuple:
     unknowns are the entries of a00, then of a11, row by row, so each
     constraint row is u (x) dir_j on the two diagonal blocks."""
     F = X.field
-    if X.rank == 0 or Y.rank == 0:
+    XL, YL = X.lattice, Y.lattice
+    p, q, pp, qq = XL.p, XL.q, YL.p, YL.q
+    if not (p + q and pp + qq):
         return ()
-    p, q, pp, qq = X.p, X.q, Y.p, Y.q
     mul, zero = F.mul, F.zero
     rows = []
-    for e, dir in X.lattice.generators():
-        for u in Y.lattice.annihilator_at(e):
-            row = [mul(a, b) if a and b else zero for a in u[:pp] for b in dir[:p]]
-            row += [mul(a, b) if a and b else zero for a in u[pp:] for b in dir[p:]]
+    for e, dir in XL.generators():
+        d0, d1 = dir[:p], dir[p:]
+        for u in YL.annihilator_at(e):
+            row = [mul(a, b) if a and b else zero for a in u[:pp] for b in d0]
+            row += [mul(a, b) if a and b else zero for a in u[pp:] for b in d1]
             if any(row):
-                rows.append(tuple(row))
+                rows.append(row)
     n00 = pp * p
     kernel = linalg.nullspace(F, rows) if rows else linalg.identity(F, n00 + qq * q)
     return tuple(
         (
-            tuple(vec[i * p:(i + 1) * p] for i in range(pp)),
-            tuple(vec[n00 + i * q:n00 + (i + 1) * q] for i in range(qq)),
+            tuple([vec[i * p:(i + 1) * p] for i in range(pp)]),
+            tuple([vec[n00 + i * q:n00 + (i + 1) * q] for i in range(qq)]),
         )
         for vec in kernel
     )
@@ -423,14 +439,21 @@ def hom_space(X: CObject, Y: CObject) -> HomSpace:
     """The category Hom, counted: the block-diagonal lattice maps, one
     torsion map per compatible pair of summands, and one free-generator image
     per target torsion slot at the generator's jump.  Only the lattice maps
-    need a solve; no basis map is built here (see ``HomSpace.basis``)."""
+    need a solve; no basis map is built here (see ``HomSpace.basis``).  A
+    torsion pair needs torsion on both sides and a nonzero width needs it in
+    the target, so neither is walked for a torsion-free side."""
     check_same_field(X.field, Y.field)
     S, T = X.torsion, Y.torsion
-    pairs = tuple(
-        (k, i) for k in range(len(T.summands)) for i in range(len(S.summands))
-        if torsion_compatible(S, i, T, k)
-    )
-    widths = tuple(T.dim_at(jump) for jump, _ in X.lattice.generators())
+    pairs = ()
+    if not T.summands:
+        widths = (0,) * X.rank
+    else:
+        widths = tuple(T.dim_at(jump) for jump, _ in X.lattice.generators())
+        if S.summands:
+            pairs = tuple(
+                (k, i) for k in range(len(T.summands)) for i in range(len(S.summands))
+                if torsion_compatible(S, i, T, k)
+            )
     return HomSpace(X, Y, _constant_matrix_solutions(X, Y), pairs, widths)
 
 
@@ -466,7 +489,7 @@ class ExtClass:
         return True
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class ExtSpace:
     """Ext(src, dst) as the reduction of the off-diagonal block, the slots
     each torsion block is reduced at, and the block widths, all fixed by
@@ -479,6 +502,12 @@ class ExtSpace:
     tor_reduction: tuple  # per src torsion summand: the slots its image hits
     widths: tuple  # per block of a class (see ``_class``): its length
     dim: int  # the free positions: the widths less the pivots and hit slots
+
+    def __init__(self, src, dst, ff_reduction, tor_reduction, widths, dim):
+        vars(self).update(
+            src=src, dst=dst, ff_reduction=ff_reduction, tor_reduction=tor_reduction,
+            widths=widths, dim=dim,
+        )
 
     def _pivots(self) -> tuple:
         """Per block, the positions a reduced class holds zero at."""
@@ -605,15 +634,16 @@ def ext_space(X: CObject, Y: CObject) -> ExtSpace:
     """
     check_same_field(X.field, Y.field)
     F = X.field
-    p, q, pp, qq = X.p, X.q, Y.p, Y.q
+    XL, YL = X.lattice, Y.lattice
+    p, q, pp, qq = XL.p, XL.q, YL.p, YL.q
     n_off = qq * p + pp * q
 
     image_vectors = []
     if n_off:
         mul, zero = F.mul, F.zero
-        for (e, _), g in zip(X.lattice.generators(), X.lattice.generator_inverse):
+        for (e, _), g in zip(XL.generators(), XL.generator_inverse):
             g0, g1 = g[:p], g[p:]
-            for s in Y.lattice.subspace_at(e):
+            for s in YL.subspace_at(e):
                 vec = [mul(a, b) if a and b else zero for a in s[pp:] for b in g0]
                 vec += [mul(a, b) if a and b else zero for a in s[:pp] for b in g1]
                 if any(vec):
@@ -762,10 +792,12 @@ def _gram(hom: HomSpace, ext: ExtSpace, flipped: bool = False) -> tuple:
     no map is built.  Rows run over Hom, or over Ext when flipped.
     """
     X, Y = ext.src, ext.dst
-    n01 = Y.q * X.p
+    p, q = X.p, X.q
+    n01 = Y.q * p
+    pivots = set(ext.ff_reduction[1])
     cells = [
-        (0, *divmod(k, X.p)) if k < n01 else (1, *divmod(k - n01, X.q))
-        for k in ext._free()[0]
+        (0, *divmod(k, p)) if k < n01 else (1, *divmod(k - n01, q))
+        for k in range(ext.widths[0]) if k not in pivots
     ]
     rows = tuple(
         tuple(blocks[b][k][i] for b, i, k in cells)
@@ -794,8 +826,18 @@ def serre_gram(Fobj: CObject, G: CObject, flipped: bool = False):
     return _gram(hom_space(G, VF), ext_space(Fobj, G), flipped=True)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class SerreReport:
+    """One pair's duality verdict: both dimensions, and the Gram rank when
+    both objects are torsion-free.
+
+    Like ``HomSpace`` and ``ExtSpace``, built once per checked pair, it fills
+    its fields with one dict update: the ``__init__`` a frozen dataclass
+    generates calls ``object.__setattr__`` per field, about a tenth of a
+    sweep of tiny pairs.  Equality, hashing, ``repr`` and frozenness stay
+    the generated ones.
+    """
+
     X: CObject
     Y: CObject
     dim_hom: int
@@ -803,6 +845,12 @@ class SerreReport:
     dims_match: bool
     gram_rank: int | None
     gram_nondegenerate: bool | None
+
+    def __init__(self, X, Y, dim_hom, dim_ext_twisted, dims_match, gram_rank, gram_nondegenerate):
+        vars(self).update(
+            X=X, Y=Y, dim_hom=dim_hom, dim_ext_twisted=dim_ext_twisted, dims_match=dims_match,
+            gram_rank=gram_rank, gram_nondegenerate=gram_nondegenerate,
+        )
 
     @property
     def passed(self) -> bool:
@@ -817,9 +865,8 @@ def serre_check(X: CObject, Y: CObject) -> SerreReport:
     hom = hom_space(X, Y)
     ext = ext_space(Y, serre_twist(X))
     d_hom, d_ext = hom.dim, ext.dim
-    gram_rank = None
-    gram_ok = None
-    if X.is_torsion_free() and Y.is_torsion_free():
+    gram_rank = gram_ok = None
+    if not (X.torsion.summands or Y.torsion.summands):
         gram = _gram(hom, ext)
         gram_rank = linalg.rank(X.field, gram) if gram else 0
         gram_ok = gram_rank == d_hom == d_ext

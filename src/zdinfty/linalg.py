@@ -282,7 +282,9 @@ def solve(F: FieldSpec, A: Sequence, b: Sequence) -> Vector | None:
 
 
 def nullspace(F: FieldSpec, A: Sequence, ncols: int | None = None) -> Matrix:
-    """Echelonized basis of the right kernel of ``A`` (rows are kernel vectors).
+    """Echelonized basis of the right kernel of ``A`` (rows are kernel vectors),
+    one per free column of its echelon form, in column order; ``()`` at full
+    column rank, where no reduced row is built.
 
     ``ncols`` pins the column count when ``A`` has no rows.
     """
@@ -292,16 +294,21 @@ def nullspace(F: FieldSpec, A: Sequence, ncols: int | None = None) -> Matrix:
         return identity(F, n)
     if n == 0:
         return ()
-    red, pivots = rref(F, A)
+    ech = _echelon(F, A)
+    if len(ech) == n:
+        return ()
+    red, pivots = ech.reduced()
     pivset = set(pivots)
-    free = [j for j in range(n) if j not in pivset]
+    neg, zero, one = F.neg, F.zero, F.one
     basis = []
-    for f in free:
-        v = [F.zero] * n
-        v[f] = F.one
-        for row, col in zip(red, pivots):
-            v[col] = F.neg(row[f])
-        basis.append(tuple(v))
+    for f in range(n):
+        if f not in pivset:
+            v = [zero] * n
+            v[f] = one
+            for row, col in zip(red, pivots):
+                if row[f]:
+                    v[col] = neg(row[f])
+            basis.append(tuple(v))
     return tuple(basis)
 
 

@@ -216,6 +216,10 @@ def test_usage_errors():
     # an empty sweep is bad input, not a PASS
     code, out = run_command(["serre", "--catalog", "|a|<=-1"])
     assert code == 2 and out.startswith("error:") and "\n" not in out
+    # so is one past the pair limit, however far: it is counted, not listed
+    code, out = run_command(["serre", "--catalog", "m<=10000000000,|a|<=10000000000"])
+    assert code == 2 and f"the limit is {cli.MAX_CATALOG_PAIRS} ordered pairs" in out
+    assert len(parse_catalog("m<=74,n<=74,a>=-5,a<=4", F)) ** 2 == cli.MAX_CATALOG_PAIRS
     # malformed catalogs, JSON literals and scalars fail where they are parsed
     for argv in [
         ["serre", "--catalog", "m<=x"],

@@ -112,6 +112,10 @@ ROWS = [
     ("a 61-bit prime modulus is tested without trial division",
      ["--field", "Fp:2305843009213693951", "hom", "F[2,0]", "F[2,0]"], 0,
      "dim Hom = 1"),
+    ("serre rejects a catalog one object past the pair limit before listing it",
+     ["serre", "--catalog", "m<=1000,n<=499,a>=0,a<=0"], 2,
+     "error: catalog 'm<=1000,n<=499,a>=0,a<=0' admits 1501 objects, 2253001 ordered pairs;"
+     " the limit is 2250000 ordered pairs"),
     ("a modulus past the exact primality bound exits 2",
      ["--field", "Fp:1000000000000000000000000000057", "hom", "F[2,0]", "F[2,0]"], 2,
      "error: modulus 1000000000000000000000000000057 is too large to test;"

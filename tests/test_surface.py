@@ -8,10 +8,16 @@ because the window is the same over every field.  ``direct_sum_many`` is the
 one public direct sum: the two-term ``direct_sum`` is gone.  ``FieldSpec``
 formats no scalar, and ``no_proj_no_inj_witness`` takes the object alone,
 since Serre duality fixes both twists at 1.
+
+Every top-level function, class and method in the package has a reader: a
+line of ``src`` other than its definition names it, or it is public.  The
+allowlist names each exception with its reason.  README's library section
+names every public name.
 """
 
 import ast
 import inspect
+import re
 from pathlib import Path
 
 import zdinfty
@@ -19,7 +25,12 @@ from zdinfty import ar, objects
 from zdinfty.fields import FieldSpec
 
 SRC = Path(zdinfty.__file__).resolve().parent
+README = SRC.parent.parent / "README.md"
 GONE = {"Poly", "RmElement", "ring_one", "ring_u", "ring_v", "MixedIndex", "mat_scale"}
+# definitions no other src line names, each kept for a stated reason
+UNREAD_ALLOWED = {
+    "homext.validate_morphism": "the planned `verify` command checks a recorded map with it",
+}
 
 
 def test_every_public_name_resolves():
@@ -75,3 +86,38 @@ def test_field_spec_formats_no_scalar():
 
 def test_witness_takes_the_object_alone():
     assert list(inspect.signature(ar.no_proj_no_inj_witness).parameters) == ["X"]
+
+
+def _definitions(path):
+    """(name, line) of each top-level function and class of a module and of
+    each method of its top-level classes, dunders left out."""
+    kinds = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+    for node in ast.parse(path.read_text(), filename=str(path)).body:
+        if isinstance(node, kinds):
+            subs = node.body if isinstance(node, ast.ClassDef) else ()
+            for d in (node, *(sub for sub in subs if isinstance(sub, kinds))):
+                if not (d.name.startswith("__") and d.name.endswith("__")):
+                    yield d.name, d.lineno
+
+
+def test_every_definition_has_a_reader():
+    lines = [
+        (path, i, line)
+        for path in sorted(SRC.glob("*.py"))
+        for i, line in enumerate(path.read_text().splitlines(), 1)
+    ]
+    unread = set()
+    for path in sorted(SRC.glob("*.py")):
+        for name, lineno in _definitions(path):
+            word = re.compile(rf"\b{name}\b")
+            if name not in zdinfty.__all__ and not any(
+                word.search(line) for p, i, line in lines if (p, i) != (path, lineno)
+            ):
+                unread.add(f"{path.stem}.{name}")
+    assert unread == set(UNREAD_ALLOWED)
+
+
+def test_readme_library_section_names_every_public_name():
+    section = README.read_text().split("\n## Library layout\n", 1)[1].split("\n## ", 1)[0]
+    missing = [name for name in zdinfty.__all__ if not re.search(rf"`{name}[`(]", section)]
+    assert missing == []
