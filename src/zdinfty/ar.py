@@ -136,25 +136,42 @@ def _general_extension(c: ExtClass):
     identity; the class twists a torsion summand of X from its last degree
     n - a - 1 into its death n - a, which is an event.  So the sweep, the
     certificate and the maps cost the same whatever the length of a bar.
-    The certificate is checked here; the maps are built when asked for."""
+
+    The slots at e - 1 are those of the listed degree before e, so each
+    end's slots, and so each slot count, are read once per listed degree,
+    and each x-map is written once from them and the class twist.  The
+    certificate is checked here; the maps are built when asked for."""
     F = c.src.field
     X, Y = c.src, c.dst
     degrees = tuple(sorted(slot_events(X) | slot_events(Y)))
     p, q, *_, gens = _twisted_frame(c)
 
-    dims = tuple(Y.module_dim_at(d) + X.module_dim_at(d) for d in degrees)
+    # Each slot of Y + X is named by an int: Y's generators, Y's torsion
+    # summands, X's generators, X's torsion summands.  x carries a slot to
+    # the slot of the same name at the next listed degree, or kills it.
+    ty = Y.rank
+    gx = ty + len(Y.torsion.summands)
+    tx = gx + X.rank
+    ny, slots = [], []  # per listed degree: Y's slot count, {name: slot}
+    for d in degrees:
+        gy, y_alive = Y.lattice.dim_at(d), Y.torsion.slots_at(d)
+        names = [*range(gy), *[ty + i for i in y_alive],
+                 *range(gx, gx + X.lattice.dim_at(d)), *[tx + i for i in X.torsion.slots_at(d)]]
+        ny.append(gy + len(y_alive))
+        slots.append({name: k for k, name in enumerate(names)})
+    dims = tuple(map(len, slots))
     xmaps = []
-    for e in degrees[1:]:
-        d = e - 1  # x steps from d into the listed degree e
-        ny, nx = Y.module_dim_at(d), X.module_dim_at(d)
-        rows = [list(row) + [F.zero] * nx for row in module_xpower(Y, d, d + 1)]
-        rows += [[F.zero] * ny + list(row) for row in module_xpower(X, d, d + 1)]
-        # the class twists the top of each torsion summand of X into Y
+    for e, lower, upper in zip(degrees[1:], slots, slots[1:]):
+        rows = [[F.zero] * len(lower) for _ in upper]
+        for name, col in lower.items():
+            if name in upper:
+                rows[upper[name]][col] = F.one
+        # the class twists the top of each torsion summand of X dying at e into Y
         for t, (n, a) in enumerate(X.torsion.summands):
-            if d == n - a - 1:
-                col = ny + X.torsion_slot(t, d)
+            if n - a == e:
+                col = lower[tx + t]
                 for row, entry in zip(rows, c.tor[t]):
-                    row[col] = F.add(row[col], entry)
+                    row[col] = entry
         xmaps.append(tuple(map(tuple, rows)))
     chart = linalg.transpose([dir for _, dir in gens])
     wmE = window.WindowModule(F, degrees, dims, tuple(xmaps))
@@ -170,8 +187,8 @@ def _general_extension(c: ExtClass):
 
     def maps():
         phi = {d: linalg.inverse(F, phi_inv[d]) for d in degrees}
-        psi_in = {d: tuple(row[: Y.module_dim_at(d)] for row in phi[d]) for d in degrees}
-        psi_out = {d: phi_inv[d][Y.module_dim_at(d):] for d in degrees}
+        psi_in = {d: tuple(row[:k] for row in phi[d]) for d, k in zip(degrees, ny)}
+        psi_out = {d: phi_inv[d][k:] for d, k in zip(degrees, ny)}
         return morphism_from_degreewise(Y, E, psi_in), morphism_from_degreewise(E, X, psi_out)
 
     return E, maps

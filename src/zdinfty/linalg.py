@@ -31,8 +31,7 @@ def zeros(F: FieldSpec, m: int, n: int) -> Matrix:
 
 
 def identity(F: FieldSpec, n: int) -> Matrix:
-    z, o = F.zero, F.one
-    return tuple(tuple(o if i == j else z for j in range(n)) for i in range(n))
+    return unit_matrix(F, n, n, zip(range(n), range(n)))
 
 
 def unit_matrix(F: FieldSpec, m: int, n: int, ones: Iterable[tuple[int, int]]) -> Matrix:
@@ -288,28 +287,33 @@ def nullspace(F: FieldSpec, A: Sequence, ncols: int | None = None) -> Matrix:
 
     ``ncols`` pins the column count when ``A`` has no rows.
     """
+    return _kernel(F, A, ncols)[0]
+
+
+def _kernel(F: FieldSpec, A: Sequence, ncols: int | None) -> tuple[Matrix, Sequence[int]]:
+    """The ``nullspace`` basis and the free column of each of its vectors."""
     m = len(A)
     n = len(A[0]) if m else (ncols or 0)
     if m == 0:
-        return identity(F, n)
+        return identity(F, n), range(n)
     if n == 0:
-        return ()
+        return (), ()
     ech = _echelon(F, A)
     if len(ech) == n:
-        return ()
+        return (), ()
     red, pivots = ech.reduced()
     pivset = set(pivots)
+    free = [f for f in range(n) if f not in pivset]
     neg, zero, one = F.neg, F.zero, F.one
     basis = []
-    for f in range(n):
-        if f not in pivset:
-            v = [zero] * n
-            v[f] = one
-            for row, col in zip(red, pivots):
-                if row[f]:
-                    v[col] = neg(row[f])
-            basis.append(tuple(v))
-    return tuple(basis)
+    for f in free:
+        v = [zero] * n
+        v[f] = one
+        for row, col in zip(red, pivots):
+            if row[f]:
+                v[col] = neg(row[f])
+        basis.append(tuple(v))
+    return tuple(basis), free
 
 
 def elder_kills(F: FieldSpec, columns: Sequence) -> tuple[Matrix, tuple[int, ...]]:
@@ -319,9 +323,20 @@ def elder_kills(F: FieldSpec, columns: Sequence) -> tuple[Matrix, tuple[int, ...
     pivots.  A bar dies when its column lies in its elders' span, so the
     pivots are the dying bars, and each row, one at its bar and zero at
     every younger and every other dying bar, is the combination of it and
-    its surviving elders that the columns send to zero."""
+    its surviving elders that the columns send to zero.
+
+    One elimination finds it: each ``nullspace`` vector of the columns
+    elder first is one at its free column and nonzero elsewhere only at
+    pivot columns before it, so read backwards it is a reduced echelon row
+    of the same kernel with its pivot at the reversed free column.  The
+    reduced echelon form is unique, so those rows, last vector first, are
+    the rref.  The window sweep (``window.reconstruct_parts``) calls it
+    once per listed degree where some live bars die and others survive, on
+    the x-images it reads once per listed degree; the Krull-Schmidt sweep
+    calls it once per jump with a live bar."""
     n = len(columns)
-    return rref(F, nullspace(F, transpose(columns[::-1]), ncols=n))
+    kernel, free = _kernel(F, transpose(columns), n)
+    return tuple(v[::-1] for v in reversed(kernel)), tuple(n - 1 - f for f in reversed(free))
 
 
 def inverse(F: FieldSpec, A: Sequence) -> Matrix | None:

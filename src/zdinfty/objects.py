@@ -50,9 +50,10 @@ class TorsionPart:
     @cached_property
     def _runs(self) -> tuple:
         """(cuts, live summands from each cut to the next): built once per part."""
-        cuts = sorted({-a for _, a in self.summands} | {n - a for n, a in self.summands})
+        ss = self.summands
+        cuts = sorted({-a for _, a in ss} | {n - a for n, a in ss})
         return cuts, tuple(
-            tuple(i for i in range(len(self.summands)) if self.alive(i, c)) for c in cuts
+            tuple([i for i, (n, a) in enumerate(ss) if -a <= c < n - a]) for c in cuts
         )
 
     def slots_at(self, d: int) -> tuple:

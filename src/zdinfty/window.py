@@ -59,10 +59,20 @@ def reconstruct_parts(wm: WindowModule, chart, p: int, q: int):
     kernels K_d of the maps into the chart: one elder-rule sweep over the
     listed degrees, from low to high, splits it into bars, each a chain of
     vectors v, x v, ... , one per listed degree, that x kills after its
-    last one: ``linalg.elder_kills`` on the x-images of the live bars names
-    the dying ones, and kernel vectors outside the survivors' images start
-    new ones.  A bar born at D[b] whose chain has c entries dies at D[b + c],
-    so its length is D[b + c] - D[b].
+    last one: a bar dies when its x-image lies in the span of its elders'
+    images, ``linalg.elder_kills`` gives the combination of them that x
+    kills, and kernel vectors outside the survivors' images start new ones.
+    A bar born at D[b] whose chain has c entries dies at D[b + c], so its
+    length is D[b + c] - D[b].
+
+    Each piece of the window is built once per listed degree.  Each x-map
+    is read once there, on the live bars' last vectors; the charts and their
+    kernels are built only when the window has a lattice (with none, every
+    piece is its own kernel); and one ``linalg.Echelon`` of the live bars'
+    images, elder first, names the dying bars and then the births.  So the
+    kill rows are eliminated only at a listed degree where some live bars
+    die and others survive: where all die, every image is zero and each
+    bar dies on its own.
 
     Returns the sorted torsion summands (n, a), the canonical GradedLattice,
     and ``basis``: per listed degree d, the matrix whose columns are the
@@ -79,23 +89,34 @@ def reconstruct_parts(wm: WindowModule, chart, p: int, q: int):
     if dims[top] != r or (r > 0 and linalg.inverse(F, chart) is None):
         raise ZdinftyError("window chart is not an isomorphism onto k^r")
 
-    # Maps into the localization chart, listed degree by listed degree from the top.
-    to_chart = [chart] * len(D)
-    for i in range(top - 1, -1, -1):
-        to_chart[i] = linalg.mm(F, to_chart[i + 1], xmaps[i], dims[i + 1], dims[i])
     if r > 0:
+        # Maps into the localization chart, listed degree by listed degree from the top.
+        to_chart = [chart] * len(D)
+        for i in range(top - 1, -1, -1):
+            to_chart[i] = linalg.mm(F, to_chart[i + 1], xmaps[i], dims[i + 1], dims[i])
         lat = from_filtration(F, p, q, [(d, linalg.transpose(m)) for d, m in zip(D, to_chart)])
+        kernels = [linalg.nullspace(F, m, ncols=n) for m, n in zip(to_chart, dims)]
     else:
         lat = GradedLattice(F, p, q, ())
+        kernels = [linalg.identity(F, n) for n in dims]
+    if kernels[top]:
+        raise ZdinftyError("torsion still alive at the top of the window")
 
     bars = []  # finished (birth index, chain of vectors from the birth on)
     live = []  # bars alive at the previous listed degree, elder first
-    for i in range(len(D)):
-        kernel = linalg.nullspace(F, to_chart[i], ncols=dims[i])
-        if i == top and kernel:
-            raise ZdinftyError("torsion still alive at the top of the window")
+    for i, kernel in enumerate(kernels):
         images = [linalg.mat_vec(F, xmaps[i - 1], chain[-1]) for _, chain in live]
-        kills, pivots = linalg.elder_kills(F, images)
+        # A bar dies when its image lies in the span of its elders' images;
+        # the span of the survivors' images is then the span of them all.
+        span = linalg.Echelon(F)
+        dead = [not span.add(v) for v in images]
+        if all(dead):
+            # Every image is zero, so each bar dies on its own (its kill row
+            # is one at it and zero elsewhere) and the whole kernel is born.
+            bars += live
+            live = [(i, [v]) for v in kernel]
+            continue
+        kills, pivots = linalg.elder_kills(F, images) if any(dead) else ((), ())
         young = live[::-1]
         # Each dying bar, elder first, dies at D[i] - 1.  Its elders are alive
         # on its whole span; adding its row's combination of them at every
@@ -110,14 +131,12 @@ def reconstruct_parts(wm: WindowModule, chart, p: int, q: int):
                     chain[t] = linalg.vec_add(F, chain[t], elder)
             bars.append((birth, chain))
         # The survivors go on; kernel vectors outside their images are born.
-        dead = {len(live) - 1 - j for j in pivots}
-        span = linalg.Echelon(F)
-        for k, (_, chain) in enumerate(live):
-            if k not in dead:
-                chain.append(images[k])
-                span.add(images[k])
-        live = [bar for k, bar in enumerate(live) if k not in dead]
-        live += [(i, [v]) for v in kernel if span.add(v)]
+        survivors = []
+        for bar, image, died in zip(live, images, dead):
+            if not died:
+                bar[1].append(image)
+                survivors.append(bar)
+        live = survivors + [(i, [v]) for v in kernel if span.add(v)]
 
     def summand(bar):
         birth, chain = bar
@@ -126,15 +145,16 @@ def reconstruct_parts(wm: WindowModule, chart, p: int, q: int):
     bars.sort(key=summand)
 
     # Lattice generators solved at their jump and pushed up, then the bars.
-    index = {d: i for i, d in enumerate(D)}
     cols = [[] for _ in D]
-    for e, direction in lat.generators():
-        i = index[e]
-        u = linalg.solve(F, to_chart[i], direction)
-        cols[i].append(u)
-        for j in range(i, top):
-            u = linalg.mat_vec(F, xmaps[j], u)
-            cols[j + 1].append(u)
+    if r > 0:
+        index = {d: i for i, d in enumerate(D)}
+        for e, direction in lat.generators():
+            i = index[e]
+            u = linalg.solve(F, to_chart[i], direction)
+            cols[i].append(u)
+            for j in range(i, top):
+                u = linalg.mat_vec(F, xmaps[j], u)
+                cols[j + 1].append(u)
     for birth, chain in bars:
         for t, v in enumerate(chain):
             cols[birth + t].append(v)

@@ -11,7 +11,9 @@ width w.  It reads every degree of [lo, hi] through ``dim_at`` and
 
 ``bar_by_bar_kills`` is the elder rule as the sweep ran it before the
 shared kill step ``linalg.elder_kills``: one bar at a time, a coordinate
-solve against the surviving elders each.
+solve against the surviving elders each.  ``rref_of_kernel_kills`` is that
+kill step in two eliminations, the rref of the kernel of the columns listed
+youngest first.
 """
 
 from bisect import bisect_right
@@ -143,3 +145,11 @@ def bar_by_bar_kills(F, columns):
             row[i] = F.neg(c)
         kills.append((j, tuple(row)))
     return kills
+
+
+def rref_of_kernel_kills(F, columns):
+    """``linalg.elder_kills`` as two eliminations: the rref of the
+    ``nullspace`` basis of the columns listed youngest first, and its
+    pivots."""
+    n = len(columns)
+    return linalg.rref(F, linalg.nullspace(F, linalg.transpose(columns[::-1]), ncols=n))

@@ -5,7 +5,8 @@ classification (``identify`` and ``serre_twist_label``), builds the class
 and the middle, and solves no Hom space; the sequence with its two maps is
 built from the class on the first read of ``seq``.  The count test shows
 that no map is built before that read, in the library and in CLI ``ars``
-and ``quiver``.  The differential test checks the lazy sequence and the
+and ``quiver``, and a second one pins what a wing's middle eliminates.
+The differential test checks the lazy sequence and the
 labels against what they replace: ``extension_object`` of the class,
 ``identify`` of the twist, and the Hom-dimension test of indecomposability.
 """
@@ -15,7 +16,7 @@ from collections import Counter
 
 import pytest
 
-from zdinfty import ar, cli, decomp, homext
+from zdinfty import ar, cli, decomp, homext, linalg, objects
 from zdinfty.ar import (
     almost_split,
     class_of_sequence,
@@ -125,6 +126,33 @@ def test_almost_split_builds_no_map_until_seq_is_read(F, monkeypatch):
         assert builds.snapshot() == (n_before, before)
     # every wing's class glues torsion; no lattice class does
     assert swept == sum(label.kind == "wing" for label in _nodes())
+
+
+@pytest.mark.parametrize("F", [QQ, GF(2)], ids=str)
+def test_wing_middle_writes_its_x_maps_and_eliminates_only_where_it_must(F, monkeypatch):
+    # The window of T[n,0] lists four degrees for n >= 2 and three for n = 1.
+    # Its x-maps are written from the slots, with no module_xpower matrix.
+    # It eliminates for the rank certificate at each listed degree and for
+    # one kill step, at the one listed degree where a live bar dies and
+    # another survives (n >= 2 only), whatever the length n.
+    counts = Counter()
+
+    def counted(name, fn):
+        def call(*args):
+            counts[name] += 1
+            return fn(*args)
+
+        return call
+
+    monkeypatch.setattr(linalg, "_echelon", counted("_echelon", linalg._echelon))
+    xpower = counted("module_xpower", objects.module_xpower)
+    for module in (objects, ar, homext):
+        monkeypatch.setattr(module, "module_xpower", xpower)
+    for n, eliminations in ((3, 5), (1, 3), (24, 5)):
+        X = label_to_object(F, wing(n, 0))
+        counts.clear()
+        almost_split(X)
+        assert counts == Counter(_echelon=eliminations), (n, counts)
 
 
 def _indecomposables(F) -> list:

@@ -1,15 +1,20 @@
 """The CI workflow parses, each step of the tier-1 job runs or uses exactly
-one thing, and the CLI's expectations run under pytest, not as steps.
+one thing, its pip step installs the packages of the ``test`` extra and no
+others, and the CLI's expectations run under pytest, not as steps.
 
 A plain YAML scalar holding ``": "`` once made the workflow invalid, and
 nothing ran it until then; this loads it the way the CI runner does.
 """
 
+import ast
+import re
 from pathlib import Path
 
 import yaml
 
-WORKFLOW = Path(__file__).resolve().parent.parent / ".github" / "workflows" / "tests.yml"
+ROOT = Path(__file__).resolve().parent.parent
+WORKFLOW = ROOT / ".github" / "workflows" / "tests.yml"
+PIP = "python -m pip install "
 PYTEST = "PYTHONPATH=src${PYTHONPATH:+:$PYTHONPATH} python -m pytest -q --continue-on-collection-errors"
 
 
@@ -31,3 +36,14 @@ def test_cli_checks_are_pytest_rows_not_steps():
     runs = [step.get("run", "") for step in steps]
     assert PYTEST in runs
     assert [run for run in runs if "zdinfty.cli" in run] == []
+
+
+def test_pip_step_installs_the_test_extra():
+    """The workflow installs what ``pip install -e ".[test]"`` would add: the
+    extra lists every package the tests import, ``yaml`` included."""
+    # tomllib is 3.11+ and the matrix starts at 3.10, so read the one line
+    line = re.search(r"^test = (\[.*\])$", (ROOT / "pyproject.toml").read_text(), re.M)
+    extra = ast.literal_eval(line.group(1))
+    steps = yaml.safe_load(WORKFLOW.read_text())["jobs"]["tier1"]["steps"]
+    (pip,) = [step["run"] for step in steps if step.get("run", "").startswith(PIP)]
+    assert sorted(pip[len(PIP):].split()) == sorted(extra)
