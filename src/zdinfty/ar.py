@@ -62,6 +62,7 @@ from .objects import (
     serre_untwist,
     slot_events,
     sum_layout,
+    sum_places,
 )
 
 
@@ -97,19 +98,23 @@ def extension_middle(c: ExtClass):
 def _twisted_frame(c: ExtClass):
     """(p, q, torsion, (placeY, tY), (placeX, tX), gens): the layout of the
     direct sum of Y and X (``objects.sum_layout``, its lattice unbuilt), and
-    the middle's generators: Y's (e, dir) with dir at Y's coordinates, then
-    X's (e, dir) with dir at X's coordinates and A dir at Y's,
-    A = ``offdiag_full``."""
+    the middle's generators (``_frame_generators``)."""
+    p, q, torsion, (inY, inX) = sum_layout([c.dst, c.src])
+    return p, q, torsion, inY, inX, _frame_generators(c, p + q, inY[0], inX[0])
+
+
+def _frame_generators(c: ExtClass, r: int, placeY, placeX) -> list:
+    """The middle's generators in the r coordinates of Y + X: Y's (e, dir)
+    with dir at Y's coordinates, then X's (e, dir) with dir at X's
+    coordinates and A dir at Y's, A = ``offdiag_full``."""
     F = c.src.field
-    X, Y = c.src, c.dst
-    p, q, torsion, (inY, inX) = sum_layout([Y, X])
     A = offdiag_full(c)
-    gens = [(e, place_rows(F, p + q, (inY[0], dir))) for e, dir in Y.lattice.generators()]
+    gens = [(e, place_rows(F, r, (placeY, dir))) for e, dir in c.dst.lattice.generators()]
     gens += [
-        (e, place_rows(F, p + q, (inX[0], dir), (inY[0], linalg.mat_vec(F, A, dir))))
-        for e, dir in X.lattice.generators()
+        (e, place_rows(F, r, (placeX, dir), (placeY, linalg.mat_vec(F, A, dir))))
+        for e, dir in c.src.lattice.generators()
     ]
-    return p, q, torsion, inY, inX, gens
+    return gens
 
 
 def _frame_extension(c: ExtClass):
@@ -129,6 +134,8 @@ def _general_extension(c: ExtClass):
     """The middle as a window module: degreewise Y + X, with x twisted by the
     class on each torsion summand of X, and charted at the top degree by the
     twisted frame (there the slots are Y's generators, then X's, in order).
+    The frame is placed by ``objects.sum_places`` alone: the sweep finds the
+    middle's torsion, so the ends' torsion summands are not merged.
 
     The window lists only the slot events of X and Y: the lowest is where
     the first piece appears, and at the highest every torsion summand is
@@ -144,7 +151,8 @@ def _general_extension(c: ExtClass):
     F = c.src.field
     X, Y = c.src, c.dst
     degrees = tuple(sorted(slot_events(X) | slot_events(Y)))
-    p, q, *_, gens = _twisted_frame(c)
+    p, q, (placeY, placeX) = sum_places([Y, X])
+    gens = _frame_generators(c, p + q, placeY, placeX)
 
     # Each slot of Y + X is named by an int: Y's generators, Y's torsion
     # summands, X's generators, X's torsion summands.  x carries a slot to

@@ -13,11 +13,15 @@ columns and certifies the isomorphism on them, with the conditions
 ``is_isomorphism`` checks on a map; the direct sum and the map are built
 only when ``Decomposition.iso`` is read.
 
-The other invariants are read off canonical forms too: ``identify`` takes
-the degrees of the two coordinate vectors from ``lattice.degree_of``,
-``filtration`` reads its chain and factors off one canonical form with the
-coordinates reversed, and ``end_ring`` reads the coordinates of each product
-off the unit basis of ``hom_space``.
+The other invariants are read off canonical forms too.  ``identify`` names
+a lattice with p = q = 1 by its steps: it is F[e2 - e1, -e1] exactly when
+it has two jumps e1 < e2 and the one row of S_e1 has both entries nonzero.
+Otherwise it is a sum F0 + F1: with one jump both coordinate vectors enter
+there, and with a zero entry the row is one coordinate vector, which enters
+at e1 while the other enters at e2.  ``filtration`` reads its chain and
+factors off one canonical form with the coordinates reversed, and
+``end_ring`` reads the coordinates of each product off the unit basis of
+``hom_space``.
 """
 
 from __future__ import annotations
@@ -40,7 +44,7 @@ from .homext import (
     identity_morphism,
     morphism_from_parts,
 )
-from .lattice import GradedVector, canonicalize, degree_of, membership
+from .lattice import GradedVector, canonicalize, membership
 from .objects import (
     CObject,
     direct_sum_many,
@@ -156,7 +160,8 @@ def shift_label(label: IndecLabel, s: int) -> IndecLabel:
 
 
 def identify(X: CObject) -> IndecLabel:
-    """Label an indecomposable by its lattice and torsion invariants."""
+    """Label an indecomposable by its lattice and torsion invariants; a
+    rank-two lattice with p = q = 1 by its steps (module docstring)."""
     if X.rank == 0 and len(X.torsion.summands) == 1:
         n, a = X.torsion.summands[0]
         return wing(n, a)
@@ -165,14 +170,11 @@ def identify(X: CObject) -> IndecLabel:
     L = X.lattice
     if X.rank == 1:
         return rank_one_label(0 if X.p == 1 else 1, -L.min_jump())
-    if X.rank == 2 and X.p == 1 and X.q == 1:
-        a = -L.min_jump()
-        c0, c1 = (degree_of(L, e) for e in linalg.identity(X.field, 2))
-        if c0 != c1:
+    if X.rank == 2 and X.p == 1 and X.q == 1 and len(L.steps) == 2:
+        (e1, (row,)), (e2, _) = L.steps
+        if not all(row):
             raise UnrecognizedShape("pure-coordinate degrees disagree")
-        m = c0 + a
-        if m >= 1 and sorted(L.jump_list) == [-a, m - a]:
-            return rank_two_label(m, a)
+        return rank_two_label(e2 - e1, -e1)
     raise UnrecognizedShape(f"no classified label matches rank {X.rank}")
 
 
@@ -376,29 +378,48 @@ def _lattice_pieces(L) -> list:
     lines of A_d (C_d) left over are F0 (F1).  The sweep keeps pure lines and
     live diagonal bars (u, w) with u + w in S_birth, and at each jump e:
 
-    1. kills bars (``linalg.elder_kills`` on the annihilators of the live
-       u's): every combination of live u's that lies in A_e kills the
-       youngest bar in it, whose (u, w) becomes that combination of its own
-       and its elders' vectors, so u lies in A_e and u + w in S_birth;
+    1. kills bars (``linalg.elder_kills`` on the columns ann0 u of the live
+       bars, ann0 the type-0 block of the annihilators of S_e): every
+       combination of live u's that lies in A_e kills the youngest bar in
+       it, whose (u, w) becomes that combination of its own and its elders'
+       vectors, so u lies in A_e and u + w in S_birth.  Where every column
+       is zero (always at the top jump) each bar dies on its own;
     2. starts F0[-e] (F1[-e]) on the vectors of A_e (C_e) outside the span
        of the u's (w's) so far;
-    3. starts diagonal bars on the vectors of S_e outside A_e + C_e and the
+    3. starts diagonal bars on the rows of S_e outside A_e + C_e and the
        live u + w.
+
+    Counts and short vectors stand in for most of the elimination:
+
+    (a) v -> ann0 v[:p] sends S_e onto B_e / A_e with kernel A_e + C_e, and
+        a live u + w to its bar's column.  So a row of S_e is born exactly
+        when its image, of length r - dim S_e, lies outside the span of the
+        surviving bars' columns and of the images of the rows born before it.
+    (b) A_e, C_e and the live u + w are independent, so dim S_e - dim A_e -
+        dim C_e - #live rows are born: a jump with none tests no row, and
+        once as many rows are left as births, all of them are born.
+    (c) dim A_e (dim C_e) counts the F0 (F1) started by e and the bars
+        killed by e, so step 2 runs only where that count grows.  C_e is
+        spanned by the rows of S_e with pivot in V1, so it is eliminated
+        only there; the spans of the u's and w's take no vector once full.
 
     Returns (label, columns): (u,) for F0, (w,) for F1, (u, w) for F[m, a].
     """
     F, p, q = L.field, L.p, L.q
-    zero0, zero1 = (F.zero,) * p, (F.zero,) * q
     pieces = []
     span0, span1 = linalg.Echelon(F), linalg.Echelon(F)  # every u and every w so far
     live = []  # (birth, u, w), elder first
+    dead = starts0 = starts1 = 0  # bars killed, F0 and F1 started so far
     for e, rows in L.steps:
         ann = L.annihilator_at(e)  # S_e is where these vanish
-        ann0 = tuple(n[:p] for n in ann)
-        ann1 = tuple(n[p:] for n in ann)
-        if live:
-            ann_u = [linalg.mat_vec(F, ann0, u) for _, u, _ in live]
-            kills, pivots = linalg.elder_kills(F, ann_u)
+        ann0 = [n[:p] for n in ann]
+        images = [linalg.mat_vec(F, ann0, u) for _, u, _ in live]  # the live bars' columns
+        if not any(map(any, images)):  # every live u lies in A_e
+            pieces += [(rank_two_label(e - s, -s), (u, w)) for s, u, w in reversed(live)]
+            dead += len(live)
+            live, images = [], []
+        else:
+            kills, pivots = linalg.elder_kills(F, images)
             young = live[::-1]
             U = linalg.transpose([bar[1] for bar in young])
             W = linalg.transpose([bar[2] for bar in young])
@@ -406,21 +427,38 @@ def _lattice_pieces(L) -> list:
                 s = young[piv][0]
                 u, w = linalg.mat_vec(F, U, row), linalg.mat_vec(F, W, row)
                 pieces.append((rank_two_label(e - s, -s), (u, w)))
-            live = [bar for j, bar in enumerate(young) if j not in pivots][::-1]
+            dead += len(pivots)
+            gone = {len(live) - 1 - j for j in pivots}  # pivots count youngest first
+            live = [bar for j, bar in enumerate(live) if j not in gone]
+            images = [v for j, v in enumerate(images) if j not in gone]
         a_e = linalg.nullspace(F, ann0, ncols=p)
-        c_e = linalg.nullspace(F, ann1, ncols=q)
-        pieces += [(rank_one_label(0, -e), (u,)) for u in a_e if span0.add(u)]
-        pieces += [(rank_one_label(1, -e), (w,)) for w in c_e if span1.add(w)]
-        span = linalg.Echelon(F)
-        for v in [u + zero1 for u in a_e] + [zero0 + w for w in c_e]:
-            span.add(v)
-        for _, u, w in live:
-            span.add(u + w)
-        for v in rows:
-            if span.add(v):
-                live.append((e, v[:p], v[p:]))
-                span0.add(v[:p])
-                span1.add(v[p:])
+        dim_c = sum(not any(v[:p]) for v in rows)  # the rows in V1 are a basis of C_e
+        if len(a_e) > starts0 + dead:
+            new = [(rank_one_label(0, -e), (u,)) for u in a_e if span0.add(u)]
+            starts0 += len(new)
+            pieces += new
+        if dim_c > starts1 + dead:
+            c_e = linalg.nullspace(F, [n[p:] for n in ann], ncols=q)
+            new = [(rank_one_label(1, -e), (w,)) for w in c_e if span1.add(w)]
+            starts1 += len(new)
+            pieces += new
+        births = len(rows) - len(a_e) - dim_c - len(live)
+        if not births:
+            continue
+        seen = linalg.Echelon(F)  # the survivors' columns and the born rows' images
+        for v in images:
+            seen.add(v)
+        for k, v in enumerate(rows):
+            u, w = v[:p], v[p:]
+            if births == len(rows) - k or seen.add(linalg.mat_vec(F, ann0, u)):
+                live.append((e, u, w))
+                if len(span0) < p:
+                    span0.add(u)
+                if len(span1) < q:
+                    span1.add(w)
+                births -= 1
+                if not births:
+                    break
     if live:
         raise DecompositionFailure("a diagonal bar is still alive at the top jump")
     return pieces

@@ -194,23 +194,34 @@ def serre_untwist(X: CObject) -> CObject:
     return sigma(shift(X, 1))
 
 
+def sum_places(objs):
+    """(p, q, places) of the direct sum of a list: the ambient coordinates
+    are the type-0 coordinates of every input in order, then their type-1
+    coordinates, and an input's place lists, for each of its ambient
+    coordinates, the coordinate of the sum it lands on."""
+    p = sum(X.p for X in objs)
+    places = []
+    p_off, q_off = 0, p
+    for X in objs:
+        places.append(tuple(range(p_off, p_off + X.p)) + tuple(range(q_off, q_off + X.q)))
+        p_off, q_off = p_off + X.p, q_off + X.q
+    return p, q_off - p, places
+
+
 def sum_layout(objs):
     """(p, q, torsion, per-input (place, torsion index map)) of the direct
     sum of a nonempty list, without its lattice.
 
-    The ambient coordinates are the type-0 coordinates of every input in
-    order, then their type-1 coordinates, and the torsion summands are merged
-    by a stable sort, so the sum equals folding pairwise sums from the left.
-    An input's place lists, for each of its ambient coordinates, the
-    coordinate of the sum it lands on; its torsion map sends each of its
-    torsion summands to the sum's.
+    The places are ``sum_places``'.  The torsion summands are merged by a
+    stable sort, so the sum equals folding pairwise sums from the left, and
+    an input's torsion map sends each of its torsion summands to the sum's.
     """
     if not objs:
         raise ZdinftyError("empty direct sum needs an explicit field")
     F = objs[0].field
     for X in objs:
         check_same_field(F, X.field)
-    p = sum(X.p for X in objs)
+    p, q, places = sum_places(objs)
     merged = sorted(
         ((s, t, i) for t, X in enumerate(objs) for i, s in enumerate(X.torsion.summands)),
         key=lambda m: m[0],
@@ -218,13 +229,8 @@ def sum_layout(objs):
     tmaps = [{} for _ in objs]
     for new_idx, (_, t, i) in enumerate(merged):
         tmaps[t][i] = new_idx
-    layout = []
-    p_off, q_off = 0, p
-    for X, tmap in zip(objs, tmaps):
-        layout.append((tuple(range(p_off, p_off + X.p)) + tuple(range(q_off, q_off + X.q)), tmap))
-        p_off, q_off = p_off + X.p, q_off + X.q
     torsion = TorsionPart(tuple(s for s, _, _ in merged))
-    return p, q_off - p, torsion, layout
+    return p, q, torsion, list(zip(places, tmaps))
 
 
 def direct_sum_many(objs):

@@ -9,7 +9,9 @@ the frame (embX + embY A) dir built from them, and frames and summand maps
 must match them tuple for tuple over Q, GF(2) and GF(3), on seeded classes
 between sums with torsion, conjugated sums and torsion-heavy sums.  Neither
 the layout nor the frame builds a matrix: ``sum_layout`` makes no
-``unit_matrix`` call and ``_twisted_frame`` no ``linalg.mm`` call.
+``unit_matrix`` call and ``_twisted_frame`` no ``linalg.mm`` call.  A
+class that glues torsion places its frame with ``objects.sum_places``
+alone, and makes no ``sum_layout`` call.
 """
 
 import random
@@ -125,3 +127,22 @@ def test_layout_and_frame_build_no_matrix(monkeypatch):
         ar._twisted_frame(c)
     assert counts == {"unit_matrix": 0, "mm": 0}
     assert any(X.rank and Y.rank for X, Y in pairs)
+
+
+@pytest.mark.parametrize("F", FIELDS, ids=str)
+def test_gluing_middle_merges_no_torsion(F, monkeypatch):
+    # the window sweep finds the middle's torsion, so a gluing class places
+    # its frame with ``objects.sum_places`` and merges neither end's torsion
+    calls = []
+    layout = ar.sum_layout
+
+    def counted(objs):
+        calls.append(objs)
+        return layout(objs)
+
+    monkeypatch.setattr(ar, "sum_layout", counted)
+    for n in (1, 3, 24):
+        assert ar.almost_split(torsion_cyclic(F, n, 0)).middle.torsion.summands
+    assert calls == []
+    ar.almost_split(rank_two(F, 2, 0))  # a class with no torsion part takes the split frame
+    assert len(calls) == 1
