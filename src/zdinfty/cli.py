@@ -7,17 +7,27 @@ deterministic for a fixed field and seed (the seed only draws selftest's
 random sums); --format json emits versioned machine-readable records, and
 under it every exit-2 or exit-3 path prints a JSON error record instead of a
 text line.
+
+The command line is read from one table (``GLOBAL_OPTIONS`` and
+``COMMAND_LINES``) with argparse's conventions: global options come before
+the command; an option takes its value as ``--opt value`` or ``--opt=value``;
+a unique prefix of a long option names it (``--fo json``); a repeated option
+keeps its last value; a value may start with '-' if it is a number
+(``--a-min -3``); ``--`` ends a command's options; ``-h``/``--help`` prints
+the usage.  A rejected line prints a JSON error record under any accepted
+spelling of ``--format json``.
 """
 
 from __future__ import annotations
 
-import argparse
-import functools
 import itertools
 import json
 import os
 import random
+import re
 import sys
+from types import SimpleNamespace
+from typing import NamedTuple
 
 from .ar import almost_split, dot_export, quiver_window, verify_exact, window_to_json
 from .decomp import (
@@ -453,53 +463,253 @@ def cmd_selftest(args, field) -> tuple[int, str]:
 
 
 # ---------------------------------------------------------------------------
-# dispatch
+# the command line and dispatch
 
 
 class UsageError(Exception):
-    """argparse rejected the command line."""
+    """The command line does not fit the grammar (exit 2)."""
 
-    def __init__(self, parser: argparse.ArgumentParser, message: str):
+    def __init__(self, level: _Level, message: str):
         super().__init__(message)
-        self.parser = parser
+        self.level = level
+        self.format = "text"  # the global --format as read, for the error record
 
 
-class _Parser(argparse.ArgumentParser):
-    """An argument parser that raises UsageError instead of exiting."""
+class _Help(Exception):
+    """-h or --help: print the help of ``level`` and exit 0."""
 
-    def error(self, message):
-        raise UsageError(self, message)
+    def __init__(self, level: _Level):
+        super().__init__(level.prog)
+        self.level = level
 
 
-@functools.cache
-def build_parser() -> argparse.ArgumentParser:
-    """The argument parser, built once per process."""
-    parser = _Parser(
-        prog="zdinfty",
-        description="exact Hom/Ext, Serre duality and AR quivers for typed graded lattices",
-    )
-    parser.add_argument("--field", default="Q", help="Q or Fp:<prime>")
-    parser.add_argument("--format", default="text", choices=["text", "json", "dot"])
-    parser.add_argument("--seed", type=int, default=DEFAULT_SEED)
-    sub = parser.add_subparsers(dest="command", required=True)
+class Opt(NamedTuple):
+    """An option that takes one value: ``--flag VALUE`` or ``--flag=VALUE``."""
 
-    for name, needs_b in (("hom", True), ("ext", True), ("euler", True)):
-        c = sub.add_parser(name)
-        c.add_argument("A")
-        if needs_b:
-            c.add_argument("B")
-    c = sub.add_parser("serre")
-    c.add_argument("--catalog", default="")
-    for name in ("translate", "decompose", "filtration", "ars", "index"):
-        c = sub.add_parser(name)
-        c.add_argument("A")
-    c = sub.add_parser("quiver")
-    c.add_argument("--m-max", type=int, required=True)
-    c.add_argument("--a-min", type=int, required=True)
-    c.add_argument("--a-max", type=int, required=True)
-    c.add_argument("--n-max", type=int, required=True)
-    sub.add_parser("selftest")
-    return parser
+    flag: str
+    type: type = str
+    default: object = None
+    required: bool = False
+    choices: tuple = ()
+    help: str = ""
+
+    @property
+    def dest(self) -> str:
+        return self.flag[2:].replace("-", "_")
+
+    @property
+    def metavar(self) -> str:
+        return "{" + ",".join(self.choices) + "}" if self.choices else self.dest.upper()
+
+
+# The grammar: global options, then one command with its positionals and its
+# options.  This table alone gives the parser, the usage lines and the help.
+PROG = "zdinfty"
+DESCRIPTION = "exact Hom/Ext, Serre duality and AR quivers for typed graded lattices"
+GLOBAL_OPTIONS = (
+    Opt("--field", default="Q", help="Q or Fp:<prime>"),
+    Opt("--format", default="text", choices=("text", "json", "dot")),
+    Opt("--seed", int, DEFAULT_SEED),
+)
+COMMAND_LINES = {  # command: (positionals, options), in the order help lists them
+    "hom": (("A", "B"), ()),
+    "ext": (("A", "B"), ()),
+    "euler": (("A", "B"), ()),
+    "serre": ((), (Opt("--catalog", default=""),)),
+    "translate": (("A",), ()),
+    "decompose": (("A",), ()),
+    "filtration": (("A",), ()),
+    "ars": (("A",), ()),
+    "index": (("A",), ()),
+    "quiver": ((), tuple(Opt(f, int, required=True)
+                         for f in ("--m-max", "--a-min", "--a-max", "--n-max"))),
+    "selftest": ((), ()),
+}
+_HELP = Opt("--help", help="show this help message and exit")
+
+
+class _Level:
+    """The global level or one command: what its tokens may be."""
+
+    def __init__(self, prog: str, positionals: tuple, options: tuple):
+        self.prog, self.positionals, self.options = prog, positionals, options
+        self.flags = {"-h": _HELP, "--help": _HELP, **{o.flag: o for o in options}}
+
+
+TOP = _Level(PROG, ("{" + ",".join(COMMAND_LINES) + "}",), GLOBAL_OPTIONS)  # shown, not read
+LEVELS = {name: _Level(f"{PROG} {name}", *spec) for name, spec in COMMAND_LINES.items()}
+_NEGATIVE = re.compile(r"^-\d+$|^-\d*\.\d+$")  # a value, though it starts with '-'
+
+
+def _classify(level: _Level, arg: str):
+    """One token before ``--``: None for a value, else (Opt, flag, the value
+    glued on with '=' or None); the Opt is None for an unknown option."""
+    if arg[:1] != "-" or arg == "-":
+        return None
+    flags = level.flags
+    if arg in flags:
+        return flags[arg], arg, None
+    name, eq, value = arg.partition("=")
+    if eq and name in flags:
+        return flags[name], name, value
+    if arg[1] == "-":  # a unique prefix of a long flag
+        hits, value = [f for f in flags if f.startswith(name)], value if eq else None
+    else:  # -h with a tail
+        hits, value = (["-h"], arg[2:]) if arg[1] == "h" else ([], None)
+    if len(hits) > 1:
+        raise UsageError(level, f"ambiguous option: {arg} could match {', '.join(hits)}")
+    if hits:
+        return flags[hits[0]], hits[0], value
+    if _NEGATIVE.match(arg) or " " in arg:
+        return None
+    return None, arg, None
+
+
+def _take(level: _Level, hits: list, args: list, i: int, ns) -> tuple[int, str | None]:
+    """Read the option at ``args[i]`` into ``ns``; returns the index after it
+    and an error message or None.  ``hits`` classifies the tokens before ``--``."""
+    opt, flag, value = hits[i]
+    i += 1
+    if opt is _HELP:
+        while value and flag == "-h" and value[0] == "h":  # -hh is -h -h
+            value = value[1:] or None
+        if value is None:
+            raise _Help(level)
+        return i, f"argument -h/--help: ignored explicit argument {value!r}"
+    if value is None:
+        if i == len(hits) or hits[i] is not None:
+            return i, f"argument {opt.flag}: expected one argument"
+        value = args[i]
+        i += 1
+    if opt.type is int:
+        try:
+            value = int(value)
+        except ValueError:
+            return i, f"argument {opt.flag}: invalid int value: {value!r}"
+    setattr(ns, opt.dest, value)
+    if opt.choices and value not in opt.choices:
+        choices = ", ".join(map(repr, opt.choices))
+        return i, f"argument {opt.flag}: invalid choice: {value!r} (choose from {choices})"
+    return i, None
+
+
+def _read_command(level: _Level, args: list, ns) -> list:
+    """Read one command's tokens into ``ns``; returns those it does not take."""
+    stop = args.index("--") if "--" in args else len(args)
+    hits = [_classify(level, arg) for arg in args[:stop]]
+    for opt in level.options:
+        setattr(ns, opt.dest, opt.default)
+    todo = list(level.positionals)
+    extras = []
+    took = False  # whether the last token filled a positional
+    i = 0
+    while i < len(args):
+        if i < stop and hits[i] is not None:
+            took = False
+            if hits[i][0] is None:
+                extras.append(args[i])
+                i += 1
+                continue
+            i, message = _take(level, hits, args, i, ns)
+            if message:
+                raise UsageError(level, message)
+        elif i == stop:  # the first '--' goes where a positional is beside it
+            if not (took or todo):
+                extras.append(args[i])
+            i += 1
+        else:
+            took = bool(todo)
+            if took:
+                setattr(ns, todo.pop(0), args[i])
+            else:
+                extras.append(args[i])
+            i += 1
+    missing = todo + [o.flag for o in level.options if o.required and getattr(ns, o.dest) is None]
+    if missing:
+        raise UsageError(level, "the following arguments are required: " + ", ".join(missing))
+    return extras
+
+
+def _read(argv: list, ns) -> None:
+    stop = argv.index("--") if "--" in argv else len(argv)
+    hits, error = [], None
+    for arg in argv[:stop]:
+        try:
+            hits.append(_classify(TOP, arg))
+        except UsageError as e:  # raised before any option is read
+            error = error or e
+            hits.append((None, arg, None))
+    extras = []
+    i = 0
+    # the global options: after an error they are still read, for --format
+    while i < stop and hits[i] is not None:
+        if hits[i][0] is None:
+            extras.append(argv[i])
+            i += 1
+            continue
+        try:
+            i, message = _take(TOP, hits, argv, i, ns)
+        except _Help:
+            if error:
+                break
+            raise
+        if message and not error:
+            error = UsageError(TOP, message)
+    if error:
+        raise error
+    if i == len(argv) or (i == stop and i + 1 == len(argv)):
+        raise UsageError(TOP, "the following arguments are required: command")
+    ns.command = command = argv[i]
+    if command not in LEVELS:
+        choices = ", ".join(map(repr, LEVELS))
+        raise UsageError(TOP, f"argument command: invalid choice: {command!r} (choose from {choices})")
+    extras += _read_command(LEVELS[command], argv[i + 1:], ns)
+    if extras:
+        raise UsageError(TOP, "unrecognized arguments: " + " ".join(extras))
+
+
+def parse_command_line(argv) -> SimpleNamespace:
+    """The args of a command line, read as ``GLOBAL_OPTIONS`` and
+    ``COMMAND_LINES`` say.  Raises UsageError on a line they reject."""
+    ns = SimpleNamespace(**{o.dest: o.default for o in GLOBAL_OPTIONS}, command=None)
+    try:
+        _read(list(argv), ns)
+    except UsageError as e:
+        e.format = ns.format
+        raise
+    return ns
+
+
+def _usage(level: _Level) -> str:
+    """The usage line, wrapped at 78 columns; positionals start a new line."""
+    opts = ["[-h]"] + [f"{o.flag} {o.metavar}" if o.required else f"[{o.flag} {o.metavar}]"
+                       for o in level.options]
+    pos = list(level.positionals) + (["..."] if level is TOP else [])
+    indent = " " * len(f"usage: {level.prog} ")
+    if len(indent) + len(" ".join(opts + pos)) <= 78:
+        return f"usage: {level.prog} " + " ".join(opts + pos)
+    lines = []
+    for parts in (opts, pos):
+        for k, part in enumerate(parts):
+            if k == 0 or len(indent) + len(lines[-1]) + 1 + len(part) > 78:
+                lines.append(part)
+            else:
+                lines[-1] += " " + part
+    return f"usage: {level.prog} " + ("\n" + indent).join(lines)
+
+
+def _help(level: _Level) -> str:
+    """The -h/--help text of one level."""
+    pos = list(level.positionals)
+    rows = [("-h, --help", _HELP.help)] + [(f"{o.flag} {o.metavar}", o.help) for o in level.options]
+    width = min(max(len(s) for s in pos + [r[0] for r in rows]) + 4, 24)
+    sections = [_usage(level)] + ([DESCRIPTION] if level is TOP else [])
+    if pos:
+        sections.append("positional arguments:\n" + "\n".join("  " + p for p in pos))
+    sections.append("options:\n" + "\n".join(
+        ("  " + inv.ljust(width - 4) + "  " + text) if text else "  " + inv for inv, text in rows
+    ))
+    return "\n\n".join(sections)
 
 
 COMMANDS = {
@@ -527,33 +737,21 @@ def _error_record(e: Exception) -> str:
     return json.dumps({"schema": SCHEMA, "error": error}, sort_keys=True)
 
 
-def _asks_for_json(argv) -> bool:
-    """Whether a command line argparse rejected names --format json last."""
-    fmt = None
-    for i, arg in enumerate(argv):
-        if arg == "--format" and i + 1 < len(argv):
-            fmt = argv[i + 1]
-        elif arg.startswith("--format="):
-            fmt = arg.partition("=")[2]
-    return fmt == "json"
-
-
 def run_command(argv) -> tuple[int, str]:
     """Execute one invocation; returns (exit code, output text).
 
     Input errors exit 2; any other exception is a bug and exits 3 with a
     one-line ``internal error:`` message instead of a traceback.  Under
     --format json both print a ``zdinfty.report/1`` error record instead.
+    -h/--help exits 0 with the help text as the output.
     """
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = parse_command_line(argv)
     except UsageError as e:
-        e.parser.print_usage(sys.stderr)
-        print(f"{e.parser.prog}: error: {e}", file=sys.stderr)
-        return 2, _error_record(e) if _asks_for_json(argv) else ""
-    except SystemExit:  # --help has printed its text
-        return 0, ""
+        print(f"{_usage(e.level)}\n{e.level.prog}: error: {e}", file=sys.stderr)
+        return 2, _error_record(e) if e.format == "json" else ""
+    except _Help as e:
+        return 0, _help(e.level)
     try:
         field = parse_field(args.field)
         if args.command == "quiver" and args.format == "text":

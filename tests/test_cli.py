@@ -298,6 +298,18 @@ def test_json_error_records(monkeypatch):
     )
     code, out = run_command(["--format=json", "nonsense"])
     assert code == 2 and json.loads(out)["error"]["type"] == "UsageError"
+    # every spelling of --format json the parser accepts, and only before the
+    # command, gives the record; a later option error does not hide it
+    for spelling in (["--form", "json"], ["--fo=json"], ["--seed", "x", "--fo", "json"],
+                     ["--form", "text", "--form", "json"], ["--format", "json", "--seed=1.5"]):
+        code, out = run_command(spelling + ["nonsense"])
+        assert code == 2 and json.loads(out)["error"]["type"] == "UsageError", spelling
+    code, out = run_command(["--form", "json", "ars", "F[1,0]"])
+    assert code == 0 and json.loads(out)["command"] == "ars"
+    assert run_command(["--fo", "json", "--fo", "text", "nonsense"]) == (2, "")
+    assert run_command(["--fo", "json", "--fo", "xml", "nonsense"]) == (2, "")
+    assert run_command(["ars", "F[1,0]", "--format", "json"]) == (2, "")
+    assert run_command(["--f=json", "ars", "F[1,0]"]) == (2, "")  # ambiguous: not --format
 
     def broken(args, field):
         raise RuntimeError("broken\ncommand")

@@ -32,6 +32,31 @@ FRAME = (
     ' {"jump": 2, "dir": [1, 0, 0, 2]}, {"jump": 3, "dir": [0, 0, 1, 0]}]}}'
 )
 
+# the help texts, which the command-line table prints for -h/--help
+HELP = """\
+usage: zdinfty [-h] [--field FIELD] [--format {text,json,dot}] [--seed SEED]
+               {hom,ext,euler,serre,translate,decompose,filtration,ars,index,quiver,selftest}
+               ...
+
+exact Hom/Ext, Serre duality and AR quivers for typed graded lattices
+
+positional arguments:
+  {hom,ext,euler,serre,translate,decompose,filtration,ars,index,quiver,selftest}
+
+options:
+  -h, --help            show this help message and exit
+  --field FIELD         Q or Fp:<prime>
+  --format {text,json,dot}
+  --seed SEED"""
+ARS_HELP = """\
+usage: zdinfty ars [-h] A
+
+positional arguments:
+  A
+
+options:
+  -h, --help  show this help message and exit"""
+
 ROWS = [
     ("ars over Q prints the almost split sequence",
      ["--field", "Q", "ars", "F[3,0]"], 0,
@@ -116,6 +141,32 @@ ROWS = [
      ["serre", "--catalog", "m<=1000,n<=499,a>=0,a<=0"], 2,
      "error: catalog 'm<=1000,n<=499,a>=0,a<=0' admits 1501 objects, 2253001 ordered pairs;"
      " the limit is 2250000 ordered pairs"),
+    ("--help prints the usage and the global options",
+     ["--help"], 0, HELP),
+    ("ars --help prints the command's usage",
+     ["ars", "--help"], 0, ARS_HELP),
+    ("ars without its object under JSON prints the usage error record",
+     ["--format", "json", "ars"], 2,
+     '{"error": {"message": "the following arguments are required: A",'
+     ' "position": null, "type": "UsageError"}, "schema": "zdinfty.report/1"}'),
+    ("global options take their values after '='",
+     ["--format=json", "--field=Fp:5", "ars", "F[1,0]"], 0,
+     '{"command": "ars", "left": "F[1,-1]", "middle": ["F0[-1]", "F1[-1]", "F[2,0]"],'
+     ' "right": "F[1,0]", "schema": "zdinfty.report/1"}'),
+    ("quiver reads a unique prefix of --format and a negative bound after '='",
+     ["--fo", "json", "quiver", "--m-max", "1", "--a-min=-3", "--a-max", "0", "--n-max", "1"], 0,
+     '{"arrows": [["F0[-3]", "F[1,-2]"], ["F1[-3]", "F[1,-2]"], ["F0[-2]",'
+     ' "F[1,-1]"], ["F1[-2]", "F[1,-1]"], ["F0[-1]", "F[1,0]"], ["F1[-1]", "F[1,0]"],'
+     ' ["F[1,-3]", "F0[-3]"], ["F[1,-3]", "F1[-3]"], ["F[1,-2]", "F0[-2]"],'
+     ' ["F[1,-2]", "F1[-2]"], ["F[1,-1]", "F0[-1]"], ["F[1,-1]", "F1[-1]"],'
+     ' ["F[1,0]", "F0[0]"], ["F[1,0]", "F1[0]"]], "boundary_dropped": 20,'
+     ' "nodes": ["F0[-3]", "F1[-3]", "F0[-2]", "F1[-2]", "F0[-1]", "F1[-1]", "F0[0]",'
+     ' "F1[0]", "F[1,-3]", "F[1,-2]", "F[1,-1]", "F[1,0]", "T[1,-3]", "T[1,-2]",'
+     ' "T[1,-1]", "T[1,0]"], "schema": "zdinfty.quiver/1",'
+     ' "translation": {"F0[-1]": "F1[-2]", "F0[-2]": "F1[-3]", "F0[0]": "F1[-1]",'
+     ' "F1[-1]": "F0[-2]", "F1[-2]": "F0[-3]", "F1[0]": "F0[-1]",'
+     ' "F[1,-1]": "F[1,-2]", "F[1,-2]": "F[1,-3]", "F[1,0]": "F[1,-1]",'
+     ' "T[1,-1]": "T[1,-2]", "T[1,-2]": "T[1,-3]", "T[1,0]": "T[1,-1]"}}'),
     ("a modulus past the exact primality bound exits 2",
      ["--field", "Fp:1000000000000000000000000000057", "hom", "F[2,0]", "F[2,0]"], 2,
      "error: modulus 1000000000000000000000000000057 is too large to test;"

@@ -193,7 +193,7 @@ def test_decompose_skewed_sum():
 
 def test_decompose_isotypic_power():
     # two isomorphic rank-two summands in skew position exercise the
-    # deterministic peeling fallback
+    # elder-rule sweep on a skew isotypic sum
     one, zero = F.one, F.zero
     gens = [
         (0, (one, one, one, one)),
