@@ -44,7 +44,7 @@ from .homext import (
     identity_morphism,
     morphism_from_parts,
 )
-from .lattice import GradedVector, canonicalize, membership
+from .lattice import _dual_coords, canonicalize
 from .objects import (
     CObject,
     direct_sum_many,
@@ -366,7 +366,8 @@ def _isomorphism_conditions(target, summands, jumps, pq, blocks, tt_rank, images
     for block, size in zip(blocks, pq):
         if linalg.rank(F, block) != size:
             return False
-    return all(membership(target.lattice, GradedVector(e, v)) for e, v in images)
+    L = target.lattice
+    return all(not any(_dual_coords(L, v, L.dim_at(e))) for e, v in images)
 
 
 def _lattice_pieces(L) -> list:
@@ -399,20 +400,31 @@ def _lattice_pieces(L) -> list:
         dim C_e - #live rows are born: a jump with none tests no row, and
         once as many rows are left as births, all of them are born.
     (c) dim A_e (dim C_e) counts the F0 (F1) started by e and the bars
-        killed by e, so step 2 runs only where that count grows.  C_e is
-        spanned by the rows of S_e with pivot in V1, so it is eliminated
-        only there; the spans of the u's and w's take no vector once full.
+        killed by e, so step 2 runs only where that count grows.  The
+        annihilators of S_e are the dual rows past dim S_e, so dim A_e =
+        p - rank D0[dim S_e:], D0 the type-0 blocks of all the dual rows:
+        one elimination of D0, last row first, gives it at every jump, and
+        A_e is eliminated only where an F0 starts.  C_e is spanned by the
+        rows of S_e in V1, so they count it, and it is eliminated only where
+        an F1 starts.  The born bars' u's (w's) join their span only at a
+        jump that tests an F0 (F1), and a full span takes no vector.
 
     Returns (label, columns): (u,) for F0, (w,) for F1, (u, w) for F[m, a].
     """
     F, p, q = L.field, L.p, L.q
+    dual = L._dual
+    D0 = [n[:p] for n in dual]  # the type-0 blocks of the dual rows
+    rank_from = [0] * (L.rank + 1)  # rank_from[k]: the rank of D0[k:]
+    tail = linalg.Echelon(F)
+    for k in range(L.rank - 1, -1, -1):
+        rank_from[k] = rank_from[k + 1] + (len(tail) < p and tail.add(D0[k]))
     pieces = []
-    span0, span1 = linalg.Echelon(F), linalg.Echelon(F)  # every u and every w so far
+    span0, span1 = linalg.Echelon(F), linalg.Echelon(F)  # the u's and w's fed so far
+    us, ws = [], []  # the born bars' u's and w's not yet fed
     live = []  # (birth, u, w), elder first
     dead = starts0 = starts1 = 0  # bars killed, F0 and F1 started so far
     for e, rows in L.steps:
-        ann = L.annihilator_at(e)  # S_e is where these vanish
-        ann0 = [n[:p] for n in ann]
+        ann0 = D0[len(rows):]  # S_e & V0 is where these vanish
         images = [linalg.mat_vec(F, ann0, u) for _, u, _ in live]  # the live bars' columns
         if not any(map(any, images)):  # every live u lies in A_e
             pieces += [(rank_two_label(e - s, -s), (u, w)) for s, u, w in reversed(live)]
@@ -431,18 +443,21 @@ def _lattice_pieces(L) -> list:
             gone = {len(live) - 1 - j for j in pivots}  # pivots count youngest first
             live = [bar for j, bar in enumerate(live) if j not in gone]
             images = [v for j, v in enumerate(images) if j not in gone]
-        a_e = linalg.nullspace(F, ann0, ncols=p)
+        dim_a = p - rank_from[len(rows)]
         dim_c = sum(not any(v[:p]) for v in rows)  # the rows in V1 are a basis of C_e
-        if len(a_e) > starts0 + dead:
+        if dim_a > starts0 + dead:
+            _feed(span0, us, p)
+            a_e = linalg.nullspace(F, ann0, ncols=p)
             new = [(rank_one_label(0, -e), (u,)) for u in a_e if span0.add(u)]
             starts0 += len(new)
             pieces += new
         if dim_c > starts1 + dead:
-            c_e = linalg.nullspace(F, [n[p:] for n in ann], ncols=q)
+            _feed(span1, ws, q)
+            c_e = linalg.nullspace(F, [n[p:] for n in dual[len(rows):]], ncols=q)
             new = [(rank_one_label(1, -e), (w,)) for w in c_e if span1.add(w)]
             starts1 += len(new)
             pieces += new
-        births = len(rows) - len(a_e) - dim_c - len(live)
+        births = len(rows) - dim_a - dim_c - len(live)
         if not births:
             continue
         seen = linalg.Echelon(F)  # the survivors' columns and the born rows' images
@@ -452,16 +467,22 @@ def _lattice_pieces(L) -> list:
             u, w = v[:p], v[p:]
             if births == len(rows) - k or seen.add(linalg.mat_vec(F, ann0, u)):
                 live.append((e, u, w))
-                if len(span0) < p:
-                    span0.add(u)
-                if len(span1) < q:
-                    span1.add(w)
+                us.append(u)
+                ws.append(w)
                 births -= 1
                 if not births:
                     break
     if live:
         raise DecompositionFailure("a diagonal bar is still alive at the top jump")
     return pieces
+
+
+def _feed(span, pending, size) -> None:
+    """Add the pending vectors to ``span`` until it has dimension ``size``,
+    and empty ``pending``."""
+    while pending and len(span) < size:
+        span.add(pending.pop())
+    pending.clear()
 
 
 # ---------------------------------------------------------------------------

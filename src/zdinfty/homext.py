@@ -861,14 +861,14 @@ class SerreReport:
 
 
 def serre_check(X: CObject, Y: CObject) -> SerreReport:
-    """Compare dim Hom(X, Y) with dim Ext(Y, VX); check the pairing rank."""
+    """Compare dim Hom(X, Y) with dim Ext(Y, VX); check the pairing rank.
+    With no Hom basis map the Gram is empty, of rank 0, and is not built."""
     hom = hom_space(X, Y)
     ext = ext_space(Y, serre_twist(X))
     d_hom, d_ext = hom.dim, ext.dim
     gram_rank = gram_ok = None
     if not (X.torsion.summands or Y.torsion.summands):
-        gram = _gram(hom, ext)
-        gram_rank = linalg.rank(X.field, gram) if gram else 0
+        gram_rank = linalg.rank(X.field, _gram(hom, ext)) if hom.lattice_maps else 0
         gram_ok = gram_rank == d_hom == d_ext
     return SerreReport(X, Y, d_hom, d_ext, d_hom == d_ext, gram_rank, gram_ok)
 

@@ -9,13 +9,19 @@ annihilator is a nullspace of its echelon basis and membership reduces
 against that basis, not the inverse generator matrix.  The sweep itself is
 unchanged, so its pieces, and hence the factors and the isomorphism, must
 agree with ``decompose`` entry for entry.
+
+``nullspace_sweep_pieces`` and ``pieces_certified`` are the sweep and the
+certificate as they were before dim A_e was read off the ranks of the dual
+rows: the sweep takes the nullspace of ann0 at every jump and feeds every
+born bar to the u and w spans, and the certificate tests each image with
+``lattice.membership``.
 """
 
 from zdinfty import linalg
 from zdinfty.decomp import label_to_object, rank_one_label, rank_two_label, wing
 from zdinfty.errors import DecompositionFailure
 from zdinfty.homext import morphism_from_parts
-from zdinfty.lattice import GradedLattice, GradedVector, canonicalize
+from zdinfty.lattice import GradedLattice, GradedVector, canonicalize, membership
 from zdinfty.objects import CObject, TorsionPart, rank_one, rank_two, torsion_cyclic
 
 from oracle_membership import step_membership
@@ -234,3 +240,111 @@ def decompose(X):
 def factor_multiset(dec) -> tuple:
     """The sort keys of a ``Decomposition``'s factors, sorted."""
     return tuple(sorted(f.sort_key() for f in dec.factors))
+
+
+def pieces_certified(X, pieces) -> bool:
+    """The certificate of ``decomp.pieces_certified`` on ``membership_conditions``."""
+    zero0, zero1 = (X.field.zero,) * X.p, (X.field.zero,) * X.q
+    summands, jumps, us, ws, named, images = [], [], [], [], set(), []
+    for label, part in pieces:
+        if label.kind == "wing":
+            summands.append(label.params)
+            named.add(part)
+            continue
+        a = label.params[1]
+        jumps.append(-a)
+        if label.kind == "rank_two":
+            m, (u, w) = label.params[0], part
+            us.append(u)
+            ws.append(w)
+            jumps.append(m - a)
+            images += [(-a, u + w), (m - a, zero0 + w)]
+        elif label.params[0] == 0:
+            us.append(part[0])
+            images.append((-a, part[0] + zero1))
+        else:
+            ws.append(part[0])
+            images.append((-a, zero0 + part[0]))
+    return membership_conditions(
+        X, tuple(sorted(summands)), jumps, (len(us), len(ws)), (us, ws), len(named), images
+    )
+
+
+def membership_conditions(target, summands, jumps, pq, blocks, tt_rank, images) -> bool:
+    """The conditions of ``decomp._isomorphism_conditions``, each image
+    tested by ``lattice.membership`` on a ``GradedVector``."""
+    F = target.field
+    if summands != target.torsion.summands:
+        return False
+    if sorted(jumps) != sorted(target.lattice.jump_list):
+        return False
+    if pq != (target.p, target.q) or tt_rank != len(summands):
+        return False
+    for block, size in zip(blocks, pq):
+        if linalg.rank(F, block) != size:
+            return False
+    return all(membership(target.lattice, GradedVector(e, v)) for e, v in images)
+
+
+
+def nullspace_sweep_pieces(L) -> list:
+    """The sweep of ``decomp._lattice_pieces`` taking the nullspace of ann0
+    at every jump for dim A_e, and feeding each born bar's u and w to the
+    spans as it is born."""
+    F, p, q = L.field, L.p, L.q
+    pieces = []
+    span0, span1 = linalg.Echelon(F), linalg.Echelon(F)  # every u and every w so far
+    live = []  # (birth, u, w), elder first
+    dead = starts0 = starts1 = 0  # bars killed, F0 and F1 started so far
+    for e, rows in L.steps:
+        ann = L.annihilator_at(e)  # S_e is where these vanish
+        ann0 = [n[:p] for n in ann]
+        images = [linalg.mat_vec(F, ann0, u) for _, u, _ in live]  # the live bars' columns
+        if not any(map(any, images)):  # every live u lies in A_e
+            pieces += [(rank_two_label(e - s, -s), (u, w)) for s, u, w in reversed(live)]
+            dead += len(live)
+            live, images = [], []
+        else:
+            kills, pivots = linalg.elder_kills(F, images)
+            young = live[::-1]
+            U = linalg.transpose([bar[1] for bar in young])
+            W = linalg.transpose([bar[2] for bar in young])
+            for row, piv in zip(kills, pivots):
+                s = young[piv][0]
+                u, w = linalg.mat_vec(F, U, row), linalg.mat_vec(F, W, row)
+                pieces.append((rank_two_label(e - s, -s), (u, w)))
+            dead += len(pivots)
+            gone = {len(live) - 1 - j for j in pivots}  # pivots count youngest first
+            live = [bar for j, bar in enumerate(live) if j not in gone]
+            images = [v for j, v in enumerate(images) if j not in gone]
+        a_e = linalg.nullspace(F, ann0, ncols=p)
+        dim_c = sum(not any(v[:p]) for v in rows)  # the rows in V1 are a basis of C_e
+        if len(a_e) > starts0 + dead:
+            new = [(rank_one_label(0, -e), (u,)) for u in a_e if span0.add(u)]
+            starts0 += len(new)
+            pieces += new
+        if dim_c > starts1 + dead:
+            c_e = linalg.nullspace(F, [n[p:] for n in ann], ncols=q)
+            new = [(rank_one_label(1, -e), (w,)) for w in c_e if span1.add(w)]
+            starts1 += len(new)
+            pieces += new
+        births = len(rows) - len(a_e) - dim_c - len(live)
+        if not births:
+            continue
+        seen = linalg.Echelon(F)  # the survivors' columns and the born rows' images
+        for v in images:
+            seen.add(v)
+        for k, v in enumerate(rows):
+            u, w = v[:p], v[p:]
+            if births == len(rows) - k or seen.add(linalg.mat_vec(F, ann0, u)):
+                live.append((e, u, w))
+                if len(span0) < p:
+                    span0.add(u)
+                if len(span1) < q:
+                    span1.add(w)
+                births -= 1
+                if not births:
+                    break
+    if live:
+        raise DecompositionFailure("a diagonal bar is still alive at the top jump")
+    return pieces
