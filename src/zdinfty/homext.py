@@ -32,24 +32,26 @@ image ``ft[t]`` of generator t, moved up from its jump to d onto the target
 summands alive at both degrees (``_ft_image``).
 
 Coordinates need no solve either.  Every Ext basis class is a one at a
-free position, off the pivots or off the hit slots, so ``ExtSpace`` counts
-and reads those positions, in block widths fixed when it is built, and
-builds its classes only on demand.  ``HomSpace`` likewise stores counts and
-positions: the lattice maps as (a00, a11) pairs, the compatible torsion
-pairs, and the target torsion slots at each source generator's jump.  Its
-dimension is their count, and it builds its maps only when ``basis`` is
-read.  The Serre Gram matrix selects entries of the stored lattice maps at
-the free positions (``_gram``), so ``serre_check`` builds no map; its free
-cells are the off-diagonal positions below ``widths[0]`` off the stored
-pivots ``ff_reduction[1]``.  A side with no torsion does no torsion
-bookkeeping: ``hom_space`` forms torsion pairs only when both objects have
-torsion summands and torsion widths only when the target has some (a zero
-per generator otherwise), and ``ext_space`` walks no torsion image for a
-torsion-free source.  So a duality check of two torsion-free objects pays
-for its two solves and the Gram rank alone.  Every Hom basis map is a
-nullspace vector or a unit torsion map, with a one at its last nonzero
-entry where the others vanish; ``HomSpace.coordinates`` reads the entries
-there.
+free position, off the pivots or off the hit slots, so ``ExtSpace`` reads
+those positions, in block widths fixed when it is built, and builds its
+classes only on demand.  ``HomSpace`` likewise spans by positions: the
+lattice maps as (a00, a11) pairs, the compatible torsion pairs, and the
+target torsion slots at each source generator's jump.  The torsion parts of
+both dimensions are counts of summands alive at given degrees, so both
+``dim``s are counted when the space is built, and the torsion pairs, widths
+and hit slots are listed only when first read: a caller of ``dim`` alone
+(``serre_check``, ``euler_form``) lists none of them, and each space builds
+its maps or classes only when ``basis`` is read.  The Serre Gram matrix
+selects entries of the stored lattice maps at the free positions
+(``_gram``), so ``serre_check`` builds no map; its free cells are the
+off-diagonal positions below ``widths[0]`` off the stored pivots
+``ff_reduction[1]``.  A torsion-free target or source does no torsion
+bookkeeping: ``hom_space`` counts torsion maps only into a target with
+torsion, and ``ext_space`` walks no torsion summand of a torsion-free
+source.  So a duality check of two torsion-free objects pays for its two
+solves and the Gram rank alone.  Every Hom basis map is a nullspace vector
+or a unit torsion map, with a one at its last nonzero entry where the others
+vanish; ``HomSpace.coordinates`` reads the entries there.
 """
 
 from __future__ import annotations
@@ -320,25 +322,33 @@ def validate_morphism(m: Morphism) -> None:
 class HomSpace:
     """Hom(src, dst) as what spans it: the lattice maps as (a00, a11) pairs,
     the compatible torsion pairs (k, i), and per source lattice generator the
-    number of target torsion slots at its jump.  ``dim`` counts them; the
-    basis maps are built only when ``basis`` is read."""
+    number of target torsion slots at its jump.  ``dim`` is their count,
+    fixed by ``hom_space``; the pairs and widths are listed, and the basis
+    maps built, only when read."""
 
     src: CObject
     dst: CObject
     lattice_maps: tuple  # (a00, a11) per lattice basis map
-    torsion_pairs: tuple  # (target k, source i) per compatible pair of summands
-    ft_widths: tuple  # per src lattice generator: dst torsion slots at its jump
+    dim: int  # the lattice maps, the torsion pairs and the summed widths
 
-    def __init__(self, src, dst, lattice_maps, torsion_pairs, ft_widths):
+    def __init__(self, src, dst, lattice_maps, dim):
         # one dict update, not a setattr per field (see ``SerreReport``)
-        vars(self).update(
-            src=src, dst=dst, lattice_maps=lattice_maps, torsion_pairs=torsion_pairs,
-            ft_widths=ft_widths,
+        vars(self).update(src=src, dst=dst, lattice_maps=lattice_maps, dim=dim)
+
+    @cached_property
+    def torsion_pairs(self) -> tuple:
+        """(target k, source i) per compatible pair of summands."""
+        S, T = self.src.torsion, self.dst.torsion
+        return tuple(
+            (k, i) for k in range(len(T.summands)) for i in range(len(S.summands))
+            if torsion_compatible(S, i, T, k)
         )
 
-    @property
-    def dim(self) -> int:
-        return len(self.lattice_maps) + len(self.torsion_pairs) + sum(self.ft_widths)
+    @cached_property
+    def ft_widths(self) -> tuple:
+        """Per source lattice generator, the target torsion slots at its jump."""
+        T = self.dst.torsion
+        return tuple(T.dim_at(jump) for jump, _ in self.src.lattice.generators())
 
     @cached_property
     def basis(self) -> tuple:
@@ -439,22 +449,23 @@ def hom_space(X: CObject, Y: CObject) -> HomSpace:
     """The category Hom, counted: the block-diagonal lattice maps, one
     torsion map per compatible pair of summands, and one free-generator image
     per target torsion slot at the generator's jump.  Only the lattice maps
-    need a solve; no basis map is built here (see ``HomSpace.basis``).  A
-    torsion pair needs torsion on both sides and a nonzero width needs it in
-    the target, so neither is walked for a torsion-free side."""
+    need a solve, and only they are listed here.  A summand (n, a) of X
+    pairs with each summand of Y alive at -a that dies by n - a
+    (``torsion_compatible``), so both torsion terms count summands of Y
+    alive at a degree; ``HomSpace`` lists the pairs and widths, and builds
+    its basis maps, only when read.  Both terms need torsion in Y, so
+    neither is walked when Y is torsion-free."""
     check_same_field(X.field, Y.field)
-    S, T = X.torsion, Y.torsion
-    pairs = ()
-    if not T.summands:
-        widths = (0,) * X.rank
-    else:
-        widths = tuple(T.dim_at(jump) for jump, _ in X.lattice.generators())
-        if S.summands:
-            pairs = tuple(
-                (k, i) for k in range(len(T.summands)) for i in range(len(S.summands))
-                if torsion_compatible(S, i, T, k)
-            )
-    return HomSpace(X, Y, _constant_matrix_solutions(X, Y), pairs, widths)
+    maps = _constant_matrix_solutions(X, Y)
+    dim, T = len(maps), Y.torsion
+    ts = T.summands
+    if ts:
+        dim += sum(T.dim_at(jump) for jump, _ in X.lattice.generators())
+        dim += sum(
+            1 for n, a in X.torsion.summands for k in T.slots_at(-a)
+            if n - a >= ts[k][0] - ts[k][1]
+        )
+    return HomSpace(X, Y, maps, dim)
 
 
 # ---------------------------------------------------------------------------
@@ -491,22 +502,30 @@ class ExtClass:
 
 @dataclass(frozen=True, init=False)
 class ExtSpace:
-    """Ext(src, dst) as the reduction of the off-diagonal block, the slots
-    each torsion block is reduced at, and the block widths, all fixed by
-    ``ext_space``; the canonical basis is the unit classes at the free
-    positions, built only when ``basis`` is read."""
+    """Ext(src, dst) as the reduction of the off-diagonal block, the block
+    widths and the count of free positions, all fixed by ``ext_space``; the
+    slots each torsion block is reduced at are listed when first read, and
+    the canonical basis, the unit classes at the free positions, is built
+    only when ``basis`` is read."""
 
     src: CObject
     dst: CObject
     ff_reduction: tuple  # (echelon rows, pivots) of the off-diagonal image
-    tor_reduction: tuple  # per src torsion summand: the slots its image hits
     widths: tuple  # per block of a class (see ``_class``): its length
     dim: int  # the free positions: the widths less the pivots and hit slots
 
-    def __init__(self, src, dst, ff_reduction, tor_reduction, widths, dim):
+    def __init__(self, src, dst, ff_reduction, widths, dim):
         vars(self).update(
-            src=src, dst=dst, ff_reduction=ff_reduction, tor_reduction=tor_reduction,
-            widths=widths, dim=dim,
+            src=src, dst=dst, ff_reduction=ff_reduction, widths=widths, dim=dim,
+        )
+
+    @cached_property
+    def tor_reduction(self) -> tuple:
+        """Per source torsion summand T[n, a], the degree-(n - a) slots that
+        the x^n image of degree -a hits (``CObject.xpower_slots``)."""
+        Y = self.dst
+        return tuple(
+            tuple(k for k, _ in Y.xpower_slots(-a, n - a)) for n, a in self.src.torsion.summands
         )
 
     def _pivots(self) -> tuple:
@@ -630,7 +649,10 @@ def ext_space(X: CObject, Y: CObject) -> ExtSpace:
       of degree -a in degree n - a of Y.  That map is a partial identity
       (``CObject.xpower_slots``), so its image is spanned by the unit
       vectors at the slots it hits, and ``tor_reduction`` keeps those slots
-      alone: reducing a vector zeroes it there.
+      alone: reducing a vector zeroes it there.  The block's free positions
+      are its width less the hit slots, and the hits are counted
+      (``CObject.xpower_rank``), so ``dim`` is a count and the slots are
+      listed only when ``tor_reduction`` is first read.
     """
     check_same_field(X.field, Y.field)
     F = X.field
@@ -650,16 +672,14 @@ def ext_space(X: CObject, Y: CObject) -> ExtSpace:
                     image_vectors.append(vec)
     ff_reduction = linalg.rref(F, image_vectors) if image_vectors else ((), ())
 
-    tor_reduction, widths = [], [n_off]
+    widths = [n_off]
     dim = n_off - len(ff_reduction[1])
     for n, a in X.torsion.summands:
-        hit = tuple(k for k, _ in Y.xpower_slots(-a, n - a))
         width = Y.module_dim_at(n - a)
-        tor_reduction.append(hit)
         widths.append(width)
-        dim += width - len(hit)
+        dim += width - Y.xpower_rank(-a, n - a)
 
-    return ExtSpace(X, Y, ff_reduction, tuple(tor_reduction), tuple(widths), dim)
+    return ExtSpace(X, Y, ff_reduction, tuple(widths), dim)
 
 
 # ---------------------------------------------------------------------------

@@ -65,7 +65,9 @@ class TorsionPart:
         return len(self.slots_at(d))
 
     def shifted(self, s: int) -> "TorsionPart":
-        return TorsionPart.of((n, a + s) for n, a in self.summands)
+        """Every summand moved by s: the (n, a) order and the lengths stand,
+        so the shifted summands need no sort and no check."""
+        return TorsionPart(tuple((n, a + s) for n, a in self.summands))
 
 
 @dataclass(frozen=True)
@@ -124,6 +126,19 @@ class CObject:
             (to[i], n_from + k)
             for k, i in enumerate(self.torsion.slots_at(d_from))
             if i in to
+        )
+
+    def xpower_rank(self, d_from: int, d_to: int) -> int:
+        """The number of degree-d_from slots that x^(d_to - d_from), for
+        d_to >= d_from, keeps: ``len(self.xpower_slots(d_from, d_to))`` with
+        no pair formed.  It keeps generator j exactly when the jump of j is
+        <= d_from, and the first lattice.dim_at(d_from) generators are those.
+        A torsion summand alive at d_from was born by d_from <= d_to, so it
+        is alive at d_to as well exactly when it dies after d_to; the power
+        keeps the summands alive at both degrees and kills every other slot."""
+        ss = self.torsion.summands
+        return self.lattice.dim_at(d_from) + sum(
+            1 for i in self.torsion.slots_at(d_from) if ss[i][0] - ss[i][1] > d_to
         )
 
     def lattice_vector(self, d: int, v) -> tuple:

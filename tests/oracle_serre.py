@@ -9,20 +9,23 @@ matrix before it read each entry off the Hom basis maps at the free positions
 of the Ext space; it is kept here only to check that selection.
 
 ``hom_space``, ``ext_space``, ``gram`` and ``serre_check`` are the duality
-check as it ran before it skipped what a pair does not have: the torsion
-pairs and the per-generator torsion widths are formed for every pair, the
-torsion image of every source is walked, the Gram's free cells come from
-``ExtSpace._free`` over every block, and ``nullspace`` lists the free columns
-first and builds the reduced rows even at full rank.  They build the
-library's own ``HomSpace``, ``ExtSpace`` and ``SerreReport``, so a result
-compares with the library's field for field.
+check as it ran before it skipped what a pair does not have and counted what
+it does not read: the torsion pairs and the per-generator torsion widths are
+listed for every pair, the hit slots of every source torsion summand are
+listed, each dimension is the length of those lists, the Gram's free cells
+come from the free positions of every block, and ``nullspace`` lists the
+free columns first and builds the reduced rows even at full rank.  ``Hom``
+and ``Ext`` hold every list eagerly, under the names ``HomSpace`` and
+``ExtSpace`` give them, so a result compares with the library's
+attributes field for field; ``serre_check`` builds the library's own
+``SerreReport``.
 """
+
+from dataclasses import dataclass
 
 from zdinfty import linalg
 from zdinfty.fields import check_same_field
 from zdinfty.homext import (
-    ExtSpace,
-    HomSpace,
     SerreReport,
     eta,
     ext_space as library_ext_space,
@@ -93,6 +96,33 @@ def constant_matrix_solutions(X, Y):
     )
 
 
+@dataclass(frozen=True)
+class Hom:
+    src: object
+    dst: object
+    lattice_maps: tuple
+    torsion_pairs: tuple
+    ft_widths: tuple
+    dim: int
+
+
+@dataclass(frozen=True)
+class Ext:
+    src: object
+    dst: object
+    ff_reduction: tuple
+    tor_reduction: tuple
+    widths: tuple
+    dim: int
+
+    def free(self) -> tuple:
+        """Per block, the positions off its pivots or hit slots."""
+        return tuple(
+            tuple(k for k in range(width) if k not in pivots)
+            for width, pivots in zip(self.widths, (self.ff_reduction[1],) + self.tor_reduction)
+        )
+
+
 def hom_space(X, Y):
     check_same_field(X.field, Y.field)
     S, T = X.torsion, Y.torsion
@@ -101,7 +131,8 @@ def hom_space(X, Y):
         if torsion_compatible(S, i, T, k)
     )
     widths = tuple(T.dim_at(jump) for jump, _ in X.lattice.generators())
-    return HomSpace(X, Y, constant_matrix_solutions(X, Y), pairs, widths)
+    maps = constant_matrix_solutions(X, Y)
+    return Hom(X, Y, maps, pairs, widths, len(maps) + len(pairs) + sum(widths))
 
 
 def ext_space(X, Y):
@@ -131,16 +162,16 @@ def ext_space(X, Y):
         widths.append(width)
         dim += width - len(hit)
 
-    return ExtSpace(X, Y, ff_reduction, tuple(tor_reduction), tuple(widths), dim)
+    return Ext(X, Y, ff_reduction, tuple(tor_reduction), tuple(widths), dim)
 
 
 def gram(hom, ext, flipped=False):
-    """The trace pairing's Gram matrix, its cells read from ``ExtSpace._free``."""
+    """The trace pairing's Gram matrix, its cells read from ``Ext.free``."""
     X, Y = ext.src, ext.dst
     n01 = Y.q * X.p
     cells = [
         (0, *divmod(k, X.p)) if k < n01 else (1, *divmod(k - n01, X.q))
-        for k in ext._free()[0]
+        for k in ext.free()[0]
     ]
     rows = tuple(
         tuple(blocks[b][k][i] for b, i, k in cells)
