@@ -47,8 +47,10 @@ from .homext import (
 from .decomp import (
     IndecLabel,
     identify,
+    label_shape,
     label_window,
     mesh_middle_labels,
+    object_shape,
     serre_twist_label,
     shift_label,
 )
@@ -95,14 +97,6 @@ def extension_middle(c: ExtClass):
     return _frame_extension(c)
 
 
-def _twisted_frame(c: ExtClass):
-    """(p, q, torsion, (placeY, tY), (placeX, tX), gens): the layout of the
-    direct sum of Y and X (``objects.sum_layout``, its lattice unbuilt), and
-    the middle's generators (``_frame_generators``)."""
-    p, q, torsion, (inY, inX) = sum_layout([c.dst, c.src])
-    return p, q, torsion, inY, inX, _frame_generators(c, p + q, inY[0], inX[0])
-
-
 def _frame_generators(c: ExtClass, r: int, placeY, placeX) -> list:
     """The middle's generators in the r coordinates of Y + X: Y's (e, dir)
     with dir at Y's coordinates, then X's (e, dir) with dir at X's
@@ -121,11 +115,13 @@ def _frame_extension(c: ExtClass):
     """The middle of a class with no torsion part, the split class among
     them: Ext(lattice, torsion) = D Hom(torsion, V lattice) = 0, so every
     torsion summand splits off, and E is the sum's torsion plus the
-    canonical form of the twisted frame.  The maps are the summands'
-    inclusion and projection."""
+    canonical form of the twisted frame.  The sum is laid out by
+    ``objects.sum_layout`` (its lattice unbuilt), and the maps are the
+    summands' inclusion and projection."""
     F = c.src.field
     X, Y = c.src, c.dst
-    p, q, torsion, inY, inX, gens = _twisted_frame(c)
+    p, q, torsion, (inY, inX) = sum_layout([Y, X])
+    gens = _frame_generators(c, p + q, inY[0], inX[0])
     E = CObject(F, torsion, canonicalize(F, gens, p, q))
     return E, lambda: (sum_inclusion(E, Y, *inY), sum_projection(E, X, *inX))
 
@@ -214,7 +210,7 @@ def morphism_from_degreewise(src: CObject, dst: CObject, psi) -> Morphism:
     top = linalg.mm(F, dst.lattice.generator_matrix(), psi[max(psi)], dst.rank, src.rank)
     M = linalg.mm(F, top, src.lattice.generator_inverse, src.rank, src.rank)
     h01, h10 = offdiag_blocks(M, src, dst)
-    if any(not F.is_zero(x) for row in h01 + h10 for x in row):
+    if any(map(any, h01 + h10)):
         raise ShapeMismatch("degreewise map is not type-diagonal")
     a00, a11 = diag_blocks(M, src, dst)
     # torsion scalars: each source summand's column at its birth degree
@@ -224,7 +220,7 @@ def morphism_from_degreewise(src: CObject, dst: CObject, psi) -> Morphism:
         col = src.torsion_slot(i, -a)
         rows = psi[-a][dst.lattice.dim_at(-a):]
         for k, row in zip(T.slots_at(-a), rows):
-            if not F.is_zero(row[col]):
+            if row[col]:
                 if not torsion_compatible(S, i, T, k):
                     raise ShapeMismatch("torsion summand maps where x-power kills it")
                 tt[k][i] = row[col]
@@ -235,7 +231,7 @@ def morphism_from_degreewise(src: CObject, dst: CObject, psi) -> Morphism:
     m = morphism_from_parts(src, dst, a00, a11, tt, ft)
     for d, block in psi.items():
         ns, nd = src.lattice.dim_at(d), dst.lattice.dim_at(d)
-        if any(not F.is_zero(c) for row in block[:nd] for c in row[ns:]):
+        if any(any(row[ns:]) for row in block[:nd]):
             raise ShapeMismatch("torsion maps into the lattice part")
         if tuple(tuple(row[ns:]) for row in block[nd:]) != m.tt_at(d):
             raise ShapeMismatch("torsion block is not the x-power of its birth degree")
@@ -318,11 +314,8 @@ def verify_exact(seq: ShortExactSeq) -> None:
             raise ZdinftyError(f"degree {d}: inclusion is not injective")
         if linalg.rank(F, ms) != n_right:
             raise ZdinftyError(f"degree {d}: projection is not surjective")
-        comp = linalg.mm(F, ms, mi, n_mid, n_left)
-        for row in comp:
-            for entry in row:
-                if not F.is_zero(entry):
-                    raise ZdinftyError(f"degree {d}: composite is nonzero")
+        if any(map(any, linalg.mm(F, ms, mi, n_mid, n_left))):
+            raise ZdinftyError(f"degree {d}: composite is nonzero")
 
 
 # ---------------------------------------------------------------------------
@@ -374,33 +367,18 @@ def almost_split(X: CObject) -> AlmostSplitSequence:
 
 
 def _check_mesh(E: CObject, factors) -> None:
-    """Raise ZdinftyError unless the built middle E matches the mesh factors,
-    with no elimination.
+    """Raise ZdinftyError unless the built middle E has the shape of the
+    mesh factors (``label_shape`` against ``object_shape``), with no
+    elimination.
 
     E's torsion summands must be the wings' (n, a): for a wing's sequence,
     whose middle is all torsion, that is its whole decomposition.  E's
-    (p, q) and jump multiset must be those of the lattice factors (jump -a
-    for F0[a] and F1[a], jumps -a and m - a for F[m,a]).  That part is only
-    a consistency check in K0, the Grothendieck group: it compares
+    (p, q) and jumps must be those of the lattice factors.  That part is
+    only a consistency check in K0, the Grothendieck group: it compares
     dimension counts, not isomorphism classes, and the split middle passes
     it too.
     """
-    summands, jumps, p, q = [], [], 0, 0
-    for label in factors:
-        size, a = label.params
-        if label.kind == "wing":
-            summands.append((size, a))
-        elif label.kind == "rank_one":
-            jumps.append(-a)
-            p, q = p + (size == 0), q + (size == 1)
-        else:
-            jumps += [-a, size - a]
-            p, q = p + 1, q + 1
-    if (
-        sorted(E.torsion.summands) != sorted(summands)
-        or (E.p, E.q) != (p, q)
-        or sorted(E.lattice.jump_list) != sorted(jumps)
-    ):
+    if label_shape(factors) != object_shape(E):
         raise ZdinftyError("the built middle does not match the mesh rule")
 
 

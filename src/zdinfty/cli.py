@@ -9,13 +9,14 @@ under it every exit-2 or exit-3 path prints a JSON error record instead of a
 text line.
 
 The command line is read from one table (``GLOBAL_OPTIONS`` and
-``COMMAND_LINES``) with argparse's conventions: global options come before
-the command; an option takes its value as ``--opt value`` or ``--opt=value``;
-a unique prefix of a long option names it (``--fo json``); a repeated option
-keeps its last value; a value may start with '-' if it is a number
-(``--a-min -3``); ``--`` ends a command's options; ``-h``/``--help`` prints
-the usage.  A rejected line prints a JSON error record under any accepted
-spelling of ``--format json``.
+``COMMAND_LINES``), which also dispatches: each command's row names its
+handler.  The line follows argparse's conventions: global options come
+before the command; an option takes its value as ``--opt value`` or
+``--opt=value``; a unique prefix of a long option names it (``--fo json``);
+a repeated option keeps its last value; a value may start with '-' if it is
+a number (``--a-min -3``); ``--`` ends a command's options; ``-h``/``--help``
+prints the usage.  A rejected line prints a JSON error record under any
+accepted spelling of ``--format json``.
 """
 
 from __future__ import annotations
@@ -364,9 +365,9 @@ def cmd_ars(args, field) -> tuple[int, str]:
 
 def cmd_quiver(args, field) -> tuple[int, str]:
     w = quiver_window(args.m_max, args.a_min, args.a_max, args.n_max)
-    if args.format == "dot":
-        return 0, dot_export(w)
-    return 0, json.dumps(window_to_json(w), sort_keys=True)
+    if args.format == "json":
+        return 0, json.dumps(window_to_json(w), sort_keys=True)
+    return 0, dot_export(w)
 
 
 def cmd_index(args, field) -> tuple[int, str]:
@@ -502,8 +503,9 @@ class Opt(NamedTuple):
         return "{" + ",".join(self.choices) + "}" if self.choices else self.dest.upper()
 
 
-# The grammar: global options, then one command with its positionals and its
-# options.  This table alone gives the parser, the usage lines and the help.
+# The grammar: global options, then one command with its handler, its
+# positionals and its options.  This table alone gives the parser, the usage
+# lines, the help and the dispatch.
 PROG = "zdinfty"
 DESCRIPTION = "exact Hom/Ext, Serre duality and AR quivers for typed graded lattices"
 GLOBAL_OPTIONS = (
@@ -511,19 +513,19 @@ GLOBAL_OPTIONS = (
     Opt("--format", default="text", choices=("text", "json", "dot")),
     Opt("--seed", int, DEFAULT_SEED),
 )
-COMMAND_LINES = {  # command: (positionals, options), in the order help lists them
-    "hom": (("A", "B"), ()),
-    "ext": (("A", "B"), ()),
-    "euler": (("A", "B"), ()),
-    "serre": ((), (Opt("--catalog", default=""),)),
-    "translate": (("A",), ()),
-    "decompose": (("A",), ()),
-    "filtration": (("A",), ()),
-    "ars": (("A",), ()),
-    "index": (("A",), ()),
-    "quiver": ((), tuple(Opt(f, int, required=True)
-                         for f in ("--m-max", "--a-min", "--a-max", "--n-max"))),
-    "selftest": ((), ()),
+COMMAND_LINES = {  # command: (handler, positionals, options), in the order help lists them
+    "hom": (cmd_hom, ("A", "B"), ()),
+    "ext": (cmd_ext, ("A", "B"), ()),
+    "euler": (cmd_euler, ("A", "B"), ()),
+    "serre": (cmd_serre, (), (Opt("--catalog", default=""),)),
+    "translate": (cmd_translate, ("A",), ()),
+    "decompose": (cmd_decompose, ("A",), ()),
+    "filtration": (cmd_filtration, ("A",), ()),
+    "ars": (cmd_ars, ("A",), ()),
+    "index": (cmd_index, ("A",), ()),
+    "quiver": (cmd_quiver, (), tuple(Opt(f, int, required=True)
+                                     for f in ("--m-max", "--a-min", "--a-max", "--n-max"))),
+    "selftest": (cmd_selftest, (), ()),
 }
 _HELP = Opt("--help", help="show this help message and exit")
 
@@ -537,7 +539,7 @@ class _Level:
 
 
 TOP = _Level(PROG, ("{" + ",".join(COMMAND_LINES) + "}",), GLOBAL_OPTIONS)  # shown, not read
-LEVELS = {name: _Level(f"{PROG} {name}", *spec) for name, spec in COMMAND_LINES.items()}
+LEVELS = {name: _Level(f"{PROG} {name}", *spec) for name, (_, *spec) in COMMAND_LINES.items()}
 _NEGATIVE = re.compile(r"^-\d+$|^-\d*\.\d+$")  # a value, though it starts with '-'
 
 
@@ -712,21 +714,6 @@ def _help(level: _Level) -> str:
     return "\n\n".join(sections)
 
 
-COMMANDS = {
-    "hom": cmd_hom,
-    "ext": cmd_ext,
-    "euler": cmd_euler,
-    "serre": cmd_serre,
-    "translate": cmd_translate,
-    "decompose": cmd_decompose,
-    "filtration": cmd_filtration,
-    "ars": cmd_ars,
-    "quiver": cmd_quiver,
-    "index": cmd_index,
-    "selftest": cmd_selftest,
-}
-
-
 def _error_record(e: Exception) -> str:
     """The JSON form of an exit-2 or exit-3 error."""
     error = {
@@ -754,9 +741,7 @@ def run_command(argv) -> tuple[int, str]:
         return 0, _help(e.level)
     try:
         field = parse_field(args.field)
-        if args.command == "quiver" and args.format == "text":
-            args.format = "dot"
-        return COMMANDS[args.command](args, field)
+        return COMMAND_LINES[args.command][0](args, field)
     except (ParseError, RangeError, ZdinftyError) as e:
         return 2, _error_record(e) if args.format == "json" else f"error: {e}"
     except Exception as e:

@@ -155,6 +155,31 @@ def shift_label(label: IndecLabel, s: int) -> IndecLabel:
     return IndecLabel(label.kind, (size, a + s))
 
 
+def label_shape(labels) -> tuple:
+    """(torsion summands, jumps, (p, q)) of the direct sum of the labels'
+    objects, both lists sorted: T[n, a] is the summand (n, a), F0[a] and
+    F1[a] jump at -a and count to p and to q, and F[m, a] jumps at -a and
+    m - a and counts to both."""
+    summands, jumps, p, q = [], [], 0, 0
+    for label in labels:
+        size, a = label.params
+        if label.kind == "wing":
+            summands.append((size, a))
+        elif label.kind == "rank_one":
+            jumps.append(-a)
+            p, q = p + (size == 0), q + (size == 1)
+        else:
+            jumps += [-a, size - a]
+            p, q = p + 1, q + 1
+    return tuple(sorted(summands)), tuple(sorted(jumps)), (p, q)
+
+
+def object_shape(X: CObject) -> tuple:
+    """(torsion summands, jumps, (p, q)) of X, as ``label_shape`` gives them:
+    both lists are stored sorted."""
+    return X.torsion.summands, X.lattice.jump_list, (X.p, X.q)
+
+
 # ---------------------------------------------------------------------------
 # identification
 
@@ -277,8 +302,7 @@ def pieces_certified(X: CObject, pieces) -> bool:
     """Whether ``split_isomorphism(X, pieces)`` is an isomorphism onto X,
     decided with no sum and no map built.
 
-    The sum's torsion summands are the wings' (n, a), sorted; its jumps are
-    -a for F0[a] and F1[a] and -a, m - a for F[m, a]; its p and q count the
+    The sum's shape is ``label_shape`` of the labels; its p and q count the
     u and w columns, which a00 and a11 hold in some order.  The torsion
     block has one one per wing, in distinct columns, so its rank counts the
     distinct summands the wings name.  The sum's generators are u + w at -a
@@ -286,19 +310,16 @@ def pieces_certified(X: CObject, pieces) -> bool:
     the map sends each to that vector padded with zeros.
     """
     zero0, zero1 = (X.field.zero,) * X.p, (X.field.zero,) * X.q
-    summands, jumps, us, ws, named, images = [], [], [], [], set(), []
+    us, ws, named, images = [], [], set(), []
     for label, part in pieces:
         if label.kind == "wing":
-            summands.append(label.params)
             named.add(part)
             continue
         a = label.params[1]
-        jumps.append(-a)
         if label.kind == "rank_two":
             m, (u, w) = label.params[0], part
             us.append(u)
             ws.append(w)
-            jumps.append(m - a)
             images += [(-a, u + w), (m - a, zero0 + w)]
         elif label.params[0] == 0:
             us.append(part[0])
@@ -306,9 +327,8 @@ def pieces_certified(X: CObject, pieces) -> bool:
         else:
             ws.append(part[0])
             images.append((-a, zero0 + part[0]))
-    return _isomorphism_conditions(
-        X, tuple(sorted(summands)), jumps, (len(us), len(ws)), (us, ws), len(named), images
-    )
+    shape = label_shape(label for label, _ in pieces)
+    return _isomorphism_conditions(X, shape, (us, ws), len(named), images)
 
 
 def is_isomorphism(m: Morphism, target: CObject) -> bool:
@@ -324,20 +344,14 @@ def is_isomorphism(m: Morphism, target: CObject) -> bool:
         for e, dir in X.lattice.generators()
     )
     return _isomorphism_conditions(
-        target,
-        X.torsion.summands,
-        X.lattice.jump_list,
-        (X.p, X.q),
-        (m.a00, m.a11),
-        linalg.rank(F, m.tt),
-        images,
+        target, object_shape(X), (m.a00, m.a11), linalg.rank(F, m.tt), images
     )
 
 
-def _isomorphism_conditions(target, summands, jumps, pq, blocks, tt_rank, images) -> bool:
-    """Whether a map onto ``target`` is invertible, from the source's torsion
-    summands, jumps and (p, q), the map's a00 and a11 (or their transposes),
-    the rank of its torsion block and the images (degree, vector) of the
+def _isomorphism_conditions(target, shape, blocks, tt_rank, images) -> bool:
+    """Whether a map onto ``target`` is invertible, from the source's shape
+    (``object_shape``), the map's a00 and a11 (or their transposes), the
+    rank of its torsion block and the images (degree, vector) of the
     source's generators.
 
     A block-diagonal matrix is invertible iff each diagonal block is square
@@ -357,13 +371,9 @@ def _isomorphism_conditions(target, summands, jumps, pq, blocks, tt_rank, images
     suffices.
     """
     F = target.field
-    if summands != target.torsion.summands:
+    if shape != object_shape(target) or tt_rank != len(shape[0]):
         return False
-    if sorted(jumps) != sorted(target.lattice.jump_list):
-        return False
-    if pq != (target.p, target.q) or tt_rank != len(summands):
-        return False
-    for block, size in zip(blocks, pq):
+    for block, size in zip(blocks, shape[2]):
         if linalg.rank(F, block) != size:
             return False
     L = target.lattice

@@ -115,7 +115,7 @@ class Morphism:
         return tuple(tuple(self.tt[k][i] for i in cols) for k in self.dst.torsion.slots_at(d))
 
     def is_zero(self) -> bool:
-        return linalg.is_zero_vector(self.src.field, morphism_vector(self))
+        return not any(morphism_vector(self))
 
 
 def morphism_vector(m: Morphism) -> tuple:
@@ -310,7 +310,7 @@ def validate_morphism(m: Morphism) -> None:
         raise ShapeMismatch("torsion component needs one scalar per pair of summands")
     for k, row in enumerate(m.tt):
         for i, c in enumerate(row):
-            if not F.is_zero(c) and not torsion_compatible(S, i, T, k):
+            if c and not torsion_compatible(S, i, T, k):
                 raise ZdinftyError("torsion component does not commute with x")
 
 
@@ -489,15 +489,7 @@ class ExtClass:
     tor: tuple
 
     def is_zero(self) -> bool:
-        F = self.src.field
-        for block in (self.h01, self.h10):
-            for row in block:
-                if any(not F.is_zero(c) for c in row):
-                    return False
-        for vec in self.tor:
-            if any(not F.is_zero(c) for c in vec):
-                return False
-        return True
+        return not any(map(any, (*self.h01, *self.h10, *self.tor)))
 
 
 @dataclass(frozen=True, init=False)
@@ -728,9 +720,7 @@ def _class_after_morphism(g: ExtClass, f: Morphism) -> ExtClass:
 
     # lattice generators of X' hitting torsion of X drag in the torsion
     # classes, re-expressed as a constant matrix into the divisible cokernel
-    if Xp.rank > 0 and Y.rank > 0 and any(
-        any(not F.is_zero(c) for c in vec) for vec in f.ft
-    ):
+    if Xp.rank > 0 and Y.rank > 0 and any(map(any, f.ft)):
         amb = [Y.lattice_vector(n - a, v) for (n, a), v in zip(X.torsion.summands, g.tor)]
         wcols = []
         for (e, _), vec in zip(Xp.lattice.generators(), f.ft):

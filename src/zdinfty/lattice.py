@@ -95,7 +95,7 @@ class GradedLattice:
         out = []
         prev_pivots: set = set()
         for jump, basis in self.steps:
-            pivots = _pivots(self.field, basis)
+            pivots = _pivots(basis)
             for row, piv in zip(basis, pivots):
                 if piv not in prev_pivots:
                     out.append((jump, row))
@@ -135,11 +135,11 @@ class GradedLattice:
         return tuple(tuple(linalg._integer_row(g)) for g in self.generator_inverse)
 
 
-def _pivots(F: FieldSpec, rows: Sequence) -> tuple:
+def _pivots(rows: Sequence) -> tuple:
     out = []
     for row in rows:
         for j, c in enumerate(row):
-            if not F.is_zero(c):
+            if c:
                 out.append(j)
                 break
     return tuple(out)

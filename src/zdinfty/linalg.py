@@ -1,9 +1,9 @@
 """Dense exact linear algebra over a :class:`~zdinfty.fields.FieldSpec`.
 
 Vectors are tuples of scalars, matrices are tuples of row tuples.  Over Q
-every entry this module returns from an elimination (``rref``, ``span``,
-``solve``, ``nullspace``, ``inverse``) is an exact rational: an ``int`` when
-it is integral, a :class:`~fractions.Fraction` otherwise, never a float;
+every entry this module returns from an elimination (``rref``, ``solve``,
+``nullspace``, ``inverse``) is an exact rational: an ``int`` when it is
+integral, a :class:`~fractions.Fraction` otherwise, never a float;
 scalars compare by value, so the type never changes a result.  Subspaces
 are kept as reduced-echelon bases (each basis vector a row, pivots chosen at
 the lowest coordinate index), which makes every canonical form bit-identical
@@ -45,10 +45,6 @@ def unit_matrix(F: FieldSpec, m: int, n: int, ones: Iterable[tuple[int, int]]) -
         row[j] = F.one
         rows[i] = tuple(row)
     return tuple(rows)
-
-
-def is_zero_vector(F: FieldSpec, v: Sequence[Scalar]) -> bool:
-    return not any(v)
 
 
 def vec_add(F: FieldSpec, u: Sequence, v: Sequence) -> Vector:
@@ -236,11 +232,6 @@ def _rational_row(row: list, d: int) -> list:
     if d == -1:
         return [-a for a in row]
     return [Fraction(a, d) if a % d else a // d for a in row]
-
-
-def span(F: FieldSpec, vectors: Iterable[Sequence]) -> Matrix:
-    """Canonical reduced-echelon basis of the span of the given vectors."""
-    return rref(F, vectors)[0]
 
 
 def rank(F: FieldSpec, A: Sequence) -> int:

@@ -124,7 +124,7 @@ def reconstruct_parts(wm: WindowModule, chart, p: int, q: int):
         for row, piv in zip(kills[::-1], pivots[::-1]):
             birth, chain = young[piv]
             for (elder_birth, elder_chain), c in zip(young[piv + 1:], row[piv + 1:]):
-                if F.is_zero(c):
+                if not c:
                     continue
                 for t in range(len(chain)):
                     elder = linalg.vec_scale(F, c, elder_chain[birth - elder_birth + t])

@@ -12,7 +12,7 @@ def generators_uncached(L) -> tuple:
     out = []
     prev_pivots: set = set()
     for jump, basis in L.steps:
-        pivots = _pivots(L.field, basis)
+        pivots = _pivots(basis)
         for row, piv in zip(basis, pivots):
             if piv not in prev_pivots:
                 out.append((jump, row))

@@ -29,7 +29,7 @@ def intersect_rowspaces(F, A, B):
     n = len(A[0])
     stacked = linalg.transpose(tuple(A) + tuple(mat_scale(F, F.neg(F.one), B)))
     combos = tuple(ker[: len(A)] for ker in linalg.nullspace(F, stacked))
-    return linalg.span(F, linalg.mm(F, combos, A, len(A), n))
+    return linalg.rref(F, linalg.mm(F, combos, A, len(A), n))[0]
 
 
 def goursat_counts(L) -> dict:
@@ -45,7 +45,7 @@ def goursat_counts(L) -> dict:
         S = L.subspace_at(d)
         A[d] = tuple(v[:p] for v in intersect_rowspaces(F, S, unit[:p]))
         C[d] = tuple(v[p:] for v in intersect_rowspaces(F, S, unit[p:]))
-        B[d] = linalg.span(F, [v[:p] for v in S])
+        B[d] = linalg.rref(F, [v[:p] for v in S])[0]
 
     def rho(s, t):
         return len(B[s]) - len(intersect_rowspaces(F, B[s], A[t]))

@@ -53,7 +53,7 @@ def _coordinate_kernel(F, gens, c):
     """Generators of the intersection with the hyperplane coordinate c = 0."""
     out = []
     for d in sorted({j for j, _ in gens}):
-        span = linalg.span(F, [dir for j, dir in gens if j <= d])
+        span = linalg.rref(F, [dir for j, dir in gens if j <= d])[0]
         combos = linalg.nullspace(F, (tuple(row[c] for row in span),), ncols=len(span))
         out += [(d, vec) for vec in linalg.mm(F, combos, span, len(span), len(gens[0][1]))]
     return _dedupe_generators(F, out)

@@ -23,13 +23,13 @@ from zdinfty.lattice import GradedVector, from_filtration
 
 def in_span(F, basis, pivots, v) -> bool:
     """Whether ``v`` lies in the span of an echelon basis with these pivots."""
-    return linalg.is_zero_vector(F, linalg.reduce_against(F, basis, pivots, v))
+    return not any(linalg.reduce_against(F, basis, pivots, v))
 
 
 def coords_in_basis(F, basis, v):
     """Coefficients expressing ``v`` in ``basis`` (rows), or None."""
     if not basis:
-        return () if linalg.is_zero_vector(F, v) else None
+        return () if not any(v) else None
     return linalg.solve(F, linalg.transpose(basis), v)
 
 

@@ -13,10 +13,10 @@ certificate and returns (E, maps) as ``ar._general_extension`` does.
 """
 
 from zdinfty import linalg
-from zdinfty.ar import _twisted_frame, morphism_from_degreewise
+from zdinfty.ar import _frame_generators, morphism_from_degreewise
 from zdinfty.errors import ZdinftyError
 from zdinfty.lattice import GradedLattice, from_filtration
-from zdinfty.objects import CObject, TorsionPart, module_xpower, slot_events
+from zdinfty.objects import CObject, TorsionPart, module_xpower, slot_events, sum_places
 from zdinfty.window import WindowModule
 
 from oracle_bars import rref_of_kernel_kills
@@ -28,7 +28,8 @@ def class_window(c):
     F = c.src.field
     X, Y = c.src, c.dst
     degrees = tuple(sorted(slot_events(X) | slot_events(Y)))
-    p, q, *_, gens = _twisted_frame(c)
+    p, q, (placeY, placeX) = sum_places([Y, X])
+    gens = _frame_generators(c, p + q, placeY, placeX)
     dims = tuple(Y.module_dim_at(d) + X.module_dim_at(d) for d in degrees)
     xmaps = []
     for e in degrees[1:]:

@@ -55,7 +55,8 @@ def sum_embeddings(Y: CObject, X: CObject):
 
 def twisted_frame(c: ExtClass):
     """(p, q, torsion, (embY, tY), (embX, tX), gens): the frame of the class
-    as ``ar._twisted_frame`` built it from embedding matrices: Y's generators
+    built from embedding matrices, where ``ar._frame_extension`` places
+    ``ar._frame_generators`` on ``objects.sum_layout``: Y's generators
     (e, embY dir), then X's (e, (embX + embY A) dir), A = ``offdiag_full``."""
     F = c.src.field
     X, Y = c.src, c.dst

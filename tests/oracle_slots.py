@@ -302,7 +302,7 @@ def hom_kx_space(X, Y) -> tuple:
                 for k in range(r):
                     if not F.is_zero(u[i]) and not F.is_zero(dir[k]):
                         row[i * r + k] = F.add(row[i * r + k], F.mul(u[i], dir[k]))
-            if not linalg.is_zero_vector(F, row):
+            if any(row):
                 rows.append(tuple(row))
     kernel = linalg.nullspace(F, rows) if rows else linalg.identity(F, rr * r)
     return tuple(tuple(tuple(vec[i * r + k] for k in range(r)) for i in range(rr)) for vec in kernel)

@@ -186,7 +186,7 @@ def test_internal_error_exits_3_without_traceback(monkeypatch, capsys):
     def broken(args, field):
         raise RuntimeError("broken\ncommand")
 
-    monkeypatch.setitem(cli.COMMANDS, "hom", broken)
+    monkeypatch.setitem(cli.COMMAND_LINES, "hom", (broken, *cli.COMMAND_LINES["hom"][1:]))
     assert run_command(["hom", "F0[0]", "F0[0]"]) == (
         3,
         "internal error: RuntimeError: broken command",
@@ -314,7 +314,7 @@ def test_json_error_records(monkeypatch):
     def broken(args, field):
         raise RuntimeError("broken\ncommand")
 
-    monkeypatch.setitem(cli.COMMANDS, "hom", broken)
+    monkeypatch.setitem(cli.COMMAND_LINES, "hom", (broken, *cli.COMMAND_LINES["hom"][1:]))
     assert record(["hom", "F0[0]", "F0[0]"]) == (3, "RuntimeError", None, "broken command")
     # text output is unchanged
     assert run_command(["hom", "F0[0]", "F0[0]"]) == (

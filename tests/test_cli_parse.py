@@ -171,7 +171,7 @@ def _line(rng) -> list:
         argv += _option(rng, flag, VALUES[flag[2:]])
     command = rng.choice(COMMAND_NAMES[:-2] * 4 + COMMAND_NAMES)
     argv.append(command)
-    positionals, options = cli.COMMAND_LINES.get(command, ((), ()))
+    _, positionals, options = cli.COMMAND_LINES.get(command, (None, (), ()))
     count = len(positionals) + rng.choice([0] * 8 + [-1, 1])
     words = [[rng.choice(OBJECTS[:4] * 3 + OBJECTS)] for _ in range(max(count, 0))]
     for opt in options:

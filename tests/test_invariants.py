@@ -50,7 +50,7 @@ def _torsion_free(F):
 
 def _graded_span(F, gens, degrees):
     """The subspace spanned at each degree by the generators alive there."""
-    return tuple(linalg.span(F, [dir for jump, dir in gens if jump <= d]) for d in degrees)
+    return tuple(linalg.rref(F, [dir for jump, dir in gens if jump <= d])[0] for d in degrees)
 
 
 def _combination(F, rng, space):

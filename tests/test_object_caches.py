@@ -70,7 +70,7 @@ def test_annihilator_at_every_degree(F):
             )), (L, d)
             assert all(not any(linalg.mat_vec(F, ann, v)) for v in basis), (L, d)
             assert linalg.rank(F, ann) == L.rank - len(basis), (L, d)
-            assert linalg.span(F, ann) == linalg.span(F, linalg.nullspace(F, basis, L.rank))
+            assert linalg.rref(F, ann)[0] == linalg.rref(F, linalg.nullspace(F, basis, L.rank))[0]
 
 
 @pytest.mark.parametrize("F", FIELDS, ids=str)

@@ -70,7 +70,7 @@ def _kernel_results(F, A, n, b):
         "solve": linalg.solve(F, A, b),
         "inverse": linalg.inverse(F, square),
         "rank": linalg.rank(F, A),
-        "span": linalg.span(F, A),
+        "span": linalg.rref(F, A)[0],
     }
 
 

@@ -1,12 +1,13 @@
 """Differential test of the twisted frame and the type-block readers.
 
-Both extension builders start from ``ar._twisted_frame``; a summand's
-projection is its inclusion transposed; ``morphism_from_degreewise`` reads
-its blocks with ``homext.diag_blocks``; ``ar._left_inverse`` inverts B's
-pivot rows once.  ``oracle_ses`` keeps the constructions these replaced, and
-every sequence, class and twisted map must match it tuple for tuple, on
-seeded sums of 1-3 atoms with and without torsion, with torsion bars up to
-length 4 and up to length 500.
+Both extension builders write their twisted frame with
+``ar._frame_generators``; a summand's projection is its inclusion
+transposed; ``morphism_from_degreewise`` reads its blocks with
+``homext.diag_blocks``; ``ar._left_inverse`` inverts B's pivot rows once.
+``oracle_ses`` keeps the constructions these replaced, and every sequence,
+class and twisted map must match it tuple for tuple, on seeded sums of 1-3
+atoms with and without torsion, with torsion bars up to length 4 and up to
+length 500.
 """
 
 import random

@@ -1,15 +1,15 @@
 """A direct sum keeps one place per summand, not an embedding matrix.
 
 ``objects.sum_layout`` gives each input the coordinates of the sum its
-ambient coordinates land on.  ``ar._twisted_frame`` writes Y's directions at
-Y's coordinates, and X's at X's with A dir at Y's; ``homext.sum_inclusion``
+ambient coordinates land on.  ``ar._frame_generators`` writes Y's directions
+at Y's coordinates, and X's at X's with A dir at Y's; ``homext.sum_inclusion``
 and ``sum_projection`` read their unit blocks off the place.
 ``oracle_ses`` keeps the r x rank unit-matrix embeddings these replaced and
 the frame (embX + embY A) dir built from them, and frames and summand maps
 must match them tuple for tuple over Q, GF(2) and GF(3), on seeded classes
 between sums with torsion, conjugated sums and torsion-heavy sums.  Neither
 the layout nor the frame builds a matrix: ``sum_layout`` makes no
-``unit_matrix`` call and ``_twisted_frame`` no ``linalg.mm`` call.  A
+``unit_matrix`` call and ``_frame_generators`` no ``linalg.mm`` call.  A
 class that glues torsion places its frame with ``objects.sum_places``
 alone, and makes no ``sum_layout`` call.
 """
@@ -50,6 +50,13 @@ def _inputs(F, rng):
     return objs
 
 
+def _frame(c):
+    """The layout of Y + X and the frame's generators on it, as
+    ``ar._frame_extension`` places them."""
+    p, q, torsion, (inY, inX) = sum_layout([c.dst, c.src])
+    return p, q, torsion, inY, inX, ar._frame_generators(c, p + q, inY[0], inX[0])
+
+
 def _classes(X, Y, rng):
     space = ext_space(X, Y)
     return [oracle_ses.zero_class(X, Y), *space.basis] + ([random_class(space, rng)] if space.dim else [])
@@ -73,7 +80,7 @@ def test_frame_matches_the_embedding_matrices(F):
     for _ in range(60):
         X, Y = rng.choice(objs), rng.choice(objs)
         for c in _classes(X, Y, rng):
-            p, q, torsion, (placeY, tY), (placeX, tX), gens = ar._twisted_frame(c)
+            p, q, torsion, (placeY, tY), (placeX, tX), gens = _frame(c)
             want = oracle_ses.twisted_frame(c)
             embY = _embedding(F, p + q, placeY, Y.rank)
             embX = _embedding(F, p + q, placeX, X.rank)
@@ -98,7 +105,7 @@ def test_summand_maps_match_the_embedding_matrices(F):
         if any(map(any, c.tor)):
             continue
         E, _ = ar.extension_middle(c)
-        *_, inY, inX, _ = ar._twisted_frame(c)
+        *_, inY, inX, _ = _frame(c)
         _assert_maps_match(E, Y, *inY)
         _assert_maps_match(E, X, *inX)
 
@@ -124,7 +131,7 @@ def test_layout_and_frame_build_no_matrix(monkeypatch):
         sum_layout([X, Y, X])
     assert counts["unit_matrix"] == 0
     for c in classes:
-        ar._twisted_frame(c)
+        _frame(c)
     assert counts == {"unit_matrix": 0, "mm": 0}
     assert any(X.rank and Y.rank for X, Y in pairs)
 

@@ -81,7 +81,7 @@ def test_closed_form_matches_dense_solve(F):
         ours = [_stacked(m.tt_at, degrees) for m in tor]
         theirs = [_stacked(r.get, degrees) for r in ref]
         assert linalg.rank(F, ours) == len(tor)
-        assert linalg.span(F, ours) == linalg.span(F, theirs)
+        assert linalg.rref(F, ours)[0] == linalg.rref(F, theirs)[0]
         lo, hi = _window(X, Y)
         for m in basis:
             validate_morphism(m)
