@@ -326,7 +326,10 @@ def verify_exact(seq: ShortExactSeq) -> None:
 class AlmostSplitSequence:
     """The class, the middle and the three labels of an almost split
     sequence.  The maps follow from the class, so the sequence itself
-    (``seq``) is built on first read."""
+    (``seq``) is built on first read, around the middle: ``almost_split``
+    keeps the function that builds its maps beside the fields (``_maps``,
+    which pickling drops), and a sequence made otherwise is
+    ``extension_object`` of the class."""
 
     cls: ExtClass  # spans Ext(X, VX)
     middle: CObject
@@ -336,7 +339,13 @@ class AlmostSplitSequence:
 
     @cached_property
     def seq(self) -> ShortExactSeq:
-        return extension_object(self.cls)
+        maps = self.__dict__.pop("_maps", None)
+        if maps is None:
+            return extension_object(self.cls)
+        return ShortExactSeq(self.cls.dst, self.middle, self.cls.src, *maps(), self.cls)
+
+    def __getstate__(self):
+        return {k: v for k, v in self.__dict__.items() if k != "_maps"}
 
 
 def almost_split(X: CObject) -> AlmostSplitSequence:
@@ -360,10 +369,12 @@ def almost_split(X: CObject) -> AlmostSplitSequence:
             f"extension space against the twist has dimension {space.dim}, expected 1"
         )
     cls = space.basis[0]
-    E, _ = extension_middle(cls)
+    E, maps = extension_middle(cls)
     factors = mesh_middle_labels(right)
     _check_mesh(E, factors)
-    return AlmostSplitSequence(cls, E, serre_twist_label(right), factors, right)
+    mesh = AlmostSplitSequence(cls, E, serre_twist_label(right), factors, right)
+    object.__setattr__(mesh, "_maps", maps)
+    return mesh
 
 
 def _check_mesh(E: CObject, factors) -> None:

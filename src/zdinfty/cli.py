@@ -10,13 +10,15 @@ text line.
 
 The command line is read from one table (``GLOBAL_OPTIONS`` and
 ``COMMAND_LINES``), which also dispatches: each command's row names its
-handler.  The line follows argparse's conventions: global options come
-before the command; an option takes its value as ``--opt value`` or
-``--opt=value``; a unique prefix of a long option names it (``--fo json``);
-a repeated option keeps its last value; a value may start with '-' if it is
-a number (``--a-min -3``); ``--`` ends a command's options; ``-h``/``--help``
-prints the usage.  A rejected line prints a JSON error record under any
-accepted spelling of ``--format json``.
+handler and the positionals it reads as objects.  ``run_command`` parses
+those objects, writes every record and reads every exit code off it; a
+handler only computes.  The line follows argparse's conventions: global
+options come before the command; an option takes its value as ``--opt
+value`` or ``--opt=value``; a unique prefix of a long option names it
+(``--fo json``); a repeated option keeps its last value; a value may start
+with '-' if it is a number (``--a-min -3``); ``--`` ends a command's
+options; ``-h``/``--help`` prints the usage.  A rejected line prints a
+JSON error record under any accepted spelling of ``--format json``.
 """
 
 from __future__ import annotations
@@ -98,13 +100,18 @@ def parse_object(text: str, field: FieldSpec) -> CObject:
     return direct_sum_many([label_to_object(field, l) for l in labels])[0]
 
 
+# The atoms: head, label constructor, arity, and the range rule (what must
+# have its first integer >= 1, or None).
+_ATOMS = (
+    ("F0[", lambda a: rank_one_label(0, a), 1, None),
+    ("F1[", lambda a: rank_one_label(1, a), 1, None),
+    ("F[", rank_two_label, 2, "rank-two atoms need m"),
+    ("T[", wing, 2, "torsion atoms need n"),
+)
+
+
 def _parse_atom(text, pos):
-    for head, maker, nargs in (
-        ("F0[", lambda args: rank_one_label(0, args[0]), 1),
-        ("F1[", lambda args: rank_one_label(1, args[0]), 1),
-        ("F[", lambda args: _checked_rank_two(*args), 2),
-        ("T[", lambda args: _checked_wing(*args), 2),
-    ):
+    for head, maker, nargs, positive in _ATOMS:
         if text.startswith(head, pos):
             end = text.find("]", pos)
             if end < 0:
@@ -117,20 +124,10 @@ def _parse_atom(text, pos):
                 args = [int(p.strip()) for p in parts]
             except ValueError:
                 raise ParseError("expected an integer", pos)
-            return maker(args), end + 1
+            if positive and args[0] < 1:
+                raise RangeError(f"{positive} >= 1, got {args[0]}")
+            return maker(*args), end + 1
     raise ParseError("expected F0[, F1[, F[ or T[", pos)
-
-
-def _checked_rank_two(m, a):
-    if m < 1:
-        raise RangeError(f"rank-two atoms need m >= 1, got {m}")
-    return rank_two_label(m, a)
-
-
-def _checked_wing(n, a):
-    if n < 1:
-        raise RangeError(f"torsion atoms need n >= 1, got {n}")
-    return wing(n, a)
 
 
 def _parse_json_literal(text, field: FieldSpec) -> CObject:
@@ -254,45 +251,35 @@ def parse_catalog(spec: str, field: FieldSpec):
 # commands
 
 
-def _emit(args, payload: dict, text: str) -> str:
-    if args.format == "json":
-        payload = {"schema": SCHEMA, **payload}
-        return json.dumps(payload, sort_keys=True)
-    return text
+# Each handler takes the args, the field and the objects its row names, and
+# returns (record, text): the report without its schema and command keys,
+# and the text output.  ``run_command`` prints one of them and reads the exit
+# code off the record's "passed".
 
 
-def cmd_hom(args, field) -> tuple[int, str]:
-    X = parse_object(args.A, field)
-    Y = parse_object(args.B, field)
+def cmd_hom(args, field, X, Y) -> tuple[dict, str]:
     d = hom_space(X, Y).dim
-    return 0, _emit(args, {"command": "hom", "dim": d}, f"dim Hom = {d}")
+    return {"dim": d}, f"dim Hom = {d}"
 
 
-def cmd_ext(args, field) -> tuple[int, str]:
-    X = parse_object(args.A, field)
-    Y = parse_object(args.B, field)
+def cmd_ext(args, field, X, Y) -> tuple[dict, str]:
     d = ext_space(X, Y).dim
-    return 0, _emit(args, {"command": "ext", "dim": d}, f"dim Ext1 = {d}")
+    return {"dim": d}, f"dim Ext1 = {d}"
 
 
-def cmd_euler(args, field) -> tuple[int, str]:
-    X = parse_object(args.A, field)
-    Y = parse_object(args.B, field)
+def cmd_euler(args, field, X, Y) -> tuple[dict, str]:
     h = hom_space(X, Y).dim
     e = ext_space(X, Y).dim
-    return 0, _emit(
-        args,
-        {"command": "euler", "hom": h, "ext": e, "euler": h - e},
+    return (
+        {"hom": h, "ext": e, "euler": h - e},
         f"dim Hom = {h}, dim Ext1 = {e}, euler = {h - e}",
     )
 
 
-def cmd_serre(args, field) -> tuple[int, str]:
+def cmd_serre(args, field) -> tuple[dict, str]:
     objs = parse_catalog(args.catalog, field)
     failures = []
-    pairs = 0
     for X, Y in itertools.product(objs, repeat=2):
-        pairs += 1
         report = serre_check(X, Y)
         if not report.passed:
             failures.append(
@@ -305,80 +292,59 @@ def cmd_serre(args, field) -> tuple[int, str]:
                 }
             )
     ok = not failures
-    payload = {"command": "serre", "pairs": pairs, "failures": failures, "passed": ok}
-    lines = [f"serre duality sweep: {pairs} ordered pairs"]
+    record = {"pairs": len(objs) ** 2, "failures": failures, "passed": ok}
+    lines = [f"serre duality sweep: {record['pairs']} ordered pairs"]
     for f in failures:
         lines.append(
             f"  FAIL {f['X']} vs {f['Y']}: hom={f['dim_hom']} ext={f['dim_ext_twisted']}"
         )
     lines.append("PASS" if ok else "FAIL")
-    return (0 if ok else 1), _emit(args, payload, "\n".join(lines))
+    return record, "\n".join(lines)
 
 
-def cmd_translate(args, field) -> tuple[int, str]:
-    X = parse_object(args.A, field)
+def cmd_translate(args, field, X) -> tuple[dict, str]:
     VX = serre_twist(X)
     s = print_object(VX)
-    return 0, _emit(args, {"command": "translate", "object": s}, s)
+    return {"object": s}, s
 
 
-def cmd_decompose(args, field) -> tuple[int, str]:
-    X = parse_object(args.A, field)
+def cmd_decompose(args, field, X) -> tuple[dict, str]:
     dec = decompose(X)
     factors = [str(f) for f in dec.factors]
-    return 0, _emit(
-        args,
-        {"command": "decompose", "factors": factors},
-        " + ".join(factors) if factors else "0",
-    )
+    return {"factors": factors}, (" + ".join(factors) if factors else "0")
 
 
-def cmd_filtration(args, field) -> tuple[int, str]:
-    X = parse_object(args.A, field)
+def cmd_filtration(args, field, X) -> tuple[dict, str]:
     filt = filtration(X)
     labels = [str(l) for l in filt.labels]
-    return 0, _emit(
-        args,
-        {"command": "filtration", "factors": labels},
-        "factors (bottom to top): " + ", ".join(labels),
-    )
+    return {"factors": labels}, "factors (bottom to top): " + ", ".join(labels)
 
 
-def cmd_ars(args, field) -> tuple[int, str]:
-    X = parse_object(args.A, field)
+def cmd_ars(args, field, X) -> tuple[dict, str]:
     mesh = almost_split(X)
     left = str(mesh.left_label)
-    middle = " + ".join(str(f) for f in mesh.middle_factors)
+    middle = [str(f) for f in mesh.middle_factors]
     right = str(mesh.right_label)
-    text = f"0 -> {left} -> {middle} -> {right} -> 0"
-    return 0, _emit(
-        args,
-        {
-            "command": "ars",
-            "left": left,
-            "middle": [str(f) for f in mesh.middle_factors],
-            "right": right,
-        },
-        text,
-    )
+    text = f"0 -> {left} -> {' + '.join(middle)} -> {right} -> 0"
+    return {"left": left, "middle": middle, "right": right}, text
 
 
-def cmd_quiver(args, field) -> tuple[int, str]:
+def cmd_quiver(args, field) -> tuple[None, str]:
+    """The output is its own document (an export or DOT), with no record."""
     w = quiver_window(args.m_max, args.a_min, args.a_max, args.n_max)
     if args.format == "json":
-        return 0, json.dumps(window_to_json(w), sort_keys=True)
-    return 0, dot_export(w)
+        return None, json.dumps(window_to_json(w), sort_keys=True)
+    return None, dot_export(w)
 
 
-def cmd_index(args, field) -> tuple[int, str]:
-    X = parse_object(args.A, field)
+def cmd_index(args, field, X) -> tuple[dict, str]:
     if not X.is_torsion_free():
         raise ZdinftyError("index applies to torsion-free objects")
     n = singularity_index(X)
-    return 0, _emit(args, {"command": "index", "index": n}, f"singularity index = {n}")
+    return {"index": n}, f"singularity index = {n}"
 
 
-def cmd_selftest(args, field) -> tuple[int, str]:
+def cmd_selftest(args, field) -> tuple[dict, str]:
     lines = []
     ok = True
 
@@ -459,8 +425,7 @@ def cmd_selftest(args, field) -> tuple[int, str]:
     record("trace adjointness", good)
 
     lines.append("selftest: " + ("PASS" if ok else "FAIL"))
-    payload = {"command": "selftest", "passed": ok, "report": lines}
-    return (0 if ok else 1), _emit(args, payload, "\n".join(lines))
+    return {"passed": ok, "report": lines}, "\n".join(lines)
 
 
 # ---------------------------------------------------------------------------
@@ -504,8 +469,9 @@ class Opt(NamedTuple):
 
 
 # The grammar: global options, then one command with its handler, its
-# positionals and its options.  This table alone gives the parser, the usage
-# lines, the help and the dispatch.
+# positionals (each read as an object) and its options.  This table alone
+# gives the parser, the usage lines, the help, the dispatch and the objects
+# each handler is given.
 PROG = "zdinfty"
 DESCRIPTION = "exact Hom/Ext, Serre duality and AR quivers for typed graded lattices"
 GLOBAL_OPTIONS = (
@@ -727,8 +693,13 @@ def _error_record(e: Exception) -> str:
 def run_command(argv) -> tuple[int, str]:
     """Execute one invocation; returns (exit code, output text).
 
-    Input errors exit 2; any other exception is a bug and exits 3 with a
-    one-line ``internal error:`` message instead of a traceback.  Under
+    The command's row names its handler and the positionals it parses as
+    objects.  The handler's record is printed under --format json, with
+    the schema and the command added, and its text otherwise; a record
+    with "passed" false exits 1.  A handler with no record (``quiver``)
+    prints its text in every format.  Input errors exit 2; any other
+    exception is a bug and exits 3 with a one-line ``internal error:``
+    message instead of a traceback.  Under
     --format json both print a ``zdinfty.report/1`` error record instead.
     -h/--help exits 0 with the help text as the output.
     """
@@ -741,7 +712,14 @@ def run_command(argv) -> tuple[int, str]:
         return 0, _help(e.level)
     try:
         field = parse_field(args.field)
-        return COMMAND_LINES[args.command][0](args, field)
+        handler, positionals, _ = COMMAND_LINES[args.command]
+        objects = [parse_object(getattr(args, name), field) for name in positionals]
+        record, text = handler(args, field, *objects)
+        if record is None:
+            return 0, text
+        if args.format == "json":
+            text = json.dumps({"schema": SCHEMA, "command": args.command, **record}, sort_keys=True)
+        return int(record.get("passed") is False), text
     except (ParseError, RangeError, ZdinftyError) as e:
         return 2, _error_record(e) if args.format == "json" else f"error: {e}"
     except Exception as e:

@@ -1,6 +1,7 @@
 """Object grammar, command dispatch, determinism, exit codes."""
 
 import contextlib
+import dataclasses
 import io
 import json
 import os
@@ -126,6 +127,31 @@ def test_serre_command_full_sweep_example():
     assert code == 0 and out.endswith("PASS")
 
 
+def test_failed_serre_check_exits_1(monkeypatch):
+    # the four pairs (X, X) of the catalog fail; the other twelve pass
+    real = cli.serre_check
+
+    def failing(X, Y):
+        report = real(X, Y)
+        return dataclasses.replace(report, dims_match=False) if X == Y else report
+
+    monkeypatch.setattr(cli, "serre_check", failing)
+    argv = ["serre", "--catalog", "m<=1,n<=1,a>=0,a<=0"]
+    code, out = run_command(argv)
+    lines = out.splitlines()
+    assert code == 1 and lines[0] == "serre duality sweep: 16 ordered pairs"
+    assert [line.split(":")[0] for line in lines[1:-1]] == [
+        f"  FAIL {X} vs {X}" for X in ("F0[0]", "F1[0]", "F[1,0]", "T[1,0]")
+    ]
+    assert lines[-1] == "FAIL"
+    code, out = run_command(["--format", "json"] + argv)
+    data = json.loads(out)
+    assert code == 1 and data["passed"] is False and data["command"] == "serre"
+    assert data["pairs"] == 16 and [f["X"] for f in data["failures"]] == [
+        "F0[0]", "F1[0]", "F[1,0]", "T[1,0]"
+    ]
+
+
 def test_quiver_command_formats():
     code, dot = run_command(
         ["quiver", "--m-max", "1", "--a-min", "0", "--a-max", "1", "--n-max", "1"]
@@ -183,7 +209,7 @@ def test_back_to_back_commands_stay_independent():
 
 
 def test_internal_error_exits_3_without_traceback(monkeypatch, capsys):
-    def broken(args, field):
+    def broken(args, field, *objects):
         raise RuntimeError("broken\ncommand")
 
     monkeypatch.setitem(cli.COMMAND_LINES, "hom", (broken, *cli.COMMAND_LINES["hom"][1:]))
@@ -311,7 +337,7 @@ def test_json_error_records(monkeypatch):
     assert run_command(["ars", "F[1,0]", "--format", "json"]) == (2, "")
     assert run_command(["--f=json", "ars", "F[1,0]"]) == (2, "")  # ambiguous: not --format
 
-    def broken(args, field):
+    def broken(args, field, *objects):
         raise RuntimeError("broken\ncommand")
 
     monkeypatch.setitem(cli.COMMAND_LINES, "hom", (broken, *cli.COMMAND_LINES["hom"][1:]))
@@ -414,6 +440,23 @@ def test_selftest_runs():
     code, out = run_command(["selftest"])
     assert code == 0
     assert out.splitlines()[-1] == "selftest: PASS"
+
+
+def test_failed_selftest_exits_1(monkeypatch):
+    real = cli.hom_space
+
+    def off_by_one(X, Y):
+        space = real(X, Y)
+        return dataclasses.replace(space, dim=space.dim + 1)
+
+    monkeypatch.setattr(cli, "hom_space", off_by_one)
+    code, out = run_command(["selftest"])
+    lines = out.splitlines()
+    assert code == 1 and lines[-1] == "selftest: FAIL"
+    assert "selftest rank-one tables: FAIL" in lines
+    code, out = run_command(["--format", "json", "selftest"])
+    data = json.loads(out)
+    assert code == 1 and data["passed"] is False and data["report"][-1] == "selftest: FAIL"
 
 
 def test_closed_pipe_ends_quietly():
