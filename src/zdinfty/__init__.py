@@ -7,122 +7,17 @@ almost split sequences and quiver windows, and the correspondence with graded
 one-dimensional two-branch singularities.
 """
 
-from .fields import QQ, GF, FieldSpec, parse_field
-from .lattice import (
-    GradedLattice,
-    GradedVector,
-    canonicalize,
-    lattice_intersect,
-    lattice_sum,
-    membership,
-)
-from .objects import (
-    CObject,
-    InjectiveProfile,
-    TorsionPart,
-    direct_sum_many,
-    injective_resolution,
-    rank_one,
-    rank_two,
-    serre_twist,
-    shift,
-    sigma,
-    torsion_cyclic,
-    zero_object,
-)
-from .homext import (
-    ExtClass,
-    ExtSpace,
-    HomSpace,
-    Morphism,
-    eta,
-    euler_form,
-    ext_space,
-    hom_kx_space,
-    hom_space,
-    serre_check,
-    serre_gram,
-    serre_twist_class,
-    serre_twist_morphism,
-    yoneda_compose,
-)
-from .decomp import (
-    Decomposition,
-    IndecLabel,
-    decompose,
-    end_ring,
-    filtration,
-    identify,
-    label_to_object,
-)
-from .ar import (
-    AlmostSplitSequence,
-    QuiverWindow,
-    ShortExactSeq,
-    almost_split,
-    class_of_sequence,
-    dot_export,
-    extension_object,
-    no_proj_no_inj_witness,
-    quiver_window,
-)
-from .singularity import singularity_index, y_linearity_bound
+from . import fields, lattice, objects, homext, decomp, ar, singularity
+from .fields import *
+from .lattice import *
+from .objects import *
+from .homext import *
+from .decomp import *
+from .ar import *
+from .singularity import *
 
-__all__ = [
-    "Decomposition",
-    "IndecLabel",
-    "decompose",
-    "end_ring",
-    "filtration",
-    "identify",
-    "label_to_object",
-    "AlmostSplitSequence",
-    "QuiverWindow",
-    "ShortExactSeq",
-    "almost_split",
-    "class_of_sequence",
-    "dot_export",
-    "extension_object",
-    "no_proj_no_inj_witness",
-    "quiver_window",
-    "singularity_index",
-    "y_linearity_bound",
-    "serre_twist_class",
-    "serre_twist_morphism",
-    "QQ",
-    "GF",
-    "FieldSpec",
-    "parse_field",
-    "GradedLattice",
-    "GradedVector",
-    "canonicalize",
-    "lattice_intersect",
-    "lattice_sum",
-    "membership",
-    "CObject",
-    "InjectiveProfile",
-    "TorsionPart",
-    "direct_sum_many",
-    "injective_resolution",
-    "rank_one",
-    "rank_two",
-    "serre_twist",
-    "shift",
-    "sigma",
-    "torsion_cyclic",
-    "zero_object",
-    "ExtClass",
-    "ExtSpace",
-    "HomSpace",
-    "Morphism",
-    "eta",
-    "euler_form",
-    "ext_space",
-    "hom_kx_space",
-    "hom_space",
-    "serre_check",
-    "serre_gram",
-    "yoneda_compose",
-]
+# each module names its own public names
+__all__ = [name for module in (fields, lattice, objects, homext, decomp, ar, singularity)
+           for name in module.__all__]
 
 __version__ = "0.1.0"

@@ -67,6 +67,12 @@ from .objects import (
     sum_places,
 )
 
+__all__ = [
+    "ShortExactSeq", "AlmostSplitSequence", "QuiverWindow", "almost_split",
+    "extension_object", "class_of_sequence", "quiver_window", "dot_export",
+    "no_proj_no_inj_witness",
+]
+
 
 @dataclass(frozen=True)
 class ShortExactSeq:

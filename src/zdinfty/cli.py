@@ -132,7 +132,7 @@ def _parse_atom(text, pos):
 
 def _parse_json_literal(text, field: FieldSpec) -> CObject:
     try:
-        data = json.loads(text)
+        data = json.loads(text, object_pairs_hook=_unique_keys)
     except json.JSONDecodeError as e:
         raise ParseError(f"malformed JSON literal: {e.msg}", e.pos)
     _check_keys(data, ("field", "torsion", "lattice"), "literal")
@@ -144,15 +144,19 @@ def _parse_json_literal(text, field: FieldSpec) -> CObject:
     for s in torsion:
         if not (isinstance(s, list) and len(s) == 2 and all(map(_is_json_int, s))):
             raise ParseError(f"torsion entry {s!r} is not an [n, a] pair of integers", 0)
-    lat_data = data.get("lattice")
-    if lat_data is None:
+    if "lattice" not in data:
         lattice = GradedLattice(field, 0, 0, ())
     else:
+        lat_data = data["lattice"]
+        if not isinstance(lat_data, dict):
+            raise ParseError("JSON lattice is not an object", 0)
         _check_keys(lat_data, ("p", "q", "gens"), "lattice")
         try:
             gens = []
             for g in lat_data.get("gens", []):
                 _check_keys(g, ("jump", "dir"), "gen")
+                if not isinstance(g["dir"], list):
+                    raise ParseError("JSON dir is not a list of coordinates", 0)
                 dir = tuple(
                     field.of_int(c) if _is_json_int(c) else field.parse_scalar(str(c))
                     for c in g["dir"]
@@ -169,6 +173,16 @@ def _parse_json_literal(text, field: FieldSpec) -> CObject:
             raise ParseError("a JSON lattice with p = q = 0 takes no gens", 0)
         lattice = canonicalize(field, gens, p, q)
     return CObject(field, TorsionPart.of(torsion), lattice)
+
+
+def _unique_keys(pairs) -> dict:
+    """The literal's ``object_pairs_hook``: a repeated key would hide a value."""
+    data = {}
+    for key, value in pairs:
+        if key in data:
+            raise ParseError(f"JSON literal repeats the key {key!r}", 0)
+        data[key] = value
+    return data
 
 
 def _check_keys(data, allowed, what: str) -> None:
@@ -720,7 +734,7 @@ def run_command(argv) -> tuple[int, str]:
         if args.format == "json":
             text = json.dumps({"schema": SCHEMA, "command": args.command, **record}, sort_keys=True)
         return int(record.get("passed") is False), text
-    except (ParseError, RangeError, ZdinftyError) as e:
+    except ZdinftyError as e:
         return 2, _error_record(e) if args.format == "json" else f"error: {e}"
     except Exception as e:
         if args.format == "json":

@@ -53,6 +53,11 @@ from .objects import (
     torsion_cyclic,
 )
 
+__all__ = [
+    "Decomposition", "IndecLabel", "decompose", "end_ring", "filtration", "identify",
+    "label_to_object",
+]
+
 
 # ---------------------------------------------------------------------------
 # labels

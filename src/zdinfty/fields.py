@@ -21,6 +21,8 @@ from typing import Union
 
 from .errors import FieldMismatch, ParseError, RangeError, ZdinftyError
 
+__all__ = ["QQ", "GF", "FieldSpec", "parse_field"]
+
 Scalar = Union[int, Fraction]  # an int, or over Q a Fraction; never a float
 
 RATIONALS = "Q"

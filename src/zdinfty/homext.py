@@ -67,8 +67,14 @@ from .errors import (
     ZdinftyError,
 )
 from .fields import check_same_field
-from .lattice import GradedLattice, adapted_coords
+from .lattice import GradedLattice, GradedVector, adapted_coords, membership
 from .objects import CObject, TorsionPart, module_xpower, serre_twist
+
+__all__ = [
+    "Morphism", "HomSpace", "ExtClass", "ExtSpace", "hom_space", "ext_space",
+    "hom_kx_space", "yoneda_compose", "eta", "serre_gram", "serre_check", "euler_form",
+    "serre_twist_morphism", "serre_twist_class",
+]
 
 
 # ---------------------------------------------------------------------------
@@ -247,7 +253,7 @@ def serre_twist_morphism(f: Morphism) -> Morphism:
     return morphism_from_parts(VX, VY, f.a11, f.a00, f.tt, tuple(ft))
 
 
-def serre_twist_class(c: ExtClass) -> "ExtClass":
+def serre_twist_class(c: ExtClass) -> ExtClass:
     """The twist applied to an extension class.
 
     Off-diagonal blocks swap; the lattice part of each torsion representative
@@ -294,8 +300,6 @@ def validate_morphism(m: Morphism) -> None:
     """Raise unless the stored data is an actual morphism."""
     F = m.src.field
     full = m.full_matrix()
-    from .lattice import GradedVector, membership
-
     for e, dir in m.src.lattice.generators():
         w = linalg.mat_vec(F, full, dir)
         if not membership(m.dst.lattice, GradedVector(e, w)):
@@ -535,7 +539,7 @@ class ExtSpace:
         """The class with the given blocks: the flattened off-diagonal
         entries, then one vector per source torsion summand."""
         X, Y = self.src, self.dst
-        h01, h10 = _unflatten_offdiag(X.field, blocks[0], X.p, X.q, Y.p, Y.q)
+        h01, h10 = _unflatten_offdiag(blocks[0], X.p, X.q, Y.p, Y.q)
         return ExtClass(X, Y, h01, h10, tuple(blocks[1:]))
 
     def _blocks(self, h01, h10, tor) -> tuple:
@@ -590,7 +594,7 @@ def _flatten_offdiag(h01, h10):
     return tuple(out)
 
 
-def _unflatten_offdiag(F, flat, p, q, pp, qq):
+def _unflatten_offdiag(flat, p, q, pp, qq):
     h01 = tuple(tuple(flat[i * p + k] for k in range(p)) for i in range(qq))
     off = qq * p
     h10 = tuple(tuple(flat[off + i * q + k] for k in range(q)) for i in range(pp))

@@ -34,6 +34,11 @@ from .errors import DimensionMismatch, NotFullRank
 from .fields import FieldSpec, check_same_field
 from .linalg import Matrix
 
+__all__ = [
+    "GradedLattice", "GradedVector", "canonicalize", "membership", "lattice_sum",
+    "lattice_intersect",
+]
+
 
 @dataclass(frozen=True)
 class GradedVector:

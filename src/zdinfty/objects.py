@@ -25,6 +25,12 @@ from .lattice import (
     sigma_lattice,
 )
 
+__all__ = [
+    "CObject", "TorsionPart", "InjectiveProfile", "rank_one", "rank_two",
+    "torsion_cyclic", "zero_object", "direct_sum_many", "shift", "sigma", "serre_twist",
+    "injective_resolution",
+]
+
 
 @dataclass(frozen=True)
 class TorsionPart:
@@ -33,7 +39,7 @@ class TorsionPart:
     summands: tuple
 
     @staticmethod
-    def of(summands) -> "TorsionPart":
+    def of(summands) -> TorsionPart:
         ss = tuple(sorted((int(n), int(a)) for n, a in summands))
         for n, _ in ss:
             if n < 1:
@@ -64,7 +70,7 @@ class TorsionPart:
     def dim_at(self, d: int) -> int:
         return len(self.slots_at(d))
 
-    def shifted(self, s: int) -> "TorsionPart":
+    def shifted(self, s: int) -> TorsionPart:
         """Every summand moved by s: the (n, a) order and the lengths stand,
         so the shifted summands need no sort and no check."""
         return TorsionPart(tuple((n, a + s) for n, a in self.summands))
@@ -148,7 +154,7 @@ class CObject:
         return linalg.mm(self.field, (tuple(v[:n]),), dirs, n, self.rank)[0]
 
     @cached_property
-    def _twist(self) -> "CObject":
+    def _twist(self) -> CObject:
         return shift(sigma(self), -1)
 
 

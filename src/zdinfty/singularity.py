@@ -25,6 +25,8 @@ from .homext import Morphism
 from .lattice import GradedVector, degree_of
 from .objects import CObject
 
+__all__ = ["singularity_index", "y_linearity_bound"]
+
 
 def _v_image(F: FieldSpec, obj: CObject, e: int, dir):
     """The type-0 part (dir0, 0) of the generator x^e dir, in degree e;

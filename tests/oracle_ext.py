@@ -61,7 +61,7 @@ def ext_space(X, Y) -> Ext:
         flat = [F.zero] * n_off
         flat[fcoord] = F.one
         red = linalg.reduce_against(F, rows, pivots, flat)
-        h01, h10 = _unflatten_offdiag(F, red, p, q, pp, qq)
+        h01, h10 = _unflatten_offdiag(red, p, q, pp, qq)
         basis.append(ExtClass(X, Y, h01, h10, tuple(zero_tor())))
     for i, (n_i, a_i) in enumerate(X.torsion.summands):
         dim_i = Y.module_dim_at(n_i - a_i)

@@ -103,12 +103,14 @@ def test_translate_decompose_filtration_index():
     assert (code, out) == (0, "F[2,0]")
     code, out = run_command(["decompose", "F0[0] + T[2,1]"])
     assert (code, out) == (0, "F0[0] + T[2,1]")
+    assert run_command(["decompose", '{"torsion": [[2, 1]]}']) == (0, "T[2,1]")
     code, out = run_command(["filtration", "F[2,0]"])
     assert code == 0 and "F1[0]" in out and "F0[-2]" in out
     code, out = run_command(["index", "F[3,1]"])
     assert (code, out) == (0, "singularity index = 3")
     code, out = run_command(["index", "T[1,0]"])
     assert code == 2
+    assert run_command(["filtration", "T[2,0]"])[0] == 2
 
 
 def test_serre_command_small():
@@ -279,6 +281,17 @@ def test_usage_errors():
         ["decompose", '{"torsion": [[1, 0]], "lattice": {"p": 0, "q": 0, '
          '"gens": [{"jump": 0, "dir": [1]}]}}'],
         ["decompose", _literal(gen='{"jump": 0, "dir": [true]}')],
+        # an atom's arity, the gens list, a catalog clause and a torsion length
+        ["hom", "F[1]", "F0[0]"],
+        ["decompose", '{"lattice": {"p": 1, "q": 0, "gens": 5}}'],
+        ["serre", "--catalog", "x<=1"],
+        ["decompose", '{"torsion": [[0, 1]]}'],
+        # dir is a list, a lattice an object, and no key repeats
+        ["decompose", '{"lattice": {"p": 1, "q": 1, "gens": [{"jump": 0, "dir": "11"}, '
+         '{"jump": 2, "dir": "10"}]}}'],
+        ["decompose", _literal(gen='{"jump": 0, "dir": {"1": 2}}')],
+        ["decompose", '{"torsion": [[2, 1]], "lattice": null}'],
+        ["decompose", '{"torsion": [[1, 0]], "torsion": [[2, 0]]}'],
     ]:
         code, out = run_command(argv)
         assert code == 2 and out.startswith("error:") and "\n" not in out, argv
@@ -319,6 +332,7 @@ def test_json_error_records(monkeypatch):
     assert record(["hom", "F[0,1]", "F0[0]"])[:3] == (2, "RangeError", None)
     assert record(["hom", '{"torsion": [[1, 0]', "F0[0]"])[:3] == (2, "ParseError", 19)
     assert record(["index", "T[1,0]"])[:3] == (2, "ZdinftyError", None)
+    assert record(["filtration", "T[2,0]"])[:3] == (2, "NotLatticeMorphism", None)
     assert record(["--field", "Fp:4"] + QUIVER) == (
         2, "ZdinftyError", None, "prime field needs a prime modulus, got 4"
     )

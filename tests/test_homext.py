@@ -185,10 +185,15 @@ def test_eta_values():
         cls = space.reduce(h01, h10, ())
         assert eta(Fobj, cls) == F.of_int(Fobj.p)
         assert eta(Fobj, zero_class(Fobj, VF)) == F.zero
-    # degree-zero part is sent to zero by convention
-    X = rank_two(F, 2, 0)
-    for m in hom_space(X, serre_twist(X)).basis:
-        assert eta(X, m) == F.zero
+    # maps (degree zero) and degree-two products are sent to zero by convention;
+    # dim Hom(X, VX) = 1 for X = F[1,0] + F[1,1], so a map is tested
+    X = direct_sum_many([rank_two(F, 1, 0), rank_two(F, 1, 1)])[0]
+    VX = serre_twist(X)
+    basis = hom_space(X, VX).basis
+    assert len(basis) == 1 and not basis[0].is_zero()
+    assert eta(X, basis[0]) == F.zero
+    assert morphism_from_parts(X, VX, linalg.zeros(F, 2, 2), linalg.zeros(F, 2, 2)).is_zero()
+    assert eta(X, DegreeTwoWitness(X, VX)) == F.zero
 
 
 def test_eta_well_defined_on_cosets():

@@ -9,12 +9,17 @@ one public direct sum: the two-term ``direct_sum`` is gone.  ``FieldSpec``
 formats no scalar, and ``no_proj_no_inj_witness`` takes the object alone,
 since Serre duality fixes both twists at 1.
 
+Each module declares its public names in its own ``__all__``, and
+``zdinfty.__all__`` is their union: every declared name is defined at the
+top level of the module that declares it, so no module re-exports another's.
+
 Every top-level function, class and method in the package has a reader, or
 it is public.  A reader is code, not text: an attribute or an import of the
 name anywhere in ``src``, or the bare name in its own module; a docstring or
-comment that names it is none.  The methods of a public class are public.
-The allowlist names each exception with its reason.  README's library
-section names every public name.
+comment that names it is none.  A name in its module's ``__all__`` is public,
+and so are the methods of a public class.  The allowlist names each exception
+with its reason.  README's public-names table gives each module's row as that
+module's ``__all__``, in order.
 """
 
 import ast
@@ -35,6 +40,43 @@ UNREAD_ALLOWED = {
     "decomp.is_isomorphism":
         "the planned `verify` command checks a recorded decomposition map with it",
 }
+
+
+def declared_names(tree):
+    """The names a module's ``__all__`` list declares; none when it has no list."""
+    for node in tree.body:
+        if (isinstance(node, ast.Assign) and isinstance(node.value, ast.List)
+                and [getattr(t, "id", None) for t in node.targets] == ["__all__"]):
+            return ast.literal_eval(node.value)
+    return []
+
+
+def _trees(src):
+    return {path.stem: ast.parse(path.read_text(), filename=str(path))
+            for path in sorted(src.glob("*.py"))}
+
+
+def _declared_by_module(trees):
+    """module -> its ``__all__``, for each module of the package that has one."""
+    declared = {module: declared_names(tree) for module, tree in trees.items()}
+    return {module: names for module, names in declared.items() if names}
+
+
+def test_each_module_declares_the_names_it_defines():
+    trees = _trees(SRC)
+    declared = _declared_by_module(trees)
+    assert sorted(zdinfty.__all__) == sorted(n for names in declared.values() for n in names)
+    # errors, linalg, window and cli export nothing, and __init__ lists no name
+    assert not {"errors", "linalg", "window", "cli", "__init__"} & set(declared)
+    for module, names in declared.items():
+        defined = set()
+        for node in trees[module].body:
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                defined.add(node.name)
+            elif isinstance(node, ast.Assign):
+                defined.update(t.id for t in node.targets if isinstance(t, ast.Name))
+        assert set(names) <= defined, (module, set(names) - defined)
+        assert getattr(zdinfty, module).__all__ == names
 
 
 def test_every_public_name_resolves():
@@ -95,11 +137,12 @@ def test_witness_takes_the_object_alone():
 def _definitions(tree):
     """(name, public) of each top-level function and class of a module and
     of each method of its top-level classes, dunders left out: public when
-    the name, or for a method its class, is in ``zdinfty.__all__``."""
+    the name, or for a method its class, is in the module's ``__all__``."""
     kinds = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+    declared = declared_names(tree)
     for node in tree.body:
         if isinstance(node, kinds):
-            public = node.name in zdinfty.__all__
+            public = node.name in declared
             subs = node.body if isinstance(node, ast.ClassDef) else ()
             for d in (node, *(sub for sub in subs if isinstance(sub, kinds))):
                 if not (d.name.startswith("__") and d.name.endswith("__")):
@@ -110,8 +153,7 @@ def unread_definitions(src):
     """``module.name`` of each definition in the package at ``src`` that is
     not public and that no code reads: no attribute or import of the name
     anywhere, and no bare name in its own module."""
-    trees = {path.stem: ast.parse(path.read_text(), filename=str(path))
-             for path in sorted(src.glob("*.py"))}
+    trees = _trees(src)
     anywhere, bare = set(), {}
     for module, tree in trees.items():
         bare[module] = set()
@@ -136,5 +178,9 @@ def test_every_definition_has_a_reader():
 
 def test_readme_library_section_names_every_public_name():
     section = README.read_text().split("\n## Library layout\n", 1)[1].split("\n## ", 1)[0]
-    missing = [name for name in zdinfty.__all__ if not re.search(rf"`{name}[`(]", section)]
-    assert missing == []
+    table = section.split("| module | public names |\n| --- | --- |\n", 1)[1]
+    rows = {}
+    for line in table.split("\n\n", 1)[0].splitlines():
+        module, names = re.fullmatch(r"\| `(\w+)` \| (.*) \|", line).groups()
+        rows[module] = re.findall(r"`(\w+)`", names)
+    assert rows == _declared_by_module(_trees(SRC))
