@@ -488,15 +488,12 @@ def quiver_window(m_max: int, a_min: int, a_max: int, n_max: int) -> QuiverWindo
     return QuiverWindow(nodes, tuple(arrows), translation, dropped)
 
 
+_NODE_ID = str.maketrans({"[": "_", ",": "_", "]": None})
+
+
 def node_id(label: IndecLabel) -> str:
-    if label.kind == "rank_one":
-        i, a = label.params
-        return f"F{i}_{a}"
-    if label.kind == "rank_two":
-        m, a = label.params
-        return f"F_{m}_{a}"
-    n, a = label.params
-    return f"T_{n}_{a}"
+    """The label's text as a DOT name: ``F[3,2]`` is ``F_3_2``, ``F0[-1]`` ``F0_-1``."""
+    return str(label).translate(_NODE_ID)
 
 
 def dot_export(w: QuiverWindow) -> str:

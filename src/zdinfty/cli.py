@@ -1,12 +1,12 @@
 """Command-line surface: object expressions, reports, quiver export.
 
-Objects are entered as sums of atoms F0[a], F1[a], F[m,a], T[n,a] or as a
-JSON literal {"field": "Q", "torsion": [[n, a], ...], "lattice": {"p": ...,
-"q": ..., "gens": [{"jump": ..., "dir": [...]}]}}.  All reports are
-deterministic for a fixed field and seed (the seed only draws selftest's
-random sums); --format json emits versioned machine-readable records, and
-under it every exit-2 or exit-3 path prints a JSON error record instead of a
-text line.
+Objects are entered as sums of atoms F0[a], F1[a], F[m,a], T[n,a] (the
+table ``_ATOMS``) or as a JSON literal, whose schema is the table
+``_LITERAL``; an error in a literal names the JSON path of the bad value.
+All reports are deterministic for a fixed field and seed (the seed only
+draws selftest's random sums); --format json emits versioned
+machine-readable records, and under it every exit-2 or exit-3 path prints a
+JSON error record instead of a text line.
 
 The command line is read from one table (``GLOBAL_OPTIONS`` and
 ``COMMAND_LINES``), which also dispatches: each command's row names its
@@ -52,7 +52,7 @@ from .homext import (
     serre_twist_morphism,
     yoneda_compose,
 )
-from .lattice import canonicalize, GradedLattice
+from .lattice import canonicalize
 from .objects import (
     CObject,
     TorsionPart,
@@ -130,49 +130,78 @@ def _parse_atom(text, pos):
     raise ParseError("expected F0[, F1[, F[ or T[", pos)
 
 
+class _List(NamedTuple):
+    """A JSON array of ``item``s, of exactly ``length`` of them unless None."""
+
+    item: object
+    length: int | None = None
+
+
+class _Object(NamedTuple):
+    """A JSON object: each key it may hold with its schema, and the keys it must."""
+
+    keys: dict
+    required: tuple = ()
+
+
+# The JSON object literal's schema, its one owner.  A leaf is the tuple of the
+# Python types its JSON values load as; a JSON integer is an int, never a bool
+# or a float (0.5, 1e400, Infinity).  Ranges are checked where the object is
+# built: p, q >= 0 below, n >= 1 in TorsionPart.of, dir's length and the
+# lattice's rank in canonicalize.
+_JSON_TYPE_NAMES = {int: "an integer", str: "a string"}
+_LITERAL = _Object({
+    "field": (str,),
+    "torsion": _List(_List((int,), 2)),
+    "lattice": _Object({
+        "p": (int,), "q": (int,),
+        "gens": _List(_Object({"jump": (int,), "dir": _List((int, str))}, ("jump", "dir"))),
+    }, ("p", "q")),
+})
+
+
+def _check_json(value, schema, path: str) -> None:
+    """Raise ParseError at the first value under ``path`` that ``schema`` does
+    not take: a wrong type or length, an unknown key or a missing one.  The
+    message names the value's JSON path and writes the value as JSON."""
+    if isinstance(schema, _Object):
+        fits, wanted = type(value) is dict, "an object"
+    elif isinstance(schema, _List):
+        fits = type(value) is list and schema.length in (None, len(value))
+        wanted = f"a list of {schema.length}" if schema.length else "a list"
+    else:
+        fits, wanted = type(value) in schema, " or ".join(map(_JSON_TYPE_NAMES.get, schema))
+    if not fits:
+        raise ParseError(f"JSON {path} must be {wanted}, got {json.dumps(value)}", 0)
+    if isinstance(schema, _List):
+        for i, item in enumerate(value):
+            _check_json(item, schema.item, f"{path}[{i}]")
+    elif isinstance(schema, _Object):
+        for key in value:
+            if key not in schema.keys:
+                raise ParseError(f"JSON {path} has the unknown key {json.dumps(key)}", 0)
+        for key in schema.required:
+            if key not in value:
+                raise ParseError(f"JSON {path} lacks the key {json.dumps(key)}", 0)
+        for key, item in value.items():
+            _check_json(item, schema.keys[key], f"{path}.{key}")
+
+
 def _parse_json_literal(text, field: FieldSpec) -> CObject:
     try:
         data = json.loads(text, object_pairs_hook=_unique_keys)
     except json.JSONDecodeError as e:
         raise ParseError(f"malformed JSON literal: {e.msg}", e.pos)
-    _check_keys(data, ("field", "torsion", "lattice"), "literal")
-    if "field" in data:
-        field = parse_field(str(data["field"]))
-    torsion = data.get("torsion", [])
-    if not isinstance(torsion, list):
-        raise ParseError("JSON torsion is not a list of [n, a] pairs", 0)
-    for s in torsion:
-        if not (isinstance(s, list) and len(s) == 2 and all(map(_is_json_int, s))):
-            raise ParseError(f"torsion entry {s!r} is not an [n, a] pair of integers", 0)
-    if "lattice" not in data:
-        lattice = GradedLattice(field, 0, 0, ())
-    else:
-        lat_data = data["lattice"]
-        if not isinstance(lat_data, dict):
-            raise ParseError("JSON lattice is not an object", 0)
-        _check_keys(lat_data, ("p", "q", "gens"), "lattice")
-        try:
-            gens = []
-            for g in lat_data.get("gens", []):
-                _check_keys(g, ("jump", "dir"), "gen")
-                if not isinstance(g["dir"], list):
-                    raise ParseError("JSON dir is not a list of coordinates", 0)
-                dir = tuple(
-                    field.of_int(c) if _is_json_int(c) else field.parse_scalar(str(c))
-                    for c in g["dir"]
-                )
-                gens.append((_json_int(g["jump"], "jump"), dir))
-            p, q = _json_int(lat_data["p"], "p"), _json_int(lat_data["q"], "q")
-        except KeyError as e:
-            raise ParseError(f"JSON literal lacks the key {e.args[0]!r}", 0)
-        except (AttributeError, TypeError, ValueError):
-            raise ParseError("JSON lattice does not follow the object schema", 0)
-        if p < 0 or q < 0:
-            raise RangeError(f"lattice type counts must be non-negative, got p={p}, q={q}")
-        if p + q == 0 and gens:
-            raise ParseError("a JSON lattice with p = q = 0 takes no gens", 0)
-        lattice = canonicalize(field, gens, p, q)
-    return CObject(field, TorsionPart.of(torsion), lattice)
+    _check_json(data, _LITERAL, "literal")
+    field = parse_field(data["field"]) if "field" in data else field
+    lat = data.get("lattice", {"p": 0, "q": 0})  # no lattice: the one of rank 0
+    p, q, gens = lat["p"], lat["q"], lat.get("gens", [])
+    if p < 0 or q < 0:
+        raise RangeError(f"lattice type counts must be non-negative, got p={p}, q={q}")
+    if p + q == 0 and gens:
+        raise ParseError("a JSON lattice with p = q = 0 takes no gens", 0)
+    gens = [(g["jump"], [field.parse_scalar(str(c)) for c in g["dir"]]) for g in gens]
+    return CObject(field, TorsionPart.of(data.get("torsion", [])), canonicalize(field, gens, p, q))
 
 
 def _unique_keys(pairs) -> dict:
@@ -180,28 +209,9 @@ def _unique_keys(pairs) -> dict:
     data = {}
     for key, value in pairs:
         if key in data:
-            raise ParseError(f"JSON literal repeats the key {key!r}", 0)
+            raise ParseError(f"JSON literal repeats the key {json.dumps(key)}", 0)
         data[key] = value
     return data
-
-
-def _check_keys(data, allowed, what: str) -> None:
-    """Reject a key outside ``allowed``: a misplaced key would be dropped."""
-    if isinstance(data, dict):
-        for key in data:
-            if key not in allowed:
-                raise ParseError(f"JSON {what} has the unknown key {key!r}", 0)
-
-
-def _is_json_int(v) -> bool:
-    """A JSON integer: not a float (0.5, 1e400, Infinity) and not a boolean."""
-    return isinstance(v, int) and not isinstance(v, bool)
-
-
-def _json_int(v, key: str) -> int:
-    if not _is_json_int(v):
-        raise ParseError(f"JSON {key} {v!r} is not an integer", 0)
-    return v
 
 
 def print_object(X: CObject) -> str:

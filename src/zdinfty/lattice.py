@@ -23,6 +23,7 @@ built from it) reads ``generator_inverse``.
 
 from __future__ import annotations
 
+import operator
 from bisect import bisect_right
 from dataclasses import dataclass
 from functools import cached_property
@@ -155,10 +156,11 @@ def canonicalize(field: FieldSpec, gens: Iterable, p: int, q: int) -> GradedLatt
 
     ``gens`` is a sequence of (jump, direction) pairs.  Raises
     DimensionMismatch if direction lengths disagree with p+q, NotFullRank if
-    the directions do not span k^(p+q).
+    the directions do not span k^(p+q), and TypeError on a jump that is not
+    an integer (``operator.index``: 0.5 is refused, not read as 0).
     """
     r = p + q
-    gens = [(int(j), tuple(d)) for j, d in gens]
+    gens = [(operator.index(j), tuple(d)) for j, d in gens]
     for _, d in gens:
         if len(d) != r:
             raise DimensionMismatch(f"direction of length {len(d)}, ambient rank {r}")

@@ -11,6 +11,7 @@ slot events and x on its slots.
 
 from __future__ import annotations
 
+import operator
 from bisect import bisect_right
 from dataclasses import dataclass
 from functools import cached_property
@@ -40,7 +41,8 @@ class TorsionPart:
 
     @staticmethod
     def of(summands) -> TorsionPart:
-        ss = tuple(sorted((int(n), int(a)) for n, a in summands))
+        """The part with these (n, a) summands; TypeError on a non-integer."""
+        ss = tuple(sorted((operator.index(n), operator.index(a)) for n, a in summands))
         for n, _ in ss:
             if n < 1:
                 raise ZdinftyError(f"torsion summand needs positive length, got {n}")

@@ -317,7 +317,74 @@ def test_json_literal_rejects_unknown_keys():
         assert code == 2 and out.startswith("error:") and "unknown key" in out, argv
     code, out = run_command(["--format", "json", "decompose", '{"gens": []}'])
     err = json.loads(out)["error"]
-    assert code == 2 and err["type"] == "ParseError" and "'gens'" in err["message"]
+    assert code == 2 and err["type"] == "ParseError" and '"gens"' in err["message"]
+
+
+# every path of the literal's schema, with the Python types its JSON values
+# load as, in a literal that is whole; a wrong value put at one path is the
+# literal's only fault
+_WHOLE = {"field": "Q", "torsion": [[2, 1]],
+          "lattice": {"p": 1, "q": 0, "gens": [{"jump": 0, "dir": [1]}]}}
+_SCHEMA_PATHS = [
+    (("field",), (str,)),
+    (("torsion",), (list,)),
+    (("torsion", 0), (list,)),
+    (("torsion", 0, 0), (int,)),
+    (("torsion", 0, 1), (int,)),
+    (("lattice",), (dict,)),
+    (("lattice", "p"), (int,)),
+    (("lattice", "q"), (int,)),
+    (("lattice", "gens"), (list,)),
+    (("lattice", "gens", 0), (dict,)),
+    (("lattice", "gens", 0, "jump"), (int,)),
+    (("lattice", "gens", 0, "dir"), (list,)),
+    (("lattice", "gens", 0, "dir", 0), (int, str)),
+]
+
+
+def _json_path(keys) -> str:
+    return "literal" + "".join(f"[{k}]" if isinstance(k, int) else f".{k}" for k in keys)
+
+
+def _with(keys, edit):
+    """``_WHOLE`` with ``edit`` applied to the container at ``keys[:-1]``."""
+    data = json.loads(json.dumps(_WHOLE))
+    node = data
+    for k in keys[:-1]:
+        node = node[k]
+    edit(node, keys[-1])
+    return json.dumps(data)
+
+
+def _literal_faults():
+    """(literal, the message's head, its tail) for each fault of one value or key."""
+    for keys, types in _SCHEMA_PATHS:
+        for value in [None, True, 1.5, "x", [], {}]:
+            if type(value) not in types or keys == ("torsion", 0):  # [] is a list, no pair
+                literal = _with(keys, lambda node, k: node.__setitem__(k, value))
+                yield pytest.param(literal, f"JSON {_json_path(keys)} must be ",
+                                   f", got {json.dumps(value)} (at position 0)",
+                                   id=f"{_json_path(keys)}={json.dumps(value)}")
+    for keys in [("x",), ("lattice", "x"), ("lattice", "gens", 0, "x")]:
+        literal = _with(keys, lambda node, k: node.__setitem__(k, 0))
+        yield pytest.param(literal, f'JSON {_json_path(keys[:-1])} has the unknown key "x"',
+                           " (at position 0)", id=f"{_json_path(keys[:-1])} unknown")
+    for keys in [("lattice", "p"), ("lattice", "q"),
+                 ("lattice", "gens", 0, "jump"), ("lattice", "gens", 0, "dir")]:
+        literal = _with(keys, lambda node, k: node.pop(k))
+        yield pytest.param(literal, f'JSON {_json_path(keys[:-1])} lacks the key "{keys[-1]}"',
+                           " (at position 0)", id=f"{_json_path(keys[:-1])} lacks {keys[-1]}")
+
+
+@pytest.mark.parametrize("literal, head, tail", _literal_faults())
+def test_json_literal_errors_name_the_path_and_the_json_value(literal, head, tail):
+    # the first value the schema does not take is named by its JSON path and
+    # written as JSON: null, true and 1.5, not Python's None, True or 'x'
+    code, out = run_command(["--format", "json", "decompose", literal])
+    err = json.loads(out)["error"]
+    assert code == 2 and err["type"] == "ParseError" and err["position"] == 0
+    assert err["message"].startswith(head) and err["message"].endswith(tail)
+    assert run_command(["decompose", literal]) == (2, f"error: {err['message']}")
 
 
 def test_json_error_records(monkeypatch):

@@ -149,6 +149,12 @@ ROWS = [
      ["--format", "json", "ars"], 2,
      '{"error": {"message": "the following arguments are required: A",'
      ' "position": null, "type": "UsageError"}, "schema": "zdinfty.report/1"}'),
+    ("a literal's error record names the JSON path and writes the value as JSON",
+     ["--format", "json", "decompose",
+      '{"lattice": {"p": 1, "q": 0, "gens": [{"jump": 0, "dir": [null]}]}}'], 2,
+     '{"error": {"message": "JSON literal.lattice.gens[0].dir[0] must be an integer or a string,'
+     ' got null (at position 0)", "position": 0, "type": "ParseError"},'
+     ' "schema": "zdinfty.report/1"}'),
     ("global options take their values after '='",
      ["--format=json", "--field=Fp:5", "ars", "F[1,0]"], 0,
      '{"command": "ars", "left": "F[1,-1]", "middle": ["F0[-1]", "F1[-1]", "F[2,0]"],'

@@ -412,3 +412,14 @@ def test_module_dims():
     assert X.module_dim_at(0) == 2
     assert X.module_dim_at(1) == 1
     assert X.module_dim_at(2) == 2
+
+
+def test_constructors_take_integers_only():
+    # a float length, degree or jump is refused, not truncated: int() would
+    # read T[2.7, 0.2] as T[2,0] and a jump of 0.5 as 0
+    with pytest.raises(TypeError):
+        torsion_cyclic(QQ, 2.7, 0.2)
+    with pytest.raises(TypeError):
+        TorsionPart.of([(2, 0.5)])
+    with pytest.raises(TypeError):
+        canonicalize(QQ, [(0.5, (1,))], 1, 0)
