@@ -192,6 +192,12 @@ def _parse_json_literal(text, field: FieldSpec) -> CObject:
         data = json.loads(text, object_pairs_hook=_unique_keys)
     except json.JSONDecodeError as e:
         raise ParseError(f"malformed JSON literal: {e.msg}", e.pos)
+    except RecursionError:
+        raise ParseError("JSON literal nests too deeply", 0)
+    except ValueError:  # the only other one: an integer past the digit limit
+        raise ParseError(
+            f"JSON literal has an integer of more than {sys.get_int_max_str_digits()} digits", 0
+        )
     _check_json(data, _LITERAL, "literal")
     field = parse_field(data["field"]) if "field" in data else field
     lat = data.get("lattice", {"p": 0, "q": 0})  # no lattice: the one of rank 0

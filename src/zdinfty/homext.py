@@ -36,27 +36,33 @@ free position, off the pivots or off the hit slots, so ``ExtSpace`` reads
 those positions, in block widths fixed when it is built, and builds its
 classes only on demand.  ``HomSpace`` likewise spans by positions: the
 lattice maps as (a00, a11) pairs, the compatible torsion pairs, and the
-target torsion slots at each source generator's jump.  The torsion parts of
-both dimensions are counts of summands alive at given degrees, so both
-``dim``s are counted when the space is built, and the torsion pairs, widths
-and hit slots are listed only when first read: a caller of ``dim`` alone
-(``serre_check``, ``euler_form``) lists none of them, and each space builds
-its maps or classes only when ``basis`` is read.  The Serre Gram matrix
-selects entries of the stored lattice maps at the free positions
-(``_gram``), so ``serre_check`` builds no map; its free cells are the
-off-diagonal positions below ``widths[0]`` off the stored pivots
-``ff_reduction[1]``.  A torsion-free target or source does no torsion
+target torsion slots at each source generator's jump.  Each space keeps the
+echelon of its one elimination, the Hom constraints or the Ext lattice
+image, and counts its lattice part from it: the Hom unknowns less the rank,
+the off-diagonal cells less the pivots.  The torsion parts of both
+dimensions are counts of summands alive at given degrees, so both ``dim``s
+are counted when the space is built.  The lattice maps (the kernel of the
+kept echelon), the reduced image rows, the torsion pairs, widths and hit
+slots are built only when first read: a caller of ``dim`` alone (the CLI's
+``hom``, ``ext`` and ``euler``, ``euler_form``, ``serre_check``) builds
+none of them, and each space builds its maps or classes only when
+``basis`` is read.  The Serre Gram matrix selects entries of the lattice
+maps at the free positions (``_gram``); its free cells are the
+off-diagonal positions below ``widths[0]`` off the sorted pivots
+``ExtSpace.pivots``.  ``serre_check`` builds no Gram: it takes the Gram's
+rank from the Hom echelon's columns at the unknowns the Ext pivots pair
+with (see its docstring).  A torsion-free target or source does no torsion
 bookkeeping: ``hom_space`` counts torsion maps only into a target with
 torsion, and ``ext_space`` walks no torsion summand of a torsion-free
 source.  So a duality check of two torsion-free objects pays for its two
-solves and the Gram rank alone.  Every Hom basis map is a nullspace vector
-or a unit torsion map, with a one at its last nonzero entry where the others
-vanish; ``HomSpace.coordinates`` reads the entries there.
+eliminations and one small rank alone.  Every Hom basis map is a kernel
+vector or a unit torsion map, with a one at its last nonzero entry where the
+others vanish; ``HomSpace.coordinates`` reads the entries there.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 
 from . import linalg
@@ -327,17 +333,26 @@ class HomSpace:
     """Hom(src, dst) as what spans it: the lattice maps as (a00, a11) pairs,
     the compatible torsion pairs (k, i), and per source lattice generator the
     number of target torsion slots at its jump.  ``dim`` is their count,
-    fixed by ``hom_space``; the pairs and widths are listed, and the basis
-    maps built, only when read."""
+    fixed by ``hom_space`` from the kept echelon of the lattice constraints
+    (``_constraint_echelon``): the unknowns less its rank, plus the torsion
+    counts.  The lattice maps, the pairs and the widths are listed, and the
+    basis maps built, only when read; ``==`` and ``repr`` read none of them,
+    nor the echelon, which ``src`` and ``dst`` fix."""
 
     src: CObject
     dst: CObject
-    lattice_maps: tuple  # (a00, a11) per lattice basis map
+    echelon: linalg.Echelon = field(compare=False, repr=False)  # frozen constraint rows
     dim: int  # the lattice maps, the torsion pairs and the summed widths
 
-    def __init__(self, src, dst, lattice_maps, dim):
+    def __init__(self, src, dst, echelon, dim):
         # one dict update, not a setattr per field (see ``SerreReport``)
-        vars(self).update(src=src, dst=dst, lattice_maps=lattice_maps, dim=dim)
+        vars(self).update(src=src, dst=dst, echelon=echelon, dim=dim)
+
+    @cached_property
+    def lattice_maps(self) -> tuple:
+        """(a00, a11) per lattice basis map: the kernel of the kept echelon,
+        built on first read."""
+        return _constant_matrix_solutions(self.src, self.dst, self.echelon)
 
     @cached_property
     def torsion_pairs(self) -> tuple:
@@ -419,16 +434,19 @@ def hom_kx_space(X: CObject, Y: CObject) -> tuple:
     return tuple(a00 for a00, _ in _constant_matrix_solutions(*untyped))
 
 
-def _constant_matrix_solutions(X: CObject, Y: CObject) -> tuple:
-    """Block-diagonal constant matrices (a00, a11) mapping the filtration of X
-    into that of Y: u . A dir_j = 0 for each u annihilating S_(e_j)(Y).  The
-    unknowns are the entries of a00, then of a11, row by row, so each
-    constraint row is u (x) dir_j on the two diagonal blocks."""
+def _constraint_echelon(X: CObject, Y: CObject) -> tuple:
+    """The eliminated constraints on block-diagonal constant matrices
+    (a00, a11) mapping the filtration of X into that of Y, and the number of
+    lattice maps, the unknowns less its rank.  A matrix maps the filtration
+    when u . A dir_j = 0 for each u annihilating S_(e_j)(Y).  The unknowns
+    are the entries of a00, then of a11, row by row, so each constraint row
+    is u (x) dir_j on the two diagonal blocks.  The echelon is frozen: a
+    ``HomSpace`` keeps it."""
     F = X.field
     XL, YL = X.lattice, Y.lattice
     p, q, pp, qq = XL.p, XL.q, YL.p, YL.q
     if not (p + q and pp + qq):
-        return ()
+        return linalg.NO_ROWS, 0
     mul, zero = F.mul, F.zero
     rows = []
     for e, dir in XL.generators():
@@ -438,8 +456,19 @@ def _constant_matrix_solutions(X: CObject, Y: CObject) -> tuple:
             row += [mul(a, b) if a and b else zero for a in u[pp:] for b in d1]
             if any(row):
                 rows.append(row)
+    echelon = linalg._echelon(F, rows).freeze() if rows else linalg.NO_ROWS
+    return echelon, pp * p + qq * q - len(echelon.rows)
+
+
+def _constant_matrix_solutions(X: CObject, Y: CObject, echelon=None) -> tuple:
+    """The block-diagonal (a00, a11) maps of the filtration of X into Y's:
+    the kernel of the constraint echelon (``_constraint_echelon``, built
+    when not given), each vector cut into its two blocks."""
+    if echelon is None:
+        echelon = _constraint_echelon(X, Y)[0]
+    p, q, pp, qq = X.p, X.q, Y.p, Y.q
     n00 = pp * p
-    kernel = linalg.nullspace(F, rows) if rows else linalg.identity(F, n00 + qq * q)
+    kernel, _ = echelon.kernel(n00 + qq * q)
     return tuple(
         (
             tuple([vec[i * p:(i + 1) * p] for i in range(pp)]),
@@ -453,15 +482,17 @@ def hom_space(X: CObject, Y: CObject) -> HomSpace:
     """The category Hom, counted: the block-diagonal lattice maps, one
     torsion map per compatible pair of summands, and one free-generator image
     per target torsion slot at the generator's jump.  Only the lattice maps
-    need a solve, and only they are listed here.  A summand (n, a) of X
+    need a solve: their constraints are eliminated here and counted, the
+    unknowns less the rank, and the maps are built from the kept echelon
+    when ``lattice_maps`` is first read.  A summand (n, a) of X
     pairs with each summand of Y alive at -a that dies by n - a
     (``torsion_compatible``), so both torsion terms count summands of Y
     alive at a degree; ``HomSpace`` lists the pairs and widths, and builds
     its basis maps, only when read.  Both terms need torsion in Y, so
     neither is walked when Y is torsion-free."""
     check_same_field(X.field, Y.field)
-    maps = _constant_matrix_solutions(X, Y)
-    dim, T = len(maps), Y.torsion
+    echelon, dim = _constraint_echelon(X, Y)
+    T = Y.torsion
     ts = T.summands
     if ts:
         dim += sum(T.dim_at(jump) for jump, _ in X.lattice.generators())
@@ -469,7 +500,7 @@ def hom_space(X: CObject, Y: CObject) -> HomSpace:
             1 for n, a in X.torsion.summands for k in T.slots_at(-a)
             if n - a >= ts[k][0] - ts[k][1]
         )
-    return HomSpace(X, Y, maps, dim)
+    return HomSpace(X, Y, echelon, dim)
 
 
 # ---------------------------------------------------------------------------
@@ -498,22 +529,31 @@ class ExtClass:
 
 @dataclass(frozen=True, init=False)
 class ExtSpace:
-    """Ext(src, dst) as the reduction of the off-diagonal block, the block
-    widths and the count of free positions, all fixed by ``ext_space``; the
-    slots each torsion block is reduced at are listed when first read, and
-    the canonical basis, the unit classes at the free positions, is built
-    only when ``basis`` is read."""
+    """Ext(src, dst) as the kept echelon of the off-diagonal image, its
+    sorted pivots, the block widths and the count of free positions, all
+    fixed by ``ext_space``.  The reduced image rows (``ff_reduction``) and
+    the slots each torsion block is reduced at are built when first read,
+    and the canonical basis, the unit classes at the free positions, only
+    when ``basis`` is read; ``==`` and ``repr`` read none of them, nor the
+    echelon and pivots, which ``src`` and ``dst`` fix."""
 
     src: CObject
     dst: CObject
-    ff_reduction: tuple  # (echelon rows, pivots) of the off-diagonal image
+    echelon: linalg.Echelon = field(compare=False, repr=False)  # frozen image rows
+    pivots: tuple = field(compare=False, repr=False)  # the echelon's pivots, sorted
     widths: tuple  # per block of a class (see ``_class``): its length
     dim: int  # the free positions: the widths less the pivots and hit slots
 
-    def __init__(self, src, dst, ff_reduction, widths, dim):
+    def __init__(self, src, dst, echelon, pivots, widths, dim):
         vars(self).update(
-            src=src, dst=dst, ff_reduction=ff_reduction, widths=widths, dim=dim,
+            src=src, dst=dst, echelon=echelon, pivots=pivots, widths=widths, dim=dim,
         )
+
+    @cached_property
+    def ff_reduction(self) -> tuple:
+        """(reduced echelon rows, pivots) of the off-diagonal image, built
+        on first read."""
+        return self.echelon.reduced()
 
     @cached_property
     def tor_reduction(self) -> tuple:
@@ -526,7 +566,7 @@ class ExtSpace:
 
     def _pivots(self) -> tuple:
         """Per block, the positions a reduced class holds zero at."""
-        return (self.ff_reduction[1],) + self.tor_reduction
+        return (self.pivots,) + self.tor_reduction
 
     def _free(self) -> tuple:
         """Per block, the positions off its pivots."""
@@ -631,7 +671,8 @@ def offdiag_full(c: ExtClass) -> tuple:
 def ext_space(X: CObject, Y: CObject) -> ExtSpace:
     """Basis of degree-one extensions of X by Y with canonical representatives.
 
-    Both reductions are read off stored data; nothing is solved.
+    Both reductions are read off stored data; nothing is solved, and the
+    lattice image is eliminated once and kept, with its sorted pivots.
 
     - Lattice image.  The classes are off-diagonal blocks (h01, h10) modulo
       those of Hom_kx(X, Y), the constant matrices A with A S_e(X) inside
@@ -639,8 +680,9 @@ def ext_space(X: CObject, Y: CObject) -> ExtSpace:
       such a map exactly when A dir_j lies in S_(e_j)(Y) for every j, and
       A is the sum of (A dir_j) (x) g*_j over j, with g*_j row j of the
       lattice's ``generator_inverse``.  So Hom_kx is spanned by s (x) g*_j,
-      s over the echelon rows of S_(e_j)(Y), and ``ff_reduction`` is the
-      unique rref of those products' off-diagonal entries.
+      s over the echelon rows of S_(e_j)(Y), and ``ff_reduction``, built
+      from the kept echelon when first read, is the unique rref of those
+      products' off-diagonal entries.
     - Torsion image.  A summand T[n, a] of X is read modulo the x^n image
       of degree -a in degree n - a of Y.  That map is a partial identity
       (``CObject.xpower_slots``), so its image is spanned by the unit
@@ -666,16 +708,19 @@ def ext_space(X: CObject, Y: CObject) -> ExtSpace:
                 vec += [mul(a, b) if a and b else zero for a in s[:pp] for b in g1]
                 if any(vec):
                     image_vectors.append(vec)
-    ff_reduction = linalg.rref(F, image_vectors) if image_vectors else ((), ())
+    echelon, pivots = linalg.NO_ROWS, ()
+    if image_vectors:
+        echelon = linalg._echelon(F, image_vectors).freeze()
+        pivots = tuple(sorted(piv for piv, _ in echelon.rows))
 
     widths = [n_off]
-    dim = n_off - len(ff_reduction[1])
+    dim = n_off - len(pivots)
     for n, a in X.torsion.summands:
         width = Y.module_dim_at(n - a)
         widths.append(width)
         dim += width - Y.xpower_rank(-a, n - a)
 
-    return ExtSpace(X, Y, ff_reduction, tuple(widths), dim)
+    return ExtSpace(X, Y, echelon, pivots, tuple(widths), dim)
 
 
 # ---------------------------------------------------------------------------
@@ -802,13 +847,14 @@ def _gram(hom: HomSpace, ext: ExtSpace, flipped: bool = False) -> tuple:
     or h10[i][k], and tr(B . A) sums B[i][k] A[k][i]; so it pairs with a map
     by entry [k][i] of its a00 or a11, swapped when the map follows the
     class (flipped).  Between torsion-free objects every Hom basis map is a
-    lattice map, so the entries are read off the stored (a00, a11) pairs and
-    no map is built.  Rows run over Hom, or over Ext when flipped.
+    lattice map, so the entries are read off the (a00, a11) pairs of
+    ``HomSpace.lattice_maps`` and no map is built.  Rows run over Hom, or
+    over Ext when flipped.  ``serre_check`` builds no such matrix.
     """
     X, Y = ext.src, ext.dst
     p, q = X.p, X.q
     n01 = Y.q * p
-    pivots = set(ext.ff_reduction[1])
+    pivots = set(ext.pivots)
     cells = [
         (0, *divmod(k, p)) if k < n01 else (1, *divmod(k - n01, q))
         for k in range(ext.widths[0]) if k not in pivots
@@ -876,13 +922,42 @@ class SerreReport:
 
 def serre_check(X: CObject, Y: CObject) -> SerreReport:
     """Compare dim Hom(X, Y) with dim Ext(Y, VX); check the pairing rank.
-    With no Hom basis map the Gram is empty, of rank 0, and is not built."""
+
+    On two torsion-free objects the Gram (``_gram``) is the lattice maps
+    read at the free cells S of the Ext image.  Let C be the Hom constraint
+    matrix, E its kept echelon rows, P the Ext pivot cells and P' the Hom
+    unknowns they pair with through the transpose (h01[i][k] with a00[k][i],
+    h10[i][k] with a11[k][i]).  Then:
+
+    - the Gram is ker C restricted to S, the unknowns off P';
+    - the vectors of ker C that vanish on S form ker C[:, P'], of dimension
+      |P| - rank C[:, P'];
+    - row operations keep column ranks, so rank C[:, P'] = rank E[:, P'].
+
+    So the Gram rank is dim Hom - |P| + rank E[:, P']: one small rank, with
+    no kernel vector and no Gram matrix.  With no Hom basis map it is 0.
+    """
     hom = hom_space(X, Y)
     ext = ext_space(Y, serre_twist(X))
     d_hom, d_ext = hom.dim, ext.dim
     gram_rank = gram_ok = None
     if not (X.torsion.summands or Y.torsion.summands):
-        gram_rank = linalg.rank(X.field, _gram(hom, ext)) if hom.lattice_maps else 0
+        gram_rank = 0
+        if d_hom:
+            # Ext cell k is h01[i][k'] with (i, k') = divmod(k, Y.p) below
+            # n01, else h10[i][k'] with (i, k') = divmod(k - n01, Y.q); it
+            # pairs with unknown a00[k'][i] = k' X.p + i, or with
+            # a11[k'][i] = n01 + k' X.q + i
+            n01, pp, qq = X.p * Y.p, Y.p, Y.q
+            cols = [
+                k % pp * X.p + k // pp if k < n01
+                else n01 + (k - n01) % qq * X.q + (k - n01) // qq
+                for k in ext.pivots
+            ]
+            gram_rank = d_hom - len(cols)
+            if cols:
+                selected = [[row[c] for c in cols] for _, row in hom.echelon.rows]
+                gram_rank += linalg.rank(X.field, selected)
         gram_ok = gram_rank == d_hom == d_ext
     return SerreReport(X, Y, d_hom, d_ext, d_hom == d_ext, gram_rank, gram_ok)
 

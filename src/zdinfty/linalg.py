@@ -19,7 +19,7 @@ from math import gcd, lcm
 from typing import Iterable, Sequence
 
 from .errors import DimensionMismatch
-from .fields import FieldSpec, Scalar
+from .fields import QQ, FieldSpec, Scalar
 
 Vector = tuple
 Matrix = tuple
@@ -141,8 +141,10 @@ def _cancel(p: int | None, w: list, row: list, col: int) -> list:
 class Echelon:
     """A growing subspace, kept as a reduced basis of int rows.
 
-    This is the one elimination kernel: ``rref``, lattice canonical forms
-    and the Krull-Schmidt sweep all run on it.  Over Q each row is a
+    This is the one elimination kernel: ``rref``, ``nullspace``, lattice
+    canonical forms and the Krull-Schmidt sweep all run on it.  ``kernel``
+    reads a right-kernel basis off it, and ``freeze`` makes it a snapshot
+    that a value keeps, to reduce or take the kernel of only when read.  Over Q each row is a
     primitive integer multiple of its vector (``_integer_row``), and only
     ``reduced`` turns rows back into rationals; over F_p each row is reduced
     mod p with its pivot entry 1.  Every stored row is zero at every other
@@ -194,6 +196,39 @@ class Echelon:
         if not self.p:
             red = [_rational_row(row, row[col]) for col, row in pairs]
         return tuple(map(tuple, red)), cols
+
+    def kernel(self, n: int) -> tuple[Matrix, Sequence[int]]:
+        """A basis of the right kernel of the rows fed, over ``n`` columns,
+        and the free column of each vector: one vector per free column, in
+        column order, a one there and the negated reduced entries at the
+        pivots.  ``()`` at full column rank, where no reduced row is built."""
+        if len(self.rows) == n:
+            return (), ()
+        p = self.p
+        red, pivots = self.reduced()
+        pivset = set(pivots)
+        free = [f for f in range(n) if f not in pivset]
+        basis = []
+        for f in free:
+            v = [0] * n
+            v[f] = 1
+            for row, col in zip(red, pivots):
+                if row[f]:
+                    v[col] = -row[f] % p if p else -row[f]
+            basis.append(tuple(v))
+        return tuple(basis), free
+
+    def freeze(self) -> Echelon:
+        """This echelon, its rows made tuples so that no ``add`` can change
+        it: a snapshot a value may keep."""
+        self.rows = tuple((piv, tuple(row)) for piv, row in self.rows)
+        return self
+
+
+# The frozen echelon of no rows.  Its ``reduced`` and ``kernel`` read no
+# field, so it serves every field, and a space with nothing to eliminate
+# builds no echelon.
+NO_ROWS = Echelon(QQ).freeze()
 
 
 def rref(F: FieldSpec, rows: Iterable[Sequence]) -> tuple[Matrix, tuple[int, ...]]:
@@ -274,37 +309,11 @@ def solve(F: FieldSpec, A: Sequence, b: Sequence) -> Vector | None:
 def nullspace(F: FieldSpec, A: Sequence, ncols: int | None = None) -> Matrix:
     """Echelonized basis of the right kernel of ``A`` (rows are kernel vectors),
     one per free column of its echelon form, in column order; ``()`` at full
-    column rank, where no reduced row is built.
+    column rank, where no reduced row is built (``Echelon.kernel``).
 
     ``ncols`` pins the column count when ``A`` has no rows.
     """
-    return _kernel(F, A, ncols)[0]
-
-
-def _kernel(F: FieldSpec, A: Sequence, ncols: int | None) -> tuple[Matrix, Sequence[int]]:
-    """The ``nullspace`` basis and the free column of each of its vectors."""
-    m = len(A)
-    n = len(A[0]) if m else (ncols or 0)
-    if m == 0:
-        return identity(F, n), range(n)
-    if n == 0:
-        return (), ()
-    ech = _echelon(F, A)
-    if len(ech) == n:
-        return (), ()
-    red, pivots = ech.reduced()
-    pivset = set(pivots)
-    free = [f for f in range(n) if f not in pivset]
-    neg, zero, one = F.neg, F.zero, F.one
-    basis = []
-    for f in free:
-        v = [zero] * n
-        v[f] = one
-        for row, col in zip(red, pivots):
-            if row[f]:
-                v[col] = neg(row[f])
-        basis.append(tuple(v))
-    return tuple(basis), free
+    return _echelon(F, A).kernel(len(A[0]) if A else (ncols or 0))[0]
 
 
 def elder_kills(F: FieldSpec, columns: Sequence) -> tuple[Matrix, tuple[int, ...]]:
@@ -326,7 +335,7 @@ def elder_kills(F: FieldSpec, columns: Sequence) -> tuple[Matrix, tuple[int, ...
     the x-images it reads once per listed degree; the Krull-Schmidt sweep
     calls it once per jump with a live bar."""
     n = len(columns)
-    kernel, free = _kernel(F, transpose(columns), n)
+    kernel, free = _echelon(F, transpose(columns)).kernel(n)
     return tuple(v[::-1] for v in reversed(kernel)), tuple(n - 1 - f for f in reversed(free))
 
 

@@ -177,6 +177,13 @@ ROWS = [
      ["--field", "Fp:1000000000000000000000000000057", "hom", "F[2,0]", "F[2,0]"], 2,
      "error: modulus 1000000000000000000000000000057 is too large to test;"
      " it must be below 3317044064679887385961981"),
+    ("a literal's integer past the digit limit exits 2, not as an internal error",
+     ["decompose", '{"torsion": [[1' + "0" * 5000 + ', 0]]}'], 2,
+     "error: JSON literal has an integer of more than 4300 digits (at position 0)"),
+    ("a literal nested 30,000 deep exits 2 under JSON, not as an internal error",
+     ["--format", "json", "decompose", '{"torsion": ' + "[" * 30000 + "]" * 30000 + "}"], 2,
+     '{"error": {"message": "JSON literal nests too deeply (at position 0)", "position": 0,'
+     ' "type": "ParseError"}, "schema": "zdinfty.report/1"}'),
 ]
 
 
