@@ -46,6 +46,7 @@ from .errors import ParseError, RangeError, ZdinftyError
 from .fields import FieldSpec, parse_field
 from .homext import (
     eta,
+    euler_form,
     ext_space,
     hom_space,
     serre_check,
@@ -146,9 +147,10 @@ class _Object(NamedTuple):
 
 # The JSON object literal's schema, its one owner.  A leaf is the tuple of the
 # Python types its JSON values load as; a JSON integer is an int, never a bool
-# or a float (0.5, 1e400, Infinity).  Ranges are checked where the object is
-# built: p, q >= 0 below, n >= 1 in TorsionPart.of, dir's length and the
-# lattice's rank in canonicalize.
+# or a float (0.5, 1e400, Infinity).  The rules on values are checked where
+# the object is built, and each error names the value's path (``_at``): p,
+# q >= 0, dir's length p + q, its scalars and n >= 1; the lattice's rank
+# in canonicalize.
 _JSON_TYPE_NAMES = {int: "an integer", str: "a string"}
 _LITERAL = _Object({
     "field": (str,),
@@ -202,12 +204,34 @@ def _parse_json_literal(text, field: FieldSpec) -> CObject:
     field = parse_field(data["field"]) if "field" in data else field
     lat = data.get("lattice", {"p": 0, "q": 0})  # no lattice: the one of rank 0
     p, q, gens = lat["p"], lat["q"], lat.get("gens", [])
-    if p < 0 or q < 0:
-        raise RangeError(f"lattice type counts must be non-negative, got p={p}, q={q}")
+    for key in ("p", "q"):
+        if lat[key] < 0:
+            raise _at(f"literal.lattice.{key}",
+                      f"lattice type counts must be non-negative, got p={p}, q={q}")
     if p + q == 0 and gens:
         raise ParseError("a JSON lattice with p = q = 0 takes no gens", 0)
-    gens = [(g["jump"], [field.parse_scalar(str(c)) for c in g["dir"]]) for g in gens]
+    dirs = []
+    for j, g in enumerate(gens):
+        path = f"literal.lattice.gens[{j}].dir"
+        if len(g["dir"]) != p + q:
+            raise _at(path, f"direction of length {len(g['dir'])}, ambient rank {p + q}")
+        dirs.append([])
+        for k, c in enumerate(g["dir"]):
+            try:
+                dirs[-1].append(field.parse_scalar(str(c)))
+            except ZdinftyError as e:
+                raise _at(f"{path}[{k}]", getattr(e, "message", e)) from None
+    for i, (n, _) in enumerate(data.get("torsion", [])):
+        if n < 1:
+            raise _at(f"literal.torsion[{i}][0]", f"torsion summand needs positive length, got {n}")
+    gens = [(g["jump"], d) for g, d in zip(gens, dirs)]
     return CObject(field, TorsionPart.of(data.get("torsion", [])), canonicalize(field, gens, p, q))
+
+
+def _at(path: str, message) -> ParseError:
+    """The error of a value the literal's schema takes but the object it
+    builds does not, named by the value's JSON path."""
+    return ParseError(f"JSON {path}: {message}", 0)
 
 
 def _unique_keys(pairs) -> dict:
@@ -299,7 +323,7 @@ def cmd_ext(args, field, X, Y) -> tuple[dict, str]:
 
 def cmd_euler(args, field, X, Y) -> tuple[dict, str]:
     h = hom_space(X, Y).dim
-    e = ext_space(X, Y).dim
+    e = h - euler_form(X, Y)  # the Euler form needs no elimination
     return (
         {"hom": h, "ext": e, "euler": h - e},
         f"dim Hom = {h}, dim Ext1 = {e}, euler = {h - e}",

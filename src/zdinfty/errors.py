@@ -54,7 +54,7 @@ class ParseError(ZdinftyError):
 
     def __init__(self, message: str, position: int):
         super().__init__(f"{message} (at position {position})")
-        self.position = position
+        self.message, self.position = message, position
 
 
 class RangeError(ZdinftyError):

@@ -36,28 +36,39 @@ free position, off the pivots or off the hit slots, so ``ExtSpace`` reads
 those positions, in block widths fixed when it is built, and builds its
 classes only on demand.  ``HomSpace`` likewise spans by positions: the
 lattice maps as (a00, a11) pairs, the compatible torsion pairs, and the
-target torsion slots at each source generator's jump.  Each space keeps the
-echelon of its one elimination, the Hom constraints or the Ext lattice
-image, and counts its lattice part from it: the Hom unknowns less the rank,
-the off-diagonal cells less the pivots.  The torsion parts of both
-dimensions are counts of summands alive at given degrees, so both ``dim``s
-are counted when the space is built.  The lattice maps (the kernel of the
-kept echelon), the reduced image rows, the torsion pairs, widths and hit
-slots are built only when first read: a caller of ``dim`` alone (the CLI's
-``hom``, ``ext`` and ``euler``, ``euler_form``, ``serre_check``) builds
-none of them, and each space builds its maps or classes only when
-``basis`` is read.  The Serre Gram matrix selects entries of the lattice
-maps at the free positions (``_gram``); its free cells are the
-off-diagonal positions below ``widths[0]`` off the sorted pivots
-``ExtSpace.pivots``.  ``serre_check`` builds no Gram: it takes the Gram's
-rank from the Hom echelon's columns at the unknowns the Ext pivots pair
-with (see its docstring).  A torsion-free target or source does no torsion
-bookkeeping: ``hom_space`` counts torsion maps only into a target with
-torsion, and ``ext_space`` walks no torsion summand of a torsion-free
-source.  So a duality check of two torsion-free objects pays for its two
-eliminations and one small rank alone.  Every Hom basis map is a kernel
-vector or a unit torsion map, with a one at its last nonzero entry where the
-others vanish; ``HomSpace.coordinates`` reads the entries there.
+target torsion slots at each source generator's jump.
+
+One counting path gives both dimensions: ``_hom_count`` and ``_ext_count``
+eliminate the Hom constraints or the Ext lattice image once and return
+that echelon with the dimension, the lattice part counted from it (the
+unknowns less the rank, the off-diagonal cells less the pivots) and the
+torsion part as a count of bars.  A summand T[n, a] is the bar
+[b, d) = [-a, n - a), the degrees it is alive in:
+
+- Hom: summand i maps onto summand k exactly when b_k <= b_i < d_k <= d_i
+  (``torsion_compatible``), and a lattice generator with jump e reaches
+  #{k : b_k <= e < d_k} target slots (``_hom_torsion``);
+- Ext: a source bar [b, d) adds (dim S_d(Y) - dim S_b(Y))
+  + #{k : b < b_k <= d < d_k}, the degree-d slots of Y that the x^(d - b)
+  image of degree b misses (``_ext_torsion``).
+
+``hom_space`` and ``ext_space`` freeze the echelon of their count and keep
+it; the lattice maps (its kernel), the reduced image rows, the torsion
+pairs, widths and hit slots are built only when first read, and each space
+builds its maps or classes only when ``basis`` is read.  ``euler_form``
+needs no elimination at all: the lattice parts of Hom and Ext are the
+kernel and cokernel of one map, so their difference is a count.  The Serre
+Gram matrix selects entries of the lattice maps at the free positions
+(``_gram``); its free cells are the off-diagonal positions below
+``widths[0]`` off the sorted pivots ``ExtSpace.pivots``.  ``serre_check``
+builds no space and no Gram: it calls the two counts, and takes the
+Gram's rank from the Hom echelon's columns at the unknowns the Ext pivots
+pair with (see its docstring).  So a duality check of two torsion-free
+objects pays for its two eliminations and one small rank alone, one with
+torsion for its bar counts alone, and neither freezes an echelon.  Every
+Hom basis map is a kernel vector or a unit torsion map, with a one at its
+last nonzero entry where the others vanish; ``HomSpace.coordinates`` reads
+the entries there.
 """
 
 from __future__ import annotations
@@ -88,11 +99,12 @@ __all__ = [
 
 
 def torsion_compatible(S: TorsionPart, i: int, T: TorsionPart, k: int) -> bool:
-    """Whether summand i of S has a nonzero map to summand k of T: k is alive
+    """Whether summand i of S has a nonzero map to summand k of T: on their
+    bars [b, d) = [-a, n - a), b_k <= b_i < d_k <= d_i, that is, k is alive
     at the birth degree of i, and i dies no earlier than k."""
     n, a = S.summands[i]
     nk, ak = T.summands[k]
-    return T.alive(k, -a) and n - a >= nk - ak
+    return -ak <= -a < nk - ak <= n - a
 
 
 @dataclass(frozen=True)
@@ -334,7 +346,7 @@ class HomSpace:
     the compatible torsion pairs (k, i), and per source lattice generator the
     number of target torsion slots at its jump.  ``dim`` is their count,
     fixed by ``hom_space`` from the kept echelon of the lattice constraints
-    (``_constraint_echelon``): the unknowns less its rank, plus the torsion
+    (``_hom_count``): the unknowns less its rank, plus the torsion
     counts.  The lattice maps, the pairs and the widths are listed, and the
     basis maps built, only when read; ``==`` and ``repr`` read none of them,
     nor the echelon, which ``src`` and ``dst`` fix."""
@@ -434,19 +446,41 @@ def hom_kx_space(X: CObject, Y: CObject) -> tuple:
     return tuple(a00 for a00, _ in _constant_matrix_solutions(*untyped))
 
 
-def _constraint_echelon(X: CObject, Y: CObject) -> tuple:
+def _hom_torsion(X: CObject, Y: CObject) -> int:
+    """The torsion part of dim Hom(X, Y), counted on bars: per lattice
+    generator of X, the bars of Y holding its jump e (b_k <= e < d_k), the
+    target slots its image may reach; and per summand of X, the summands of
+    Y it maps onto (``torsion_compatible``)."""
+    S, T = X.torsion, Y.torsion
+    ts = T.summands
+    if not ts:
+        return 0
+    count = 0
+    for e, _ in X.lattice.generators():
+        for n, a in ts:
+            if -a <= e < n - a:
+                count += 1
+    for i in range(len(S.summands)):
+        for k in range(len(ts)):
+            count += torsion_compatible(S, i, T, k)
+    return count
+
+
+def _hom_count(X: CObject, Y: CObject) -> tuple:
     """The eliminated constraints on block-diagonal constant matrices
-    (a00, a11) mapping the filtration of X into that of Y, and the number of
-    lattice maps, the unknowns less its rank.  A matrix maps the filtration
-    when u . A dir_j = 0 for each u annihilating S_(e_j)(Y).  The unknowns
-    are the entries of a00, then of a11, row by row, so each constraint row
-    is u (x) dir_j on the two diagonal blocks.  The echelon is frozen: a
-    ``HomSpace`` keeps it."""
+    (a00, a11) mapping the filtration of X into that of Y, and dim Hom(X, Y):
+    the unknowns less the echelon's rank, plus ``_hom_torsion``.  A matrix
+    maps the filtration when u . A dir_j = 0 for each u annihilating
+    S_(e_j)(Y).  The unknowns are the entries of a00, then of a11, row by
+    row, so each constraint row is u (x) dir_j on the two diagonal blocks.
+    The echelon is not frozen: ``hom_space`` freezes the one it keeps, and
+    ``serre_check`` reads its rows and keeps nothing."""
     F = X.field
     XL, YL = X.lattice, Y.lattice
     p, q, pp, qq = XL.p, XL.q, YL.p, YL.q
+    dim = _hom_torsion(X, Y)
     if not (p + q and pp + qq):
-        return linalg.NO_ROWS, 0
+        return linalg.NO_ROWS, dim
     mul, zero = F.mul, F.zero
     rows = []
     for e, dir in XL.generators():
@@ -456,16 +490,16 @@ def _constraint_echelon(X: CObject, Y: CObject) -> tuple:
             row += [mul(a, b) if a and b else zero for a in u[pp:] for b in d1]
             if any(row):
                 rows.append(row)
-    echelon = linalg._echelon(F, rows).freeze() if rows else linalg.NO_ROWS
-    return echelon, pp * p + qq * q - len(echelon.rows)
+    echelon = linalg._echelon(F, rows) if rows else linalg.NO_ROWS
+    return echelon, dim + pp * p + qq * q - len(echelon)
 
 
 def _constant_matrix_solutions(X: CObject, Y: CObject, echelon=None) -> tuple:
     """The block-diagonal (a00, a11) maps of the filtration of X into Y's:
-    the kernel of the constraint echelon (``_constraint_echelon``, built
-    when not given), each vector cut into its two blocks."""
+    the kernel of the constraint echelon (``_hom_count``, built when not
+    given), each vector cut into its two blocks."""
     if echelon is None:
-        echelon = _constraint_echelon(X, Y)[0]
+        echelon = _hom_count(X, Y)[0]
     p, q, pp, qq = X.p, X.q, Y.p, Y.q
     n00 = pp * p
     kernel, _ = echelon.kernel(n00 + qq * q)
@@ -482,25 +516,14 @@ def hom_space(X: CObject, Y: CObject) -> HomSpace:
     """The category Hom, counted: the block-diagonal lattice maps, one
     torsion map per compatible pair of summands, and one free-generator image
     per target torsion slot at the generator's jump.  Only the lattice maps
-    need a solve: their constraints are eliminated here and counted, the
-    unknowns less the rank, and the maps are built from the kept echelon
-    when ``lattice_maps`` is first read.  A summand (n, a) of X
-    pairs with each summand of Y alive at -a that dies by n - a
-    (``torsion_compatible``), so both torsion terms count summands of Y
-    alive at a degree; ``HomSpace`` lists the pairs and widths, and builds
-    its basis maps, only when read.  Both terms need torsion in Y, so
-    neither is walked when Y is torsion-free."""
+    need a solve: their constraints are eliminated and counted, the
+    unknowns less the rank (``_hom_count``), and the maps are built from the
+    kept echelon when ``lattice_maps`` is first read.  Both torsion terms
+    are counts of bars (``_hom_torsion``); ``HomSpace`` lists the pairs and
+    widths, and builds its basis maps, only when read."""
     check_same_field(X.field, Y.field)
-    echelon, dim = _constraint_echelon(X, Y)
-    T = Y.torsion
-    ts = T.summands
-    if ts:
-        dim += sum(T.dim_at(jump) for jump, _ in X.lattice.generators())
-        dim += sum(
-            1 for n, a in X.torsion.summands for k in T.slots_at(-a)
-            if n - a >= ts[k][0] - ts[k][1]
-        )
-    return HomSpace(X, Y, echelon, dim)
+    echelon, dim = _hom_count(X, Y)
+    return HomSpace(X, Y, echelon.freeze(), dim)
 
 
 # ---------------------------------------------------------------------------
@@ -668,11 +691,56 @@ def offdiag_full(c: ExtClass) -> tuple:
     return tuple(rows)
 
 
+def _ext_torsion(X: CObject, Y: CObject) -> int:
+    """The torsion part of dim Ext(X, Y), counted on bars.  A summand of X
+    with bar [b, d) adds the degree-d slots of Y less those the x^(d - b)
+    image of degree b hits (``ExtSpace.tor_reduction``).  That image keeps
+    the generators alive at b and the summands alive at both degrees, so the
+    slots it misses are the generators with jump in (b, d] and the summands
+    alive at d but not at b, which are the bars born in (b, d]:
+    (dim S_d(Y) - dim S_b(Y)) + #{k : b < b_k <= d < d_k}."""
+    YL, ts = Y.lattice, Y.torsion.summands
+    count = 0
+    for n, a in X.torsion.summands:
+        b, d = -a, n - a
+        count += YL.dim_at(d) - YL.dim_at(b)
+        for nk, ak in ts:
+            if b < -ak <= d < nk - ak:
+                count += 1
+    return count
+
+
+def _ext_count(X: CObject, Y: CObject) -> tuple:
+    """The eliminated lattice image of ``ext_space`` and dim Ext(X, Y): the
+    off-diagonal cells less the echelon's rank, plus ``_ext_torsion``.  The
+    echelon is not frozen: ``ext_space`` freezes the one it keeps, and
+    ``serre_check`` reads its pivots and keeps nothing."""
+    F = X.field
+    XL, YL = X.lattice, Y.lattice
+    p, q, pp, qq = XL.p, XL.q, YL.p, YL.q
+    n_off = qq * p + pp * q
+    dim = _ext_torsion(X, Y)
+    if not n_off:
+        return linalg.NO_ROWS, dim
+    mul, zero = F.mul, F.zero
+    rows = []
+    for (e, _), g in zip(XL.generators(), XL.generator_inverse):
+        g0, g1 = g[:p], g[p:]
+        for s in YL.subspace_at(e):
+            vec = [mul(a, b) if a and b else zero for a in s[pp:] for b in g0]
+            vec += [mul(a, b) if a and b else zero for a in s[:pp] for b in g1]
+            if any(vec):
+                rows.append(vec)
+    echelon = linalg._echelon(F, rows) if rows else linalg.NO_ROWS
+    return echelon, dim + n_off - len(echelon)
+
+
 def ext_space(X: CObject, Y: CObject) -> ExtSpace:
     """Basis of degree-one extensions of X by Y with canonical representatives.
 
     Both reductions are read off stored data; nothing is solved, and the
-    lattice image is eliminated once and kept, with its sorted pivots.
+    lattice image is eliminated once (``_ext_count``) and kept, with its
+    sorted pivots.
 
     - Lattice image.  The classes are off-diagonal blocks (h01, h10) modulo
       those of Hom_kx(X, Y), the constant matrices A with A S_e(X) inside
@@ -688,39 +756,15 @@ def ext_space(X: CObject, Y: CObject) -> ExtSpace:
       (``CObject.xpower_slots``), so its image is spanned by the unit
       vectors at the slots it hits, and ``tor_reduction`` keeps those slots
       alone: reducing a vector zeroes it there.  The block's free positions
-      are its width less the hit slots, and the hits are counted
-      (``CObject.xpower_rank``), so ``dim`` is a count and the slots are
-      listed only when ``tor_reduction`` is first read.
+      are its width less the hit slots, a count of bars
+      (``_ext_torsion``), so ``dim`` is a count and the slots are listed
+      only when ``tor_reduction`` is first read.
     """
     check_same_field(X.field, Y.field)
-    F = X.field
-    XL, YL = X.lattice, Y.lattice
-    p, q, pp, qq = XL.p, XL.q, YL.p, YL.q
-    n_off = qq * p + pp * q
-
-    image_vectors = []
-    if n_off:
-        mul, zero = F.mul, F.zero
-        for (e, _), g in zip(XL.generators(), XL.generator_inverse):
-            g0, g1 = g[:p], g[p:]
-            for s in YL.subspace_at(e):
-                vec = [mul(a, b) if a and b else zero for a in s[pp:] for b in g0]
-                vec += [mul(a, b) if a and b else zero for a in s[:pp] for b in g1]
-                if any(vec):
-                    image_vectors.append(vec)
-    echelon, pivots = linalg.NO_ROWS, ()
-    if image_vectors:
-        echelon = linalg._echelon(F, image_vectors).freeze()
-        pivots = tuple(sorted(piv for piv, _ in echelon.rows))
-
-    widths = [n_off]
-    dim = n_off - len(pivots)
-    for n, a in X.torsion.summands:
-        width = Y.module_dim_at(n - a)
-        widths.append(width)
-        dim += width - Y.xpower_rank(-a, n - a)
-
-    return ExtSpace(X, Y, echelon, pivots, tuple(widths), dim)
+    echelon, dim = _ext_count(X, Y)
+    widths = (Y.q * X.p + Y.p * X.q,) + tuple(Y.module_dim_at(n - a) for n, a in X.torsion.summands)
+    pivots = tuple(sorted(piv for piv, _ in echelon.rows))
+    return ExtSpace(X, Y, echelon.freeze(), pivots, widths, dim)
 
 
 # ---------------------------------------------------------------------------
@@ -923,7 +967,9 @@ class SerreReport:
 def serre_check(X: CObject, Y: CObject) -> SerreReport:
     """Compare dim Hom(X, Y) with dim Ext(Y, VX); check the pairing rank.
 
-    On two torsion-free objects the Gram (``_gram``) is the lattice maps
+    Both dimensions come from the counts ``_hom_count`` and ``_ext_count``,
+    so no ``HomSpace`` or ``ExtSpace`` is built and no echelon frozen.  On
+    two torsion-free objects the Gram (``_gram``) is the lattice maps
     read at the free cells S of the Ext image.  Let C be the Hom constraint
     matrix, E its kept echelon rows, P the Ext pivot cells and P' the Hom
     unknowns they pair with through the transpose (h01[i][k] with a00[k][i],
@@ -937,9 +983,9 @@ def serre_check(X: CObject, Y: CObject) -> SerreReport:
     So the Gram rank is dim Hom - |P| + rank E[:, P']: one small rank, with
     no kernel vector and no Gram matrix.  With no Hom basis map it is 0.
     """
-    hom = hom_space(X, Y)
-    ext = ext_space(Y, serre_twist(X))
-    d_hom, d_ext = hom.dim, ext.dim
+    check_same_field(X.field, Y.field)
+    hom_echelon, d_hom = _hom_count(X, Y)
+    ext_echelon, d_ext = _ext_count(Y, serre_twist(X))
     gram_rank = gram_ok = None
     if not (X.torsion.summands or Y.torsion.summands):
         gram_rank = 0
@@ -952,16 +998,27 @@ def serre_check(X: CObject, Y: CObject) -> SerreReport:
             cols = [
                 k % pp * X.p + k // pp if k < n01
                 else n01 + (k - n01) % qq * X.q + (k - n01) // qq
-                for k in ext.pivots
+                for k, _ in ext_echelon.rows
             ]
             gram_rank = d_hom - len(cols)
             if cols:
-                selected = [[row[c] for c in cols] for _, row in hom.echelon.rows]
+                selected = [[row[c] for c in cols] for _, row in hom_echelon.rows]
                 gram_rank += linalg.rank(X.field, selected)
         gram_ok = gram_rank == d_hom == d_ext
     return SerreReport(X, Y, d_hom, d_ext, d_hom == d_ext, gram_rank, gram_ok)
 
 
 def euler_form(X: CObject, Y: CObject) -> int:
-    """dim Hom(X, Y) - dim Ext(X, Y)."""
-    return hom_space(X, Y).dim - ext_space(X, Y).dim
+    """dim Hom(X, Y) - dim Ext(X, Y), counted with no elimination.
+
+    The lattice parts of both are the kernel and the cokernel of one map:
+    Hom_kx(X, Y), free on the N = sum_j dim S_(e_j)(Y) products s (x) g*_j
+    (see ``ext_space``), projected onto the n_off off-diagonal cells.  With
+    r its rank they are N - r and n_off - r, so their difference N - n_off
+    has no r in it.  The torsion parts are the bar counts ``_hom_torsion``
+    and ``_ext_torsion``.
+    """
+    check_same_field(X.field, Y.field)
+    XL, YL = X.lattice, Y.lattice
+    n = sum(YL.dim_at(e) for e, _ in XL.generators())
+    return n - (YL.q * XL.p + YL.p * XL.q) + _hom_torsion(X, Y) - _ext_torsion(X, Y)

@@ -136,19 +136,6 @@ class CObject:
             if i in to
         )
 
-    def xpower_rank(self, d_from: int, d_to: int) -> int:
-        """The number of degree-d_from slots that x^(d_to - d_from), for
-        d_to >= d_from, keeps: ``len(self.xpower_slots(d_from, d_to))`` with
-        no pair formed.  It keeps generator j exactly when the jump of j is
-        <= d_from, and the first lattice.dim_at(d_from) generators are those.
-        A torsion summand alive at d_from was born by d_from <= d_to, so it
-        is alive at d_to as well exactly when it dies after d_to; the power
-        keeps the summands alive at both degrees and kills every other slot."""
-        ss = self.torsion.summands
-        return self.lattice.dim_at(d_from) + sum(
-            1 for i in self.torsion.slots_at(d_from) if ss[i][0] - ss[i][1] > d_to
-        )
-
     def lattice_vector(self, d: int, v) -> tuple:
         """Ambient vector of the lattice coordinates of a degree-d slot vector."""
         n = self.lattice.dim_at(d)

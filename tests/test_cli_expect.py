@@ -155,6 +155,23 @@ ROWS = [
      '{"error": {"message": "JSON literal.lattice.gens[0].dir[0] must be an integer or a string,'
      ' got null (at position 0)", "position": 0, "type": "ParseError"},'
      ' "schema": "zdinfty.report/1"}'),
+    ("a literal's scalar error names the JSON path of the scalar",
+     ["decompose", '{"lattice": {"p": 1, "q": 0, "gens": [{"jump": 0, "dir": ["x"]}]}}'], 2,
+     "error: JSON literal.lattice.gens[0].dir[0]: expected an integer or a fraction n/d,"
+     " got 'x' (at position 0)"),
+    ("a literal's negative type count names the JSON path of the count",
+     ["decompose", '{"lattice": {"p": -1, "q": 0}}'], 2,
+     "error: JSON literal.lattice.p: lattice type counts must be non-negative,"
+     " got p=-1, q=0 (at position 0)"),
+    ("a literal's direction of the wrong length names the JSON path of the direction",
+     ["decompose", '{"lattice": {"p": 2, "q": 0, "gens": [{"jump": 0, "dir": [1]}]}}'], 2,
+     "error: JSON literal.lattice.gens[0].dir: direction of length 1, ambient rank 2"
+     " (at position 0)"),
+    ("a literal's torsion length of 0 names the JSON path of the length under JSON",
+     ["--format", "json", "decompose", '{"torsion": [[0, 1]]}'], 2,
+     '{"error": {"message": "JSON literal.torsion[0][0]: torsion summand needs positive'
+     ' length, got 0 (at position 0)", "position": 0, "type": "ParseError"},'
+     ' "schema": "zdinfty.report/1"}'),
     ("global options take their values after '='",
      ["--format=json", "--field=Fp:5", "ars", "F[1,0]"], 0,
      '{"command": "ars", "left": "F[1,-1]", "middle": ["F0[-1]", "F1[-1]", "F[2,0]"],'

@@ -86,7 +86,7 @@ def test_serre_check_composes_nothing(monkeypatch):
         return _real(*args)
 
     monkeypatch.setattr(homext, "ExtClass", build)
-    calls = {"hom_space": 0, "ext_space": 0}
+    calls = {"_hom_count": 0, "_ext_count": 0}
     for name in calls:
         def counted(X, Y, _name=name, _real=getattr(homext, name)):
             calls[_name] += 1
@@ -95,7 +95,7 @@ def test_serre_check_composes_nothing(monkeypatch):
         monkeypatch.setattr(homext, name, counted)
     X, Y = _lattice_chain(QQ, 3), rank_two(QQ, 2, 1)
     report = serre_check(X, Y)
-    assert calls == {"hom_space": 1, "ext_space": 1}
+    assert calls == {"_hom_count": 1, "_ext_count": 1}
     assert report.gram_nondegenerate
     L8 = _lattice_chain(QQ, 8)
     report = serre_check(L8, L8)
