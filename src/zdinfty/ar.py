@@ -316,7 +316,7 @@ def verify_exact(seq: ShortExactSeq) -> None:
         n_right = seq.right.module_dim_at(d)
         if n_left + n_right != n_mid:
             raise ZdinftyError(f"degree {d}: dimensions are not additive")
-        if len(linalg.nullspace(F, mi, ncols=n_left)) != 0:
+        if linalg.rank(F, mi) != n_left:
             raise ZdinftyError(f"degree {d}: inclusion is not injective")
         if linalg.rank(F, ms) != n_right:
             raise ZdinftyError(f"degree {d}: projection is not surjective")

@@ -38,6 +38,14 @@ classes only on demand.  ``HomSpace`` likewise spans by positions: the
 lattice maps as (a00, a11) pairs, the compatible torsion pairs, and the
 target torsion slots at each source generator's jump.
 
+The lattice block layout has one owner, ``_flatten``, ``_split``, ``_cut``
+and ``_full``: a map's (a00, a11) are the type-0 rows on the type-0
+columns, then the type-1 rows on the type-1 columns, each row by row, and
+a class's (h01, h10) are the same blocks of a map into the target with its
+two types swapped, so Serre duality pairs the blocks of Ext(Y, VX) with
+those of Hom(X, Y) transposed, which ``_gram`` and ``serre_check``'s index
+arithmetic read.
+
 One counting path gives both dimensions: ``_hom_count`` and ``_ext_count``
 eliminate the Hom constraints or the Ext lattice image once and return
 that echelon with the dimension, the lattice part counted from it (the
@@ -95,6 +103,44 @@ __all__ = [
 
 
 # ---------------------------------------------------------------------------
+# the lattice block layout of (a00, a11) and (h01, h10): see the module
+# docstring.  For a class, Y's two types are swapped: h01 is Y's q type-1
+# rows on X's type-0 columns, then h10 its p type-0 rows on X's type-1 ones.
+
+
+def _flatten(blocks) -> tuple:
+    """The entries of the blocks, block by block and row by row."""
+    out = []
+    for block in blocks:
+        for row in block:
+            out.extend(row)
+    return tuple(out)
+
+
+def _split(flat, p: int, q: int, n0: int, n1: int) -> tuple:
+    """The two blocks of a flat vector: n0 rows of p entries, then n1 rows
+    of q."""
+    off = n0 * p
+    return (
+        tuple([flat[i * p:(i + 1) * p] for i in range(n0)]),
+        tuple([flat[off + i * q:off + (i + 1) * q] for i in range(n1)]),
+    )
+
+
+def _cut(A, p: int, n0: int) -> tuple:
+    """The two diagonal blocks of a full matrix: its first n0 rows on its
+    first p columns, and its other rows on its other columns."""
+    return tuple(tuple(row[:p]) for row in A[:n0]), tuple(tuple(row[p:]) for row in A[n0:])
+
+
+def _full(F, b0, b1, p: int, q: int) -> tuple:
+    """The full matrix of two blocks on p and q columns, zero off them: the
+    inverse of ``_cut``."""
+    z = F.zero
+    return tuple(tuple(row) + (z,) * q for row in b0) + tuple((z,) * p + tuple(row) for row in b1)
+
+
+# ---------------------------------------------------------------------------
 # morphisms
 
 
@@ -128,10 +174,8 @@ class Morphism:
     ft: tuple  # per src lattice generator: vector over dst torsion slots
 
     def full_matrix(self) -> tuple:
-        z = self.src.field.zero
-        return tuple(row + (z,) * self.src.q for row in self.a00) + tuple(
-            (z,) * self.src.p + row for row in self.a11
-        )
+        X = self.src
+        return _full(X.field, self.a00, self.a11, X.p, X.q)
 
     def tt_at(self, d: int) -> tuple:
         """The torsion block in degree d: tt on the summands alive there."""
@@ -144,13 +188,7 @@ class Morphism:
 
 def morphism_vector(m: Morphism) -> tuple:
     """Flatten a morphism to coordinates (fixed order for a given src/dst)."""
-    out = []
-    for block in (m.a00, m.a11, m.tt):
-        for row in block:
-            out.extend(row)
-    for vec in m.ft:
-        out.extend(vec)
-    return tuple(out)
+    return _flatten((m.a00, m.a11, m.tt, m.ft))
 
 
 def identity_morphism(X: CObject) -> Morphism:
@@ -340,7 +378,7 @@ def validate_morphism(m: Morphism) -> None:
 # hom spaces
 
 
-@dataclass(frozen=True, init=False)
+@dataclass(frozen=True)
 class HomSpace:
     """Hom(src, dst) as what spans it: the lattice maps as (a00, a11) pairs,
     the compatible torsion pairs (k, i), and per source lattice generator the
@@ -355,10 +393,6 @@ class HomSpace:
     dst: CObject
     echelon: linalg.Echelon = field(compare=False, repr=False)  # frozen constraint rows
     dim: int  # the lattice maps, the torsion pairs and the summed widths
-
-    def __init__(self, src, dst, echelon, dim):
-        # one dict update, not a setattr per field (see ``SerreReport``)
-        vars(self).update(src=src, dst=dst, echelon=echelon, dim=dim)
 
     @cached_property
     def lattice_maps(self) -> tuple:
@@ -440,10 +474,10 @@ def hom_kx_space(X: CObject, Y: CObject) -> tuple:
     if not X.is_torsion_free() or not Y.is_torsion_free():
         raise NotLatticeMorphism("restricted hom needs torsion-free objects")
     F = X.field
-    untyped = (
+    Xu, Yu = (
         CObject(F, Z.torsion, GradedLattice(F, Z.rank, 0, Z.lattice.steps)) for Z in (X, Y)
     )
-    return tuple(a00 for a00, _ in _constant_matrix_solutions(*untyped))
+    return tuple(a00 for a00, _ in _constant_matrix_solutions(Xu, Yu, _hom_count(Xu, Yu)[0]))
 
 
 def _hom_torsion(X: CObject, Y: CObject) -> int:
@@ -472,7 +506,8 @@ def _hom_count(X: CObject, Y: CObject) -> tuple:
     the unknowns less the echelon's rank, plus ``_hom_torsion``.  A matrix
     maps the filtration when u . A dir_j = 0 for each u annihilating
     S_(e_j)(Y).  The unknowns are the entries of a00, then of a11, row by
-    row, so each constraint row is u (x) dir_j on the two diagonal blocks.
+    row, so each constraint row is u (x) dir_j on the two diagonal blocks
+    (``_ext_count`` builds its rows by the same loop, Y's types swapped).
     The echelon is not frozen: ``hom_space`` freezes the one it keeps, and
     ``serre_check`` reads its rows and keeps nothing."""
     F = X.field
@@ -494,22 +529,13 @@ def _hom_count(X: CObject, Y: CObject) -> tuple:
     return echelon, dim + pp * p + qq * q - len(echelon)
 
 
-def _constant_matrix_solutions(X: CObject, Y: CObject, echelon=None) -> tuple:
+def _constant_matrix_solutions(X: CObject, Y: CObject, echelon: linalg.Echelon) -> tuple:
     """The block-diagonal (a00, a11) maps of the filtration of X into Y's:
-    the kernel of the constraint echelon (``_hom_count``, built when not
-    given), each vector cut into its two blocks."""
-    if echelon is None:
-        echelon = _hom_count(X, Y)[0]
+    the kernel of the constraint echelon of ``_hom_count``, each vector
+    split into its two blocks."""
     p, q, pp, qq = X.p, X.q, Y.p, Y.q
-    n00 = pp * p
-    kernel, _ = echelon.kernel(n00 + qq * q)
-    return tuple(
-        (
-            tuple([vec[i * p:(i + 1) * p] for i in range(pp)]),
-            tuple([vec[n00 + i * q:n00 + (i + 1) * q] for i in range(qq)]),
-        )
-        for vec in kernel
-    )
+    kernel, _ = echelon.kernel(pp * p + qq * q)
+    return tuple(_split(vec, p, q, pp, qq) for vec in kernel)
 
 
 def hom_space(X: CObject, Y: CObject) -> HomSpace:
@@ -550,7 +576,7 @@ class ExtClass:
         return not any(map(any, (*self.h01, *self.h10, *self.tor)))
 
 
-@dataclass(frozen=True, init=False)
+@dataclass(frozen=True)
 class ExtSpace:
     """Ext(src, dst) as the kept echelon of the off-diagonal image, its
     sorted pivots, the block widths and the count of free positions, all
@@ -566,11 +592,6 @@ class ExtSpace:
     pivots: tuple = field(compare=False, repr=False)  # the echelon's pivots, sorted
     widths: tuple  # per block of a class (see ``_class``): its length
     dim: int  # the free positions: the widths less the pivots and hit slots
-
-    def __init__(self, src, dst, echelon, pivots, widths, dim):
-        vars(self).update(
-            src=src, dst=dst, echelon=echelon, pivots=pivots, widths=widths, dim=dim,
-        )
 
     @cached_property
     def ff_reduction(self) -> tuple:
@@ -602,7 +623,7 @@ class ExtSpace:
         """The class with the given blocks: the flattened off-diagonal
         entries, then one vector per source torsion summand."""
         X, Y = self.src, self.dst
-        h01, h10 = _unflatten_offdiag(blocks[0], X.p, X.q, Y.p, Y.q)
+        h01, h10 = _split(blocks[0], X.p, X.q, Y.q, Y.p)
         return ExtClass(X, Y, h01, h10, tuple(blocks[1:]))
 
     def _blocks(self, h01, h10, tor) -> tuple:
@@ -612,7 +633,7 @@ class ExtSpace:
         shape = (tuple(map(len, h01)), tuple(map(len, h10)), tuple(map(len, tor)))
         if shape != ((X.p,) * Y.q, (X.q,) * Y.p, self.widths[1:]):
             raise ShapeMismatch("class blocks do not match the Ext space's layout")
-        return (_flatten_offdiag(h01, h10),) + tor
+        return (_flatten((h01, h10)),) + tor
 
     @cached_property
     def basis(self) -> tuple:
@@ -648,47 +669,24 @@ class ExtSpace:
         return tuple(v[k] for v, free in zip(blocks, self._free()) for k in free)
 
 
-def _flatten_offdiag(h01, h10):
-    out = []
-    for row in h01:
-        out.extend(row)
-    for row in h10:
-        out.extend(row)
-    return tuple(out)
-
-
-def _unflatten_offdiag(flat, p, q, pp, qq):
-    h01 = tuple(tuple(flat[i * p + k] for k in range(p)) for i in range(qq))
-    off = qq * p
-    h10 = tuple(tuple(flat[off + i * q + k] for k in range(q)) for i in range(pp))
-    return h01, h10
-
-
 def offdiag_blocks(A, X: CObject, Y: CObject) -> tuple:
     """The off-diagonal blocks (h01, h10) of a full Y.rank x X.rank matrix:
-    type-1 rows on type-0 columns, and type-0 rows on type-1 columns."""
-    p, q, pp, qq = X.p, X.q, Y.p, Y.q
-    h01 = tuple(tuple(A[pp + i][k] for k in range(p)) for i in range(qq))
-    h10 = tuple(tuple(A[i][p + k] for k in range(q)) for i in range(pp))
-    return h01, h10
+    the diagonal blocks of A with Y's type-1 rows moved first."""
+    return _cut(A[Y.p:] + A[:Y.p], X.p, Y.q)
 
 
 def diag_blocks(A, X: CObject, Y: CObject) -> tuple:
     """The diagonal blocks (a00, a11) of a full Y.rank x X.rank matrix: type-0
     rows on type-0 columns, and type-1 rows on type-1 columns."""
-    return (
-        tuple(tuple(row[: X.p]) for row in A[: Y.p]),
-        tuple(tuple(row[X.p:]) for row in A[Y.p:]),
-    )
+    return _cut(A, X.p, Y.p)
 
 
 def offdiag_full(c: ExtClass) -> tuple:
     """The class blocks as a full Y.rank x X.rank matrix, zero on the diagonal
     blocks: the inverse of ``offdiag_blocks``."""
-    F, X = c.src.field, c.src
-    rows = [(F.zero,) * X.p + tuple(row) for row in c.h10]
-    rows += [tuple(row) + (F.zero,) * X.q for row in c.h01]
-    return tuple(rows)
+    X, qq = c.src, c.dst.q
+    A = _full(X.field, c.h01, c.h10, X.p, X.q)
+    return A[qq:] + A[:qq]
 
 
 def _ext_torsion(X: CObject, Y: CObject) -> int:
@@ -712,9 +710,13 @@ def _ext_torsion(X: CObject, Y: CObject) -> int:
 
 def _ext_count(X: CObject, Y: CObject) -> tuple:
     """The eliminated lattice image of ``ext_space`` and dim Ext(X, Y): the
-    off-diagonal cells less the echelon's rank, plus ``_ext_torsion``.  The
-    echelon is not frozen: ``ext_space`` freezes the one it keeps, and
-    ``serre_check`` reads its pivots and keeps nothing."""
+    off-diagonal cells less the echelon's rank, plus ``_ext_torsion``.  Its
+    loop is ``_hom_count``'s with Y's rows read type-swapped (s[pp:], s[:pp]
+    where that one reads u[:pp], u[pp:]), as the class layout is the map
+    layout into Y with its types swapped; the two loops stay apart, since
+    one row builder fed by a generator of row pairs slowed the duality
+    sweep by 3-4 %.  The echelon is not frozen: ``ext_space`` freezes the
+    one it keeps, and ``serre_check`` reads its pivots and keeps nothing."""
     F = X.field
     XL, YL = X.lattice, Y.lattice
     p, q, pp, qq = XL.p, XL.q, YL.p, YL.q
@@ -889,26 +891,23 @@ def _gram(hom: HomSpace, ext: ExtSpace, flipped: bool = False) -> tuple:
 
     Each class (torsion-free source) is a one at a free position h01[i][k]
     or h10[i][k], and tr(B . A) sums B[i][k] A[k][i]; so it pairs with a map
-    by entry [k][i] of its a00 or a11, swapped when the map follows the
-    class (flipped).  Between torsion-free objects every Hom basis map is a
-    lattice map, so the entries are read off the (a00, a11) pairs of
+    by entry [i][k] of its a00 or a11 transposed, the two swapped when the
+    map follows the class (flipped).  The transposed blocks have the class
+    blocks' shapes, so a Gram row is them flattened and read at the free
+    positions.  Between torsion-free objects every Hom basis map is a
+    lattice map, so the blocks are the (a00, a11) pairs of
     ``HomSpace.lattice_maps`` and no map is built.  Rows run over Hom, or
     over Ext when flipped.  ``serre_check`` builds no such matrix.
     """
-    X, Y = ext.src, ext.dst
-    p, q = X.p, X.q
-    n01 = Y.q * p
-    pivots = set(ext.pivots)
-    cells = [
-        (0, *divmod(k, p)) if k < n01 else (1, *divmod(k - n01, q))
-        for k in range(ext.widths[0]) if k not in pivots
-    ]
+    free = ext._free()[0]
     rows = tuple(
-        tuple(blocks[b][k][i] for b, i, k in cells)
-        for blocks in (m[::-1] if flipped else m for m in hom.lattice_maps)
+        tuple(v[k] for k in free)
+        for v in (
+            _flatten(map(linalg.transpose, m[::-1] if flipped else m)) for m in hom.lattice_maps
+        )
     )
     if flipped:
-        return tuple(zip(*rows)) if rows else ((),) * len(cells)
+        return tuple(zip(*rows)) if rows else ((),) * len(free)
     return rows
 
 
@@ -935,11 +934,11 @@ class SerreReport:
     """One pair's duality verdict: both dimensions, and the Gram rank when
     both objects are torsion-free.
 
-    Like ``HomSpace`` and ``ExtSpace``, built once per checked pair, it fills
-    its fields with one dict update: the ``__init__`` a frozen dataclass
-    generates calls ``object.__setattr__`` per field, about a tenth of a
-    sweep of tiny pairs.  Equality, hashing, ``repr`` and frozenness stay
-    the generated ones.
+    Built once per checked pair, it fills its fields with one dict update:
+    the ``__init__`` a frozen dataclass generates calls
+    ``object.__setattr__`` per field, about a tenth of a sweep of tiny
+    pairs.  Equality, hashing, ``repr`` and frozenness stay the generated
+    ones.
     """
 
     X: CObject

@@ -86,7 +86,7 @@ def reconstruct_parts(wm: WindowModule, chart, p: int, q: int):
     D, dims, xmaps = wm.degrees, wm.dims, wm.xmaps
     top = len(D) - 1
     r = p + q
-    if dims[top] != r or (r > 0 and linalg.inverse(F, chart) is None):
+    if dims[top] != r or (r > 0 and linalg.rank(F, chart) != r):
         raise ZdinftyError("window chart is not an isomorphism onto k^r")
 
     if r > 0:

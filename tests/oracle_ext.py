@@ -5,20 +5,19 @@ image is the off-diagonal blocks of a basis of Hom_kx(X, Y), found as the
 kernel of the filtration constraints by ``hom_kx_space``, and each torsion
 summand's image is the ``rref`` of the transposed x^n matrix
 ``module_xpower``.  Reduced echelon forms are unique, so the reductions and
-the canonical basis must agree with ``ext_space`` entry for entry.
+the canonical basis must agree with ``ext_space`` entry for entry.  The
+off-diagonal layout is written out entry by entry, here and in
+``oracle_slots.offdiag_blocks``, apart from the library's, so that a fault
+in it cannot sit on both sides of a comparison.
 """
 
 from typing import NamedTuple
 
 from zdinfty import linalg
-from zdinfty.homext import (
-    ExtClass,
-    _flatten_offdiag,
-    _unflatten_offdiag,
-    hom_kx_space,
-    offdiag_blocks,
-)
+from zdinfty.homext import ExtClass, hom_kx_space
 from zdinfty.objects import CObject, TorsionPart, module_xpower
+
+from oracle_slots import offdiag_blocks
 
 
 class Ext(NamedTuple):
@@ -27,6 +26,15 @@ class Ext(NamedTuple):
     basis: tuple
     ff_reduction: tuple
     tor_reduction: tuple
+
+
+def offdiag_from_vector(flat, X, Y) -> tuple:
+    """(h01, h10) from their entries listed row by row, h01 first."""
+    p, q, pp, qq = X.p, X.q, Y.p, Y.q
+    h01 = tuple(tuple(flat[i * p + k] for k in range(p)) for i in range(qq))
+    off = qq * p
+    h10 = tuple(tuple(flat[off + i * q + k] for k in range(q)) for i in range(pp))
+    return h01, h10
 
 
 def ext_space(X, Y) -> Ext:
@@ -39,7 +47,8 @@ def ext_space(X, Y) -> Ext:
         x_lat = CObject(F, TorsionPart(()), X.lattice)
         y_lat = CObject(F, TorsionPart(()), Y.lattice)
         for A in hom_kx_space(x_lat, y_lat):
-            image_vectors.append(_flatten_offdiag(*offdiag_blocks(A, X, Y)))
+            blocks = offdiag_blocks(A, X, Y)
+            image_vectors.append(tuple(c for block in blocks for row in block for c in row))
     ff_reduction = linalg.rref(F, image_vectors) if image_vectors else ((), ())
 
     tor_reduction = tuple(
@@ -61,7 +70,7 @@ def ext_space(X, Y) -> Ext:
         flat = [F.zero] * n_off
         flat[fcoord] = F.one
         red = linalg.reduce_against(F, rows, pivots, flat)
-        h01, h10 = _unflatten_offdiag(red, p, q, pp, qq)
+        h01, h10 = offdiag_from_vector(red, X, Y)
         basis.append(ExtClass(X, Y, h01, h10, tuple(zero_tor())))
     for i, (n_i, a_i) in enumerate(X.torsion.summands):
         dim_i = Y.module_dim_at(n_i - a_i)

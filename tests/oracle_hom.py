@@ -17,6 +17,7 @@ from zdinfty import linalg
 from zdinfty.homext import (
     Morphism,
     _constant_matrix_solutions,
+    _hom_count,
     morphism_from_parts,
     torsion_compatible,
 )
@@ -89,7 +90,7 @@ def eager_hom_basis(X, Y) -> tuple:
     F = X.field
     basis = []
     # lattice part
-    for a00, a11 in _constant_matrix_solutions(X, Y):
+    for a00, a11 in _constant_matrix_solutions(X, Y, _hom_count(X, Y)[0]):
         basis.append(morphism_from_parts(X, Y, a00, a11))
     S, T = X.torsion, Y.torsion
     if not T.summands:

@@ -14,7 +14,10 @@ column, and the twists swap coordinates with index comprehensions.
 ``tests/test_ses_frame.py`` and ``tests/test_sum_places.py`` check that
 ``ar`` and ``homext`` give the same sequences, classes, frames and maps.
 ``split_sequence`` is the library's split extension, the sequence of
-``zero_class``; only tests read either, so both live here.
+``zero_class``; only tests read either, so both live here.  The class's
+full matrix (``offdiag_full``) and the off-diagonal blocks
+(``oracle_slots.offdiag_blocks``) are written out entry by entry, apart
+from the library's block layout.
 """
 
 from zdinfty import linalg, window
@@ -27,8 +30,6 @@ from zdinfty.homext import (
     ext_space,
     morphism_degreewise,
     morphism_from_parts,
-    offdiag_blocks,
-    offdiag_full,
     torsion_compatible,
 )
 from zdinfty.lattice import adapted_coords, canonicalize
@@ -40,7 +41,21 @@ from zdinfty.objects import (
 )
 
 from oracle_decomp import _embedding, direct_sum_many
-from oracle_slots import max_degree, max_jump, window_bounds
+from oracle_slots import max_degree, max_jump, offdiag_blocks, window_bounds
+
+
+def offdiag_full(c: ExtClass) -> tuple:
+    """The class blocks as a full Y.rank x X.rank matrix, entry by entry:
+    A[Y.p + i][k] = h01[i][k], A[i][X.p + k] = h10[i][k], zero elsewhere."""
+    X, Y = c.src, c.dst
+    A = [[X.field.zero] * X.rank for _ in range(Y.rank)]
+    for i, row in enumerate(c.h01):
+        for k, entry in enumerate(row):
+            A[Y.p + i][k] = entry
+    for i, row in enumerate(c.h10):
+        for k, entry in enumerate(row):
+            A[i][X.p + k] = entry
+    return tuple(map(tuple, A))
 
 
 def sum_embeddings(Y: CObject, X: CObject):

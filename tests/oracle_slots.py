@@ -24,10 +24,20 @@ from __future__ import annotations
 
 from zdinfty import linalg
 from zdinfty.errors import NotLatticeMorphism, ZdinftyError
-from zdinfty.homext import ext_space, morphism_from_parts, offdiag_blocks
+from zdinfty.homext import ext_space, morphism_from_parts
 from zdinfty.objects import serre_twist
 
 from oracle_membership import coords_in_basis
+
+
+def offdiag_blocks(A, X, Y) -> tuple:
+    """The off-diagonal blocks (h01, h10) of a full Y.rank x X.rank matrix,
+    entry by entry: h01[i][k] = A[Y.p + i][k], Y's type-1 rows on X's
+    type-0 columns, and h10[i][k] = A[i][X.p + k], Y's type-0 rows on X's
+    type-1 columns."""
+    h01 = tuple(tuple(A[Y.p + i][k] for k in range(X.p)) for i in range(Y.q))
+    h10 = tuple(tuple(A[i][X.p + k] for k in range(X.q)) for i in range(Y.p))
+    return h01, h10
 
 
 def max_jump(L) -> int:

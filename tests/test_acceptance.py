@@ -2,12 +2,16 @@
 
 Each test prints one pass/fail line with its runtime.  The catalog is the
 set of indecomposables with m <= 4, n <= 4, |a| <= 3 unless a criterion
-states otherwise.
+states otherwise.  Each criterion runs over Q under its own name, and over
+GF(2) and GF(3) in ``test_acceptance_over_prime_fields``, with the same
+budget and assertions per field.
 """
 
 import itertools
 import random
 import time
+
+import pytest
 
 from zdinfty import linalg
 from zdinfty.ar import almost_split, extension_object, no_proj_no_inj_witness, quiver_window
@@ -43,10 +47,8 @@ from oracle_membership import coords_in_basis, mat_scale
 from oracle_ring import Poly, RmElement, ring_u, ring_v
 from oracle_trunc import hom_dim_trunc
 
-F = QQ
 
-
-def catalog(field=F, m_max=4, n_max=4, a_bound=3):
+def catalog(field=QQ, m_max=4, n_max=4, a_bound=3):
     objs = []
     for a in range(-a_bound, a_bound + 1):
         objs.append(rank_one(field, 0, a))
@@ -58,14 +60,14 @@ def catalog(field=F, m_max=4, n_max=4, a_bound=3):
     return objs
 
 
-def report(num, name, start, budget):
+def report(num, name, start, budget, F):
     elapsed = time.time() - start
-    line = f"ACCEPTANCE {num} ({name}): PASS in {elapsed:.2f}s (budget {budget}s)"
+    line = f"ACCEPTANCE {num} ({name}) over {F}: PASS in {elapsed:.2f}s (budget {budget}s)"
     print(line)
-    assert elapsed < budget, f"criterion {num} exceeded its {budget}s budget"
+    assert elapsed < budget, f"criterion {num} exceeded its {budget}s budget over {F}"
 
 
-def test_acceptance_01_rank_one_tables():
+def test_acceptance_01_rank_one_tables(F=QQ):
     start = time.time()
     pairs = 0
     for i, j in itertools.product((0, 1), repeat=2):
@@ -75,22 +77,22 @@ def test_acceptance_01_rank_one_tables():
             assert ext_space(X, Y).dim == (1 if i == 1 - j and a > b else 0)
             pairs += 1
     assert pairs == 324
-    report(1, "rank-one hom/ext tables", start, 5)
+    report(1, "rank-one hom/ext tables", start, 5, F)
 
 
-def test_acceptance_02_serre_duality_sweep():
+def test_acceptance_02_serre_duality_sweep(F=QQ):
     start = time.time()
-    objs = catalog()
+    objs = catalog(F)
     assert len(objs) == 70
     for X, Y in itertools.product(objs, repeat=2):
         r = serre_check(X, Y)
         assert r.dims_match, (X, Y, r.dim_hom, r.dim_ext_twisted)
         if X.is_torsion_free() and Y.is_torsion_free():
             assert r.gram_nondegenerate, (X, Y)
-    report(2, "serre duality sweep", start, 60)
+    report(2, "serre duality sweep", start, 60, F)
 
 
-def test_acceptance_03_almost_split_sequences():
+def test_acceptance_03_almost_split_sequences(F=QQ):
     start = time.time()
     for m in range(2, 5):
         for a in range(-2, 3):
@@ -115,7 +117,7 @@ def test_acceptance_03_almost_split_sequences():
             assert mesh.middle_factors == (rank_two_label(1, a),)
             assert decompose(mesh.middle).factors == mesh.middle_factors
             assert mesh.left_label == rank_one_label(1 - i, a - 1)
-    report(3, "almost split sequences", start, 10)
+    report(3, "almost split sequences", start, 10, F)
 
 
 def _figure_arrows(m_max, a_min, a_max):
@@ -143,7 +145,8 @@ def _figure_arrows(m_max, a_min, a_max):
     return nodes, arrows
 
 
-def test_acceptance_04_figure_window():
+def test_acceptance_04_figure_window(F=QQ):
+    # the window is built from labels by the mesh rule: it reads no field
     start = time.time()
     w = quiver_window(m_max=4, a_min=-1, a_max=3, n_max=1)
     got_nodes = {n for n in w.nodes if n.kind != "wing"}
@@ -164,7 +167,7 @@ def test_acceptance_04_figure_window():
     tau = dict(w.translation)
     for node, image in tau.items():
         assert image == serre_twist_label(node)
-    report(4, "figure window reproduction", start, 10)
+    report(4, "figure window reproduction", start, 10, F)
 
 
 def _random_label(rng, max_param):
@@ -177,9 +180,9 @@ def _random_label(rng, max_param):
     return wing(rng.randint(1, max_param), a)
 
 
-def test_acceptance_05_krull_schmidt():
+def test_acceptance_05_krull_schmidt(F=QQ):
     start = time.time()
-    for field, count, seed in ((QQ, 100, 11), (GF(5), 100, 13)):
+    for field, count, seed in ((F, 100, 11), (GF(5), 100, 13)):
         rng = random.Random(seed)
         for _ in range(count):
             labels = [
@@ -189,7 +192,7 @@ def test_acceptance_05_krull_schmidt():
             rng.randint(0, 10 ** 6)  # unused draw: keeps the sequence of sums stable
             dec = decompose(X)
             assert sorted(map(str, dec.factors)) == sorted(map(str, labels))
-    report(5, "krull-schmidt 200 sums", start, 60)
+    report(5, "krull-schmidt 200 sums", start, 60, F)
 
 
 def _space(kind, X, Y):
@@ -257,10 +260,10 @@ def _six_term_check(field, seq, G):
     assert sum(dims[::2]) == sum(dims[1::2]), "alternating sum is nonzero"
 
 
-def test_acceptance_06_hereditary_les():
+def test_acceptance_06_hereditary_les(F=QQ):
     start = time.time()
     rng = random.Random(21)
-    lattice_objs = [o for o in catalog(m_max=3, n_max=1, a_bound=2) if o.is_torsion_free()]
+    lattice_objs = [o for o in catalog(F, m_max=3, n_max=1, a_bound=2) if o.is_torsion_free()]
     torsion_objs = [torsion_cyclic(F, n, a) for n in (1, 2, 3) for a in (-1, 0, 1)]
     sequences = []
     # torsion-free extensions
@@ -294,23 +297,23 @@ def test_acceptance_06_hereditary_les():
             chi_mid = hom_space(H, seq.middle).dim - ext_space(H, seq.middle).dim
             chi_left = hom_space(H, seq.left).dim - ext_space(H, seq.left).dim
             assert chi_mid == chi_left + chi_right
-    report(6, "hereditary six-term sequences", start, 30)
+    report(6, "hereditary six-term sequences", start, 30, F)
 
 
-def test_acceptance_07_no_projectives_no_injectives():
+def test_acceptance_07_no_projectives_no_injectives(F=QQ):
     start = time.time()
-    for X in catalog():
+    for X in catalog(F):
         n_epi, n_mono = no_proj_no_inj_witness(X)
         assert 1 <= n_epi <= 3 and 1 <= n_mono <= 3
-    report(7, "no projectives or injectives", start, 10)
+    report(7, "no projectives or injectives", start, 10, F)
 
 
-def test_acceptance_08_singularity_correspondence():
+def test_acceptance_08_singularity_correspondence(F=QQ):
     start = time.time()
     for m in range(1, 5):
         for a in range(-3, 4):
             assert singularity_index(rank_two(F, m, a)) == m
-    torsion_free = [o for o in catalog() if o.is_torsion_free()]
+    torsion_free = [o for o in catalog(F) if o.is_torsion_free()]
     for X, Y in itertools.product(torsion_free, repeat=2):
         for f in hom_space(X, Y).basis:
             assert y_linearity_bound(f) <= 16
@@ -320,15 +323,15 @@ def test_acceptance_08_singularity_correspondence():
         assert v * v == (u ** m) * v
         for _ in range(10):
             d1, d2 = rng.randint(m, m + 3), rng.randint(m, m + 3)
-            a = _random_hom_elt(rng, m, d1)
-            b = _random_hom_elt(rng, m, d2)
+            a = _random_hom_elt(F, rng, m, d1)
+            b = _random_hom_elt(F, rng, m, d2)
             prod = a * b
             assert prod.is_homogeneous()
             RmElement(m, prod.f, prod.g)  # congruence maintained
-    report(8, "singularity correspondence", start, 10)
+    report(8, "singularity correspondence", start, 10, F)
 
 
-def _random_hom_elt(rng, m, d):
+def _random_hom_elt(F, rng, m, d):
     c1 = F.of_int(rng.randint(-3, 3))
     c2 = F.of_int(rng.randint(-3, 3)) if d >= m else c1
     return RmElement(
@@ -338,17 +341,17 @@ def _random_hom_elt(rng, m, d):
     )
 
 
-def test_acceptance_09_truncated_oracle():
+def test_acceptance_09_truncated_oracle(F=QQ):
     start = time.time()
-    objs = catalog()
+    objs = catalog(F)
     for X, Y in itertools.product(objs, repeat=2):
         assert hom_space(X, Y).dim == hom_dim_trunc(X, Y, -8, 8), (X, Y)
-    report(9, "truncated-representation oracle", start, 60)
+    report(9, "truncated-representation oracle", start, 60, F)
 
 
-def test_acceptance_10_trace_map_laws():
+def test_acceptance_10_trace_map_laws(F=QQ):
     start = time.time()
-    torsion_free = [o for o in catalog() if o.is_torsion_free()]
+    torsion_free = [o for o in catalog(F) if o.is_torsion_free()]
     # vanishing of the trace on restricted maps into the twist: 100 samples
     rng = random.Random(41)
     samples = 0
@@ -383,4 +386,24 @@ def test_acceptance_10_trace_map_laws():
         for c in ext_space(X, VX).basis:
             twisted = ext_space(VX, serre_twist(VX)).reduce(c.h10, c.h01, c.tor)
             assert eta(VX, twisted) == eta(X, c)
-    report(10, "trace-map laws", start, 30)
+    report(10, "trace-map laws", start, 30, F)
+
+
+CRITERIA = [
+    test_acceptance_01_rank_one_tables,
+    test_acceptance_02_serre_duality_sweep,
+    test_acceptance_03_almost_split_sequences,
+    test_acceptance_04_figure_window,
+    test_acceptance_05_krull_schmidt,
+    test_acceptance_06_hereditary_les,
+    test_acceptance_07_no_projectives_no_injectives,
+    test_acceptance_08_singularity_correspondence,
+    test_acceptance_09_truncated_oracle,
+    test_acceptance_10_trace_map_laws,
+]
+
+
+@pytest.mark.parametrize("F", [GF(2), GF(3)], ids=str)
+@pytest.mark.parametrize("criterion", CRITERIA, ids=lambda t: t.__name__[16:])
+def test_acceptance_over_prime_fields(criterion, F):
+    criterion(F)

@@ -540,6 +540,30 @@ def test_failed_selftest_exits_1(monkeypatch):
     assert code == 1 and data["passed"] is False and data["report"][-1] == "selftest: FAIL"
 
 
+@pytest.mark.parametrize(
+    "argv, names",
+    [
+        (["selftest"], {"serre_check", "hom_space"}),
+        (["serre", "--catalog", "m<=1,n<=1,a>=0,a<=0"], {"serre_check"}),
+    ],
+    ids=["selftest", "serre-catalog"],
+)
+def test_field_option_reaches_the_sweeps(argv, names, monkeypatch):
+    # the golden digests are the same over every field, so a handler that
+    # built its objects over Q would still pass them; the spies see the field
+    argv = ["--field", "Fp:3", *argv]
+    want = run_command(argv)
+    seen = {}
+    for name in ("serre_check", "hom_space"):
+        def spy(X, Y, name=name, real=getattr(cli, name)):
+            seen.setdefault(name, set()).update((X.field, Y.field))
+            return real(X, Y)
+
+        monkeypatch.setattr(cli, name, spy)
+    assert run_command(argv) == want
+    assert seen == dict.fromkeys(names, {GF(3)})
+
+
 def test_closed_pipe_ends_quietly():
     """A reader that stops early (``| head -c 200``) gets no traceback.
 
