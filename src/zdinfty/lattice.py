@@ -175,19 +175,6 @@ def canonicalize(field: FieldSpec, gens: Iterable, p: int, q: int) -> GradedLatt
     return GradedLattice(field, p, q, tuple(steps))
 
 
-def from_filtration(field: FieldSpec, p: int, q: int, pieces: Sequence) -> GradedLattice:
-    """Lattice with prescribed subspaces S_d at the given degrees.
-
-    ``pieces`` is a list of (degree, iterable of vectors) with degrees
-    ascending; between listed degrees the filtration is constant.
-    """
-    gens = []
-    for d, vectors in pieces:
-        for v in vectors:
-            gens.append((d, tuple(v)))
-    return canonicalize(field, gens, p, q)
-
-
 def membership(L: GradedLattice, v: GradedVector) -> bool:
     """Whether the homogeneous element lies in the lattice: whether its
     adapted coordinates past ``L.dim_at(v.degree)`` vanish."""
@@ -207,12 +194,10 @@ def lattice_intersect(L1: GradedLattice, L2: GradedLattice) -> GradedLattice:
         raise DimensionMismatch("lattices in different ambient spaces")
     F, r = L1.field, L1.rank
     degrees = sorted({j for j, _ in L1.steps} | {j for j, _ in L2.steps})
-    pieces = []
-    for d in degrees:
-        # S_d of the meet is where the annihilators of both S_d vanish
-        w = linalg.nullspace(F, L1.annihilator_at(d) + L2.annihilator_at(d), r)
-        pieces.append((d, w))
-    return from_filtration(F, L1.p, L1.q, pieces)
+    # S_d of the meet is where the annihilators of both S_d vanish
+    annihilators = [(d, L1.annihilator_at(d) + L2.annihilator_at(d)) for d in degrees]
+    gens = [(d, w) for d, ann in annihilators for w in linalg.nullspace(F, ann, r)]
+    return canonicalize(F, gens, L1.p, L1.q)
 
 
 def shift_lattice(L: GradedLattice, s: int) -> GradedLattice:

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from . import linalg
 from .errors import ZdinftyError
 from .fields import FieldSpec
-from .lattice import GradedLattice, from_filtration
+from .lattice import GradedLattice, canonicalize
 
 
 @dataclass(frozen=True)
@@ -94,7 +94,7 @@ def reconstruct_parts(wm: WindowModule, chart, p: int, q: int):
         to_chart = [chart] * len(D)
         for i in range(top - 1, -1, -1):
             to_chart[i] = linalg.mm(F, to_chart[i + 1], xmaps[i], dims[i + 1], dims[i])
-        lat = from_filtration(F, p, q, [(d, linalg.transpose(m)) for d, m in zip(D, to_chart)])
+        lat = canonicalize(F, [(d, v) for d, m in zip(D, to_chart) for v in zip(*m)], p, q)
         kernels = [linalg.nullspace(F, m, ncols=n) for m, n in zip(to_chart, dims)]
     else:
         lat = GradedLattice(F, p, q, ())

@@ -19,7 +19,7 @@ youngest first.
 from bisect import bisect_right
 
 from zdinfty import linalg
-from zdinfty.lattice import GradedLattice, from_filtration
+from zdinfty.lattice import GradedLattice, canonicalize
 from zdinfty.objects import CObject, TorsionPart, module_xpower
 from zdinfty.window import WindowModule
 
@@ -60,13 +60,13 @@ def reference_parts(wm, chart, p, q):
     to_chart = {hi: chart}
     for d in range(hi - 1, lo - 1, -1):
         to_chart[d] = linalg.mm(F, to_chart[d + 1], xmap(wm, d), dim_at(wm, d + 1), dim_at(wm, d))
-    pieces = []
+    gens = []
     kernels = {}
     for d in range(lo, hi + 1):
         cols = [tuple(to_chart[d][i][j] for i in range(r)) for j in range(dim_at(wm, d))]
-        pieces.append((d, cols))
+        gens += [(d, col) for col in cols]
         kernels[d] = linalg.nullspace(F, to_chart[d], ncols=dim_at(wm, d))
-    lat = from_filtration(F, p, q, pieces) if r > 0 else GradedLattice(F, p, q, ())
+    lat = canonicalize(F, gens, p, q) if r > 0 else GradedLattice(F, p, q, ())
 
     def rho(s, t):
         # number of torsion summands alive on all of [s, t]

@@ -18,7 +18,7 @@ the dual rows up to scale: from the exact rows of ``generator_inverse``.
 from zdinfty import linalg
 from zdinfty.errors import DimensionMismatch
 from zdinfty.fields import check_same_field
-from zdinfty.lattice import GradedVector, from_filtration
+from zdinfty.lattice import GradedVector, canonicalize
 
 
 def in_span(F, basis, pivots, v) -> bool:
@@ -161,11 +161,12 @@ def inverse_intersect(L1, L2):
     annihilators."""
     F, r = L1.field, L1.rank
     degrees = sorted({j for j, _ in L1.steps} | {j for j, _ in L2.steps})
-    pieces = [
-        (d, linalg.nullspace(F, inverse_annihilator(L1, d) + inverse_annihilator(L2, d), r))
+    gens = [
+        (d, w)
         for d in degrees
+        for w in linalg.nullspace(F, inverse_annihilator(L1, d) + inverse_annihilator(L2, d), r)
     ]
-    return from_filtration(F, L1.p, L1.q, pieces)
+    return canonicalize(F, gens, L1.p, L1.q)
 
 
 def inverse_constant_matrix_solutions(X, Y):

@@ -15,7 +15,7 @@ certificate and returns (E, maps) as ``ar._general_extension`` does.
 from zdinfty import linalg
 from zdinfty.ar import _frame_generators, morphism_from_degreewise
 from zdinfty.errors import ZdinftyError
-from zdinfty.lattice import GradedLattice, from_filtration
+from zdinfty.lattice import GradedLattice, canonicalize
 from zdinfty.objects import CObject, TorsionPart, module_xpower, slot_events, sum_places
 from zdinfty.window import WindowModule
 
@@ -61,7 +61,7 @@ def reconstruct_parts(wm, chart, p, q):
     for i in range(top - 1, -1, -1):
         to_chart[i] = linalg.mm(F, to_chart[i + 1], xmaps[i], dims[i + 1], dims[i])
     if r > 0:
-        lat = from_filtration(F, p, q, [(d, linalg.transpose(m)) for d, m in zip(D, to_chart)])
+        lat = canonicalize(F, [(d, v) for d, m in zip(D, to_chart) for v in zip(*m)], p, q)
     else:
         lat = GradedLattice(F, p, q, ())
 

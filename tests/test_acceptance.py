@@ -167,6 +167,13 @@ def test_acceptance_04_figure_window(F=QQ):
     tau = dict(w.translation)
     for node, image in tau.items():
         assert image == serre_twist_label(node)
+    # over F: each non-wing node's built middle splits into the mesh rule's
+    # factors, and each arrow's ends have a nonzero Hom
+    for node in got_nodes:
+        mesh = almost_split(label_to_object(F, node))
+        assert decompose(mesh.middle).factors == mesh.middle_factors, node
+    for a, b in w.arrows:
+        assert hom_space(label_to_object(F, a), label_to_object(F, b)).dim > 0, (a, b)
     report(4, "figure window reproduction", start, 10, F)
 
 
@@ -180,9 +187,14 @@ def _random_label(rng, max_param):
     return wing(rng.randint(1, max_param), a)
 
 
+# the second batch of acceptance 05: a prime and a seed of its own per criterion field
+SECOND_BATCH = {QQ: (GF(5), 13), GF(2): (GF(7), 17), GF(3): (GF(11), 19)}
+
+
 def test_acceptance_05_krull_schmidt(F=QQ):
     start = time.time()
-    for field, count, seed in ((F, 100, 11), (GF(5), 100, 13)):
+    other, other_seed = SECOND_BATCH[F]
+    for field, count, seed in ((F, 100, 11), (other, 100, other_seed)):
         rng = random.Random(seed)
         for _ in range(count):
             labels = [

@@ -540,6 +540,45 @@ def test_failed_selftest_exits_1(monkeypatch):
     assert code == 1 and data["passed"] is False and data["report"][-1] == "selftest: FAIL"
 
 
+def _fails_at_f0_0(report):
+    """The sweep's one pair (F0[0], F0[0]) fails."""
+    if print_object(report.X) == print_object(report.Y) == "F0[0]":
+        return dataclasses.replace(report, dims_match=False)
+    return report
+
+
+@pytest.mark.parametrize(
+    "name, wrong, check",
+    [
+        ("decompose", lambda dec: dataclasses.replace(dec, pieces=dec.pieces[1:]), "krull-schmidt"),
+        ("serre_check", _fails_at_f0_0, "serre duality"),
+    ],
+    ids=["dropped-factor", "one-failed-pair"],
+)
+def test_selftest_names_the_failed_check(name, wrong, check, monkeypatch):
+    real = getattr(cli, name)
+    monkeypatch.setattr(cli, name, lambda *args: wrong(real(*args)))
+    code, out = run_command(["selftest"])
+    lines = out.splitlines()
+    assert code == 1 and lines[-1] == "selftest: FAIL"
+    assert f"selftest {check}: FAIL" in lines
+
+
+def test_selftest_default_sums_cover_every_kind(monkeypatch):
+    # the ten sums of the default seed are the only direct sums selftest builds
+    real, sums = cli.direct_sum_many, []
+
+    def spy(objs):
+        sums.append(list(objs))
+        return real(objs)
+
+    monkeypatch.setattr(cli, "direct_sum_many", spy)
+    assert run_command(["selftest"])[0] == 0
+    assert len(sums) == 10
+    kinds = {label.kind for objs in sums for X in objs for label in cli.decompose(X).factors}
+    assert kinds == {"rank_one", "rank_two", "wing"}
+
+
 @pytest.mark.parametrize(
     "argv, names",
     [

@@ -27,7 +27,6 @@ from zdinfty.lattice import (
     GradedVector,
     canonicalize,
     degree_of,
-    from_filtration,
     lattice_intersect,
     membership,
 )
@@ -109,9 +108,10 @@ def test_meet_matches_stacked_kernel_intersection(F, seed):
     for L1 in lattices:
         L2 = _perturbed(F, rng, L1)
         degrees = sorted({j for j, _ in L1.steps} | {j for j, _ in L2.steps})
-        want = from_filtration(F, L1.p, L1.q, [
-            (d, intersect_rowspaces(F, L1.subspace_at(d), L2.subspace_at(d))) for d in degrees
-        ])
+        want = canonicalize(F, [
+            (d, w) for d in degrees
+            for w in intersect_rowspaces(F, L1.subspace_at(d), L2.subspace_at(d))
+        ], L1.p, L1.q)
         meet = lattice_intersect(L1, L2)
         assert meet == want, (L1, L2)
         assert lattice_intersect(L1, L1) == L1

@@ -33,7 +33,10 @@ from zdinfty.fields import FieldSpec
 
 SRC = Path(zdinfty.__file__).resolve().parent
 README = SRC.parent.parent / "README.md"
-GONE = {"Poly", "RmElement", "ring_one", "ring_u", "ring_v", "MixedIndex", "mat_scale"}
+GONE = {
+    "Poly", "RmElement", "ring_one", "ring_u", "ring_v", "MixedIndex", "mat_scale",
+    "from_filtration",
+}
 # definitions no src code reads, each kept for a stated reason
 UNREAD_ALLOWED = {
     "homext.validate_morphism": "the planned `verify` command checks a recorded map with it",
