@@ -45,8 +45,8 @@ from .decomp import (
 from .errors import ParseError, RangeError, ZdinftyError
 from .fields import FieldSpec, parse_field
 from .homext import (
+    dimensions,
     eta,
-    euler_form,
     ext_space,
     hom_space,
     serre_check,
@@ -312,18 +312,17 @@ def parse_catalog(spec: str, field: FieldSpec):
 
 
 def cmd_hom(args, field, X, Y) -> tuple[dict, str]:
-    d = hom_space(X, Y).dim
+    d = dimensions(X, Y)[0]
     return {"dim": d}, f"dim Hom = {d}"
 
 
 def cmd_ext(args, field, X, Y) -> tuple[dict, str]:
-    d = ext_space(X, Y).dim
+    d = dimensions(X, Y)[1]
     return {"dim": d}, f"dim Ext1 = {d}"
 
 
 def cmd_euler(args, field, X, Y) -> tuple[dict, str]:
-    h = hom_space(X, Y).dim
-    e = h - euler_form(X, Y)  # the Euler form needs no elimination
+    h, e = dimensions(X, Y)
     return (
         {"hom": h, "ext": e, "euler": h - e},
         f"dim Hom = {h}, dim Ext1 = {e}, euler = {h - e}",

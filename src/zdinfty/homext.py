@@ -65,8 +65,10 @@ it; the lattice maps (its kernel), the reduced image rows, the torsion
 pairs, widths and hit slots are built only when first read, and each space
 builds its maps or classes only when ``basis`` is read.  ``euler_form``
 needs no elimination at all: the lattice parts of Hom and Ext are the
-kernel and cokernel of one map, so their difference is a count.  The Serre
-Gram matrix selects entries of the lattice maps at the free positions
+kernel and cokernel of one map, so their difference is a count, and
+``dimensions``, which the CLI's ``hom``, ``ext`` and ``euler`` read, takes
+both dimensions from the Hom count alone, dim Ext as dim Hom less it.  The
+Serre Gram matrix selects entries of the lattice maps at the free positions
 (``_gram``); its free cells are the off-diagonal positions below
 ``widths[0]`` off the sorted pivots ``ExtSpace.pivots``.  ``serre_check``
 builds no space and no Gram: it calls the two counts, and takes the
@@ -98,7 +100,7 @@ from .objects import CObject, TorsionPart, module_xpower, serre_twist
 __all__ = [
     "Morphism", "HomSpace", "ExtClass", "ExtSpace", "hom_space", "ext_space",
     "hom_kx_space", "yoneda_compose", "eta", "serre_gram", "serre_check", "euler_form",
-    "serre_twist_morphism", "serre_twist_class",
+    "dimensions", "serre_twist_morphism", "serre_twist_class",
 ]
 
 
@@ -508,8 +510,9 @@ def _hom_count(X: CObject, Y: CObject) -> tuple:
     S_(e_j)(Y).  The unknowns are the entries of a00, then of a11, row by
     row, so each constraint row is u (x) dir_j on the two diagonal blocks
     (``_ext_count`` builds its rows by the same loop, Y's types swapped).
-    The echelon is not frozen: ``hom_space`` freezes the one it keeps, and
-    ``serre_check`` reads its rows and keeps nothing."""
+    The echelon is not frozen: ``hom_space`` freezes the one it keeps,
+    ``serre_check`` reads its rows and keeps nothing, and ``dimensions``
+    reads the count alone."""
     F = X.field
     XL, YL = X.lattice, Y.lattice
     p, q, pp, qq = XL.p, XL.q, YL.p, YL.q
@@ -1021,3 +1024,14 @@ def euler_form(X: CObject, Y: CObject) -> int:
     XL, YL = X.lattice, Y.lattice
     n = sum(YL.dim_at(e) for e, _ in XL.generators())
     return n - (YL.q * XL.p + YL.p * XL.q) + _hom_torsion(X, Y) - _ext_torsion(X, Y)
+
+
+def dimensions(X: CObject, Y: CObject) -> tuple:
+    """(dim Hom(X, Y), dim Ext(X, Y)) from one elimination, the Hom count's.
+
+    The category is hereditary, so the Euler form is dim Hom - dim Ext, and
+    ``euler_form`` counts it with no elimination: dim Ext is dim Hom less it.
+    """
+    check_same_field(X.field, Y.field)
+    hom = _hom_count(X, Y)[1]
+    return hom, hom - euler_form(X, Y)

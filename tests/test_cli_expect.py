@@ -134,6 +134,10 @@ ROWS = [
     ("euler over F_3 counts Hom and Ext of torsion-heavy sums",
      ["--field", "Fp:3", "euler", "T[3,1] + T[2,0] + F[2,0]", "T[3,0] + T[2,1] + F[1,0]"], 0,
      "dim Hom = 6, dim Ext1 = 4, euler = 2"),
+    ("ext rejects an F_3 literal against a Q atom with exit 2",
+     ["ext", '{"field": "Fp:3", "lattice": {"p": 1, "q": 1, "gens": [{"jump": 0, "dir": [1, 2]},'
+      ' {"jump": 2, "dir": [1, 0]}, {"jump": 2, "dir": [0, 1]}]}}', "F[2,0]"], 2,
+     "error: cannot mix F3 and Q"),
     ("a 61-bit prime modulus is tested without trial division",
      ["--field", "Fp:2305843009213693951", "hom", "F[2,0]", "F[2,0]"], 0,
      "dim Hom = 1"),
