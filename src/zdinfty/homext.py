@@ -60,12 +60,13 @@ torsion part as a count of bars.  A summand T[n, a] is the bar
   + #{k : b < b_k <= d < d_k}, the degree-d slots of Y that the x^(d - b)
   image of degree b misses (``_ext_torsion``).
 
-``hom_space`` and ``ext_space`` freeze the echelon of their count and keep
-it; the lattice maps (its kernel), the reduced image rows, the torsion
-pairs, widths and hit slots are built only when first read, and each space
-builds its maps or classes only when ``basis`` is read.  ``euler_form``
-needs no elimination at all: the lattice parts of Hom and Ext are the
-kernel and cokernel of one map, so their difference is a count, and
+``hom_space`` and ``ext_space`` keep the very echelon their count built,
+and nothing adds to it after; the lattice maps (its kernel), the reduced
+image rows, the torsion pairs, widths and hit slots are built only when
+first read, and each space builds its maps or classes only when ``basis``
+is read.  ``euler_form`` needs no elimination at all: the lattice parts
+of Hom and Ext are the kernel and cokernel of one map, so their
+difference is a count, and
 ``dimensions``, which the CLI's ``hom``, ``ext`` and ``euler`` read, takes
 both dimensions from the Hom count alone, dim Ext as dim Hom less it.  The
 Serre Gram matrix selects entries of the lattice maps at the free positions
@@ -75,7 +76,7 @@ builds no space and no Gram: it calls the two counts, and takes the
 Gram's rank from the Hom echelon's columns at the unknowns the Ext pivots
 pair with (see its docstring).  So a duality check of two torsion-free
 objects pays for its two eliminations and one small rank alone, one with
-torsion for its bar counts alone, and neither freezes an echelon.  Every
+torsion for its bar counts alone, and neither keeps an echelon.  Every
 Hom basis map is a kernel vector or a unit torsion map, with a one at its
 last nonzero entry where the others vanish; ``HomSpace.coordinates`` reads
 the entries there.
@@ -393,7 +394,7 @@ class HomSpace:
 
     src: CObject
     dst: CObject
-    echelon: linalg.Echelon = field(compare=False, repr=False)  # frozen constraint rows
+    echelon: linalg.Echelon = field(compare=False, repr=False)  # _hom_count's, never added to
     dim: int  # the lattice maps, the torsion pairs and the summed widths
 
     @cached_property
@@ -510,7 +511,7 @@ def _hom_count(X: CObject, Y: CObject) -> tuple:
     S_(e_j)(Y).  The unknowns are the entries of a00, then of a11, row by
     row, so each constraint row is u (x) dir_j on the two diagonal blocks
     (``_ext_count`` builds its rows by the same loop, Y's types swapped).
-    The echelon is not frozen: ``hom_space`` freezes the one it keeps,
+    ``hom_space`` keeps the echelon as it is, and nothing adds to it after;
     ``serre_check`` reads its rows and keeps nothing, and ``dimensions``
     reads the count alone."""
     F = X.field
@@ -552,7 +553,7 @@ def hom_space(X: CObject, Y: CObject) -> HomSpace:
     widths, and builds its basis maps, only when read."""
     check_same_field(X.field, Y.field)
     echelon, dim = _hom_count(X, Y)
-    return HomSpace(X, Y, echelon.freeze(), dim)
+    return HomSpace(X, Y, echelon, dim)
 
 
 # ---------------------------------------------------------------------------
@@ -591,7 +592,7 @@ class ExtSpace:
 
     src: CObject
     dst: CObject
-    echelon: linalg.Echelon = field(compare=False, repr=False)  # frozen image rows
+    echelon: linalg.Echelon = field(compare=False, repr=False)  # _ext_count's, never added to
     pivots: tuple = field(compare=False, repr=False)  # the echelon's pivots, sorted
     widths: tuple  # per block of a class (see ``_class``): its length
     dim: int  # the free positions: the widths less the pivots and hit slots
@@ -718,8 +719,8 @@ def _ext_count(X: CObject, Y: CObject) -> tuple:
     where that one reads u[:pp], u[pp:]), as the class layout is the map
     layout into Y with its types swapped; the two loops stay apart, since
     one row builder fed by a generator of row pairs slowed the duality
-    sweep by 3-4 %.  The echelon is not frozen: ``ext_space`` freezes the
-    one it keeps, and ``serre_check`` reads its pivots and keeps nothing."""
+    sweep by 3-4 %.  ``ext_space`` keeps the echelon as it is, and nothing
+    adds to it after; ``serre_check`` reads its pivots and keeps nothing."""
     F = X.field
     XL, YL = X.lattice, Y.lattice
     p, q, pp, qq = XL.p, XL.q, YL.p, YL.q
@@ -769,7 +770,7 @@ def ext_space(X: CObject, Y: CObject) -> ExtSpace:
     echelon, dim = _ext_count(X, Y)
     widths = (Y.q * X.p + Y.p * X.q,) + tuple(Y.module_dim_at(n - a) for n, a in X.torsion.summands)
     pivots = tuple(sorted(piv for piv, _ in echelon.rows))
-    return ExtSpace(X, Y, echelon.freeze(), pivots, widths, dim)
+    return ExtSpace(X, Y, echelon, pivots, widths, dim)
 
 
 # ---------------------------------------------------------------------------
@@ -970,9 +971,9 @@ def serre_check(X: CObject, Y: CObject) -> SerreReport:
     """Compare dim Hom(X, Y) with dim Ext(Y, VX); check the pairing rank.
 
     Both dimensions come from the counts ``_hom_count`` and ``_ext_count``,
-    so no ``HomSpace`` or ``ExtSpace`` is built and no echelon frozen.  On
-    two torsion-free objects the Gram (``_gram``) is the lattice maps
-    read at the free cells S of the Ext image.  Let C be the Hom constraint
+    so no ``HomSpace`` or ``ExtSpace`` is built and no echelon kept.  On
+    two torsion-free objects the Gram (``_gram``) is the lattice maps read
+    at the free cells S of the Ext image.  Let C be the Hom constraint
     matrix, E its kept echelon rows, P the Ext pivot cells and P' the Hom
     unknowns they pair with through the transpose (h01[i][k] with a00[k][i],
     h10[i][k] with a11[k][i]).  Then:

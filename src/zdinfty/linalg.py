@@ -143,14 +143,14 @@ class Echelon:
 
     This is the one elimination kernel: ``rref``, ``nullspace``, lattice
     canonical forms and the Krull-Schmidt sweep all run on it.  ``kernel``
-    reads a right-kernel basis off it, and ``freeze`` makes it a snapshot
-    that a value keeps, to reduce or take the kernel of only when read.  Over Q each row is a
-    primitive integer multiple of its vector (``_integer_row``), and only
-    ``reduced`` turns rows back into rationals; over F_p each row is reduced
-    mod p with its pivot entry 1.  Every stored row is zero at every other
-    row's pivot, so sorted by pivot the rows are the reduced echelon form up
-    to scaling, and the reduced echelon form is unique: both fields give
-    the field-generic result.
+    reads a right-kernel basis off it.  A space keeps the echelon its count
+    built, to reduce or take the kernel of only when read, and nothing adds
+    to it after.  Over Q each row is a primitive integer multiple of its
+    vector (``_integer_row``), and only ``reduced`` turns rows back into
+    rationals; over F_p each row is reduced mod p with its pivot entry 1.
+    Every stored row is zero at every other row's pivot, so sorted by pivot
+    the rows are the reduced echelon form up to scaling, and the reduced
+    echelon form is unique: both fields give the field-generic result.
     """
 
     def __init__(self, F: FieldSpec):
@@ -218,17 +218,12 @@ class Echelon:
             basis.append(tuple(v))
         return tuple(basis), free
 
-    def freeze(self) -> Echelon:
-        """This echelon, its rows made tuples so that no ``add`` can change
-        it: a snapshot a value may keep."""
-        self.rows = tuple((piv, tuple(row)) for piv, row in self.rows)
-        return self
 
-
-# The frozen echelon of no rows.  Its ``reduced`` and ``kernel`` read no
-# field, so it serves every field, and a space with nothing to eliminate
-# builds no echelon.
-NO_ROWS = Echelon(QQ).freeze()
+# The one echelon of no rows.  Its ``reduced`` and ``kernel`` read no field,
+# so it serves every field, and a space with nothing to eliminate builds no
+# echelon.  Its rows are the empty tuple, so an ``add`` on it raises.
+NO_ROWS = Echelon(QQ)
+NO_ROWS.rows = ()
 
 
 def rref(F: FieldSpec, rows: Iterable[Sequence]) -> tuple[Matrix, tuple[int, ...]]:

@@ -1,0 +1,129 @@
+"""Cost and memory contracts of the Hom and Ext paths on sums.
+
+L_k is the sum F[1, 0] + F[2, 1] + F[3, 2] + F[1, 0] + ... of k rank-two
+atoms (F[1 + i % 3, i % 3]).  The cost rows count the cells (rows x
+columns) of each system that ``hom_space``, ``ext_space``, ``serre_check``
+and ``euler_form`` on (L_k, L_k) hand to ``linalg._echelon``, with the
+lattice caches of L_k and of its twist warmed first and the systems of
+``linalg.inverse`` counted apart.  They pin the figures at k = 8 and 16 and
+the growth of each op's total per doubling (the cells grow as k^4), and
+check each answer by additivity over the atom pairs, so a fast wrong path
+fails too.  The echelon rows show that a space keeps the very echelon its
+count returned, and the memory rows that it keeps no copy of its rows: the
+``tracemalloc`` peak of building a space is at most 1.1 times that of its
+count alone.
+"""
+
+import gc
+import itertools
+import tracemalloc
+
+import pytest
+
+from zdinfty import homext, linalg
+from zdinfty.fields import GF, QQ
+from zdinfty.homext import euler_form, ext_space, hom_space, serre_check
+from zdinfty.objects import direct_sum_many, rank_two, serre_twist, torsion_cyclic
+
+from test_dimensions import _count_systems
+
+FIELDS = [QQ, GF(3)]
+GROWTH = 17  # per doubling of k
+
+
+def _report(X, Y):
+    r = serre_check(X, Y)
+    return r.dim_hom, r.dim_ext_twisted, r.gram_rank
+
+
+# op -> (its answer as a tuple of counts, cells at k = 8, cells at k = 16)
+OPS = {
+    "hom_space": (lambda X, Y: (hom_space(X, Y).dim,), [10880], [174592]),
+    "ext_space": (lambda X, Y: (ext_space(X, Y).dim,), [21888], [349696]),
+    "serre_check": (_report, [10880, 10880, 7225], [174592, 174592, 116281]),
+    "euler_form": (lambda X, Y: (euler_form(X, Y),), [], []),
+}
+
+
+def _atoms(F) -> list:
+    return [rank_two(F, 1 + r, r) for r in range(3)]
+
+
+def _sum(F, k):
+    """L_k, with the lattice caches of it and its twist warmed."""
+    L = direct_sum_many([_atoms(F)[i % 3] for i in range(k)])[0]
+    for Z in (L, serre_twist(L)):
+        Z.lattice.annihilator_at(0)
+    return L
+
+
+def _by_atoms(answer, F, k) -> tuple:
+    """The answer on (L_k, L_k) summed over its atom pairs: atom r occurs
+    once for each i < k with i % 3 == r."""
+    atoms = _atoms(F)
+    count = [len(range(r, k, 3)) for r in range(3)]
+    total = None
+    for r, s in itertools.product(range(3), repeat=2):
+        part = [count[r] * count[s] * c for c in answer(atoms[r], atoms[s])]
+        total = part if total is None else [a + b for a, b in zip(total, part)]
+    return tuple(total)
+
+
+@pytest.mark.parametrize("op", OPS)
+@pytest.mark.parametrize("F", FIELDS, ids=str)
+def test_cells_per_op_on_sums(F, op, monkeypatch):
+    answer, *cells = OPS[op]
+    seen = _count_systems(monkeypatch)
+    totals = []
+    for k, expected in zip((8, 16), cells):
+        L = _sum(F, k)
+        by_atoms = _by_atoms(answer, F, k)
+        seen["systems"].clear()
+        assert answer(L, L) == by_atoms, (op, k)
+        assert seen["systems"] == expected, (op, k)
+        totals.append(sum(seen["systems"]))
+    assert totals[1] <= GROWTH * totals[0], op
+
+
+def _recorded(monkeypatch, name) -> list:
+    """Record what each call of ``homext.<name>`` returns."""
+    returned = []
+    count = getattr(homext, name)
+
+    def recorded(X, Y):
+        returned.append(count(X, Y))
+        return returned[-1]
+
+    monkeypatch.setattr(homext, name, recorded)
+    return returned
+
+
+@pytest.mark.parametrize("F", FIELDS, ids=str)
+def test_spaces_keep_their_counts_echelon(F, monkeypatch):
+    homs, exts = _recorded(monkeypatch, "_hom_count"), _recorded(monkeypatch, "_ext_count")
+    L, T = _sum(F, 8), torsion_cyclic(F, 2, 0)
+    for X in (L, T):
+        assert hom_space(X, X).echelon is homs[-1][0]
+        assert ext_space(X, X).echelon is exts[-1][0]
+    # torsion has no lattice constraint: its Hom keeps the one empty echelon
+    assert homs[-1][0] is linalg.NO_ROWS and linalg.NO_ROWS.rows == ()
+
+
+def _peak(build, X) -> int:
+    """The ``tracemalloc`` peak of ``build(X, X)``, from a collected heap."""
+    gc.collect()
+    tracemalloc.start()
+    try:
+        build(X, X)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.parametrize("k", [8, 16])
+@pytest.mark.parametrize("space, count", [(hom_space, "_hom_count"), (ext_space, "_ext_count")])
+@pytest.mark.parametrize("F", FIELDS, ids=str)
+def test_a_space_peaks_as_its_count(F, space, count, k):
+    L = _sum(F, k)
+    kept, counted = _peak(space, L), _peak(getattr(homext, count), L)
+    assert kept <= 1.1 * counted, (kept, counted)

@@ -35,7 +35,7 @@ SRC = Path(zdinfty.__file__).resolve().parent
 README = SRC.parent.parent / "README.md"
 GONE = {
     "Poly", "RmElement", "ring_one", "ring_u", "ring_v", "MixedIndex", "mat_scale",
-    "from_filtration",
+    "from_filtration", "freeze",
 }
 # definitions no src code reads, each kept for a stated reason
 UNREAD_ALLOWED = {

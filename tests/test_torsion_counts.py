@@ -7,7 +7,7 @@ built on read, the Ext bar count to the slots ``CObject.xpower_slots`` misses,
 and ``serre_check``'s and ``euler_form``'s counts, which build no space, to
 the spaces' ``dim``; the count tests show that a caller of ``dim`` alone lists
 nothing, that reading ``basis`` lists each once, and that ``serre_check``
-builds and freezes no space.
+builds no space.
 """
 
 import itertools
@@ -112,8 +112,7 @@ def test_serre_check_builds_and_freezes_no_space(monkeypatch):
         return counted
 
     for cls, name in ((homext.HomSpace, "__init__"), (homext.ExtSpace, "__init__"),
-                      (TorsionPart, "slots_at"), (CObject, "module_dim_at"),
-                      (linalg.Echelon, "freeze")):
+                      (TorsionPart, "slots_at"), (CObject, "module_dim_at")):
         monkeypatch.setattr(cls, name, counting(f"{cls.__name__}.{name}", getattr(cls, name)))
     monkeypatch.setattr(linalg, "_echelon", counting("_echelon", linalg._echelon))
     for F in FIELDS:
@@ -129,7 +128,7 @@ def test_serre_check_builds_and_freezes_no_space(monkeypatch):
     del built[:]
     assert euler_form(T, T) == hom_space(T, T).dim - ext_space(T, T).dim
     assert built.count("_echelon") == 2 and "ExtSpace.__init__" in built
-    assert {"TorsionPart.slots_at", "CObject.module_dim_at", "Echelon.freeze"} <= set(built)
+    assert {"TorsionPart.slots_at", "CObject.module_dim_at"} <= set(built)
 
 
 def _count_lists(monkeypatch) -> list:
