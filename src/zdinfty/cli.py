@@ -391,8 +391,6 @@ def cmd_quiver(args, field) -> tuple[None, str]:
 
 
 def cmd_index(args, field, X) -> tuple[dict, str]:
-    if not X.is_torsion_free():
-        raise ZdinftyError("index applies to torsion-free objects")
     n = singularity_index(X)
     return {"index": n}, f"singularity index = {n}"
 

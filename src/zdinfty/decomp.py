@@ -398,8 +398,9 @@ def _lattice_pieces(L) -> list:
        bars, ann0 the type-0 block of the annihilators of S_e): every
        combination of live u's that lies in A_e kills the youngest bar in
        it, whose (u, w) becomes that combination of its own and its elders'
-       vectors, so u lies in A_e and u + w in S_birth.  Where every column
-       is zero (always at the top jump) each bar dies on its own;
+       vectors, so u lies in A_e and u + w in S_birth.  The kills come elder
+       first and are appended youngest first.  Where every column is zero
+       (always at the top jump) each bar dies on its own;
     2. starts F0[-e] (F1[-e]) on the vectors of A_e (C_e) outside the span
        of the u's (w's) so far;
     3. starts diagonal bars on the rows of S_e outside A_e + C_e and the
@@ -446,18 +447,16 @@ def _lattice_pieces(L) -> list:
             dead += len(live)
             live, images = [], []
         else:
-            kills, pivots = linalg.elder_kills(F, images)
-            young = live[::-1]
-            U = linalg.transpose([bar[1] for bar in young])
-            W = linalg.transpose([bar[2] for bar in young])
-            for row, piv in zip(kills, pivots):
-                s = young[piv][0]
+            kills, dying = linalg.elder_kills(F, images)
+            U = linalg.transpose([bar[1] for bar in live])
+            W = linalg.transpose([bar[2] for bar in live])
+            for row, j in zip(kills[::-1], dying[::-1]):  # youngest first
+                s = live[j][0]
                 u, w = linalg.mat_vec(F, U, row), linalg.mat_vec(F, W, row)
                 pieces.append((rank_two_label(e - s, -s), (u, w)))
-            dead += len(pivots)
-            gone = {len(live) - 1 - j for j in pivots}  # pivots count youngest first
-            live = [bar for j, bar in enumerate(live) if j not in gone]
-            images = [v for j, v in enumerate(images) if j not in gone]
+            dead += len(dying)
+            live = [bar for j, bar in enumerate(live) if j not in dying]
+            images = [v for j, v in enumerate(images) if j not in dying]
         dim_a = p - rank_from[len(rows)]
         dim_c = sum(not any(v[:p]) for v in rows)  # the rows in V1 are a basis of C_e
         if dim_a > starts0 + dead:

@@ -311,27 +311,20 @@ def nullspace(F: FieldSpec, A: Sequence, ncols: int | None = None) -> Matrix:
     return _echelon(F, A).kernel(len(A[0]) if A else (ncols or 0))[0]
 
 
-def elder_kills(F: FieldSpec, columns: Sequence) -> tuple[Matrix, tuple[int, ...]]:
+def elder_kills(F: FieldSpec, columns: Sequence) -> tuple[Matrix, Sequence[int]]:
     """The elder rule's deaths (Zomorodian and Carlsson, "Computing Persistent
     Homology", 2005) among live bars, one column per bar, elder first: the
-    rref of the kernel of the columns, bars listed youngest first, and its
-    pivots.  A bar dies when its column lies in its elders' span, so the
-    pivots are the dying bars, and each row, one at its bar and zero at
-    every younger and every other dying bar, is the combination of it and
-    its surviving elders that the columns send to zero.
-
-    One elimination finds it: each ``nullspace`` vector of the columns
-    elder first is one at its free column and nonzero elsewhere only at
-    pivot columns before it, so read backwards it is a reduced echelon row
-    of the same kernel with its pivot at the reversed free column.  The
-    reduced echelon form is unique, so those rows, last vector first, are
-    the rref.  The window sweep (``window.reconstruct_parts``) calls it
+    kill rows and the dying bars, both elder first.  A bar dies when its
+    column lies in its elders' span, so the dying bars are the free columns
+    of one elimination of the columns, and the kill rows are its kernel
+    (``Echelon.kernel``): each is one at its bar, zero at every other dying
+    bar and nonzero elsewhere only at surviving elders before it, so it is
+    the combination of the bar and its surviving elders that the columns
+    send to zero.  The window sweep (``window.reconstruct_parts``) calls it
     once per listed degree where some live bars die and others survive, on
     the x-images it reads once per listed degree; the Krull-Schmidt sweep
     calls it once per jump with a live bar."""
-    n = len(columns)
-    kernel, free = _echelon(F, transpose(columns)).kernel(n)
-    return tuple(v[::-1] for v in reversed(kernel)), tuple(n - 1 - f for f in reversed(free))
+    return _echelon(F, transpose(columns)).kernel(len(columns))
 
 
 def inverse(F: FieldSpec, A: Sequence) -> Matrix | None:

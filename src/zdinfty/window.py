@@ -61,7 +61,8 @@ def reconstruct_parts(wm: WindowModule, chart, p: int, q: int):
     vectors v, x v, ... , one per listed degree, that x kills after its
     last one: a bar dies when its x-image lies in the span of its elders'
     images, ``linalg.elder_kills`` gives the combination of them that x
-    kills, and kernel vectors outside the survivors' images start new ones.
+    kills, indexed like the live bars, elder first, and kernel vectors
+    outside the survivors' images start new ones.
     A bar born at D[b] whose chain has c entries dies at D[b + c], so its
     length is D[b + c] - D[b].
 
@@ -116,14 +117,13 @@ def reconstruct_parts(wm: WindowModule, chart, p: int, q: int):
             bars += live
             live = [(i, [v]) for v in kernel]
             continue
-        kills, pivots = linalg.elder_kills(F, images) if any(dead) else ((), ())
-        young = live[::-1]
+        kills, dying = linalg.elder_kills(F, images) if any(dead) else ((), ())
         # Each dying bar, elder first, dies at D[i] - 1.  Its elders are alive
         # on its whole span; adding its row's combination of them at every
         # listed degree makes x kill its last vector.
-        for row, piv in zip(kills[::-1], pivots[::-1]):
-            birth, chain = young[piv]
-            for (elder_birth, elder_chain), c in zip(young[piv + 1:], row[piv + 1:]):
+        for row, j in zip(kills, dying):
+            birth, chain = live[j]
+            for (elder_birth, elder_chain), c in zip(live[:j], row[:j]):
                 if not c:
                     continue
                 for t in range(len(chain)):

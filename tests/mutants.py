@@ -1,0 +1,90 @@
+"""Mutants of ``src`` that the suite must kill, one row each.
+
+A row is ``(name, path, old, new, tests)``: in ``path``, a file under
+``src/`` relative to the repository root, the text ``old`` occurs exactly
+once and is replaced by ``new``, and pytest on the node ids ``tests`` must
+then fail.  ``tests/test_mutants.py`` replays every row.  A change that
+says "the new test fails on a mutant" adds a row here.
+"""
+
+HOMEXT = "src/zdinfty/homext.py"
+DECOMP = "src/zdinfty/decomp.py"
+LINALG = "src/zdinfty/linalg.py"
+
+MUTANTS = [
+    # the torsion bar counts and the Euler form
+    ("ext-interlacing-closed", HOMEXT,
+     "if b < -ak <= d < nk - ak:", "if b <= -ak <= d < nk - ak:",
+     ["tests/test_torsion_counts.py::test_counted_dims_are_list_lengths_on_catalog"]),
+    ("hom-ft-birth-open", HOMEXT,
+     "if -a <= e < n - a:", "if -a < e < n - a:",
+     ["tests/test_torsion_counts.py::test_counted_dims_are_list_lengths_on_catalog"]),
+    ("euler-without-ext-torsion", HOMEXT,
+     "+ _hom_torsion(X, Y) - _ext_torsion(X, Y)", "+ _hom_torsion(X, Y)",
+     ["tests/test_dimensions.py::test_dimensions_match_the_spaces_on_the_window"]),
+    ("dimensions-field-check-late", HOMEXT,
+     "    check_same_field(X.field, Y.field)\n    hom = _hom_count(X, Y)[1]\n",
+     "    hom = _hom_count(X, Y)[1]\n    check_same_field(X.field, Y.field)\n",
+     ["tests/test_dimensions.py::test_mixed_fields_exit_2_before_any_elimination"]),
+    # Hom and Ext spaces
+    ("ext-class-blocks-swapped", HOMEXT,
+     "h01, h10 = _split(blocks[0]", "h10, h01 = _split(blocks[0]",
+     ["tests/test_ext_closed_form.py"]),
+    ("hom-rows-fed-twice", HOMEXT,
+     "    echelon = linalg._echelon(F, rows) if rows else linalg.NO_ROWS\n"
+     "    return echelon, dim + pp * p",
+     "    echelon = linalg._echelon(F, rows + rows) if rows else linalg.NO_ROWS\n"
+     "    return echelon, dim + pp * p",
+     ["tests/test_costs.py::test_cells_per_op_on_sums"]),
+    ("ext-space-copies-its-echelon", HOMEXT,
+     "    return ExtSpace(X, Y, echelon, pivots, widths, dim)",
+     "    copy = linalg.Echelon(X.field)\n"
+     "    copy.rows = [(col, tuple(row)) for col, row in echelon.rows]\n"
+     "    return ExtSpace(X, Y, copy, pivots, widths, dim)",
+     ["tests/test_costs.py::test_spaces_keep_their_counts_echelon"]),
+    ("gram-rank-without-its-rank-term", HOMEXT,
+     "gram_rank += linalg.rank(X.field, selected)", "gram_rank += 0",
+     ["tests/test_serre_rank.py"]),
+    # the elimination kernel
+    ("rationals-cleared-by-the-largest-denominator", LINALG,
+     "den = lcm(*[a.denominator for a in row])", "den = max(a.denominator for a in row)",
+     ["tests/test_cross_field.py"]),
+    ("new-pivot-left-in-stored-rows", LINALG,
+     "            if row[piv]:\n                rows[k] = (col, _cancel(p, row, w, piv))",
+     "            if False:\n                rows[k] = (col, _cancel(p, row, w, piv))",
+     ["tests/test_canonical.py::test_canonicalize_matches_per_jump_rref"]),
+    # lattices
+    ("degree-of-first-coordinate", "src/zdinfty/lattice.py",
+     "last = max((k for k, c in enumerate(gamma) if c), default=None)",
+     "last = min((k for k, c in enumerate(gamma) if c), default=None)",
+     ["tests/test_dual_basis.py::test_degree_of_matches_the_step_scan"]),
+    ("annihilators-one-past", "src/zdinfty/lattice.py",
+     "return self._dual[self.dim_at(d):]", "return self._dual[self.dim_at(d) + 1:]",
+     ["tests/test_dual_basis.py::test_meet_matches_stacked_kernel_intersection"]),
+    # decomposition
+    ("kills-appended-elder-first", DECOMP,
+     "for row, j in zip(kills[::-1], dying[::-1]):  # youngest first",
+     "for row, j in zip(kills, dying):",
+     ["tests/test_dual_rank_sweep.py::test_pieces_match_the_nullspace_sweep"]),
+    ("certificate-ignores-torsion-rank", DECOMP,
+     "if shape != object_shape(target) or tt_rank != len(shape[0]):",
+     "if shape != object_shape(target):",
+     ["tests/test_decomp.py"]),
+    ("filtration-first-nonzero-pivot", DECOMP,
+     "last = [max(i for i, c in enumerate(dir) if c) for _, dir in gens]",
+     "last = [min(i for i, c in enumerate(dir) if c) for _, dir in gens]",
+     ["tests/test_decomp.py"]),
+    # the window bar sweep
+    ("elder-slice-misaligned", "src/zdinfty/window.py",
+     "zip(live[:j], row[:j])", "zip(live[:j], row[1:j + 1])",
+     ["tests/test_middle_window.py"]),
+    # fields and the CLI
+    ("miller-rabin-bases-to-37", "src/zdinfty/fields.py",
+     "_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)",
+     "_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)",
+     ["tests/test_scalars.py"]),
+    ("serre-catalog-over-q", "src/zdinfty/cli.py",
+     "objs = parse_catalog(args.catalog, field)",
+     'objs = parse_catalog(args.catalog, parse_field("Q"))',
+     ["tests/test_cli.py::test_field_option_reaches_the_sweeps"]),
+]

@@ -11,9 +11,10 @@ width w.  It reads every degree of [lo, hi] through ``dim_at`` and
 
 ``bar_by_bar_kills`` is the elder rule as the sweep ran it before the
 shared kill step ``linalg.elder_kills``: one bar at a time, a coordinate
-solve against the surviving elders each.  ``rref_of_kernel_kills`` is that
-kill step in two eliminations, the rref of the kernel of the columns listed
-youngest first.
+solve against the surviving elders each.  It lists the kills elder first,
+as ``elder_kills`` does.  ``rref_of_kernel_kills`` is the kill step in two
+eliminations, the rref of the kernel of the columns listed youngest first,
+so it lists the kills youngest first, each row read backwards.
 """
 
 from bisect import bisect_right

@@ -305,18 +305,16 @@ def nullspace_sweep_pieces(L) -> list:
             dead += len(live)
             live, images = [], []
         else:
-            kills, pivots = linalg.elder_kills(F, images)
-            young = live[::-1]
-            U = linalg.transpose([bar[1] for bar in young])
-            W = linalg.transpose([bar[2] for bar in young])
-            for row, piv in zip(kills, pivots):
-                s = young[piv][0]
+            kills, dying = linalg.elder_kills(F, images)
+            U = linalg.transpose([bar[1] for bar in live])
+            W = linalg.transpose([bar[2] for bar in live])
+            for row, j in zip(kills[::-1], dying[::-1]):  # youngest first
+                s = live[j][0]
                 u, w = linalg.mat_vec(F, U, row), linalg.mat_vec(F, W, row)
                 pieces.append((rank_two_label(e - s, -s), (u, w)))
-            dead += len(pivots)
-            gone = {len(live) - 1 - j for j in pivots}  # pivots count youngest first
-            live = [bar for j, bar in enumerate(live) if j not in gone]
-            images = [v for j, v in enumerate(images) if j not in gone]
+            dead += len(dying)
+            live = [bar for j, bar in enumerate(live) if j not in dying]
+            images = [v for j, v in enumerate(images) if j not in dying]
         a_e = linalg.nullspace(F, ann0, ncols=p)
         dim_c = sum(not any(v[:p]) for v in rows)  # the rows in V1 are a basis of C_e
         if len(a_e) > starts0 + dead:

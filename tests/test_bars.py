@@ -178,16 +178,14 @@ def planted_columns(field, rng):
 
 @pytest.mark.parametrize("field,seed", [(QQ, 44), (GF(2), 45), (GF(3), 46)])
 def test_shared_kill_step_matches_bar_by_bar_elder_rule(field, seed):
-    # elder_kills lists the bars youngest first; read elder first, it must
-    # kill the bars the bar-by-bar loop kills, with the same combinations,
-    # in the order the sweep appends them
+    # elder_kills lists the dying bars elder first, as the bar-by-bar loop
+    # does: it must kill the same bars with the same combinations
     rng = random.Random(seed)
     killed = several = 0
     for _ in range(400):
         columns = planted_columns(field, rng)
-        n = len(columns)
-        kills, pivots = linalg.elder_kills(field, columns)
-        got = [(n - 1 - piv, tuple(row[::-1])) for row, piv in zip(kills, pivots)][::-1]
+        kills, dying = linalg.elder_kills(field, columns)
+        got = list(zip(dying, kills))
         assert got == bar_by_bar_kills(field, columns)
         killed += len(got)
         several += len(got) > 1

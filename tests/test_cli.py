@@ -398,7 +398,7 @@ def test_json_error_records(monkeypatch):
     assert record(["hom", "F0[1]"])[:3] == (2, "UsageError", None)
     assert record(["hom", "F[0,1]", "F0[0]"])[:3] == (2, "RangeError", None)
     assert record(["hom", '{"torsion": [[1, 0]', "F0[0]"])[:3] == (2, "ParseError", 19)
-    assert record(["index", "T[1,0]"])[:3] == (2, "ZdinftyError", None)
+    assert record(["index", "T[1,0]"])[:3] == (2, "NotLatticeMorphism", None)
     assert record(["filtration", "T[2,0]"])[:3] == (2, "NotLatticeMorphism", None)
     assert record(["--field", "Fp:4"] + QUIVER) == (
         2, "ZdinftyError", None, "prime field needs a prime modulus, got 4"

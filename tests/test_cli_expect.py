@@ -107,6 +107,9 @@ ROWS = [
     ("the singularity index of a two-million-step lattice is read without a search",
      ["index", "F[2000000,0] + F[1999999,0] + F[3,1]"], 0,
      "singularity index = 2000000"),
+    ("index on torsion exits 2 with the library's error",
+     ["index", "T[1,0]"], 2,
+     "error: singularity index applies to torsion-free objects"),
     ("decompose over F_2 prints the sorted factors",
      ["--field", "Fp:2", "decompose", "F[2,0] + F[2,0] + F0[1] + F1[-1] + T[2,1]"], 0,
      "F1[-1] + F0[1] + F[2,0] + F[2,0] + T[2,1]"),

@@ -11,7 +11,11 @@ check each answer by additivity over the atom pairs, so a fast wrong path
 fails too.  The echelon rows show that a space keeps the very echelon its
 count returned, and the memory rows that it keeps no copy of its rows: the
 ``tracemalloc`` peak of building a space is at most 1.1 times that of its
-count alone.
+count alone.  The ``decompose`` rows count, per call, the ``Echelon.add``
+calls, the stored rows each add visits and the cells added, on F[2, 0]^k,
+L_k and L'_k (the sum of F[1 + i % 2, -(i % 3)]), whose sweep kills some
+bars while others live on; they pin ceilings at k = 8 and 16 and on the
+growth per doubling, and check the factors against the summands' labels.
 """
 
 import gc
@@ -21,6 +25,7 @@ import tracemalloc
 import pytest
 
 from zdinfty import homext, linalg
+from zdinfty.decomp import decompose, identify
 from zdinfty.fields import GF, QQ
 from zdinfty.homext import euler_form, ext_space, hom_space, serre_check
 from zdinfty.objects import direct_sum_many, rank_two, serre_twist, torsion_cyclic
@@ -127,3 +132,52 @@ def test_a_space_peaks_as_its_count(F, space, count, k):
     L = _sum(F, k)
     kept, counted = _peak(space, L), _peak(getattr(homext, count), L)
     assert kept <= 1.1 * counted, (kept, counted)
+
+
+# family -> (its k summands, (adds, visits, cells) at k = 8, at k = 16), the
+# same over Q and GF(3)
+DECOMPOSE = {
+    "F[2,0]^k": (lambda F, k: [rank_two(F, 2, 0)] * k, (24, 84, 192), (48, 360, 768)),
+    "L_k": (lambda F, k: [_atoms(F)[i % 3] for i in range(k)], (61, 174, 416), (125, 780, 1746)),
+    "L'_k": (
+        lambda F, k: [rank_two(F, 1 + i % 2, -(i % 3)) for i in range(k)],
+        (54, 133, 340),
+        (112, 602, 1414),
+    ),
+}
+DECOMPOSE_GROWTH = (2.1, 4.6, 4.5)  # per doubling of k: adds, visits, cells
+
+
+def _count_adds(monkeypatch) -> list:
+    """Count ``Echelon.add`` calls, the stored rows each visits and the
+    cells each adds."""
+    counts = [0, 0, 0]
+    add = linalg.Echelon.add
+
+    def counted(self, v):
+        counts[0] += 1
+        counts[1] += len(self.rows)
+        counts[2] += len(v)
+        return add(self, v)
+
+    monkeypatch.setattr(linalg.Echelon, "add", counted)
+    return counts
+
+
+@pytest.mark.parametrize("family", DECOMPOSE)
+@pytest.mark.parametrize("F", FIELDS, ids=str)
+def test_decompose_adds_visits_and_cells(F, family, monkeypatch):
+    summands, *ceilings = DECOMPOSE[family]
+    counts = _count_adds(monkeypatch)
+    seen = []
+    for k, ceiling in zip((8, 16), ceilings):
+        parts = summands(F, k)
+        X = direct_sum_many(parts)[0]
+        X.lattice.annihilator_at(0)
+        counts[:] = [0, 0, 0]
+        factors = decompose(X).factors
+        assert all(c <= top for c, top in zip(counts, ceiling)), (family, k, counts)
+        assert sorted(map(str, factors)) == sorted(str(identify(Z)) for Z in parts)
+        seen.append(list(counts))
+    for small, big, growth in zip(*seen, DECOMPOSE_GROWTH):
+        assert big <= growth * small, (family, seen)

@@ -125,7 +125,11 @@ def test_one_elimination_kills_match_the_rref_of_the_kernel(F, seed):
     cases = _edge_columns(F) + [planted_columns(F, rng) for _ in range(600)]
     killed = 0
     for columns in cases:
-        got = linalg.elder_kills(F, columns)
-        assert repr(got) == repr(rref_of_kernel_kills(F, columns)), columns
-        killed += len(got[1])
+        kills, dying = linalg.elder_kills(F, columns)
+        # the rref lists the bars youngest first: read it elder first
+        rows, pivots = rref_of_kernel_kills(F, columns)
+        last = len(columns) - 1
+        rows, pivots = tuple(v[::-1] for v in rows[::-1]), tuple(last - j for j in pivots[::-1])
+        assert repr((kills, tuple(dying))) == repr((rows, pivots)), columns
+        killed += len(dying)
     assert killed >= 600, killed
