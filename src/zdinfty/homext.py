@@ -490,6 +490,9 @@ def _hom_torsion(X: CObject, Y: CObject) -> int:
     Y it maps onto (``torsion_compatible``)."""
     S, T = X.torsion, Y.torsion
     ts = T.summands
+    # This early return and those of ``_hom_count`` and ``_ext_count`` give
+    # what their loops would; kept because taking the three out made
+    # serre-sweep 15 % slower (CHANGES.md, the fast-path table).
     if not ts:
         return 0
     count = 0
@@ -518,7 +521,7 @@ def _hom_count(X: CObject, Y: CObject) -> tuple:
     XL, YL = X.lattice, Y.lattice
     p, q, pp, qq = XL.p, XL.q, YL.p, YL.q
     dim = _hom_torsion(X, Y)
-    if not (p + q and pp + qq):
+    if not (p + q and pp + qq):  # kept: see ``_hom_torsion``
         return linalg.NO_ROWS, dim
     mul, zero = F.mul, F.zero
     rows = []
@@ -726,7 +729,7 @@ def _ext_count(X: CObject, Y: CObject) -> tuple:
     p, q, pp, qq = XL.p, XL.q, YL.p, YL.q
     n_off = qq * p + pp * q
     dim = _ext_torsion(X, Y)
-    if not n_off:
+    if not n_off:  # kept: see ``_hom_torsion``
         return linalg.NO_ROWS, dim
     mul, zero = F.mul, F.zero
     rows = []

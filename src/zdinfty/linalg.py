@@ -95,8 +95,6 @@ def mm(F: FieldSpec, A: Sequence, B: Sequence, inner: int, bcols: int) -> Matrix
 
 
 def transpose(A: Sequence) -> Matrix:
-    if not A:
-        return ()
     return tuple(zip(*A))
 
 
@@ -197,11 +195,12 @@ class Echelon:
             red = [_rational_row(row, row[col]) for col, row in pairs]
         return tuple(map(tuple, red)), cols
 
-    def kernel(self, n: int) -> tuple[Matrix, Sequence[int]]:
+    def kernel(self, n: int) -> tuple[Matrix, tuple[int, ...]]:
         """A basis of the right kernel of the rows fed, over ``n`` columns,
-        and the free column of each vector: one vector per free column, in
-        column order, a one there and the negated reduced entries at the
-        pivots.  ``()`` at full column rank, where no reduced row is built."""
+        and the free column of each vector, a tuple: one vector per free
+        column, in column order, a one there and the negated reduced entries
+        at the pivots.  Both ``()`` at full column rank, where no reduced row
+        is built."""
         if len(self.rows) == n:
             return (), ()
         p = self.p
@@ -216,7 +215,7 @@ class Echelon:
                 if row[f]:
                     v[col] = -row[f] % p if p else -row[f]
             basis.append(tuple(v))
-        return tuple(basis), free
+        return tuple(basis), tuple(free)
 
 
 # The one echelon of no rows.  Its ``reduced`` and ``kernel`` read no field,
@@ -311,7 +310,7 @@ def nullspace(F: FieldSpec, A: Sequence, ncols: int | None = None) -> Matrix:
     return _echelon(F, A).kernel(len(A[0]) if A else (ncols or 0))[0]
 
 
-def elder_kills(F: FieldSpec, columns: Sequence) -> tuple[Matrix, Sequence[int]]:
+def elder_kills(F: FieldSpec, columns: Sequence) -> tuple[Matrix, tuple[int, ...]]:
     """The elder rule's deaths (Zomorodian and Carlsson, "Computing Persistent
     Homology", 2005) among live bars, one column per bar, elder first: the
     kill rows and the dying bars, both elder first.  A bar dies when its
@@ -323,7 +322,14 @@ def elder_kills(F: FieldSpec, columns: Sequence) -> tuple[Matrix, Sequence[int]]
     send to zero.  The window sweep (``window.reconstruct_parts``) calls it
     once per listed degree where some live bars die and others survive, on
     the x-images it reads once per listed degree; the Krull-Schmidt sweep
-    calls it once per jump with a live bar."""
+    calls it once per jump where some column is nonzero.
+
+    Where some bars die, the window sweep eliminates the images twice, in
+    two spaces: its own echelon of the images, rows in the image space,
+    decides the deaths and then the births, since a kernel vector is born
+    outside the survivors' span; the kill rows are a kernel in the bar space,
+    over the transposed columns.  Neither elimination gives the other's
+    result."""
     return _echelon(F, transpose(columns)).kernel(len(columns))
 
 
@@ -331,8 +337,6 @@ def inverse(F: FieldSpec, A: Sequence) -> Matrix | None:
     n = len(A)
     if any(len(r) != n for r in A):
         raise DimensionMismatch("inverse of a non-square matrix")
-    if n == 0:
-        return ()
     aug = [list(A[i]) + [F.one if i == j else F.zero for j in range(n)] for i in range(n)]
     red, pivots = rref(F, aug)
     if len(red) < n or list(pivots) != list(range(n)):

@@ -20,27 +20,23 @@ from __future__ import annotations
 
 from . import linalg
 from .errors import NotLatticeMorphism, ZdinftyError
-from .fields import FieldSpec
 from .homext import Morphism
-from .lattice import GradedVector, degree_of
+from .lattice import degree_of
 from .objects import CObject
 
 __all__ = ["singularity_index", "y_linearity_bound"]
 
 
-def _v_image(F: FieldSpec, obj: CObject, e: int, dir):
-    """The type-0 part (dir0, 0) of the generator x^e dir, in degree e;
-    v_n carries the generator to it n degrees up."""
-    coords = tuple(
-        dir[i] if i < obj.p else F.zero for i in range(obj.rank)
-    )
-    return GradedVector(e, coords)
+def _v_image(obj: CObject, dir) -> tuple:
+    """The type-0 part (dir0, 0) of a direction of ``obj``; v_n carries the
+    generator x^e dir to x^(e+n) (dir0, 0)."""
+    return tuple(dir[:obj.p]) + (obj.field.zero,) * obj.q
 
 
-def _lag(L, v: GradedVector) -> int:
-    """Least n >= 0 with x^n v in the lattice (0 for v = 0)."""
-    d = degree_of(L, v.coords)
-    return 0 if d is None else max(0, d - v.degree)
+def _lag(L, e: int, v) -> int:
+    """Least n >= 0 with x^(e+n) v in the lattice (0 for v = 0)."""
+    d = degree_of(L, v)
+    return 0 if d is None else max(0, d - e)
 
 
 def singularity_index(X: CObject) -> int:
@@ -53,10 +49,9 @@ def singularity_index(X: CObject) -> int:
     """
     if not X.is_torsion_free():
         raise NotLatticeMorphism("singularity index applies to torsion-free objects")
-    F = X.field
     L = X.lattice
     return max(
-        (_lag(L, _v_image(F, X, e, dir)) for e, dir in L.generators()),
+        (_lag(L, e, _v_image(X, dir)) for e, dir in L.generators()),
         default=0,
     )
 
@@ -76,9 +71,9 @@ def y_linearity_bound(f: Morphism) -> int:
     full = f.full_matrix()
     bound = 0
     for e, dir in X.lattice.generators():
-        v_gen = _v_image(F, X, e, dir)
-        v_image = _v_image(F, Y, e, linalg.mat_vec(F, full, dir))
-        if linalg.mat_vec(F, full, v_gen.coords) != v_image.coords:
+        v_gen = _v_image(X, dir)
+        v_image = _v_image(Y, linalg.mat_vec(F, full, dir))
+        if linalg.mat_vec(F, full, v_gen) != v_image:
             raise ZdinftyError("the morphism does not commute with v")
-        bound = max(bound, _lag(X.lattice, v_gen), _lag(Y.lattice, v_image))
+        bound = max(bound, _lag(X.lattice, e, v_gen), _lag(Y.lattice, e, v_image))
     return bound

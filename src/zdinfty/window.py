@@ -90,6 +90,9 @@ def reconstruct_parts(wm: WindowModule, chart, p: int, q: int):
     if dims[top] != r or (r > 0 and linalg.rank(F, chart) != r):
         raise ZdinftyError("window chart is not an isomorphism onto k^r")
 
+    # With no lattice every piece is its own kernel.  The general path gives
+    # the same pieces; this branch is kept because taking it out made a wing
+    # middle 9 % and ar-mesh 3 % slower (CHANGES.md, the fast-path table).
     if r > 0:
         # Maps into the localization chart, listed degree by listed degree from the top.
         to_chart = [chart] * len(D)
@@ -114,6 +117,8 @@ def reconstruct_parts(wm: WindowModule, chart, p: int, q: int):
         if all(dead):
             # Every image is zero, so each bar dies on its own (its kill row
             # is one at it and zero elsewhere) and the whole kernel is born.
+            # Kept: it saves the kill elimination that
+            # ``tests/test_lazy_ars.py`` counts (CHANGES.md, the fast-path table).
             bars += live
             live = [(i, [v]) for v in kernel]
             continue
@@ -146,6 +151,9 @@ def reconstruct_parts(wm: WindowModule, chart, p: int, q: int):
 
     # Lattice generators solved at their jump and pushed up, then the bars.
     cols = [[] for _ in D]
+    # With no lattice there is no generator to solve; the guard is kept
+    # because a wing middle ran 3 % slower without it (CHANGES.md, the
+    # fast-path table).
     if r > 0:
         index = {d: i for i, d in enumerate(D)}
         for e, direction in lat.generators():

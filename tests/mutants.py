@@ -87,4 +87,18 @@ MUTANTS = [
      "objs = parse_catalog(args.catalog, field)",
      'objs = parse_catalog(args.catalog, parse_field("Q"))',
      ["tests/test_cli.py::test_field_option_reaches_the_sweeps"]),
+    # the fast paths pinned by their calls
+    ("all-zero-jump-eliminates", DECOMP,
+     "if not any(map(any, images)):", "if False:",
+     ["tests/test_costs.py::test_decompose_skips_kill_steps_where_no_column_is_nonzero"]),
+    ("one-atom-parsed-as-a-sum", "src/zdinfty/cli.py",
+     "if len(labels) == 1:", "if False:",
+     ["tests/test_costs.py::test_one_atom_parses_without_a_sum"]),
+    # one return shape for the kernel's free columns; the singularity lag
+    ("kernel-free-columns-as-a-list", LINALG,
+     "return tuple(basis), tuple(free)", "return tuple(basis), free",
+     ["tests/test_middle_window.py::test_one_elimination_kills_match_the_rref_of_the_kernel"]),
+    ("lag-one-short", "src/zdinfty/singularity.py",
+     "max(0, d - e)", "max(0, d - e - 1)",
+     ["tests/test_singularity.py"]),
 ]

@@ -122,6 +122,15 @@ ROWS = [
     ("decompose over F_2 certifies the same frame, three lattice factors there",
      ["--field", "Fp:2", "decompose", FRAME], 0,
      "F1[-3] + F0[-1] + F[2,0] + T[1,0] + T[2,1]"),
+    ("decompose prints the zero object as 0",
+     ["decompose", "0"], 0,
+     "0"),
+    ("decompose under JSON lists no factor for the zero object",
+     ["--format", "json", "decompose", "0"], 0,
+     '{"command": "decompose", "factors": [], "schema": "zdinfty.report/1"}'),
+    ("translate prints the translate of the zero object as 0",
+     ["translate", "0"], 0,
+     "0"),
     ("ext over F_2 puts source torsion against lattice and torsion slots",
      ["--field", "Fp:2", "ext", "T[2,1] + T[3,-1] + F[2,0]", "F[1,0] + F1[1] + T[3,0]"], 0,
      "dim Ext1 = 3"),

@@ -16,6 +16,10 @@ calls, the stored rows each add visits and the cells added, on F[2, 0]^k,
 L_k and L'_k (the sum of F[1 + i % 2, -(i % 3)]), whose sweep kills some
 bars while others live on; they pin ceilings at k = 8 and 16 and on the
 growth per doubling, and check the factors against the summands' labels.
+The fast-path rows pin two shortcuts by their calls: ``decompose`` calls
+``linalg.elder_kills`` only at a jump where some live bar's column is
+nonzero, never at the top jump, and ``cli.parse_object`` builds no sum for
+one atom.
 """
 
 import gc
@@ -24,7 +28,7 @@ import tracemalloc
 
 import pytest
 
-from zdinfty import homext, linalg
+from zdinfty import cli, homext, linalg
 from zdinfty.decomp import decompose, identify
 from zdinfty.fields import GF, QQ
 from zdinfty.homext import euler_form, ext_space, hom_space, serre_check
@@ -181,3 +185,47 @@ def test_decompose_adds_visits_and_cells(F, family, monkeypatch):
         seen.append(list(counts))
     for small, big, growth in zip(*seen, DECOMPOSE_GROWTH):
         assert big <= growth * small, (family, seen)
+
+
+# family -> elder_kills calls per decompose, at every k: a jump where every
+# live bar's column is zero (always the top jump) eliminates nothing
+ELDER_KILLS = {"F[2,0]^k": 0, "L_k": 2, "L'_k": 3}
+
+
+def _calls(monkeypatch, module, name) -> list:
+    """Record the arguments of each call of ``module.<name>``."""
+    calls = []
+    fn = getattr(module, name)
+
+    def counted(*args):
+        calls.append(args)
+        return fn(*args)
+
+    monkeypatch.setattr(module, name, counted)
+    return calls
+
+
+@pytest.mark.parametrize("family", DECOMPOSE)
+@pytest.mark.parametrize("F", FIELDS, ids=str)
+def test_decompose_skips_kill_steps_where_no_column_is_nonzero(F, family, monkeypatch):
+    calls = _calls(monkeypatch, linalg, "elder_kills")
+    for k in (8, 16):
+        X = direct_sum_many(DECOMPOSE[family][0](F, k))[0]
+        calls.clear()
+        decompose(X)
+        assert len(calls) == ELDER_KILLS[family], (family, k, len(calls))
+
+
+@pytest.mark.parametrize("F", FIELDS, ids=str)
+def test_one_atom_parses_without_a_sum(F, monkeypatch):
+    calls = _calls(monkeypatch, cli, "direct_sum_many")
+    for text, sums, printed in (
+        ("F[2,0]", 0, "F[2,0]"),
+        ("T[1,0]", 0, "T[1,0]"),
+        ("F1[-1]", 0, "F1[-1]"),
+        ("F[2,0] + T[1,0]", 1, "F[2,0] + T[1,0]"),
+    ):
+        calls.clear()
+        X = cli.parse_object(text, F)
+        assert len(calls) == sums, text
+        assert cli.print_object(X) == printed

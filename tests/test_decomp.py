@@ -77,10 +77,14 @@ def test_identify_examples():
 
 
 def test_decompose_zero_object():
+    from zdinfty.homext import identity_morphism
     from zdinfty.objects import zero_object
 
-    dec = decompose(zero_object(F))
-    assert dec.factors == ()
+    for field in (QQ, GF(2), GF(3)):
+        Z = zero_object(field)
+        dec = decompose(Z)
+        assert dec == Decomposition(Z, ()) and dec.factors == ()
+        assert dec.iso == identity_morphism(Z)
 
 
 def test_decompose_indecomposables():

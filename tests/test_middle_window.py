@@ -130,6 +130,6 @@ def test_one_elimination_kills_match_the_rref_of_the_kernel(F, seed):
         rows, pivots = rref_of_kernel_kills(F, columns)
         last = len(columns) - 1
         rows, pivots = tuple(v[::-1] for v in rows[::-1]), tuple(last - j for j in pivots[::-1])
-        assert repr((kills, tuple(dying))) == repr((rows, pivots)), columns
+        assert repr((kills, dying)) == repr((rows, pivots)), columns
         killed += len(dying)
     assert killed >= 600, killed

@@ -188,3 +188,10 @@ def test_rank_builds_no_reduced_rows():
         assert counts == {"reduced": 0, "_rational_row": 0}
         linalg.rref(QQ, A)  # the counters do see the path that builds rows
     assert counts["reduced"] == 1 and counts["_rational_row"] > 0
+
+
+@pytest.mark.parametrize("F", [QQ, GF(2), GF(3)], ids=str)
+def test_empty_matrices_invert_and_transpose_to_empty(F):
+    assert linalg.inverse(F, ()) == ()
+    assert linalg.transpose(()) == ()
+    assert linalg.transpose([]) == ()

@@ -80,8 +80,7 @@ def _v_image(X, e, dir, n):
     from zdinfty.lattice import GradedVector
     from zdinfty.singularity import _v_image as v_zero
 
-    v = v_zero(F, X, e, dir)
-    return GradedVector(v.degree + n, v.coords)
+    return GradedVector(e + n, v_zero(X, dir))
 
 
 def test_index_is_sharp():
