@@ -421,16 +421,18 @@ def _lattice_pieces(L) -> list:
         annihilators of S_e are the dual rows past dim S_e, so dim A_e =
         p - rank D0[dim S_e:], D0 the type-0 blocks of all the dual rows:
         one elimination of D0, last row first, gives it at every jump, and
-        A_e is eliminated only where an F0 starts.  C_e is spanned by the
-        rows of S_e in V1, so they count it, and it is eliminated only where
-        an F1 starts.  The born bars' u's (w's) join their span only at a
-        jump that tests an F0 (F1), and a full span takes no vector.
+        A_e is eliminated only where an F0 starts.  C_e is eliminated
+        nowhere: the rows of S_e are its reduced echelon basis, and a vector
+        of S_e in V1 is zero at every V0 pivot, so it combines the rows with
+        a V1 pivot alone.  Cut to V1 those rows are the reduced echelon
+        basis of C_e, so one list of rows is both dim C_e and C_e.  The born
+        bars' u's (w's) join their span only at a jump that tests an F0
+        (F1), and a full span takes no vector.
 
     Returns (label, columns): (u,) for F0, (w,) for F1, (u, w) for F[m, a].
     """
     F, p, q = L.field, L.p, L.q
-    dual = L._dual
-    D0 = [n[:p] for n in dual]  # the type-0 blocks of the dual rows
+    D0 = [n[:p] for n in L._dual]  # the type-0 blocks of the dual rows
     rank_from = [0] * (L.rank + 1)  # rank_from[k]: the rank of D0[k:]
     tail = linalg.Echelon(F)
     for k in range(L.rank - 1, -1, -1):
@@ -463,20 +465,19 @@ def _lattice_pieces(L) -> list:
             live = [bar for j, bar in enumerate(live) if j not in dying]
             images = [v for j, v in enumerate(images) if j not in dying]
         dim_a = p - rank_from[len(rows)]
-        dim_c = sum(not any(v[:p]) for v in rows)  # the rows in V1 are a basis of C_e
+        c_e = [v[p:] for v in rows if not any(v[:p])]  # the rref of C_e
         if dim_a > starts0 + dead:
             _feed(span0, us, p)
             a_e = linalg.nullspace(F, ann0, ncols=p)
             new = [(rank_one_label(0, -e), (u,)) for u in a_e if span0.add(u)]
             starts0 += len(new)
             pieces += new
-        if dim_c > starts1 + dead:
+        if len(c_e) > starts1 + dead:
             _feed(span1, ws, q)
-            c_e = linalg.nullspace(F, [n[p:] for n in dual[len(rows):]], ncols=q)
             new = [(rank_one_label(1, -e), (w,)) for w in c_e if span1.add(w)]
             starts1 += len(new)
             pieces += new
-        births = len(rows) - dim_a - dim_c - len(live)
+        births = len(rows) - dim_a - len(c_e) - len(live)
         if not births:
             continue
         seen = linalg.Echelon(F)  # the survivors' columns and the born rows' images

@@ -101,4 +101,8 @@ MUTANTS = [
     ("lag-one-short", "src/zdinfty/singularity.py",
      "max(0, d - e)", "max(0, d - e - 1)",
      ["tests/test_singularity.py"]),
+    # C_e read off the canonical rows of S_e
+    ("c-e-from-the-v0-rows", DECOMP,
+     "for v in rows if not any(v[:p])]", "for v in rows if any(v[:p])]",
+     ["tests/test_dual_rank_sweep.py::test_the_v1_rows_are_the_rref_of_c_e"]),
 ]

@@ -14,7 +14,9 @@ agree with ``decompose`` entry for entry.
 certificate as they were before dim A_e was read off the ranks of the dual
 rows: the sweep takes the nullspace of ann0 at every jump and feeds every
 born bar to the u and w spans, and the certificate tests each image with
-``lattice.membership``.
+``lattice.membership``.  Both sweeps put their nullspace C_e in reduced
+echelon form, the unique basis that ``decomp`` reads off the rows of S_e
+in V1, so the F1 columns agree too.
 """
 
 from zdinfty import linalg
@@ -167,7 +169,7 @@ def lattice_pieces(L) -> list:
                 pieces.append((rank_two_label(e - s, -s), (u, w)))
             live = [bar for j, bar in enumerate(young) if j not in pivots][::-1]
         a_e = linalg.nullspace(F, ann0, ncols=p)
-        c_e = linalg.nullspace(F, ann1, ncols=q)
+        c_e = linalg.rref(F, linalg.nullspace(F, ann1, ncols=q))[0]
         pieces += [(rank_one_label(0, -e), (u,)) for u in a_e if span0.add(u)]
         pieces += [(rank_one_label(1, -e), (w,)) for w in c_e if span1.add(w)]
         span = _Span(F)
@@ -322,7 +324,7 @@ def nullspace_sweep_pieces(L) -> list:
             starts0 += len(new)
             pieces += new
         if dim_c > starts1 + dead:
-            c_e = linalg.nullspace(F, [n[p:] for n in ann], ncols=q)
+            c_e = linalg.rref(F, linalg.nullspace(F, [n[p:] for n in ann], ncols=q))[0]
             new = [(rank_one_label(1, -e), (w,)) for w in c_e if span1.add(w)]
             starts1 += len(new)
             pieces += new

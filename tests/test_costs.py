@@ -16,10 +16,11 @@ calls, the stored rows each add visits and the cells added, on F[2, 0]^k,
 L_k and L'_k (the sum of F[1 + i % 2, -(i % 3)]), whose sweep kills some
 bars while others live on; they pin ceilings at k = 8 and 16 and on the
 growth per doubling, and check the factors against the summands' labels.
-The fast-path rows pin two shortcuts by their calls: ``decompose`` calls
+The fast-path rows pin three shortcuts by their calls: ``decompose`` calls
 ``linalg.elder_kills`` only at a jump where some live bar's column is
-nonzero, never at the top jump, and ``cli.parse_object`` builds no sum for
-one atom.
+nonzero, never at the top jump, and ``linalg.nullspace`` only at a jump
+where an F0 line starts, never for an F1 line, whose C_e it reads off the
+canonical rows; ``cli.parse_object`` builds no sum for one atom.
 """
 
 import gc
@@ -32,7 +33,7 @@ from zdinfty import cli, homext, linalg
 from zdinfty.decomp import decompose, identify
 from zdinfty.fields import GF, QQ
 from zdinfty.homext import euler_form, ext_space, hom_space, serre_check
-from zdinfty.objects import direct_sum_many, rank_two, serre_twist, torsion_cyclic
+from zdinfty.objects import direct_sum_many, rank_one, rank_two, serre_twist, torsion_cyclic
 
 from test_dimensions import _count_systems
 
@@ -197,9 +198,9 @@ def _calls(monkeypatch, module, name) -> list:
     calls = []
     fn = getattr(module, name)
 
-    def counted(*args):
+    def counted(*args, **kwargs):
         calls.append(args)
-        return fn(*args)
+        return fn(*args, **kwargs)
 
     monkeypatch.setattr(module, name, counted)
     return calls
@@ -214,6 +215,35 @@ def test_decompose_skips_kill_steps_where_no_column_is_nonzero(F, family, monkey
         calls.clear()
         decompose(X)
         assert len(calls) == ELDER_KILLS[family], (family, k, len(calls))
+
+
+# L_k plus the lines rank_one(F, i % 2, i % 3), i < k / 4: Echelon.add calls
+# per decompose at k = 8 and 16, and their growth per doubling of k
+LINES_ADDS, LINES_GROWTH = (83, 224), 2.7
+
+
+def _with_lines(F, k) -> list:
+    return [_atoms(F)[i % 3] for i in range(k)] + [rank_one(F, i % 2, i % 3) for i in range(k // 4)]
+
+
+@pytest.mark.parametrize("F", FIELDS, ids=str)
+def test_decompose_takes_a_nullspace_only_where_an_f0_starts(F, monkeypatch):
+    calls = _calls(monkeypatch, linalg, "nullspace")
+    counts = _count_adds(monkeypatch)
+    adds = []
+    for k, ceiling in zip((8, 16), LINES_ADDS):
+        parts = _with_lines(F, k)
+        X = direct_sum_many(parts)[0]
+        X.lattice.annihilator_at(0)
+        calls.clear()
+        counts[0] = 0
+        factors = decompose(X).factors
+        f0_jumps = {Z.lattice.steps[0][0] for Z in parts if (Z.p, Z.q) == (1, 0)}
+        assert len(calls) == len(f0_jumps), (k, len(calls))
+        assert counts[0] <= ceiling, (k, counts[0])
+        assert sorted(map(str, factors)) == sorted(str(identify(Z)) for Z in parts)
+        adds.append(counts[0])
+    assert adds[1] <= LINES_GROWTH * adds[0], adds
 
 
 @pytest.mark.parametrize("F", FIELDS, ids=str)

@@ -1,12 +1,17 @@
-"""The Krull-Schmidt sweep eliminates only where a line can start.
+"""The Krull-Schmidt sweep eliminates only where an F0 line can start.
 
 ``decomp._lattice_pieces`` reads dim A_e off the ranks of the dual rows'
-type-0 blocks, eliminated once, last row first, and feeds the born bars'
-u's and w's to their spans only at a jump where an F0 or F1 line is
-tested.  The count test shows that a sum of rank-two atoms takes no
-nullspace and feeds no span, and that a sum with rank-one atoms takes one
-nullspace per jump and type where a line starts.  The differential tests
-hold the pieces, by ``repr`` so that scalar types count, and the
+type-0 blocks, eliminated once, last row first, and eliminates A_e only
+where an F0 starts.  C_e is never eliminated: the rows of S_e with a V1
+pivot, cut to V1, are one list that is both dim C_e and the reduced
+echelon basis of C_e.  The sweep feeds the born bars' u's and w's to their
+spans only at a jump where an F0 or F1 line is tested.  The count tests
+show that a sum of rank-two atoms takes no nullspace and feeds no span,
+and that a sum with rank-one atoms takes one nullspace per jump where an
+F0 starts and none for an F1.  A differential test holds the sweep's list
+of V1 rows at every jump, by ``repr``, to the reduced echelon form of the
+nullspace of the type-1 tails of the annihilators.  The other differential
+tests hold the pieces, by ``repr`` so that scalar types count, and the
 certificate's verdicts, on the sweep's pieces and on mutations of them, to
 ``oracle_decomp``'s nullspace sweep and membership certificate.
 """
@@ -20,7 +25,7 @@ from zdinfty import decomp, linalg
 from zdinfty.decomp import rank_one_label, rank_two_label, wing
 from zdinfty.errors import DimensionMismatch
 from zdinfty.fields import GF, QQ
-from zdinfty.objects import CObject, TorsionPart, direct_sum_many, rank_two
+from zdinfty.objects import CObject, TorsionPart, direct_sum_many, rank_one, rank_two
 
 import oracle_decomp
 from test_exact_scalars import _conjugated_sum, _ks_shapes
@@ -74,7 +79,7 @@ def test_rank_two_sums_take_no_nullspace_and_feed_no_span(F, monkeypatch):
 
 
 @pytest.mark.parametrize("F", [QQ, GF(2), GF(3)], ids=str)
-def test_one_nullspace_per_jump_where_a_line_starts(F, monkeypatch):
+def test_one_nullspace_per_jump_where_an_f0_starts(F, monkeypatch):
     rng = random.Random(43)
     shapes = [(r2, 0, r1) for r2 in range(4) for r1 in range(1, 5) if 2 * r2 + r1 <= 7]
     both = 0
@@ -83,8 +88,58 @@ def test_one_nullspace_per_jump_where_a_line_starts(F, monkeypatch):
         pieces, nullspaces, _ = _counted_sweep(monkeypatch, L)
         starts = {label.params for label, _ in pieces if label.kind == "rank_one"}
         both += len(starts) > len({a for _, a in starts})
-        assert starts and nullspaces == len(starts), (L, pieces)
-    assert both  # some jump starts an F0 and an F1 line
+        assert starts and nullspaces == sum(i == 0 for i, _ in starts), (L, pieces)
+    assert both  # some jump starts an F0 and an F1 line, and takes one nullspace
+
+
+def _sweep_c_e(L) -> dict:
+    """jump -> the list ``c_e`` that ``_lattice_pieces`` builds there, read
+    off the running sweep's frame by a local trace function."""
+    seen = {}
+    code = decomp._lattice_pieces.__code__
+
+    def local(frame, event, arg):
+        names = frame.f_locals
+        if "c_e" in names:  # the jump's last event sees the list built at it
+            seen[names["e"]] = names["c_e"]
+        return local
+
+    previous = sys.gettrace()
+    sys.settrace(lambda frame, event, arg: local if frame.f_code is code else None)
+    try:
+        decomp._lattice_pieces(L)
+    finally:
+        sys.settrace(previous)
+    return seen
+
+
+def _split_lattices(F, rng) -> list:
+    """Lattices of seeded sums of rank-one and rank-two atoms, unconjugated."""
+    out = []
+    for _ in range(20):
+        parts = [rank_one(F, rng.randint(0, 1), rng.randint(-2, 2)) for _ in range(rng.randint(0, 3))]
+        parts += [rank_two(F, rng.randint(1, 3), rng.randint(-2, 2)) for _ in range(rng.randint(0, 3))]
+        if parts:
+            out.append(direct_sum_many(parts)[0].lattice)
+    return out
+
+
+@pytest.mark.parametrize("F", FIELDS, ids=str)
+def test_the_v1_rows_are_the_rref_of_c_e(F):
+    rng = random.Random(59)
+    lats = _split_lattices(F, rng)
+    lats += [oracle_decomp.conjugated_sum(F, rng, shape)[0].lattice for shape in _ks_shapes()]
+    lats += _lattices(F, random.Random(223))
+    lines = 0
+    for L in (L for L in lats if L.rank):
+        c_e = _sweep_c_e(L)
+        assert sorted(c_e) == [e for e, _ in L.steps], L
+        for e, _ in L.steps:
+            tails = [n[L.p:] for n in L.annihilator_at(e)]  # past dim S_e
+            want = linalg.rref(F, linalg.nullspace(F, tails, ncols=L.q))[0]
+            assert repr(tuple(c_e[e])) == repr(want), (L, e)
+            lines += bool(want)
+    assert lines
 
 
 def _parent_pieces(X):
