@@ -399,9 +399,11 @@ def _lattice_pieces(L) -> list:
        bars, ann0 the type-0 block of the annihilators of S_e): every
        combination of live u's that lies in A_e kills the youngest bar in
        it, whose (u, w) becomes that combination of its own and its elders'
-       vectors, so u lies in A_e and u + w in S_birth.  The kills come elder
-       first and are appended youngest first.  Where every column is zero
-       (always at the top jump) each bar dies on its own;
+       vectors, so u lies in A_e and u + w in S_birth.  One ``linalg.mm`` of
+       the kill rows with the live bars' u + w gives every combination,
+       split at p into u and w.  The kills come elder first and are
+       appended youngest first.  Where every column is zero (always at the
+       top jump) each bar dies on its own;
     2. starts F0[-e] (F1[-e]) on the vectors of A_e (C_e) outside the span
        of the u's (w's) so far;
     3. starts diagonal bars on the rows of S_e outside A_e + C_e and the
@@ -455,12 +457,10 @@ def _lattice_pieces(L) -> list:
             live, images = [], []
         else:
             kills, dying = linalg.elder_kills(F, images)
-            U = linalg.transpose([bar[1] for bar in live])
-            W = linalg.transpose([bar[2] for bar in live])
-            for row, j in zip(kills[::-1], dying[::-1]):  # youngest first
+            uw = linalg.mm(F, kills, [u + w for _, u, w in live], len(live), p + q)
+            for row, j in zip(uw[::-1], dying[::-1]):  # youngest first
                 s = live[j][0]
-                u, w = linalg.mat_vec(F, U, row), linalg.mat_vec(F, W, row)
-                pieces.append((rank_two_label(e - s, -s), (u, w)))
+                pieces.append((rank_two_label(e - s, -s), (row[:p], row[p:])))
             dead += len(dying)
             live = [bar for j, bar in enumerate(live) if j not in dying]
             images = [v for j, v in enumerate(images) if j not in dying]

@@ -251,18 +251,17 @@ def compose(g: Morphism, f: Morphism) -> Morphism:
 def _ft_image(m: Morphism, gamma, d: int) -> tuple:
     """The degree-d torsion slots of ``m`` applied to the lattice element of
     ``m.src`` with adapted coordinates ``gamma`` (zero past the generators
-    alive at d): the sum of gamma_t times ``m.ft[t]``, moved up from the jump
-    e_t by x^(d - e_t), which keeps the target summands alive at both degrees."""
-    F = m.src.field
-    T = m.dst.torsion
-    pos = {i: k for k, i in enumerate(T.slots_at(d))}
-    out = [F.zero] * len(pos)
-    for c, (e, _), vec in zip(gamma, m.src.lattice.generators(), m.ft):
-        if c:
-            for i, a in zip(T.slots_at(e), vec):
-                if a and i in pos:
-                    out[pos[i]] = F.add(out[pos[i]], F.mul(c, a))
-    return tuple(out)
+    alive at d): one ``linalg.mm`` of gamma with each generator's
+    ``m.ft[t]``, moved up from its jump e_t to the degree-d slots by
+    x^(d - e_t), which keeps the target summands alive at both degrees and
+    zeroes the rest."""
+    F, T = m.src.field, m.dst.torsion
+    slots, n = T.slots_at(d), len(gamma)
+    moved = []
+    for (e, _), vec in zip(m.src.lattice.generators()[:n], m.ft):
+        at = dict(zip(T.slots_at(e), vec))
+        moved.append(tuple(at.get(i, F.zero) for i in slots))
+    return linalg.mm(F, (gamma,), moved, n, len(slots))[0]
 
 
 def sum_inclusion(big: CObject, factor: CObject, place, tmap) -> Morphism:

@@ -9,7 +9,10 @@ are kept as reduced-echelon bases (each basis vector a row, pivots chosen at
 the lowest coordinate index), which makes every canonical form bit-identical
 across runs.  Every elimination runs on one kernel, :class:`Echelon`: a
 growing subspace kept as mutually reduced int rows, which ``rref``, the
-lattice canonical forms and the Krull-Schmidt sweep all feed.
+lattice canonical forms and the Krull-Schmidt sweep all feed.  Beside it
+every product runs on one multiply-accumulate loop, :func:`mat_vec`:
+``mm`` is ``mat_vec`` of each row, and outside this module and ``fields``
+only the row builders of the Hom and Ext counts multiply scalars.
 """
 
 from __future__ import annotations
@@ -60,6 +63,9 @@ def mat_add(F: FieldSpec, A: Sequence, B: Sequence) -> Matrix:
 
 
 def mat_vec(F: FieldSpec, A: Sequence, v: Sequence) -> Vector:
+    """A times v: per row of A, the sum of its nonzero products with v in
+    column order.  This is the one multiply-accumulate loop (``mm`` runs on
+    it)."""
     if A and len(A[0]) != len(v):
         raise DimensionMismatch(f"matrix has {len(A[0])} columns, vector length {len(v)}")
     add, mul = F.add, F.mul
@@ -77,21 +83,16 @@ def mm(F: FieldSpec, A: Sequence, B: Sequence, inner: int, bcols: int) -> Matrix
     """Matrix product: A is len(A) x inner, B is inner x bcols.
 
     Plain tuples cannot carry the column count of a zero-row matrix, so the
-    inner dimension and output width are passed explicitly.
+    inner dimension and output width are passed explicitly.  Each row of
+    the product is :func:`mat_vec` of B's columns over that row of A, so
+    both run one loop, which adds the nonzero products a_ik b_kj in order
+    of k; with no inner dimension B has no rows to transpose, and its
+    bcols columns are empty.
     """
     if len(B) != inner or (A and len(A[0]) != inner):
         raise DimensionMismatch(f"cannot multiply {len(A)}x{inner} by {len(B)}x{bcols}")
-    add, mul, zero = F.add, F.mul, F.zero
-    out = []
-    for arow in A:
-        acc = [zero] * bcols
-        for a, brow in zip(arow, B):
-            if a:
-                for j, b in enumerate(brow):
-                    if b:
-                        acc[j] = add(acc[j], mul(a, b))
-        out.append(tuple(acc))
-    return tuple(out)
+    cols = transpose(B) if inner else ((),) * bcols
+    return tuple(mat_vec(F, cols, row) for row in A)
 
 
 def transpose(A: Sequence) -> Matrix:

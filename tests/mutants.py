@@ -63,8 +63,8 @@ MUTANTS = [
      ["tests/test_dual_basis.py::test_meet_matches_stacked_kernel_intersection"]),
     # decomposition
     ("kills-appended-elder-first", DECOMP,
-     "for row, j in zip(kills[::-1], dying[::-1]):  # youngest first",
-     "for row, j in zip(kills, dying):",
+     "for row, j in zip(uw[::-1], dying[::-1]):  # youngest first",
+     "for row, j in zip(uw, dying):",
      ["tests/test_dual_rank_sweep.py::test_pieces_match_the_nullspace_sweep"]),
     ("certificate-ignores-torsion-rank", DECOMP,
      "if shape != object_shape(target) or tt_rank != len(shape[0]):",
@@ -105,4 +105,14 @@ MUTANTS = [
     ("c-e-from-the-v0-rows", DECOMP,
      "for v in rows if not any(v[:p])]", "for v in rows if any(v[:p])]",
      ["tests/test_dual_rank_sweep.py::test_the_v1_rows_are_the_rref_of_c_e"]),
+    # one multiply-accumulate loop: mm and the torsion mover run on mat_vec
+    ("mm-reads-b-untransposed", LINALG,
+     "cols = transpose(B) if inner else", "cols = B if inner else",
+     ["tests/test_products.py::test_mm_matches_the_triple_loop"]),
+    ("mm-zero-inner-without-columns", LINALG,
+     "if inner else ((),) * bcols", "if inner else ()",
+     ["tests/test_products.py::test_mm_matches_the_triple_loop"]),
+    ("ft-image-reads-the-slots-at-d", HOMEXT,
+     "at = dict(zip(T.slots_at(e), vec))", "at = dict(zip(slots, vec))",
+     ["tests/test_transport.py::test_compose_and_twist_match_reference"]),
 ]

@@ -217,6 +217,13 @@ ROWS = [
      ["--format", "json", "decompose", '{"torsion": ' + "[" * 30000 + "]" * 30000 + "}"], 2,
      '{"error": {"message": "JSON literal nests too deeply (at position 0)", "position": 0,'
      ' "type": "ParseError"}, "schema": "zdinfty.report/1"}'),
+    ("an unknown field exits 2 and names the fields there are",
+     ["--field", "R", "hom", "F0[0]", "F0[0]"], 2,
+     "error: unknown field 'R'; expected Q or Fp:<p>"),
+    ("an unknown field under JSON prints its error record with no position",
+     ["--format", "json", "--field", "R", "hom", "F0[0]", "F0[0]"], 2,
+     '{"error": {"message": "unknown field \'R\'; expected Q or Fp:<p>", "position": null,'
+     ' "type": "ZdinftyError"}, "schema": "zdinfty.report/1"}'),
 ]
 
 

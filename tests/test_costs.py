@@ -8,14 +8,17 @@ lattice caches of L_k and of its twist warmed first and the systems of
 ``linalg.inverse`` counted apart.  They pin the figures at k = 8 and 16 and
 the growth of each op's total per doubling (the cells grow as k^4), and
 check each answer by additivity over the atom pairs, so a fast wrong path
-fails too.  The echelon rows show that a space keeps the very echelon its
-count returned, and the memory rows that it keeps no copy of its rows: the
-``tracemalloc`` peak of building a space is at most 1.1 times that of its
-count alone.  The ``decompose`` rows count, per call, the ``Echelon.add``
-calls, the stored rows each add visits and the cells added, on F[2, 0]^k,
-L_k and L'_k (the sum of F[1 + i % 2, -(i % 3)]), whose sweep kills some
-bars while others live on; they pin ceilings at k = 8 and 16 and on the
-growth per doubling, and check the factors against the summands' labels.
+fails too.  On the torsion-heavy M_k (L_4 plus k torsion summands) the
+same ops hand the kernel only the cells of the L_4 part at k = 8 and 16:
+torsion is counted by its bars.  The echelon rows show that a space keeps
+the very echelon its count returned, and the memory rows that it keeps no
+copy of its rows: the ``tracemalloc`` peak of building a space is at most
+1.1 times that of its count alone.  The ``decompose`` rows count, per call,
+the ``Echelon.add`` calls, the stored rows each add visits and the cells
+added, on F[2, 0]^k, L_k and L'_k (the sum of F[1 + i % 2, -(i % 3)]),
+whose sweep kills some bars while others live on; they pin ceilings at
+k = 8 and 16 and on the growth per doubling, and check the factors against
+the summands' labels.
 The fast-path rows pin three shortcuts by their calls: ``decompose`` calls
 ``linalg.elder_kills`` only at a jump where some live bar's column is
 nonzero, never at the top jump, and ``linalg.nullspace`` only at a jump
@@ -93,6 +96,41 @@ def test_cells_per_op_on_sums(F, op, monkeypatch):
         assert seen["systems"] == expected, (op, k)
         totals.append(sum(seen["systems"]))
     assert totals[1] <= GROWTH * totals[0], op
+
+
+# M_k: the summands of L_4 plus T[3 + i % 5, i % 4] for i < k.  Torsion is
+# counted by its bars, so each op hands the kernel the cells of the L_4 part
+# alone, at every k; on torsion serre_check builds no Gram
+TORSION_OPS = {
+    "hom_space": (lambda X, Y: (hom_space(X, Y).dim,), [672]),
+    "ext_space": (lambda X, Y: (ext_space(X, Y).dim,), [1376]),
+    "serre_check": (lambda X, Y: _report(X, Y)[:2], [672, 672]),
+}
+
+
+def _torsion_heavy(F, k) -> list:
+    return [_atoms(F)[i % 3] for i in range(4)] + [
+        torsion_cyclic(F, 3 + i % 5, i % 4) for i in range(k)
+    ]
+
+
+@pytest.mark.parametrize("op", TORSION_OPS)
+@pytest.mark.parametrize("F", FIELDS, ids=str)
+def test_cells_per_op_on_torsion_heavy_sums(F, op, monkeypatch):
+    answer, cells = TORSION_OPS[op]
+    seen = _count_systems(monkeypatch)
+    totals = []
+    for k in (8, 16):
+        parts = _torsion_heavy(F, k)
+        M = direct_sum_many(parts)[0]
+        for Z in (M, serre_twist(M)):
+            Z.lattice.annihilator_at(0)
+        by_parts = [sum(c) for c in zip(*(answer(X, Y) for X in parts for Y in parts))]
+        seen["systems"].clear()
+        assert list(answer(M, M)) == by_parts, (op, k)
+        assert seen["systems"] == cells, (op, k)
+        totals.append(sum(seen["systems"]))
+    assert totals[1] == totals[0], op
 
 
 def _recorded(monkeypatch, name) -> list:
