@@ -232,7 +232,7 @@ def morphism_from_degreewise(src: CObject, dst: CObject, psi) -> Morphism:
                 tt[k][i] = row[col]
     ft = tuple(
         tuple(row[j] for row in psi[e][dst.lattice.dim_at(e):])
-        for j, (e, _) in enumerate(src.lattice.generators())
+        for j, e in enumerate(src.lattice.jump_list)
     )
     m = morphism_from_parts(src, dst, a00, a11, tt, ft)
     for d, block in psi.items():
@@ -274,7 +274,7 @@ def class_of_sequence(inject: Morphism, surject: Morphism) -> ExtClass:
         # through a type-diagonal retraction of the localized inclusion
         lifts = [
             (e, lift(e, j, "lattice generator"))
-            for j, (e, _) in enumerate(X.lattice.generators())
+            for j, e in enumerate(X.lattice.jump_list)
         ]
         w0 = _left_inverse(F, inject.a00, E.p, Y.p)
         w1 = _left_inverse(F, inject.a11, E.q, Y.q)

@@ -212,7 +212,7 @@ def morphism_from_parts(X: CObject, Y: CObject, a00, a11, tt=None, ft=None) -> M
     if ft is None:
         ft = tuple(
             tuple(F.zero for _ in Y.torsion.slots_at(jump))
-            for jump, _ in X.lattice.generators()
+            for jump in X.lattice.jump_list
         )
     return Morphism(
         X, Y, *(tuple(map(tuple, block)) for block in (a00, a11, tt, ft))
@@ -415,7 +415,7 @@ class HomSpace:
     def ft_widths(self) -> tuple:
         """Per source lattice generator, the target torsion slots at its jump."""
         T = self.dst.torsion
-        return tuple(T.dim_at(jump) for jump, _ in self.src.lattice.generators())
+        return tuple(T.dim_at(jump) for jump in self.src.lattice.jump_list)
 
     @cached_property
     def basis(self) -> tuple:
@@ -495,7 +495,7 @@ def _hom_torsion(X: CObject, Y: CObject) -> int:
     if not ts:
         return 0
     count = 0
-    for e, _ in X.lattice.generators():
+    for e in X.lattice.jump_list:
         for n, a in ts:
             if -a <= e < n - a:
                 count += 1
@@ -824,7 +824,7 @@ def _class_after_morphism(g: ExtClass, f: Morphism) -> ExtClass:
     if Xp.rank > 0 and Y.rank > 0 and any(map(any, f.ft)):
         amb = [Y.lattice_vector(n - a, v) for (n, a), v in zip(X.torsion.summands, g.tor)]
         wcols = []
-        for (e, _), vec in zip(Xp.lattice.generators(), f.ft):
+        for e, vec in zip(Xp.lattice.jump_list, f.ft):
             alive = tuple(amb[i] for i in X.torsion.slots_at(e))
             wcols.append(linalg.mm(F, (vec,), alive, len(vec), Y.rank)[0])
         Ginv = Xp.lattice.generator_inverse
@@ -1025,7 +1025,7 @@ def euler_form(X: CObject, Y: CObject) -> int:
     """
     check_same_field(X.field, Y.field)
     XL, YL = X.lattice, Y.lattice
-    n = sum(YL.dim_at(e) for e, _ in XL.generators())
+    n = sum(YL.dim_at(e) for e in XL.jump_list)
     return n - (YL.q * XL.p + YL.p * XL.q) + _hom_torsion(X, Y) - _ext_torsion(X, Y)
 
 

@@ -10,15 +10,21 @@ reduced-echelon basis with pivots at the lowest coordinate indices.  Two
 lattices are equal as embedded submodules exactly when their canonical forms
 are identical.
 
-The lattice is freely generated by x^(e_j) dir_j, so the inverse G^-1 of the
-generator matrix answers every filtration query: row k of G^-1 is the dual
-functional g*_k, and v lies in S_d exactly when g*_k(v) = 0 for every k past
-dim S_d.  Those queries ask only where a g*_k vanishes, so they read each
-row up to a nonzero factor: annihilators, membership, ``degree_of`` and
-meets read the dual rows ``_dual``, which over Q are the rows of G^-1 scaled
-to primitive integer rows, and over F_p are G^-1 itself.  What needs the
-exact coefficients of v in the generators (``adapted_coords``, and the maps
-built from it) reads ``generator_inverse``.
+The lattice is freely generated by x^(e_j) dir_j, so its degree data have
+one derivation: ``jump_list`` is the jumps e_j of the adapted generators,
+ascending, and dim S_d is one bisection into it, the number of e_j <= d.
+The steps keep the echelon bases of S_d for the callers that read its rows
+(``subspace_at``).
+
+The inverse G^-1 of the generator matrix answers every filtration query:
+row k of G^-1 is the dual functional g*_k, and v lies in S_d exactly when
+g*_k(v) = 0 for every k past dim S_d.  Those queries ask only where a g*_k
+vanishes, so they read each row up to a nonzero factor: annihilators,
+membership, ``degree_of`` and meets read the dual rows ``_dual``, which
+over Q are the rows of G^-1 scaled to primitive integer rows, and over F_p
+are G^-1 itself.  What needs the exact coefficients of v in the generators
+(``adapted_coords``, and the maps built from it) reads
+``generator_inverse``.
 """
 
 from __future__ import annotations
@@ -62,15 +68,14 @@ class GradedLattice:
     def rank(self) -> int:
         return self.p + self.q
 
-    @property
+    @cached_property
     def jump_list(self) -> tuple:
-        """Jump degrees with multiplicity (the elementary-divisor data)."""
-        out = []
-        prev = 0
-        for jump, basis in self.steps:
-            out.extend([jump] * (len(basis) - prev))
-            prev = len(basis)
-        return tuple(out)
+        """Jump degrees with multiplicity (the elementary-divisor data): the
+        jumps of the adapted generators, ascending, built once per lattice.
+        This is the one derivation of the lattice's degree data: ``dim_at``
+        bisects it, and a generator's index in it is its index in
+        ``generators``."""
+        return tuple(jump for jump, _ in self._generators)
 
     def min_jump(self) -> int:
         return self.steps[0][0]
@@ -87,7 +92,10 @@ class GradedLattice:
         return self.steps[idx - 1][1]
 
     def dim_at(self, d: int) -> int:
-        return len(self.subspace_at(d))
+        """dim S_d: the number of adapted generators with jump at most d,
+        one bisection of ``jump_list`` (0 below the first jump, the rank
+        from the top jump on)."""
+        return bisect_right(self.jump_list, d)
 
     def annihilator_at(self, d: int) -> Matrix:
         """The dual functionals g*_k for k >= dim S_d, each up to a nonzero
@@ -98,14 +106,14 @@ class GradedLattice:
 
     @cached_property
     def _generators(self) -> tuple:
-        out = []
-        prev_pivots: set = set()
+        # S_d only grows, and so do its pivots: a row is a new generator
+        # exactly when no earlier jump had its pivot
+        out, seen = [], set()
         for jump, basis in self.steps:
-            pivots = _pivots(basis)
-            for row, piv in zip(basis, pivots):
-                if piv not in prev_pivots:
+            for row, piv in zip(basis, _pivots(basis)):
+                if piv not in seen:
+                    seen.add(piv)
                     out.append((jump, row))
-            prev_pivots = set(pivots)
         return tuple(out)
 
     def generators(self) -> tuple:
@@ -235,7 +243,7 @@ def degree_of(L: GradedLattice, v: Sequence):
     """
     gamma = _dual_coords(L, v, 0)
     last = max((k for k, c in enumerate(gamma) if c), default=None)
-    return None if last is None else L.generators()[last][0]
+    return None if last is None else L.jump_list[last]
 
 
 def _dual_coords(L: GradedLattice, v: Sequence, start: int) -> tuple:

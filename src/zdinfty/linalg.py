@@ -10,9 +10,11 @@ the lowest coordinate index), which makes every canonical form bit-identical
 across runs.  Every elimination runs on one kernel, :class:`Echelon`: a
 growing subspace kept as mutually reduced int rows, which ``rref``, the
 lattice canonical forms and the Krull-Schmidt sweep all feed.  Beside it
-every product runs on one multiply-accumulate loop, :func:`mat_vec`:
-``mm`` is ``mat_vec`` of each row, and outside this module and ``fields``
-only the row builders of the Hom and Ext counts multiply scalars.
+every product runs on one multiply-accumulate loop, :func:`mat_vec`, which
+reads only the entries of each row at the vector's nonzeros: ``mm`` is
+``mat_vec`` of each row, so it skips B's rows at A's zeros, and outside
+this module and ``fields`` only the row builders of the Hom and Ext counts
+multiply scalars.
 """
 
 from __future__ import annotations
@@ -65,17 +67,22 @@ def mat_add(F: FieldSpec, A: Sequence, B: Sequence) -> Matrix:
 def mat_vec(F: FieldSpec, A: Sequence, v: Sequence) -> Vector:
     """A times v: per row of A, the sum of its nonzero products with v in
     column order.  This is the one multiply-accumulate loop (``mm`` runs on
-    it)."""
+    it).  It lists v's nonzero (index, value) pairs once and reads only
+    those entries of each row, so a row costs nnz(v) reads, not len(v)
+    (Duff, Erisman and Reid, *Direct Methods for Sparse Matrices*, ch. 2).
+    The products are added from the field's zero in column order, so over
+    Q each entry's type follows from the products alone; over F_p the int
+    products are summed and the sum reduced once mod p."""
     if A and len(A[0]) != len(v):
         raise DimensionMismatch(f"matrix has {len(A[0])} columns, vector length {len(v)}")
-    add, mul = F.add, F.mul
+    p, nonzero = F.p, [(j, b) for j, b in enumerate(v) if b]
     out = []
     for row in A:
         acc = F.zero
-        for a, b in zip(row, v):
-            if a and b:
-                acc = add(acc, mul(a, b))
-        out.append(acc)
+        for j, b in nonzero:
+            if a := row[j]:
+                acc += a * b
+        out.append(acc % p if p else acc)
     return tuple(out)
 
 
@@ -86,8 +93,9 @@ def mm(F: FieldSpec, A: Sequence, B: Sequence, inner: int, bcols: int) -> Matrix
     inner dimension and output width are passed explicitly.  Each row of
     the product is :func:`mat_vec` of B's columns over that row of A, so
     both run one loop, which adds the nonzero products a_ik b_kj in order
-    of k; with no inner dimension B has no rows to transpose, and its
-    bcols columns are empty.
+    of k and reads only the k where a_ik is nonzero: a row of A with s
+    nonzeros costs s x bcols reads.  With no inner dimension B has no rows
+    to transpose, and its bcols columns are empty.
     """
     if len(B) != inner or (A and len(A[0]) != inner):
         raise DimensionMismatch(f"cannot multiply {len(A)}x{inner} by {len(B)}x{bcols}")

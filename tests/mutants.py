@@ -115,4 +115,16 @@ MUTANTS = [
     ("ft-image-reads-the-slots-at-d", HOMEXT,
      "at = dict(zip(T.slots_at(e), vec))", "at = dict(zip(slots, vec))",
      ["tests/test_transport.py::test_compose_and_twist_match_reference"]),
+    # one derivation of the degree data; the product reads only v's nonzeros
+    ("dim-at-bisects-left", "src/zdinfty/lattice.py",
+     "return bisect_right(self.jump_list, d)",
+     'return __import__("bisect").bisect_left(self.jump_list, d)',
+     ["tests/test_jump_list.py"]),
+    ("mat-vec-walks-every-entry", LINALG,
+     "for j, b in nonzero:\n            if a := row[j]:",
+     "for a, b in zip(row, v):\n            if a and b:",
+     ["tests/test_products.py::test_mat_vec_reads_only_the_entries_at_v_nonzeros"]),
+    ("fp-sum-left-unreduced", LINALG,
+     "out.append(acc % p if p else acc)", "out.append(acc)",
+     ["tests/test_products.py::test_mm_matches_the_triple_loop"]),
 ]

@@ -10,7 +10,11 @@ the growth of each op's total per doubling (the cells grow as k^4), and
 check each answer by additivity over the atom pairs, so a fast wrong path
 fails too.  On the torsion-heavy M_k (L_4 plus k torsion summands) the
 same ops hand the kernel only the cells of the L_4 part at k = 8 and 16:
-torsion is counted by its bars.  The echelon rows show that a space keeps
+torsion is counted by its bars.  The mixed pairs P_k (split sums with
+torsion on one side and lines on the other) and C_k (conjugated sums) pin
+the cells of ``hom_space``, ``ext_space`` and ``serre_check`` at two sizes
+and their growth, each answer checked by additivity over the summand pairs
+or over the labels drawn.  The echelon rows show that a space keeps
 the very echelon its count returned, and the memory rows that it keeps no
 copy of its rows: the ``tracemalloc`` peak of building a space is at most
 1.1 times that of its count alone.  The ``decompose`` rows count, per call,
@@ -18,7 +22,10 @@ the ``Echelon.add`` calls, the stored rows each add visits and the cells
 added, on F[2, 0]^k, L_k and L'_k (the sum of F[1 + i % 2, -(i % 3)]),
 whose sweep kills some bars while others live on; they pin ceilings at
 k = 8 and 16 and on the growth per doubling, and check the factors against
-the summands' labels.
+the summands' labels.  On the same families the product rows count, per
+``decompose``, the rows times the vector's nonzeros handed to
+``linalg.mat_vec``, the entries it reads, with a ceiling per size and per
+doubling.
 The fast-path rows pin three shortcuts by their calls: ``decompose`` calls
 ``linalg.elder_kills`` only at a jump where some live bar's column is
 nonzero, never at the top jump, and ``linalg.nullspace`` only at a jump
@@ -28,6 +35,7 @@ canonical rows; ``cli.parse_object`` builds no sum for one atom.
 
 import gc
 import itertools
+import random
 import tracemalloc
 
 import pytest
@@ -38,6 +46,7 @@ from zdinfty.fields import GF, QQ
 from zdinfty.homext import euler_form, ext_space, hom_space, serre_check
 from zdinfty.objects import direct_sum_many, rank_one, rank_two, serre_twist, torsion_cyclic
 
+from oracle_decomp import conjugated_sum
 from test_dimensions import _count_systems
 
 FIELDS = [QQ, GF(3)]
@@ -133,6 +142,61 @@ def test_cells_per_op_on_torsion_heavy_sums(F, op, monkeypatch):
     assert totals[1] == totals[0], op
 
 
+# P_k: X is L_k plus the first k / 2 torsion summands of M_k, Y is L'_k
+# plus the lines F_{i % 2}[i % 3] for i < k / 4.  C_k: a conjugated pair from
+# oracle_decomp.conjugated_sum, X of shape (k, 2, 1) drawn with Random(k)
+# and Y of shape (k, 3, 2) with Random(1000 + k).  (family, field) -> op ->
+# cells at the two sizes.  Over GF(3) the conjugators of C_k are drawn
+# otherwise (a singular draw mod 3 is redrawn), and its Ext system differs
+PAIR_OPS = {"hom_space": OPS["hom_space"][0], "ext_space": OPS["ext_space"][0],
+            "serre_check": TORSION_OPS["serre_check"][0]}
+P_CELLS = {"hom_space": ([25056], [408384]), "ext_space": ([13680], [196416]),
+           "serre_check": ([25056, 25056], [408384, 408384])}
+C_CELLS = {"hom_space": ([1800], [20482]), "ext_space": ([2025], [23408]),
+           "serre_check": ([1800, 1980], [20482, 23408])}
+PAIR_CELLS = {("P_k", "Q"): P_CELLS, ("P_k", "F3"): P_CELLS, ("C_k", "Q"): C_CELLS,
+              ("C_k", "F3"): dict(C_CELLS, ext_space=([1935], [23104]))}
+
+
+def _split_pair(F, k) -> tuple:
+    """P_k's summands of X and of Y."""
+    xs = [_atoms(F)[i % 3] for i in range(k)] + [
+        torsion_cyclic(F, 3 + i % 5, i % 4) for i in range(k // 2)
+    ]
+    ys = DECOMPOSE["L'_k"][0](F, k) + [rank_one(F, i % 2, i % 3) for i in range(k // 4)]
+    return direct_sum_many(xs)[0], direct_sum_many(ys)[0], xs, ys
+
+
+def _conjugated_pair(F, k) -> tuple:
+    """C_k's X and Y, and the objects of the labels each was drawn from."""
+    X, xs = conjugated_sum(F, random.Random(k), (k, 2, 1))
+    Y, ys = conjugated_sum(F, random.Random(1000 + k), (k, 3, 2))
+    return X, Y, [cli.parse_object(t, F) for t in xs], [cli.parse_object(t, F) for t in ys]
+
+
+# family -> (its pair, its sizes, ceiling on the growth of each op's cells)
+PAIRS = {"P_k": (_split_pair, (8, 16), 17), "C_k": (_conjugated_pair, (4, 8), 12)}
+
+
+@pytest.mark.parametrize("op", PAIR_OPS)
+@pytest.mark.parametrize("family", PAIRS)
+@pytest.mark.parametrize("F", FIELDS, ids=str)
+def test_cells_per_op_on_mixed_pairs(F, family, op, monkeypatch):
+    answer, (pair, sizes, growth) = PAIR_OPS[op], PAIRS[family]
+    seen = _count_systems(monkeypatch)
+    totals = []
+    for k, cells in zip(sizes, PAIR_CELLS[family, str(F)][op]):
+        X, Y, xs, ys = pair(F, k)
+        for Z in (X, Y, serre_twist(X), serre_twist(Y)):
+            Z.lattice.annihilator_at(0)
+        by_parts = [sum(c) for c in zip(*(answer(A, B) for A in xs for B in ys))]
+        seen["systems"].clear()
+        assert list(answer(X, Y)) == by_parts, (family, op, k)
+        assert seen["systems"] == cells, (family, op, k)
+        totals.append(sum(seen["systems"]))
+    assert totals[1] <= growth * totals[0], (family, op, totals)
+
+
 def _recorded(monkeypatch, name) -> list:
     """Record what each call of ``homext.<name>`` returns."""
     returned = []
@@ -224,6 +288,45 @@ def test_decompose_adds_visits_and_cells(F, family, monkeypatch):
         seen.append(list(counts))
     for small, big, growth in zip(*seen, DECOMPOSE_GROWTH):
         assert big <= growth * small, (family, seen)
+
+
+# family -> rows x nonzeros of the vector handed to linalg.mat_vec (and so
+# read by it) per decompose at k = 8 and 16, the same over Q and GF(3).
+# The sweep and the certificate work over the full width, so the reads grow
+# about 4 times per doubling of k
+PRODUCT_READS = {"F[2,0]^k": (128, 512), "L_k": (332, 1390), "L'_k": (397, 1614)}
+PRODUCT_GROWTH = 4.2
+
+
+def _count_product_reads(monkeypatch) -> list:
+    """Count the rows times the vector's nonzeros of each ``mat_vec`` call,
+    those made through ``mm`` included."""
+    reads = [0]
+    mat_vec = linalg.mat_vec
+
+    def counted(F, A, v):
+        reads[0] += len(A) * sum(1 for b in v if b)
+        return mat_vec(F, A, v)
+
+    monkeypatch.setattr(linalg, "mat_vec", counted)
+    return reads
+
+
+@pytest.mark.parametrize("family", DECOMPOSE)
+@pytest.mark.parametrize("F", FIELDS, ids=str)
+def test_decompose_product_reads(F, family, monkeypatch):
+    reads = _count_product_reads(monkeypatch)
+    seen = []
+    for k, ceiling in zip((8, 16), PRODUCT_READS[family]):
+        parts = DECOMPOSE[family][0](F, k)
+        X = direct_sum_many(parts)[0]
+        X.lattice.annihilator_at(0)
+        reads[0] = 0
+        factors = decompose(X).factors
+        assert reads[0] <= ceiling, (family, k, reads[0])
+        assert sorted(map(str, factors)) == sorted(str(identify(Z)) for Z in parts)
+        seen.append(reads[0])
+    assert seen[1] <= PRODUCT_GROWTH * seen[0], (family, seen)
 
 
 # family -> elder_kills calls per decompose, at every k: a jump where every

@@ -3,8 +3,10 @@ forced once and pinned.
 
 Each row hands one public function (or the check it reaches) an input it
 must refuse: maps whose endpoints do not meet, a block matrix that leaves
-the lattice, torsion where only lattices are allowed, lattices in different
-ambient spaces, malformed shapes and parameters.  The row pins the error
+the lattice, a degreewise map sending torsion into the lattice part, an
+unvalidated torsion component that x does not commute with, torsion where
+only lattices are allowed, lattices in different ambient spaces, division
+by zero, malformed shapes and parameters.  The row pins the error
 class the call raises and its whole message.
 """
 
@@ -13,6 +15,7 @@ import dataclasses
 import pytest
 
 from zdinfty import linalg
+from zdinfty.ar import morphism_from_degreewise
 from zdinfty.decomp import IndecLabel, label_to_object
 from zdinfty.errors import (
     ComposabilityError, DimensionMismatch, NotLatticeMorphism, ShapeMismatch, ZdinftyError,
@@ -54,6 +57,19 @@ def _incompatible_torsion():
     return morphism_from_parts(torsion_cyclic(F, 1, 0), T, (), (), ONE)
 
 
+def _torsion_into_the_lattice():
+    """T[1, 0] -> F0[0] given degreewise: at degree 0 the torsion slot of
+    T[1, 0] is sent onto the lattice slot of F0[0], and degree 1 is the top,
+    where T[1, 0] has no slot."""
+    return morphism_from_degreewise(torsion_cyclic(F, 1, 0), F0, {0: ONE, 1: ((),)})
+
+
+def _class_after_incompatible_torsion():
+    """The one basis class of Ext(T[2, 0], X) after the unvalidated
+    T[1, 0] -> T[2, 0] of ``_incompatible_torsion``."""
+    return yoneda_compose(ext_space(T, X).basis[0], _incompatible_torsion())
+
+
 def _type_mixing():
     """An endomorphism of F[1, 0] whose type-0 block also feeds the type-1
     coordinate, so it does not commute with v = (x^m, 0)."""
@@ -91,6 +107,11 @@ ROWS = [
     ("validate-tt-not-commuting-with-x",
      lambda: validate_morphism(_incompatible_torsion()), ZdinftyError,
      "^torsion component does not commute with x$"),
+    ("degreewise-torsion-into-the-lattice",
+     _torsion_into_the_lattice, ShapeMismatch, "^torsion maps into the lattice part$"),
+    ("class-after-incompatible-torsion",
+     _class_after_incompatible_torsion, ZdinftyError,
+     "^inconsistent torsion component in composition$"),
     ("hom-kx-on-torsion",
      lambda: hom_kx_space(T, X), NotLatticeMorphism, "^restricted hom needs torsion-free objects$"),
     ("eta-on-torsion",
@@ -131,6 +152,8 @@ ROWS = [
     ("label-of-unknown-kind",
      lambda: label_to_object(F, IndecLabel("cone", (1,))), ZdinftyError,
      "^unknown label kind 'cone'$"),
+    ("field-division-by-zero",
+     lambda: F.div(F.one, F.zero), ZeroDivisionError, "^field division by zero$"),
     ("rationals-with-a-modulus",
      lambda: FieldSpec("Q", 3), ZdinftyError, "^rationals carry no characteristic parameter$"),
     ("window-degrees-descending",
