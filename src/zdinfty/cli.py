@@ -35,6 +35,7 @@ from typing import NamedTuple
 from .ar import almost_split, dot_export, quiver_window, verify_exact, window_to_json
 from .decomp import (
     decompose,
+    dimensions,
     filtration,
     label_to_object,
     label_window,
@@ -45,7 +46,6 @@ from .decomp import (
 from .errors import ParseError, RangeError, ZdinftyError
 from .fields import FieldSpec, parse_field
 from .homext import (
-    dimensions,
     eta,
     ext_space,
     hom_space,

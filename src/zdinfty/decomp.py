@@ -21,11 +21,13 @@ there, and with a zero entry the row is one coordinate vector, which enters
 at e1 while the other enters at e2.  ``filtration`` reads its chain and
 factors off one canonical form with the coordinates reversed, and
 ``end_ring`` reads the coordinates of each product off the unit basis of
-``hom_space``.
+``hom_space``.  ``dimensions`` counts Hom and Ext through the factors: it
+decomposes both objects and counts each pair of distinct labels once.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -36,10 +38,12 @@ from .errors import (
     UnrecognizedShape,
     ZdinftyError,
 )
-from .fields import FieldSpec
+from .fields import FieldSpec, check_same_field
 from .homext import (
     Morphism,
+    _hom_count,
     compose,
+    euler_form,
     hom_space,
     identity_morphism,
     morphism_from_parts,
@@ -54,8 +58,8 @@ from .objects import (
 )
 
 __all__ = [
-    "Decomposition", "IndecLabel", "decompose", "end_ring", "filtration", "identify",
-    "label_to_object",
+    "Decomposition", "IndecLabel", "decompose", "dimensions", "end_ring", "filtration",
+    "identify", "label_to_object",
 ]
 
 
@@ -199,7 +203,7 @@ def identify(X: CObject) -> IndecLabel:
         raise UnrecognizedShape("not a single indecomposable shape")
     L = X.lattice
     if X.rank == 1:
-        return rank_one_label(0 if X.p == 1 else 1, -L.min_jump())
+        return rank_one_label(0 if X.p == 1 else 1, -L.jump_list[0])
     if X.rank == 2 and X.p == 1 and X.q == 1 and len(L.steps) == 2:
         (e1, (row,)), (e2, _) = L.steps
         if not all(row):
@@ -276,6 +280,29 @@ def decompose(X: CObject) -> Decomposition:
     if not pieces_certified(X, pieces):
         raise DecompositionFailure("the split columns do not give an isomorphism")
     return Decomposition(X, tuple(pieces))
+
+
+def dimensions(X: CObject, Y: CObject) -> tuple:
+    """(dim Hom(X, Y), dim Ext(X, Y)), summed over pairs of factor labels.
+
+    Both dimensions are additive over direct sums and invariant under
+    isomorphism, so each is the sum over the distinct labels a of X and b of
+    Y of mult(a) mult(b) times its value on the pair, two indecomposables of
+    rank at most 2 built by ``label_to_object``.  A pair's dim Hom is its
+    Hom count (``homext._hom_count``), and the category is hereditary, so its
+    dim Ext is dim Hom less ``euler_form``, counted with no elimination.
+    The fields are checked before anything is decomposed.
+    """
+    check_same_field(X.field, Y.field)
+    xs, ys = (Counter(decompose(Z).factors) for Z in (X, Y))
+    objs = {label: label_to_object(X.field, label) for label in xs | ys}
+    hom = ext = 0
+    for a, m in xs.items():
+        for b, n in ys.items():
+            h = _hom_count(objs[a], objs[b])[1]
+            hom += m * n * h
+            ext += m * n * (h - euler_form(objs[a], objs[b]))
+    return hom, ext
 
 
 def split_isomorphism(X: CObject, pieces) -> Morphism:

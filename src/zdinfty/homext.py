@@ -66,9 +66,9 @@ image rows, the torsion pairs, widths and hit slots are built only when
 first read, and each space builds its maps or classes only when ``basis``
 is read.  ``euler_form`` needs no elimination at all: the lattice parts
 of Hom and Ext are the kernel and cokernel of one map, so their
-difference is a count, and
-``dimensions``, which the CLI's ``hom``, ``ext`` and ``euler`` read, takes
-both dimensions from the Hom count alone, dim Ext as dim Hom less it.  The
+difference is a count, and ``decomp.dimensions``, which the CLI's ``hom``,
+``ext`` and ``euler`` read, takes both dimensions of each pair of factors
+from the Hom count alone, dim Ext as dim Hom less it.  The
 Serre Gram matrix selects entries of the lattice maps at the free positions
 (``_gram``); its free cells are the off-diagonal positions below
 ``widths[0]`` off the sorted pivots ``ExtSpace.pivots``.  ``serre_check``
@@ -101,7 +101,7 @@ from .objects import CObject, TorsionPart, module_xpower, serre_twist
 __all__ = [
     "Morphism", "HomSpace", "ExtClass", "ExtSpace", "hom_space", "ext_space",
     "hom_kx_space", "yoneda_compose", "eta", "serre_gram", "serre_check", "euler_form",
-    "dimensions", "serre_twist_morphism", "serre_twist_class",
+    "serre_twist_morphism", "serre_twist_class",
 ]
 
 
@@ -514,8 +514,8 @@ def _hom_count(X: CObject, Y: CObject) -> tuple:
     row, so each constraint row is u (x) dir_j on the two diagonal blocks
     (``_ext_count`` builds its rows by the same loop, Y's types swapped).
     ``hom_space`` keeps the echelon as it is, and nothing adds to it after;
-    ``serre_check`` reads its rows and keeps nothing, and ``dimensions``
-    reads the count alone."""
+    ``serre_check`` reads its rows and keeps nothing, and
+    ``decomp.dimensions`` reads the count alone, on pairs of factors."""
     F = X.field
     XL, YL = X.lattice, Y.lattice
     p, q, pp, qq = XL.p, XL.q, YL.p, YL.q
@@ -656,8 +656,12 @@ class ExtSpace:
         """Canonical representative of the class with the given raw data."""
         F = self.src.field
         blocks = self._blocks(h01, h10, tor)
+        (rows, pivots), flat = self.ff_reduction, blocks[0]
+        # The rows are reduced, so one product of the entries at the pivots
+        # subtracts them all, as reducing against the rows one by one does.
+        lift = linalg.mm(F, ([-flat[k] for k in pivots],), rows, len(rows), len(flat))[0]
         return self._class(
-            [linalg.reduce_against(F, *self.ff_reduction, blocks[0])]
+            [linalg.vec_add(F, flat, lift)]
             + [
                 tuple(F.zero if k in hit else c for k, c in enumerate(v))
                 for v, hit in zip(blocks[1:], self.tor_reduction)
@@ -836,15 +840,14 @@ def _class_after_morphism(g: ExtClass, f: Morphism) -> ExtClass:
     tor = []
     for ip, (n_p, a_p) in enumerate(Xp.torsion.summands):
         h = n_p - a_p
-        acc = (F.zero,) * Y.module_dim_at(h)
+        coeffs, moved = [], []  # f's entries into X's summands, g's vectors there moved to h
         for i, (n_i, a_i) in enumerate(X.torsion.summands):
-            c = f.tt[i][ip]
-            if c:
+            if c := f.tt[i][ip]:
                 if h < n_i - a_i:
                     raise ZdinftyError("inconsistent torsion component in composition")
-                moved = linalg.mat_vec(F, module_xpower(Y, n_i - a_i, h), g.tor[i])
-                acc = linalg.vec_add(F, acc, linalg.vec_scale(F, c, moved))
-        tor.append(acc)
+                coeffs.append(c)
+                moved.append(linalg.mat_vec(F, module_xpower(Y, n_i - a_i, h), g.tor[i]))
+        tor.append(linalg.mm(F, (coeffs,), moved, len(moved), Y.module_dim_at(h))[0])
     return ext_space(Xp, Y).reduce(h01, h10, tuple(tor))
 
 
@@ -1027,14 +1030,3 @@ def euler_form(X: CObject, Y: CObject) -> int:
     XL, YL = X.lattice, Y.lattice
     n = sum(YL.dim_at(e) for e in XL.jump_list)
     return n - (YL.q * XL.p + YL.p * XL.q) + _hom_torsion(X, Y) - _ext_torsion(X, Y)
-
-
-def dimensions(X: CObject, Y: CObject) -> tuple:
-    """(dim Hom(X, Y), dim Ext(X, Y)) from one elimination, the Hom count's.
-
-    The category is hereditary, so the Euler form is dim Hom - dim Ext, and
-    ``euler_form`` counts it with no elimination: dim Ext is dim Hom less it.
-    """
-    check_same_field(X.field, Y.field)
-    hom = _hom_count(X, Y)[1]
-    return hom, hom - euler_form(X, Y)

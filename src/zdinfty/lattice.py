@@ -77,9 +77,6 @@ class GradedLattice:
         ``generators``."""
         return tuple(jump for jump, _ in self._generators)
 
-    def min_jump(self) -> int:
-        return self.steps[0][0]
-
     @cached_property
     def _jumps(self) -> tuple:
         return tuple(j for j, _ in self.steps)

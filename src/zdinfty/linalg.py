@@ -12,9 +12,12 @@ growing subspace kept as mutually reduced int rows, which ``rref``, the
 lattice canonical forms and the Krull-Schmidt sweep all feed.  Beside it
 every product runs on one multiply-accumulate loop, :func:`mat_vec`, which
 reads only the entries of each row at the vector's nonzeros: ``mm`` is
-``mat_vec`` of each row, so it skips B's rows at A's zeros, and outside
-this module and ``fields`` only the row builders of the Hom and Ext counts
-multiply scalars.
+``mat_vec`` of each row, so it skips B's rows at A's zeros.  Both elder-rule
+sweeps combine their dying bars with it, a class's torsion parts are summed
+and an Ext class reduced by one ``mm`` each, and the one exception in
+``src`` is the row builders of the Hom and Ext counts, which multiply
+scalars into their outer-product rows.  ``vec_add``, ``mat_add`` and
+``trace`` add and do not multiply.
 """
 
 from __future__ import annotations
@@ -54,10 +57,6 @@ def unit_matrix(F: FieldSpec, m: int, n: int, ones: Iterable[tuple[int, int]]) -
 
 def vec_add(F: FieldSpec, u: Sequence, v: Sequence) -> Vector:
     return tuple(F.add(a, b) for a, b in zip(u, v))
-
-
-def vec_scale(F: FieldSpec, c: Scalar, v: Sequence) -> Vector:
-    return tuple(F.mul(c, a) for a in v)
 
 
 def mat_add(F: FieldSpec, A: Sequence, B: Sequence) -> Matrix:
@@ -276,23 +275,6 @@ def rank(F: FieldSpec, A: Sequence) -> int:
     """The number of pivots of one :class:`Echelon`: no reduced rows, and
     over Q no rationals, are built."""
     return len(_echelon(F, A))
-
-
-def reduce_against(F: FieldSpec, basis: Sequence, pivots: Sequence[int], v: Sequence) -> Vector:
-    """Subtract the pivot components of an echelon basis from ``v``.
-
-    The result is the canonical coset representative of ``v`` modulo the
-    span of ``basis``; it is zero exactly when ``v`` lies in that span.
-    """
-    sub, mul = F.sub, F.mul
-    w = list(v)
-    for row, col in zip(basis, pivots):
-        c = w[col]
-        if c:
-            for j, a in enumerate(row):
-                if a:
-                    w[j] = sub(w[j], mul(c, a))
-    return tuple(w)
 
 
 def solve(F: FieldSpec, A: Sequence, b: Sequence) -> Vector | None:

@@ -62,7 +62,10 @@ def reconstruct_parts(wm: WindowModule, chart, p: int, q: int):
     last one: a bar dies when its x-image lies in the span of its elders'
     images, ``linalg.elder_kills`` gives the combination of them that x
     kills, indexed like the live bars, elder first, and kernel vectors
-    outside the survivors' images start new ones.
+    outside the survivors' images start new ones.  A dying bar's chain is
+    then that combination of the live bars' vectors: one product
+    (``linalg.mat_vec``) of its kill row per dying bar and listed degree of
+    its chain, as the Krull-Schmidt sweep combines its bars with one ``mm``.
     A bar born at D[b] whose chain has c entries dies at D[b + c], so its
     length is D[b + c] - D[b].
 
@@ -124,17 +127,14 @@ def reconstruct_parts(wm: WindowModule, chart, p: int, q: int):
             continue
         kills, dying = linalg.elder_kills(F, images) if any(dead) else ((), ())
         # Each dying bar, elder first, dies at D[i] - 1.  Its elders are alive
-        # on its whole span; adding its row's combination of them at every
-        # listed degree makes x kill its last vector.
+        # on its whole span, and its kill row is one at it, zero past it and
+        # zero at the other dying bars: that combination of the bar's and its
+        # elders' vectors, one product per listed degree of its chain, makes
+        # x kill its last vector.
         for row, j in zip(kills, dying):
-            birth, chain = live[j]
-            for (elder_birth, elder_chain), c in zip(live[:j], row[:j]):
-                if not c:
-                    continue
-                for t in range(len(chain)):
-                    elder = linalg.vec_scale(F, c, elder_chain[birth - elder_birth + t])
-                    chain[t] = linalg.vec_add(F, chain[t], elder)
-            bars.append((birth, chain))
+            birth, kill = live[j][0], row[:j + 1]
+            at = zip(*[chain[birth - b:] for b, chain in live[:j + 1]])  # per listed degree
+            bars.append((birth, [linalg.mat_vec(F, linalg.transpose(vs), kill) for vs in at]))
         # The survivors go on; kernel vectors outside their images are born.
         survivors = []
         for bar, image, died in zip(live, images, dead):

@@ -10,6 +10,7 @@ says "the new test fails on a mutant" adds a row here.
 HOMEXT = "src/zdinfty/homext.py"
 DECOMP = "src/zdinfty/decomp.py"
 LINALG = "src/zdinfty/linalg.py"
+WINDOW = "src/zdinfty/window.py"
 
 MUTANTS = [
     # the torsion bar counts and the Euler form
@@ -22,9 +23,11 @@ MUTANTS = [
     ("euler-without-ext-torsion", HOMEXT,
      "+ _hom_torsion(X, Y) - _ext_torsion(X, Y)", "+ _hom_torsion(X, Y)",
      ["tests/test_dimensions.py::test_dimensions_match_the_spaces_on_the_window"]),
-    ("dimensions-field-check-late", HOMEXT,
-     "    check_same_field(X.field, Y.field)\n    hom = _hom_count(X, Y)[1]\n",
-     "    hom = _hom_count(X, Y)[1]\n    check_same_field(X.field, Y.field)\n",
+    ("dimensions-field-check-late", DECOMP,
+     "    check_same_field(X.field, Y.field)\n"
+     "    xs, ys = (Counter(decompose(Z).factors) for Z in (X, Y))\n",
+     "    xs, ys = (Counter(decompose(Z).factors) for Z in (X, Y))\n"
+     "    check_same_field(X.field, Y.field)\n",
      ["tests/test_dimensions.py::test_mixed_fields_exit_2_before_any_elimination"]),
     # Hom and Ext spaces
     ("ext-class-blocks-swapped", HOMEXT,
@@ -75,8 +78,8 @@ MUTANTS = [
      "last = [min(i for i, c in enumerate(dir) if c) for _, dir in gens]",
      ["tests/test_decomp.py"]),
     # the window bar sweep
-    ("elder-slice-misaligned", "src/zdinfty/window.py",
-     "zip(live[:j], row[:j])", "zip(live[:j], row[1:j + 1])",
+    ("elder-slice-misaligned", WINDOW,
+     "kill = live[j][0], row[:j + 1]", "kill = live[j][0], row[1:j + 2]",
      ["tests/test_middle_window.py"]),
     # fields and the CLI
     ("miller-rabin-bases-to-37", "src/zdinfty/fields.py",
@@ -127,4 +130,17 @@ MUTANTS = [
     ("fp-sum-left-unreduced", LINALG,
      "out.append(acc % p if p else acc)", "out.append(acc)",
      ["tests/test_products.py::test_mm_matches_the_triple_loop"]),
+    # every product on mat_vec: the window's bar combinations and the Ext
+    # reduction; dimensions counted through the factors
+    ("window-kill-row-drops-the-bar", WINDOW,
+     "row[:j + 1]\n            at = zip(*[chain[birth - b:] for b, chain in live[:j + 1]])",
+     "row[:j]\n            at = zip(*[chain[birth - b:] for b, chain in live[:j]])",
+     ["tests/test_middle_window.py"]),
+    ("ext-reduce-adds-the-pivot-product", HOMEXT,
+     "([-flat[k] for k in pivots],)", "([flat[k] for k in pivots],)",
+     ["tests/test_homext.py::test_eta_well_defined_on_cosets"]),
+    ("factor-pairs-weighed-by-one-side", DECOMP,
+     "            hom += m * n * h\n            ext += m * n * (h",
+     "            hom += m * h\n            ext += m * (h",
+     ["tests/test_dimensions.py::test_factor_path_matches_the_frame_on_split_sums"]),
 ]

@@ -2,13 +2,13 @@
 
 This is the computation that ``decomp.decompose`` and
 ``objects.direct_sum_many`` replaced: the elder-rule sweep keeps its spans as
-Fraction rows reduced with ``linalg.reduce_against``, every direct sum is the
-canonical form of the embedded generators of its inputs, and the certificate
-inverts the whole lattice matrix and the torsion matrix.  Each step's
-annihilator is a nullspace of its echelon basis and membership reduces
-against that basis, not the inverse generator matrix.  The sweep itself is
-unchanged, so its pieces, and hence the factors and the isomorphism, must
-agree with ``decompose`` entry for entry.
+Fraction rows reduced row by row (``oracle_membership.reduce_against``),
+every direct sum is the canonical form of the embedded generators of its
+inputs, and the certificate inverts the whole lattice matrix and the
+torsion matrix.  Each step's annihilator is a nullspace of its echelon
+basis and membership reduces against that basis, not the inverse generator
+matrix.  The sweep itself is unchanged, so its pieces, and hence the
+factors and the isomorphism, must agree with ``decompose`` entry for entry.
 
 ``nullspace_sweep_pieces`` and ``pieces_certified`` are the sweep and the
 certificate as they were before dim A_e was read off the ranks of the dual
@@ -26,7 +26,7 @@ from zdinfty.homext import morphism_from_parts
 from zdinfty.lattice import GradedLattice, GradedVector, canonicalize, membership
 from zdinfty.objects import CObject, TorsionPart, rank_one, rank_two, torsion_cyclic
 
-from oracle_membership import step_membership
+from oracle_membership import reduce_against, step_membership, vec_scale
 
 
 def random_invertible(F, rng, n):
@@ -137,11 +137,11 @@ class _Span:
 
     def add(self, v) -> bool:
         F = self.F
-        w = linalg.reduce_against(F, self.rows, self.pivots, v)
+        w = reduce_against(F, self.rows, self.pivots, v)
         piv = next((i for i, c in enumerate(w) if not F.is_zero(c)), None)
         if piv is None:
             return False
-        self.rows.append(linalg.vec_scale(F, F.inv(w[piv]), w))
+        self.rows.append(vec_scale(F, F.inv(w[piv]), w))
         self.pivots.append(piv)
         return True
 

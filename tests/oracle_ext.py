@@ -17,6 +17,7 @@ from zdinfty import linalg
 from zdinfty.homext import ExtClass, hom_kx_space
 from zdinfty.objects import CObject, TorsionPart, module_xpower
 
+from oracle_membership import reduce_against
 from oracle_slots import offdiag_blocks
 
 
@@ -69,7 +70,7 @@ def ext_space(X, Y) -> Ext:
             continue
         flat = [F.zero] * n_off
         flat[fcoord] = F.one
-        red = linalg.reduce_against(F, rows, pivots, flat)
+        red = reduce_against(F, rows, pivots, flat)
         h01, h10 = offdiag_from_vector(red, X, Y)
         basis.append(ExtClass(X, Y, h01, h10, tuple(zero_tor())))
     for i, (n_i, a_i) in enumerate(X.torsion.summands):
@@ -81,7 +82,7 @@ def ext_space(X, Y) -> Ext:
             vec = [F.zero] * dim_i
             vec[fcoord] = F.one
             tor = zero_tor()
-            tor[i] = linalg.reduce_against(F, rows_i, piv_i, vec)
+            tor[i] = reduce_against(F, rows_i, piv_i, vec)
             basis.append(
                 ExtClass(X, Y, linalg.zeros(F, qq, p), linalg.zeros(F, pp, q), tuple(tor))
             )

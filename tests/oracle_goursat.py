@@ -38,7 +38,7 @@ def goursat_counts(L) -> dict:
     F, p = L.field, L.p
     if L.rank == 0:
         return {}
-    lo, hi = L.min_jump(), max_jump(L)
+    lo, hi = L.jump_list[0], max_jump(L)
     unit = linalg.identity(F, L.rank)
     A, B, C = {}, {}, {}
     for d in range(lo - 1, hi + 1):

@@ -18,9 +18,9 @@ def identify(X):
         raise UnrecognizedShape("not a single indecomposable shape")
     L = X.lattice
     if X.rank == 1:
-        return rank_one_label(0 if X.p == 1 else 1, -L.min_jump())
+        return rank_one_label(0 if X.p == 1 else 1, -L.jump_list[0])
     if X.rank == 2 and X.p == 1 and X.q == 1:
-        a = -L.min_jump()
+        a = -L.jump_list[0]
         c0, c1 = (degree_of(L, e) for e in linalg.identity(X.field, 2))
         if c0 != c1:
             raise UnrecognizedShape("pure-coordinate degrees disagree")

@@ -85,7 +85,7 @@ def singularity_index(X) -> int:
     if X.rank == 0:
         return 0
     gens = X.lattice.generators()
-    spread = max_jump(X.lattice) - X.lattice.min_jump()
+    spread = max_jump(X.lattice) - X.lattice.jump_list[0]
     for n in range(0, spread + 2):
         if all(step_membership(X.lattice, _v_image(F, X, e, dir, n)) for e, dir in gens):
             return n

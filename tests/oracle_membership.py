@@ -5,11 +5,14 @@ solving for bounded-degree polynomial coefficients c_j(x), one linear
 equation per ambient coordinate per degree.  ``step_membership`` and
 ``step_degree`` reduce v against the echelon basis of each step, as
 ``lattice.membership`` and ``lattice.degree_of`` did before they read the
-adapted coordinates.  ``in_span`` reduces against an echelon basis,
-``coords_in_basis`` solves for coefficients and ``mat_scale`` scales a
-matrix; the library dropped all three once nothing in it called them, and
-the oracles and tests still do.  So did it drop ``contains``, the lattice
-inclusion test, which here tests each generator with ``step_membership``.
+adapted coordinates.  ``reduce_against`` subtracts pivot components row by
+row, ``vec_scale`` and ``mat_scale`` scale entry by entry, ``in_span``
+reduces against an echelon basis and ``coords_in_basis`` solves for
+coefficients; the library dropped all of them once nothing in it called
+them (it reduces and combines by products, ``linalg.mat_vec``), and the
+oracles and tests still do, by their own scalar loops.  So did it drop
+``contains``, the lattice inclusion test, which here tests each generator
+with ``step_membership``.
 The ``inverse_*`` functions answer the filtration queries, the lattice meet
 and the constant-matrix solve of Hom the way the library did before it read
 the dual rows up to scale: from the exact rows of ``generator_inverse``.
@@ -21,9 +24,28 @@ from zdinfty.fields import check_same_field
 from zdinfty.lattice import GradedVector, canonicalize
 
 
+def reduce_against(F, basis, pivots, v) -> tuple:
+    """Subtract the pivot components of an echelon basis from ``v``, one row
+    at a time: the canonical coset representative of ``v`` modulo the span
+    of ``basis``, zero exactly when ``v`` lies in that span."""
+    w = list(v)
+    for row, col in zip(basis, pivots):
+        c = w[col]
+        if c:
+            for j, a in enumerate(row):
+                if a:
+                    w[j] = F.sub(w[j], F.mul(c, a))
+    return tuple(w)
+
+
+def vec_scale(F, c, v) -> tuple:
+    """The vector ``v`` with every entry multiplied by ``c``."""
+    return tuple(F.mul(c, a) for a in v)
+
+
 def in_span(F, basis, pivots, v) -> bool:
     """Whether ``v`` lies in the span of an echelon basis with these pivots."""
-    return not any(linalg.reduce_against(F, basis, pivots, v))
+    return not any(reduce_against(F, basis, pivots, v))
 
 
 def coords_in_basis(F, basis, v):
@@ -35,7 +57,7 @@ def coords_in_basis(F, basis, v):
 
 def mat_scale(F, c, A):
     """The matrix ``A`` with every entry multiplied by ``c``."""
-    return tuple(linalg.vec_scale(F, c, row) for row in A)
+    return tuple(vec_scale(F, c, row) for row in A)
 
 
 def _in_step(F, basis, v) -> bool:

@@ -20,6 +20,7 @@ from zdinfty.objects import CObject, TorsionPart, module_xpower, slot_events, su
 from zdinfty.window import WindowModule
 
 from oracle_bars import rref_of_kernel_kills
+from oracle_membership import vec_scale
 
 
 def class_window(c):
@@ -80,7 +81,7 @@ def reconstruct_parts(wm, chart, p, q):
                 if F.is_zero(c):
                     continue
                 for t in range(len(chain)):
-                    elder = linalg.vec_scale(F, c, elder_chain[birth - elder_birth + t])
+                    elder = vec_scale(F, c, elder_chain[birth - elder_birth + t])
                     chain[t] = linalg.vec_add(F, chain[t], elder)
             bars.append((birth, chain))
         dead = {len(live) - 1 - j for j in pivots}

@@ -17,6 +17,7 @@ from zdinfty.errors import DimensionMismatch, NotFullRank, ZdinftyError
 from zdinfty.fields import FieldSpec
 from zdinfty.objects import CObject, TorsionPart, zero_object
 
+from oracle_membership import reduce_against
 from oracle_ring import Poly
 
 
@@ -49,7 +50,7 @@ def quotient_model(field: FieldSpec, lo: int, hi: int, ambient_dims, relation_ro
 
     def project(d, vec):
         rel, pivots = bases[d]
-        red = linalg.reduce_against(field, rel, pivots, vec)
+        red = reduce_against(field, rel, pivots, vec)
         return tuple(red[j] for j in reps[d])
 
     dims = tuple(len(reps[d]) for d in range(lo, hi + 1))

@@ -5,7 +5,8 @@ F0[a], F1[a] and T[n, a], has its lattices conjugated by type-diagonal
 integer unimodular matrices, each a product of elementary matrices.  A
 unimodular integer matrix is invertible over Q and over every F_p, so the
 same integer matrices give, over Q, GF(2), GF(3) and GF(10007), an object
-isomorphic to the split sum.  The dimensions of Hom and Ext, the Serre
+isomorphic to the split sum.  The dimensions of Hom and Ext, through the
+factors and by the whole-system count (``oracle_frame``), the Serre
 verdict and Gram rank, and both Krull-Schmidt label lists must then agree
 across the four fields, and the labels must be the summands drawn.  A path
 that is right over F_p and wrong over Q (or the reverse) fails here.
@@ -14,11 +15,13 @@ that is right over F_p and wrong over Q (or the reverse) fails here.
 import random
 
 from zdinfty import linalg
-from zdinfty.decomp import decompose
+from zdinfty.decomp import decompose, dimensions
 from zdinfty.fields import GF, QQ
-from zdinfty.homext import dimensions, serre_check
+from zdinfty.homext import serre_check
 from zdinfty.lattice import canonicalize
 from zdinfty.objects import CObject, direct_sum_many, rank_one, rank_two, torsion_cyclic
+
+from oracle_frame import frame_dimensions
 
 FIELDS = [QQ, GF(2), GF(3), GF(10007)]
 PAIRS = 60
@@ -75,7 +78,7 @@ def _answers(F, draws) -> tuple:
     X, Y = (_build(F, draw) for draw in draws)
     report = serre_check(X, Y)
     factors = [sorted(map(str, decompose(Z).factors)) for Z in (X, Y)]
-    return dimensions(X, Y), report.passed, report.gram_rank, factors
+    return dimensions(X, Y), frame_dimensions(X, Y), report.passed, report.gram_rank, factors
 
 
 def test_one_pair_gives_one_answer_over_every_field():
@@ -85,7 +88,7 @@ def test_one_pair_gives_one_answer_over_every_field():
     for draws in pairs:
         answers = [_answers(F, draws) for F in FIELDS]
         assert all(a == answers[0] for a in answers), (draws, answers)
-        _, passed, _, factors = answers[0]
+        _, _, passed, _, factors = answers[0]
         assert passed and factors == [_labels(draw) for draw in draws], (draws, answers[0])
         conjugated += any(len(u) > 1 for draw in draws for u in draw[1:])
     assert conjugated >= PAIRS // 2, conjugated

@@ -1,16 +1,19 @@
-"""``homext.dimensions``: both dimensions from one Hom count.
+"""``decomp.dimensions``: both dimensions summed over pairs of factors.
 
-The category is hereditary, so dim Ext is dim Hom less the Euler form, which
-``euler_form`` counts with no elimination.  The differential tests hold
-``dimensions`` to the ``dim`` of ``hom_space`` and ``ext_space`` on every
-ordered pair of the label window F0/F1[a], F[m, a], T[n, a] (m, n <= 4,
+Both dimensions are additive over direct sums and invariant under
+isomorphism, so ``dimensions`` decomposes both objects and sums, over the
+distinct label pairs, the multiplicities times the pair's Hom count and
+Euler form.  The differential tests hold it to the whole-system count of
+``oracle_frame`` and to the ``dim`` of ``hom_space`` and ``ext_space`` on
+every ordered pair of the label window F0/F1[a], F[m, a], T[n, a] (m, n <= 4,
 |a| <= 3) and on seeded conjugated sums with torsion and rank-one parts, over
-Q, GF(2) and GF(3).  The cost rows run the CLI's ``hom``, ``ext`` and
-``euler`` on L_k = F[1, 0] + F[2, 1] + F[3, 2] + F[1, 0] + ... (k summands,
+Q, GF(2) and GF(3), and to the whole-system count on seeded split sums up to
+32 atoms.  The cost rows run the CLI's ``hom``, ``ext`` and ``euler`` on
+L_k = F[1, 0] + F[2, 1] + F[3, 2] + F[1, 0] + ... (k summands,
 F[1 + i % 3, i % 3]) and count the systems handed to ``linalg._echelon``:
-each command eliminates the Hom constraints alone, never the larger Ext
-image, besides the one inversion of the generator matrix that each parsed
-lattice makes on first read.
+each command eliminates ``decompose``'s systems on both sides and one small
+Hom system per pair of the three distinct labels, never an Ext image, and
+inverts the generator matrix of each parsed sum and of each label.
 """
 
 import itertools
@@ -20,18 +23,21 @@ import pytest
 
 from zdinfty import cli, homext, linalg
 from zdinfty.cli import run_command
-from zdinfty.decomp import label_to_object, label_window
+from zdinfty.decomp import dimensions, label_to_object, label_window
 from zdinfty.fields import GF, QQ
-from zdinfty.homext import dimensions, ext_space, hom_space
+from zdinfty.homext import ext_space, hom_space
+from zdinfty.objects import direct_sum_many, rank_two
 
 from oracle_decomp import conjugated_sum
+from oracle_frame import frame_dimensions
 from test_lazy_hom import _cli_field
 
 FIELDS = [QQ, GF(2), GF(3)]
 
 
 def _assert_dimensions(X, Y):
-    assert dimensions(X, Y) == (hom_space(X, Y).dim, ext_space(X, Y).dim), (X, Y)
+    spaces = (hom_space(X, Y).dim, ext_space(X, Y).dim)
+    assert dimensions(X, Y) == frame_dimensions(X, Y) == spaces, (X, Y)
 
 
 @pytest.mark.parametrize("F", FIELDS, ids=str)
@@ -83,17 +89,42 @@ def _count_systems(monkeypatch) -> dict:
     return seen
 
 
+@pytest.mark.parametrize("F", FIELDS, ids=str)
+def test_factor_path_matches_the_frame_on_split_sums(F):
+    rng = random.Random(55)
+    atoms = [label_to_object(F, label) for label in label_window(3, 3, -2, 2)]
+    for k in (1, 2, 4, 8, 16, 32):
+        X, Y = (direct_sum_many([rng.choice(atoms) for _ in range(k)])[0] for _ in "XY")
+        assert dimensions(X, Y) == frame_dimensions(X, Y), k
+    L = direct_sum_many([rank_two(F, 1 + i % 3, i % 3) for i in range(32)])[0]
+    assert dimensions(L, L) == frame_dimensions(L, L) == (683, 0)
+
+
+# Per k, what the factor path hands ``linalg._echelon`` for one command on
+# (L_k, L_k): the (count, cells) of the systems, decompose's on each side
+# and one Hom count per pair of the three distinct labels, and of the
+# inversions, one per parsed sum and one per label.
+FACTOR_PATH = {8: ((17, 404), (5, 1048)), 16: ((17, 1588), (5, 4120))}
+
+
 @pytest.mark.parametrize("k, hom_cells, inverse_cells", [(8, 10880, 512), (16, 174592, 2048)])
 @pytest.mark.parametrize("F", [QQ, GF(3)], ids=str)
 def test_cli_dimensions_eliminate_the_hom_system_alone(F, k, hom_cells, inverse_cells, monkeypatch):
-    # the Ext image of L_k has 21,888 cells at k = 8 and 349,696 at k = 16
+    # hom_cells and inverse_cells are what the whole-system Hom count of
+    # (L_k, L_k) handed the kernel, a ceiling on the factor path's cells in
+    # all; the Ext image has 21,888 cells at k = 8 and 349,696 at k = 16
     L = " + ".join(f"F[{1 + i % 3},{i % 3}]" for i in range(k))
+    hom, ext = frame_dimensions(*(cli.parse_object(L, F) for _ in "XY"))
+    want = {"hom": f"dim Hom = {hom}", "ext": f"dim Ext1 = {ext}",
+            "euler": f"dim Hom = {hom}, dim Ext1 = {ext}, euler = {hom - ext}"}
     seen = _count_systems(monkeypatch)
     for command in ("hom", "ext", "euler"):
         seen.update(systems=[], inverse=[], _ext_count=0)
-        code, _ = run_command(["--field", _cli_field(F), command, L, L])
-        assert code == 0, command
-        assert seen == {"systems": [hom_cells], "inverse": [inverse_cells], "_ext_count": 0}, command
+        assert run_command(["--field", _cli_field(F), command, L, L]) == (0, want[command])
+        systems, inverse = seen["systems"], seen["inverse"]
+        counts = (len(systems), sum(systems)), (len(inverse), sum(inverse))
+        assert counts == FACTOR_PATH[k] and seen["_ext_count"] == 0, command
+        assert sum(systems) + sum(inverse) < hom_cells + inverse_cells, command
 
 
 MIXED = (

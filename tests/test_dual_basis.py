@@ -65,7 +65,7 @@ def _vectors(F, rng, L):
 
 
 def _degrees(L):
-    return range(L.min_jump() - 1, max_jump(L) + 2) if L.rank else (0,)
+    return range(L.jump_list[0] - 1, max_jump(L) + 2) if L.rank else (0,)
 
 
 @pytest.mark.parametrize("F,seed", [(QQ, 31), (GF(2), 32), (GF(3), 33)], ids=str)
@@ -134,7 +134,7 @@ def test_every_query_reads_one_inverse(monkeypatch):
         monkeypatch.setattr(linalg, name, counted)
 
     def ask_everything():
-        for d in range(L.min_jump() - 1, max_jump(L) + 2):
+        for d in range(L.jump_list[0] - 1, max_jump(L) + 2):
             L.annihilator_at(d)
             for v in linalg.identity(F, L.rank):
                 membership(L, GradedVector(d, v))

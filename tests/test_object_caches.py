@@ -62,7 +62,7 @@ def test_annihilator_at_every_degree(F):
         if L.rank == 0:
             assert L.annihilator_at(0) == ()
             continue
-        for d in range(L.min_jump() - 1, max_jump(L) + 2):
+        for d in range(L.jump_list[0] - 1, max_jump(L) + 2):
             basis, ann = L.subspace_at(d), L.annihilator_at(d)
             inv = L.generator_inverse[L.dim_at(d):]  # over Q, ann[k] is a multiple of inv[k]
             assert len(ann) == len(inv) and (ann == inv if F.p else all(
@@ -82,7 +82,7 @@ def test_step_pivots_at_every_degree(F, monkeypatch):
     for X in objs:
         L = X.lattice
         for e, dir in L.generators():
-            for d in range(L.min_jump() - 1, max_jump(L) + 2):
+            for d in range(L.jump_list[0] - 1, max_jump(L) + 2):
                 assert lattice.membership(L, lattice.GradedVector(d, dir)) == (d >= e)
     assert calls == []
 

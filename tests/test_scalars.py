@@ -12,7 +12,7 @@ from zdinfty.cli import parse_object
 from zdinfty.errors import FieldMismatch, RangeError, ZdinftyError
 from zdinfty.fields import GF, QQ, FieldSpec, check_same_field, parse_field
 
-from oracle_membership import in_span
+from oracle_membership import in_span, reduce_against
 from oracle_ring import Poly
 
 FIELDS = [QQ, GF(5), GF(2)]
@@ -114,12 +114,18 @@ def test_solve_and_inverse():
 
 
 def test_reduce_against_is_canonical():
+    # the coset representative modulo an echelon basis, by the row-by-row
+    # loop and by the one product ``ExtSpace.reduce`` takes: the rows are
+    # reduced, so subtracting v's entries at the pivots times them at once
+    # is the same as subtracting them one row at a time
     F = QQ
     basis, pivots = linalg.rref(F, ((Fraction(1), Fraction(0), Fraction(2)),
                                     (Fraction(0), Fraction(1), Fraction(1))))
     v = (Fraction(3), Fraction(4), Fraction(11))
-    red = linalg.reduce_against(F, basis, pivots, v)
+    red = reduce_against(F, basis, pivots, v)
     assert red == (Fraction(0), Fraction(0), Fraction(1))
+    lift = linalg.mm(F, ([-v[k] for k in pivots],), basis, len(basis), len(v))[0]
+    assert linalg.vec_add(F, v, lift) == red
     assert in_span(F, basis, pivots, (Fraction(1), Fraction(1), Fraction(3)))
 
 

@@ -1,13 +1,16 @@
 """The package's public surface, and code that left it.
 
 Every name in ``zdinfty.__all__`` resolves.  The two-branch ring elements,
-their polynomials and the ``MixedIndex`` error live in ``oracle_ring`` and
-``mat_scale`` in ``oracle_membership``: no library module defines, imports
-or reads them, since no computation does.  ``quiver_window`` takes no field,
-because the window is the same over every field.  ``direct_sum_many`` is the
-one public direct sum: the two-term ``direct_sum`` is gone.  ``FieldSpec``
-formats no scalar, and ``no_proj_no_inj_witness`` takes the object alone,
-since Serre duality fixes both twists at 1.
+their polynomials and the ``MixedIndex`` error live in ``oracle_ring``, and
+``mat_scale``, ``vec_scale`` and ``reduce_against`` in ``oracle_membership``:
+no library module defines, imports or reads them, since no computation does
+(the library combines and reduces by products).  ``min_jump`` is gone from
+``GradedLattice``: ``jump_list[0]`` is the lowest jump.  ``quiver_window``
+takes no field, because the window is the same over every field.
+``direct_sum_many`` is the one public direct sum: the two-term
+``direct_sum`` is gone.  ``FieldSpec`` formats no scalar, and
+``no_proj_no_inj_witness`` takes the object alone, since Serre duality
+fixes both twists at 1.
 
 Each module declares its public names in its own ``__all__``, and
 ``zdinfty.__all__`` is their union: every declared name is defined at the
@@ -35,7 +38,7 @@ SRC = Path(zdinfty.__file__).resolve().parent
 README = SRC.parent.parent / "README.md"
 GONE = {
     "Poly", "RmElement", "ring_one", "ring_u", "ring_v", "MixedIndex", "mat_scale",
-    "from_filtration", "freeze",
+    "from_filtration", "freeze", "vec_scale", "reduce_against", "min_jump",
 }
 # definitions no src code reads, each kept for a stated reason
 UNREAD_ALLOWED = {
