@@ -291,10 +291,12 @@ def dimensions(X: CObject, Y: CObject) -> tuple:
     rank at most 2 built by ``label_to_object``.  A pair's dim Hom is its
     Hom count (``homext._hom_count``), and the category is hereditary, so its
     dim Ext is dim Hom less ``euler_form``, counted with no elimination.
-    The fields are checked before anything is decomposed.
+    The fields are checked before anything is decomposed, and a Y equal to
+    X reads X's factors.
     """
     check_same_field(X.field, Y.field)
-    xs, ys = (Counter(decompose(Z).factors) for Z in (X, Y))
+    xs = Counter(decompose(X).factors)
+    ys = xs if Y == X else Counter(decompose(Y).factors)
     objs = {label: label_to_object(X.field, label) for label in xs | ys}
     hom = ext = 0
     for a, m in xs.items():
@@ -368,16 +370,13 @@ def is_isomorphism(m: Morphism, target: CObject) -> bool:
     """Whether the morphism is invertible onto the target, by
     ``_isomorphism_conditions``: the conditions ``decompose`` checks on its
     columns (``pieces_certified``).  Each source generator's image is a00 on
-    its type-0 coordinates and a11 on its type-1 ones."""
+    its type-0 coordinates and a11 on its type-1 ones (``Morphism.apply``)."""
     if m.dst != target:
         return False
-    F, X = m.src.field, m.src
-    images = (
-        (e, linalg.mat_vec(F, m.a00, dir[:X.p]) + linalg.mat_vec(F, m.a11, dir[X.p:]))
-        for e, dir in X.lattice.generators()
-    )
+    X = m.src
+    images = ((e, m.apply(dir)) for e, dir in X.lattice.generators())
     return _isomorphism_conditions(
-        target, object_shape(X), (m.a00, m.a11), linalg.rank(F, m.tt), images
+        target, object_shape(X), (m.a00, m.a11), linalg.rank(X.field, m.tt), images
     )
 
 

@@ -7,8 +7,11 @@ every row ``linalg.rref`` returns), and a :class:`fractions.Fraction`
 otherwise; a sum or product of Fractions may stay a Fraction of
 denominator 1.  Scalars compare and hash by value (``Fraction(2, 1) == 2``),
 so which of the two types holds an integral value never changes a result.
-All arithmetic goes through a :class:`FieldSpec`, which also guards against
-mixing fields.  No floating point is used anywhere.
+A :class:`FieldSpec` names the field, holds its constants and scalar
+operations, and guards against mixing fields.  Not all arithmetic goes
+through it: ``linalg``'s products and eliminations compute on the scalars
+directly, Python ints reduced mod p and exact rationals.  No floating
+point is used anywhere.
 """
 
 from __future__ import annotations

@@ -25,11 +25,14 @@ S_(e_j).  The x-power map on slots is a partial identity, so its image is a
 set of unit slots: the generators alive at the birth degree and the torsion
 summands alive at both degrees.
 
-Lattice-to-torsion transport has one path: a degree-d lattice element with
-adapted coordinates gamma (``lattice.adapted_coords``, the inverse generator
-matrix times its vector) maps to the sum of gamma_t times the stored torsion
-image ``ft[t]`` of generator t, moved up from its jump to d onto the target
-summands alive at both degrees (``_ft_image``).
+A morphism is read through its blocks: ``Morphism.apply`` maps an ambient
+vector by a00 on its type-0 coordinates and a11 on its type-1 ones, and no
+path builds the full matrix.  Lattice-to-torsion transport has one path: a
+degree-d lattice element with adapted coordinates gamma
+(``lattice.adapted_coords``, the inverse generator matrix times its vector)
+maps to ``ft_at(d)`` times gamma, whose column t is the stored torsion image
+``ft[t]`` of generator t moved up from its jump to d onto the target
+summands alive at both degrees.
 
 Coordinates need no solve either.  Every Ext basis class is a one at a
 free position, off the pivots or off the hit slots, so ``ExtSpace`` reads
@@ -166,7 +169,8 @@ class Morphism:
     target summand k, zero off the compatible pairs; ft: for each adapted
     lattice generator of the source, its image among the target torsion
     slots at the generator's jump.  The torsion-to-lattice component is
-    always zero.
+    always zero.  ``apply`` reads the two lattice blocks, and ``ft_at`` and
+    ``tt_at`` the torsion blocks in one degree.
     """
 
     src: CObject
@@ -177,8 +181,25 @@ class Morphism:
     ft: tuple  # per src lattice generator: vector over dst torsion slots
 
     def full_matrix(self) -> tuple:
+        """The r_Y x r_X matrix of the two blocks, zero off them; the library
+        reads the blocks instead (``apply``)."""
         X = self.src
         return _full(X.field, self.a00, self.a11, X.p, X.q)
+
+    def apply(self, v) -> tuple:
+        """The image of an ambient vector of the source: a00 on its type-0
+        coordinates, then a11 on its type-1 ones."""
+        F, p = self.src.field, self.src.p
+        return linalg.mat_vec(F, self.a00, v[:p]) + linalg.mat_vec(F, self.a11, v[p:])
+
+    def ft_at(self, d: int) -> tuple:
+        """The lattice-to-torsion block in degree d: per target summand alive
+        at d, its entry in the image of each generator alive at d, moved up
+        from the generator's jump by x (zero where it was not yet alive)."""
+        F, L, T = self.src.field, self.src.lattice, self.dst.torsion
+        images = [dict(zip(T.slots_at(e), vec))
+                  for e, vec in zip(L.jump_list[:L.dim_at(d)], self.ft)]
+        return tuple(tuple(at.get(k, F.zero) for at in images) for k in T.slots_at(d))
 
     def tt_at(self, d: int) -> tuple:
         """The torsion block in degree d: tt on the summands alive there."""
@@ -237,31 +258,14 @@ def compose(g: Morphism, f: Morphism) -> Morphism:
         )
         for k, row in enumerate(prod)
     )
-    full_f = f.full_matrix()
     ft = []
     for j, (e, dir) in enumerate(X.lattice.generators()):
-        gamma = adapted_coords(Y.lattice, linalg.mat_vec(F, full_f, dir), e)
+        gamma = adapted_coords(Y.lattice, f.apply(dir), e)
         if gamma is None:
             raise NotLatticeMorphism("composition source map does not preserve the lattice")
-        tt_part = linalg.mat_vec(F, g.tt_at(e), f.ft[j])
-        ft.append(linalg.vec_add(F, _ft_image(g, gamma, e), tt_part))
+        lattice_part = linalg.mat_vec(F, g.ft_at(e), gamma[:Y.lattice.dim_at(e)])
+        ft.append(linalg.vec_add(F, lattice_part, linalg.mat_vec(F, g.tt_at(e), f.ft[j])))
     return morphism_from_parts(X, Z, a00, a11, tt, tuple(ft))
-
-
-def _ft_image(m: Morphism, gamma, d: int) -> tuple:
-    """The degree-d torsion slots of ``m`` applied to the lattice element of
-    ``m.src`` with adapted coordinates ``gamma`` (zero past the generators
-    alive at d): one ``linalg.mm`` of gamma with each generator's
-    ``m.ft[t]``, moved up from its jump e_t to the degree-d slots by
-    x^(d - e_t), which keeps the target summands alive at both degrees and
-    zeroes the rest."""
-    F, T = m.src.field, m.dst.torsion
-    slots, n = T.slots_at(d), len(gamma)
-    moved = []
-    for (e, _), vec in zip(m.src.lattice.generators()[:n], m.ft):
-        at = dict(zip(T.slots_at(e), vec))
-        moved.append(tuple(at.get(i, F.zero) for i in slots))
-    return linalg.mm(F, (gamma,), moved, n, len(slots))[0]
 
 
 def sum_inclusion(big: CObject, factor: CObject, place, tmap) -> Morphism:
@@ -307,7 +311,7 @@ def serre_twist_morphism(f: Morphism) -> Morphism:
         gamma = adapted_coords(X.lattice, dir, ep - 1)
         if gamma is None:
             raise ZdinftyError("twisted generator escapes the original lattice")
-        ft.append(_ft_image(f, gamma, ep - 1))
+        ft.append(linalg.mat_vec(X.field, f.ft_at(ep - 1), gamma[:X.lattice.dim_at(ep - 1)]))
     return morphism_from_parts(VX, VY, f.a11, f.a00, f.tt, tuple(ft))
 
 
@@ -337,30 +341,25 @@ def serre_twist_class(c: ExtClass) -> ExtClass:
 
 
 def morphism_degreewise(m: Morphism, d: int) -> tuple:
-    """Matrix of the morphism on the degree-d module slots."""
-    F = m.src.field
+    """Matrix of the morphism on the degree-d module slots: the adapted
+    coordinates of the images of the source generators alive at d, zero on
+    the source torsion, above the rows of ``ft_at(d)`` beside ``tt_at(d)``."""
     X, Y = m.src, m.dst
-    full = m.full_matrix()
-    ny, nx = Y.lattice.dim_at(d), X.lattice.dim_at(d)
-    cols = []
-    for (_, dir), unit in zip(X.lattice.generators(), linalg.identity(F, nx)):
-        gamma = adapted_coords(Y.lattice, linalg.mat_vec(F, full, dir), d)
+    images = []
+    for _, dir in X.lattice.generators()[:X.lattice.dim_at(d)]:
+        gamma = adapted_coords(Y.lattice, m.apply(dir), d)
         if gamma is None:
             raise NotLatticeMorphism("morphism does not preserve the lattice")
-        cols.append(tuple(gamma[:ny]) + _ft_image(m, unit, d))
-    tt = m.tt_at(d)
-    for k in range(X.torsion.dim_at(d)):
-        cols.append((F.zero,) * ny + tuple(row[k] for row in tt))
-    return linalg.transpose(cols) if cols else linalg.zeros(F, Y.module_dim_at(d), 0)
+        images.append(gamma)
+    pad = (X.field.zero,) * X.torsion.dim_at(d)
+    top = tuple(tuple(g[t] for g in images) + pad for t in range(Y.lattice.dim_at(d)))
+    return top + tuple(a + b for a, b in zip(m.ft_at(d), m.tt_at(d)))
 
 
 def validate_morphism(m: Morphism) -> None:
     """Raise unless the stored data is an actual morphism."""
-    F = m.src.field
-    full = m.full_matrix()
     for e, dir in m.src.lattice.generators():
-        w = linalg.mat_vec(F, full, dir)
-        if not membership(m.dst.lattice, GradedVector(e, w)):
+        if not membership(m.dst.lattice, GradedVector(e, m.apply(dir))):
             raise NotLatticeMorphism("block matrix does not preserve the filtration")
     S, T = m.src.torsion, m.dst.torsion
     gens = m.src.lattice.generators()

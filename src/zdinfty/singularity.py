@@ -18,7 +18,6 @@ over n.
 
 from __future__ import annotations
 
-from . import linalg
 from .errors import NotLatticeMorphism, ZdinftyError
 from .homext import Morphism
 from .lattice import degree_of
@@ -67,13 +66,11 @@ def y_linearity_bound(f: Morphism) -> int:
     X, Y = f.src, f.dst
     if not (X.is_torsion_free() and Y.is_torsion_free()):
         raise NotLatticeMorphism("linearity bound applies between torsion-free objects")
-    F = X.field
-    full = f.full_matrix()
     bound = 0
     for e, dir in X.lattice.generators():
         v_gen = _v_image(X, dir)
-        v_image = _v_image(Y, linalg.mat_vec(F, full, dir))
-        if linalg.mat_vec(F, full, v_gen) != v_image:
+        v_image = _v_image(Y, f.apply(dir))
+        if f.apply(v_gen) != v_image:
             raise ZdinftyError("the morphism does not commute with v")
         bound = max(bound, _lag(X.lattice, e, v_gen), _lag(Y.lattice, e, v_image))
     return bound

@@ -25,8 +25,8 @@ MUTANTS = [
      ["tests/test_dimensions.py::test_dimensions_match_the_spaces_on_the_window"]),
     ("dimensions-field-check-late", DECOMP,
      "    check_same_field(X.field, Y.field)\n"
-     "    xs, ys = (Counter(decompose(Z).factors) for Z in (X, Y))\n",
-     "    xs, ys = (Counter(decompose(Z).factors) for Z in (X, Y))\n"
+     "    xs = Counter(decompose(X).factors)\n",
+     "    xs = Counter(decompose(X).factors)\n"
      "    check_same_field(X.field, Y.field)\n",
      ["tests/test_dimensions.py::test_mixed_fields_exit_2_before_any_elimination"]),
     # Hom and Ext spaces
@@ -116,7 +116,7 @@ MUTANTS = [
      "if inner else ((),) * bcols", "if inner else ()",
      ["tests/test_products.py::test_mm_matches_the_triple_loop"]),
     ("ft-image-reads-the-slots-at-d", HOMEXT,
-     "at = dict(zip(T.slots_at(e), vec))", "at = dict(zip(slots, vec))",
+     "dict(zip(T.slots_at(e), vec))", "dict(zip(T.slots_at(d), vec))",
      ["tests/test_transport.py::test_compose_and_twist_match_reference"]),
     # one derivation of the degree data; the product reads only v's nonzeros
     ("dim-at-bisects-left", "src/zdinfty/lattice.py",
@@ -143,4 +143,20 @@ MUTANTS = [
      "            hom += m * n * h\n            ext += m * n * (h",
      "            hom += m * h\n            ext += m * (h",
      ["tests/test_dimensions.py::test_factor_path_matches_the_frame_on_split_sums"]),
+    # a morphism read through its blocks; one decomposition for Y equal to X
+    ("ft-at-keeps-a-summand-born-after-the-jump", HOMEXT,
+     "at.get(k, F.zero) for at in images", "at.get(k, F.one) for at in images",
+     ["tests/test_costs.py::test_morphism_degreewise_moves_each_generator_once"]),
+    ("apply-swaps-the-blocks", HOMEXT,
+     "return linalg.mat_vec(F, self.a00, v[:p]) + linalg.mat_vec(F, self.a11, v[p:])",
+     "return linalg.mat_vec(F, self.a11, v[p:]) + linalg.mat_vec(F, self.a00, v[:p])",
+     ["tests/test_transport.py::test_compose_and_twist_match_reference"]),
+    ("dimensions-reads-x-factors-for-an-equal-lattice", DECOMP,
+     "ys = xs if Y == X else", "ys = xs if Y.lattice == X.lattice else",
+     ["tests/test_dimensions.py::test_dimensions_match_the_spaces_on_the_window"]),
+    # Serre duality end to end on sums
+    ("sigma-rotates-by-q", "src/zdinfty/lattice.py",
+     "perm = list(range(L.p, L.p + L.q)) + list(range(L.p))",
+     "perm = list(range(L.q, L.p + L.q)) + list(range(L.q))",
+     ["tests/test_serre_sums.py::test_serre_duality_holds_on_sums"]),
 ]

@@ -10,7 +10,10 @@ kept coordinates alone, and ``twisted_frame`` is the frame ``ar`` built
 from those matrices.  A summand's inclusion and projection read their
 a00/a11 blocks by index, ``morphism_from_degreewise`` reads the blocks and
 checks type-diagonality entry by entry, a left inverse is one solve per
-column, and the twists swap coordinates with index comprehensions.
+column, and the twists swap coordinates with index comprehensions; the
+morphism twist moves each generator's torsion image by its own copy of the
+library's earlier per-generator move (``_ft_image``), not by
+``Morphism.ft_at``.
 ``tests/test_ses_frame.py`` and ``tests/test_sum_places.py`` check that
 ``ar`` and ``homext`` give the same sequences, classes, frames and maps.
 ``split_sequence`` is the library's split extension, the sequence of
@@ -26,7 +29,6 @@ from zdinfty.errors import ShapeMismatch, ZdinftyError
 from zdinfty.homext import (
     ExtClass,
     Morphism,
-    _ft_image,
     ext_space,
     morphism_degreewise,
     morphism_from_parts,
@@ -164,6 +166,21 @@ def serre_twist_morphism(f: Morphism) -> Morphism:
             raise ZdinftyError("twisted generator escapes the original lattice")
         ft.append(_ft_image(f, gamma, ep - 1))
     return morphism_from_parts(VX, VY, f.a11, f.a00, f.tt, tuple(ft))
+
+
+def _ft_image(m: Morphism, gamma, d: int) -> tuple:
+    """The degree-d torsion slots of ``m`` applied to the lattice element of
+    ``m.src`` with adapted coordinates ``gamma``: each generator's
+    ``m.ft[t]`` moved up from its jump e_t to the degree-d slots, which
+    keeps the target summands alive at both degrees and zeroes the rest,
+    then summed with the weights gamma."""
+    F, T = m.src.field, m.dst.torsion
+    slots, n = T.slots_at(d), len(gamma)
+    moved = []
+    for (e, _), vec in zip(m.src.lattice.generators()[:n], m.ft):
+        at = dict(zip(T.slots_at(e), vec))
+        moved.append(tuple(at.get(i, F.zero) for i in slots))
+    return linalg.mm(F, (gamma,), moved, n, len(slots))[0]
 
 
 def serre_twist_class(c: ExtClass) -> "ExtClass":

@@ -26,6 +26,10 @@ the summands' labels.  On the same families the product rows count, per
 ``decompose``, the rows times the vector's nonzeros handed to
 ``linalg.mat_vec``, the entries it reads, with a ceiling per size and per
 doubling.
+The transport row counts the ``TorsionPart.slots_at`` calls of
+``morphism_degreewise`` at every slot event of a map on the sum of k
+rank-two and k torsion atoms, with ceilings at k = 8 and 16 and on their
+growth per doubling, and checks each matrix against ``oracle_slots.morphism_degreewise``.
 The fast-path rows pin three shortcuts by their calls: ``decompose`` calls
 ``linalg.elder_kills`` only at a jump where some live bar's column is
 nonzero, never at the top jump, and ``linalg.nullspace`` only at a jump
@@ -33,6 +37,7 @@ where an F0 line starts, never for an F1 line, whose C_e it reads off the
 canonical rows; ``cli.parse_object`` builds no sum for one atom.
 """
 
+import dataclasses
 import gc
 import itertools
 import random
@@ -43,9 +48,14 @@ import pytest
 from zdinfty import cli, homext, linalg
 from zdinfty.decomp import decompose, identify
 from zdinfty.fields import GF, QQ
-from zdinfty.homext import euler_form, ext_space, hom_space, serre_check
-from zdinfty.objects import direct_sum_many, rank_one, rank_two, serre_twist, torsion_cyclic
+from zdinfty.homext import (
+    euler_form, ext_space, hom_space, identity_morphism, morphism_degreewise, serre_check,
+)
+from zdinfty.objects import (
+    TorsionPart, direct_sum_many, rank_one, rank_two, serre_twist, slot_events, torsion_cyclic,
+)
 
+import oracle_slots
 from oracle_decomp import conjugated_sum
 from test_dimensions import _count_systems
 
@@ -400,3 +410,38 @@ def test_one_atom_parses_without_a_sum(F, monkeypatch):
         X = cli.parse_object(text, F)
         assert len(calls) == sums, text
         assert cli.print_object(X) == printed
+
+
+# slots_at calls of morphism_degreewise over every slot event, ceilings at
+# k = 8 and 16 and per doubling of k: each degree reads the slots once per
+# generator alive there and once for the degree, not once per generator
+# per generator
+TRANSPORT_CALLS, TRANSPORT_GROWTH = (111, 263), 2.5
+
+
+@pytest.mark.parametrize("F", FIELDS, ids=str)
+def test_morphism_degreewise_moves_each_generator_once(F, monkeypatch):
+    slots_at, calls = TorsionPart.slots_at, []
+
+    def counted(self, d):
+        calls.append(d)
+        return slots_at(self, d)
+
+    totals = []
+    for k, ceiling in zip((8, 16), TRANSPORT_CALLS):
+        X = direct_sum_many([_atoms(F)[i % 3] for i in range(k)] + [
+            torsion_cyclic(F, 3 + i % 5, i % 4) for i in range(k)
+        ])[0]
+        # the identity, plus a one on every lattice-to-torsion slot
+        one = identity_morphism(X)
+        m = dataclasses.replace(one, ft=tuple((F.one,) * len(vec) for vec in one.ft))
+        events = sorted(slot_events(X))
+        monkeypatch.setattr(TorsionPart, "slots_at", counted)
+        calls.clear()
+        mats = [morphism_degreewise(m, d) for d in events]
+        monkeypatch.setattr(TorsionPart, "slots_at", slots_at)
+        assert len(calls) <= ceiling, (k, len(calls))
+        totals.append(len(calls))
+        for d, mat in zip(events, mats):
+            assert mat == oracle_slots.morphism_degreewise(m, d), (k, d)
+    assert totals[1] <= TRANSPORT_GROWTH * totals[0], totals

@@ -101,10 +101,10 @@ def test_factor_path_matches_the_frame_on_split_sums(F):
 
 
 # Per k, what the factor path hands ``linalg._echelon`` for one command on
-# (L_k, L_k): the (count, cells) of the systems, decompose's on each side
-# and one Hom count per pair of the three distinct labels, and of the
-# inversions, one per parsed sum and one per label.
-FACTOR_PATH = {8: ((17, 404), (5, 1048)), 16: ((17, 1588), (5, 4120))}
+# (L_k, L_k): the (count, cells) of the systems, one decompose (Y equals X,
+# so it reads X's factors) and one Hom count per pair of the three distinct
+# labels, and of the inversions, one for the sum and one per label.
+FACTOR_PATH = {8: ((13, 214), (4, 536)), 16: ((13, 806), (4, 2072))}
 
 
 @pytest.mark.parametrize("k, hom_cells, inverse_cells", [(8, 10880, 512), (16, 174592, 2048)])

@@ -38,7 +38,7 @@ SRC = Path(zdinfty.__file__).resolve().parent
 README = SRC.parent.parent / "README.md"
 GONE = {
     "Poly", "RmElement", "ring_one", "ring_u", "ring_v", "MixedIndex", "mat_scale",
-    "from_filtration", "freeze", "vec_scale", "reduce_against", "min_jump",
+    "from_filtration", "freeze", "vec_scale", "reduce_against", "min_jump", "_ft_image",
 }
 # definitions no src code reads, each kept for a stated reason
 UNREAD_ALLOWED = {
@@ -119,6 +119,15 @@ def test_no_module_defines_or_imports_the_ring():
         used, imported = _names(ast.parse(path.read_text(), filename=str(path)))
         assert not GONE & (used | imported), (path.name, GONE & (used | imported))
         assert "poly" not in imported, path.name
+
+
+def test_no_src_path_builds_a_full_morphism_matrix():
+    # a morphism is read through its blocks (``apply``, ``ft_at``, ``tt_at``);
+    # ``Morphism.full_matrix`` stays public for the tests that read it
+    for path in sorted(SRC.glob("*.py")):
+        reads = [node for node in ast.walk(ast.parse(path.read_text()))
+                 if isinstance(node, ast.Attribute) and node.attr == "full_matrix"]
+        assert not reads, path.name
 
 
 def test_quiver_window_takes_no_field():
