@@ -34,12 +34,10 @@ from .errors import (
 from .homext import (
     ExtClass,
     Morphism,
-    diag_blocks,
+    constant_blocks,
     ext_space,
     morphism_degreewise,
     morphism_from_parts,
-    offdiag_blocks,
-    offdiag_full,
     sum_inclusion,
     sum_projection,
     torsion_compatible,
@@ -106,12 +104,11 @@ def extension_middle(c: ExtClass):
 def _frame_generators(c: ExtClass, r: int, placeY, placeX) -> list:
     """The middle's generators in the r coordinates of Y + X: Y's (e, dir)
     with dir at Y's coordinates, then X's (e, dir) with dir at X's
-    coordinates and A dir at Y's, A = ``offdiag_full``."""
+    coordinates and the class's image of dir (``ExtClass.apply``) at Y's."""
     F = c.src.field
-    A = offdiag_full(c)
     gens = [(e, place_rows(F, r, (placeY, dir))) for e, dir in c.dst.lattice.generators()]
     gens += [
-        (e, place_rows(F, r, (placeX, dir), (placeY, linalg.mat_vec(F, A, dir))))
+        (e, place_rows(F, r, (placeX, dir), (placeY, c.apply(dir))))
         for e, dir in c.src.lattice.generators()
     ]
     return gens
@@ -212,13 +209,11 @@ def morphism_from_degreewise(src: CObject, dst: CObject, psi) -> Morphism:
     every lattice jump and torsion birth of src; only they are read and
     checked."""
     F = src.field
-    # ambient block matrix from the top of the window
+    # the ambient images of src's generators at the top of the window
     top = linalg.mm(F, dst.lattice.generator_matrix(), psi[max(psi)], dst.rank, src.rank)
-    M = linalg.mm(F, top, src.lattice.generator_inverse, src.rank, src.rank)
-    h01, h10 = offdiag_blocks(M, src, dst)
+    a00, a11, h01, h10 = constant_blocks(src, dst, linalg.transpose(top))
     if any(map(any, h01 + h10)):
         raise ShapeMismatch("degreewise map is not type-diagonal")
-    a00, a11 = diag_blocks(M, src, dst)
     # torsion scalars: each source summand's column at its birth degree
     S, T = src.torsion, dst.torsion
     tt = [[F.zero] * len(S.summands) for _ in T.summands]
@@ -282,8 +277,7 @@ def class_of_sequence(inject: Morphism, surject: Morphism) -> ExtClass:
         for e, v in lifts:
             amb = E.lattice_vector(e, v)
             cols.append(linalg.mat_vec(F, w0, amb[:E.p]) + linalg.mat_vec(F, w1, amb[E.p:]))
-        D = linalg.mm(F, linalg.transpose(cols), X.lattice.generator_inverse, X.rank, X.rank)
-        h01, h10 = offdiag_blocks(D, X, Y)
+        h01, h10 = constant_blocks(X, Y, cols)[2:]
     return ext_space(X, Y).reduce(h01, h10, tuple(tor))
 
 

@@ -731,13 +731,13 @@ def run_command(argv) -> tuple[int, str]:
     """Execute one invocation; returns (exit code, output text).
 
     The command's row names its handler and the positionals it parses as
-    objects.  The handler's record is printed under --format json, with
-    the schema and the command added, and its text otherwise; a record
-    with "passed" false exits 1.  A handler with no record (``quiver``)
-    prints its text in every format.  Input errors exit 2; any other
-    exception is a bug and exits 3 with a one-line ``internal error:``
-    message instead of a traceback.  Under
-    --format json both print a ``zdinfty.report/1`` error record instead.
+    objects, each distinct text once, in order.  The handler's record is
+    printed under --format json, with the schema and the command added, and
+    its text otherwise; a record with "passed" false exits 1.  A handler
+    with no record (``quiver``) prints its text in every format.  Input
+    errors exit 2; any other exception is a bug and exits 3 with a one-line
+    ``internal error:`` message instead of a traceback.  Under --format
+    json both print a ``zdinfty.report/1`` error record instead.
     -h/--help exits 0 with the help text as the output.
     """
     try:
@@ -750,7 +750,9 @@ def run_command(argv) -> tuple[int, str]:
     try:
         field = parse_field(args.field)
         handler, positionals, _ = COMMAND_LINES[args.command]
-        objects = [parse_object(getattr(args, name), field) for name in positionals]
+        texts = [getattr(args, name) for name in positionals]
+        parsed = {text: parse_object(text, field) for text in dict.fromkeys(texts)}
+        objects = [parsed[text] for text in texts]
         record, text = handler(args, field, *objects)
         if record is None:
             return 0, text

@@ -26,13 +26,17 @@ set of unit slots: the generators alive at the birth degree and the torsion
 summands alive at both degrees.
 
 A morphism is read through its blocks: ``Morphism.apply`` maps an ambient
-vector by a00 on its type-0 coordinates and a11 on its type-1 ones, and no
-path builds the full matrix.  Lattice-to-torsion transport has one path: a
-degree-d lattice element with adapted coordinates gamma
-(``lattice.adapted_coords``, the inverse generator matrix times its vector)
-maps to ``ft_at(d)`` times gamma, whose column t is the stored torsion image
-``ft[t]`` of generator t moved up from its jump to d onto the target
-summands alive at both degrees.
+vector by a00 on its type-0 coordinates and a11 on its type-1 ones.  A
+class is read through its blocks too: ``ExtClass.apply`` maps a vector by
+h10 on its type-1 coordinates and h01 on its type-0 ones, into the
+target's type-0 and then type-1 coordinates.  A constant matrix fixed by
+its generator images, A = sum_j (A dir_j) (x) g*_j, is built as its four
+blocks (``constant_blocks``), so no path builds a full matrix.
+Lattice-to-torsion transport has one path: a degree-d lattice element with
+adapted coordinates gamma (``lattice.adapted_coords``, the inverse
+generator matrix times its vector) maps to ``ft_at(d)`` times gamma, whose
+column t is the stored torsion image ``ft[t]`` of generator t moved up from
+its jump to d onto the target summands alive at both degrees.
 
 Coordinates need no solve either.  Every Ext basis class is a one at a
 free position, off the pivots or off the hit slots, so ``ExtSpace`` reads
@@ -41,11 +45,11 @@ classes only on demand.  ``HomSpace`` likewise spans by positions: the
 lattice maps as (a00, a11) pairs, the compatible torsion pairs, and the
 target torsion slots at each source generator's jump.
 
-The lattice block layout has one owner, ``_flatten``, ``_split``, ``_cut``
-and ``_full``: a map's (a00, a11) are the type-0 rows on the type-0
-columns, then the type-1 rows on the type-1 columns, each row by row, and
-a class's (h01, h10) are the same blocks of a map into the target with its
-two types swapped, so Serre duality pairs the blocks of Ext(Y, VX) with
+The lattice block layout has one owner, ``_flatten`` and ``_split``: a
+map's (a00, a11) are the type-0 rows on the type-0 columns, then the
+type-1 rows on the type-1 columns, each row by row, and a class's
+(h01, h10) are the same blocks of a map into the target with its two types
+swapped, so Serre duality pairs the blocks of Ext(Y, VX) with
 those of Hom(X, Y) transposed, which ``_gram`` and ``serre_check``'s index
 arithmetic read.
 
@@ -133,19 +137,6 @@ def _split(flat, p: int, q: int, n0: int, n1: int) -> tuple:
     )
 
 
-def _cut(A, p: int, n0: int) -> tuple:
-    """The two diagonal blocks of a full matrix: its first n0 rows on its
-    first p columns, and its other rows on its other columns."""
-    return tuple(tuple(row[:p]) for row in A[:n0]), tuple(tuple(row[p:]) for row in A[n0:])
-
-
-def _full(F, b0, b1, p: int, q: int) -> tuple:
-    """The full matrix of two blocks on p and q columns, zero off them: the
-    inverse of ``_cut``."""
-    z = F.zero
-    return tuple(tuple(row) + (z,) * q for row in b0) + tuple((z,) * p + tuple(row) for row in b1)
-
-
 # ---------------------------------------------------------------------------
 # morphisms
 
@@ -183,8 +174,9 @@ class Morphism:
     def full_matrix(self) -> tuple:
         """The r_Y x r_X matrix of the two blocks, zero off them; the library
         reads the blocks instead (``apply``)."""
-        X = self.src
-        return _full(X.field, self.a00, self.a11, X.p, X.q)
+        X, z = self.src, self.src.field.zero
+        return (tuple(tuple(row) + (z,) * X.q for row in self.a00)
+                + tuple((z,) * X.p + tuple(row) for row in self.a11))
 
     def apply(self, v) -> tuple:
         """The image of an ambient vector of the source: a00 on its type-0
@@ -258,13 +250,16 @@ def compose(g: Morphism, f: Morphism) -> Morphism:
         )
         for k, row in enumerate(prod)
     )
+    # g's torsion blocks, built once per distinct jump of X
+    at = {e: (g.ft_at(e), g.tt_at(e)) for e in set(X.lattice.jump_list)}
     ft = []
     for j, (e, dir) in enumerate(X.lattice.generators()):
         gamma = adapted_coords(Y.lattice, f.apply(dir), e)
         if gamma is None:
             raise NotLatticeMorphism("composition source map does not preserve the lattice")
-        lattice_part = linalg.mat_vec(F, g.ft_at(e), gamma[:Y.lattice.dim_at(e)])
-        ft.append(linalg.vec_add(F, lattice_part, linalg.mat_vec(F, g.tt_at(e), f.ft[j])))
+        g_ft, g_tt = at[e]
+        lattice_part = linalg.mat_vec(F, g_ft, gamma[:Y.lattice.dim_at(e)])
+        ft.append(linalg.vec_add(F, lattice_part, linalg.mat_vec(F, g_tt, f.ft[j])))
     return morphism_from_parts(X, Z, a00, a11, tt, tuple(ft))
 
 
@@ -304,6 +299,7 @@ def serre_twist_morphism(f: Morphism) -> Morphism:
     """
     X, Y = f.src, f.dst
     VX, VY = serre_twist(X), serre_twist(Y)
+    at = {e: f.ft_at(e - 1) for e in set(VX.lattice.jump_list)}  # once per distinct jump
     ft = []
     for ep, dirp in VX.lattice.generators():
         # undo the coordinate swap and the shift to land back in X
@@ -311,7 +307,7 @@ def serre_twist_morphism(f: Morphism) -> Morphism:
         gamma = adapted_coords(X.lattice, dir, ep - 1)
         if gamma is None:
             raise ZdinftyError("twisted generator escapes the original lattice")
-        ft.append(linalg.mat_vec(X.field, f.ft_at(ep - 1), gamma[:X.lattice.dim_at(ep - 1)]))
+        ft.append(linalg.mat_vec(X.field, at[ep], gamma[:X.lattice.dim_at(ep - 1)]))
     return morphism_from_parts(VX, VY, f.a11, f.a00, f.tt, tuple(ft))
 
 
@@ -577,6 +573,13 @@ class ExtClass:
     h10: tuple
     tor: tuple
 
+    def apply(self, v) -> tuple:
+        """The lattice blocks' image of an ambient vector of the source: h10
+        on its type-1 coordinates, then h01 on its type-0 ones, which land in
+        the target's type-0 and then type-1 coordinates."""
+        F, p = self.src.field, self.src.p
+        return linalg.mat_vec(F, self.h10, v[p:]) + linalg.mat_vec(F, self.h01, v[:p])
+
     def is_zero(self) -> bool:
         return not any(map(any, (*self.h01, *self.h10, *self.tor)))
 
@@ -678,24 +681,18 @@ class ExtSpace:
         return tuple(v[k] for v, free in zip(blocks, self._free()) for k in free)
 
 
-def offdiag_blocks(A, X: CObject, Y: CObject) -> tuple:
-    """The off-diagonal blocks (h01, h10) of a full Y.rank x X.rank matrix:
-    the diagonal blocks of A with Y's type-1 rows moved first."""
-    return _cut(A[Y.p:] + A[:Y.p], X.p, Y.q)
-
-
-def diag_blocks(A, X: CObject, Y: CObject) -> tuple:
-    """The diagonal blocks (a00, a11) of a full Y.rank x X.rank matrix: type-0
-    rows on type-0 columns, and type-1 rows on type-1 columns."""
-    return _cut(A, X.p, Y.p)
-
-
-def offdiag_full(c: ExtClass) -> tuple:
-    """The class blocks as a full Y.rank x X.rank matrix, zero on the diagonal
-    blocks: the inverse of ``offdiag_blocks``."""
-    X, qq = c.src, c.dst.q
-    A = _full(X.field, c.h01, c.h10, X.p, X.q)
-    return A[qq:] + A[:qq]
+def constant_blocks(X: CObject, Y: CObject, images) -> tuple:
+    """(a00, a11, h01, h10): the four blocks of the constant Y.rank x X.rank
+    matrix sending X's adapted direction j to images[j], which is
+    sum_j images[j] (x) g*_j with g*_j row j of X's ``generator_inverse``.
+    One product on that inverse's type-0 columns gives a00 and h01, one on
+    its type-1 columns h10 and a11; no full matrix is built."""
+    F, p, pp, Ginv = X.field, X.p, Y.p, X.lattice.generator_inverse
+    # with no images (X.rank = 0) the transpose has no rows, but A has Y.rank
+    rows = linalg.transpose(images) or ((),) * Y.rank
+    on0 = linalg.mm(F, rows, [g[:p] for g in Ginv], X.rank, p)
+    on1 = linalg.mm(F, rows, [g[p:] for g in Ginv], X.rank, X.q)
+    return on0[:pp], on1[pp:], on0[pp:], on1[:pp]
 
 
 def _ext_torsion(X: CObject, Y: CObject) -> int:
@@ -830,9 +827,7 @@ def _class_after_morphism(g: ExtClass, f: Morphism) -> ExtClass:
         for e, vec in zip(Xp.lattice.jump_list, f.ft):
             alive = tuple(amb[i] for i in X.torsion.slots_at(e))
             wcols.append(linalg.mm(F, (vec,), alive, len(vec), Y.rank)[0])
-        Ginv = Xp.lattice.generator_inverse
-        D = linalg.mm(F, linalg.transpose(wcols), Ginv, len(wcols), len(wcols))
-        d01, d10 = offdiag_blocks(D, Xp, Y)
+        d01, d10 = constant_blocks(Xp, Y, wcols)[2:]
         h01 = linalg.mat_add(F, h01, d01)
         h10 = linalg.mat_add(F, h10, d10)
 

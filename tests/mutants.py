@@ -159,4 +159,12 @@ MUTANTS = [
      "perm = list(range(L.p, L.p + L.q)) + list(range(L.p))",
      "perm = list(range(L.q, L.p + L.q)) + list(range(L.q))",
      ["tests/test_serre_sums.py::test_serre_duality_holds_on_sums"]),
+    # a class read through its blocks; torsion blocks once per distinct jump
+    ("ext-apply-swaps-h01-h10", HOMEXT,
+     "return linalg.mat_vec(F, self.h10, v[p:]) + linalg.mat_vec(F, self.h01, v[:p])",
+     "return linalg.mat_vec(F, self.h01, v[p:]) + linalg.mat_vec(F, self.h10, v[:p])",
+     ["tests/test_ses_frame.py::test_class_and_constant_blocks_match_the_full_matrix"]),
+    ("compose-reads-the-first-jump-blocks", HOMEXT,
+     "g_ft, g_tt = at[e]", "g_ft, g_tt = at[min(at)]",
+     ["tests/test_costs.py::test_compose_and_twist_build_blocks_once_per_jump"]),
 ]

@@ -18,9 +18,11 @@ library's earlier per-generator move (``_ft_image``), not by
 ``ar`` and ``homext`` give the same sequences, classes, frames and maps.
 ``split_sequence`` is the library's split extension, the sequence of
 ``zero_class``; only tests read either, so both live here.  The class's
-full matrix (``offdiag_full``) and the off-diagonal blocks
-(``oracle_slots.offdiag_blocks``) are written out entry by entry, apart
-from the library's block layout.
+full matrix (``offdiag_full``) and the off-diagonal blocks of a full
+matrix (``oracle_slots.offdiag_blocks``) are written out entry by entry,
+apart from the library, which builds neither: it reads a class through
+``ExtClass.apply`` and builds a matrix from its generator images as
+blocks (``homext.constant_blocks``).
 """
 
 from zdinfty import linalg, window

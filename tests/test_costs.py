@@ -30,6 +30,10 @@ The transport row counts the ``TorsionPart.slots_at`` calls of
 ``morphism_degreewise`` at every slot event of a map on the sum of k
 rank-two and k torsion atoms, with ceilings at k = 8 and 16 and on their
 growth per doubling, and checks each matrix against ``oracle_slots.morphism_degreewise``.
+The block rows count the same calls of ``compose(m, m)`` and
+``serre_twist_morphism(m)`` on that map, which build each torsion block
+once per distinct jump, with ceilings at k = 8 and 16 and on their growth,
+and check each result against ``oracle_slots``.
 The fast-path rows pin three shortcuts by their calls: ``decompose`` calls
 ``linalg.elder_kills`` only at a jump where some live bar's column is
 nonzero, never at the top jump, and ``linalg.nullspace`` only at a jump
@@ -412,6 +416,16 @@ def test_one_atom_parses_without_a_sum(F, monkeypatch):
         assert cli.print_object(X) == printed
 
 
+def _transport_map(F, k):
+    """The identity of the sum of k rank-two and k torsion atoms, plus a one
+    on every lattice-to-torsion slot."""
+    X = direct_sum_many([_atoms(F)[i % 3] for i in range(k)] + [
+        torsion_cyclic(F, 3 + i % 5, i % 4) for i in range(k)
+    ])[0]
+    one = identity_morphism(X)
+    return dataclasses.replace(one, ft=tuple((F.one,) * len(vec) for vec in one.ft))
+
+
 # slots_at calls of morphism_degreewise over every slot event, ceilings at
 # k = 8 and 16 and per doubling of k: each degree reads the slots once per
 # generator alive there and once for the degree, not once per generator
@@ -429,13 +443,8 @@ def test_morphism_degreewise_moves_each_generator_once(F, monkeypatch):
 
     totals = []
     for k, ceiling in zip((8, 16), TRANSPORT_CALLS):
-        X = direct_sum_many([_atoms(F)[i % 3] for i in range(k)] + [
-            torsion_cyclic(F, 3 + i % 5, i % 4) for i in range(k)
-        ])[0]
-        # the identity, plus a one on every lattice-to-torsion slot
-        one = identity_morphism(X)
-        m = dataclasses.replace(one, ft=tuple((F.one,) * len(vec) for vec in one.ft))
-        events = sorted(slot_events(X))
+        m = _transport_map(F, k)
+        events = sorted(slot_events(m.src))
         monkeypatch.setattr(TorsionPart, "slots_at", counted)
         calls.clear()
         mats = [morphism_degreewise(m, d) for d in events]
@@ -445,3 +454,36 @@ def test_morphism_degreewise_moves_each_generator_once(F, monkeypatch):
         for d, mat in zip(events, mats):
             assert mat == oracle_slots.morphism_degreewise(m, d), (k, d)
     assert totals[1] <= TRANSPORT_GROWTH * totals[0], totals
+
+
+# slots_at calls of compose(m, m) and serre_twist_morphism(m), ceilings at
+# k = 8 and 16 and per doubling of k: each builds the torsion blocks it reads
+# once per distinct jump of the source (four here), not once per generator
+BLOCK_CALLS, BLOCK_GROWTH = {"compose": (43, 75), "serre_twist_morphism": (35, 67)}, 2.5
+BLOCK_OPS = {
+    "compose": (lambda m: homext.compose(m, m), lambda m: oracle_slots.compose(m, m)),
+    "serre_twist_morphism": (homext.serre_twist_morphism, oracle_slots.serre_twist_morphism),
+}
+
+
+@pytest.mark.parametrize("op", BLOCK_OPS)
+@pytest.mark.parametrize("F", FIELDS, ids=str)
+def test_compose_and_twist_build_blocks_once_per_jump(F, op, monkeypatch):
+    slots_at, calls = TorsionPart.slots_at, []
+
+    def counted(self, d):
+        calls.append(d)
+        return slots_at(self, d)
+
+    run, reference = BLOCK_OPS[op]
+    totals = []
+    for k, ceiling in zip((8, 16), BLOCK_CALLS[op]):
+        m = _transport_map(F, k)
+        monkeypatch.setattr(TorsionPart, "slots_at", counted)
+        calls.clear()
+        out = run(m)
+        monkeypatch.setattr(TorsionPart, "slots_at", slots_at)
+        assert len(calls) <= ceiling, (k, len(calls))
+        totals.append(len(calls))
+        assert out == reference(m), k
+    assert totals[1] <= BLOCK_GROWTH * totals[0], totals

@@ -13,7 +13,10 @@ L_k = F[1, 0] + F[2, 1] + F[3, 2] + F[1, 0] + ... (k summands,
 F[1 + i % 3, i % 3]) and count the systems handed to ``linalg._echelon``:
 each command eliminates ``decompose``'s systems on both sides and one small
 Hom system per pair of the three distinct labels, never an Ext image, and
-inverts the generator matrix of each parsed sum and of each label.
+inverts the generator matrix of each parsed sum and of each label.  The
+CLI parses each distinct object text once: ``hom L L`` makes one
+``parse_object`` call, and the same sum under two spellings makes two and
+prints the same.
 """
 
 import itertools
@@ -125,6 +128,28 @@ def test_cli_dimensions_eliminate_the_hom_system_alone(F, k, hom_cells, inverse_
         counts = (len(systems), sum(systems)), (len(inverse), sum(inverse))
         assert counts == FACTOR_PATH[k] and seen["_ext_count"] == 0, command
         assert sum(systems) + sum(inverse) < hom_cells + inverse_cells, command
+
+
+@pytest.mark.parametrize("F", [QQ, GF(3)], ids=str)
+def test_cli_parses_each_distinct_object_text_once(F, monkeypatch):
+    # L and the same sum spaced otherwise are two texts of one object: the
+    # first pair parses once, the second twice, and both print the same
+    L = " + ".join(f"F[{1 + i % 3},{i % 3}]" for i in range(8))
+    spaced = L.replace(" + ", "  +  ")
+    parse, texts = cli.parse_object, []
+
+    def counted(text, field):
+        texts.append(text)
+        return parse(text, field)
+
+    monkeypatch.setattr(cli, "parse_object", counted)
+    for command in ("hom", "ext", "euler"):
+        outputs = []
+        for pair, parsed in (((L, L), [L]), ((L, spaced), [L, spaced])):
+            texts.clear()
+            outputs.append(run_command(["--field", _cli_field(F), command, *pair]))
+            assert texts == parsed, command
+        assert outputs[0] == outputs[1] and outputs[0][0] == 0, command
 
 
 MIXED = (

@@ -10,7 +10,12 @@ takes no field, because the window is the same over every field.
 ``direct_sum_many`` is the one public direct sum: the two-term
 ``direct_sum`` is gone.  ``FieldSpec`` formats no scalar, and
 ``no_proj_no_inj_witness`` takes the object alone, since Serre duality
-fixes both twists at 1.
+fixes both twists at 1.  ``homext`` builds no full lattice matrix, so
+``offdiag_full``, ``offdiag_blocks``, ``diag_blocks``, ``_cut`` and
+``_full`` are gone: a class is read through its blocks
+(``ExtClass.apply``), and a matrix fixed by its generator images is built
+as its four blocks (``constant_blocks``), which with ``_ext_count`` is the
+one reader of ``generator_inverse`` outside ``lattice``.
 
 Each module declares its public names in its own ``__all__``, and
 ``zdinfty.__all__`` is their union: every declared name is defined at the
@@ -39,6 +44,7 @@ README = SRC.parent.parent / "README.md"
 GONE = {
     "Poly", "RmElement", "ring_one", "ring_u", "ring_v", "MixedIndex", "mat_scale",
     "from_filtration", "freeze", "vec_scale", "reduce_against", "min_jump", "_ft_image",
+    "offdiag_full", "offdiag_blocks", "diag_blocks", "_cut", "_full",
 }
 # definitions no src code reads, each kept for a stated reason
 UNREAD_ALLOWED = {
@@ -119,6 +125,20 @@ def test_no_module_defines_or_imports_the_ring():
         used, imported = _names(ast.parse(path.read_text(), filename=str(path)))
         assert not GONE & (used | imported), (path.name, GONE & (used | imported))
         assert "poly" not in imported, path.name
+
+
+def test_generator_inverse_has_two_readers_outside_the_lattice():
+    readers = set()
+    for path in sorted(SRC.glob("*.py")):
+        if path.stem == "lattice":
+            continue
+        for fn in ast.walk(ast.parse(path.read_text())):
+            if isinstance(fn, ast.FunctionDef) and any(
+                isinstance(node, ast.Attribute) and node.attr == "generator_inverse"
+                for node in ast.walk(fn)
+            ):
+                readers.add(f"{path.stem}.{fn.name}")
+    assert readers == {"homext._ext_count", "homext.constant_blocks"}
 
 
 def test_no_src_path_builds_a_full_morphism_matrix():
