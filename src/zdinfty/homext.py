@@ -21,8 +21,10 @@ so a constant matrix preserves the filtrations exactly when it sends each
 dir_j into S_(e_j) of the target; the restricted Hom is therefore spanned by
 the outer products s (x) g*_j, with g*_j the dual basis of the directions
 (the rows of the inverse generator matrix) and s an echelon row of
-S_(e_j).  The x-power map on slots is a partial identity, so its image is a
-set of unit slots: the generators alive at the birth degree and the torsion
+S_(e_j).  A span needs each g*_j only up to a nonzero factor, so the
+image reads the lattice's dual rows ``_dual``, as its filtration queries
+do.  The x-power map on slots is a partial identity, so its image is a set
+of unit slots: the generators alive at the birth degree and the torsion
 summands alive at both degrees.
 
 A morphism is read through its blocks: ``Morphism.apply`` maps an ambient
@@ -57,7 +59,12 @@ One counting path gives both dimensions: ``_hom_count`` and ``_ext_count``
 eliminate the Hom constraints or the Ext lattice image once and return
 that echelon with the dimension, the lattice part counted from it (the
 unknowns less the rank, the off-diagonal cells less the pivots) and the
-torsion part as a count of bars.  A summand T[n, a] is the bar
+torsion part as a count of bars.  Both systems are one outer product,
+built by one row builder (``_outer_echelon``): the rows of X at each jump
+(its generators, or its dual rows) against the rows of Y there (its
+annihilators, or the echelon rows of S_e), type by type, with Y's two
+types swapped for a class; ``hom_kx_space`` calls it with every coordinate
+typed 0.  A summand T[n, a] is the bar
 [b, d) = [-a, n - a), the degrees it is alive in:
 
 - Hom: summand i maps onto summand k exactly when b_k <= b_i < d_k <= d_i
@@ -102,7 +109,7 @@ from .errors import (
     ZdinftyError,
 )
 from .fields import check_same_field
-from .lattice import GradedLattice, GradedVector, adapted_coords, membership
+from .lattice import GradedVector, adapted_coords, membership
 from .objects import CObject, TorsionPart, module_xpower, serre_twist
 
 __all__ = [
@@ -187,11 +194,16 @@ class Morphism:
     def ft_at(self, d: int) -> tuple:
         """The lattice-to-torsion block in degree d: per target summand alive
         at d, its entry in the image of each generator alive at d, moved up
-        from the generator's jump by x (zero where it was not yet alive)."""
+        from the generator's jump by x (zero where it was not yet alive).
+        Each summand's position in a generator's image is read once per
+        distinct jump alive at d."""
         F, L, T = self.src.field, self.src.lattice, self.dst.torsion
-        images = [dict(zip(T.slots_at(e), vec))
-                  for e, vec in zip(L.jump_list[:L.dim_at(d)], self.ft)]
-        return tuple(tuple(at.get(k, F.zero) for at in images) for k in T.slots_at(d))
+        jumps = L.jump_list[:L.dim_at(d)]
+        pos = {e: {k: t for t, k in enumerate(T.slots_at(e))} for e in set(jumps)}
+        return tuple(
+            tuple(vec[pos[e][k]] if k in pos[e] else F.zero for e, vec in zip(jumps, self.ft))
+            for k in T.slots_at(d)
+        )
 
     def tt_at(self, d: int) -> tuple:
         """The torsion block in degree d: tt on the summands alive there."""
@@ -464,17 +476,17 @@ def hom_kx_space(X: CObject, Y: CObject) -> tuple:
 
     This is the restriction to graded modules: no block constraint.  Both
     objects must be torsion-free.  With every coordinate typed 0 the block
-    constraint is empty, so the basis is the a00 blocks of the category maps
-    between such copies of X and Y.
+    constraint is empty, so the constraints are ``_hom_count``'s rows with
+    X's and Y's whole rows as their type-0 parts (``_outer_echelon`` on the
+    lattices as they are), and the basis is their kernel, each vector cut
+    into Y.rank rows of X.rank entries.
     """
     check_same_field(X.field, Y.field)
     if not X.is_torsion_free() or not Y.is_torsion_free():
         raise NotLatticeMorphism("restricted hom needs torsion-free objects")
-    F = X.field
-    Xu, Yu = (
-        CObject(F, Z.torsion, GradedLattice(F, Z.rank, 0, Z.lattice.steps)) for Z in (X, Y)
-    )
-    return tuple(a00 for a00, _ in _constant_matrix_solutions(Xu, Yu, _hom_count(Xu, Yu)[0]))
+    r, rr, YL = X.rank, Y.rank, Y.lattice
+    echelon = _outer_echelon(X.field, X.lattice.generators(), YL.annihilator_at, r, rr, False)
+    return tuple(_split(vec, r, 0, rr, 0)[0] for vec in echelon.kernel(rr * r)[0])
 
 
 def _hom_torsion(X: CObject, Y: CObject) -> int:
@@ -485,7 +497,7 @@ def _hom_torsion(X: CObject, Y: CObject) -> int:
     S, T = X.torsion, Y.torsion
     ts = T.summands
     # This early return and those of ``_hom_count`` and ``_ext_count`` give
-    # what their loops would; kept because taking the three out made
+    # what the code past them would; kept because taking the three out made
     # serre-sweep 15 % slower (CHANGES.md, the fast-path table).
     if not ts:
         return 0
@@ -500,33 +512,47 @@ def _hom_torsion(X: CObject, Y: CObject) -> int:
     return count
 
 
+def _outer_echelon(F, pairs, rows_at, p: int, pp: int, swap: bool) -> linalg.Echelon:
+    """The eliminated outer-product rows of the Hom constraints and of the
+    Ext image: per (jump e, row x) of ``pairs`` and per row y of
+    ``rows_at(e)``, y's type-0 entries times x's type-0 entries, then y's
+    type-1 entries times x's type-1 entries, each product row by row.  X's
+    types split at p and Y's at pp; with ``swap`` y's two types trade
+    places, the class layout.  Zero rows are skipped and the rest
+    eliminated once.  This is the one place outside ``linalg`` that
+    multiplies scalars."""
+    mul, zero = F.mul, F.zero
+    # y's two parts, bounded once per call: slice objects, or a branch per
+    # row, made the counts 5-7 % slower on the catalog pairs
+    i0, j0, i1, j1 = (pp, None, None, pp) if swap else (None, pp, pp, None)
+    rows = []
+    for e, x in pairs:
+        x0, x1 = x[:p], x[p:]
+        for y in rows_at(e):
+            row = [mul(a, b) if a and b else zero for a in y[i0:j0] for b in x0]
+            row += [mul(a, b) if a and b else zero for a in y[i1:j1] for b in x1]
+            if any(row):
+                rows.append(row)
+    return linalg._echelon(F, rows) if rows else linalg.NO_ROWS
+
+
 def _hom_count(X: CObject, Y: CObject) -> tuple:
     """The eliminated constraints on block-diagonal constant matrices
     (a00, a11) mapping the filtration of X into that of Y, and dim Hom(X, Y):
     the unknowns less the echelon's rank, plus ``_hom_torsion``.  A matrix
     maps the filtration when u . A dir_j = 0 for each u annihilating
     S_(e_j)(Y).  The unknowns are the entries of a00, then of a11, row by
-    row, so each constraint row is u (x) dir_j on the two diagonal blocks
-    (``_ext_count`` builds its rows by the same loop, Y's types swapped).
+    row, so each constraint row is u (x) dir_j on the two diagonal blocks:
+    ``_outer_echelon`` of X's generators against Y's annihilators.
     ``hom_space`` keeps the echelon as it is, and nothing adds to it after;
     ``serre_check`` reads its rows and keeps nothing, and
     ``decomp.dimensions`` reads the count alone, on pairs of factors."""
-    F = X.field
     XL, YL = X.lattice, Y.lattice
     p, q, pp, qq = XL.p, XL.q, YL.p, YL.q
     dim = _hom_torsion(X, Y)
     if not (p + q and pp + qq):  # kept: see ``_hom_torsion``
         return linalg.NO_ROWS, dim
-    mul, zero = F.mul, F.zero
-    rows = []
-    for e, dir in XL.generators():
-        d0, d1 = dir[:p], dir[p:]
-        for u in YL.annihilator_at(e):
-            row = [mul(a, b) if a and b else zero for a in u[:pp] for b in d0]
-            row += [mul(a, b) if a and b else zero for a in u[pp:] for b in d1]
-            if any(row):
-                rows.append(row)
-    echelon = linalg._echelon(F, rows) if rows else linalg.NO_ROWS
+    echelon = _outer_echelon(X.field, XL.generators(), YL.annihilator_at, p, pp, False)
     return echelon, dim + pp * p + qq * q - len(echelon)
 
 
@@ -716,30 +742,23 @@ def _ext_torsion(X: CObject, Y: CObject) -> int:
 
 def _ext_count(X: CObject, Y: CObject) -> tuple:
     """The eliminated lattice image of ``ext_space`` and dim Ext(X, Y): the
-    off-diagonal cells less the echelon's rank, plus ``_ext_torsion``.  Its
-    loop is ``_hom_count``'s with Y's rows read type-swapped (s[pp:], s[:pp]
-    where that one reads u[:pp], u[pp:]), as the class layout is the map
-    layout into Y with its types swapped; the two loops stay apart, since
-    one row builder fed by a generator of row pairs slowed the duality
-    sweep by 3-4 %.  ``ext_space`` keeps the echelon as it is, and nothing
-    adds to it after; ``serre_check`` reads its pivots and keeps nothing."""
-    F = X.field
+    off-diagonal cells less the echelon's rank, plus ``_ext_torsion``.  The
+    image rows are ``_outer_echelon`` of X's dual rows against the echelon
+    rows of Y's S_(e_j), Y's types swapped, as the class layout is the map
+    layout into Y with its types swapped.  The image is a span, so it reads
+    each g*_j up to a nonzero factor, from ``_dual`` as every filtration
+    query does.  The echelon is the one ``generator_inverse`` gives: over Q
+    each dual row is a positive multiple of the exact row and the echelon
+    stores each row's primitive integer multiple, and over F_p the rows are
+    the same.  ``ext_space`` keeps the echelon as it is, and nothing adds to
+    it after; ``serre_check`` reads its pivots and keeps nothing."""
     XL, YL = X.lattice, Y.lattice
     p, q, pp, qq = XL.p, XL.q, YL.p, YL.q
     n_off = qq * p + pp * q
     dim = _ext_torsion(X, Y)
     if not n_off:  # kept: see ``_hom_torsion``
         return linalg.NO_ROWS, dim
-    mul, zero = F.mul, F.zero
-    rows = []
-    for (e, _), g in zip(XL.generators(), XL.generator_inverse):
-        g0, g1 = g[:p], g[p:]
-        for s in YL.subspace_at(e):
-            vec = [mul(a, b) if a and b else zero for a in s[pp:] for b in g0]
-            vec += [mul(a, b) if a and b else zero for a in s[:pp] for b in g1]
-            if any(vec):
-                rows.append(vec)
-    echelon = linalg._echelon(F, rows) if rows else linalg.NO_ROWS
+    echelon = _outer_echelon(X.field, zip(XL.jump_list, XL._dual), YL.subspace_at, p, pp, True)
     return echelon, dim + n_off - len(echelon)
 
 
@@ -756,9 +775,10 @@ def ext_space(X: CObject, Y: CObject) -> ExtSpace:
       such a map exactly when A dir_j lies in S_(e_j)(Y) for every j, and
       A is the sum of (A dir_j) (x) g*_j over j, with g*_j row j of the
       lattice's ``generator_inverse``.  So Hom_kx is spanned by s (x) g*_j,
-      s over the echelon rows of S_(e_j)(Y), and ``ff_reduction``, built
-      from the kept echelon when first read, is the unique rref of those
-      products' off-diagonal entries.
+      s over the echelon rows of S_(e_j)(Y), each g*_j read up to a nonzero
+      factor (``_ext_count``), and ``ff_reduction``, built from the kept
+      echelon when first read, is the unique rref of those products'
+      off-diagonal entries.
     - Torsion image.  A summand T[n, a] of X is read modulo the x^n image
       of degree -a in degree n - a of Y.  That map is a partial identity
       (``CObject.xpower_slots``), so its image is spanned by the unit

@@ -20,10 +20,11 @@ The inverse G^-1 of the generator matrix answers every filtration query:
 row k of G^-1 is the dual functional g*_k, and v lies in S_d exactly when
 g*_k(v) = 0 for every k past dim S_d.  Those queries ask only where a g*_k
 vanishes, so they read each row up to a nonzero factor: annihilators,
-membership, ``degree_of`` and meets read the dual rows ``_dual``, which
-over Q are the rows of G^-1 scaled to primitive integer rows, and over F_p
-are G^-1 itself.  What needs the exact coefficients of v in the generators
-(``adapted_coords``, and the maps built from it) reads
+membership, ``degree_of``, meets and the Ext image (``homext``, a span of
+outer products with the g*_k) read the dual rows ``_dual``, which over Q
+are the rows of G^-1 scaled to primitive integer rows, and over F_p are
+G^-1 itself.  What needs the exact coefficients of v in the generators
+(``adapted_coords``, and the matrices built from generator images) reads
 ``generator_inverse``.
 """
 

@@ -15,9 +15,10 @@ reads only the entries of each row at the vector's nonzeros: ``mm`` is
 ``mat_vec`` of each row, so it skips B's rows at A's zeros.  Both elder-rule
 sweeps combine their dying bars with it, a class's torsion parts are summed
 and an Ext class reduced by one ``mm`` each, and the one exception in
-``src`` is the row builders of the Hom and Ext counts, which multiply
-scalars into their outer-product rows.  ``vec_add``, ``mat_add`` and
-``trace`` add and do not multiply.
+``src`` is the outer-product row builder that the Hom and Ext counts and
+the restricted Hom share (``homext._outer_echelon``), which multiplies
+scalars into its rows.  ``vec_add``, ``mat_add`` and ``trace`` add and do
+not multiply.
 """
 
 from __future__ import annotations

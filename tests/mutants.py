@@ -34,10 +34,8 @@ MUTANTS = [
      "h01, h10 = _split(blocks[0]", "h10, h01 = _split(blocks[0]",
      ["tests/test_ext_closed_form.py"]),
     ("hom-rows-fed-twice", HOMEXT,
-     "    echelon = linalg._echelon(F, rows) if rows else linalg.NO_ROWS\n"
-     "    return echelon, dim + pp * p",
-     "    echelon = linalg._echelon(F, rows + rows) if rows else linalg.NO_ROWS\n"
-     "    return echelon, dim + pp * p",
+     "return linalg._echelon(F, rows) if rows else linalg.NO_ROWS",
+     "return linalg._echelon(F, rows + rows) if rows else linalg.NO_ROWS",
      ["tests/test_costs.py::test_cells_per_op_on_sums"]),
     ("ext-space-copies-its-echelon", HOMEXT,
      "    return ExtSpace(X, Y, echelon, pivots, widths, dim)",
@@ -116,7 +114,7 @@ MUTANTS = [
      "if inner else ((),) * bcols", "if inner else ()",
      ["tests/test_products.py::test_mm_matches_the_triple_loop"]),
     ("ft-image-reads-the-slots-at-d", HOMEXT,
-     "dict(zip(T.slots_at(e), vec))", "dict(zip(T.slots_at(d), vec))",
+     "enumerate(T.slots_at(e))", "enumerate(T.slots_at(d))",
      ["tests/test_transport.py::test_compose_and_twist_match_reference"]),
     # one derivation of the degree data; the product reads only v's nonzeros
     ("dim-at-bisects-left", "src/zdinfty/lattice.py",
@@ -145,7 +143,7 @@ MUTANTS = [
      ["tests/test_dimensions.py::test_factor_path_matches_the_frame_on_split_sums"]),
     # a morphism read through its blocks; one decomposition for Y equal to X
     ("ft-at-keeps-a-summand-born-after-the-jump", HOMEXT,
-     "at.get(k, F.zero) for at in images", "at.get(k, F.one) for at in images",
+     "if k in pos[e] else F.zero", "if k in pos[e] else F.one",
      ["tests/test_costs.py::test_morphism_degreewise_moves_each_generator_once"]),
     ("apply-swaps-the-blocks", HOMEXT,
      "return linalg.mat_vec(F, self.a00, v[:p]) + linalg.mat_vec(F, self.a11, v[p:])",
@@ -167,4 +165,11 @@ MUTANTS = [
     ("compose-reads-the-first-jump-blocks", HOMEXT,
      "g_ft, g_tt = at[e]", "g_ft, g_tt = at[min(at)]",
      ["tests/test_costs.py::test_compose_and_twist_build_blocks_once_per_jump"]),
+    # one outer-product builder for the Hom constraints and the Ext image
+    ("outer-rows-read-one-degree-low", HOMEXT,
+     "for y in rows_at(e):", "for y in rows_at(e - 1):",
+     ["tests/test_rank_two_closed_form.py"]),
+    ("ext-rows-unswapped", HOMEXT,
+     "YL.subspace_at, p, pp, True)", "YL.subspace_at, p, pp, False)",
+     ["tests/test_ext_closed_form.py::test_ext_matches_hom_solve_on_catalog"]),
 ]

@@ -2,7 +2,9 @@
 
 This is the construction that ``homext.ext_space`` replaced: the lattice
 image is the off-diagonal blocks of a basis of Hom_kx(X, Y), found as the
-kernel of the filtration constraints by ``hom_kx_space``, and each torsion
+kernel of the filtration constraints on all rank x rank unknowns by
+``oracle_slots.hom_kx_space`` (not the library's, whose row builder the
+Ext image shares), and each torsion
 summand's image is the ``rref`` of the transposed x^n matrix
 ``module_xpower``.  Reduced echelon forms are unique, so the reductions and
 the canonical basis must agree with ``ext_space`` entry for entry.  The
@@ -14,11 +16,11 @@ in it cannot sit on both sides of a comparison.
 from typing import NamedTuple
 
 from zdinfty import linalg
-from zdinfty.homext import ExtClass, hom_kx_space
+from zdinfty.homext import ExtClass
 from zdinfty.objects import CObject, TorsionPart, module_xpower
 
 from oracle_membership import reduce_against
-from oracle_slots import offdiag_blocks
+from oracle_slots import hom_kx_space, offdiag_blocks
 
 
 class Ext(NamedTuple):

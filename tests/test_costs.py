@@ -32,8 +32,11 @@ rank-two and k torsion atoms, with ceilings at k = 8 and 16 and on their
 growth per doubling, and checks each matrix against ``oracle_slots.morphism_degreewise``.
 The block rows count the same calls of ``compose(m, m)`` and
 ``serre_twist_morphism(m)`` on that map, which build each torsion block
-once per distinct jump, with ceilings at k = 8 and 16 and on their growth,
+once per distinct jump, with ceilings at k = 8 and 16 that do not grow,
 and check each result against ``oracle_slots``.
+The restriction row pins that ``hom_kx_space`` on warm lattices calls
+``linalg.inverse`` not at all: it reads the lattices as they are, not
+retyped copies whose inverses are built again.
 The fast-path rows pin three shortcuts by their calls: ``decompose`` calls
 ``linalg.elder_kills`` only at a jump where some live bar's column is
 nonzero, never at the top jump, and ``linalg.nullspace`` only at a jump
@@ -53,7 +56,8 @@ from zdinfty import cli, homext, linalg
 from zdinfty.decomp import decompose, identify
 from zdinfty.fields import GF, QQ
 from zdinfty.homext import (
-    euler_form, ext_space, hom_space, identity_morphism, morphism_degreewise, serre_check,
+    euler_form, ext_space, hom_kx_space, hom_space, identity_morphism, morphism_degreewise,
+    serre_check,
 )
 from zdinfty.objects import (
     TorsionPart, direct_sum_many, rank_one, rank_two, serre_twist, slot_events, torsion_cyclic,
@@ -428,9 +432,8 @@ def _transport_map(F, k):
 
 # slots_at calls of morphism_degreewise over every slot event, ceilings at
 # k = 8 and 16 and per doubling of k: each degree reads the slots once per
-# generator alive there and once for the degree, not once per generator
-# per generator
-TRANSPORT_CALLS, TRANSPORT_GROWTH = (111, 263), 2.5
+# distinct jump alive there and once for the degree, not once per generator
+TRANSPORT_CALLS, TRANSPORT_GROWTH = (54, 70), 1.3
 
 
 @pytest.mark.parametrize("F", FIELDS, ids=str)
@@ -458,8 +461,9 @@ def test_morphism_degreewise_moves_each_generator_once(F, monkeypatch):
 
 # slots_at calls of compose(m, m) and serre_twist_morphism(m), ceilings at
 # k = 8 and 16 and per doubling of k: each builds the torsion blocks it reads
-# once per distinct jump of the source (four here), not once per generator
-BLOCK_CALLS, BLOCK_GROWTH = {"compose": (43, 75), "serre_twist_morphism": (35, 67)}, 2.5
+# once per distinct jump of the source (four here), and each block reads the
+# slots once per distinct jump, so the calls do not grow with k
+BLOCK_CALLS, BLOCK_GROWTH = {"compose": (22, 22), "serre_twist_morphism": (14, 14)}, 1
 BLOCK_OPS = {
     "compose": (lambda m: homext.compose(m, m), lambda m: oracle_slots.compose(m, m)),
     "serre_twist_morphism": (homext.serre_twist_morphism, oracle_slots.serre_twist_morphism),
@@ -487,3 +491,14 @@ def test_compose_and_twist_build_blocks_once_per_jump(F, op, monkeypatch):
         totals.append(len(calls))
         assert out == reference(m), k
     assert totals[1] <= BLOCK_GROWTH * totals[0], totals
+
+
+@pytest.mark.parametrize("F", FIELDS, ids=str)
+def test_hom_kx_space_inverts_nothing_on_warm_lattices(F, monkeypatch):
+    calls = _calls(monkeypatch, linalg, "inverse")
+    for k in (8, 16):
+        L = _sum(F, k)
+        by_atoms = _by_atoms(lambda X, Y: (len(hom_kx_space(X, Y)),), F, k)
+        calls.clear()
+        assert (len(hom_kx_space(L, L)),) == by_atoms, k
+        assert not calls, (k, len(calls))

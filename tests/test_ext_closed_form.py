@@ -2,7 +2,7 @@
 
 The lattice image is spanned by the off-diagonal entries of s (x) g*_j, s an
 echelon row of S_(e_j)(Y) and g*_j a row of the inverse generator matrix of
-X; the torsion image is the unit slots of ``CObject.xpower_slots``.  Both are
+X up to a nonzero factor (X's dual rows); the torsion image is the unit slots of ``CObject.xpower_slots``.  Both are
 compared with ``oracle_ext``, which solves for a basis of Hom_kx and row
 reduces the x^n matrices, on the acceptance catalog and on seeded
 lattice-heavy, torsion-heavy and mixed sums over Q, F_2 and F_3.

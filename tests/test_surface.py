@@ -14,8 +14,11 @@ fixes both twists at 1.  ``homext`` builds no full lattice matrix, so
 ``offdiag_full``, ``offdiag_blocks``, ``diag_blocks``, ``_cut`` and
 ``_full`` are gone: a class is read through its blocks
 (``ExtClass.apply``), and a matrix fixed by its generator images is built
-as its four blocks (``constant_blocks``), which with ``_ext_count`` is the
-one reader of ``generator_inverse`` outside ``lattice``.
+as its four blocks (``constant_blocks``), the one reader of
+``generator_inverse`` outside ``lattice``: the Ext image reads the dual
+rows up to scale.  Outside ``linalg`` one function multiplies field
+scalars, the outer-product row builder that the Hom and Ext counts and the
+restricted Hom share.
 
 Each module declares its public names in its own ``__all__``, and
 ``zdinfty.__all__`` is their union: every declared name is defined at the
@@ -127,18 +130,29 @@ def test_no_module_defines_or_imports_the_ring():
         assert "poly" not in imported, path.name
 
 
-def test_generator_inverse_has_two_readers_outside_the_lattice():
+def _readers(attr, skip) -> set:
+    """``module.function`` of each function in ``src``, outside the module
+    ``skip``, that reads the attribute ``attr``."""
     readers = set()
     for path in sorted(SRC.glob("*.py")):
-        if path.stem == "lattice":
+        if path.stem == skip:
             continue
         for fn in ast.walk(ast.parse(path.read_text())):
             if isinstance(fn, ast.FunctionDef) and any(
-                isinstance(node, ast.Attribute) and node.attr == "generator_inverse"
-                for node in ast.walk(fn)
+                isinstance(node, ast.Attribute) and node.attr == attr for node in ast.walk(fn)
             ):
                 readers.add(f"{path.stem}.{fn.name}")
-    assert readers == {"homext._ext_count", "homext.constant_blocks"}
+    return readers
+
+
+def test_generator_inverse_has_one_reader_outside_the_lattice():
+    assert _readers("generator_inverse", "lattice") == {"homext.constant_blocks"}
+
+
+def test_one_function_outside_linalg_multiplies_scalars():
+    # the Hom constraints, the Ext image and the restricted Hom share one
+    # outer-product row builder; every other product runs on ``linalg``
+    assert _readers("mul", "linalg") == {"homext._outer_echelon"}
 
 
 def test_no_src_path_builds_a_full_morphism_matrix():
